@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check fuzz bench bench-smoke bench-compare bench-fleet update-golden
+.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check bench-check fuzz bench bench-smoke bench-compare bench-fleet update-golden
 
 build:
 	$(GO) build ./...
@@ -47,23 +47,31 @@ simulate-check:
 	$(GO) run ./cmd/clara -simulate -scenario zipf -policy dynamic -rounds 24 > /dev/null
 	$(GO) run ./cmd/clara -simulate -scenario elephantmice -policy static -rounds 24 > /dev/null
 
-# interp-check runs the compiled-backend differential suite under the
-# race detector: every library element x every traffic spec x both
-# observability flavors, plus the fuel-starvation and HostMap sweeps,
-# must produce byte-identical transcripts from both backends.
+# interp-check runs the interpreter's differential suite under the race
+# detector: every library element x every traffic spec, counting and
+# hooked, plus the fuel-starvation and HostMap sweeps and 300 generated
+# programs, must produce byte-identical transcripts from RunPacket (the
+# step engine) and the reference loop; the profile loop must not allocate.
 interp-check:
 	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestProfileLoopZeroAllocs' ./internal/interp/ ./internal/core/
 
+# bench-check vets and tests the BENCHMARK.json harness. bench/ is a
+# nested module, invisible to ./... above, and it imports interp.Precompile
+# and core.ProfileOnHost* directly — so a change that breaks those for the
+# harness shows here and nowhere else.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the PR gate: static gates first, then build, plain tests,
-# then the race passes, then a quick run of the benchmark harness.
-check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check bench-smoke
+# then the race passes, then the benchmark harnesses (bench/'s own tests,
+# and a quick run of perfbench).
+check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check bench-check bench-smoke
 
 # bench regenerates the committed BENCH_PR10.json: everything from the
 # PR9 report (cold/warm start, train throughput, predict latency,
 # quantized drift, fleet jobs/sec, convergence grid, cluster scaling)
-# plus the host-profiling microbench (profile_us_per_packet,
-# compiled_speedup). Earlier BENCH_PR*.json files are kept for cross-PR
-# comparison.
+# plus the host-profiling microbench (profile_us_per_packet). Earlier
+# BENCH_PR*.json files are kept for cross-PR comparison.
 bench:
 	$(GO) run ./cmd/perfbench -out BENCH_PR10.json
 

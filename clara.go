@@ -65,10 +65,6 @@ type (
 	AccelConfig = niccc.AccelConfig
 	// Machine executes an NF over packets (host or NIC semantics).
 	Machine = interp.Machine
-	// InterpBackend selects the interpreter execution engine: the
-	// compiled direct-threaded backend or the reference loop. See
-	// SetInterpBackend.
-	InterpBackend = interp.Backend
 	// Route is one LPM rule.
 	Route = interp.Route
 	// ProfileSetup provides state seeding for host profiling.
@@ -148,26 +144,6 @@ var (
 	SmallFlows = traffic.SmallFlows
 	MediumMix  = traffic.MediumMix
 )
-
-// Interpreter backends. InterpAuto defers to the process-wide default
-// (the compiled backend unless overridden).
-const (
-	InterpAuto      = interp.BackendAuto
-	InterpCompiled  = interp.BackendCompiled
-	InterpReference = interp.BackendReference
-)
-
-// SetInterpBackend selects the process-wide default interpreter backend
-// used wherever a Machine's Config leaves Backend at InterpAuto — host
-// profiling, fleet batches, the analysis server. The compiled
-// direct-threaded backend is the default; the reference interpreter
-// exists for differential debugging and produces bit-identical
-// observables (steps, fuel, counters, hook traces, goldens).
-func SetInterpBackend(b InterpBackend) error { return interp.SetDefaultBackend(b) }
-
-// ParseInterpBackend maps the CLI/config spelling of a backend name
-// ("auto" | "compiled" | "reference").
-func ParseInterpBackend(s string) (InterpBackend, error) { return interp.ParseBackend(s) }
 
 // CompileNF compiles NFC source into an analyzable module.
 func CompileNF(name, src string) (*Module, error) { return lang.Compile(name, src) }

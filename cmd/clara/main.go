@@ -98,19 +98,8 @@ func main() {
 		pps       = flag.Int("pps", 0, "with -simulate: override offered packets per round (0 = scenario default)")
 		simSeed   = flag.Int64("sim-seed", 7, "with -simulate: trajectory PRNG seed")
 		whyRule   = flag.String("why", "", "explain a lint rule (e.g. -why loop-varbound); 'list' enumerates all rules")
-		interpBk  = flag.String("interp", "auto", "interpreter backend for host profiling: auto | compiled | reference")
 	)
 	flag.Parse()
-
-	if bk, err := clara.ParseInterpBackend(*interpBk); err != nil {
-		fmt.Fprintf(os.Stderr, "clara: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
-	} else if bk != clara.InterpAuto {
-		if err := clara.SetInterpBackend(bk); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *whyRule != "" {
 		explainRule(*whyRule)

@@ -23,10 +23,7 @@
 //     in-process coordinator fronting 1, 2, and 4 single-threaded
 //     workers (the PR9 scaling grid; speedup_vs_1 is recorded honestly,
 //     so a 1-CPU runner reports ~1x);
-//   - host profiling: µs per workload packet through the compiled
-//     direct-threaded interpreter backend, and its speedup over the
-//     reference switch-dispatch loop on the identical packet stream
-//     (the PR10 headline).
+//   - host profiling: µs per workload packet through the interpreter.
 //
 // Usage:
 //
@@ -54,7 +51,6 @@ import (
 
 	"clara"
 	"clara/internal/core"
-	"clara/internal/interp"
 	"clara/internal/ml"
 	"clara/internal/niccc"
 	"clara/internal/offload"
@@ -81,12 +77,9 @@ type report struct {
 	// WMAPE(f32)| (the accuracy gate pins it below 0.005).
 	QuantizedWmapeDrift float64 `json:"quantized_wmape_drift"`
 	FleetJobsPerSec     float64 `json:"fleet_jobs_per_sec"`
-	// ProfileUsPerPacket is host profiling's per-packet cost on the
-	// compiled direct-threaded backend (the fleet's hot loop);
-	// CompiledSpeedup is the reference interpreter's wall time over the
-	// compiled backend's on the identical profiling workload.
+	// ProfileUsPerPacket is host profiling's per-packet cost (the
+	// fleet's hot loop).
 	ProfileUsPerPacket float64 `json:"profile_us_per_packet"`
-	CompiledSpeedup    float64 `json:"compiled_speedup"`
 	// ConvergenceNF is the library element whose trained prediction
 	// derives the NIC capacities and seeds the insight policy; the
 	// Convergence rows compare rounds-to-steady-state (drop rate <= 1%)
@@ -226,14 +219,13 @@ func main() {
 	}
 	rep.FleetJobsPerSec = float64(len(results)) / time.Since(t0).Seconds()
 
-	// Host-profiling microbench: the same packet stream through both
-	// interpreter backends.
-	fmt.Fprintln(os.Stderr, "perfbench: host-profiling backends benchmark...")
+	// Host-profiling microbench.
+	fmt.Fprintln(os.Stderr, "perfbench: host-profiling benchmark...")
 	profPkts := 40000
 	if *quick {
 		profPkts = 4000
 	}
-	if rep.ProfileUsPerPacket, rep.CompiledSpeedup, err = profileBench(profPkts); err != nil {
+	if rep.ProfileUsPerPacket, err = profileBench(profPkts); err != nil {
 		fatal(err)
 	}
 
@@ -432,54 +424,35 @@ func convergenceBench(tool *clara.Tool, nfName string, rounds int) ([]convergenc
 
 // profileBench times ProfileOnHost — the fleet's measured floor — over a
 // loop-heavy element slice of the library, n packets of the mix workload
-// each, once per interpreter backend, and returns the compiled backend's
-// µs/packet plus its speedup over the reference loop. The best-of-3
-// median-free minimum is used per backend: profiling is deterministic, so
-// the minimum is the run least disturbed by the machine.
-func profileBench(n int) (usPerPkt, speedup float64, err error) {
-	defer interp.SetDefaultBackend(interp.BackendCompiled)
+// each, and returns µs/packet. The best-of-3 minimum is used: profiling
+// is deterministic, so the minimum is the run least disturbed by the
+// machine.
+func profileBench(n int) (usPerPkt float64, err error) {
 	elems := []string{"mazunat", "cmsketch", "udpcount", "firewall", "dedup"}
-	timeBackend := func(b interp.Backend) (time.Duration, error) {
-		if err := interp.SetDefaultBackend(b); err != nil {
-			return 0, err
-		}
-		best := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			for _, name := range elems {
-				e := clara.GetElement(name)
-				if e == nil {
-					return 0, fmt.Errorf("unknown element %q", name)
-				}
-				mod, err := e.Module()
-				if err != nil {
-					return 0, err
-				}
-				ps := core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes}
-				if _, err := core.ProfileOnHost(mod, ps, traffic.MediumMix, n); err != nil {
-					return 0, err
-				}
+	best := time.Duration(math.MaxInt64)
+	for rep := 0; rep < 3; rep++ {
+		t0 := time.Now()
+		for _, name := range elems {
+			e := clara.GetElement(name)
+			if e == nil {
+				return 0, fmt.Errorf("unknown element %q", name)
 			}
-			if d := time.Since(t0); d < best {
-				best = d
+			mod, err := e.Module()
+			if err != nil {
+				return 0, err
+			}
+			ps := core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes}
+			if _, err := core.ProfileOnHost(mod, ps, traffic.MediumMix, n); err != nil {
+				return 0, err
 			}
 		}
-		return best, nil
+		if d := time.Since(t0); d < best {
+			best = d
+		}
 	}
-	compiled, err := timeBackend(interp.BackendCompiled)
-	if err != nil {
-		return 0, 0, err
-	}
-	reference, err := timeBackend(interp.BackendReference)
-	if err != nil {
-		return 0, 0, err
-	}
-	pkts := float64(len(elems) * n)
-	usPerPkt = float64(compiled.Microseconds()) / pkts
-	speedup = float64(reference) / float64(compiled)
-	fmt.Fprintf(os.Stderr, "perfbench: profiling compiled=%.2fus/pkt reference=%.2fus/pkt speedup=%.2fx\n",
-		usPerPkt, float64(reference.Microseconds())/pkts, speedup)
-	return usPerPkt, speedup, nil
+	usPerPkt = float64(best.Microseconds()) / float64(len(elems)*n)
+	fmt.Fprintf(os.Stderr, "perfbench: profiling %.2fus/pkt\n", usPerPkt)
+	return usPerPkt, nil
 }
 
 // clusterBench serves the whole element library as one /v1/analyze

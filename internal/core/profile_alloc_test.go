@@ -54,7 +54,7 @@ func profileLoop(tb testing.TB, name string, n int) func() {
 // TestProfileLoopZeroAllocs pins the host-profiling packet loop at zero
 // heap allocations per packet: the replayer copies payloads into reused
 // scratch, the machine's register file and counters are preallocated, and
-// the compiled backend's closures are built once per module. A regression
+// the interpreter's step lists are built once per module. A regression
 // here silently taxes every fleet job, so it fails the build rather than
 // just a benchmark delta.
 func TestProfileLoopZeroAllocs(t *testing.T) {

@@ -251,11 +251,10 @@ func (f *Fleet) prewarmGroup(accel niccc.AccelConfig, mods []*ir.Module, entries
 		}
 	}()
 	// Warm the interpreter's compiled-program cache alongside the
-	// prediction sweep: host profiling for these modules then starts on
-	// the threaded backend immediately instead of each first worker
-	// paying the compile. A compile error is not a batch error — the
-	// machine falls back to the reference interpreter, and any real
-	// module problem surfaces in that job's analysis.
+	// prediction sweep, so host profiling for these modules starts
+	// without each first worker paying the compile. A compile error is
+	// not a batch error — interp.New reports the same error again when
+	// that module's own job profiles it.
 	for _, mod := range mods {
 		_ = interp.Precompile(mod)
 	}

@@ -50,9 +50,9 @@ func benchPackets(b *testing.B, n int) []traffic.Packet {
 	return pkts
 }
 
-func benchRun(b *testing.B, src string, backend Backend) {
+func benchRun(b *testing.B, src string, run func(*Machine, *traffic.Packet) error) {
 	mod := compileB(b, "bench", src)
-	m, err := New(mod, Config{Mode: HostMap, Backend: backend})
+	m, err := New(mod, Config{Mode: HostMap})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,15 +61,17 @@ func benchRun(b *testing.B, src string, backend Backend) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pkts[i%len(pkts)]
-		if err := m.RunPacket(&p); err != nil {
+		if err := run(m, &p); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(m.Steps)/float64(b.N), "instrs/pkt")
 }
 
-func BenchmarkRunPacketNAT(b *testing.B)  { benchRun(b, natSrc, BackendCompiled) }
-func BenchmarkRunPacketLoop(b *testing.B) { benchRun(b, benchLoopSrc, BackendCompiled) }
+func BenchmarkRunPacketNAT(b *testing.B)  { benchRun(b, natSrc, (*Machine).RunPacket) }
+func BenchmarkRunPacketLoop(b *testing.B) { benchRun(b, benchLoopSrc, (*Machine).RunPacket) }
 
-func BenchmarkRunPacketNATReference(b *testing.B)  { benchRun(b, natSrc, BackendReference) }
-func BenchmarkRunPacketLoopReference(b *testing.B) { benchRun(b, benchLoopSrc, BackendReference) }
+func BenchmarkRunPacketNATReference(b *testing.B) { benchRun(b, natSrc, (*Machine).RunReference) }
+func BenchmarkRunPacketLoopReference(b *testing.B) {
+	benchRun(b, benchLoopSrc, (*Machine).RunReference)
+}

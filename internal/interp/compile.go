@@ -1,123 +1,125 @@
 package interp
 
-import "clara/internal/ir"
+import (
+	"errors"
+	"fmt"
 
-// This file lowers a compiled program (the flat cInstr form) into
-// direct-threaded closure code: each basic block becomes a []cOp of Go
-// closures plus a cTerm terminator, with every operand index, global
-// slot, pow2 mask, constant, and branch target captured in the closure
-// environment at compile time. Executing a block is then a bare loop of
-// indirect calls — no opcode switch, no per-instruction branching on
-// hook presence. The value and slot arrays are passed to each closure as
-// arguments (see cOp) so bodies address them out of registers.
-//
-// Fusion. Adjacent instructions in hot shapes (local loads feeding an
-// ALU op, ALU op feeding a local store, payload-byte read feeding
-// compute, hash32 feeding the table-index mask/mod, pow2 array
-// load-modify-store) collapse into one superinstruction closure. All
-// fused bodies are written in "write-through" style: every constituent
-// instruction still writes its result to its IR value slot before the
-// next constituent reads its operands from the value array. That makes
-// fusion correct for *any* adjacent instructions of the right opcode
-// shape — no use-def matching is needed, downstream instructions observe
-// exactly the unfused state, and what fusion buys is the elimination of
-// per-instruction indirect calls (the dominant cost once dispatch is
-// threaded). Fuel, Steps, and OnCompute charge by source IR count
-// (tBlock.size), so fusion never changes the observable cost model.
-//
-// Flavors. The plain flavor carries no observability code at all; the
-// counting flavor bakes each global access's flat counter index
-// (gidx*NBlocks+block) into its closure as a captured constant; the
-// hooked flavor is compiled strictly 1:1 (no fusion) with the reference
-// loop's hook callouts reproduced per instruction, so hook traces are
-// ordered identically. Heavy APIs — maps, vectors, and any call whose
-// counter charge depends on runtime probe counts — always go through
-// Machine.call, which is shared verbatim with the reference loop.
-//
-// Validation. compileThreaded statically rejects anything whose runtime
-// error or panic behavior it would have to reproduce dynamically: blocks
-// without a proper final terminator (or with a terminator mid-block),
-// map/vec APIs aimed at the wrong global kind, and zero-length modulo
-// arrays. Declining returns nil and the machine permanently falls back
-// to the reference loop for that module, which reports those errors with
-// its own wording — so the threaded path never needs an error check per
-// instruction, only the per-block m.err gate after Machine.call ops.
+	"clara/internal/ir"
+)
 
-// compileThreaded lowers p for one flavor, or returns nil if any block
-// fails static validation (callers fall back to the reference loop).
-func compileThreaded(p *program, fl tFlavor) *threaded {
-	cross := crossReads(p)
-	t := &threaded{blocks: make([]tBlock, len(p.blocks))}
-	for bi := range p.blocks {
-		tb, ok := threadBlock(p, bi, fl, cross)
-		if !ok {
+// This file lowers a compiled program (the flat cInstr form the reference
+// loop walks) into the step engine's form: per block, one []vstep body
+// plus a resolved terminator (steps.go). One pipeline produces both
+// lowerings — plain, and counting with each global access's flat counter
+// index (gidx*NBlocks+block) baked into its step:
+//
+//	remapInstrs    operands move into the combined register space
+//	lvnBlock       local loads whose value never leaves the block vanish
+//	toStep         each instruction becomes a vstep
+//	peepholeSteps  constant operands and trailing local stores fold in
+//
+// Every rewrite keeps the write-through contract: each surviving
+// instruction still writes its IR result cell before the next one reads
+// its operands, so no use-def matching is needed and other blocks observe
+// exactly the unlowered state. Fuel and Steps charge by source IR count
+// (sBlock.size), so lowering never changes the observable cost model.
+//
+// Framework API calls are not lowered: an xCall step hands the original
+// instruction to Machine.call, the code the reference loop runs, so probe
+// counts, counters and map/vector semantics exist once.
+//
+// checkInstr (run when the module is compiled, so New and Precompile
+// report it) rejects whatever the engine would otherwise have to handle
+// dynamically: blocks without a proper final terminator, branch targets
+// outside the function, map/vec APIs aimed at the wrong global kind, and
+// zero-length modulo arrays. The step loop therefore needs no error check
+// per instruction, only the m.err gate after blocks that hold a call.
+
+// checkInstr validates one instruction; last reports whether it is its
+// block's final one. Errors read on from "block N ...".
+func checkInstr(p *program, in *cInstr, last bool) error {
+	if isTerm(in.op) != last {
+		if last {
+			return errors.New("does not end in a terminator")
+		}
+		return errors.New("has a terminator before its last instruction")
+	}
+	nb := int32(len(p.blocks))
+	switch in.op {
+	case xBr:
+		if in.t < 0 || in.t >= nb {
+			return fmt.Errorf("branches to missing block %d", in.t)
+		}
+	case xCondBr, xCmpBr:
+		if in.t < 0 || in.t >= nb || in.f < 0 || in.f >= nb {
+			return fmt.Errorf("branches to missing block %d or %d", in.t, in.f)
+		}
+	case xGLoadA, xGStoreA:
+		if p.gmeta[in.gidx].len <= 0 {
+			return fmt.Errorf("indexes zero-length array %q", p.strs[in.sidx].global)
+		}
+	case xCall:
+		var want ir.GlobalKind
+		switch in.api {
+		case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize:
+			want = ir.GMap
+		case apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
+			want = ir.GVec
+		default:
 			return nil
 		}
-		t.blocks[bi] = tb
-	}
-	if fl != fHooked {
-		attachCycles(p, t, fl, cross)
-	}
-	return t
-}
-
-// lowerBlock returns block bi's instruction sequence exactly as the
-// plain or counting flavor executes it: operands remapped into the
-// combined register space and local loads elided. Only valid after
-// every block passed threadBlock's validation.
-func lowerBlock(p *program, bi int, fl tFlavor, cross map[int32]bool) []cInstr {
-	return lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs, fl), cross, fl == fCounting)
-}
-
-func threadBlock(p *program, bi int, fl tFlavor, cross map[int32]bool) (tBlock, bool) {
-	cb := &p.blocks[bi]
-	tb := tBlock{size: cb.size}
-	n := len(cb.instrs)
-	if n == 0 {
-		return tb, false
-	}
-	for i := range cb.instrs {
-		if !validInstr(p, &cb.instrs[i], i == n-1) {
-			return tb, false
+		if in.gidx < 0 || p.gmeta[in.gidx].kind != want {
+			s := p.strs[in.sidx]
+			return fmt.Errorf("calls %s on %q, which is not a %s", s.callee, s.global, want)
 		}
 	}
-	counting := fl == fCounting
-	instrs := remapInstrs(p, cb.instrs, fl)
-	if fl != fHooked {
-		instrs = lvnBlock(p, instrs, cross, counting)
+	return nil
+}
+
+func isTerm(op xop) bool {
+	return op == xBr || op == xCondBr || op == xRet || op == xCmpBr
+}
+
+// lowering returns the program's step-engine form, plain or counting,
+// building it on first use; every machine for the module shares it.
+func (p *program) lowering(counting bool) []sBlock {
+	i := 0
+	if counting {
+		i = 1
 	}
-	body := instrs[:len(instrs)-1]
-	switch fl {
-	case fHooked:
-		tb.head = hookedHead(p, bi)
+	p.lowerOnce[i].Do(func() { p.lowered[i] = lower(p, counting) })
+	return p.lowered[i]
+}
+
+func lower(p *program, counting bool) []sBlock {
+	cross := crossReads(p)
+	blocks := make([]sBlock, len(p.blocks))
+	for bi := range p.blocks {
+		instrs := lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs), cross)
+		body, tm := instrs[:len(instrs)-1], &instrs[len(instrs)-1]
+		b := &blocks[bi]
+		*b = sBlock{
+			size: p.blocks[bi].size,
+			term: tm.op, pred: tm.pred, a0: tm.a0, a1: tm.a1, id: tm.id, t: tm.t, f: tm.f,
+		}
+		ss := make([]vstep, len(body))
+		// Calls pass through remapInstrs and lvnBlock untouched and in
+		// order, so the k-th call step is the block's k-th original call;
+		// pointing at that one lets the lowered copy be collected.
+		orig := p.blocks[bi].instrs
 		for i := range body {
-			tb.ops = append(tb.ops, hookedOp(p, &body[i], bi))
-		}
-	default:
-		if rt := chainRunAll(p, body, &instrs[len(instrs)-1], bi, counting); rt != nil {
-			// Whole block in one closure; ops/term/chk are never consulted
-			// (chainStep admits no Machine.call ops, so chk is vacuous).
-			tb.runAll = rt
-			return tb, true
-		}
-		for i := 0; i < len(body); {
-			if op, adv := fuseOps(p, body, i, bi, counting); op != nil {
-				tb.ops = append(tb.ops, op)
-				i += adv
-				continue
+			ss[i] = toStep(p, &body[i], bi, counting)
+			if body[i].op == xCall {
+				for orig[0].op != xCall {
+					orig = orig[1:]
+				}
+				ss[i].call, orig = &orig[0], orig[1:]
+				b.hasCall = true
 			}
-			tb.ops = append(tb.ops, plainOp(p, &body[i], bi, counting))
-			i++
 		}
+		b.steps = peepholeSteps(p, ss)
 	}
-	for i := range body {
-		if routesViaCall(&body[i], fl) {
-			tb.chk = true
-			break
-		}
-	}
-	tb.term = termOp(&instrs[len(instrs)-1])
-	return tb, true
+	return blocks
 }
 
 // vsOff is where the vals space (instruction results + const pool)
@@ -128,28 +130,6 @@ func (p *program) vsOff() int32 {
 		return 1
 	}
 	return int32(p.nslots)
-}
-
-// routesViaCall reports whether the threaded backend executes in through
-// Machine.call (which addresses m.vals directly and fires its own
-// counters and hooks). Such instructions keep their original vals-space
-// operand encoding; everything else is remapped into the combined
-// register space. Must agree with callOp and hookedOp.
-func routesViaCall(in *cInstr, fl tFlavor) bool {
-	if in.op != xCall {
-		return false
-	}
-	if fl == fHooked {
-		return true
-	}
-	switch in.api {
-	case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize,
-		apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
-		return true
-	case apiCsumUpdate, apiCRC32HW:
-		return fl == fCounting && in.gidx >= 0
-	}
-	return false
 }
 
 // crossReads returns the set of vals-space cells read by more than one
@@ -178,17 +158,17 @@ func crossReads(p *program) map[int32]bool {
 
 // remapInstrs copies a block's instructions with every vals-space
 // operand offset into the combined register space (slot cells keep their
-// indices; value and const cells shift up by vsOff). Instructions routed
-// through Machine.call are left untouched — call reads m.vals with the
-// original encoding, and the two views share cells. Offsetting a field
-// an op never reads is harmless; no emitted closure touches it.
-func remapInstrs(p *program, src []cInstr, fl tFlavor) []cInstr {
+// indices; value and const cells shift up by vsOff). Calls are left
+// untouched — Machine.call reads m.vals with the original encoding, and
+// the two views share cells. Offsetting a field an op never reads is
+// harmless; no step touches it.
+func remapInstrs(p *program, src []cInstr) []cInstr {
 	off := p.vsOff()
 	out := make([]cInstr, len(src))
 	copy(out, src)
 	for i := range out {
 		in := &out[i]
-		if routesViaCall(in, fl) {
+		if in.op == xCall {
 			continue
 		}
 		in.id += off
@@ -198,21 +178,17 @@ func remapInstrs(p *program, src []cInstr, fl tFlavor) []cInstr {
 	return out
 }
 
-// lvnBlock elides local loads. In the plain and counting flavors local
-// slot traffic is unobservable (no OnLocal hooks, no counters, and fuel
-// and Steps charge by tBlock.size regardless), so a load whose result is
-// only consumed inside this block need not execute at all: its consumers
-// read the slot cell directly. The load is materialized late only where
-// its elision would be visible — before a store that overwrites the slot
-// while the loaded value still has uses, and before a Machine.call
-// instruction that reads the cell through m.vals. Loads whose result
-// escapes the block (crossReads) are kept. Runs on the remapped copy and
-// returns a possibly shorter instruction sequence, terminator included.
-func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool, counting bool) []cInstr {
-	fl := fPlain
-	if counting {
-		fl = fCounting
-	}
+// lvnBlock elides local loads. On the step engine local slot traffic is
+// unobservable (no OnLocal hooks, no counters, and fuel and Steps charge
+// by sBlock.size regardless), so a load whose result is only consumed
+// inside this block need not execute at all: its consumers read the slot
+// cell directly. The load is materialized late only where its elision
+// would be visible — before a store that overwrites the slot while the
+// loaded value still has uses, and before a call that reads the cell
+// through m.vals. Loads whose result escapes the block (crossReads) are
+// kept. Runs on the remapped copy and returns a possibly shorter
+// instruction sequence, terminator included.
+func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool) []cInstr {
 	off := p.vsOff()
 	// lastUse[c] is the last position reading cell c (blanket over
 	// operand fields: over-approximation only keeps loads alive longer).
@@ -229,7 +205,7 @@ func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool, counting bool) 
 	}
 	for i := range instrs {
 		in := &instrs[i]
-		if routesViaCall(in, fl) {
+		if in.op == xCall {
 			if in.nargs > 0 {
 				use(in.a0+off, i)
 			}
@@ -252,7 +228,7 @@ func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool, counting bool) 
 	}
 	for i := range instrs {
 		in := instrs[i]
-		if routesViaCall(&in, fl) {
+		if in.op == xCall {
 			if in.nargs > 0 {
 				if s, ok := alias[in.a0+off]; ok {
 					materialize(in.a0+off, s)
@@ -301,396 +277,67 @@ func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool, counting bool) 
 	return out
 }
 
-func isTerm(op xop) bool {
-	return op == xBr || op == xCondBr || op == xRet || op == xCmpBr
-}
-
-// validInstr rejects instructions the threaded backend cannot execute
-// without dynamic error handling; see the file comment.
-func validInstr(p *program, in *cInstr, last bool) bool {
-	if isTerm(in.op) != last {
-		return false
-	}
-	switch in.op {
-	case xGLoadS, xGStoreS, xGLoadAP, xGStoreAP:
-		return in.gidx >= 0
-	case xGLoadA, xGStoreA:
-		return in.gidx >= 0 && p.gmeta[in.gidx].len > 0
-	case xCall:
-		switch in.api {
-		case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize:
-			return in.gidx >= 0 && p.gmeta[in.gidx].kind == ir.GMap
-		case apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
-			return in.gidx >= 0 && p.gmeta[in.gidx].kind == ir.GVec
-		}
-	}
-	return true
-}
-
-// termOp compiles the block terminator. Branch targets are captured
-// constants; xCmpBr still writes its comparison result before branching,
-// exactly like the reference loop.
-func termOp(in *cInstr) cTerm {
-	switch in.op {
-	case xRet:
-		return func(m *Machine, vs []uint64) int32 { return retSignal }
-	case xBr:
-		t := in.t
-		return func(m *Machine, vs []uint64) int32 { return t }
-	case xCondBr:
-		a0, t, f := in.a0, in.t, in.f
-		return func(m *Machine, vs []uint64) int32 {
-			if vs[a0] != 0 {
-				return t
-			}
-			return f
-		}
-	case xCmpBr:
-		id, a0, a1, t, f := in.id, in.a0, in.a1, in.t, in.f
-		switch in.pred {
-		case ir.PredEQ:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] == vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		case ir.PredNE:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] != vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		case ir.PredULT:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] < vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		case ir.PredULE:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] <= vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		case ir.PredUGT:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] > vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		case ir.PredUGE:
-			return func(m *Machine, vs []uint64) int32 {
-				if vs[a0] >= vs[a1] {
-					vs[id] = 1
-					return t
-				}
-				vs[id] = 0
-				return f
-			}
-		default:
-			// Unknown predicate compares false, like cmpPred.
-			return func(m *Machine, vs []uint64) int32 {
-				vs[id] = 0
-				return f
-			}
-		}
-	}
-	return nil // unreachable: validInstr guarantees a terminator
-}
-
-// ctrIdx returns the flat counter index a counting-flavor closure bakes
-// in, or -1 when the flavor does not count.
-func ctrIdx(p *program, gidx int32, bi int, counting bool) int {
-	if !counting {
-		return -1
-	}
-	return int(gidx)*len(p.blocks) + bi
-}
-
-// genericCall routes an instruction through Machine.call — the exact
-// code the reference loop runs, including emitAPI's counter and hook
-// behavior. Validation guarantees call cannot fail for threaded-compiled
-// modules; the m.err gate in runThreaded is belt and braces.
-func genericCall(in *cInstr, bi int) cOp {
-	return func(m *Machine, vs []uint64) {
-		if err := m.call(in, bi); err != nil {
-			m.err = err
-		}
-	}
-}
-
-// plainOp compiles one instruction for the plain or counting flavor.
-func plainOp(p *program, in *cInstr, bi int, counting bool) cOp {
+// toStep translates one lowered body instruction of block bi into its
+// step. Counting lowerings bake the flat state-counter index of every
+// global access; calls carry the block index Machine.call reports.
+func toStep(p *program, in *cInstr, bi int, counting bool) vstep {
+	s := vstep{mask: in.mask, a0: in.a0, a1: in.a1, id: in.id, op: in.op, pred: in.pred, k: -1}
 	switch in.op {
 	case xLLoad:
-		id, s := in.id, in.slot
-		return func(m *Machine, vs []uint64) { vs[id] = vs[s] }
+		s.a0 = in.slot // vs[id] = vs[slot]
 	case xLStore:
-		a0, s, mask := in.a0, in.slot, in.mask
-		return func(m *Machine, vs []uint64) { vs[s] = vs[a0] & mask }
-	case xGLoadS:
-		id, gi := in.id, in.gidx
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				vs[id] = m.gl[gi].scalar
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { vs[id] = m.gl[gi].scalar }
-	case xGStoreS:
-		a0, gi, mask := in.a0, in.gidx, in.mask
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				m.gl[gi].scalar = vs[a0] & mask
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { m.gl[gi].scalar = vs[a0] & mask }
-	case xGLoadAP:
-		id, a0, gi := in.id, in.a0, in.gidx
-		amask := uint64(p.gmeta[gi].len - 1)
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				vs[id] = m.gl[gi].array[vs[a0]&amask]
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { vs[id] = m.gl[gi].array[vs[a0]&amask] }
-	case xGLoadA:
-		id, a0, gi := in.id, in.a0, in.gidx
-		alen := uint64(p.gmeta[gi].len)
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				vs[id] = m.gl[gi].array[vs[a0]%alen]
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { vs[id] = m.gl[gi].array[vs[a0]%alen] }
-	case xGStoreAP:
-		a0, a1, gi, mask := in.a0, in.a1, in.gidx, in.mask
-		amask := uint64(p.gmeta[gi].len - 1)
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				m.gl[gi].array[vs[a1]&amask] = vs[a0] & mask
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { m.gl[gi].array[vs[a1]&amask] = vs[a0] & mask }
-	case xGStoreA:
-		a0, a1, gi, mask := in.a0, in.a1, in.gidx, in.mask
-		alen := uint64(p.gmeta[gi].len)
-		if k := ctrIdx(p, gi, bi, counting); k >= 0 {
-			return func(m *Machine, vs []uint64) {
-				m.gl[gi].array[vs[a1]%alen] = vs[a0] & mask
-				m.ctr.State[k]++
-			}
-		}
-		return func(m *Machine, vs []uint64) { m.gl[gi].array[vs[a1]%alen] = vs[a0] & mask }
-	case xCallPayload:
-		id, a0 := in.id, in.a0
-		return func(m *Machine, vs []uint64) {
-			if i := vs[a0]; i < uint64(len(m.pkt.Payload)) {
-				vs[id] = uint64(m.pkt.Payload[i])
-			} else {
-				vs[id] = 0
-			}
-		}
-	case xCallSetPayload:
-		a0, a1 := in.a0, in.a1
-		return func(m *Machine, vs []uint64) {
-			if i := vs[a0]; i < uint64(len(m.pkt.Payload)) {
-				m.pkt.Payload[i] = byte(vs[a1])
-			}
-		}
-	case xCallHash32:
-		id, a0 := in.id, in.a0
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(Hash32(vs[a0])) }
+		s.id = in.slot // vs[slot] = vs[a0] & mask
 	case xCall:
-		return callOp(in, bi, counting)
-	default:
-		return aluOp(in)
+		s.k = int32(bi) // lower sets s.call
+	case xGLoadS, xGStoreS, xGLoadA, xGStoreA, xGLoadAP, xGStoreAP:
+		s.gi = in.gidx
+		switch in.op {
+		case xGLoadA, xGStoreA:
+			s.aux = uint64(p.gmeta[in.gidx].len)
+		case xGLoadAP, xGStoreAP:
+			s.aux = uint64(p.gmeta[in.gidx].len - 1)
+		}
+		if counting {
+			s.k = in.gidx*int32(len(p.blocks)) + int32(bi)
+		}
 	}
+	return s
 }
 
-// callOp specializes the light framework APIs — packet field accessors,
-// intrinsics with compile-time-known (zero) probe charges — and routes
-// everything whose counter charge depends on runtime state through
-// Machine.call.
-func callOp(in *cInstr, bi int, counting bool) cOp {
-	id, a0, a1 := in.id, in.a0, in.a1
-	switch in.api {
-	case apiPktLen:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.Len) }
-	case apiEthType:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.EthType) }
-	case apiIPProto:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.Proto) }
-	case apiIPSrc:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.SrcIP) }
-	case apiIPDst:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.DstIP) }
-	case apiIPTTL:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.TTL) }
-	case apiIPLen:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.IPLen) }
-	case apiIPHL:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.IPHL) }
-	case apiTCPSport, apiUDPSport:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.SrcPort) }
-	case apiTCPDport, apiUDPDport:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.DstPort) }
-	case apiTCPSeq:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.Seq) }
-	case apiTCPAck:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.Ack) }
-	case apiTCPFlags:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.TCPFlag) }
-	case apiTCPOff:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.pkt.TCPOff) }
-	case apiPayloadLen:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(len(m.pkt.Payload)) }
-	case apiTime:
-		return func(m *Machine, vs []uint64) { vs[id] = m.pkt.Time }
-	case apiSetIPSrc:
-		return func(m *Machine, vs []uint64) { m.pkt.SrcIP = uint32(vs[a0]) }
-	case apiSetIPDst:
-		return func(m *Machine, vs []uint64) { m.pkt.DstIP = uint32(vs[a0]) }
-	case apiSetIPTTL:
-		return func(m *Machine, vs []uint64) { m.pkt.TTL = uint8(vs[a0]) }
-	case apiSetTCPSport, apiSetUDPSport:
-		return func(m *Machine, vs []uint64) { m.pkt.SrcPort = uint16(vs[a0]) }
-	case apiSetTCPDport, apiSetUDPDport:
-		return func(m *Machine, vs []uint64) { m.pkt.DstPort = uint16(vs[a0]) }
-	case apiSetTCPSeq:
-		return func(m *Machine, vs []uint64) { m.pkt.Seq = uint32(vs[a0]) }
-	case apiSetTCPAck:
-		return func(m *Machine, vs []uint64) { m.pkt.Ack = uint32(vs[a0]) }
-	case apiSetTCPFlags:
-		return func(m *Machine, vs []uint64) { m.pkt.TCPFlag = uint8(vs[a0]) }
-	case apiSend:
-		return func(m *Machine, vs []uint64) { m.pkt.OutPort = int32(vs[a0]) }
-	case apiDrop:
-		return func(m *Machine, vs []uint64) { m.pkt.OutPort = -1 }
-	case apiRand32:
-		return func(m *Machine, vs []uint64) {
-			m.rng = m.rng*6364136223846793005 + 1442695040888963407
-			vs[id] = (m.rng >> 32) & 0xffffffff
-		}
-	case apiEwmaRate:
-		return func(m *Machine, vs []uint64) {
-			m.ewma += (float64(uint32(vs[a0])) - m.ewma) / 16
-			vs[id] = uint64(uint32(m.ewma))
-		}
-	case apiLPMHW:
-		return func(m *Machine, vs []uint64) { vs[id] = uint64(m.lpmLookup(uint32(vs[a0]))) }
-	case apiCsumUpdate:
-		// Probe charge is the packet's IP length; only countable when the
-		// call is attributed to a global (it never is today, but the
-		// counting flavor defers to Machine.call if one appears).
-		if counting && in.gidx >= 0 {
-			return genericCall(in, bi)
-		}
-		return func(m *Machine, vs []uint64) { m.pkt.CsumUpdated = true }
-	case apiCRC32HW:
-		if counting && in.gidx >= 0 {
-			return genericCall(in, bi)
-		}
-		return func(m *Machine, vs []uint64) {
-			vs[id] = uint64(CRC32(m.pkt.Payload, int(vs[a0]), int(vs[a1])))
-		}
-	default:
-		// Maps and vectors: probe counts, addresses, and semantics depend
-		// on runtime state and map mode — shared with the reference loop.
-		return genericCall(in, bi)
-	}
-}
-
-// aluOp compiles a pure compute instruction (no flavor differences:
-// compute ops carry no counters and no per-instruction hooks).
-func aluOp(in *cInstr) cOp {
-	id, a0, a1, mask := in.id, in.a0, in.a1, in.mask
-	switch in.op {
-	case xAdd:
-		return func(m *Machine, vs []uint64) { vs[id] = (vs[a0] + vs[a1]) & mask }
-	case xSub:
-		return func(m *Machine, vs []uint64) { vs[id] = (vs[a0] - vs[a1]) & mask }
-	case xMul:
-		return func(m *Machine, vs []uint64) { vs[id] = (vs[a0] * vs[a1]) & mask }
-	case xUDiv:
-		return func(m *Machine, vs []uint64) {
-			if d := vs[a1]; d == 0 {
-				vs[id] = mask // all-ones, like NIC firmware
-			} else {
-				vs[id] = (vs[a0] / d) & mask
+// peepholeSteps rewrites a body into fewer, fatter steps: a constant
+// right operand is baked into the step (vs[c] for a const-pool cell c
+// always holds the pooled value), and a local store of the step's own
+// fresh result folds into the producing step. Both rewrites keep the
+// write-through contract — every constituent's result cell is still
+// written — so later steps and other blocks observe identical state.
+func peepholeSteps(p *program, ss []vstep) []vstep {
+	cb := p.vsOff() + int32(p.nvals) // first const-pool cell, combined space
+	out := ss[:0]
+	for j := 0; j < len(ss); j++ {
+		s := ss[j]
+		switch s.op {
+		case xAdd, xSub, xMul, xAnd, xOr, xXor, xShl, xLShr, xICmp:
+			if s.a1 >= cb {
+				c := p.pool[s.a1-cb]
+				switch s.op {
+				case xAnd:
+					c &= s.mask // fold the width mask into the constant
+				case xShl, xLShr:
+					c &= 63 // pre-bake the shift-amount clamp
+				}
+				s.aux = c
+				s.op = constOp(s.op)
 			}
 		}
-	case xURem:
-		return func(m *Machine, vs []uint64) {
-			if d := vs[a1]; d == 0 {
-				vs[id] = 0
-			} else {
-				vs[id] = (vs[a0] % d) & mask
+		if j+1 < len(ss) && ss[j+1].op == xLStore && ss[j+1].a0 == s.id {
+			if so := storeOp(s.op); so != 0 {
+				s.gi = ss[j+1].id // the destination slot
+				s.sm = ss[j+1].mask
+				s.op = so
+				j++
 			}
 		}
-	case xAnd:
-		return func(m *Machine, vs []uint64) { vs[id] = vs[a0] & vs[a1] & mask }
-	case xOr:
-		return func(m *Machine, vs []uint64) { vs[id] = (vs[a0] | vs[a1]) & mask }
-	case xXor:
-		return func(m *Machine, vs []uint64) { vs[id] = (vs[a0] ^ vs[a1]) & mask }
-	case xShl:
-		return func(m *Machine, vs []uint64) {
-			sh := vs[a1] & 63
-			vs[id] = (vs[a0] << sh) & mask
-		}
-	case xLShr:
-		return func(m *Machine, vs []uint64) {
-			sh := vs[a1] & 63
-			vs[id] = (vs[a0] >> sh) & mask
-		}
-	case xNot:
-		return func(m *Machine, vs []uint64) { vs[id] = ^vs[a0] & mask }
-	case xMask:
-		return func(m *Machine, vs []uint64) { vs[id] = vs[a0] & mask }
-	case xICmp:
-		switch in.pred {
-		case ir.PredEQ:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] == vs[a1]) }
-		case ir.PredNE:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] != vs[a1]) }
-		case ir.PredULT:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] < vs[a1]) }
-		case ir.PredULE:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] <= vs[a1]) }
-		case ir.PredUGT:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] > vs[a1]) }
-		case ir.PredUGE:
-			return func(m *Machine, vs []uint64) { vs[id] = b2u(vs[a0] >= vs[a1]) }
-		default:
-			return func(m *Machine, vs []uint64) { vs[id] = 0 }
-		}
+		out = append(out, s)
 	}
-	return nil // unreachable: plainOp/hookedOp cover every other op
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	return out
 }

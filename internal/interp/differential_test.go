@@ -1,10 +1,13 @@
-// Differential suite for the compiled direct-threaded backend: every
-// observable the interpreter exposes — Steps, fuel exhaustion, packet
-// disposition and mutation, state counters, hook event traces, and
-// post-run state inspection — must be bit-identical between
-// BackendCompiled and BackendReference on identical packet streams. The
-// tests live in an external package so they can drive the real NF
-// library (internal/click imports interp).
+// Differential suite for the step engine: every observable the
+// interpreter exposes — Steps, fuel exhaustion, packet disposition and
+// mutation, state counters, and post-run state inspection — must be
+// bit-identical between RunPacket and the reference loop (reached through
+// export_test.go) on identical packet streams, over the NF library and
+// over the generated-program population the serving path sees. The tests
+// live in an external package so they can drive the real NF library
+// (internal/click imports interp). They keep the names they were first
+// pinned under (TestCompiledBackendEquivalence*, FuzzCompiledExec): the
+// "compiled backend" is today's step engine.
 package interp_test
 
 import (
@@ -14,16 +17,20 @@ import (
 	"testing"
 
 	"clara/internal/click"
+	"clara/internal/core"
 	"clara/internal/interp"
 	"clara/internal/ir"
+	"clara/internal/synth"
 	"clara/internal/traffic"
 )
 
+type runFunc func(*interp.Machine, *traffic.Packet) error
+
 // observe runs pkts through a fresh machine for e and returns a full
-// textual transcript of every observable. Two backends agree iff their
+// textual transcript of every observable. Two runs agree iff their
 // transcripts are byte-equal, so a divergence report pinpoints the first
 // differing packet or event.
-func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.Config, hooked bool) string {
+func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.Config, hooked bool, run runFunc) string {
 	tb.Helper()
 	mod, err := e.Module()
 	if err != nil {
@@ -58,7 +65,7 @@ func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.
 		if len(p.Payload) > 0 {
 			p.Payload = append([]byte(nil), p.Payload...)
 		}
-		err := m.RunPacket(&p)
+		err := run(m, &p)
 		fmt.Fprintf(&b, "\npkt%d err=%v steps=%d out=%d csum=%v ttl=%d seq=%d ack=%d pay=%x",
 			i, err, m.Steps, p.OutPort, p.CsumUpdated, p.TTL, p.Seq, p.Ack, p.Payload)
 	}
@@ -110,32 +117,35 @@ func diffLine(a, b string) string {
 	return fmt.Sprintf("transcript lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
+// equivCheck compares RunPacket against the reference loop. Without
+// hooks that is the step engine against the oracle. With hooks RunPacket
+// must itself take the reference loop — the step engine fires none — so
+// the hooked comparison pins that routing: a machine that took the step
+// engine anyway would leave the hook events out of its transcript.
 func equivCheck(t *testing.T, e *click.Element, pkts []traffic.Packet, cfg interp.Config, hooked bool) {
 	t.Helper()
-	ref, cmp := cfg, cfg
-	ref.Backend = interp.BackendReference
-	cmp.Backend = interp.BackendCompiled
-	want := observe(t, e, pkts, ref, hooked)
-	got := observe(t, e, pkts, cmp, hooked)
+	want := observe(t, e, pkts, cfg, hooked, (*interp.Machine).RunReference)
+	got := observe(t, e, pkts, cfg, hooked, (*interp.Machine).RunPacket)
 	if want != got {
-		t.Errorf("%s: compiled backend diverges from reference (hooked=%v):\n%s",
+		t.Errorf("%s: RunPacket diverges from the reference loop (hooked=%v):\n%s",
 			e.Name, hooked, diffLine(want, got))
 	}
 }
 
+var specs = []struct {
+	name string
+	spec traffic.Spec
+}{
+	{"small", traffic.SmallFlows},
+	{"large", traffic.LargeFlows},
+	{"mix", traffic.MediumMix},
+}
+
 // TestCompiledBackendEquivalence drives every library element under every
-// standard traffic spec through both backends, in both observability
-// modes (counters only → the fused counting flavor; full hooks → the
-// strict 1:1 hooked flavor), and requires byte-identical transcripts.
+// standard traffic spec through RunPacket and the reference loop, with
+// counters only (the counting step engine) and with full hooks (see
+// equivCheck), and requires byte-identical transcripts.
 func TestCompiledBackendEquivalence(t *testing.T) {
-	specs := []struct {
-		name string
-		spec traffic.Spec
-	}{
-		{"small", traffic.SmallFlows},
-		{"large", traffic.LargeFlows},
-		{"mix", traffic.MediumMix},
-	}
 	const n = 160
 	for _, e := range click.Library() {
 		e := e
@@ -154,7 +164,7 @@ func TestCompiledBackendEquivalence(t *testing.T) {
 }
 
 // TestCompiledBackendEquivalenceFuel starves the machines so the ErrFuel
-// path is exercised: the compiled backend must abort on exactly the same
+// path is exercised: the step engine must abort on exactly the same
 // packet, with exactly the same Steps charged, as the reference.
 func TestCompiledBackendEquivalenceFuel(t *testing.T) {
 	pkts := traffic.MustTrace(traffic.MediumMix, 64)
@@ -185,10 +195,40 @@ func TestCompiledBackendEquivalenceHostMode(t *testing.T) {
 	}
 }
 
+// TestCompiledBackendEquivalenceSynth extends the sweep from the library to the
+// population the serving path actually compiles: the generated programs
+// the unique-src benchmark workload submits (same profile, same seeds,
+// same traffic rotation), under both map modes and starved of fuel.
+func TestCompiledBackendEquivalenceSynth(t *testing.T) {
+	mods, err := click.Modules(click.Table2Order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := core.CorpusProfile(mods)
+	var traces [3][]traffic.Packet
+	for i := range traces {
+		traces[i] = traffic.MustTrace(specs[i].spec, 48)
+	}
+	for p := 0; p < 300; p++ {
+		e := &click.Element{
+			Name: fmt.Sprintf("u%d", p),
+			Src:  synth.Generate(synth.Config{Profile: prof, Seed: 1000003 + int64(p)}),
+		}
+		pkts := traces[p%3]
+		for _, cfg := range []interp.Config{
+			{Mode: interp.NICMap},
+			{Mode: interp.HostMap},
+			{Mode: interp.NICMap, Fuel: 300},
+		} {
+			equivCheck(t, e, pkts, cfg, false)
+		}
+	}
+}
+
 // fuzzPackets decodes an arbitrary byte string into a packet stream:
 // 28-byte chunks become header fields, the chunk tail becomes payload.
 // Every decoded stream is legal input — the interpreter's contract is
-// total — so the only property checked is backend agreement.
+// total — so the only property checked is agreement with the oracle.
 func fuzzPackets(data []byte) []traffic.Packet {
 	const rec = 28
 	var pkts []traffic.Packet
@@ -222,9 +262,9 @@ func fuzzPackets(data []byte) []traffic.Packet {
 
 // FuzzCompiledExec is the differential fuzz target: arbitrary packet
 // streams through arbitrary library elements must yield identical
-// transcripts (Steps, fuel, counters, hook traces, packet mutations,
-// final state) from both backends. Seeded with every library element so
-// the corpus starts covering all 4 compiled flavors and every API.
+// transcripts (Steps, fuel, counters, packet mutations, final state) from
+// RunPacket and the reference loop. Seeded with every library element so
+// the corpus starts covering every step kind and every API.
 func FuzzCompiledExec(f *testing.F) {
 	lib := click.Library()
 	base := traffic.MustTrace(traffic.MediumMix, 4)

@@ -24,13 +24,15 @@
 // basic block instead of per instruction (blocks always retire fully —
 // the terminator is the last instruction — so counts stay exact).
 //
-// On top of the flat form sits a second, direct-threaded backend
-// (compile.go, program.go): each block is lowered once into a sequence
-// of fused Go closures, so per-packet execution runs no opcode switch at
-// all. The threaded backend is observationally identical to the
-// reference switch loop — Steps, fuel, counters, and hook traces are
-// bit-for-bit the same — and Config.Backend (or SetDefaultBackend)
-// selects between them.
+// Packets run on the step engine (compile.go, steps.go): each block of
+// the flat form is lowered once more into a list of pre-resolved steps
+// over one register file, with local loads elided and constants and
+// local stores folded into the step that produces the value. A machine
+// with Hooks attached runs the reference loop instead (runReference),
+// which walks the flat form one instruction at a time and fires the
+// hooks; it is the semantic definition of execution, and the tests hold
+// the step engine to it bit for bit — Steps, fuel, counters, packet and
+// state mutations. Nothing selects between the two but the hooks.
 package interp
 
 import (
@@ -91,9 +93,6 @@ type Config struct {
 	LPMTable []Route
 	// Seed seeds the rand32 intrinsic.
 	Seed uint64
-	// Backend selects the execution engine; BackendAuto (the zero value)
-	// uses the process default (see SetDefaultBackend).
-	Backend Backend
 }
 
 const defaultFuel = 1 << 20
@@ -254,11 +253,11 @@ type cBlock struct {
 	size int
 }
 
-// gmeta is the per-global metadata the threaded compiler needs to bind
-// closures without the module in hand: the global's kind (to validate
-// that map/vec APIs target the right structure statically) and its
-// declared length (to capture pow2 masks and modulo lengths as closure
-// constants instead of chasing m.gl[gidx] at run time).
+// gmeta is the per-global metadata lowering needs without the module in
+// hand: the global's kind (to validate that map/vec APIs target the
+// right structure statically) and its declared length (to bake pow2
+// masks and modulo lengths into steps instead of chasing m.gl[gidx] at
+// run time).
 type gmeta struct {
 	kind ir.GlobalKind
 	len  int
@@ -270,12 +269,9 @@ type gmeta struct {
 // depend on Config — map-mode and fuel only matter at runtime — so one
 // program serves host and NIC machines alike.
 //
-// The threaded lowerings hang off the program lazily, one per flavor
-// (plain / counting / hooked), built on first demand under tOnce so
-// every machine for the module shares them. A nil entry after its Once
-// has fired means the threaded compiler declined the module (some
-// construct failed static validation) and machines fall back to the
-// reference loop.
+// The step-engine lowerings (plain, counting) hang off the program
+// lazily, built on first demand under lowerOnce so every machine for the
+// module shares them.
 type program struct {
 	blocks []cBlock
 	nvals  int      // f.NumVals; const pool occupies vals[nvals:]
@@ -285,8 +281,8 @@ type program struct {
 	gidx   map[string]int
 	gmeta  []gmeta
 
-	tOnce [numFlavors]sync.Once
-	tProg [numFlavors]*threaded
+	lowerOnce [2]sync.Once
+	lowered   [2][]sBlock
 
 	// mpool recycles released machines per map mode (HostMap, NICMap —
 	// the state layouts differ, so the pools must not mix). Reuse turns
@@ -317,7 +313,7 @@ type progEntry struct {
 // first use. The cache keys by content hash (ir.Fingerprint) rather than
 // pointer identity, so distinct parses of identical source — the serving
 // path hands each request a fresh *ir.Module — share one compiled
-// program and its threaded lowerings. Hashing is sound because
+// program and its lowerings. Hashing is sound because
 // ir.Modules are immutable once built.
 func programFor(mod *ir.Module) (*program, error) {
 	key := ir.Fingerprint(mod)
@@ -351,8 +347,8 @@ func programFor(mod *ir.Module) (*program, error) {
 }
 
 // Precompile warms the program cache for mod and builds its counting
-// threaded lowering (the flavor host profiling uses), so the first
-// packet of a later analysis pays no compile latency. The fleet calls
+// lowering (the one host profiling uses), so the first packet of a later
+// analysis pays no compile latency. The fleet calls
 // this during batch prewarm alongside prediction claiming. Errors are
 // the same ones New would report.
 func Precompile(mod *ir.Module) error {
@@ -360,7 +356,7 @@ func Precompile(mod *ir.Module) error {
 	if err != nil {
 		return err
 	}
-	prog.threadedFor(fCounting)
+	prog.lowering(true)
 	return nil
 }
 
@@ -421,6 +417,17 @@ func compileModule(mod *ir.Module) (*program, error) {
 				}
 			}
 			cb.instrs = append(cb.instrs, ci)
+		}
+	}
+	for bi := range c.p.blocks {
+		instrs := c.p.blocks[bi].instrs
+		if len(instrs) == 0 {
+			return nil, fmt.Errorf("interp: module %s: block %d is empty", mod.Name, bi)
+		}
+		for i := range instrs {
+			if err := checkInstr(c.p, &instrs[i], i == len(instrs)-1); err != nil {
+				return nil, fmt.Errorf("interp: module %s: block %d %w", mod.Name, bi, err)
+			}
 		}
 	}
 	return c.p, nil
@@ -522,23 +529,22 @@ type Machine struct {
 	blocks []cBlock // prog.blocks; kept unrolled for the reference loop
 	// regs is the single backing array for all mutable per-packet cells:
 	// local slots first, then instruction results, then the const pool.
-	// vals and slots are views into it. The threaded backend passes regs
-	// to every closure with operands pre-offset into the combined space
-	// (one slice argument instead of two), while the reference loop keeps
-	// addressing the vals/slots views.
-	regs    []uint64
-	vals    []uint64 // [0:nvals) instruction results, [nvals:) const pool
-	slots   []uint64
-	gl      []*globalState
-	gidx    map[string]int // shared with the program; read-only
-	strs    []cstr         // shared with the program; read-only
-	ctr     *Counters
-	rng     uint64
-	pkt     *traffic.Packet
-	fuel    int
-	backend Backend // resolved: BackendCompiled or BackendReference
-	// err carries a runtime error out of a threaded closure (closures
-	// return nothing, so the block loop checks it after the sequence).
+	// vals and slots are views into it. The step engine addresses regs
+	// with operands pre-offset into the combined space (one slice instead
+	// of two), while the reference loop and Machine.call keep addressing
+	// the vals/slots views.
+	regs  []uint64
+	vals  []uint64 // [0:nvals) instruction results, [nvals:) const pool
+	slots []uint64
+	gl    []*globalState
+	gidx  map[string]int // shared with the program; read-only
+	strs  []cstr         // shared with the program; read-only
+	ctr   *Counters
+	rng   uint64
+	pkt   *traffic.Packet
+	fuel  int
+	// err carries a call's runtime error out of execSteps (the block loop
+	// checks it after the body).
 	err error
 	// ewma is the host-side double-precision rate average backing the
 	// ewma_rate intrinsic (Click AverageCounter semantics).
@@ -569,17 +575,16 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	nslots := int(prog.vsOff())
 	regs := make([]uint64, nslots+prog.nvals+len(prog.pool))
 	m := &Machine{
-		Mod:     mod,
-		cfg:     cfg,
-		prog:    prog,
-		blocks:  prog.blocks,
-		regs:    regs,
-		vals:    regs[nslots:],
-		slots:   regs[:nslots],
-		gidx:    prog.gidx,
-		strs:    prog.strs,
-		rng:     cfg.Seed*2654435761 + 0x9E3779B97F4A7C15,
-		backend: cfg.Backend.resolve(),
+		Mod:    mod,
+		cfg:    cfg,
+		prog:   prog,
+		blocks: prog.blocks,
+		regs:   regs,
+		vals:   regs[nslots:],
+		slots:  regs[:nslots],
+		gidx:   prog.gidx,
+		strs:   prog.strs,
+		rng:    cfg.Seed*2654435761 + 0x9E3779B97F4A7C15,
 	}
 	copy(m.vals[prog.nvals:], prog.pool)
 	m.gl = make([]*globalState, 0, len(mod.Globals))
@@ -627,7 +632,6 @@ func (m *Machine) reset(cfg Config) {
 	m.Steps = 0
 	m.pkt = nil
 	m.rng = cfg.Seed*2654435761 + 0x9E3779B97F4A7C15
-	m.backend = cfg.Backend.resolve()
 	clear(m.regs[:len(m.regs)-len(m.prog.pool)])
 	m.ResetState()
 }
@@ -844,40 +848,21 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 // RunPacket executes the handler for one packet. The packet's disposition
 // fields are updated in place.
 //
-// The compiled (direct-threaded) backend runs unless the machine was
-// configured with BackendReference or the threaded compiler declined the
-// module; either way every observable — Steps, fuel, counters, hook
-// traces, packet and state mutations — is identical between backends.
+// A machine with hooks attached (they may change between packets) runs
+// the reference loop, the only code that fires them; otherwise the step
+// engine runs, counting when counters are enabled. Every other observable
+// — Steps, fuel, counters, packet and state mutations — is identical
+// between the two.
 func (m *Machine) RunPacket(p *traffic.Packet) error {
-	if m.backend == BackendCompiled {
-		fl := m.flavor()
-		if t := m.prog.threadedFor(fl); t != nil {
-			if fl == fHooked {
-				return m.runThreadedHooked(t, p)
-			}
-			return m.runThreaded(t, p)
-		}
-	}
-	return m.runReference(p)
-}
-
-// flavor picks the threaded specialization the machine's current
-// observability configuration needs. Hooks may change between packets
-// (SetHooks), so this is re-evaluated per packet.
-func (m *Machine) flavor() tFlavor {
-	h := &m.hooks
-	if h.OnBlock != nil || h.OnState != nil || h.OnLocal != nil ||
+	if h := &m.hooks; h.OnBlock != nil || h.OnState != nil || h.OnLocal != nil ||
 		h.OnCompute != nil || h.OnAPI != nil {
-		return fHooked
+		return m.runReference(p)
 	}
-	if m.ctr != nil {
-		return fCounting
-	}
-	return fPlain
+	return m.runSteps(m.prog.lowering(m.ctr != nil), p)
 }
 
-// runReference is the original switch-dispatch interpreter loop. It is
-// the semantic definition of execution: the threaded backend is tested
+// runReference is the switch-dispatch loop over the flat form. It is the
+// semantic definition of execution: the step engine is tested
 // (differentially and under fuzzing) to match it bit for bit.
 func (m *Machine) runReference(p *traffic.Packet) error {
 	p.Reset()

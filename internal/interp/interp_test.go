@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -409,5 +410,43 @@ void handle() { x = rand32(); pkt_send(0); }
 	}
 	if run() != run() {
 		t.Error("rand32 not deterministic across identical machines")
+	}
+}
+
+// A module the step engine cannot lower must be refused by New and
+// Precompile with an error naming the module and block, not run on a
+// different engine forever. lang.Compile never emits these shapes; the IR
+// is hand-built.
+func TestNewRejectsUnlowerableModule(t *testing.T) {
+	midTerm := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	midTerm.Ret(nil)
+	midTerm.Call("pkt_drop", "", ir.Void)
+	midTerm.Ret(nil)
+
+	wrongKind := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	entry, body := wrongKind.Current(), wrongKind.NewBlock("body")
+	wrongKind.SetBlock(entry)
+	wrongKind.Br(body)
+	wrongKind.SetBlock(body)
+	wrongKind.Call("map_find", "tbl", ir.U64, ir.ConstVal(1, ir.U64))
+	wrongKind.Ret(nil)
+
+	for _, tc := range []struct {
+		mod  *ir.Module
+		want string
+	}{
+		{&ir.Module{Name: "midterm", Funcs: []*ir.Func{midTerm.F}},
+			"module midterm: block 0 has a terminator before its last instruction"},
+		{&ir.Module{Name: "wrongkind", Funcs: []*ir.Func{wrongKind.F},
+			Globals: []*ir.Global{{Name: "tbl", Kind: ir.GArray, Elem: ir.U64, Len: 8}}},
+			`module wrongkind: block 1 calls map_find on "tbl", which is not a map`},
+	} {
+		_, err := New(tc.mod, Config{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%s) error = %v, want it to contain %q", tc.mod.Name, err, tc.want)
+		}
+		if perr := Precompile(tc.mod); perr == nil || perr.Error() != err.Error() {
+			t.Errorf("Precompile(%s) error = %v, want New's: %v", tc.mod.Name, perr, err)
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"clara/internal/click"
 	"clara/internal/core"
 	"clara/internal/fleet"
-	"clara/internal/interp"
 	"clara/internal/lang"
 	"clara/internal/traffic"
 )
@@ -88,12 +87,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// CacheSize caps the fleet prediction cache; 0 = fleet default.
 	CacheSize int
-	// InterpBackend selects the interpreter execution engine used by
-	// host profiling ("" or "auto" = process default, "compiled",
-	// "reference"). Applied process-wide at New; both backends produce
-	// bit-identical analysis results — "reference" exists for
-	// differential debugging.
-	InterpBackend string
 
 	// JobHook, when set, is applied to every job built from a request —
 	// a seam for injecting slow or panicking analyses (used by the
@@ -142,17 +135,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.InterpBackend != "" {
-		bk, err := interp.ParseBackend(cfg.InterpBackend)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		if bk != interp.BackendAuto {
-			if err := interp.SetDefaultBackend(bk); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-		}
 	}
 	s := &Server{
 		cfg:   cfg,

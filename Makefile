@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check bench-check fuzz bench bench-smoke bench-compare bench-fleet update-golden
+.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check analysis-check bench-check fuzz bench bench-smoke bench-compare bench-fleet update-golden
 
 build:
 	$(GO) build ./...
@@ -52,8 +52,18 @@ simulate-check:
 # hooked, plus the fuel-starvation and HostMap sweeps and 300 generated
 # programs, must produce byte-identical transcripts from RunPacket (the
 # step engine) and the reference loop; the profile loop must not allocate.
+# The slab tests run every program on state other programs released (8
+# goroutines at once, generation wraparound included) and require it to be
+# indistinguishable from fresh memory; a released machine must panic.
 interp-check:
-	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestProfileLoopZeroAllocs' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
+
+# analysis-check holds analysis.Analyze — the job pipeline's one call into
+# the package — to the two passes it replaced (equal results over the
+# library and the 300 unique-src programs) and pins "every fact once" as
+# an absolute allocation count over the library.
+analysis-check:
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations' ./internal/analysis/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile
@@ -65,7 +75,7 @@ bench-check:
 # check is the PR gate: static gates first, then build, plain tests,
 # then the race passes, then the benchmark harnesses (bench/'s own tests,
 # and a quick run of perfbench).
-check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check bench-check bench-smoke
+check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check analysis-check bench-check bench-smoke
 
 # bench regenerates the committed BENCH_PR10.json: everything from the
 # PR9 report (cold/warm start, train throughput, predict latency,

@@ -22,6 +22,14 @@ import (
 // CallGraph is the static call graph of one module: a node per function,
 // an edge per OpCall whose callee names a sibling function. Calls into the
 // framework API (lang.Intrinsics) are leaves, not edges.
+//
+// It is also the per-module analysis context. The facts several passes
+// need are derived once and kept where they belong — the loop nest, the
+// range fixpoint and each loop's trip count on the function's CFG, the
+// taint fixpoint here — so a pass asks for a fact (NaturalLoops,
+// ComputeRanges, InferTripCount, ComputeTaint) and never rebuilds it. The
+// memoization takes no locks: a call graph is built and consumed by one
+// goroutine and dropped with the job; it is not a cache across requests.
 type CallGraph struct {
 	M *ir.Module
 	// Funcs indexes the module's functions; node i is Funcs[i].
@@ -42,6 +50,7 @@ type CallGraph struct {
 	sccs [][]int
 
 	index map[string]int
+	taint *TaintInfo // memoized by ComputeTaint
 }
 
 // BuildCallGraph derives the call graph, per-function CFGs, and the SCC

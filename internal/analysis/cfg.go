@@ -32,6 +32,12 @@ type CFG struct {
 	// idom[b] is b's immediate dominator (-1 for the entry block and for
 	// unreachable blocks).
 	idom []int
+
+	// loops is the natural-loop nest, found once by BuildCFG.
+	loops []*Loop
+	// ranges is the range fixpoint, solved on first use (ComputeRanges) and
+	// kept. Unsynchronized — see CallGraph for the one-goroutine rule.
+	ranges *RangeInfo
 }
 
 // BuildCFG derives the CFG of f.
@@ -86,6 +92,7 @@ func BuildCFG(f *ir.Func) *CFG {
 		c.rpoPos[b] = i
 	}
 	c.computeDominators()
+	c.loops = c.findLoops()
 	return c
 }
 
@@ -169,7 +176,8 @@ type Loop struct {
 	// Exits lists the edges leaving the loop.
 	Exits []Edge
 
-	in []bool
+	in   []bool
+	trip *TripCount // memoized by RangeInfo.InferTripCount
 }
 
 // Contains reports whether block b belongs to the loop.
@@ -178,8 +186,11 @@ func (l *Loop) Contains(b int) bool { return b < len(l.in) && l.in[b] }
 // NaturalLoops finds every natural loop, merging back edges that share a
 // header, ordered by header index. Loops are detected through dominance
 // (edge u→h with h dominating u); cycles in irreducible control flow —
-// which the NFC lowerer never emits — are ignored.
-func (c *CFG) NaturalLoops() []*Loop {
+// which the NFC lowerer never emits — are ignored. The nest is found once
+// per CFG; callers share the returned loops and must not mutate them.
+func (c *CFG) NaturalLoops() []*Loop { return c.loops }
+
+func (c *CFG) findLoops() []*Loop {
 	byHead := map[int]*Loop{}
 	n := len(c.F.Blocks)
 	for _, u := range c.RPO {

@@ -162,13 +162,6 @@ func (fi *FreqInfo) localFreq(node int) []float64 {
 		mult[i] = 1
 	}
 	back := map[[2]int]bool{}
-	loopBlocks := make([]map[int]bool, len(loops))
-	for li, l := range loops {
-		loopBlocks[li] = make(map[int]bool, len(l.Blocks))
-		for _, bi := range l.Blocks {
-			loopBlocks[li][bi] = true
-		}
-	}
 	for _, l := range loops {
 		tc := ri.InferTripCount(c, l)
 		trips := float64(freqDefaultTrips)
@@ -202,8 +195,8 @@ func (fi *FreqInfo) localFreq(node int) []float64 {
 	// full per-entry mass — a 50/50 split at the loop head would halve
 	// every body frequency. Ordinary branches split evenly.
 	exitsLoop := func(b, s int) bool {
-		for li := range loops {
-			if loopBlocks[li][b] && !loopBlocks[li][s] {
+		for _, l := range loops {
+			if l.Contains(b) && !l.Contains(s) {
 				return true
 			}
 		}
@@ -293,7 +286,10 @@ type StateProfile struct {
 
 // ComputeStateProfile derives the static profile of a module.
 func ComputeStateProfile(m *ir.Module) *StateProfile {
-	cg := BuildCallGraph(m)
+	return stateProfile(BuildCallGraph(m))
+}
+
+func stateProfile(cg *CallGraph) *StateProfile {
 	ti := ComputeTaint(cg)
 	fi := ComputeFreq(cg)
 	sp := &StateProfile{}
@@ -340,7 +336,7 @@ func ComputeStateProfile(m *ir.Module) *StateProfile {
 		}
 		st.key = joinTaint(st.key, a.Key)
 	}
-	for _, g := range m.Globals {
+	for _, g := range cg.M.Globals {
 		st := byName[g.Name]
 		if st == nil {
 			st = &acc{}

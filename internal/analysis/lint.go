@@ -123,24 +123,35 @@ func DefaultConfig() Config {
 	}
 }
 
-// LintModule runs the offloadability rule catalog over a lowered module.
-func LintModule(m *ir.Module, cfg Config) []Diagnostic {
-	return lintModule(m, cfg, nil)
+// Analyze is the job pipeline's single entry into this package: the lint
+// diagnostics and the static state profile of m from one call graph, so
+// every shared fact (CFGs, loops, ranges, trip counts, taint) is computed
+// once. The results equal LintModule's and ComputeStateProfile's.
+func Analyze(m *ir.Module, cfg Config) ([]Diagnostic, *StateProfile) {
+	cg := BuildCallGraph(m)
+	return lint(cg, cfg, nil), stateProfile(cg)
 }
 
-func lintModule(m *ir.Module, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
-	var ds []Diagnostic
-	ds = append(ds, lintGlobals(m, cfg, gpos)...)
+// LintModule runs the offloadability rule catalog over a lowered module.
+func LintModule(m *ir.Module, cfg Config) []Diagnostic {
+	return lint(BuildCallGraph(m), cfg, nil)
+}
+
+func lint(cg *CallGraph, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
+	m := cg.M
+	ds := lintGlobals(m, cfg, gpos)
 	// The interprocedural engine runs once per module; its facts (taint
 	// causes, constant branches, dead blocks) thread through the
 	// per-function rules.
-	cg := BuildCallGraph(m)
 	ti := ComputeTaint(cg)
-	si := ComputeSCCP(cg)
 	for node, f := range cg.Funcs {
-		ds = append(ds, lintFunc(m, f, cg.CFGs[node], ti, cfg)...)
+		c := cg.CFGs[node]
+		ds = append(ds, lintLoops(m, f, c, ComputeRanges(c), ti, cfg)...)
+		ds = append(ds, lintCalls(m, f, c)...)
+		ds = append(ds, lintDeadStores(m, f, c)...)
+		ds = append(ds, lintUninitReads(m, f, c)...)
 	}
-	ds = append(ds, lintConstFacts(m, si)...)
+	ds = append(ds, lintConstFacts(m, ComputeSCCP(cg))...)
 	return NormalizeDiagnostics(ds)
 }
 
@@ -165,7 +176,7 @@ func LintSource(name, src string, cfg Config) ([]Diagnostic, error) {
 	for _, g := range file.Globals {
 		gpos[g.Name] = ir.Pos{Line: g.Line, Col: g.Col}
 	}
-	return lintModule(m, cfg, gpos), nil
+	return lint(BuildCallGraph(m), cfg, gpos), nil
 }
 
 // lintRecursion detects call-graph cycles on the AST (lowering refuses to
@@ -325,17 +336,6 @@ func lintGlobals(m *ir.Module, cfg Config, gpos map[string]ir.Pos) []Diagnostic 
 			})
 		}
 	}
-	return ds
-}
-
-// lintFunc runs the CFG/dataflow rules over one function.
-func lintFunc(m *ir.Module, f *ir.Func, c *CFG, ti *TaintInfo, cfg Config) []Diagnostic {
-	var ds []Diagnostic
-	ri := ComputeRanges(c)
-	ds = append(ds, lintLoops(m, f, c, ri, ti, cfg)...)
-	ds = append(ds, lintCalls(m, f, c)...)
-	ds = append(ds, lintDeadStores(m, f, c)...)
-	ds = append(ds, lintUninitReads(m, f, c)...)
 	return ds
 }
 

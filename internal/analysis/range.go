@@ -119,8 +119,13 @@ const (
 	widenHard  = 32
 )
 
-// ComputeRanges runs constant/range propagation over the CFG.
+// ComputeRanges runs constant/range propagation over the CFG, once: the
+// fixpoint is kept on c and later calls return it (it is read-only after
+// construction, so lint, taint and the frequency estimate share it).
 func ComputeRanges(c *CFG) *RangeInfo {
+	if c.ranges != nil {
+		return c.ranges
+	}
 	ri := &RangeInfo{
 		c:         c,
 		instrByID: make([]*ir.Instr, c.F.NumVals),
@@ -151,6 +156,7 @@ func ComputeRanges(c *CFG) *RangeInfo {
 	}
 	ri.prob = p
 	ri.sol = Solve[rangeState](c, Forward, p)
+	c.ranges = ri
 	return ri
 }
 
@@ -627,8 +633,12 @@ type TripCount struct {
 // InferTripCount bounds the iterations of loop l: it looks for an exit
 // condition governed by an induction slot (every in-loop store is a
 // constant-step increment) whose bound has a known range at the exit test.
-func (ri *RangeInfo) InferTripCount(c *CFG, l *Loop) TripCount {
-	tc := TripCount{}
+// The bound is computed once per loop and kept on it.
+func (ri *RangeInfo) InferTripCount(c *CFG, l *Loop) (tc TripCount) {
+	if l.trip != nil {
+		return *l.trip
+	}
+	defer func() { l.trip = &tc }()
 	for _, e := range l.Exits {
 		if ri.EdgeFeasible(e.From, e.To) {
 			tc.HasFeasibleExit = true

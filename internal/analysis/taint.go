@@ -393,8 +393,12 @@ func isStatefulWrite(callee string) bool {
 }
 
 // ComputeTaint runs the interprocedural taint fixpoint over a call graph
-// and classifies every loop and stateful access site.
+// and classifies every loop and stateful access site. The result is kept
+// on cg: the linter and the state profile read the same fixpoint.
 func ComputeTaint(cg *CallGraph) *TaintInfo {
+	if cg.taint != nil {
+		return cg.taint
+	}
 	ti := &TaintInfo{CG: cg, GlobalStored: map[string]taintVal{}}
 	ti.fns = make([]*fnTaint, len(cg.Funcs))
 	for i, f := range cg.Funcs {
@@ -412,6 +416,7 @@ func ComputeTaint(cg *CallGraph) *TaintInfo {
 		return p.changed
 	})
 	ti.record()
+	cg.taint = ti
 	return ti
 }
 

@@ -119,7 +119,6 @@ func NewBundle(tool *Clara, meta BundleMeta) (*Bundle, error) {
 	pcfg := tool.Predictor.cfg
 	pcfg.Workers = 0      // wall-clock knob, not part of the model identity
 	pcfg.Quantize = false // runtime path knob; both paths ship in every bundle
-	pcfg.Simplify = false // runtime pre-prediction pass, not model identity
 	ps := &predictorState{
 		Config:    pcfg,
 		Vocab:     tool.Predictor.Vocab.Words(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -96,6 +97,23 @@ func TestBundleRoundTripBitIdenticalPredict(t *testing.T) {
 		if a, b := tool.Scaleout.Suggest(s.Features), got.Scaleout.Suggest(s.Features); a != b {
 			t.Fatalf("train sample %d: scale-out suggestion differs: %d vs %d", i, a, b)
 		}
+	}
+}
+
+// TestPredictorConfigWireFormat pins the predictor config's bytes inside a
+// bundle: they are hashed into model_hash, so adding, renaming or removing
+// a field that serializes invalidates every saved bundle. Runtime-only
+// knobs stay out of these bytes (omitempty and cleared by NewBundle), which
+// is what let the never-set Simplify field be deleted at an unchanged hash.
+func TestPredictorConfigWireFormat(t *testing.T) {
+	got, err := json.Marshal(PredictorConfig{}.norm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"TrainPrograms":220,"Profile":null,"Hidden":28,"Epochs":24,"CompactVocab":false,` +
+		`"Ensemble":1,"PredictAPI":false,"Seed":0,"Batch":8,"Workers":0}`
+	if string(got) != want {
+		t.Errorf("predictor config wire format changed (breaks saved bundles):\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -115,10 +115,16 @@ func (c *Clara) AnalyzeWithPredictionContext(ctx context.Context, mod *ir.Module
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ins := &Insights{NF: mod.Name, Workload: wl.Name}
-	ins.Prediction = mp
-	ins.Diagnostics = analysis.LintModule(mod, c.LintConfig())
-	ins.StateProfile = analysis.ComputeStateProfile(mod)
+	ins := &Insights{NF: mod.Name, Workload: wl.Name, Prediction: mp}
+	ins.Diagnostics, ins.StateProfile = analysis.Analyze(mod, c.LintConfig())
+	// A structure beyond the largest tier has no feasible placement, so the
+	// job is lost either way; fail it before profiling allocates the
+	// structure on the host (the size comes from submitted source).
+	for _, d := range ins.Diagnostics {
+		if d.Rule == analysis.RuleStateOversize && d.Severity == analysis.SevError {
+			return nil, fmt.Errorf("core: %s cannot be placed: %s", mod.Name, d)
+		}
+	}
 
 	if c.AlgoID != nil {
 		ins.Algorithm = c.AlgoID.Classify(mod)

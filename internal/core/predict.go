@@ -16,7 +16,6 @@ import (
 	"math"
 	"sync"
 
-	"clara/internal/analysis"
 	"clara/internal/ir"
 	"clara/internal/lang"
 	"clara/internal/ml"
@@ -65,14 +64,6 @@ type PredictorConfig struct {
 	// from the config hash (the json tag keeps pre-quantization bundle
 	// hashes valid).
 	Quantize bool `json:",omitempty"`
-	// Simplify runs the SCCP-based IR simplification
-	// (analysis.SimplifyModule) on each module before prediction: constant
-	// branches straighten, unreachable blocks drop, and the LSTM predicts
-	// the code that would actually ship. Runtime knob like Quantize — it
-	// never changes the trained weights, is cleared in bundles, and the
-	// json tag keeps pre-existing bundle hashes valid. Note per-block
-	// predictions then index the simplified module's blocks.
-	Simplify bool `json:",omitempty"`
 }
 
 func (c PredictorConfig) norm() PredictorConfig {
@@ -441,13 +432,6 @@ func (p *Predictor) PredictModule(m *ir.Module, accel niccc.AccelConfig) (*Modul
 // sequence deduplication: identical basic blocks appearing in different
 // modules are inferred once.
 func (p *Predictor) PredictModules(mods []*ir.Module, accel niccc.AccelConfig) ([]*ModulePrediction, error) {
-	if p.cfg.Simplify {
-		simplified := make([]*ir.Module, len(mods))
-		for i, m := range mods {
-			simplified[i], _ = analysis.SimplifyModule(m)
-		}
-		mods = simplified
-	}
 	var blocks []*ir.Block
 	starts := make([]int, len(mods)+1)
 	for i, m := range mods {

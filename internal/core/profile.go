@@ -88,9 +88,9 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 	if err != nil {
 		return nil, err
 	}
-	// The machine goes back to the interpreter's pool on every exit path:
-	// the profile below is built from Counters slices, which Release
-	// leaves with this caller (pooled reuse hands out fresh ones).
+	// The machine's state goes back to the interpreter's slabs on every
+	// exit path, for the next job of any program. The profile below is
+	// built from Counters slices, which Release leaves with this caller.
 	defer m.Release()
 	if ps.Setup != nil {
 		if err := ps.Setup(m); err != nil {

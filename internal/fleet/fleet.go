@@ -83,9 +83,6 @@ type Result struct {
 type Config struct {
 	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// DisableCache turns off prediction memoization (the sequential
-	// baseline the benchmarks compare against).
-	DisableCache bool
 	// CacheSize caps the prediction cache at this many entries (LRU
 	// eviction); 0 means DefaultCacheSize. A long-running server sees an
 	// unbounded stream of submitted-source modules, so the cache must not
@@ -200,7 +197,7 @@ dispatch:
 // of per module. Workers that race with a long prewarm still block on
 // the singleflight entries, so semantics are unchanged.
 func (f *Fleet) prewarm(ctx context.Context, jobs []Job) {
-	if f.cfg.DisableCache || len(jobs) < 2 || ctx.Err() != nil {
+	if len(jobs) < 2 || ctx.Err() != nil {
 		return
 	}
 	// Group claimed keys by accelerator config (one PredictModules sweep
@@ -293,15 +290,10 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 		f.stats.record(res)
 	}()
 
-	var mp *core.ModulePrediction
-	var err error
-	if f.cfg.DisableCache {
-		mp, err = f.tool.Predictor.PredictModule(j.Mod, j.Accel)
-	} else {
-		mp, res.CacheHit, err = f.cache.get(j.Mod, j.Accel, func() (*core.ModulePrediction, error) {
-			return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
-		})
-	}
+	mp, hit, err := f.cache.get(j.Mod, j.Accel, func() (*core.ModulePrediction, error) {
+		return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
+	})
+	res.CacheHit = hit
 	if err == nil {
 		res.Insights, err = f.tool.AnalyzeWithPredictionContext(ctx, j.Mod, j.PS, j.WL, mp)
 	}

@@ -559,36 +559,3 @@ func (m *Machine) VecDropped(name string) (int, error) {
 	}
 	return m.gl[gi].vec.dropped, nil
 }
-
-// ResetState zeroes all stateful globals (between experiment runs).
-func (m *Machine) ResetState() {
-	for _, g := range m.gl {
-		switch g.g.Kind {
-		case ir.GScalar:
-			g.scalar = 0
-		case ir.GArray:
-			for i := range g.array {
-				g.array[i] = 0
-			}
-		case ir.GMap:
-			if g.hmap != nil {
-				g.hmap = make(map[uint64]uint64)
-			}
-			if g.nmap != nil {
-				g.nmap.reset()
-			}
-		case ir.GVec:
-			v := g.vec
-			v.live = 0
-			v.dropped = 0
-			if v.nic {
-				for i := range v.valid {
-					v.valid[i] = false
-					v.vals[i] = 0
-				}
-			} else {
-				v.vals = nil
-			}
-		}
-	}
-}

@@ -26,23 +26,37 @@ import (
 
 type runFunc func(*interp.Machine, *traffic.Packet) error
 
-// observe runs pkts through a fresh machine for e and returns a full
+// observe runs pkts through a new machine for e and returns a full
 // textual transcript of every observable. Two runs agree iff their
 // transcripts are byte-equal, so a divergence report pinpoints the first
 // differing packet or event.
 func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.Config, hooked bool, run runFunc) string {
 	tb.Helper()
+	s, err := transcript(e, pkts, cfg, hooked, run)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// transcript is observe without a testing.TB, for goroutines that may only
+// report errors.
+func transcript(e *click.Element, pkts []traffic.Packet, cfg interp.Config, hooked bool, run runFunc) (string, error) {
 	mod, err := e.Module()
 	if err != nil {
-		tb.Fatalf("%s: %v", e.Name, err)
+		return "", fmt.Errorf("%s: %v", e.Name, err)
 	}
 	m, err := interp.New(mod, cfg)
 	if err != nil {
-		tb.Fatalf("%s: %v", e.Name, err)
+		return "", fmt.Errorf("%s: %v", e.Name, err)
 	}
+	// Releasing after inspection hands the state slabs to whichever
+	// machine is built next, so the equivalence sweep also runs every
+	// program on state another program used.
+	defer m.Release()
 	if e.Setup != nil {
 		if err := e.Setup(m); err != nil {
-			tb.Fatalf("%s setup: %v", e.Name, err)
+			return "", fmt.Errorf("%s setup: %v", e.Name, err)
 		}
 	}
 	ctr := m.EnableCounters()
@@ -84,7 +98,7 @@ func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.
 			for i := 0; i < g.Len; i++ {
 				v, err := m.ArrayAt(g.Name, i)
 				if err != nil {
-					tb.Fatalf("%s array %s[%d]: %v", e.Name, g.Name, i, err)
+					return "", fmt.Errorf("%s array %s[%d]: %v", e.Name, g.Name, i, err)
 				}
 				sum += v ^ uint64(i)
 			}
@@ -99,11 +113,7 @@ func observe(tb testing.TB, e *click.Element, pkts []traffic.Packet, cfg interp.
 			fmt.Fprintf(&b, "vec %s live=%d dropped=%d err=%v\n", g.Name, n, d, err)
 		}
 	}
-	// Releasing after inspection routes the next observe through the
-	// machine pool, so the equivalence sweep also proves a pooled reset
-	// is indistinguishable from a fresh machine.
-	m.Release()
-	return b.String()
+	return b.String(), nil
 }
 
 // diffLine locates the first divergent line of two transcripts.

@@ -39,7 +39,9 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"clara/internal/ir"
 	"clara/internal/traffic"
@@ -283,12 +285,6 @@ type program struct {
 
 	lowerOnce [2]sync.Once
 	lowered   [2][]sBlock
-
-	// mpool recycles released machines per map mode (HostMap, NICMap —
-	// the state layouts differ, so the pools must not mix). Reuse turns
-	// machine construction for a stateful NF from megabytes of zeroed
-	// allocation into a generation bump plus a register-file clear.
-	mpool [2]sync.Pool
 }
 
 // progCacheCap bounds the compiled-program cache. Library modules are
@@ -433,10 +429,10 @@ func compileModule(mod *ir.Module) (*program, error) {
 	return c.p, nil
 }
 
-// mslot is one NIC-map slot. The generation stamp makes whole-table
-// reset O(1): a slot whose gen trails the table's reads as free, so
-// clearing a multi-MB flow table costs one counter bump instead of a
-// memclr (padding absorbs the field — mslot stays 24 bytes).
+// mslot is one NIC-map slot. The generation stamp makes recycling a whole
+// table O(1): a slot whose gen trails the table's reads as free, so
+// handing a multi-MB flow table to the next machine costs one counter bump
+// instead of a memclr (padding absorbs the field — mslot stays 24 bytes).
 type mslot struct {
 	key   uint64
 	val   uint64
@@ -462,17 +458,87 @@ func (nm *nicMapState) st(s *mslot) uint8 {
 	return s.state
 }
 
-// reset invalidates every slot by advancing the generation. On uint32
-// wraparound the slots are cleared for real so stamps from four billion
-// generations ago cannot alias the new one.
-func (nm *nicMapState) reset() {
-	nm.gen++
-	if nm.gen == 0 {
-		clear(nm.slots)
-		nm.gen = 1
+// State slabs. A machine's big state — global arrays, NIC-mode vector
+// storage, NIC map slot tables — comes from package-level pools indexed by
+// size class and goes back on Release, so what is recycled is memory that
+// reads as zero (or, for slot tables, as free), whichever program used it
+// last: never-seen programs reuse state, and idle memory is bounded by
+// concurrency × the largest NF rather than by how many programs are
+// cached. Class c holds slabs of capacity exactly 2^c (c = ⌈log2 len⌉).
+// The array is fixed because lengths come from submitted source: a pool
+// per length would be a table a client can grow without bound.
+const (
+	slabClasses = 24
+	// slabMaxBytes caps a pooled slab; anything larger is allocated exactly
+	// and left to the collector on Release.
+	slabMaxBytes = 8 << 20
+)
+
+// slabPool recycles []T backing arrays; every pooled slab is all zero.
+type slabPool[T any] [slabClasses]sync.Pool
+
+var (
+	wordSlabs slabPool[uint64]
+	flagSlabs slabPool[bool]
+	mapSlabs  [slabClasses]sync.Pool // *nicMapState, by slot-table class
+)
+
+// slabClass returns the class of an n-element []T and whether slabs of
+// that class are pooled.
+func slabClass[T any](n int) (int, bool) {
+	c := bits.Len(uint(n - 1))
+	return c, n > 0 && c < slabClasses && unsafe.Sizeof(*new(T))<<c <= slabMaxBytes
+}
+
+// get returns a zeroed []T of length n.
+func (sp *slabPool[T]) get(n int) []T {
+	c, ok := slabClass[T](n)
+	if !ok {
+		return make([]T, n)
 	}
-	nm.size = 0
-	nm.failedInserts = 0
+	if v := sp[c].Get(); v != nil {
+		return (*v.(*[]T))[:n]
+	}
+	return make([]T, n, 1<<c)
+}
+
+// put zeroes s and recycles it. Only s[:len] can be dirty: the rest of the
+// capacity was zero when get handed it out.
+func (sp *slabPool[T]) put(s []T) {
+	if c, ok := slabClass[T](cap(s)); ok && cap(s) == 1<<c {
+		clear(s)
+		sp[c].Put(&s)
+	}
+}
+
+// newNICMap returns an empty table of the given bucket count.
+func newNICMap(buckets int) *nicMapState {
+	n := buckets * BucketSlots
+	c, ok := slabClass[mslot](n)
+	if !ok {
+		return &nicMapState{slots: make([]mslot, n), buckets: buckets, gen: 1}
+	}
+	if v := mapSlabs[c].Get(); v != nil {
+		nm := v.(*nicMapState)
+		nm.slots, nm.buckets = nm.slots[:n], buckets
+		return nm
+	}
+	return &nicMapState{slots: make([]mslot, n, 1<<c), buckets: buckets, gen: 1}
+}
+
+// release recycles the table. Advancing the generation makes every slot
+// read as free without touching it; on uint32 wraparound the whole
+// capacity is cleared for real, so stamps from four billion generations
+// ago — a longer map's included — cannot alias the new one.
+func (nm *nicMapState) release() {
+	if c, ok := slabClass[mslot](cap(nm.slots)); ok && cap(nm.slots) == 1<<c {
+		nm.size, nm.failedInserts = 0, 0
+		if nm.gen++; nm.gen == 0 {
+			clear(nm.slots[:cap(nm.slots)])
+			nm.gen = 1
+		}
+		mapSlabs[c].Put(nm)
+	}
 }
 
 // vecState backs a Click-Vector-style global. In host mode the slice
@@ -555,7 +621,9 @@ type Machine struct {
 }
 
 // New builds a machine for mod, compiling its handler on first use (the
-// compiled program is cached and shared across machines).
+// compiled program is cached and shared across machines). The machine
+// itself is a small shell built fresh each time; its arrays, NIC vectors
+// and NIC map tables come from the state slabs.
 func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	prog, err := programFor(mod)
 	if err != nil {
@@ -563,14 +631,6 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	}
 	if cfg.Fuel == 0 {
 		cfg.Fuel = defaultFuel
-	}
-	if cfg.Mode == HostMap || cfg.Mode == NICMap {
-		if v := prog.mpool[cfg.Mode].Get(); v != nil {
-			m := v.(*Machine)
-			m.Mod = mod // same fingerprint, possibly a different parse
-			m.reset(cfg)
-			return m, nil
-		}
 	}
 	nslots := int(prog.vsOff())
 	regs := make([]uint64, nslots+prog.nvals+len(prog.pool))
@@ -592,7 +652,7 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		st := &globalState{g: g}
 		switch g.Kind {
 		case ir.GArray:
-			st.array = make([]uint64, g.Len)
+			st.array = wordSlabs.get(g.Len)
 			if g.Len > 0 && g.Len&(g.Len-1) == 0 {
 				st.amask = uint64(g.Len - 1)
 			}
@@ -600,17 +660,13 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 			if cfg.Mode == HostMap {
 				st.hmap = make(map[uint64]uint64)
 			} else {
-				buckets := g.Len / BucketSlots
-				if buckets == 0 {
-					buckets = 1
-				}
-				st.nmap = &nicMapState{slots: make([]mslot, buckets*BucketSlots), buckets: buckets, gen: 1}
+				st.nmap = newNICMap(max(g.Len/BucketSlots, 1))
 			}
 		case ir.GVec:
 			st.vec = &vecState{nic: cfg.Mode == NICMap, cap: g.Len}
 			if st.vec.nic {
-				st.vec.vals = make([]uint64, g.Len)
-				st.vec.valid = make([]bool, g.Len)
+				st.vec.vals = wordSlabs.get(g.Len)
+				st.vec.valid = flagSlabs.get(g.Len)
 			}
 		}
 		m.gl = append(m.gl, st)
@@ -618,33 +674,25 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// reset restores a pooled machine to the state New hands out: fresh
-// config-derived fields, a zeroed register file (the const-pool tail is
-// immutable and kept), and all global state cleared. Every field a
-// packet run can touch is covered — a pooled machine must be
-// indistinguishable from a freshly built one.
-func (m *Machine) reset(cfg Config) {
-	m.cfg = cfg
-	m.hooks = Hooks{}
-	m.ctr = nil
-	m.err = nil
-	m.ewma = 0
-	m.Steps = 0
-	m.pkt = nil
-	m.rng = cfg.Seed*2654435761 + 0x9E3779B97F4A7C15
-	clear(m.regs[:len(m.regs)-len(m.prog.pool)])
-	m.ResetState()
-}
-
-// Release returns m to its program's machine pool; a later New for a
-// module with the same fingerprint and map mode reuses the allocated
-// state (multi-MB flow tables) after an O(1) generation reset instead
-// of reallocating and zeroing it. The caller must not use m — or any
-// Counters it handed out — after Release.
+// Release hands m's arrays, NIC vectors and NIC map tables back to the
+// state slabs — zeroed, or generation-bumped in O(1) — for whichever
+// machine is built next, of any program. It leaves m unusable: RunPacket
+// and the state accessors panic, so a stale reference can never read
+// another job's state. Counters m handed out stay with the caller,
+// and a second Release is a no-op.
 func (m *Machine) Release() {
-	if m.cfg.Mode == HostMap || m.cfg.Mode == NICMap {
-		m.prog.mpool[m.cfg.Mode].Put(m)
+	for _, g := range m.gl {
+		switch {
+		case g.array != nil:
+			wordSlabs.put(g.array)
+		case g.nmap != nil:
+			g.nmap.release()
+		case g.vec != nil && g.vec.nic:
+			wordSlabs.put(g.vec.vals)
+			flagSlabs.put(g.vec.valid)
+		}
 	}
+	m.gl, m.regs, m.vals, m.slots = nil, nil, nil, nil
 }
 
 // SetHooks installs execution hooks (may be called between packets).
@@ -854,6 +902,9 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 // — Steps, fuel, counters, packet and state mutations — is identical
 // between the two.
 func (m *Machine) RunPacket(p *traffic.Packet) error {
+	if m.regs == nil {
+		panic("interp: RunPacket on a released Machine")
+	}
 	if h := &m.hooks; h.OnBlock != nil || h.OnState != nil || h.OnLocal != nil ||
 		h.OnCompute != nil || h.OnAPI != nil {
 		return m.runReference(p)

@@ -369,28 +369,6 @@ void handle() {
 	}
 }
 
-func TestResetState(t *testing.T) {
-	mod := compile(t, "nat", natSrc)
-	m, err := New(mod, Config{Mode: NICMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tcpPacket(5, 6)
-	if err := m.RunPacket(&p); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := m.MapLen("nat"); n != 1 {
-		t.Fatal("setup failed")
-	}
-	m.ResetState()
-	if n, _ := m.MapLen("nat"); n != 0 {
-		t.Error("map not cleared")
-	}
-	if v, _ := m.Scalar("misses"); v != 0 {
-		t.Error("scalar not cleared")
-	}
-}
-
 func TestRand32Deterministic(t *testing.T) {
 	src := `
 global u32 x;

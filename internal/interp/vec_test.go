@@ -152,15 +152,3 @@ func TestVecDeleteProbeCostsDiverge(t *testing.T) {
 		t.Errorf("NIC delete probes = %d, want 1", n)
 	}
 }
-
-func TestVecResetState(t *testing.T) {
-	m := vecMachine(t, NICMap)
-	run(t, m, op(1, 5, 0))
-	m.ResetState()
-	if l, _ := m.VecLive("recent"); l != 0 {
-		t.Errorf("live = %d after reset", l)
-	}
-	if p, _ := m.Scalar("pushed"); p != 0 {
-		t.Errorf("scalar = %d after reset", p)
-	}
-}

@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"clara/internal/analysis"
 	"clara/internal/click"
 	"clara/internal/core"
 	"clara/internal/fleet"
@@ -390,6 +392,34 @@ func TestPartialBatchFailure(t *testing.T) {
 	rec = postJSON(t, s.Handler(), "/v1/analyze", AnalyzeRequest{NFs: []string{"tcpack", "udpipencap"}})
 	if rec.Code != http.StatusOK || rec.Header().Get(FailedJobsHeader) != "" {
 		t.Fatalf("clean batch: status %d, header %q", rec.Code, rec.Header().Get(FailedJobsHeader))
+	}
+}
+
+// TestOversizeStateFailsBeforeProfiling: a 70-byte source declaring a
+// 1.2 GB array lints state-oversize as an error — no NIC tier can hold it —
+// and used to be profiled anyway: the host allocated the whole array and
+// only then did placement fail. The job must fail with that diagnostic
+// before any machine is built, as a per-job error on a 200.
+func TestOversizeStateFailsBeforeProfiling(t *testing.T) {
+	s := newTestServer(t, Config{})
+	src := "global u64 a[150000000]; void handle(){ a[1]=2; pkt_send(0); }"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := postJSON(t, s.Handler(), "/v1/analyze", AnalyzeRequest{Src: src, Name: "huge", Workload: "small"})
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200:\n%s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(FailedJobsHeader); got != "1" {
+		t.Fatalf("%s = %q, want \"1\"", FailedJobsHeader, got)
+	}
+	resp := decodeAnalyze(t, rec)
+	if len(resp.Results) != 1 || resp.Results[0].Insights != nil ||
+		!strings.Contains(resp.Results[0].Error, analysis.RuleStateOversize) {
+		t.Errorf("want a state-oversize job error, got %+v", resp.Results)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("request allocated %d MB, want < 16 (the array was built)", grew>>20)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check analysis-check bench-check fuzz bench bench-smoke bench-compare bench-fleet update-golden
+.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check analysis-check bench-check fuzz bench-fleet update-golden
 
 build:
 	$(GO) build ./...
@@ -27,15 +27,18 @@ fmt-check:
 
 # serve-check exercises the HTTP serving layer end to end under the
 # race detector: concurrent requests, backpressure, cancellation,
-# panic isolation, graceful shutdown.
+# panic isolation, graceful shutdown — and TestDoorsAgree, which holds the
+# server, the coordinator, Fleet.Run and Tool.Analyze to the same answers.
 serve-check:
 	$(GO) test -race ./internal/server/...
+	$(GO) test -race -run TestDoorsAgree .
 
 # cluster-check exercises the coordinator/worker layer end to end under
 # the race detector: content-hash routing, worker death mid-batch with
 # single retry, probe-driven rejoin, merged metrics.
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
+	$(GO) test -race -run TestDoorsAgree .
 
 # simulate-check exercises the offload controller under the race
 # detector — golden trajectories, invariants, bit-determinism across
@@ -73,32 +76,9 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # check is the PR gate: static gates first, then build, plain tests,
-# then the race passes, then the benchmark harnesses (bench/'s own tests,
-# and a quick run of perfbench).
-check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check analysis-check bench-check bench-smoke
-
-# bench regenerates the committed BENCH_PR10.json: everything from the
-# PR9 report (cold/warm start, train throughput, predict latency,
-# quantized drift, fleet jobs/sec, convergence grid, cluster scaling)
-# plus the host-profiling microbench (profile_us_per_packet). Earlier
-# BENCH_PR*.json files are kept for cross-PR comparison.
-bench:
-	$(GO) run ./cmd/perfbench -out BENCH_PR10.json
-
-# bench-smoke runs the same harness with shrunken workloads to verify
-# it end to end (CI); it does not overwrite the committed numbers.
-bench-smoke:
-	$(GO) run ./cmd/perfbench -quick -out /tmp/clara-bench-smoke.json
-
-# bench-compare diffs the two newest committed BENCH_PR*.json files
-# field by field. Fail-soft: numbers from different machines are not
-# comparable, so the diff informs rather than gates.
-bench-compare:
-	@files=$$(ls BENCH_PR*.json 2>/dev/null | sort -t_ -k2.3n | tail -2); \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-compare: need two BENCH_PR*.json files, have $$#"; exit 0; fi; \
-	echo "bench-compare: $$1 -> $$2"; \
-	$(GO) run ./cmd/perfbench/compare "$$1" "$$2" || true
+# then the race passes, then the benchmark harness's own tests (whose
+# TestSmoke drives all four BENCHMARK.json workloads, traced and untraced).
+check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check analysis-check bench-check
 
 # Short smoke runs of every fuzz target (seed corpus always runs under
 # plain `go test`; this adds a bounded mutation pass).

@@ -314,21 +314,12 @@ func LibraryJobs(workloads ...Workload) ([]FleetJob, error) {
 	}
 	var jobs []FleetJob
 	for _, name := range click.Table2Order {
-		e := click.Get(name)
-		if e == nil {
-			return nil, fmt.Errorf("clara: unknown library element %q", name)
-		}
-		mod, err := e.Module()
-		if err != nil {
-			return nil, err
-		}
 		for _, wl := range workloads {
-			jobs = append(jobs, FleetJob{
-				Name: e.Name,
-				Mod:  mod,
-				PS:   ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
-				WL:   wl,
-			})
+			j, err := server.ElementJob(name, wl)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, j)
 		}
 	}
 	return jobs, nil

@@ -20,10 +20,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -33,16 +36,18 @@ import (
 	"clara/internal/analysis"
 	"clara/internal/core"
 	"clara/internal/offload"
+	"clara/internal/server"
 	"clara/internal/traffic"
 )
 
-// cliFlags carries every parsed flag through validation — a struct so
-// checkFlags is a plain testable function instead of a positional-arg
-// wall.
+// cliFlags carries every parsed flag through validation and into the
+// mode that runs.
 type cliFlags struct {
 	nf, src   string
 	workload  string
 	trace     string
+	quick     bool
+	quantize  bool
 	list      bool
 	fleetMode bool
 	lintMode  bool
@@ -53,6 +58,7 @@ type cliFlags struct {
 	timeout   time.Duration
 	modelLoad string
 	modelSave string
+	why       string
 
 	// Coordinator mode: -coordinator :port fronts the worker endpoints
 	// parsed out of -workers (which is a pool size everywhere else).
@@ -65,171 +71,176 @@ type cliFlags struct {
 	rounds   int
 	cps, pps int
 	simSeed  int64
-	// simFlagsSet lists which simulation-only flags the user set
-	// explicitly (via flag.Visit) so they can be rejected outside
-	// -simulate even at their default values.
-	simFlagsSet []string
+
+	// mode is the modes entry the command line selects; set names every
+	// flag it gave explicitly (flag.Visit order), so a flag the mode does
+	// not read is rejected even at its default value.
+	mode modeSpec
+	set  []string
+}
+
+// modeSpec is one of clara's modes: the flag that selects it ("" for the
+// default, single-NF analysis), what it does (for error messages), and
+// every other flag it reads.
+type modeSpec struct{ flag, does, reads string }
+
+const trainFlags = " quick quantize model-load model-save"
+
+// modes is the one flag matrix, in precedence order. checkFlags rejects
+// any flag given on the command line that the selected mode does not read:
+// nothing is silently ignored and nothing silently takes precedence.
+var modes = []modeSpec{
+	{"why", "explains a lint rule", ""},
+	{"coordinator", "fronts remote workers", "workers timeout"},
+	{"serve", "runs the HTTP service", "workers queue timeout" + trainFlags},
+	{"simulate", "runs the offload controller", "nf src scenario policy rounds cps pps sim-seed" + trainFlags},
+	{"list", "lists the element library", ""},
+	{"fleet", "analyzes the whole library", "workers" + trainFlags},
+	{"lint", "is static and trains nothing", "nf src json"},
+	{"", "", "nf src workload trace" + trainFlags},
+}
+
+func (m modeSpec) uses(name string) bool {
+	return name == m.flag || slices.Contains(strings.Fields(m.reads), name)
+}
+
+// parseFlags parses a command line into cliFlags, recording which flags
+// were given and which mode they select. It validates nothing beyond
+// syntax; checkFlags does the rest.
+func parseFlags(args []string) (cliFlags, *flag.FlagSet, error) {
+	var f cliFlags
+	fs := flag.NewFlagSet("clara", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main reports the error and the usage itself
+	fs.StringVar(&f.nf, "nf", "", "analyze a library element by name")
+	fs.StringVar(&f.src, "src", "", "analyze an NFC source file")
+	fs.StringVar(&f.workload, "workload", "mix", "workload: small | large | mix")
+	fs.StringVar(&f.trace, "trace", "", "profile over a recorded trace file instead of a synthetic workload")
+	fs.BoolVar(&f.quick, "quick", false, "fast, lower-accuracy training")
+	fs.BoolVar(&f.list, "list", false, "list library elements and exit")
+	fs.BoolVar(&f.fleetMode, "fleet", false, "analyze-fleet mode: every library element under every standard workload")
+	workers := fs.String("workers", "", "fleet worker pool size (0 = GOMAXPROCS); with -coordinator: comma-separated worker endpoints (host:port,...)")
+	fs.BoolVar(&f.lintMode, "lint", false, "offloadability lint only (static, no training); exits 1 on error-severity findings")
+	fs.BoolVar(&f.jsonOut, "json", false, "with -lint: emit diagnostics as a JSON array")
+	fs.StringVar(&f.serveAddr, "serve", "", "serve the HTTP analysis API on this address (e.g. :8080)")
+	fs.StringVar(&f.coordAddr, "coordinator", "", "serve the cluster coordinator on this address, fronting the -workers endpoints")
+	fs.IntVar(&f.queue, "queue", 0, "with -serve: max concurrent analysis requests (0 = 4x workers)")
+	fs.DurationVar(&f.timeout, "timeout", 0, "with -serve: per-request analysis deadline (0 = 30s)")
+	fs.StringVar(&f.modelLoad, "model-load", "", "warm-start from a saved model bundle (falls back to training when missing or invalid)")
+	fs.StringVar(&f.modelSave, "model-save", "", "after training, persist the model bundle to this path")
+	fs.BoolVar(&f.quantize, "quantize", false, "serve predictions from the int8-quantized LSTM path")
+	fs.BoolVar(&f.simulate, "simulate", false, "run the offload-controller simulation and emit the NDJSON trajectory")
+	fs.StringVar(&f.scenario, "scenario", "zipf", "with -simulate: traffic scenario (zipf | synflood | elephantmice)")
+	fs.StringVar(&f.policy, "policy", "insight", "with -simulate: threshold policy (static | dynamic | insight)")
+	fs.IntVar(&f.rounds, "rounds", 96, "with -simulate: rounds to simulate")
+	fs.IntVar(&f.cps, "cps", 0, "with -simulate: override new flows per round (0 = scenario default)")
+	fs.IntVar(&f.pps, "pps", 0, "with -simulate: override offered packets per round (0 = scenario default)")
+	fs.Int64Var(&f.simSeed, "sim-seed", 7, "with -simulate: trajectory PRNG seed")
+	fs.StringVar(&f.why, "why", "", "explain a lint rule (e.g. -why loop-varbound); 'list' enumerates all rules")
+	if err := fs.Parse(args); err != nil {
+		return f, fs, err
+	}
+	fs.Visit(func(fl *flag.Flag) { f.set = append(f.set, fl.Name) })
+	for _, m := range modes {
+		if fl := fs.Lookup(m.flag); fl == nil || fl.Value.String() != fl.DefValue {
+			f.mode = m
+			break
+		}
+	}
+	var err error
+	f.workers, f.workerAddrs, err = parseWorkersFlag(*workers, f.coordAddr != "")
+	return f, fs, err
 }
 
 func main() {
-	var (
-		nfName    = flag.String("nf", "", "analyze a library element by name")
-		srcPath   = flag.String("src", "", "analyze an NFC source file")
-		workload  = flag.String("workload", "mix", "workload: small | large | mix")
-		tracePath = flag.String("trace", "", "profile over a recorded trace file instead of a synthetic workload")
-		quick     = flag.Bool("quick", false, "fast, lower-accuracy training")
-		list      = flag.Bool("list", false, "list library elements and exit")
-		fleetMode = flag.Bool("fleet", false, "analyze-fleet mode: every library element under every standard workload")
-		workers   = flag.String("workers", "", "fleet worker pool size (0 = GOMAXPROCS); with -coordinator: comma-separated worker endpoints (host:port,...)")
-		lintMode  = flag.Bool("lint", false, "offloadability lint only (static, no training); exits 1 on error-severity findings")
-		jsonOut   = flag.Bool("json", false, "with -lint: emit diagnostics as a JSON array")
-		serveAddr = flag.String("serve", "", "serve the HTTP analysis API on this address (e.g. :8080)")
-		coordAddr = flag.String("coordinator", "", "serve the cluster coordinator on this address, fronting the -workers endpoints")
-		queue     = flag.Int("queue", 0, "with -serve: max concurrent analysis requests (0 = 4x workers)")
-		timeout   = flag.Duration("timeout", 0, "with -serve: per-request analysis deadline (0 = 30s)")
-		modelLoad = flag.String("model-load", "", "warm-start from a saved model bundle (falls back to training when missing or invalid)")
-		modelSave = flag.String("model-save", "", "after training, persist the model bundle to this path")
-		quantize  = flag.Bool("quantize", false, "serve predictions from the int8-quantized LSTM path")
-		simulate  = flag.Bool("simulate", false, "run the offload-controller simulation and emit the NDJSON trajectory")
-		scenario  = flag.String("scenario", "zipf", "with -simulate: traffic scenario (zipf | synflood | elephantmice)")
-		policy    = flag.String("policy", "insight", "with -simulate: threshold policy (static | dynamic | insight)")
-		rounds    = flag.Int("rounds", 96, "with -simulate: rounds to simulate")
-		cps       = flag.Int("cps", 0, "with -simulate: override new flows per round (0 = scenario default)")
-		pps       = flag.Int("pps", 0, "with -simulate: override offered packets per round (0 = scenario default)")
-		simSeed   = flag.Int64("sim-seed", 7, "with -simulate: trajectory PRNG seed")
-		whyRule   = flag.String("why", "", "explain a lint rule (e.g. -why loop-varbound); 'list' enumerates all rules")
-	)
-	flag.Parse()
-
-	if *whyRule != "" {
-		explainRule(*whyRule)
-		return
+	f, fs, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = checkFlags(f)
 	}
-
-	nWorkers, workerAddrs, werr := parseWorkersFlag(*workers, *coordAddr != "")
-	if werr != nil {
-		fmt.Fprintf(os.Stderr, "clara: %v\n\n", werr)
-		flag.Usage()
-		os.Exit(2)
-	}
-	f := cliFlags{
-		nf: *nfName, src: *srcPath, workload: *workload, trace: *tracePath,
-		list: *list, fleetMode: *fleetMode, lintMode: *lintMode, jsonOut: *jsonOut,
-		serveAddr: *serveAddr, workers: nWorkers, queue: *queue, timeout: *timeout,
-		modelLoad: *modelLoad, modelSave: *modelSave,
-		coordAddr: *coordAddr, workerAddrs: workerAddrs,
-		simulate: *simulate, scenario: *scenario, policy: *policy,
-		rounds: *rounds, cps: *cps, pps: *pps, simSeed: *simSeed,
-	}
-	simOnly := map[string]bool{"scenario": true, "policy": true, "rounds": true, "cps": true, "pps": true, "sim-seed": true}
-	flag.Visit(func(fl *flag.Flag) {
-		if simOnly[fl.Name] {
-			f.simFlagsSet = append(f.simFlagsSet, "-"+fl.Name)
+	if err != nil {
+		code := 0
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "clara: %v\n\n", err)
+			code = 2
 		}
-	})
-	if err := checkFlags(f); err != nil {
-		fmt.Fprintf(os.Stderr, "clara: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		os.Exit(code)
 	}
-
-	if *coordAddr != "" {
-		coordinate(*coordAddr, workerAddrs, *timeout)
-		return
-	}
-
-	if *serveAddr != "" {
-		serve(*serveAddr, nWorkers, *queue, *timeout, *quick, *quantize, *modelLoad, *modelSave)
-		return
-	}
-
-	if *simulate {
-		runSimulate(f, *quick, *quantize)
-		return
-	}
-
-	if *list {
+	switch f.mode.flag {
+	case "why":
+		explainRule(f.why)
+	case "coordinator":
+		coordinate(f)
+	case "serve":
+		serve(f)
+	case "simulate":
+		runSimulate(f)
+	case "list":
 		fmt.Println("Built-in NF elements:")
 		for _, e := range clara.Elements() {
 			fmt.Printf("  %-14s %s (%d LoC)\n", e.Name, e.Desc, e.LoC())
 		}
+	case "fleet":
+		analyzeFleet(f)
+	case "lint":
+		lint(f)
+	default:
+		analyze(f)
+	}
+}
+
+// analyze is the default mode: one NF, one workload (synthetic, or a
+// recorded trace), the insights report on stdout.
+func analyze(f cliFlags) {
+	job := f.job()
+	tool, _ := obtainTool(context.Background(), f)
+	if f.trace != "" {
+		analyzeTrace(tool, job, f.trace)
 		return
 	}
-
-	if *fleetMode {
-		analyzeFleet(nWorkers, *quick, *quantize, *modelLoad, *modelSave)
-		return
-	}
-
-	if *lintMode {
-		name, src, err := pickSource(*nfName, *srcPath)
-		if err != nil {
-			fatal(err)
-		}
-		lint(name, src, *jsonOut)
-		return
-	}
-
-	wl, err := pickWorkload(*workload)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *nfName == "" && *srcPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	mod, ps, err := resolveModule(*nfName, *srcPath)
-	if err != nil {
-		fatal(err)
-	}
-
-	tool, _ := obtainTool(context.Background(), *quick, *quantize, *modelLoad, *modelSave)
-
-	if *tracePath != "" {
-		// Workload comes from a recorded trace (the paper's pcap profile
-		// input): run the workload-specific analyses over it directly.
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		pkts, err := traffic.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := traffic.NewReplayer(pkts)
-		if err != nil {
-			fatal(err)
-		}
-		prof, err := core.ProfileOnHostSource(mod, ps, rep, len(pkts))
-		if err != nil {
-			fatal(err)
-		}
-		placement, err := core.SuggestPlacement(mod, prof, tool.Params)
-		if err != nil {
-			fatal(err)
-		}
-		packs := core.SuggestPacks(mod, prof, tool.Coalesce)
-		fmt.Printf("trace-driven analysis over %d recorded packets (%s):\n", len(pkts), *tracePath)
-		fmt.Println("\nState placement:")
-		for g, r := range placement {
-			fmt.Printf("  %-16s -> %s\n", g, r)
-		}
-		if len(packs) > 0 {
-			fmt.Println("Coalescing packs:")
-			for i, p := range packs {
-				fmt.Printf("  pack %d: %v\n", i, p)
-			}
-		}
-		return
-	}
-
-	ins, err := tool.Analyze(mod, ps, wl)
+	ins, err := tool.Analyze(job.Mod, job.PS, job.WL)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(ins.Report())
+}
+
+// analyzeTrace takes the workload from a recorded trace (the paper's pcap
+// profile input) and runs the workload-specific analyses over it directly.
+func analyzeTrace(tool *clara.Tool, job clara.FleetJob, path string) {
+	fh, err := os.Open(path)
+	if err != nil {
+		fatal(err)
+	}
+	pkts, err := traffic.ReadTrace(fh)
+	fh.Close()
+	if err != nil {
+		fatal(err)
+	}
+	rep, err := traffic.NewReplayer(pkts)
+	if err != nil {
+		fatal(err)
+	}
+	prof, err := core.ProfileOnHostSource(job.Mod, job.PS, rep, len(pkts))
+	if err != nil {
+		fatal(err)
+	}
+	placement, err := core.SuggestPlacement(job.Mod, prof, tool.Params)
+	if err != nil {
+		fatal(err)
+	}
+	packs := core.SuggestPacks(job.Mod, prof, tool.Coalesce)
+	fmt.Printf("trace-driven analysis over %d recorded packets (%s):\n", len(pkts), path)
+	fmt.Println("\nState placement:")
+	for g, r := range placement {
+		fmt.Printf("  %-16s -> %s\n", g, r)
+	}
+	if len(packs) > 0 {
+		fmt.Println("Coalescing packs:")
+		for i, p := range packs {
+			fmt.Printf("  pack %d: %v\n", i, p)
+		}
+	}
 }
 
 // parseWorkersFlag interprets -workers for the current mode: a worker
@@ -258,65 +269,8 @@ func parseWorkersFlag(raw string, coordinator bool) (int, []string, error) {
 // checkFlags rejects incoherent flag combinations up front (main exits 2
 // with usage on error) instead of silently ignoring the extra flags.
 func checkFlags(f cliFlags) error {
-	if f.jsonOut && !f.lintMode {
-		return fmt.Errorf("-json only applies to -lint output")
-	}
-	if (f.modelLoad != "" || f.modelSave != "") && (f.lintMode || f.list) {
-		return fmt.Errorf("-model-load/-model-save only apply to modes that train a model (analyze, -fleet, -serve, -simulate)")
-	}
-	// -model-load and -model-save may name the same file: load-or-train-
-	// and-save is the natural caching pattern (save only runs after an
-	// actual training pass, never after a successful warm start).
 	if f.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", f.workers)
-	}
-	if f.fleetMode && (f.nf != "" || f.src != "") {
-		return fmt.Errorf("-fleet analyzes the whole library; it cannot be combined with -nf or -src")
-	}
-	if f.fleetMode && f.lintMode {
-		return fmt.Errorf("-fleet and -lint are mutually exclusive modes")
-	}
-	if f.nf != "" && f.src != "" {
-		return fmt.Errorf("-nf and -src are mutually exclusive; pick one input")
-	}
-	if f.coordAddr != "" {
-		incompatible := []struct {
-			name string
-			set  bool
-		}{
-			{"-serve", f.serveAddr != ""}, {"-fleet", f.fleetMode}, {"-lint", f.lintMode},
-			{"-list", f.list}, {"-nf", f.nf != ""}, {"-src", f.src != ""},
-			{"-trace", f.trace != ""}, {"-simulate", f.simulate},
-			{"-model-load", f.modelLoad != ""}, {"-model-save", f.modelSave != ""},
-		}
-		for _, fl := range incompatible {
-			if fl.set {
-				return fmt.Errorf("-coordinator fronts remote workers; it cannot be combined with %s", fl.name)
-			}
-		}
-		if len(f.workerAddrs) == 0 {
-			return fmt.Errorf("-coordinator requires -workers host1:port1,host2:port2")
-		}
-		if f.queue != 0 {
-			return fmt.Errorf("-queue does not apply to -coordinator (each worker bounds its own admission)")
-		}
-	}
-	if f.serveAddr != "" {
-		incompatible := []struct {
-			name string
-			set  bool
-		}{
-			{"-fleet", f.fleetMode}, {"-lint", f.lintMode}, {"-list", f.list},
-			{"-nf", f.nf != ""}, {"-src", f.src != ""}, {"-trace", f.trace != ""},
-			{"-simulate", f.simulate},
-		}
-		for _, fl := range incompatible {
-			if fl.set {
-				return fmt.Errorf("-serve runs the HTTP service; it cannot be combined with %s", fl.name)
-			}
-		}
-	} else if f.coordAddr == "" && (f.queue != 0 || f.timeout != 0) {
-		return fmt.Errorf("-queue and -timeout only apply to -serve or -coordinator")
 	}
 	if f.queue < 0 {
 		return fmt.Errorf("-queue must be >= 0 (got %d)", f.queue)
@@ -324,19 +278,26 @@ func checkFlags(f cliFlags) error {
 	if f.timeout < 0 {
 		return fmt.Errorf("-timeout must be >= 0 (got %s)", f.timeout)
 	}
-	if f.simulate {
-		incompatible := []struct {
-			name string
-			set  bool
-		}{
-			{"-fleet", f.fleetMode}, {"-lint", f.lintMode}, {"-list", f.list},
-			{"-trace", f.trace != ""},
+	if f.nf != "" && f.src != "" {
+		return fmt.Errorf("-nf and -src are mutually exclusive; pick one input")
+	}
+	for _, name := range f.set {
+		switch {
+		case f.mode.uses(name):
+		case name == "queue" && f.mode.flag == "coordinator":
+			return fmt.Errorf("-queue does not apply to -coordinator (each worker bounds its own admission)")
+		case name == "queue" || name == "timeout":
+			return fmt.Errorf("-queue and -timeout only apply to -serve or -coordinator")
+		default:
+			return conflict(f.mode, name)
 		}
-		for _, fl := range incompatible {
-			if fl.set {
-				return fmt.Errorf("-simulate runs the offload controller; it cannot be combined with %s", fl.name)
-			}
+	}
+	switch f.mode.flag {
+	case "coordinator":
+		if len(f.workerAddrs) == 0 {
+			return fmt.Errorf("-coordinator requires -workers host1:port1,host2:port2")
 		}
+	case "simulate":
 		if f.rounds <= 0 {
 			return fmt.Errorf("-rounds must be positive (got %d)", f.rounds)
 		}
@@ -352,10 +313,47 @@ func checkFlags(f cliFlags) error {
 		if _, err := offload.PolicyByName(f.policy); err != nil {
 			return fmt.Errorf("-policy: %v", err)
 		}
-	} else if len(f.simFlagsSet) > 0 {
-		return fmt.Errorf("%s only applies to -simulate", f.simFlagsSet[0])
+		for _, name := range f.set {
+			if f.nf == "" && f.src == "" && slices.Contains(strings.Fields(trainFlags), name) {
+				return fmt.Errorf("-%s only applies to -simulate with -nf or -src (without them nothing is trained)", name)
+			}
+		}
+	case "lint", "":
+		if f.nf == "" && f.src == "" {
+			return fmt.Errorf("need -nf or -src")
+		}
+		if f.trace != "" && slices.Contains(f.set, "workload") {
+			return fmt.Errorf("-workload does not apply with -trace (the recorded trace is the workload)")
+		}
 	}
 	return nil
+}
+
+// conflict words the rejection of a flag the selected mode does not read.
+// -model-load and -model-save may name the same file: load-or-train-and-
+// save is the natural caching pattern, and every mode that reads one reads
+// both.
+func conflict(m modeSpec, name string) error {
+	var why string
+	var readers []string
+	for _, o := range modes {
+		switch {
+		case o.flag == name:
+			why = "modes are mutually exclusive"
+		case !o.uses(name):
+		case o.flag == "":
+			readers = append(readers, "-nf/-src analysis")
+		default:
+			readers = append(readers, "-"+o.flag)
+		}
+	}
+	if why == "" {
+		why = fmt.Sprintf("-%s only applies to %s", name, strings.Join(readers, ", "))
+	}
+	if m.flag == "" {
+		return errors.New(why)
+	}
+	return fmt.Errorf("-%s %s; it cannot be combined with -%s (%s)", m.flag, m.does, name, why)
 }
 
 // runSimulate is the -simulate mode: build the scenario, derive the NIC
@@ -367,7 +365,7 @@ func checkFlags(f cliFlags) error {
 // -quick/-model-load/-model-save) for that NF — the full insight-seeding
 // path. Without them a nominal mid-weight prediction stands in, so the
 // baseline policies and CI smoke runs need no training at all.
-func runSimulate(f cliFlags, quick, quantize bool) {
+func runSimulate(f cliFlags) {
 	sc, err := offload.ScenarioByName(f.scenario)
 	if err != nil {
 		fatal(err)
@@ -387,11 +385,8 @@ func runSimulate(f cliFlags, quick, quantize bool) {
 	mp := offload.NominalPrediction()
 	var sp *analysis.StateProfile
 	if f.nf != "" || f.src != "" {
-		mod, _, err := resolveModule(f.nf, f.src)
-		if err != nil {
-			fatal(err)
-		}
-		tool, _ := obtainTool(context.Background(), quick, quantize, f.modelLoad, f.modelSave)
+		mod := f.job().Mod
+		tool, _ := obtainTool(context.Background(), f)
 		pred, err := tool.Predictor.PredictModule(mod, clara.AccelConfig{})
 		if err != nil {
 			fatal(err)
@@ -420,62 +415,84 @@ func runSimulate(f cliFlags, quick, quantize bool) {
 	fmt.Fprintln(os.Stderr, "clara:", traj.String())
 }
 
-// resolveModule resolves -nf/-src to a compiled module plus its profile
-// setup (state seeding for library elements).
-func resolveModule(nfName, srcPath string) (*clara.Module, clara.ProfileSetup, error) {
-	switch {
-	case nfName != "":
-		e := clara.GetElement(nfName)
-		if e == nil {
-			return nil, clara.ProfileSetup{}, fmt.Errorf("unknown element %q (try -list)", nfName)
-		}
-		m, err := e.Module()
+// request words -nf / -src / -workload as the request an HTTP client
+// would send, so the CLI resolves elements, source and workloads through
+// the servers' resolver and fails with its errors.
+func (f cliFlags) request() server.AnalyzeRequest {
+	req := server.AnalyzeRequest{NF: f.nf, Workload: f.workload}
+	if f.src != "" {
+		src, err := os.ReadFile(f.src)
 		if err != nil {
-			return nil, clara.ProfileSetup{}, err
+			fatal(err)
 		}
-		return m, clara.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes}, nil
-	case srcPath != "":
-		src, err := os.ReadFile(srcPath)
-		if err != nil {
-			return nil, clara.ProfileSetup{}, err
-		}
-		m, err := clara.CompileNF(srcPath, string(src))
-		if err != nil {
-			return nil, clara.ProfileSetup{}, err
-		}
-		return m, clara.ProfileSetup{}, nil
-	default:
-		return nil, clara.ProfileSetup{}, fmt.Errorf("need -nf or -src")
+		req.Src, req.Name = string(src), f.src
 	}
+	return req
 }
 
-// obtainTool resolves the trained tool for a training mode: warm-start
-// from -model-load when the bundle is valid for this build and config,
-// otherwise train from scratch (persisting to -model-save when set).
-func obtainTool(ctx context.Context, quick, quantize bool, loadPath, savePath string) (*clara.Tool, clara.ModelInfo) {
-	cfg := clara.TrainConfig{Quick: quick, Seed: 42, Quantize: quantize}
-	if loadPath != "" {
-		tool, hash, err := clara.LoadTool(loadPath, cfg)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "clara: warm start from %s (model %.12s…)\n", loadPath, hash)
-			return tool, clara.ModelInfo{Hash: hash, WarmStart: true}
-		}
-		fmt.Fprintf(os.Stderr, "clara: cannot warm start from %s (%v); training instead\n", loadPath, err)
-	}
-	fmt.Fprintln(os.Stderr, "training Clara (predictor + algorithm ID + scale-out model)...")
-	start := time.Now()
-	tool, err := clara.TrainContext(ctx, cfg)
+// job resolves the single NF the flags name: compiled module, state
+// seeding, workload.
+func (f cliFlags) job() clara.FleetJob {
+	req := f.request()
+	jobs, err := req.Jobs()
 	if err != nil {
 		fatal(err)
 	}
+	return jobs[0]
+}
+
+func (f cliFlags) trainConfig() clara.TrainConfig {
+	return clara.TrainConfig{Quick: f.quick, Seed: 42, Quantize: f.quantize}
+}
+
+// warmStart loads the -model-load bundle when it is valid for this build
+// and config; a missing or rejected bundle is reported and training takes
+// over.
+func warmStart(f cliFlags) (*clara.Tool, clara.ModelInfo, bool) {
+	if f.modelLoad == "" {
+		return nil, clara.ModelInfo{}, false
+	}
+	tool, hash, err := clara.LoadTool(f.modelLoad, f.trainConfig())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clara: cannot warm start from %s (%v); training instead\n", f.modelLoad, err)
+		return nil, clara.ModelInfo{}, false
+	}
+	fmt.Fprintf(os.Stderr, "clara: warm start from %s (model %.12s…)\n", f.modelLoad, hash)
+	return tool, clara.ModelInfo{Hash: hash, WarmStart: true}, true
+}
+
+// trainTool trains from scratch and persists the bundle to -model-save.
+// A failed save is reported, not returned: the trained tool is what the
+// run was for, and it must not take down a server that just became ready.
+func trainTool(ctx context.Context, f cliFlags) (*clara.Tool, clara.ModelInfo, error) {
+	fmt.Fprintln(os.Stderr, "training Clara (predictor + algorithm ID + scale-out model)...")
+	start := time.Now()
+	tool, err := clara.TrainContext(ctx, f.trainConfig())
+	if err != nil {
+		return nil, clara.ModelInfo{}, err
+	}
 	info := clara.ModelInfo{TrainSeconds: time.Since(start).Seconds()}
-	if savePath != "" {
-		hash, err := clara.SaveTool(savePath, tool, cfg, info.TrainSeconds)
+	if f.modelSave != "" {
+		hash, err := clara.SaveTool(f.modelSave, tool, f.trainConfig(), info.TrainSeconds)
 		if err != nil {
-			fatal(fmt.Errorf("saving model bundle: %w", err))
+			fmt.Fprintf(os.Stderr, "clara: saving model bundle: %v\n", err)
+		} else {
+			fmt.Fprintf(os.Stderr, "clara: saved model bundle to %s (model %.12s…)\n", f.modelSave, hash)
+			info.Hash = hash
 		}
-		fmt.Fprintf(os.Stderr, "clara: saved model bundle to %s (model %.12s…)\n", savePath, hash)
-		info.Hash = hash
+	}
+	return tool, info, nil
+}
+
+// obtainTool is how a one-shot mode gets its tool: warm start, else train
+// now.
+func obtainTool(ctx context.Context, f cliFlags) (*clara.Tool, clara.ModelInfo) {
+	if tool, info, ok := warmStart(f); ok {
+		return tool, info
+	}
+	tool, info, err := trainTool(ctx, f)
+	if err != nil {
+		fatal(err)
 	}
 	return tool, info
 }
@@ -485,51 +502,28 @@ func obtainTool(ctx context.Context, quick, quantize bool, loadPath, savePath st
 // server warm-starts and is ready before the first request; otherwise it
 // binds immediately and trains in the background, answering /healthz 503
 // "training" until the model is ready.
-func serve(addr string, workers, queue int, timeout time.Duration, quick, quantize bool, loadPath, savePath string) {
+func serve(f cliFlags) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := clara.TrainConfig{Quick: quick, Seed: 42, Quantize: quantize}
-	scfg := clara.ServerConfig{Workers: workers, QueueDepth: queue, RequestTimeout: timeout}
-	if loadPath != "" {
-		tool, hash, err := clara.LoadTool(loadPath, cfg)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "clara: warm start from %s (model %.12s…)\n", loadPath, hash)
-			scfg.Tool = tool
-			scfg.Model = clara.ModelInfo{Hash: hash, WarmStart: true}
-		} else {
-			fmt.Fprintf(os.Stderr, "clara: cannot warm start from %s (%v); training in background\n", loadPath, err)
-		}
-	}
-	if scfg.Tool == nil {
+	scfg := clara.ServerConfig{Workers: f.workers, QueueDepth: f.queue, RequestTimeout: f.timeout}
+	if tool, info, ok := warmStart(f); ok {
+		scfg.Tool, scfg.Model = tool, info
+	} else {
 		scfg.Train = func(ctx context.Context) (*clara.Tool, clara.ModelInfo, error) {
-			fmt.Fprintln(os.Stderr, "training Clara (predictor + algorithm ID + scale-out model)...")
-			start := time.Now()
-			tool, err := clara.TrainContext(ctx, cfg)
-			if err != nil {
-				return nil, clara.ModelInfo{}, err
+			tool, info, err := trainTool(ctx, f)
+			if err == nil {
+				fmt.Fprintf(os.Stderr, "clara: model ready (trained in %.1fs)\n", info.TrainSeconds)
 			}
-			info := clara.ModelInfo{TrainSeconds: time.Since(start).Seconds()}
-			if savePath != "" {
-				hash, err := clara.SaveTool(savePath, tool, cfg, info.TrainSeconds)
-				if err != nil {
-					// A failed save must not take down a trained server.
-					fmt.Fprintf(os.Stderr, "clara: saving model bundle: %v\n", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "clara: saved model bundle to %s (model %.12s…)\n", savePath, hash)
-					info.Hash = hash
-				}
-			}
-			fmt.Fprintf(os.Stderr, "clara: model ready (trained in %.1fs)\n", info.TrainSeconds)
-			return tool, info, nil
+			return tool, info, err
 		}
 	}
 	srv, err := clara.NewServer(scfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "clara: serving on %s\n", addr)
-	if err := srv.ListenAndServe(ctx, addr); err != nil {
+	fmt.Fprintf(os.Stderr, "clara: serving on %s\n", f.serveAddr)
+	if err := srv.ListenAndServe(ctx, f.serveAddr); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "clara: shut down cleanly")
@@ -539,15 +533,15 @@ func serve(addr string, workers, queue int, timeout time.Duration, quick, quanti
 // stateless front that routes analysis jobs across the given -serve
 // workers by module content hash (see internal/cluster). -timeout caps
 // one forwarded sub-batch request.
-func coordinate(addr string, workers []string, timeout time.Duration) {
+func coordinate(f cliFlags) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	c, err := clara.NewCoordinator(clara.ClusterConfig{Workers: workers, RequestTimeout: timeout})
+	c, err := clara.NewCoordinator(clara.ClusterConfig{Workers: f.workerAddrs, RequestTimeout: f.timeout})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "clara: coordinating %d worker(s) on %s\n", len(workers), addr)
-	if err := c.ListenAndServe(ctx, addr); err != nil {
+	fmt.Fprintf(os.Stderr, "clara: coordinating %d worker(s) on %s\n", len(f.workerAddrs), f.coordAddr)
+	if err := c.ListenAndServe(ctx, f.coordAddr); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "clara: shut down cleanly")
@@ -574,34 +568,20 @@ func explainRule(rule string) {
 	fmt.Printf("%s (%s)\n\n%s\n\n%s\n", d.Rule, d.Severity, d.Summary, d.Detail)
 }
 
-// pickSource resolves -nf/-src to a (name, NFC source) pair.
-func pickSource(nfName, srcPath string) (string, string, error) {
-	switch {
-	case nfName != "":
-		e := clara.GetElement(nfName)
-		if e == nil {
-			return "", "", fmt.Errorf("unknown element %q (try -list)", nfName)
-		}
-		return e.Name, e.Src, nil
-	case srcPath != "":
-		src, err := os.ReadFile(srcPath)
-		if err != nil {
-			return "", "", err
-		}
-		return srcPath, string(src), nil
-	default:
-		return "", "", fmt.Errorf("-lint needs -nf or -src")
-	}
-}
-
 // lint runs the static offloadability linter — no training, no
 // workload — and exits non-zero when any error-severity finding exists.
-func lint(name, src string, jsonOut bool) {
+func lint(f cliFlags) {
+	req := f.request()
+	name, src, err := (&server.LintRequest{NF: req.NF, Src: req.Src, Name: req.Name}).Source()
+	if err != nil {
+		fatal(err)
+	}
 	ds, err := clara.LintNF(name, src)
 	if err != nil {
 		fatal(err)
 	}
-	if jsonOut {
+	s := clara.SummarizeDiagnostics(ds)
+	if f.jsonOut {
 		blob, err := json.MarshalIndent(ds, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -610,11 +590,10 @@ func lint(name, src string, jsonOut bool) {
 	} else if len(ds) == 0 {
 		fmt.Printf("%s: no findings\n", name)
 	} else {
-		s := clara.SummarizeDiagnostics(ds)
 		fmt.Printf("%s: %d error(s), %d warning(s), %d note(s)\n", name, s.Errors, s.Warnings, s.Infos)
 		fmt.Print(clara.RenderDiagnostics(ds))
 	}
-	if clara.SummarizeDiagnostics(ds).Errors > 0 {
+	if s.Errors > 0 {
 		os.Exit(1)
 	}
 }
@@ -622,13 +601,13 @@ func lint(name, src string, jsonOut bool) {
 // analyzeFleet runs the whole element library (Table 2 order) under the
 // three standard workloads on a bounded worker pool and prints the
 // summary table plus the fleet's cache/latency metrics.
-func analyzeFleet(workers int, quick, quantize bool, loadPath, savePath string) {
-	tool, _ := obtainTool(context.Background(), quick, quantize, loadPath, savePath)
+func analyzeFleet(f cliFlags) {
+	tool, _ := obtainTool(context.Background(), f)
 	jobs, err := clara.LibraryJobs()
 	if err != nil {
 		fatal(err)
 	}
-	fl, err := clara.NewFleet(tool, clara.FleetConfig{Workers: workers})
+	fl, err := clara.NewFleet(tool, clara.FleetConfig{Workers: f.workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -643,19 +622,6 @@ func analyzeFleet(workers int, quick, quantize bool, loadPath, savePath string) 
 		if r.Err != nil {
 			os.Exit(1)
 		}
-	}
-}
-
-func pickWorkload(name string) (traffic.Spec, error) {
-	switch name {
-	case "small":
-		return traffic.SmallFlows, nil
-	case "large":
-		return traffic.LargeFlows, nil
-	case "mix":
-		return traffic.MediumMix, nil
-	default:
-		return traffic.Spec{}, fmt.Errorf("unknown workload %q", name)
 	}
 }
 

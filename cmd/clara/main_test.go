@@ -3,117 +3,23 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// simFlags returns a valid -simulate flag set to mutate per case.
-func simFlags() cliFlags {
-	return cliFlags{
-		workload: "mix", simulate: true,
-		scenario: "zipf", policy: "insight",
-		rounds: 96, simSeed: 7,
+// check runs one command line through the same two steps main does.
+func check(args string) error {
+	f, _, err := parseFlags(strings.Fields(args))
+	if err == nil {
+		err = checkFlags(f)
 	}
+	return err
 }
 
-func TestCheckFlagsSimulate(t *testing.T) {
-	cases := []struct {
-		name    string
-		mut     func(*cliFlags)
-		wantErr string // empty = accept
-	}{
-		{"default simulate", func(f *cliFlags) {}, ""},
-		{"simulate with nf", func(f *cliFlags) { f.nf = "mazunat" }, ""},
-		{"simulate with src", func(f *cliFlags) { f.src = "x.nfc" }, ""},
-		{"simulate with overrides", func(f *cliFlags) { f.cps = 1000; f.pps = 1 << 16 }, ""},
-		{"every scenario", func(f *cliFlags) { f.scenario = "elephantmice" }, ""},
-		{"every policy", func(f *cliFlags) { f.policy = "static" }, ""},
-
-		{"zero rounds", func(f *cliFlags) { f.rounds = 0 }, "-rounds must be positive"},
-		{"negative rounds", func(f *cliFlags) { f.rounds = -5 }, "-rounds must be positive"},
-		{"negative cps", func(f *cliFlags) { f.cps = -1 }, "-cps must be >= 0"},
-		{"negative pps", func(f *cliFlags) { f.pps = -1 }, "-pps must be >= 0"},
-		{"unknown scenario", func(f *cliFlags) { f.scenario = "nope" }, "unknown scenario"},
-		{"unknown policy", func(f *cliFlags) { f.policy = "nope" }, "unknown policy"},
-
-		{"simulate with serve", func(f *cliFlags) { f.serveAddr = ":8080" }, "-serve"},
-		{"simulate with fleet", func(f *cliFlags) { f.fleetMode = true }, "cannot be combined with -fleet"},
-		{"simulate with lint", func(f *cliFlags) { f.lintMode = true }, "cannot be combined with -lint"},
-		{"simulate with list", func(f *cliFlags) { f.list = true }, "cannot be combined with -list"},
-		{"simulate with trace", func(f *cliFlags) { f.trace = "t.bin" }, "cannot be combined with -trace"},
-	}
+// runCases checks each command line against the error substring it must
+// produce ("" = accepted).
+func runCases(t *testing.T, cases []struct{ name, args, wantErr string }) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := simFlags()
-			c.mut(&f)
-			err := checkFlags(f)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("valid flags rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", c.wantErr)
-			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, c.wantErr)
-			}
-		})
-	}
-}
-
-// TestCheckFlagsSimOnlyFlags: the simulation knobs are rejected outside
-// -simulate even when set to their default values (detection goes
-// through flag.Visit, carried in simFlagsSet).
-func TestCheckFlagsSimOnlyFlags(t *testing.T) {
-	f := cliFlags{workload: "mix", nf: "mazunat", rounds: 96, simSeed: 7,
-		scenario: "zipf", policy: "insight",
-		simFlagsSet: []string{"-scenario"}}
-	err := checkFlags(f)
-	if err == nil || !strings.Contains(err.Error(), "-scenario only applies to -simulate") {
-		t.Fatalf("sim-only flag outside -simulate not rejected: %v", err)
-	}
-}
-
-// TestCheckFlagsExisting re-pins the pre-existing validations through the
-// refactored checkFlags, so the extraction cannot have changed behavior.
-func TestCheckFlagsExisting(t *testing.T) {
-	cases := []struct {
-		name    string
-		f       cliFlags
-		wantErr string
-	}{
-		{"json without lint", cliFlags{jsonOut: true}, "-json only applies"},
-		{"model flags with list", cliFlags{list: true, modelLoad: "m.json"}, "-model-load"},
-		{"negative workers", cliFlags{workers: -1}, "-workers must be >= 0"},
-		{"fleet with nf", cliFlags{fleetMode: true, nf: "x"}, "-fleet analyzes"},
-		{"fleet with lint", cliFlags{fleetMode: true, lintMode: true}, "mutually exclusive"},
-		{"nf with src", cliFlags{nf: "a", src: "b"}, "mutually exclusive"},
-		{"serve with fleet", cliFlags{serveAddr: ":1", fleetMode: true}, "-serve"},
-		{"queue without serve", cliFlags{queue: 3}, "-queue and -timeout"},
-		{"negative queue", cliFlags{serveAddr: ":1", queue: -1}, "-queue must be >= 0"},
-		{"negative timeout", cliFlags{serveAddr: ":1", timeout: -time.Second}, "-timeout must be >= 0"},
-		{"plain analyze ok", cliFlags{nf: "mazunat", workload: "mix"}, ""},
-		{"serve ok", cliFlags{serveAddr: ":8080", queue: 4, timeout: time.Minute}, ""},
-
-		{"coordinator ok", cliFlags{coordAddr: ":9090",
-			workerAddrs: []string{"h1:8080", "h2:8080"}}, ""},
-		{"coordinator with timeout", cliFlags{coordAddr: ":9090",
-			workerAddrs: []string{"h1:8080"}, timeout: time.Minute}, ""},
-		{"coordinator without workers", cliFlags{coordAddr: ":9090"},
-			"-coordinator requires -workers"},
-		{"coordinator with serve", cliFlags{coordAddr: ":9090", serveAddr: ":8080",
-			workerAddrs: []string{"h1:8080"}}, "cannot be combined with -serve"},
-		{"coordinator with nf", cliFlags{coordAddr: ":9090", nf: "tcpack",
-			workerAddrs: []string{"h1:8080"}}, "cannot be combined with -nf"},
-		{"coordinator with model-load", cliFlags{coordAddr: ":9090", modelLoad: "m.json",
-			workerAddrs: []string{"h1:8080"}}, "cannot be combined with -model-load"},
-		{"coordinator with queue", cliFlags{coordAddr: ":9090", queue: 4,
-			workerAddrs: []string{"h1:8080"}}, "-queue does not apply"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := checkFlags(c.f)
+			err := check(c.args)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)
@@ -125,6 +31,87 @@ func TestCheckFlagsExisting(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestCheckFlagsSimulate(t *testing.T) {
+	runCases(t, []struct{ name, args, wantErr string }{
+		{"default simulate", "-simulate", ""},
+		{"simulate with nf", "-simulate -nf mazunat", ""},
+		{"simulate with src", "-simulate -src x.nfc", ""},
+		{"simulate with overrides", "-simulate -cps 1000 -pps 65536", ""},
+		{"every scenario", "-simulate -scenario elephantmice", ""},
+		{"every policy", "-simulate -policy static", ""},
+		{"simulate with nf and model flags", "-simulate -nf ecmp -quick -model-load m.json", ""},
+
+		{"zero rounds", "-simulate -rounds 0", "-rounds must be positive"},
+		{"negative rounds", "-simulate -rounds -5", "-rounds must be positive"},
+		{"negative cps", "-simulate -cps -1", "-cps must be >= 0"},
+		{"negative pps", "-simulate -pps -1", "-pps must be >= 0"},
+		{"unknown scenario", "-simulate -scenario nope", "unknown scenario"},
+		{"unknown policy", "-simulate -policy nope", "unknown policy"},
+
+		{"simulate with serve", "-simulate -serve :8080", "-serve"},
+		{"simulate with fleet", "-simulate -fleet", "cannot be combined with -fleet"},
+		{"simulate with lint", "-simulate -lint", "cannot be combined with -lint"},
+		{"simulate with list", "-simulate -list", "cannot be combined with -list"},
+		{"simulate with trace", "-simulate -trace t.bin", "cannot be combined with -trace"},
+		{"simulate trains nothing without an nf", "-simulate -quick", "-quick only applies to -simulate with -nf or -src"},
+	})
+}
+
+// TestCheckFlagsSimOnlyFlags: the simulation knobs are rejected outside
+// -simulate even when set to their default values (detection goes
+// through flag.Visit, carried in cliFlags.set).
+func TestCheckFlagsSimOnlyFlags(t *testing.T) {
+	err := check("-nf mazunat -scenario zipf")
+	if err == nil || !strings.Contains(err.Error(), "-scenario only applies to -simulate") {
+		t.Fatalf("sim-only flag outside -simulate not rejected: %v", err)
+	}
+}
+
+// TestCheckFlagsExisting pins the validations: value ranges, one mode per
+// command line, and — through the one mode table — no flag that the
+// selected mode would silently drop.
+func TestCheckFlagsExisting(t *testing.T) {
+	runCases(t, []struct{ name, args, wantErr string }{
+		{"json without lint", "-nf x -json", "-json only applies"},
+		{"model flags with list", "-list -model-load m.json", "-model-load"},
+		{"negative workers", "-workers -1", "-workers must be >= 0"},
+		{"fleet with nf", "-fleet -nf x", "-fleet analyzes"},
+		{"fleet with lint", "-fleet -lint", "mutually exclusive"},
+		{"nf with src", "-nf a -src b", "mutually exclusive"},
+		{"serve with fleet", "-serve :1 -fleet", "-serve"},
+		{"queue without serve", "-queue 3", "-queue and -timeout"},
+		{"negative queue", "-serve :1 -queue -1", "-queue must be >= 0"},
+		{"negative timeout", "-serve :1 -timeout -1s", "-timeout must be >= 0"},
+		{"plain analyze ok", "-nf mazunat -workload mix", ""},
+		{"serve ok", "-serve :8080 -queue 4 -timeout 1m", ""},
+
+		{"coordinator ok", "-coordinator :9090 -workers h1:8080,h2:8080", ""},
+		{"coordinator with timeout", "-coordinator :9090 -workers h1:8080 -timeout 1m", ""},
+		{"coordinator without workers", "-coordinator :9090", "-coordinator requires -workers"},
+		{"coordinator with serve", "-coordinator :9090 -workers h1:8080 -serve :8080", "cannot be combined with -serve"},
+		{"coordinator with nf", "-coordinator :9090 -workers h1:8080 -nf tcpack", "cannot be combined with -nf"},
+		{"coordinator with model-load", "-coordinator :9090 -workers h1:8080 -model-load m.json", "cannot be combined with -model-load"},
+		{"coordinator with queue", "-coordinator :9090 -workers h1:8080 -queue 4", "-queue does not apply"},
+
+		// Flags a mode does not read used to run and be dropped.
+		{"fleet with trace", "-fleet -trace f", "-trace only applies to -nf/-src analysis"},
+		{"fleet with workload", "-fleet -workload small", "-workload only applies to"},
+		{"lint with workload", "-lint -nf x -workload small", "-workload only applies to"},
+		{"serve with workload", "-serve :1 -workload small", "-workload only applies to"},
+		{"coordinator with quick", "-coordinator :9090 -workers h1:8080 -quick", "cannot be combined with -quick"},
+		{"lint with quick", "-lint -nf x -quick", "-quick only applies to"},
+		{"lint with quantize", "-lint -nf x -quantize", "-quantize only applies to"},
+		{"analyze with workers", "-nf x -workers 4", "-workers only applies to -coordinator, -serve, -fleet"},
+		{"trace with workload", "-nf x -trace f -workload small", "-workload does not apply with -trace"},
+		{"why with nf", "-why list -nf x", "cannot be combined with -nf"},
+		{"no input", "-quick", "need -nf or -src"},
+		{"lint without input", "-lint", "need -nf or -src"},
+		{"fleet with every flag it reads", "-fleet -quick -quantize -workers 8 -model-load m -model-save m", ""},
+		{"lint json ok", "-lint -src f.nfc -json", ""},
+		{"trace ok", "-nf udpcount -trace capture.bin", ""},
+	})
 }
 
 // TestParseWorkersFlag pins -workers' dual role: an integer pool size

@@ -36,16 +36,9 @@ func main() {
 	flag.Parse()
 
 	if *record != "" {
-		var spec traffic.Spec
-		switch *workload {
-		case "small":
-			spec = traffic.SmallFlows
-		case "large":
-			spec = traffic.LargeFlows
-		case "mix":
-			spec = traffic.MediumMix
-		default:
-			fmt.Fprintf(os.Stderr, "claragen: unknown workload %q\n", *workload)
+		spec, err := traffic.Standard(*workload)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "claragen:", err)
 			os.Exit(2)
 		}
 		f, err := os.Create(*record)

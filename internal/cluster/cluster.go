@@ -8,8 +8,11 @@
 // the sum of the workers' instead of N copies of the same entries.
 //
 // The coordinator is deliberately thin — it holds no model and runs no
-// analysis. It splits incoming batches into per-worker sub-batches,
-// fans them out concurrently, reassembles results in request order, and
+// analysis. It resolves a request with the workers' own resolver
+// (server.AnalyzeRequest.Jobs, so both doors reject the same input with
+// the same words), splits the batch into per-worker sub-batches, fans
+// them out concurrently, and splices the workers' per-job results —
+// verbatim bytes, never decoded — back together in request order. It also
 // merges the workers' /metrics into one cluster snapshot. A background
 // probe loop health-checks each worker (/healthz, exponential backoff
 // while down); a dead worker's hash range rebalances to the live
@@ -33,9 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clara/internal/click"
 	"clara/internal/fleet"
-	"clara/internal/lang"
 	"clara/internal/server"
 )
 
@@ -104,9 +105,8 @@ type workerState struct {
 // with New, start the health probes with Start, and expose via Handler
 // or ListenAndServe.
 type Coordinator struct {
-	cfg     Config
-	mux     *http.ServeMux
-	httpSrv *http.Server
+	cfg Config
+	mux *http.ServeMux
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -165,17 +165,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 // the listener (workers drain their own requests).
 func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
 	c.Start(ctx)
-	c.httpSrv = &http.Server{Addr: addr, Handler: c.mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	grace, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return c.httpSrv.Shutdown(grace)
+	return server.ListenAndDrain(ctx, addr, c.mux, nil)
 }
 
 // owner picks the live worker that owns key by rendezvous (highest-
@@ -236,119 +226,98 @@ func (c *Coordinator) liveWorkers() []*workerState {
 }
 
 // cjob is one routed job: the client's job index, the module's routing
-// hash, and what to forward (an element name or inline source).
+// hash, and the name it is forwarded and reported under.
 type cjob struct {
 	index int
 	key   [sha256.Size]byte
-	name  string // element name; "" for a src job
-	src   string // inline source; "" for a named job
-	label string // src job's display name
+	name  string
 }
+
+// batch is one analyze request in flight. Each job ends with exactly one
+// of results[i] — its worker's result object, byte for byte — or errs[i],
+// a failure of the coordinator's own; indices are disjoint across
+// sub-batches, so only workerFailed is shared.
+type batch struct {
+	req     *server.AnalyzeRequest
+	results []json.RawMessage
+	errs    []string
+	// workerFailed sums the workers' X-Clara-Failed-Jobs: per-job errors
+	// that ride inside spliced results the coordinator never opens.
+	workerFailed atomic.Int64
+}
+
+const errNoWorkers = "no live workers"
 
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req server.AnalyzeRequest
-	if !decodeBody(w, r, &req) {
+	if err := server.DecodeBody(w, r, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	jobs, errMsg := resolveJobs(&req)
-	if errMsg != "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": errMsg})
+	resolved, err := req.Jobs()
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	// Route on the content hash the workers' prediction caches key on, so
+	// routing and caching agree on module identity.
+	jobs := make([]cjob, len(resolved))
+	for i, j := range resolved {
+		jobs[i] = cjob{index: i, key: fleet.ContentHash(j.Mod), name: j.Name}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
 	defer cancel()
 
-	results := make([]server.AnalyzeResult, len(jobs))
-	c.dispatch(ctx, jobs, results, &req, nil)
+	b := &batch{req: &req, results: make([]json.RawMessage, len(jobs)), errs: make([]string, len(jobs))}
+	c.dispatch(ctx, jobs, b, nil)
 	if r.Context().Err() != nil {
 		return // client went away; nobody to write to
 	}
-	failed := 0
-	for _, res := range results {
-		if res.Error != "" {
-			failed++
+	failed, unrouted := int(b.workerFailed.Load()), 0
+	for i, msg := range b.errs {
+		if msg == "" {
+			continue
+		}
+		failed++
+		if msg == errNoWorkers {
+			unrouted++
+		}
+		if b.results[i], err = json.Marshal(server.AnalyzeResult{Name: jobs[i].name, Error: msg}); err != nil {
+			server.WriteError(w, http.StatusInternalServerError, err.Error())
+			return
 		}
 	}
-	if failed == len(results) && allNoWorkers(results) {
+	if unrouted == len(jobs) {
 		// Not one job could even be routed: the cluster itself is the
 		// failure, and 503 tells clients (and upstream balancers) so.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no live workers"})
+		server.WriteError(w, http.StatusServiceUnavailable, errNoWorkers)
 		return
 	}
 	if failed > 0 {
 		w.Header().Set(server.FailedJobsHeader, strconv.Itoa(failed))
 	}
-	writeJSON(w, http.StatusOK, server.AnalyzeResponse{Results: results})
+	server.WriteJSON(w, http.StatusOK, rawResponse{b.results})
 }
 
-func allNoWorkers(results []server.AnalyzeResult) bool {
-	for _, res := range results {
-		if res.Error != errNoWorkers {
-			return false
-		}
-	}
-	return len(results) > 0
-}
-
-const errNoWorkers = "no live workers"
-
-// resolveJobs turns an analyze request into routed jobs. The
-// coordinator computes the same content hash the workers' prediction
-// caches key on (fleet.ContentHash over the compiled module's IR), so
-// routing and caching agree on module identity.
-func resolveJobs(req *server.AnalyzeRequest) ([]cjob, string) {
-	selectors := 0
-	for _, set := range []bool{req.NF != "", len(req.NFs) > 0, req.Src != ""} {
-		if set {
-			selectors++
-		}
-	}
-	if selectors != 1 {
-		return nil, "exactly one of nf, nfs, or src must be set"
-	}
-	if req.Src != "" {
-		name := req.Name
-		if name == "" {
-			name = "submitted"
-		}
-		mod, err := lang.Compile(name, req.Src)
-		if err != nil {
-			return nil, fmt.Sprintf("compiling %s: %v", name, err)
-		}
-		return []cjob{{index: 0, key: fleet.ContentHash(mod), src: req.Src, label: req.Name}}, ""
-	}
-	names := req.NFs
-	if req.NF != "" {
-		names = []string{req.NF}
-	}
-	jobs := make([]cjob, 0, len(names))
-	for i, n := range names {
-		e := click.Get(n)
-		if e == nil {
-			return nil, fmt.Sprintf("unknown element %q (GET /v1/elements lists them)", n)
-		}
-		mod, err := e.Module()
-		if err != nil {
-			return nil, err.Error()
-		}
-		jobs = append(jobs, cjob{index: i, key: fleet.ContentHash(mod), name: e.Name})
-	}
-	return jobs, ""
+// rawResponse is server.AnalyzeResponse with its results left as the
+// bytes they arrived in: what a worker sends and what the coordinator
+// answers.
+type rawResponse struct {
+	Results []json.RawMessage `json:"results"`
 }
 
 // dispatch groups jobs by owner and runs every sub-batch concurrently,
-// writing each job's outcome into results[job.index]. Job indices are
-// disjoint across sub-batches, so the only shared write is the retry
-// counter. exclude carries the workers this dispatch already saw die:
-// a sub-batch whose worker dies mid-flight is re-dispatched exactly
-// once against the remaining live set (minus everyone in exclude), and
-// a second death fails the jobs instead of cascading retries.
-func (c *Coordinator) dispatch(ctx context.Context, jobs []cjob, results []server.AnalyzeResult, req *server.AnalyzeRequest, exclude map[string]bool) {
+// writing each job's outcome into the batch at job.index. exclude carries
+// the workers this dispatch already saw die: a sub-batch whose worker
+// dies mid-flight is re-dispatched exactly once against the remaining
+// live set (minus everyone in exclude), and a second death fails the jobs
+// instead of cascading retries.
+func (c *Coordinator) dispatch(ctx context.Context, jobs []cjob, b *batch, exclude map[string]bool) {
 	groups := make(map[*workerState][]cjob)
 	for _, j := range jobs {
 		w, ok := c.owner(j.key, exclude)
 		if !ok {
-			results[j.index] = failResult(j, errNoWorkers)
+			b.errs[j.index] = errNoWorkers
 			continue
 		}
 		groups[w] = append(groups[w], j)
@@ -361,7 +330,7 @@ func (c *Coordinator) dispatch(ctx context.Context, jobs []cjob, results []serve
 			c.mu.Lock()
 			w.jobsRouted += int64(len(group))
 			c.mu.Unlock()
-			if dead := c.runSubBatch(ctx, w, group, results, req); dead {
+			if dead := c.runSubBatch(ctx, w, group, b); dead {
 				c.markDead(w)
 				if ctx.Err() != nil || exclude[w.addr] {
 					// Canceled request, or this worker already got its
@@ -373,210 +342,145 @@ func (c *Coordinator) dispatch(ctx context.Context, jobs []cjob, results []serve
 				for addr := range exclude {
 					next[addr] = true
 				}
-				c.dispatch(ctx, group, results, req, next)
+				c.dispatch(ctx, group, b, next)
 			}
 		}(w, group)
 	}
 	wg.Wait()
 }
 
-// runSubBatch forwards one worker's share of a batch and fills its
-// results. It reports dead=true only for failures that mean the worker
+// runSubBatch forwards one worker's share of a batch and records its
+// outcome. It reports dead=true only for failures that mean the worker
 // itself is gone — transport errors and 503 (draining or unready) —
 // which the caller answers by re-routing. Everything else is final:
 // 429 is backpressure (the worker is alive, just full; retrying
-// elsewhere would stampede the next worker), and per-job errors inside
-// a 200 are deterministic analysis faults that would fail identically
-// on any worker.
-func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []cjob, results []server.AnalyzeResult, req *server.AnalyzeRequest) (dead bool) {
-	sub := server.AnalyzeRequest{Workload: req.Workload, TimeoutMs: req.TimeoutMs}
-	if group[0].src != "" {
-		sub.Src, sub.Name = group[0].src, group[0].label
-	} else {
+// elsewhere would stampede the next worker), per-job errors inside a 200
+// are deterministic analysis faults that would fail identically on any
+// worker, and a 200 whose body does not parse arrived from a live worker
+// and would be just as unparsable from the next one.
+func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []cjob, b *batch) (dead bool) {
+	fail := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		for _, j := range group {
+			b.errs[j.index] = msg
+		}
+	}
+	sub := server.AnalyzeRequest{Src: b.req.Src, Name: b.req.Name, Workload: b.req.Workload, TimeoutMs: b.req.TimeoutMs}
+	if sub.Src == "" {
 		for _, j := range group {
 			sub.NFs = append(sub.NFs, j.name)
 		}
 	}
-	resp, status, err := c.postAnalyze(ctx, w, &sub)
+	blob, err := json.Marshal(sub)
+	if err != nil {
+		fail("encoding sub-batch: %v", err)
+		return false
+	}
+	var body []byte
+	resp, err := c.call(ctx, "POST", w, "/v1/analyze", blob)
+	if err == nil {
+		// A reply cut off at the cap fails to parse below.
+		body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		resp.Body.Close()
+	}
 	switch {
+	case err != nil && ctx.Err() != nil:
+		// The client hung up or timed out; that says nothing about the
+		// worker's health.
+		fail("request canceled: %v", ctx.Err())
+		return false
 	case err != nil:
-		if ctx.Err() != nil {
-			// The client hung up or timed out; that says nothing about
-			// the worker's health.
-			for _, j := range group {
-				results[j.index] = failResult(j, "request canceled: "+ctx.Err().Error())
-			}
-			return false
-		}
-		for _, j := range group {
-			results[j.index] = failResult(j, fmt.Sprintf("worker %s unreachable: %v", w.addr, err))
-		}
+		fail("worker %s unreachable: %v", w.addr, err)
 		return true
-	case status == http.StatusServiceUnavailable:
-		for _, j := range group {
-			results[j.index] = failResult(j, fmt.Sprintf("worker %s unavailable", w.addr))
-		}
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		fail("worker %s unavailable", w.addr)
 		return true
-	case status == http.StatusTooManyRequests:
-		for _, j := range group {
-			results[j.index] = failResult(j, fmt.Sprintf("worker %s at capacity: retry later", w.addr))
-		}
+	case resp.StatusCode == http.StatusTooManyRequests:
+		fail("worker %s at capacity: retry later", w.addr)
 		return false
-	case status != http.StatusOK:
-		for _, j := range group {
-			results[j.index] = failResult(j, fmt.Sprintf("worker %s answered %d", w.addr, status))
-		}
+	case resp.StatusCode != http.StatusOK:
+		fail("worker %s answered %d", w.addr, resp.StatusCode)
 		return false
-	case resp == nil || len(resp.Results) != len(group):
-		n := 0
-		if resp != nil {
-			n = len(resp.Results)
-		}
-		for _, j := range group {
-			results[j.index] = failResult(j, fmt.Sprintf("worker %s returned %d results for %d jobs", w.addr, n, len(group)))
-		}
+	}
+	var reply rawResponse
+	failed := 0
+	if h := resp.Header.Get(server.FailedJobsHeader); h != "" {
+		failed, err = strconv.Atoi(h)
+	}
+	if err == nil {
+		err = json.Unmarshal(body, &reply)
+	}
+	if err == nil && len(reply.Results) != len(group) {
+		err = fmt.Errorf("%d results for %d jobs", len(reply.Results), len(group))
+	}
+	if err != nil {
+		fail("worker %s: bad response: %v", w.addr, err)
 		return false
 	}
 	for i, j := range group {
-		results[j.index] = resp.Results[i]
+		b.results[j.index], b.errs[j.index] = reply.Results[i], ""
 	}
+	b.workerFailed.Add(int64(failed))
 	return false
 }
 
-// postAnalyze issues one sub-batch request. A non-2xx status is not an
-// error — callers classify it — but an unparsable 200 body is.
-func (c *Coordinator) postAnalyze(ctx context.Context, w *workerState, sub *server.AnalyzeRequest) (*server.AnalyzeResponse, int, error) {
-	blob, err := json.Marshal(sub)
-	if err != nil {
-		return nil, 0, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, "POST", w.base+"/v1/analyze", bytes.NewReader(blob))
-	if err != nil {
-		return nil, 0, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.Client.Do(httpReq)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return nil, 0, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, httpResp.StatusCode, nil
-	}
-	var resp server.AnalyzeResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, httpResp.StatusCode, fmt.Errorf("bad worker response: %w", err)
-	}
-	return &resp, httpResp.StatusCode, nil
-}
-
-func failResult(j cjob, msg string) server.AnalyzeResult {
-	name := j.name
-	if name == "" {
-		name = j.label
-		if name == "" {
-			name = "submitted"
-		}
-	}
-	return server.AnalyzeResult{Name: name, Error: msg}
-}
-
-// handleLint forwards a lint request to the worker that owns the
-// linted module (same routing as analyze — lint has no cache, but
-// keeping one module's traffic on one worker keeps its logs and
-// metrics coherent), falling back to any live worker when the module
-// cannot be resolved locally so the authoritative error rendering
-// stays on the workers.
-func (c *Coordinator) handleLint(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body"})
-		return
-	}
-	var req server.LintRequest
-	target := c.pickLintWorker(body, &req)
-	if target == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": errNoWorkers})
-		return
-	}
-	c.forward(w, r, target, "/v1/lint", body)
-}
-
-// pickLintWorker routes a lint body: by module hash when it resolves,
-// else the first live worker.
-func (c *Coordinator) pickLintWorker(body []byte, req *server.LintRequest) *workerState {
-	if err := json.Unmarshal(body, req); err == nil {
-		var key [sha256.Size]byte
-		resolved := false
-		switch {
-		case req.NF != "" && req.Src == "":
-			if e := click.Get(req.NF); e != nil {
-				if mod, err := e.Module(); err == nil {
-					key, resolved = fleet.ContentHash(mod), true
-				}
-			}
-		case req.Src != "" && req.NF == "":
-			name := req.Name
-			if name == "" {
-				name = "submitted"
-			}
-			if mod, err := lang.Compile(name, req.Src); err == nil {
-				key, resolved = fleet.ContentHash(mod), true
-			}
-		}
-		if resolved {
-			if w, ok := c.owner(key, nil); ok {
-				return w
-			}
-			return nil
-		}
-	}
-	live := c.liveWorkers()
-	if len(live) == 0 {
-		return nil
-	}
-	return live[0]
-}
-
-func (c *Coordinator) handleElements(w http.ResponseWriter, r *http.Request) {
-	live := c.liveWorkers()
-	if len(live) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": errNoWorkers})
-		return
-	}
-	c.forward(w, r, live[0], "/v1/elements", nil)
-}
-
-// forward proxies one request to a worker, relaying status and body. A
-// transport failure demotes the worker and answers 502 (these paths
-// carry no jobs, so there is nothing to re-route).
-func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, target *workerState, path string, body []byte) {
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-	defer cancel()
+// call issues one request to a worker; a nil body sends none. The caller
+// closes the response body.
+func (c *Coordinator) call(ctx context.Context, method string, w *workerState, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, target.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, rd)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.cfg.Client.Do(req)
+	return c.cfg.Client.Do(req)
+}
+
+// handleLint and handleElements forward to the first live worker: lint
+// has no cache to keep hot and elements is static, so any worker answers
+// alike. The lint body goes through the shared decoder first, so an
+// oversize or malformed one is refused here, in the workers' words,
+// instead of reaching a worker truncated.
+func (c *Coordinator) handleLint(w http.ResponseWriter, r *http.Request) {
+	var req server.LintRequest
+	if err := server.DecodeBody(w, r, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	c.forward(w, r, "/v1/lint", body)
+}
+
+func (c *Coordinator) handleElements(w http.ResponseWriter, r *http.Request) {
+	c.forward(w, r, "/v1/elements", nil)
+}
+
+// forward proxies one request to the first live worker, relaying status
+// and body. A transport failure demotes the worker and answers 502 (these
+// paths carry no jobs, so there is nothing to re-route).
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, path string, body []byte) {
+	live := c.liveWorkers()
+	if len(live) == 0 {
+		server.WriteError(w, http.StatusServiceUnavailable, errNoWorkers)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
+	defer cancel()
+	resp, err := c.call(ctx, r.Method, live[0], path, body)
 	if err != nil {
 		if ctx.Err() == nil {
-			c.markDead(target)
+			c.markDead(live[0])
 		}
-		writeJSON(w, http.StatusBadGateway, map[string]string{
-			"error": fmt.Sprintf("worker %s unreachable: %v", target.addr, err),
-		})
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("worker %s unreachable: %v", live[0].addr, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -643,11 +547,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, "GET", ws.base+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := c.cfg.Client.Do(req)
+			resp, err := c.call(ctx, "GET", ws, "/metrics", nil)
 			if err != nil {
 				return
 			}
@@ -668,7 +568,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	snap.Merged = server.MergeSnapshots(reachable)
-	writeJSON(w, http.StatusOK, snap)
+	server.WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleHealthz reports the coordinator routable (200) while at least
@@ -683,7 +583,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else if snap.Cluster.Live < len(snap.Cluster.Workers) {
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status":  status,
 		"live":    snap.Cluster.Live,
 		"workers": len(snap.Cluster.Workers),
@@ -693,21 +593,3 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Retries reports lifetime dead-worker re-dispatches (test hook and
 // Stats feed).
 func (c *Coordinator) Retries() int64 { return c.retries.Load() }
-
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client may be gone
-}

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +146,20 @@ func decodeAnalyze(t *testing.T, rec *httptest.ResponseRecorder) server.AnalyzeR
 
 var batchNames = []string{"tcpack", "udpipencap", "forcetcp", "aggcounter", "timefilter", "anonipaddr"}
 
+// routingKeys are the hashes the coordinator routes the named elements on.
+func routingKeys(t *testing.T, names []string) [][sha256.Size]byte {
+	t.Helper()
+	jobs, err := (&server.AnalyzeRequest{NFs: names}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][sha256.Size]byte, len(jobs))
+	for i, j := range jobs {
+		keys[i] = fleet.ContentHash(j.Mod)
+	}
+	return keys
+}
+
 // checkOrdered asserts a response carries exactly the requested jobs,
 // in request order, each with insights and no error.
 func checkOrdered(t *testing.T, resp server.AnalyzeResponse, names []string) {
@@ -273,11 +290,7 @@ func TestClusterWorkerKillMidBatch(t *testing.T) {
 	// The victim is whichever worker owns the batch's first job, so the
 	// test is deterministic no matter how the hash assigns the rest.
 	req := server.AnalyzeRequest{NFs: batchNames}
-	jobs, errMsg := resolveJobs(&req)
-	if errMsg != "" {
-		t.Fatal(errMsg)
-	}
-	ownerState, ok := c.owner(jobs[0].key, nil)
+	ownerState, ok := c.owner(routingKeys(t, batchNames)[0], nil)
 	if !ok {
 		t.Fatal("no owner for first job")
 	}
@@ -326,14 +339,10 @@ func TestClusterRejoinRestoresRange(t *testing.T) {
 	defer cancel()
 	c.Start(ctx)
 
-	req := server.AnalyzeRequest{NFs: batchNames}
-	jobs, errMsg := resolveJobs(&req)
-	if errMsg != "" {
-		t.Fatal(errMsg)
-	}
+	keys := routingKeys(t, batchNames)
 	before := make(map[int]string)
-	for i, j := range jobs {
-		w, ok := c.owner(j.key, nil)
+	for i, key := range keys {
+		w, ok := c.owner(key, nil)
 		if !ok {
 			t.Fatal("no owner")
 		}
@@ -342,8 +351,8 @@ func TestClusterRejoinRestoresRange(t *testing.T) {
 
 	b.kill()
 	waitFor(t, "probe demotes killed worker", func() bool { return !c.alive(b.ts.URL) })
-	for i, j := range jobs {
-		w, ok := c.owner(j.key, nil)
+	for i, key := range keys {
+		w, ok := c.owner(key, nil)
 		if !ok {
 			t.Fatal("no owner with one live worker")
 		}
@@ -360,8 +369,8 @@ func TestClusterRejoinRestoresRange(t *testing.T) {
 
 	b.revive()
 	waitFor(t, "probe revives worker", func() bool { return c.alive(b.ts.URL) })
-	for i, j := range jobs {
-		w, ok := c.owner(j.key, nil)
+	for i, key := range keys {
+		w, ok := c.owner(key, nil)
 		if !ok || w.addr != before[i] {
 			t.Errorf("job %d owner after rejoin = %v, want %s (range not restored)", i, w, before[i])
 		}
@@ -480,4 +489,85 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestOversizeBodyRejectedAlike: a body one byte over the 1 MiB limit is
+// refused by the coordinator exactly as a server refuses it — same
+// status, same words — and never reaches a worker. (The coordinator used
+// to truncate it: analyze answered a confusing "unexpected EOF" and lint
+// forwarded the cut-off bytes.)
+func TestOversizeBodyRejectedAlike(t *testing.T) {
+	a := newWorker(t, server.Config{})
+	c := newCluster(t, Config{}, a)
+	direct := newWorker(t, server.Config{})
+
+	body := []byte(`{"src":"` + strings.Repeat("a", 1<<20+1-len(`{"src":""}`)) + `"}`)
+	if len(body) != 1<<20+1 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	post := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		return rec
+	}
+	for _, path := range []string{"/v1/analyze", "/v1/lint"} {
+		want, got := post(direct.srv.Handler(), path), post(c.Handler(), path)
+		if want.Code != http.StatusBadRequest || !strings.Contains(want.Body.String(), "request body too large") {
+			t.Errorf("%s on a server: %d %s", path, want.Code, want.Body.String())
+		}
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("%s: coordinator answered %d %s, server %d %s", path, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	var snap server.MetricsSnapshot
+	mrec := httptest.NewRecorder()
+	a.srv.Handler().ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
+	if err := json.Unmarshal(mrec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Requests) != 0 {
+		t.Errorf("the coordinator's worker saw requests: %+v", snap.Requests)
+	}
+}
+
+// TestClusterMalformedReplyIsFinal: a 200 whose body does not parse came
+// from a live worker and would be as unparsable from the next one, so it
+// is a per-job error — not a death sentence passed from worker to worker.
+func TestClusterMalformedReplyIsFinal(t *testing.T) {
+	var hits atomic.Int64
+	garbage := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Write([]byte("{garbage")) //nolint:errcheck
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	a, b := garbage(), garbage()
+	c, err := New(Config{Workers: []string{a.URL, b.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postJSON(t, c.Handler(), "/v1/analyze", server.AnalyzeRequest{NFs: batchNames})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d:\n%s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(server.FailedJobsHeader); got != strconv.Itoa(len(batchNames)) {
+		t.Errorf("%s = %q, want %d", server.FailedJobsHeader, got, len(batchNames))
+	}
+	resp := decodeAnalyze(t, rec)
+	for i, r := range resp.Results {
+		if r.Name != batchNames[i] || !strings.Contains(r.Error, "bad response") {
+			t.Errorf("result %d = %+v, want %s with a bad-response error", i, r, batchNames[i])
+		}
+	}
+	if got := c.Retries(); got != 0 {
+		t.Errorf("retries = %d, want 0", got)
+	}
+	if !c.alive(a.URL) || !c.alive(b.URL) {
+		t.Error("an unparsable reply demoted a live worker")
+	}
+	if got := hits.Load(); got > 2 {
+		t.Errorf("workers saw %d requests for one batch, want one per sub-batch", got)
+	}
 }

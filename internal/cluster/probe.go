@@ -57,11 +57,7 @@ func (c *Coordinator) probe(ctx context.Context, w *workerState) bool {
 	}
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, "GET", w.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.call(pctx, "GET", w, "/healthz", nil)
 	if err != nil {
 		return false
 	}

@@ -69,8 +69,8 @@ func (t *Trajectory) NDJSON() string {
 	return b.String()
 }
 
-// DefaultConvergenceTarget is the steady-state drop-rate bar used by the
-// CLI and the perfbench convergence benchmark.
+// DefaultConvergenceTarget is the steady-state drop-rate bar behind the
+// CLI's converged@N summary and the convergence-ordering tests.
 const DefaultConvergenceTarget = 0.01
 
 // ConvergenceRound returns the first round (1-based) from which the drop

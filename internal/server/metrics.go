@@ -321,5 +321,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if trainErr != nil {
 		snap.Model.TrainError = trainErr.Error()
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }

@@ -28,7 +28,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -43,8 +42,6 @@ import (
 	"clara/internal/click"
 	"clara/internal/core"
 	"clara/internal/fleet"
-	"clara/internal/lang"
-	"clara/internal/traffic"
 )
 
 // ModelInfo describes the served model's provenance for /metrics and
@@ -99,12 +96,11 @@ type Config struct {
 // built with Config.Train additionally needs Start (ListenAndServe
 // calls it) to kick off background training.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	sem     chan struct{} // admission slots
-	met     *metrics
-	drain   drainGate
-	httpSrv *http.Server
+	cfg   Config
+	mux   *http.ServeMux
+	sem   chan struct{} // admission slots
+	met   *metrics
+	drain drainGate
 
 	// Model state, installed once (at New for a pre-built tool, from
 	// the training goroutine otherwise). ready is closed after install
@@ -149,9 +145,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.drain.idle = make(chan struct{})
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/lint", s.handleLint)
-	mux.HandleFunc("GET /v1/elements", s.handleElements)
+	mux.HandleFunc("POST /v1/analyze", s.observed("analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /v1/lint", s.observed("lint", s.handleLint))
+	mux.HandleFunc("GET /v1/elements", s.observed("elements", s.handleElements))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -247,20 +243,7 @@ func (s *Server) tool() *core.Clara {
 // period).
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	s.Start(ctx)
-	s.httpSrv = &http.Server{Addr: addr, Handler: s.mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- s.httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	grace, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(grace); err != nil {
-		return err
-	}
-	return s.httpSrv.Shutdown(grace)
+	return ListenAndDrain(ctx, addr, s.mux, s.Shutdown)
 }
 
 // Shutdown stops admitting new analysis requests (they get 503) and
@@ -321,24 +304,6 @@ func (d *drainGate) close() {
 	d.mu.Unlock()
 }
 
-// maxBodyBytes bounds request bodies; NFC sources are small programs.
-const maxBodyBytes = 1 << 20
-
-// AnalyzeRequest is the /v1/analyze body. Exactly one of NF, NFs, or
-// Src selects what to analyze.
-type AnalyzeRequest struct {
-	// NF names one library element; NFs names several (one batch).
-	NF  string   `json:"nf,omitempty"`
-	NFs []string `json:"nfs,omitempty"`
-	// Src is NFC source to compile and analyze; Name labels it.
-	Src  string `json:"src,omitempty"`
-	Name string `json:"name,omitempty"`
-	// Workload is small | large | mix (default mix).
-	Workload string `json:"workload,omitempty"`
-	// TimeoutMs optionally shortens the server's request timeout.
-	TimeoutMs int `json:"timeout_ms,omitempty"`
-}
-
 // AnalyzeResult is one job's JSON outcome.
 type AnalyzeResult struct {
 	Name      string         `json:"name"`
@@ -354,21 +319,33 @@ type AnalyzeResponse struct {
 	Results []AnalyzeResult `json:"results"`
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	const route = "analyze"
-	fl := s.gate(w, route)
+// observed runs a handler — which returns the status it answered — and
+// records the request under route with its real wall time, whatever the
+// outcome: a 504 enters the latency histogram at its timeout, not at zero.
+func (s *Server) observed(route string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		s.met.observe(route, h(w, r), time.Since(start))
+	}
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
+	fl, status := s.gate(w)
 	if fl == nil {
-		return
+		return status
 	}
 	var req AnalyzeRequest
-	if !s.decode(w, r, route, &req) {
-		return
+	if err := DecodeBody(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	jobs, errMsg := s.buildJobs(&req)
-	if errMsg != "" {
-		s.writeError(w, route, http.StatusBadRequest, errMsg)
-		return
+	jobs, err := req.Jobs()
+	if err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	if s.cfg.JobHook != nil {
+		for i := range jobs {
+			s.cfg.JobHook(&jobs[i])
+		}
 	}
 
 	// Drain first, admission second. A draining server must always
@@ -378,8 +355,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// cluster coordinator) would obligingly hammer instead of failing
 	// over to a live worker.
 	if !s.drain.enter() {
-		s.writeError(w, route, http.StatusServiceUnavailable, "server shutting down")
-		return
+		return WriteError(w, http.StatusServiceUnavailable, "server shutting down")
 	}
 	defer s.drain.exit()
 
@@ -390,11 +366,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(fl)))
-		s.met.observe(route, http.StatusTooManyRequests, time.Since(start))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "analysis queue full",
-		})
-		return
+		return WriteError(w, http.StatusTooManyRequests, "analysis queue full")
 	}
 	defer func() { <-s.sem }()
 
@@ -406,22 +378,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results, runErr := fl.RunContext(ctx, jobs)
-	elapsed := time.Since(start)
-
 	if r.Context().Err() != nil {
 		// Client went away: there is nobody to write to. Record the
 		// cancellation (the analysis itself stopped inside RunContext).
-		s.met.observe(route, statusClientClosed, elapsed)
-		return
+		return statusClientClosed
 	}
-	if runErr != nil && errors.Is(runErr, context.DeadlineExceeded) {
-		s.writeError(w, route, http.StatusGatewayTimeout,
-			fmt.Sprintf("analysis timed out after %s", timeout))
-		return
+	if errors.Is(runErr, context.DeadlineExceeded) {
+		return WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("analysis timed out after %s", timeout))
 	}
 	if runErr != nil {
-		s.writeError(w, route, http.StatusInternalServerError, runErr.Error())
-		return
+		return WriteError(w, http.StatusInternalServerError, runErr.Error())
 	}
 
 	resp := AnalyzeResponse{Results: make([]AnalyzeResult, len(results))}
@@ -449,8 +415,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if failed > 0 {
 		w.Header().Set(FailedJobsHeader, strconv.Itoa(failed))
 	}
-	s.met.observe(route, http.StatusOK, elapsed)
-	writeJSON(w, http.StatusOK, resp)
+	return WriteJSON(w, http.StatusOK, resp)
 }
 
 // FailedJobsHeader carries the number of jobs in a 200 batch response
@@ -464,11 +429,7 @@ const FailedJobsHeader = "X-Clara-Failed-Jobs"
 // the old hardcoded "1", which synchronized every rejected client into
 // a retry storm one second later.
 func (s *Server) retryAfterSeconds(fl *fleet.Fleet) int {
-	workers := 1
-	if fl != nil {
-		workers = fl.Workers()
-	}
-	secs := (len(s.sem) + workers - 1) / workers
+	secs := (len(s.sem) + fl.Workers() - 1) / fl.Workers()
 	if secs < 1 {
 		secs = 1
 	}
@@ -478,118 +439,36 @@ func (s *Server) retryAfterSeconds(fl *fleet.Fleet) int {
 	return secs
 }
 
-// buildJobs resolves an analyze request into fleet jobs.
-func (s *Server) buildJobs(req *AnalyzeRequest) ([]fleet.Job, string) {
-	wl, err := pickWorkload(req.Workload)
-	if err != nil {
-		return nil, err.Error()
-	}
-	selectors := 0
-	for _, set := range []bool{req.NF != "", len(req.NFs) > 0, req.Src != ""} {
-		if set {
-			selectors++
-		}
-	}
-	if selectors != 1 {
-		return nil, "exactly one of nf, nfs, or src must be set"
-	}
-	var jobs []fleet.Job
-	switch {
-	case req.Src != "":
-		name := req.Name
-		if name == "" {
-			name = "submitted"
-		}
-		mod, err := lang.Compile(name, req.Src)
-		if err != nil {
-			return nil, fmt.Sprintf("compiling %s: %v", name, err)
-		}
-		jobs = append(jobs, fleet.Job{Name: name, Mod: mod, WL: wl})
-	default:
-		names := req.NFs
-		if req.NF != "" {
-			names = []string{req.NF}
-		}
-		for _, n := range names {
-			e := click.Get(n)
-			if e == nil {
-				return nil, fmt.Sprintf("unknown element %q (GET /v1/elements lists them)", n)
-			}
-			mod, err := e.Module()
-			if err != nil {
-				return nil, err.Error()
-			}
-			jobs = append(jobs, fleet.Job{
-				Name: e.Name,
-				Mod:  mod,
-				PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
-				WL:   wl,
-			})
-		}
-	}
-	if s.cfg.JobHook != nil {
-		for i := range jobs {
-			s.cfg.JobHook(&jobs[i])
-		}
-	}
-	return jobs, ""
-}
-
-// LintRequest is the /v1/lint body: a library element name or source.
-type LintRequest struct {
-	NF   string `json:"nf,omitempty"`
-	Src  string `json:"src,omitempty"`
-	Name string `json:"name,omitempty"`
-}
-
 type LintResponse struct {
 	Name        string                `json:"name"`
 	Summary     analysis.Summary      `json:"summary"`
 	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
 }
 
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	const route = "lint"
+func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) int {
 	// Lint is static, but its thresholds come from the trained tool's
 	// hardware model — it waits for readiness like analyze does.
-	if s.gate(w, route) == nil {
-		return
+	if fl, status := s.gate(w); fl == nil {
+		return status
 	}
 	var req LintRequest
-	if !s.decode(w, r, route, &req) {
-		return
+	if err := DecodeBody(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	name, src := req.Name, req.Src
-	switch {
-	case req.NF != "" && req.Src == "":
-		e := click.Get(req.NF)
-		if e == nil {
-			s.writeError(w, route, http.StatusBadRequest, fmt.Sprintf("unknown element %q", req.NF))
-			return
-		}
-		name, src = e.Name, e.Src
-	case req.Src != "" && req.NF == "":
-		if name == "" {
-			name = "submitted"
-		}
-	default:
-		s.writeError(w, route, http.StatusBadRequest, "exactly one of nf or src must be set")
-		return
+	name, src, err := req.Source()
+	if err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	if !s.drain.enter() {
-		s.writeError(w, route, http.StatusServiceUnavailable, "server shutting down")
-		return
+		return WriteError(w, http.StatusServiceUnavailable, "server shutting down")
 	}
 	defer s.drain.exit()
 
-	ds, err := analysis.LintSource(name, src, s.cfg.Tool.LintConfig())
+	ds, err := analysis.LintSource(name, src, s.tool().LintConfig())
 	if err != nil {
-		s.writeError(w, route, http.StatusUnprocessableEntity, err.Error())
-		return
+		return WriteError(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	s.met.observe(route, http.StatusOK, time.Since(start))
-	writeJSON(w, http.StatusOK, LintResponse{
+	return WriteJSON(w, http.StatusOK, LintResponse{
 		Name:        name,
 		Summary:     analysis.Summarize(ds),
 		Diagnostics: ds,
@@ -604,53 +483,49 @@ type elementInfo struct {
 	Stateful bool   `json:"stateful"`
 }
 
-func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) int {
 	var out []elementInfo
 	for _, e := range click.Library() {
 		out = append(out, elementInfo{Name: e.Name, Desc: e.Desc, LoC: e.LoC(), Stateful: e.Stateful})
 	}
-	s.met.observe("elements", http.StatusOK, time.Since(start))
-	writeJSON(w, http.StatusOK, out)
+	return WriteJSON(w, http.StatusOK, out)
 }
 
 // gate rejects analysis-bearing requests while no model is installed:
 // 503 with Retry-After during startup training, 500 once training has
-// failed terminally. It returns the fleet when the server is ready.
-func (s *Server) gate(w http.ResponseWriter, route string) *fleet.Fleet {
+// failed terminally. It returns the fleet when the server is ready, else
+// nil and the status it answered.
+func (s *Server) gate(w http.ResponseWriter) (*fleet.Fleet, int) {
 	fl, _, trainErr := s.state()
 	if trainErr != nil {
-		s.writeError(w, route, http.StatusInternalServerError,
-			"model training failed: "+trainErr.Error())
-		return nil
+		return nil, WriteError(w, http.StatusInternalServerError, "model training failed: "+trainErr.Error())
 	}
 	if fl == nil {
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, route, http.StatusServiceUnavailable, "model training in progress")
-		return nil
+		return nil, WriteError(w, http.StatusServiceUnavailable, "model training in progress")
 	}
-	return fl
+	return fl, 0
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.drain.closing() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	fl, info, trainErr := s.state()
 	switch {
 	case trainErr != nil:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": "failed", "error": trainErr.Error(),
 		})
 	case fl == nil:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "training"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "training"})
 	default:
 		out := map[string]string{"status": "ok"}
 		if info.Hash != "" {
 			out["model_hash"] = info.Hash
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	}
 }
 
@@ -658,42 +533,4 @@ func (d *drainGate) closing() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.closed
-}
-
-// decode parses a JSON request body, answering 400 on malformed input.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, route string, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		s.writeError(w, route, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func (s *Server) writeError(w http.ResponseWriter, route string, status int, msg string) {
-	s.met.observe(route, status, 0)
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client may already be gone
-}
-
-func pickWorkload(name string) (traffic.Spec, error) {
-	switch name {
-	case "small":
-		return traffic.SmallFlows, nil
-	case "large":
-		return traffic.LargeFlows, nil
-	case "mix", "":
-		return traffic.MediumMix, nil
-	default:
-		return traffic.Spec{}, fmt.Errorf("unknown workload %q (small | large | mix)", name)
-	}
 }

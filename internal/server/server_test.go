@@ -298,7 +298,8 @@ func TestClientCancelStopsAnalysis(t *testing.T) {
 }
 
 // TestRequestTimeout checks the per-request deadline: an analysis that
-// cannot finish inside timeout_ms answers 504.
+// cannot finish inside timeout_ms answers 504, and /metrics records how
+// long that took.
 func TestRequestTimeout(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
@@ -317,6 +318,11 @@ func TestRequestTimeout(t *testing.T) {
 	rec := postJSON(t, s.Handler(), "/v1/analyze", AnalyzeRequest{NF: "tcpack", TimeoutMs: 50})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504:\n%s", rec.Code, rec.Body.String())
+	}
+	// The failure enters the latency histogram at the time it took, not
+	// at zero (which dragged min and mean down with every error).
+	if h := metricsSnap(t, s.Handler()).Latency["analyze"]; h.N != 1 || h.MinMs <= 0 || h.MaxMs < 50 {
+		t.Errorf("timed-out request's latency: n=%d min=%vms max=%vms, want n=1 and >= the 50ms timeout", h.N, h.MinMs, h.MaxMs)
 	}
 }
 

@@ -105,6 +105,20 @@ var (
 	MediumMix  = Spec{Name: "medium-mix", NumFlows: 4096, PktSize: 256, ZipfS: 0.9, SYNRatio: 0.05, UDPRatio: 0.3, PayloadB: 128, Seed: 17}
 )
 
+// Standard resolves the name every front door knows a standard workload
+// by (small | large | mix); "" means mix.
+func Standard(name string) (Spec, error) {
+	switch name {
+	case "small":
+		return SmallFlows, nil
+	case "large":
+		return LargeFlows, nil
+	case "mix", "":
+		return MediumMix, nil
+	}
+	return Spec{}, fmt.Errorf("unknown workload %q (small | large | mix)", name)
+}
+
 // Adversarial / skewed workloads added for the offload-controller
 // scenarios (internal/offload): a SYN flood of tiny single-packet
 // connections, and a bimodal elephant/mice mix whose handful of heavy

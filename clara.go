@@ -167,11 +167,6 @@ type TrainConfig struct {
 	// GOMAXPROCS). Any value produces bit-identical models; it only trades
 	// wall clock.
 	Workers int
-	// Quantize serves predictions from the int8-quantized LSTM path
-	// (faster, within the quantization accuracy budget). A runtime knob:
-	// it is not recorded in bundles and does not affect bundle
-	// compatibility.
-	Quantize bool
 }
 
 // Train builds a full Clara tool: it synthesizes a corpus guided by the
@@ -214,7 +209,6 @@ func TrainContext(ctx context.Context, cfg TrainConfig) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred.SetQuantize(cfg.Quantize)
 	return &Tool{Predictor: pred, AlgoID: algo, Scaleout: sm, Params: params}, nil
 }
 
@@ -266,7 +260,6 @@ func LoadTool(path string, cfg TrainConfig) (*Tool, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	tool.Predictor.SetQuantize(cfg.Quantize)
 	return tool, b.Hash, nil
 }
 

@@ -47,7 +47,6 @@ type cliFlags struct {
 	workload  string
 	trace     string
 	quick     bool
-	quantize  bool
 	list      bool
 	fleetMode bool
 	lintMode  bool
@@ -84,7 +83,7 @@ type cliFlags struct {
 // every other flag it reads.
 type modeSpec struct{ flag, does, reads string }
 
-const trainFlags = " quick quantize model-load model-save"
+const trainFlags = " quick model-load model-save"
 
 // modes is the one flag matrix, in precedence order. checkFlags rejects
 // any flag given on the command line that the selected mode does not read:
@@ -127,7 +126,6 @@ func parseFlags(args []string) (cliFlags, *flag.FlagSet, error) {
 	fs.DurationVar(&f.timeout, "timeout", 0, "with -serve: per-request analysis deadline (0 = 30s)")
 	fs.StringVar(&f.modelLoad, "model-load", "", "warm-start from a saved model bundle (falls back to training when missing or invalid)")
 	fs.StringVar(&f.modelSave, "model-save", "", "after training, persist the model bundle to this path")
-	fs.BoolVar(&f.quantize, "quantize", false, "serve predictions from the int8-quantized LSTM path")
 	fs.BoolVar(&f.simulate, "simulate", false, "run the offload-controller simulation and emit the NDJSON trajectory")
 	fs.StringVar(&f.scenario, "scenario", "zipf", "with -simulate: traffic scenario (zipf | synflood | elephantmice)")
 	fs.StringVar(&f.policy, "policy", "insight", "with -simulate: threshold policy (static | dynamic | insight)")
@@ -442,7 +440,7 @@ func (f cliFlags) job() clara.FleetJob {
 }
 
 func (f cliFlags) trainConfig() clara.TrainConfig {
-	return clara.TrainConfig{Quick: f.quick, Seed: 42, Quantize: f.quantize}
+	return clara.TrainConfig{Quick: f.quick, Seed: 42}
 }
 
 // warmStart loads the -model-load bundle when it is valid for this build

@@ -102,13 +102,13 @@ func TestCheckFlagsExisting(t *testing.T) {
 		{"serve with workload", "-serve :1 -workload small", "-workload only applies to"},
 		{"coordinator with quick", "-coordinator :9090 -workers h1:8080 -quick", "cannot be combined with -quick"},
 		{"lint with quick", "-lint -nf x -quick", "-quick only applies to"},
-		{"lint with quantize", "-lint -nf x -quantize", "-quantize only applies to"},
+		{"lint with quantize", "-lint -nf x -quantize", "flag provided but not defined: -quantize"},
 		{"analyze with workers", "-nf x -workers 4", "-workers only applies to -coordinator, -serve, -fleet"},
 		{"trace with workload", "-nf x -trace f -workload small", "-workload does not apply with -trace"},
 		{"why with nf", "-why list -nf x", "cannot be combined with -nf"},
 		{"no input", "-quick", "need -nf or -src"},
 		{"lint without input", "-lint", "need -nf or -src"},
-		{"fleet with every flag it reads", "-fleet -quick -quantize -workers 8 -model-load m -model-save m", ""},
+		{"fleet with every flag it reads", "-fleet -quick -workers 8 -model-load m -model-save m", ""},
 		{"lint json ok", "-lint -src f.nfc -json", ""},
 		{"trace ok", "-nf udpcount -trace capture.bin", ""},
 	})

@@ -18,7 +18,7 @@ import (
 // a worker's per-job failure survives the coordinator's splice — counted
 // in the header, in its place in the batch, decodable by a client.
 func TestDoorsAgree(t *testing.T) {
-	tool := quantTestTool(t)
+	tool := quickTestTool(t)
 	const poisoned = "timefilter"
 	hook := func(j *FleetJob) {
 		if j.Name == poisoned {

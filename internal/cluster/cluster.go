@@ -1,11 +1,11 @@
 // Package cluster scales Clara's serving layer horizontally: a
 // coordinator fronts N `clara -serve` workers, routing each analysis
 // job to a worker chosen by rendezvous hashing over the module's
-// content hash. The same hash keys every worker's prediction cache
-// (fleet.ContentHash), so the assignment makes the caches disjoint and
-// hot: a module always lands on the one worker whose cache can already
-// hold its prediction, and the cluster's aggregate cache capacity is
-// the sum of the workers' instead of N copies of the same entries.
+// content hash (ir.Fingerprint). The same hash keys every worker's
+// prediction cache, so the assignment makes the caches disjoint and hot:
+// a module always lands on the one worker whose cache can already hold
+// its prediction, and the cluster's aggregate cache capacity is the sum
+// of the workers' instead of N copies of the same entries.
 //
 // The coordinator is deliberately thin — it holds no model and runs no
 // analysis. It resolves a request with the workers' own resolver
@@ -36,7 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clara/internal/fleet"
+	"clara/internal/ir"
 	"clara/internal/server"
 )
 
@@ -263,7 +263,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// routing and caching agree on module identity.
 	jobs := make([]cjob, len(resolved))
 	for i, j := range resolved {
-		jobs[i] = cjob{index: i, key: fleet.ContentHash(j.Mod), name: j.Name}
+		jobs[i] = cjob{index: i, key: ir.Fingerprint(j.Mod), name: j.Name}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
 	defer cancel()

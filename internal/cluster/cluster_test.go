@@ -18,6 +18,7 @@ import (
 	"clara/internal/core"
 	"clara/internal/fleet"
 	"clara/internal/interp"
+	"clara/internal/ir"
 	"clara/internal/nicsim"
 	"clara/internal/server"
 	"clara/internal/synth"
@@ -155,7 +156,7 @@ func routingKeys(t *testing.T, names []string) [][sha256.Size]byte {
 	}
 	keys := make([][sha256.Size]byte, len(jobs))
 	for i, j := range jobs {
-		keys[i] = fleet.ContentHash(j.Mod)
+		keys[i] = ir.Fingerprint(j.Mod)
 	}
 	return keys
 }
@@ -206,8 +207,8 @@ func TestClusterRoutingAndCacheLocality(t *testing.T) {
 	}
 
 	// Merged metrics: every job completed, and the number of predictions
-	// actually computed (misses + prewarmed) equals the distinct module
-	// count — each module was predicted on exactly one worker.
+	// actually computed (the misses) equals the distinct module count —
+	// each module was predicted on exactly one worker.
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	mrec := httptest.NewRecorder()
 	c.Handler().ServeHTTP(mrec, req)
@@ -225,7 +226,7 @@ func TestClusterRoutingAndCacheLocality(t *testing.T) {
 	if snap.Merged.Fleet.JobsCompleted != total {
 		t.Errorf("merged jobs completed = %d, want %d", snap.Merged.Fleet.JobsCompleted, total)
 	}
-	computed := snap.Merged.Fleet.CacheMisses + snap.Merged.Fleet.Prewarmed
+	computed := snap.Merged.Fleet.CacheMisses
 	if computed != int64(len(batchNames)) {
 		t.Errorf("predictions computed cluster-wide = %d, want %d (disjoint caches)",
 			computed, len(batchNames))

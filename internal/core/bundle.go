@@ -36,17 +36,9 @@ import (
 // bit-stable and a reloaded model predicts bit-identically.
 
 // BundleVersion is the encoding version this build reads and writes.
-const BundleVersion = 1
-
-// BundleMinor tracks additive, backward-compatible encoding extensions
-// within BundleVersion. Minor 1 added persisted int8-quantized recurrent
-// weights (predictor.quant). Older bundles (minor 0) decode fine — the
-// new fields are omitempty, so their content hashes still verify — and
-// the quantized twins are rebuilt on the fly from the f32 weights
-// (quantization is deterministic, so the result is bit-identical to a
-// persisted copy). Newer-minor bundles read by an older build fail its
-// content hash, which is the intended refusal.
-const BundleMinor = 1
+// Version 1 bundles carried a minor version and int8 predictor weights;
+// they are refused as ErrBundleVersion, and callers train instead.
+const BundleVersion = 2
 
 // Bundle rejection causes, matchable with errors.Is.
 var (
@@ -72,9 +64,6 @@ type predictorState struct {
 	Vocab     []string        `json:"vocab"`
 	Models    []ml.LSTMState  `json:"models"`
 	TrainLoss float64         `json:"train_loss"`
-	// Quant holds the int8 inference twins, aligned with Models
-	// (bundle minor 1+; absent in older bundles).
-	Quant []ml.QuantizedLSTMState `json:"quant,omitempty"`
 }
 
 type algoIDState struct {
@@ -92,7 +81,6 @@ type scaleoutState struct {
 // Bundle is the on-disk form of a trained Clara tool.
 type Bundle struct {
 	Version   int             `json:"version"`
-	Minor     int             `json:"minor,omitempty"`
 	LibHash   string          `json:"lib_hash"`
 	Hash      string          `json:"hash"`
 	Meta      BundleMeta      `json:"meta"`
@@ -110,24 +98,20 @@ func NewBundle(tool *Clara, meta BundleMeta) (*Bundle, error) {
 	}
 	b := &Bundle{
 		Version:  BundleVersion,
-		Minor:    BundleMinor,
 		LibHash:  niccc.LibraryFingerprint(),
 		Meta:     meta,
 		Params:   tool.Params,
 		Coalesce: tool.Coalesce,
 	}
 	pcfg := tool.Predictor.cfg
-	pcfg.Workers = 0      // wall-clock knob, not part of the model identity
-	pcfg.Quantize = false // runtime path knob; both paths ship in every bundle
+	pcfg.Workers = 0 // wall-clock knob, not part of the model identity
 	ps := &predictorState{
 		Config:    pcfg,
 		Vocab:     tool.Predictor.Vocab.Words(),
 		TrainLoss: tool.Predictor.TrainLoss,
 	}
-	tool.Predictor.ensureQuant()
-	for i, m := range tool.Predictor.models {
+	for _, m := range tool.Predictor.models {
 		ps.Models = append(ps.Models, m.Export())
-		ps.Quant = append(ps.Quant, tool.Predictor.quants[i].Export())
 	}
 	b.Predictor = ps
 	if tool.AlgoID != nil {
@@ -163,27 +147,13 @@ func (b *Bundle) Tool() (*Clara, error) {
 	if len(b.Predictor.Models) == 0 {
 		return nil, fmt.Errorf("core: bundle predictor has no models")
 	}
-	if nq := len(b.Predictor.Quant); nq != 0 && nq != len(b.Predictor.Models) {
-		return nil, fmt.Errorf("core: bundle has %d quantized states for %d models",
-			nq, len(b.Predictor.Models))
-	}
 	for i, st := range b.Predictor.Models {
 		m, err := ml.NewLSTMFromState(st)
 		if err != nil {
 			return nil, fmt.Errorf("core: bundle model %d: %w", i, err)
 		}
 		p.models = append(p.models, m)
-		if i < len(b.Predictor.Quant) {
-			q, err := ml.NewQuantizedLSTMFromState(b.Predictor.Quant[i], m)
-			if err != nil {
-				return nil, fmt.Errorf("core: bundle model %d: %w", i, err)
-			}
-			p.quants = append(p.quants, q)
-		}
 	}
-	// Pre-minor-1 bundles carry no quantized states: rebuild the twins
-	// from the f32 weights (deterministic, so identical to persisted).
-	p.ensureQuant()
 	tool := &Clara{Predictor: p, Params: b.Params, Coalesce: b.Coalesce}
 	if b.AlgoID != nil {
 		if len(b.AlgoID.Grams) != len(b.AlgoID.GramClass) {

@@ -179,6 +179,28 @@ func TestBundleVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("future-version bundle: got %v, want ErrBundleVersion", err)
 	}
 	b.Version = BundleVersion
+
+	// A document the previous encoding wrote — version 1 with a minor and
+	// int8 predictor weights — is refused by its version, not as a
+	// content-hash mismatch over fields this build no longer has.
+	blob, err = EncodeBundle(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["version"], doc["minor"] = 1, 1
+	doc["predictor"].(map[string]any)["quant"] = []any{map[string]any{"qwh": "AAEC", "whf": []float64{0.5}}}
+	v1, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeBundle(v1)
+	if !errors.Is(err, ErrBundleVersion) || !strings.Contains(err.Error(), "bundle v1, this build reads v2") {
+		t.Fatalf("v1 bundle: got %v, want ErrBundleVersion naming v1 and v2", err)
+	}
 }
 
 func TestBundleStaleLibraryRejected(t *testing.T) {

@@ -95,19 +95,13 @@ func (c *Clara) AnalyzeContext(ctx context.Context, mod *ir.Module, ps ProfileSe
 	return c.AnalyzeWithPredictionContext(ctx, mod, ps, wl, mp)
 }
 
-// AnalyzeWithPrediction runs the workload-dependent analyses against an
-// already-computed §3 prediction. Fleet runs use it to share one
-// PredictModule result across every workload an NF is analyzed under; the
-// prediction is read-only here, so a cached *ModulePrediction may be
-// passed to concurrent calls.
-func (c *Clara) AnalyzeWithPrediction(mod *ir.Module, ps ProfileSetup, wl traffic.Spec, mp *ModulePrediction) (*Insights, error) {
-	return c.AnalyzeWithPredictionContext(context.Background(), mod, ps, wl, mp)
-}
-
-// AnalyzeWithPredictionContext is AnalyzeWithPrediction with
-// cancellation. The context is observed inside the profiling packet loop
-// (the longest stage) and between stages, so canceling stops the analysis
-// within at most one stage boundary or 64 profiled packets.
+// AnalyzeWithPredictionContext runs the workload-dependent analyses
+// against an already-computed §3 prediction. Fleet runs use it to share
+// one PredictModule result across every workload an NF is analyzed under;
+// the prediction is read-only here, so a cached *ModulePrediction may be
+// passed to concurrent calls. The context is observed inside the profiling
+// packet loop (the longest stage) and between stages, so canceling stops
+// the analysis within at most one stage boundary or 64 profiled packets.
 func (c *Clara) AnalyzeWithPredictionContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, mp *ModulePrediction) (*Insights, error) {
 	if mp == nil {
 		return nil, fmt.Errorf("core: nil prediction for %s", mod.Name)

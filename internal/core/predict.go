@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"clara/internal/ir"
 	"clara/internal/lang"
@@ -57,13 +56,6 @@ type PredictorConfig struct {
 	// Any value produces bit-identical models — it only trades wall
 	// clock, so it is *not* part of the bundle config hash.
 	Workers int
-	// Quantize routes inference through the int8-quantized LSTM twins
-	// (per-gate-row symmetric weights, int32 accumulate, table-driven
-	// nonlinearities). Pure runtime knob like Workers: it never changes
-	// the trained f32 weights, so it is cleared in bundles and omitted
-	// from the config hash (the json tag keeps pre-quantization bundle
-	// hashes valid).
-	Quantize bool `json:",omitempty"`
 }
 
 func (c PredictorConfig) norm() PredictorConfig {
@@ -185,39 +177,9 @@ type Predictor struct {
 	cfg    PredictorConfig
 	Vocab  *ir.Vocab
 	models []*ml.LSTM
-	// quants are the int8 inference twins, one per ensemble member.
-	// Built once (at train time, bundle load, or first quantized use) —
-	// quantization is deterministic, so every construction path yields
-	// the same twins.
-	quants    []*ml.QuantizedLSTM
-	quantOnce sync.Once
 	// TrainLoss is the final mean training loss (convergence telemetry).
 	TrainLoss float64
 }
-
-// ensureQuant builds the quantized twins unless a loader already
-// attached them (e.g. from persisted bundle state).
-func (p *Predictor) ensureQuant() {
-	p.quantOnce.Do(func() {
-		if p.quants == nil {
-			for _, m := range p.models {
-				p.quants = append(p.quants, m.Quantize())
-			}
-		}
-	})
-}
-
-// SetQuantize flips the int8 inference path at runtime (bundles clear
-// the knob, so serving re-applies it after a warm start).
-func (p *Predictor) SetQuantize(on bool) {
-	if on {
-		p.ensureQuant()
-	}
-	p.cfg.Quantize = on
-}
-
-// Quantized reports whether inference runs on the int8 path.
-func (p *Predictor) Quantized() bool { return p.cfg.Quantize }
 
 // TrainPredictor synthesizes a corpus, compiles it with the black-box
 // toolchain, and fits the LSTM+FC model.
@@ -290,7 +252,6 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 		p.models = append(p.models, model)
 		p.TrainLoss += loss / float64(cfg.Ensemble)
 	}
-	p.ensureQuant()
 	return p, nil
 }
 
@@ -312,15 +273,8 @@ func (p *Predictor) PredictBlock(b *ir.Block) (compute float64, mem int) {
 	if len(words) > 0 {
 		var resid float64
 		toks := p.Vocab.Encode(words)
-		if p.cfg.Quantize {
-			p.ensureQuant()
-			for _, q := range p.quants {
-				resid += q.PredictRaw(toks)[0]
-			}
-		} else {
-			for _, m := range p.models {
-				resid += m.PredictRaw(toks)[0]
-			}
+		for _, m := range p.models {
+			resid += m.PredictRaw(toks)[0]
 		}
 		resid /= float64(len(p.models))
 		compute = float64(irCompute) + resid
@@ -338,20 +292,10 @@ func (p *Predictor) PredictBlock(b *ir.Block) (compute float64, mem int) {
 // predictions equal per-block predictions bit-for-bit.
 func (p *Predictor) residualBatch(seqs [][]int) []float64 {
 	resid := make([]float64, len(seqs))
-	if p.cfg.Quantize {
-		p.ensureQuant()
-		for _, q := range p.quants {
-			outs := q.PredictRawBatch(seqs)
-			for i := range resid {
-				resid[i] += outs[i][0]
-			}
-		}
-	} else {
-		for _, m := range p.models {
-			outs := m.PredictRawBatch(seqs)
-			for i := range resid {
-				resid[i] += outs[i][0]
-			}
+	for _, m := range p.models {
+		outs := m.PredictRawBatch(seqs)
+		for i := range resid {
+			resid[i] += outs[i][0]
 		}
 	}
 	for i := range resid {

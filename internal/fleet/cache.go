@@ -1,197 +1,25 @@
 package fleet
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"errors"
-	"sync"
 
-	"clara/internal/core"
-	"clara/internal/ir"
 	"clara/internal/niccc"
 )
 
-// errComputePanicked is what cache waiters observe when the leader's
-// computation panicked: the key is dropped (a later request recomputes)
-// and the waiters fail cleanly instead of blocking forever or sharing
-// the panic.
-var errComputePanicked = errors.New("fleet: prediction computation panicked")
-
-// DefaultCacheSize is the prediction cache's entry cap when Config does
-// not set one. Each entry is one (module, accel) prediction — a few KB —
-// so the default bounds a long-running server to a few MB of cache.
-const DefaultCacheSize = 512
+// predCacheCap is the prediction store's entry cap. Each entry is one
+// (module, accel) prediction — a few KB — so a long-running server, which
+// sees an unbounded stream of submitted-source modules, holds a few MB.
+const predCacheCap = 512
 
 // predKey identifies one memoized prediction: the module's content hash
-// plus the accelerator configuration the prediction assumed. Content
-// hashing (over the module's printed IR) rather than pointer identity
-// matters for serving: modules parsed from submitted source get a fresh
-// *ir.Module per request, so a pointer key could never hit, while the
-// same source resubmitted hashes to the same key. Library modules are
-// cached singletons, so their hash is stable too (and hashing a
-// module's IR costs microseconds against the milliseconds a prediction
-// takes).
+// (ir.Fingerprint) plus the accelerator configuration the prediction
+// assumed. Content hashing rather than pointer identity matters for
+// serving: modules parsed from submitted source get a fresh *ir.Module
+// per request, so a pointer key could never hit, while the same source
+// resubmitted hashes to the same key. The cluster coordinator routes jobs
+// by the same hash, so every module lands on the one worker whose store
+// can already hold its prediction.
 type predKey struct {
 	hash  [sha256.Size]byte
 	accel niccc.AccelConfig
-}
-
-func keyFor(mod *ir.Module, accel niccc.AccelConfig) predKey {
-	return predKey{hash: ContentHash(mod), accel: accel}
-}
-
-// ContentHash is the sha256 content hash of a module's printed IR — the
-// module half of the prediction-cache key. The cluster coordinator
-// routes jobs with the same hash, so its consistent-hash assignment and
-// each worker's cache agree on module identity: every module lands on
-// the one worker whose cache can already hold its prediction. The
-// interpreter's compiled-program cache keys on the same hash
-// (ir.Fingerprint), so that worker also holds the module's compiled
-// program.
-func ContentHash(mod *ir.Module) [sha256.Size]byte {
-	return ir.Fingerprint(mod)
-}
-
-// predEntry is one cache slot. The first requester owns the computation;
-// later requesters block on ready. Keeping the slot in the map while the
-// leader computes gives singleflight semantics: N workers analyzing the
-// same module under N workloads run PredictModule exactly once. Waiters
-// hold the entry pointer directly, so evicting an in-flight entry only
-// affects future lookups, never a blocked waiter.
-type predEntry struct {
-	key   predKey
-	ready chan struct{} // closed when mp/err are set
-	mp    *core.ModulePrediction
-	err   error
-}
-
-// predCache memoizes PredictModule results under an LRU entry cap.
-// Failed computations are not retained, so a transient failure does not
-// poison the key.
-type predCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[predKey]*list.Element // values are *predEntry
-	lru *list.List                // front = most recently used
-	// evictions counts entries dropped by the LRU cap (not failed
-	// computations, which are removed as a retry policy, not for space).
-	evictions int64
-}
-
-func newPredCache(capacity int) *predCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	return &predCache{
-		cap: capacity,
-		m:   make(map[predKey]*list.Element),
-		lru: list.New(),
-	}
-}
-
-// get returns the cached prediction for (mod, accel), computing it via
-// compute on first request. hit reports whether this caller skipped the
-// computation AND got a usable prediction: a waiter whose singleflight
-// leader failed (or panicked) shares the leader's error, not a cached
-// value, so it must not count as a hit — otherwise an errored job would
-// inflate the hit rate the cluster coordinator uses to judge cache
-// locality.
-func (c *predCache) get(mod *ir.Module, accel niccc.AccelConfig, compute func() (*core.ModulePrediction, error)) (mp *core.ModulePrediction, hit bool, err error) {
-	k := keyFor(mod, accel)
-	c.mu.Lock()
-	if el, ok := c.m[k]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*predEntry)
-		c.mu.Unlock()
-		<-e.ready
-		return e.mp, e.err == nil, e.err
-	}
-	e := &predEntry{key: k, ready: make(chan struct{})}
-	c.m[k] = c.lru.PushFront(e)
-	c.evictOverCapLocked()
-	c.mu.Unlock()
-
-	done := false
-	defer func() {
-		if e.err != nil || !done {
-			if !done { // compute panicked; the panic is unwinding past us
-				e.mp, e.err = nil, errComputePanicked
-			}
-			c.mu.Lock()
-			// Only remove our own entry — it may already have been
-			// evicted (or replaced after eviction) while we computed.
-			if el, ok := c.m[k]; ok && el.Value.(*predEntry) == e {
-				c.lru.Remove(el)
-				delete(c.m, k)
-			}
-			c.mu.Unlock()
-		}
-		close(e.ready)
-	}()
-	e.mp, e.err = compute()
-	done = true
-	return e.mp, false, e.err
-}
-
-// claim inserts an in-flight entry for key k if none exists, returning
-// the entry and whether the caller became its leader (and so must fill
-// it). Non-leaders get the existing entry, completed or in flight. This
-// is the batch-prewarm half of the singleflight protocol: RunContext
-// claims every distinct key in a batch up front, predicts all claimed
-// modules in one sweep, and fills the entries before workers start.
-func (c *predCache) claim(k predKey) (*predEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*predEntry), false
-	}
-	e := &predEntry{key: k, ready: make(chan struct{})}
-	c.m[k] = c.lru.PushFront(e)
-	c.evictOverCapLocked()
-	return e, true
-}
-
-// evictOverCapLocked drops least-recently-used entries until the cache
-// is within its cap. Evicting an in-flight entry is safe: waiters hold
-// the entry pointer, so they still complete when the leader fills it —
-// only future lookups recompute. Callers must hold c.mu.
-func (c *predCache) evictOverCapLocked() {
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		old := oldest.Value.(*predEntry)
-		c.lru.Remove(oldest)
-		delete(c.m, old.key)
-		c.evictions++
-	}
-}
-
-// evicted reports the lifetime count of cap-evicted entries.
-func (c *predCache) evicted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// fill completes a claimed entry. Failed computations are dropped from
-// the map (same policy as get), so a transient failure is retried by the
-// next request; waiters still observe the error through the entry.
-func (c *predCache) fill(e *predEntry, mp *core.ModulePrediction, err error) {
-	e.mp, e.err = mp, err
-	if err != nil {
-		c.mu.Lock()
-		if el, ok := c.m[e.key]; ok && el.Value.(*predEntry) == e {
-			c.lru.Remove(el)
-			delete(c.m, e.key)
-		}
-		c.mu.Unlock()
-	}
-	close(e.ready)
-}
-
-// len reports the number of resident entries (completed or in flight).
-func (c *predCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

@@ -1,0 +1,13 @@
+package fleet
+
+import (
+	"clara/internal/core"
+	"clara/internal/memo"
+)
+
+// setCacheCap replaces f's prediction store with an empty one of n
+// entries. The cap is a constant, not configuration, and the eviction
+// tests need one smaller than a batch.
+func (f *Fleet) setCacheCap(n int) {
+	f.cache = memo.New[predKey, *core.ModulePrediction](n)
+}

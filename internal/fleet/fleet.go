@@ -26,8 +26,8 @@ import (
 
 	"clara/internal/analysis"
 	"clara/internal/core"
-	"clara/internal/interp"
 	"clara/internal/ir"
+	"clara/internal/memo"
 	"clara/internal/niccc"
 	"clara/internal/traffic"
 )
@@ -83,11 +83,6 @@ type Result struct {
 type Config struct {
 	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheSize caps the prediction cache at this many entries (LRU
-	// eviction); 0 means DefaultCacheSize. A long-running server sees an
-	// unbounded stream of submitted-source modules, so the cache must not
-	// grow with it.
-	CacheSize int
 }
 
 func (c Config) norm() Config {
@@ -103,7 +98,7 @@ func (c Config) norm() Config {
 type Fleet struct {
 	tool  *core.Clara
 	cfg   Config
-	cache *predCache
+	cache *memo.Store[predKey, *core.ModulePrediction]
 	stats *collector
 }
 
@@ -116,7 +111,7 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 	return &Fleet{
 		tool:  tool,
 		cfg:   cfg,
-		cache: newPredCache(cfg.CacheSize),
+		cache: memo.New[predKey, *core.ModulePrediction](predCacheCap),
 		stats: newCollector(),
 	}, nil
 }
@@ -124,10 +119,16 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 // Workers returns the configured pool size.
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
-// Stats returns a consistent snapshot of the fleet's lifetime metrics.
+// Stats returns a snapshot of the fleet's lifetime metrics. The cache
+// counters are the prediction store's own and are read after the job
+// counters. A lookup is counted when it happens and a job when it ends, so
+// the snapshot's hits + misses cover every job it counts that made a
+// lookup, plus up to one lookup per job still in flight: under load they
+// can lead the job counters by that many and never trail them.
 func (f *Fleet) Stats() Stats {
 	s := f.stats.snapshot()
-	s.CacheEvictions = f.cache.evicted()
+	c := f.cache.Counts()
+	s.CacheHits, s.CacheMisses, s.CacheEvictions = c.Hits, c.Misses, c.Evictions
 	return s
 }
 
@@ -151,7 +152,6 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 		}
 	}
 	results := make([]Result, len(jobs))
-	f.prewarm(ctx, jobs)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	workers := f.cfg.Workers
@@ -188,91 +188,6 @@ dispatch:
 	return results, ctx.Err()
 }
 
-// prewarm claims every distinct (module, accel) key a batch needs that
-// is not already cached and predicts all claimed modules in one batched
-// LSTM sweep (core.Predictor.PredictModules) before workers start. With
-// the cache populated up front, per-job analysis skips straight to the
-// workload stages, and the predictor amortizes its Gemm calls — and
-// deduplicates identical basic blocks — across the whole batch instead
-// of per module. Workers that race with a long prewarm still block on
-// the singleflight entries, so semantics are unchanged.
-func (f *Fleet) prewarm(ctx context.Context, jobs []Job) {
-	if len(jobs) < 2 || ctx.Err() != nil {
-		return
-	}
-	// Group claimed keys by accelerator config (one PredictModules sweep
-	// per distinct accel — batches are nearly always homogeneous).
-	type group struct {
-		mods    []*ir.Module
-		entries []*predEntry
-	}
-	groups := make(map[niccc.AccelConfig]*group)
-	claimed := 0
-	for _, j := range jobs {
-		e, leader := f.cache.claim(keyFor(j.Mod, j.Accel))
-		if !leader {
-			continue
-		}
-		g := groups[j.Accel]
-		if g == nil {
-			g = &group{}
-			groups[j.Accel] = g
-		}
-		g.mods = append(g.mods, j.Mod)
-		g.entries = append(g.entries, e)
-		claimed++
-	}
-	if claimed == 0 {
-		return
-	}
-	defer f.stats.addPrewarmed(int64(claimed))
-	// Each group fills only its own claimed cache entries, so the order
-	// groups are swept in cannot affect any job's result.
-	for accel, g := range groups { //claravet:allow order-insensitive: groups fill disjoint cache entries
-		f.prewarmGroup(accel, g.mods, g.entries)
-	}
-}
-
-// prewarmGroup predicts one accel-homogeneous module group and fills its
-// claimed cache entries. Every entry is completed no matter what —
-// leaked in-flight entries would block workers forever — so a panic in
-// the sweep fails the remaining entries instead of unwinding past them.
-func (f *Fleet) prewarmGroup(accel niccc.AccelConfig, mods []*ir.Module, entries []*predEntry) {
-	filled := 0
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("fleet: batch prediction panicked: %v\n%s", r, stackSnippet())
-			for _, e := range entries[filled:] {
-				f.cache.fill(e, nil, err)
-			}
-		}
-	}()
-	// Warm the interpreter's compiled-program cache alongside the
-	// prediction sweep, so host profiling for these modules starts
-	// without each first worker paying the compile. A compile error is
-	// not a batch error — interp.New reports the same error again when
-	// that module's own job profiles it.
-	for _, mod := range mods {
-		_ = interp.Precompile(mod)
-	}
-	mps, err := f.tool.Predictor.PredictModules(mods, accel)
-	if err != nil {
-		// The batched sweep fails jointly (e.g. one module calls an API
-		// with no reverse port). Fall back to per-module calls so the
-		// error stays confined to the module that caused it.
-		for i, mod := range mods {
-			mp, merr := f.tool.Predictor.PredictModule(mod, accel)
-			f.cache.fill(entries[i], mp, merr)
-			filled++
-		}
-		return
-	}
-	for i := range mods {
-		f.cache.fill(entries[i], mps[i], nil)
-		filled++
-	}
-}
-
 // analyze runs one job: prediction via the cache, then the
 // workload-dependent analyses. A panic anywhere in the analysis is
 // confined to this job's Result — one poisoned NF must not take down the
@@ -290,7 +205,7 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 		f.stats.record(res)
 	}()
 
-	mp, hit, err := f.cache.get(j.Mod, j.Accel, func() (*core.ModulePrediction, error) {
+	mp, hit, err := f.cache.Get(predKey{ir.Fingerprint(j.Mod), j.Accel}, func() (*core.ModulePrediction, error) {
 		return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
 	})
 	res.CacheHit = hit

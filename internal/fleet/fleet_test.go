@@ -16,6 +16,7 @@ import (
 	"clara/internal/interp"
 	"clara/internal/ir"
 	"clara/internal/lang"
+	"clara/internal/memo"
 	"clara/internal/niccc"
 	"clara/internal/nicsim"
 	"clara/internal/synth"
@@ -77,27 +78,30 @@ func quickTool(t testing.TB) *core.Clara {
 	return testTool
 }
 
+// elementJob is one library element under the small-flows workload.
+func elementJob(name string) Job {
+	e := click.Get(name)
+	return Job{
+		Name: e.Name,
+		Mod:  e.MustModule(),
+		PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
+		WL:   traffic.SmallFlows,
+	}
+}
+
 // libraryJobs builds the full 17-element × 3-workload batch the
 // acceptance criteria name.
 func libraryJobs(t testing.TB) []Job {
 	t.Helper()
 	var jobs []Job
 	for _, name := range click.Table2Order {
-		e := click.Get(name)
-		if e == nil {
+		if click.Get(name) == nil {
 			t.Fatalf("unknown element %q", name)
 		}
-		mod, err := e.Module()
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, wl := range []traffic.Spec{traffic.SmallFlows, traffic.LargeFlows, traffic.MediumMix} {
-			jobs = append(jobs, Job{
-				Name: e.Name,
-				Mod:  mod,
-				PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
-				WL:   wl,
-			})
+			j := elementJob(name)
+			j.WL = wl
+			jobs = append(jobs, j)
 		}
 	}
 	return jobs
@@ -106,8 +110,8 @@ func libraryJobs(t testing.TB) []Job {
 // TestFleetLibraryEightWorkers runs the whole library batch on 8 workers
 // (this is the test `go test -race` exercises for the concurrent path)
 // and checks job accounting and cache behaviour: every module appears
-// under 3 workloads, so the batch prewarm computes exactly one
-// prediction per module up front and every job lookup is a hit.
+// under 3 workloads, so a cold fleet computes one prediction per module —
+// a miss for the job that computed it — and the other two jobs hit.
 func TestFleetLibraryEightWorkers(t *testing.T) {
 	tool := quickTool(t)
 	jobs := libraryJobs(t)
@@ -141,14 +145,23 @@ func TestFleetLibraryEightWorkers(t *testing.T) {
 	if s.JobsCompleted != int64(len(jobs)) || s.JobsFailed != 0 {
 		t.Errorf("stats: %d completed, %d failed; want %d, 0", s.JobsCompleted, s.JobsFailed, len(jobs))
 	}
-	if s.CacheMisses != 0 || s.CacheHits != int64(len(jobs)) {
-		t.Errorf("cache: %d hits, %d misses; want %d, 0",
-			s.CacheHits, s.CacheMisses, int64(len(jobs)))
+	if s.CacheMisses != 17 || s.CacheHits != 34 || s.Prewarmed != 0 {
+		t.Errorf("cache: %d hits, %d misses, %d prewarmed; want 34, 17, 0",
+			s.CacheHits, s.CacheMisses, s.Prewarmed)
 	}
-	if s.Prewarmed != 17 { // one batched prediction per distinct module
-		t.Errorf("prewarmed %d predictions, want 17", s.Prewarmed)
+	if got := s.HitRate(); got != 2.0/3.0 {
+		t.Errorf("hit rate %v, want 2/3", got)
 	}
-	if got := fl.cache.len(); got != 17 {
+	perJob := 0
+	for _, r := range results {
+		if r.CacheHit {
+			perJob++
+		}
+	}
+	if perJob != 34 {
+		t.Errorf("%d results report CacheHit, want 34", perJob)
+	}
+	if got := fl.cache.Len(); got != 17 {
 		t.Errorf("cache holds %d entries, want 17", got)
 	}
 	if s.Analyses.N != int64(len(jobs)) || s.Analyses.Mean() <= 0 {
@@ -186,63 +199,42 @@ func TestFleetSummaryTable(t *testing.T) {
 	}
 }
 
-// TestCacheSingleflight checks that concurrent misses on one key run the
-// computation once, and that errors are not retained.
+// TestCacheSingleflight checks the fleet's keying on top of the store's
+// singleflight (whose contract internal/memo tests): concurrent jobs on
+// one module share one prediction, and the accelerator configuration is
+// part of the key.
 func TestCacheSingleflight(t *testing.T) {
 	mod := click.Get("tcpack").MustModule()
-	c := newPredCache(0)
-	var mu sync.Mutex
-	calls := 0
+	c := memo.New[predKey, *core.ModulePrediction](predCacheCap)
+	var calls atomic.Int32
 	compute := func() (*core.ModulePrediction, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
+		calls.Add(1)
 		return &core.ModulePrediction{Name: mod.Name}, nil
 	}
 	var wg sync.WaitGroup
-	hits := make([]bool, 16)
+	var hits atomic.Int32
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			mp, hit, err := c.get(mod, niccc.AccelConfig{}, compute)
+			mp, hit, err := c.Get(predKey{hash: ir.Fingerprint(mod)}, compute)
 			if err != nil || mp == nil {
-				t.Errorf("get: mp=%v err=%v", mp, err)
+				t.Errorf("Get: mp=%v err=%v", mp, err)
 			}
-			hits[i] = hit
-		}(i)
+			if hit {
+				hits.Add(1)
+			}
+		}()
 	}
 	wg.Wait()
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1", calls)
-	}
-	nHits := 0
-	for _, h := range hits {
-		if h {
-			nHits++
-		}
-	}
-	if nHits != 15 {
-		t.Errorf("%d hits, want 15", nHits)
+	if calls.Load() != 1 || hits.Load() != 15 {
+		t.Errorf("compute ran %d times with %d hits; want 1 and 15", calls.Load(), hits.Load())
 	}
 
 	// Distinct accel configs are distinct keys.
-	_, hit, _ := c.get(mod, niccc.AccelConfig{CRCEngine: true}, compute)
-	if hit || calls != 2 {
-		t.Errorf("accel variant: hit=%v calls=%d, want miss and 2", hit, calls)
-	}
-
-	// Errors must not poison the key.
-	fail := errors.New("boom")
-	other := click.Get("aggcounter").MustModule()
-	if _, _, err := c.get(other, niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
-		return nil, fail
-	}); !errors.Is(err, fail) {
-		t.Errorf("error not propagated: %v", err)
-	}
-	mp, hit, err := c.get(other, niccc.AccelConfig{}, compute)
-	if err != nil || hit || mp == nil {
-		t.Errorf("after failure: mp=%v hit=%v err=%v; want recompute", mp, hit, err)
+	_, hit, _ := c.Get(predKey{ir.Fingerprint(mod), niccc.AccelConfig{CRCEngine: true}}, compute)
+	if hit || calls.Load() != 2 {
+		t.Errorf("accel variant: hit=%v calls=%d, want miss and 2", hit, calls.Load())
 	}
 }
 
@@ -272,9 +264,11 @@ func TestStatsRendering(t *testing.T) {
 	if s.JobsCompleted != 2 || s.JobsFailed != 1 {
 		t.Errorf("jobs: %+v", s)
 	}
-	if s.CacheHits != 1 || s.CacheMisses != 2 {
-		t.Errorf("cache: %+v", s)
+	// The cache counters are the store's, merged in by Fleet.Stats.
+	if s.CacheHits != 0 || s.CacheMisses != 0 {
+		t.Errorf("collector counted cache lookups: %+v", s)
 	}
+	s.CacheHits, s.CacheMisses = 1, 2
 	if s.LintErrors != 1 || s.LintWarnings != 1 || s.LintInfos != 2 {
 		t.Errorf("lint counts: %+v", s)
 	}
@@ -348,29 +342,43 @@ func TestFleetPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestCachePanicRecovery checks a panicking compute neither deadlocks
-// waiters nor poisons the key.
+// TestCachePanicRecovery checks that a prediction that panics neither
+// deadlocks the jobs blocked on it nor poisons the key: the job that ran it
+// reports the panic, jobs that waited on it fail with the store's
+// sentinel, none counts a hit and nothing is retained.
 func TestCachePanicRecovery(t *testing.T) {
-	mod := click.Get("tcpack").MustModule()
-	c := newPredCache(0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic swallowed by cache")
-			}
-		}()
-		c.get(mod, niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
-			panic("compute exploded")
-		})
-	}()
-	if c.len() != 0 {
-		t.Fatalf("panicked entry retained: %d", c.len())
+	// A predictor without a vocabulary panics inside PredictModule.
+	fl, err := New(&core.Clara{Predictor: &core.Predictor{}}, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mp, hit, err := c.get(mod, niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
-		return &core.ModulePrediction{Name: mod.Name}, nil
-	})
-	if err != nil || hit || mp == nil {
-		t.Fatalf("key poisoned after panic: mp=%v hit=%v err=%v", mp, hit, err)
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i] = Job{Mod: click.Get("tcpack").MustModule(), WL: traffic.SmallFlows}
+	}
+	results, err := fl.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panicked := 0
+	for i, r := range results {
+		if r.Panicked {
+			panicked++
+		} else if !errors.Is(r.Err, memo.ErrPanicked) {
+			t.Errorf("job %d: err = %v, want a panic or memo.ErrPanicked", i, r.Err)
+		}
+		if r.CacheHit || r.Insights != nil {
+			t.Errorf("job %d: hit=%v insights=%v after a panicked prediction", i, r.CacheHit, r.Insights != nil)
+		}
+	}
+	if panicked == 0 {
+		t.Error("no job reported the panic")
+	}
+	if fl.cache.Len() != 0 {
+		t.Errorf("panicked entry retained: %d", fl.cache.Len())
+	}
+	if s := fl.Stats(); s.CacheHits != 0 || s.CacheMisses != int64(len(jobs)) {
+		t.Errorf("cache: %d hits, %d misses; want 0, %d", s.CacheHits, s.CacheMisses, len(jobs))
 	}
 }
 
@@ -390,16 +398,16 @@ func TestCacheContentHash(t *testing.T) {
 	if m1 == m2 {
 		t.Fatal("compiler returned a shared module; test needs fresh pointers")
 	}
-	c := newPredCache(0)
+	c := memo.New[predKey, *core.ModulePrediction](predCacheCap)
 	calls := 0
 	compute := func() (*core.ModulePrediction, error) {
 		calls++
 		return &core.ModulePrediction{Name: "x"}, nil
 	}
-	if _, hit, _ := c.get(m1, niccc.AccelConfig{}, compute); hit {
+	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(m1)}, compute); hit {
 		t.Error("first request hit")
 	}
-	if _, hit, _ := c.get(m2, niccc.AccelConfig{}, compute); !hit {
+	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(m2)}, compute); !hit {
 		t.Error("identical resubmitted source missed the cache")
 	}
 	if calls != 1 {
@@ -409,41 +417,45 @@ func TestCacheContentHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := c.get(other, niccc.AccelConfig{}, compute); hit {
+	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(other)}, compute); hit {
 		t.Error("different source hit")
 	}
-	if c.len() != 2 {
-		t.Errorf("cache holds %d entries, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("cache holds %d entries, want 2", c.Len())
 	}
 }
 
-// TestCacheLRUEviction checks the size cap: the least recently used
-// entry is evicted, and a touched entry survives.
+// TestCacheLRUEviction checks the cap through the fleet: the least
+// recently used prediction is evicted, a touched one survives, and both
+// Result.CacheHit and Stats report what the store did.
 func TestCacheLRUEviction(t *testing.T) {
-	names := []string{"tcpack", "aggcounter", "udpipencap"}
-	var mods []*ir.Module
-	for _, n := range names {
-		mods = append(mods, click.Get(n).MustModule())
+	fl, err := New(quickTool(t), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := newPredCache(2)
-	compute := func() (*core.ModulePrediction, error) {
-		return &core.ModulePrediction{}, nil
+	fl.setCacheCap(2)
+	// Touch tcpack so aggcounter is least recent when udpipencap arrives.
+	steps := []struct {
+		name string
+		hit  bool
+	}{
+		{"tcpack", false}, {"aggcounter", false}, {"tcpack", true},
+		{"udpipencap", false}, {"tcpack", true}, {"aggcounter", false},
 	}
-	c.get(mods[0], niccc.AccelConfig{}, compute)
-	c.get(mods[1], niccc.AccelConfig{}, compute)
-	// Touch mods[0] so mods[1] is LRU, then insert a third entry.
-	if _, hit, _ := c.get(mods[0], niccc.AccelConfig{}, compute); !hit {
-		t.Fatal("resident entry missed")
+	for i, st := range steps {
+		results, err := fl.Run([]Job{elementJob(st.name)})
+		if err != nil || results[0].Err != nil {
+			t.Fatalf("step %d (%s): %v / %v", i, st.name, err, results[0].Err)
+		}
+		if results[0].CacheHit != st.hit {
+			t.Errorf("step %d (%s): CacheHit = %v, want %v", i, st.name, results[0].CacheHit, st.hit)
+		}
 	}
-	c.get(mods[2], niccc.AccelConfig{}, compute)
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want cap 2", c.len())
+	if fl.cache.Len() != 2 {
+		t.Errorf("cache holds %d entries, want cap 2", fl.cache.Len())
 	}
-	if _, hit, _ := c.get(mods[0], niccc.AccelConfig{}, compute); !hit {
-		t.Error("recently-used entry was evicted")
-	}
-	if _, hit, _ := c.get(mods[1], niccc.AccelConfig{}, compute); hit {
-		t.Error("LRU entry survived past the cap")
+	if s := fl.Stats(); s.CacheHits != 2 || s.CacheMisses != 4 || s.CacheEvictions != 2 {
+		t.Errorf("cache: %d hits, %d misses, %d evicted; want 2, 4, 2", s.CacheHits, s.CacheMisses, s.CacheEvictions)
 	}
 }
 
@@ -513,136 +525,77 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestCacheNoHitOnErroredSingleflight pins the accounting fix: a waiter
-// blocked on an in-flight entry whose leader then fails shares the
-// leader's error, not a cached prediction, so it must report hit=false —
-// otherwise an errored job would count a CacheHit and inflate the hit
-// rate the cluster coordinator uses to judge per-worker cache locality.
+// TestCacheNoHitOnErroredSingleflight pins the accounting of a failed
+// prediction: whether a job ran it or shared it from the job that did,
+// it has no prediction, so it must not report or count a cache hit —
+// otherwise errored jobs would inflate the hit rate the cluster
+// coordinator uses to judge per-worker cache locality.
 func TestCacheNoHitOnErroredSingleflight(t *testing.T) {
-	mod := click.Get("tcpack").MustModule()
-	c := newPredCache(0)
-	boom := errors.New("leader failed")
-	started := make(chan struct{})
-	release := make(chan struct{})
-	failing := func() (*core.ModulePrediction, error) {
-		<-release
-		return nil, boom
+	fl, err := New(quickTool(t), Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		_, hit, err := c.get(mod, niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
-			close(started)
-			<-release
-			return nil, boom
-		})
-		if hit || !errors.Is(err, boom) {
-			t.Errorf("leader: hit=%v err=%v, want miss and boom", hit, err)
-		}
-	}()
-	<-started
-
-	// Waiters join while the leader is in flight. A waiter that loses the
-	// race and arrives after the failed entry is dropped becomes a new
-	// leader and recomputes — either way the outcome is (no hit, boom).
-	const n = 8
-	type outcome struct {
-		hit bool
-		err error
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i] = Job{Mod: &ir.Module{Name: "nohandler"}, WL: traffic.SmallFlows}
 	}
-	outs := make([]outcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, hit, err := c.get(mod, niccc.AccelConfig{}, failing)
-			outs[i] = outcome{hit, err}
-		}(i)
+	results, err := fl.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the waiters attach to the entry
-	close(release)
-	wg.Wait()
-	<-leaderDone
-	for i, o := range outs {
-		if o.hit {
-			t.Errorf("waiter %d reported a cache hit for an errored prediction", i)
-		}
-		if !errors.Is(o.err, boom) {
-			t.Errorf("waiter %d error = %v, want boom", i, o.err)
+	for i, r := range results {
+		if r.Err == nil || r.Panicked || r.CacheHit {
+			t.Errorf("job %d: err=%v panicked=%v hit=%v; want a plain failure and no hit", i, r.Err, r.Panicked, r.CacheHit)
 		}
 	}
-	if c.len() != 0 {
-		t.Errorf("failed entries retained: %d", c.len())
+	if fl.cache.Len() != 0 {
+		t.Errorf("failed entries retained: %d", fl.cache.Len())
 	}
-
-	// A successful waiter still counts a hit: the semantics only changed
-	// for errored entries.
-	if _, hit, err := c.get(mod, niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
-		return &core.ModulePrediction{Name: mod.Name}, nil
-	}); hit || err != nil {
-		t.Fatalf("recompute after failures: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := c.get(mod, niccc.AccelConfig{}, failing); !hit || err != nil {
-		t.Errorf("completed entry: hit=%v err=%v, want hit", hit, err)
+	s := fl.Stats()
+	if s.CacheHits != 0 || s.CacheMisses != int64(len(jobs)) || s.JobsFailed != int64(len(jobs)) {
+		t.Errorf("stats: %d hits, %d misses, %d failed; want 0, %d, %d",
+			s.CacheHits, s.CacheMisses, s.JobsFailed, len(jobs), len(jobs))
 	}
 }
 
-// TestCacheInFlightEviction drives the claim/fill prewarm path with a
-// cap smaller than the batch: the map never exceeds the cap, evicted
-// in-flight entries still complete for waiters holding the entry
-// pointer, evictions are counted, and an evicted key recomputes.
+// TestCacheInFlightEviction holds four predictions in flight under a cap
+// of 2, keyed as the fleet keys them: the store never exceeds the cap, the
+// evicted in-flight computations still deliver to their callers, the
+// evictions are counted, and an evicted module predicts again.
 func TestCacheInFlightEviction(t *testing.T) {
 	names := []string{"tcpack", "aggcounter", "udpipencap", "forcetcp"}
-	var mods []*ir.Module
-	for _, n := range names {
-		mods = append(mods, click.Get(n).MustModule())
-	}
-	c := newPredCache(2)
-	var entries []*predEntry
-	for i, m := range mods {
-		e, leader := c.claim(keyFor(m, niccc.AccelConfig{}))
-		if !leader {
-			t.Fatalf("claim %d not leader", i)
-		}
-		if c.len() > 2 {
-			t.Fatalf("after claim %d cache holds %d entries, over cap 2", i, c.len())
-		}
-		entries = append(entries, e)
-	}
-	if got := c.evicted(); got != 2 {
-		t.Errorf("evictions = %d, want 2 (the first two in-flight claims)", got)
-	}
-
-	// Waiters on the two evicted in-flight entries, holding the entry
-	// pointers exactly the way get's waiter path does.
-	got := make([]*core.ModulePrediction, 2)
+	c := memo.New[predKey, *core.ModulePrediction](2)
+	release := make(chan struct{})
+	got := make([]*core.ModulePrediction, len(names))
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i, n := range names {
+		started := make(chan struct{})
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, n string) {
 			defer wg.Done()
-			<-entries[i].ready
-			got[i] = entries[i].mp
-		}(i)
-	}
-	for i, e := range entries {
-		c.fill(e, &core.ModulePrediction{Name: names[i]}, nil)
-	}
-	wg.Wait()
-	for i := 0; i < 2; i++ {
-		if got[i] == nil || got[i].Name != names[i] {
-			t.Errorf("waiter %d on evicted entry got %+v, want %s", i, got[i], names[i])
+			got[i], _, _ = c.Get(predKey{hash: ir.Fingerprint(click.Get(n).MustModule())}, func() (*core.ModulePrediction, error) {
+				close(started)
+				<-release
+				return &core.ModulePrediction{Name: n}, nil
+			})
+		}(i, n)
+		<-started
+		if c.Len() > 2 {
+			t.Fatalf("after %d predictions in flight the cache holds %d entries, over cap 2", i+1, c.Len())
 		}
 	}
-	if c.len() != 2 {
-		t.Errorf("cache holds %d entries after fills, want 2", c.len())
+	if ev := c.Counts().Evictions; ev != 2 {
+		t.Errorf("evictions = %d, want 2 (the first two in-flight predictions)", ev)
 	}
-
-	// The evicted keys are gone: a fresh lookup recomputes.
+	close(release)
+	wg.Wait()
+	for i, n := range names {
+		if got[i] == nil || got[i].Name != n {
+			t.Errorf("prediction %d = %+v, want %s", i, got[i], n)
+		}
+	}
 	calls := 0
-	if _, hit, _ := c.get(mods[0], niccc.AccelConfig{}, func() (*core.ModulePrediction, error) {
+	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(click.Get(names[0]).MustModule())}, func() (*core.ModulePrediction, error) {
 		calls++
 		return &core.ModulePrediction{}, nil
 	}); hit || calls != 1 {
@@ -650,28 +603,20 @@ func TestCacheInFlightEviction(t *testing.T) {
 	}
 }
 
-// TestFleetPrewarmEviction runs a real batch whose distinct-module count
-// exceeds the cache cap: prewarm claims more entries than fit, evicting
-// in-flight entries, and every job must still complete with a usable
-// prediction (the waiters hold entry pointers, so eviction only affects
-// future lookups).
+// TestFleetPrewarmEviction runs a real cold batch whose distinct-module
+// count exceeds the cache cap: predictions are evicted while others are in
+// flight, and every job must still complete with a usable prediction.
 func TestFleetPrewarmEviction(t *testing.T) {
-	tool := quickTool(t)
 	names := []string{"tcpack", "aggcounter", "udpipencap", "forcetcp", "timefilter"}
 	var jobs []Job
 	for _, n := range names {
-		e := click.Get(n)
-		jobs = append(jobs, Job{
-			Name: e.Name,
-			Mod:  e.MustModule(),
-			PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
-			WL:   traffic.SmallFlows,
-		})
+		jobs = append(jobs, elementJob(n))
 	}
-	fl, err := New(tool, Config{Workers: 2, CacheSize: 2})
+	fl, err := New(quickTool(t), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl.setCacheCap(2)
 	results, err := fl.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -681,12 +626,12 @@ func TestFleetPrewarmEviction(t *testing.T) {
 			t.Errorf("job %d (%s) failed under eviction pressure: %v", i, r.Name, r.Err)
 		}
 	}
-	if fl.cache.len() > 2 {
-		t.Errorf("cache holds %d entries, over cap 2", fl.cache.len())
+	if fl.cache.Len() > 2 {
+		t.Errorf("cache holds %d entries, over cap 2", fl.cache.Len())
 	}
 	s := fl.Stats()
-	if s.CacheEvictions < int64(len(names)-2) {
-		t.Errorf("stats evictions = %d, want >= %d", s.CacheEvictions, len(names)-2)
+	if s.CacheEvictions != int64(len(names)-2) {
+		t.Errorf("stats evictions = %d, want %d", s.CacheEvictions, len(names)-2)
 	}
 	if s.JobsCompleted != int64(len(names)) {
 		t.Errorf("completed = %d, want %d", s.JobsCompleted, len(names))

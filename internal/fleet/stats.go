@@ -75,17 +75,20 @@ type Stats struct {
 	// JobsPanicked counts jobs whose analysis panicked (the panic is
 	// isolated per job; see Result.Panicked). Disjoint from JobsFailed.
 	JobsPanicked int64
-	CacheHits    int64
-	CacheMisses  int64
-	// CacheEvictions counts prediction-cache entries dropped by the LRU
+	// CacheHits and CacheMisses are the prediction store's lookup
+	// counters: a hit is a job that skipped the §3 computation and got a
+	// prediction, everything else — the computation itself, or sharing a
+	// failed one — is a miss.
+	CacheHits   int64
+	CacheMisses int64
+	// CacheEvictions counts prediction-store entries dropped by the LRU
 	// cap over the fleet's lifetime. A high rate relative to misses means
 	// the cap is smaller than the working set (each eviction is a future
 	// recompute), which in cluster mode reads as poor per-worker locality.
 	CacheEvictions int64
-	// Prewarmed counts predictions computed by batch prewarm sweeps
-	// (RunContext predicts a batch's distinct uncached modules in one
-	// LSTM pass before dispatching workers). Prewarmed entries surface
-	// as CacheHits to the jobs that consume them.
+	// Prewarmed is always 0: every prediction is computed by the job that
+	// first asks for it. The field stays because the benchmark harness
+	// (bench/doors.go) reads it.
 	Prewarmed int64
 	// Lint findings across all completed jobs, by severity.
 	LintErrors   int64
@@ -124,9 +127,6 @@ func (s Stats) String() string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "prediction cache: %d hits, %d misses (%.0f%% hit rate)",
 		s.CacheHits, s.CacheMisses, 100*s.HitRate())
-	if s.Prewarmed > 0 {
-		fmt.Fprintf(&b, ", %d prewarmed", s.Prewarmed)
-	}
 	if s.CacheEvictions > 0 {
 		fmt.Fprintf(&b, ", %d evicted", s.CacheEvictions)
 	}
@@ -214,11 +214,6 @@ func (c *collector) record(r Result) {
 	default:
 		c.s.JobsCompleted++
 	}
-	if r.CacheHit {
-		c.s.CacheHits++
-	} else {
-		c.s.CacheMisses++
-	}
 	c.s.LintErrors += int64(r.Lint.Errors)
 	c.s.LintWarnings += int64(r.Lint.Warnings)
 	c.s.LintInfos += int64(r.Lint.Infos)
@@ -228,9 +223,8 @@ func (c *collector) record(r Result) {
 	c.hist.Observe(r.Elapsed)
 }
 
-// recordSkipped accounts a job that was canceled before dispatch: it
-// consulted neither the cache nor ran any analysis, so only the canceled
-// counter moves.
+// recordSkipped accounts a job that was canceled before dispatch: it ran
+// no analysis, so only the canceled counter moves.
 func (c *collector) recordSkipped() {
 	c.mu.Lock()
 	c.s.JobsCanceled++
@@ -244,12 +238,6 @@ func bucket(d time.Duration) int {
 		}
 	}
 	return len(histBounds)
-}
-
-func (c *collector) addPrewarmed(n int64) {
-	c.mu.Lock()
-	c.s.Prewarmed += n
-	c.mu.Unlock()
 }
 
 func (c *collector) addWall(d time.Duration) {

@@ -28,3 +28,8 @@ func (m *Machine) SetMapGeneration(gen uint32) {
 		}
 	}
 }
+
+// Compiles reports how many times compileModule has run in this process:
+// programFor's compute never fails, so every program-cache miss is one
+// compile.
+func Compiles() int64 { return programs.Counts().Misses }

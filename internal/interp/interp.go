@@ -36,7 +36,6 @@
 package interp
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"math/bits"
@@ -44,6 +43,7 @@ import (
 	"unsafe"
 
 	"clara/internal/ir"
+	"clara/internal/memo"
 	"clara/internal/traffic"
 )
 
@@ -287,66 +287,41 @@ type program struct {
 	lowered   [2][]sBlock
 }
 
-// progCacheCap bounds the compiled-program cache. Library modules are
-// singletons (a few dozen), so in steady state the fleet compiles each
-// NF once; freshly parsed modules (e.g. per-request submissions in
-// serving mode) each miss once and age out.
-const progCacheCap = 128
+// programs is the compiled-program cache. It keys by content hash
+// (ir.Fingerprint) rather than pointer identity, so distinct parses of
+// identical source — the serving path hands each request a fresh
+// *ir.Module — share one compiled program and its lowerings; hashing is
+// sound because ir.Modules are immutable once built. Library modules are
+// singletons (a few dozen), so in steady state the fleet compiles each NF
+// once; freshly parsed modules (e.g. per-request submissions in serving
+// mode) each miss once and age out of the 128 entries.
+var programs = memo.New[[sha256.Size]byte, compiled](128)
 
-var progCache = struct {
-	mu  sync.Mutex
-	m   map[[sha256.Size]byte]*list.Element // values are *progEntry
-	lru *list.List
-}{m: make(map[[sha256.Size]byte]*list.Element), lru: list.New()}
-
-type progEntry struct {
-	key  [sha256.Size]byte
+// compiled is what the cache holds for a module. A compile error is part
+// of the value: it is a property of the content, so it is kept and
+// answered again rather than recompiled.
+type compiled struct {
 	prog *program
 	err  error
 }
 
-// programFor returns mod's compiled program, compiling and caching it on
-// first use. The cache keys by content hash (ir.Fingerprint) rather than
-// pointer identity, so distinct parses of identical source — the serving
-// path hands each request a fresh *ir.Module — share one compiled
-// program and its lowerings. Hashing is sound because
-// ir.Modules are immutable once built.
+// programFor returns mod's compiled program. Concurrent first requests
+// for one module share a single compile.
 func programFor(mod *ir.Module) (*program, error) {
-	key := ir.Fingerprint(mod)
-	progCache.mu.Lock()
-	if el, ok := progCache.m[key]; ok {
-		progCache.lru.MoveToFront(el)
-		e := el.Value.(*progEntry)
-		progCache.mu.Unlock()
-		return e.prog, e.err
+	c, _, err := programs.Get(ir.Fingerprint(mod), func() (compiled, error) {
+		prog, err := compileModule(mod)
+		return compiled{prog, err}, nil
+	})
+	if err != nil { // the compile we waited on panicked
+		return nil, err
 	}
-	progCache.mu.Unlock()
-
-	// Compile outside the lock; a racing duplicate compile is harmless
-	// (both results are equivalent and one wins the map).
-	prog, err := compileModule(mod)
-	progCache.mu.Lock()
-	if el, ok := progCache.m[key]; ok {
-		progCache.lru.MoveToFront(el)
-		e := el.Value.(*progEntry)
-		progCache.mu.Unlock()
-		return e.prog, e.err
-	}
-	progCache.m[key] = progCache.lru.PushFront(&progEntry{key: key, prog: prog, err: err})
-	for progCache.lru.Len() > progCacheCap {
-		oldest := progCache.lru.Back()
-		progCache.lru.Remove(oldest)
-		delete(progCache.m, oldest.Value.(*progEntry).key)
-	}
-	progCache.mu.Unlock()
-	return prog, err
+	return c.prog, c.err
 }
 
 // Precompile warms the program cache for mod and builds its counting
 // lowering (the one host profiling uses), so the first packet of a later
-// analysis pays no compile latency. The fleet calls
-// this during batch prewarm alongside prediction claiming. Errors are
-// the same ones New would report.
+// analysis pays no compile latency. Errors are the same ones New would
+// report.
 func Precompile(mod *ir.Module) error {
 	prog, err := programFor(mod)
 	if err != nil {

@@ -33,8 +33,6 @@ import (
 // needs; pooled like lstmScratch so concurrent callers don't contend.
 type lstmBatchScratch struct {
 	ar   vek.Arena
-	ai8  vek.ArenaI8
-	ai32 vek.ArenaI32
 	key  []byte
 	idx  map[string]int
 	uniq []int // unique sequence slots, as indices into the caller's seqs
@@ -52,8 +50,6 @@ func (sc *lstmBatchScratch) release() {
 	clear(sc.idx)
 	sc.uniq = sc.uniq[:0]
 	sc.ar.Reset()
-	sc.ai8.Reset()
-	sc.ai32.Reset()
 	lstmBatchScratchPool.Put(sc)
 }
 
@@ -193,23 +189,4 @@ func (m *LSTM) PredictRawBatch(seqs [][]int) [][]float64 {
 		out[i] = o
 	}
 	return out
-}
-
-// PredictBatch is PredictRawBatch with the nonnegative clamp Predict
-// applies (instruction counts).
-func (m *LSTM) PredictBatch(seqs [][]int) [][]float64 {
-	outs := m.PredictRawBatch(seqs)
-	for _, o := range outs {
-		for d := range o {
-			if o[d] < 0 {
-				o[d] = 0
-			}
-		}
-	}
-	return outs
-}
-
-// LSTMPredictBatch is the package-level spelling of (*LSTM).PredictBatch.
-func LSTMPredictBatch(m *LSTM, seqs [][]int) [][]float64 {
-	return m.PredictBatch(seqs)
 }

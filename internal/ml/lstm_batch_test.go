@@ -42,7 +42,7 @@ func TestPredictBatchBitIdenticalToPredictRaw(t *testing.T) {
 		}
 	}
 
-	// batch=1 explicitly, and the clamped variants.
+	// batch=1 explicitly, and against the clamped per-sequence Predict.
 	for _, seq := range seqs[:8] {
 		b1 := m.PredictRawBatch([][]int{seq})[0]
 		want := m.PredictRaw(seq)
@@ -51,11 +51,14 @@ func TestPredictBatchBitIdenticalToPredictRaw(t *testing.T) {
 				t.Fatalf("batch=1 mismatch: %v vs %v", b1, want)
 			}
 		}
-		c1 := LSTMPredictBatch(m, [][]int{seq})[0]
 		wc := m.Predict(seq)
 		for d := range wc {
-			if math.Float64bits(c1[d]) != math.Float64bits(wc[d]) {
-				t.Fatalf("clamped batch=1 mismatch: %v vs %v", c1, wc)
+			c := b1[d]
+			if c < 0 {
+				c = 0
+			}
+			if math.Float64bits(c) != math.Float64bits(wc[d]) {
+				t.Fatalf("clamped batch=1 mismatch: %v vs %v", b1, wc)
 			}
 		}
 	}
@@ -72,114 +75,5 @@ func TestPredictBatchOutputsIndependent(t *testing.T) {
 	outs[0][0] = 42
 	if outs[1][0] == 42 {
 		t.Fatal("mutating one duplicate's output changed the other")
-	}
-}
-
-// Quantize→dequantize round-trip bounds: each reconstructed weight must
-// be within half a quantization step of the original, per gate row.
-func TestQuantizeRoundTripBounds(t *testing.T) {
-	cfg := LSTMConfig{Vocab: 11, Hidden: 28, Out: 1, Seed: 9}
-	m := NewLSTM(cfg)
-	q := m.Quantize()
-	H := cfg.Hidden
-	G := 4 * H
-	wh := m.params[m.oWh:m.oB]
-	for g := 0; g < G; g++ {
-		maxAbs := 0.0
-		for r := 0; r < H; r++ {
-			if a := math.Abs(wh[r*G+g]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		step := maxAbs / 127
-		for r := 0; r < H; r++ {
-			// whFactor folds the activation scale 1/127; undo it to get
-			// back to weight units.
-			rec := float64(q.qWh[g*H+r]) * q.whFactor[g] * 127
-			if err := math.Abs(rec - wh[r*G+g]); err > step/2+1e-15 {
-				t.Fatalf("gate %d unit %d: |%g - %g| = %g exceeds step/2 = %g",
-					g, r, rec, wh[r*G+g], err, step/2)
-			}
-		}
-	}
-}
-
-// Quantization must be deterministic and survive serialization exactly.
-func TestQuantizedStateRoundTrip(t *testing.T) {
-	m := NewLSTM(LSTMConfig{Vocab: 13, Hidden: 16, Out: 2, Seed: 3})
-	q1 := m.Quantize()
-	q2, err := NewQuantizedLSTMFromState(q1.Export(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range q1.qWh {
-		if q1.qWh[i] != q2.qWh[i] {
-			t.Fatalf("qWh[%d] differs after round-trip", i)
-		}
-	}
-	for i := range q1.whFactor {
-		if math.Float64bits(q1.whFactor[i]) != math.Float64bits(q2.whFactor[i]) {
-			t.Fatalf("whFactor[%d] differs after round-trip", i)
-		}
-	}
-	rng := rand.New(rand.NewSource(30))
-	seqs := testSeqs(rng, 13, 20)
-	o1 := q1.PredictRawBatch(seqs)
-	o2 := q2.PredictRawBatch(seqs)
-	for i := range o1 {
-		for d := range o1[i] {
-			if math.Float64bits(o1[i][d]) != math.Float64bits(o2[i][d]) {
-				t.Fatalf("seq %d: round-tripped model predicts differently", i)
-			}
-		}
-	}
-	// Bad shapes must be rejected.
-	st := q1.Export()
-	st.QWh = st.QWh[:len(st.QWh)-1]
-	if _, err := NewQuantizedLSTMFromState(st, m); err == nil {
-		t.Fatal("truncated quantized state accepted")
-	}
-}
-
-// The quantized forward tracks the f32 forward closely on random models:
-// this is a smoke bound (the real accuracy gate runs WMAPE on the
-// element library at the repo root).
-func TestQuantizedPredictClose(t *testing.T) {
-	cfg := LSTMConfig{Vocab: 29, Hidden: 28, Out: 1, Seed: 12}
-	m := NewLSTM(cfg)
-	q := m.Quantize()
-	rng := rand.New(rand.NewSource(40))
-	seqs := testSeqs(rng, cfg.Vocab, 50)
-	f := m.PredictRawBatch(seqs)
-	qq := q.PredictRawBatch(seqs)
-	for i := range seqs {
-		for d := range f[i] {
-			diff := math.Abs(f[i][d] - qq[i][d])
-			if diff > 0.15 { // raw units are TargetScale-sized (×10)
-				t.Fatalf("seq %d: f32 %v vs int8 %v (diff %g)", i, f[i], qq[i], diff)
-			}
-		}
-	}
-	// Single-sequence helper agrees with the batch.
-	one := q.PredictRaw(seqs[1])
-	for d := range one {
-		if math.Float64bits(one[d]) != math.Float64bits(qq[1][d]) {
-			t.Fatal("QuantizedLSTM.PredictRaw disagrees with PredictRawBatch")
-		}
-	}
-}
-
-func TestFastTanhAccuracy(t *testing.T) {
-	for x := -12.0; x <= 12.0; x += 0.00137 {
-		if err := math.Abs(fastTanh(x) - math.Tanh(x)); err > 3e-6 {
-			t.Fatalf("fastTanh(%g) error %g", x, err)
-		}
-		want := 1 / (1 + math.Exp(-x))
-		if err := math.Abs(fastSigmoid(x) - want); err > 3e-6 {
-			t.Fatalf("fastSigmoid(%g) error %g", x, err)
-		}
-	}
-	if fastTanh(100) != 1 || fastTanh(-100) != -1 {
-		t.Fatal("fastTanh does not saturate")
 	}
 }

@@ -95,98 +95,3 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 		}
 	}
 }
-
-// DotI8 returns the int32 inner product of two int8 vectors. len(b) must
-// be >= len(a). Accumulation is exact: int8·int8 products summed in
-// int32 cannot overflow below ~130k elements.
-func DotI8(a, b []int8) int32 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += int32(a[i]) * int32(b[i])
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// GemmNTI8 computes C += A·Bᵀ with int8 inputs and int32 accumulation:
-// C is m×n int32, A is m×k int8, B is n×k int8. This is the quantized
-// inference matmul: B rows are quantized weight rows (one per LSTM gate),
-// A rows are quantized activations. Integer accumulation is exact, so
-// there is no association contract to document — any order yields the
-// same sums.
-func GemmNTI8(c []int32, a, b []int8, m, n, k int) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			ci[j] += DotI8(ai, b[j*k:j*k+k])
-			ci[j+1] += DotI8(ai, b[(j+1)*k:(j+1)*k+k])
-		}
-		for ; j < n; j++ {
-			ci[j] += DotI8(ai, b[j*k:j*k+k])
-		}
-	}
-}
-
-// ArenaI8 is Arena's int8 counterpart: zeroed scratch slices carved from
-// one growing buffer, for packing quantized activations without
-// per-step allocation. Not safe for concurrent use.
-type ArenaI8 struct {
-	buf []int8
-	off int
-}
-
-// Take returns a zeroed scratch slice of length n valid until Reset.
-func (ar *ArenaI8) Take(n int) []int8 {
-	if ar.off+n > len(ar.buf) {
-		grown := make([]int8, max(2*len(ar.buf), ar.off+n))
-		copy(grown, ar.buf[:ar.off])
-		ar.buf = grown
-	}
-	s := ar.buf[ar.off : ar.off+n : ar.off+n]
-	ar.off += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// Reset recycles every slice handed out since the last Reset.
-func (ar *ArenaI8) Reset() { ar.off = 0 }
-
-// ArenaI32 is Arena's int32 counterpart, for quantized accumulators.
-// Not safe for concurrent use.
-type ArenaI32 struct {
-	buf []int32
-	off int
-}
-
-// Take returns a zeroed scratch slice of length n valid until Reset.
-func (ar *ArenaI32) Take(n int) []int32 {
-	if ar.off+n > len(ar.buf) {
-		grown := make([]int32, max(2*len(ar.buf), ar.off+n))
-		copy(grown, ar.buf[:ar.off])
-		ar.buf = grown
-	}
-	s := ar.buf[ar.off : ar.off+n : ar.off+n]
-	ar.off += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// Reset recycles every slice handed out since the last Reset.
-func (ar *ArenaI32) Reset() { ar.off = 0 }

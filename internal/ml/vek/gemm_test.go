@@ -100,91 +100,3 @@ func TestGemmNTMatchesDotRows(t *testing.T) {
 		}
 	}
 }
-
-func TestDotI8Exact(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{0, 1, 3, 4, 5, 28, 127} {
-		a := make([]int8, n)
-		b := make([]int8, n)
-		var want int32
-		for i := range a {
-			a[i] = int8(rng.Intn(256) - 128)
-			b[i] = int8(rng.Intn(256) - 128)
-			want += int32(a[i]) * int32(b[i])
-		}
-		if got := DotI8(a, b); got != want {
-			t.Fatalf("n=%d: DotI8 = %d, want %d", n, got, want)
-		}
-	}
-	// Worst case magnitude: all -128·-128 at the LSTM hidden size.
-	n := 28
-	a := make([]int8, n)
-	b := make([]int8, n)
-	for i := range a {
-		a[i], b[i] = -128, -128
-	}
-	if got, want := DotI8(a, b), int32(n*128*128); got != want {
-		t.Fatalf("saturated DotI8 = %d, want %d", got, want)
-	}
-}
-
-func TestGemmNTI8MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range []struct{ m, n, k int }{{0, 4, 4}, {1, 1, 1}, {3, 112, 28}, {5, 7, 9}} {
-		a := make([]int8, sh.m*sh.k)
-		b := make([]int8, sh.n*sh.k)
-		for i := range a {
-			a[i] = int8(rng.Intn(256) - 128)
-		}
-		for i := range b {
-			b[i] = int8(rng.Intn(256) - 128)
-		}
-		got := make([]int32, sh.m*sh.n)
-		want := make([]int32, sh.m*sh.n)
-		for i := range got {
-			got[i] = int32(rng.Intn(100))
-			want[i] = got[i]
-		}
-		GemmNTI8(got, a, b, sh.m, sh.n, sh.k)
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				for p := 0; p < sh.k; p++ {
-					want[i*sh.n+j] += int32(a[i*sh.k+p]) * int32(b[j*sh.k+p])
-				}
-			}
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shape %dx%dx%d: C[%d] = %d, want %d", sh.m, sh.n, sh.k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestTypedArenas(t *testing.T) {
-	var a8 ArenaI8
-	var a32 ArenaI32
-	for round := 0; round < 3; round++ {
-		s8 := a8.Take(37)
-		s32 := a32.Take(53)
-		for i := range s8 {
-			if s8[i] != 0 {
-				t.Fatalf("ArenaI8.Take not zeroed at %d (round %d)", i, round)
-			}
-			s8[i] = int8(i)
-		}
-		for i := range s32 {
-			if s32[i] != 0 {
-				t.Fatalf("ArenaI32.Take not zeroed at %d (round %d)", i, round)
-			}
-			s32[i] = int32(i)
-		}
-		// Second Take must not alias the first.
-		t8 := a8.Take(37)
-		if &t8[0] == &s8[0] {
-			t.Fatal("ArenaI8 second Take aliases first")
-		}
-		a8.Reset()
-		a32.Reset()
-	}
-}

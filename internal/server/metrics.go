@@ -61,10 +61,12 @@ type FleetStats struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 	CacheEvictions int64   `json:"cache_evictions"`
-	Prewarmed      int64   `json:"prewarmed"`
-	LintErrors     int64   `json:"lint_errors"`
-	LintWarnings   int64   `json:"lint_warnings"`
-	LintInfos      int64   `json:"lint_infos"`
+	// Prewarmed is always 0, like fleet.Stats.Prewarmed; the benchmark
+	// harness reads it.
+	Prewarmed    int64 `json:"prewarmed"`
+	LintErrors   int64 `json:"lint_errors"`
+	LintWarnings int64 `json:"lint_warnings"`
+	LintInfos    int64 `json:"lint_infos"`
 	// Taint classification totals across analyzed jobs: loops bounded by
 	// payload bytes and structures keyed by payload-derived values.
 	PayloadLoops        int64         `json:"payload_loops"`
@@ -79,7 +81,6 @@ type FleetStats struct {
 type ModelStats struct {
 	Ready        bool    `json:"ready"`
 	WarmStart    bool    `json:"warm_start"`
-	Quantized    bool    `json:"quantized,omitempty"`
 	Hash         string  `json:"model_hash,omitempty"`
 	TrainSeconds float64 `json:"train_seconds,omitempty"`
 	TrainError   string  `json:"train_error,omitempty"`
@@ -213,7 +214,6 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 			out.Model.Ready = false
 		}
 		out.Model.WarmStart = out.Model.WarmStart || s.Model.WarmStart
-		out.Model.Quantized = out.Model.Quantized || s.Model.Quantized
 		if out.Model.Hash == "" {
 			out.Model.Hash = s.Model.Hash
 		} else if s.Model.Hash != "" && s.Model.Hash != out.Model.Hash {
@@ -314,9 +314,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		WarmStart:    info.WarmStart,
 		Hash:         info.Hash,
 		TrainSeconds: info.TrainSeconds,
-	}
-	if t := s.tool(); t != nil && t.Predictor != nil {
-		snap.Model.Quantized = t.Predictor.Quantized()
 	}
 	if trainErr != nil {
 		snap.Model.TrainError = trainErr.Error()

@@ -82,8 +82,6 @@ type Config struct {
 	// RequestTimeout caps one request's analysis time (a client-supplied
 	// timeout_ms may only shorten it). 0 means 30s.
 	RequestTimeout time.Duration
-	// CacheSize caps the fleet prediction cache; 0 = fleet default.
-	CacheSize int
 
 	// JobHook, when set, is applied to every job built from a request —
 	// a seam for injecting slow or panicking analyses (used by the
@@ -163,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 // ready. Called exactly once: from New (pre-built tool) or from the
 // training goroutine.
 func (s *Server) install(tool *core.Clara, info ModelInfo) error {
-	fl, err := fleet.New(tool, fleet.Config{Workers: s.cfg.Workers, CacheSize: s.cfg.CacheSize})
+	fl, err := fleet.New(tool, fleet.Config{Workers: s.cfg.Workers})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 package traffic
 
 import (
-	"container/list"
 	"sync"
+
+	"clara/internal/memo"
 )
 
 // This file provides a process-wide cache of generated traces. A fleet
@@ -13,11 +14,11 @@ import (
 // (spec, length) trace once and replays the cached packets; a Replayer
 // yields the exact sequence a fresh Generator would, packet for packet.
 
-// replayCacheCap bounds the trace cache. The evaluation uses a handful
-// of standard specs; user-supplied specs (e.g. per-request workloads in
-// serving mode) age out LRU so the cache cannot grow with an unbounded
-// stream of distinct workloads.
-const replayCacheCap = 16
+// traces holds the 16 most recently replayed specs. The evaluation uses a
+// handful of standard specs; user-supplied specs (e.g. per-request
+// workloads in serving mode) age out LRU so the cache cannot grow with an
+// unbounded stream of distinct workloads.
+var traces = memo.New[Spec, *traceEntry](16)
 
 // traceEntry caches one spec's generator together with the packets drawn
 // from it so far; requests longer than any previous one extend the trace
@@ -28,56 +29,25 @@ type traceEntry struct {
 	pkts []Packet
 }
 
-var replayCache = struct {
-	mu  sync.Mutex
-	m   map[Spec]*list.Element // values are *replayItem
-	lru *list.List
-}{m: make(map[Spec]*list.Element), lru: list.New()}
-
-type replayItem struct {
-	spec  Spec
-	entry *traceEntry
-}
-
 // Replay returns a Replayer over the first n packets of spec's packet
 // sequence, generating (or extending) the cached trace on first use. The
 // replayed sequence is identical to what a fresh NewGenerator(spec)
 // would produce. Safe for concurrent use; each call returns an
 // independent cursor.
 func Replay(spec Spec, n int) (*Replayer, error) {
-	replayCache.mu.Lock()
-	var e *traceEntry
-	if el, ok := replayCache.m[spec]; ok {
-		replayCache.lru.MoveToFront(el)
-		e = el.Value.(*replayItem).entry
-		replayCache.mu.Unlock()
-	} else {
-		e = &traceEntry{}
-		replayCache.m[spec] = replayCache.lru.PushFront(&replayItem{spec: spec, entry: e})
-		for replayCache.lru.Len() > replayCacheCap {
-			oldest := replayCache.lru.Back()
-			replayCache.lru.Remove(oldest)
-			delete(replayCache.m, oldest.Value.(*replayItem).spec)
-		}
-		replayCache.mu.Unlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gen == nil {
+	// A spec NewGenerator refuses is not retained.
+	e, _, err := traces.Get(spec, func() (*traceEntry, error) {
 		gen, err := NewGenerator(spec)
 		if err != nil {
-			// Drop the poisoned entry so a corrected spec is not shadowed.
-			replayCache.mu.Lock()
-			if el, ok := replayCache.m[spec]; ok && el.Value.(*replayItem).entry == e {
-				replayCache.lru.Remove(el)
-				delete(replayCache.m, spec)
-			}
-			replayCache.mu.Unlock()
 			return nil, err
 		}
-		e.gen = gen
+		return &traceEntry{gen: gen}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for len(e.pkts) < n {
 		e.pkts = append(e.pkts, e.gen.Next())
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check serve-check cluster-check simulate-check interp-check analysis-check bench-check fuzz bench-fleet update-golden
+.PHONY: build test race vet fmt-check check serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check fuzz bench-fleet update-golden
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,19 @@ serve-check:
 # single retry, probe-driven rejoin, merged metrics.
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
+	$(GO) test -race -run TestDoorsAgree .
+
+# store-check holds the keyed stores to their contracts under the race
+# detector: memo's singleflight (waiter contexts included); the fleet's
+# result tier — second-sighting admission, every key component, hit ==
+# fresh analysis after a miss and after an eviction, and no waiter ever
+# inheriting its leader's cancellation, deadline or panic; the doors
+# agreeing cold and warm; and the server's wire splice, with a warm
+# /v1/analyze pinned to zero insights encodes and a stated allocation count.
+store-check:
+	$(GO) test -race ./internal/memo/
+	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob' ./internal/fleet/
+	$(GO) test -race -run 'TestWireSplice|TestWarmAnalyzeNoEncode' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 
 # simulate-check exercises the offload controller under the race
@@ -78,7 +91,7 @@ bench-check:
 # check is the PR gate: static gates first, then build, plain tests,
 # then the race passes, then the benchmark harness's own tests (whose
 # TestSmoke drives all four BENCHMARK.json workloads, traced and untraced).
-check: vet fmt-check build test race serve-check cluster-check simulate-check interp-check analysis-check bench-check
+check: vet fmt-check build test race serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check
 
 # Short smoke runs of every fuzz target (seed corpus always runs under
 # plain `go test`; this adds a bounded mutation pass).

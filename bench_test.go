@@ -149,8 +149,10 @@ func fleetBenchTool(b *testing.B) *Tool {
 // BenchmarkFleetAnalyze compares analyzing the whole click library under
 // the three standard workloads (the analyze-fleet CLI batch, 51 jobs):
 // sequentially via Tool.Analyze, on an 8-worker fleet with a cold cache
-// per batch, and on a long-lived fleet whose cache persists across
-// batches. One op = one full batch.
+// per batch, and on a long-lived fleet whose stores persist across
+// batches. LibraryJobs carry the resolver's setup identities, so from its
+// third batch on the warm case measures result hits — 51 lookups — and
+// no analysis at all. One op = one full batch.
 func BenchmarkFleetAnalyze(b *testing.B) {
 	tool := fleetBenchTool(b)
 	jobs, err := LibraryJobs()

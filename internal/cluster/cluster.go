@@ -239,7 +239,7 @@ type cjob struct {
 // sub-batches, so only workerFailed is shared.
 type batch struct {
 	req     *server.AnalyzeRequest
-	results []json.RawMessage
+	results [][]byte
 	errs    []string
 	// workerFailed sums the workers' X-Clara-Failed-Jobs: per-job errors
 	// that ride inside spliced results the coordinator never opens.
@@ -268,7 +268,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
 	defer cancel()
 
-	b := &batch{req: &req, results: make([]json.RawMessage, len(jobs)), errs: make([]string, len(jobs))}
+	b := &batch{req: &req, results: make([][]byte, len(jobs)), errs: make([]string, len(jobs))}
 	c.dispatch(ctx, jobs, b, nil)
 	if r.Context().Err() != nil {
 		return // client went away; nobody to write to
@@ -296,13 +296,14 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if failed > 0 {
 		w.Header().Set(server.FailedJobsHeader, strconv.Itoa(failed))
 	}
-	server.WriteJSON(w, http.StatusOK, rawResponse{b.results})
+	// The workers' bytes were validated when their replies were split;
+	// they leave as bytes, not through an encoder that would scan them again.
+	server.WriteResults(w, b.results)
 }
 
-// rawResponse is server.AnalyzeResponse with its results left as the
-// bytes they arrived in: what a worker sends and what the coordinator
-// answers.
-type rawResponse struct {
+// workerReply is server.AnalyzeResponse with its results left as the
+// bytes they arrived in.
+type workerReply struct {
 	Results []json.RawMessage `json:"results"`
 }
 
@@ -402,7 +403,7 @@ func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []c
 		fail("worker %s answered %d", w.addr, resp.StatusCode)
 		return false
 	}
-	var reply rawResponse
+	var reply workerReply
 	failed := 0
 	if h := resp.Header.Get(server.FailedJobsHeader); h != "" {
 		failed, err = strconv.Atoi(h)

@@ -50,6 +50,13 @@ type ProfileSetup struct {
 	Setup    func(*interp.Machine) error
 	LPMTable []interp.Route
 	Seed     uint64
+	// ID names what Setup and LPMTable do, for callers that memoise on a
+	// ProfileSetup (a func cannot be compared): two setups with the same
+	// non-empty ID must seed the same state and routes. The request
+	// resolver stamps the library element's name; a setup built anywhere
+	// else leaves it empty, which means "do not memoise" whenever Setup or
+	// LPMTable is set. Profiling itself never reads it.
+	ID string
 }
 
 // ProfileOnHost executes n workload packets through the NF with

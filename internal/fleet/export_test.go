@@ -11,3 +11,8 @@ import (
 func (f *Fleet) setCacheCap(n int) {
 	f.cache = memo.New[predKey, *core.ModulePrediction](n)
 }
+
+// setResultCap does the same for the result store.
+func (f *Fleet) setResultCap(n int) {
+	f.results = memo.New[resultKey, *analysed](n)
+}

@@ -1,18 +1,19 @@
 // Package fleet runs Clara's analysis over batches of (NF, workload)
 // jobs: a bounded worker pool executes core.Clara analyses concurrently,
 // a memoizing cache shares each module's §3 prediction across every
-// workload it is analyzed under, and per-stage metrics (jobs completed,
-// cache hits/misses, per-analysis wall-time histogram) are exposed as a
-// Stats snapshot.
+// workload it is analyzed under, a second one answers a repeated job with
+// the Insights it was answered with before, and per-stage metrics (jobs
+// completed, cache hits/misses, per-analysis wall-time histogram) are
+// exposed as a Stats snapshot.
 //
 // The trained models (Predictor, AlgoIdentifier, ScaleoutModel) are
 // shared read-only across workers — after training they are never
 // mutated, and every per-job mutable structure (interpreter machines,
 // host profiles, traffic generators) is created per analysis. The only
-// shared mutable state the fleet adds, the prediction cache and the
-// metrics, is guarded internally, so Run is safe to call with any worker
-// count and its results are deterministic: result i always corresponds
-// to job i, and analysis output is a pure function of the job.
+// shared mutable state the fleet adds, the two stores and the metrics, is
+// guarded internally, so Run is safe to call with any worker count and
+// its results are deterministic: result i always corresponds to job i,
+// and analysis output is a pure function of the job.
 package fleet
 
 import (
@@ -57,14 +58,20 @@ func (j Job) label() string {
 type Result struct {
 	Name     string
 	Workload string
+	// Insights may be shared with other Results — the result store answers
+	// a repeated job with the Insights it already holds, as the prediction
+	// inside them has always been shared — and are read-only.
 	Insights *core.Insights
 	Err      error
 	// Elapsed is this analysis' wall time (prediction + profiling +
-	// placement + scale-out).
+	// placement + scale-out, or the two lookups of a result hit).
 	Elapsed time.Duration
 	// CacheHit records whether the §3 prediction was served from the
 	// fleet cache rather than recomputed.
 	CacheHit bool
+	// ResultHit records that the whole analysis was served from the
+	// result store: nothing was profiled, linted or placed for this job.
+	ResultHit bool
 	// Panicked reports that the analysis panicked; Err then carries the
 	// panic value and a stack snippet. The panic is confined to this job —
 	// the rest of the batch is unaffected.
@@ -77,6 +84,10 @@ type Result struct {
 	// PayloadKeyedStructs counts stateful structures keyed by
 	// payload-derived values (ineligible for a header-only fast path).
 	PayloadKeyedStructs int
+
+	// analysed is what Insights, Lint and the payload counts were read
+	// from; it carries the lazily encoded wire form (EncodedInsights).
+	analysed *analysed
 }
 
 // Config sizes a Fleet.
@@ -93,13 +104,15 @@ func (c Config) norm() Config {
 }
 
 // Fleet analyzes job batches against one trained Clara tool. The
-// prediction cache persists across Run calls, so long-lived fleets
-// amortize prediction cost over every batch they serve.
+// prediction and result stores persist across Run calls, so long-lived
+// fleets amortize prediction cost over every batch they serve and answer
+// a repeated job with two lookups.
 type Fleet struct {
-	tool  *core.Clara
-	cfg   Config
-	cache *memo.Store[predKey, *core.ModulePrediction]
-	stats *collector
+	tool    *core.Clara
+	cfg     Config
+	cache   *memo.Store[predKey, *core.ModulePrediction]
+	results *memo.Store[resultKey, *analysed]
+	stats   *collector
 }
 
 // New builds a fleet around a trained tool.
@@ -109,10 +122,11 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 	}
 	cfg = cfg.norm()
 	return &Fleet{
-		tool:  tool,
-		cfg:   cfg,
-		cache: memo.New[predKey, *core.ModulePrediction](predCacheCap),
-		stats: newCollector(),
+		tool:    tool,
+		cfg:     cfg,
+		cache:   memo.New[predKey, *core.ModulePrediction](predCacheCap),
+		results: memo.New[resultKey, *analysed](resultCacheCap),
+		stats:   newCollector(),
 	}, nil
 }
 
@@ -127,8 +141,8 @@ func (f *Fleet) Workers() int { return f.cfg.Workers }
 // can lead the job counters by that many and never trail them.
 func (f *Fleet) Stats() Stats {
 	s := f.stats.snapshot()
-	c := f.cache.Counts()
-	s.CacheHits, s.CacheMisses, s.CacheEvictions = c.Hits, c.Misses, c.Evictions
+	s.Predictions, s.Results = f.cache.Stats(), f.results.Stats()
+	s.CacheHits, s.CacheMisses, s.CacheEvictions = s.Predictions.Hits, s.Predictions.Misses, s.Predictions.Evictions
 	return s
 }
 
@@ -152,13 +166,27 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 		}
 	}
 	results := make([]Result, len(jobs))
+	start := time.Now() //claravet:allow metrics only: feeds Stats.Wall, not any result
+	if len(jobs) == 1 && ctx.Err() == nil {
+		// A one-job batch — every single-NF request a server gets — runs on
+		// the caller's goroutine: analyze confines its own panics, and a
+		// channel, a goroutine and a wakeup cost more than a result hit.
+		results[0] = f.analyze(ctx, jobs[0])
+	} else {
+		f.runPool(ctx, jobs, results)
+	}
+	f.stats.addWall(time.Since(start))
+	return results, ctx.Err()
+}
+
+// runPool spreads jobs over the worker pool, filling results in job order.
+func (f *Fleet) runPool(ctx context.Context, jobs []Job, results []Result) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	workers := f.cfg.Workers
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	start := time.Now() //claravet:allow metrics only: feeds Stats.Wall, not any result
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -184,46 +212,72 @@ dispatch:
 	}
 	close(idx)
 	wg.Wait()
-	f.stats.addWall(time.Since(start))
-	return results, ctx.Err()
 }
 
-// analyze runs one job: prediction via the cache, then the
-// workload-dependent analyses. A panic anywhere in the analysis is
-// confined to this job's Result — one poisoned NF must not take down the
-// batch (or, in serving mode, the process).
+// analyze runs one job: the §3 prediction via its store, then the
+// workload-dependent analyses — or, for a module this fleet has predicted
+// before, the stored outcome of an identical job. A panic anywhere in the
+// analysis is confined to this job's Result — one poisoned NF must not
+// take down the batch (or, in serving mode, the process).
+//
+// Every job makes exactly one prediction lookup, and only a job whose
+// lookup hit goes on to the result store. That is the store's admission
+// rule: a module's first job computes and keeps nothing, so a stream of
+// never-seen source cannot fill the store with replies nobody asks for
+// again (keeping all of them cost unique-src +30 % peak RSS), and a
+// repeated job pays for one extra analysis before it becomes a lookup.
 func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 	start := time.Now() //claravet:allow metrics only: feeds Result.Elapsed, not the analysis
 	res = Result{Name: j.label(), Workload: j.WL.Name}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Panicked = true
-			res.Insights = nil
 			res.Err = fmt.Errorf("fleet: job %q panicked: %v\n%s", res.Name, r, stackSnippet())
 		}
 		res.Elapsed = time.Since(start)
 		f.stats.record(res)
 	}()
 
-	mp, hit, err := f.cache.Get(predKey{ir.Fingerprint(j.Mod), j.Accel}, func() (*core.ModulePrediction, error) {
+	pk := predKey{ir.Fingerprint(j.Mod), j.Accel}
+	mp, hit, err := f.cache.Get(ctx, pk, func() (*core.ModulePrediction, error) {
 		return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
 	})
 	res.CacheHit = hit
-	if err == nil {
-		res.Insights, err = f.tool.AnalyzeWithPredictionContext(ctx, j.Mod, j.PS, j.WL, mp)
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	if res.Insights != nil {
-		res.Lint = analysis.Summarize(res.Insights.Diagnostics)
-		if sp := res.Insights.StateProfile; sp != nil {
-			res.PayloadLoops = sp.PayloadLoops()
-			for _, s := range sp.Structs {
-				if s.PayloadKeyed {
-					res.PayloadKeyedStructs++
-				}
-			}
+	compute := func() (*analysed, error) {
+		ins, err := f.tool.AnalyzeWithPredictionContext(ctx, j.Mod, j.PS, j.WL, mp)
+		if err != nil {
+			return nil, err
 		}
+		return newAnalysed(ins), nil
 	}
-	res.Err = err
+	var a *analysed
+	if hit && memoisable(j.PS) {
+		led := false
+		a, res.ResultHit, err = f.results.Get(ctx, resultKey{pk, j.WL, j.PS.Seed, j.PS.ID}, func() (*analysed, error) {
+			led = true
+			return compute()
+		})
+		if err != nil && !led {
+			// The computation this job waited on was canceled, timed out or
+			// panicked under another request's context — or this job's own
+			// context ended the wait. None of that is this job's outcome:
+			// it computes for itself, under its own context, keeping nothing.
+			a, err = compute()
+		}
+	} else {
+		a, err = compute()
+	}
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	res.analysed = a
+	res.Insights, res.Lint = a.ins, a.lint
+	res.PayloadLoops, res.PayloadKeyedStructs = a.payloadLoops, a.payloadKeyedStructs
 	return res
 }
 

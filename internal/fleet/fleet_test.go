@@ -217,7 +217,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mp, hit, err := c.Get(predKey{hash: ir.Fingerprint(mod)}, compute)
+			mp, hit, err := c.Get(context.Background(), predKey{hash: ir.Fingerprint(mod)}, compute)
 			if err != nil || mp == nil {
 				t.Errorf("Get: mp=%v err=%v", mp, err)
 			}
@@ -232,7 +232,7 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 
 	// Distinct accel configs are distinct keys.
-	_, hit, _ := c.Get(predKey{ir.Fingerprint(mod), niccc.AccelConfig{CRCEngine: true}}, compute)
+	_, hit, _ := c.Get(context.Background(), predKey{ir.Fingerprint(mod), niccc.AccelConfig{CRCEngine: true}}, compute)
 	if hit || calls.Load() != 2 {
 		t.Errorf("accel variant: hit=%v calls=%d, want miss and 2", hit, calls.Load())
 	}
@@ -404,10 +404,10 @@ func TestCacheContentHash(t *testing.T) {
 		calls++
 		return &core.ModulePrediction{Name: "x"}, nil
 	}
-	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(m1)}, compute); hit {
+	if _, hit, _ := c.Get(context.Background(), predKey{hash: ir.Fingerprint(m1)}, compute); hit {
 		t.Error("first request hit")
 	}
-	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(m2)}, compute); !hit {
+	if _, hit, _ := c.Get(context.Background(), predKey{hash: ir.Fingerprint(m2)}, compute); !hit {
 		t.Error("identical resubmitted source missed the cache")
 	}
 	if calls != 1 {
@@ -417,7 +417,7 @@ func TestCacheContentHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(other)}, compute); hit {
+	if _, hit, _ := c.Get(context.Background(), predKey{hash: ir.Fingerprint(other)}, compute); hit {
 		t.Error("different source hit")
 	}
 	if c.Len() != 2 {
@@ -573,7 +573,7 @@ func TestCacheInFlightEviction(t *testing.T) {
 		wg.Add(1)
 		go func(i int, n string) {
 			defer wg.Done()
-			got[i], _, _ = c.Get(predKey{hash: ir.Fingerprint(click.Get(n).MustModule())}, func() (*core.ModulePrediction, error) {
+			got[i], _, _ = c.Get(context.Background(), predKey{hash: ir.Fingerprint(click.Get(n).MustModule())}, func() (*core.ModulePrediction, error) {
 				close(started)
 				<-release
 				return &core.ModulePrediction{Name: n}, nil
@@ -595,7 +595,7 @@ func TestCacheInFlightEviction(t *testing.T) {
 		}
 	}
 	calls := 0
-	if _, hit, _ := c.Get(predKey{hash: ir.Fingerprint(click.Get(names[0]).MustModule())}, func() (*core.ModulePrediction, error) {
+	if _, hit, _ := c.Get(context.Background(), predKey{hash: ir.Fingerprint(click.Get(names[0]).MustModule())}, func() (*core.ModulePrediction, error) {
 		calls++
 		return &core.ModulePrediction{}, nil
 	}); hit || calls != 1 {

@@ -7,11 +7,15 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"clara/internal/memo"
 )
 
 // histBounds are the upper bounds of the per-analysis wall-time
 // histogram buckets; the final implicit bucket is +Inf.
 var histBounds = []time.Duration{
+	10 * time.Microsecond, // a result hit is a few µs
+	100 * time.Microsecond,
 	500 * time.Microsecond,
 	time.Millisecond,
 	2 * time.Millisecond,
@@ -86,6 +90,14 @@ type Stats struct {
 	// the cap is smaller than the working set (each eviction is a future
 	// recompute), which in cluster mode reads as poor per-worker locality.
 	CacheEvictions int64
+	// Predictions and Results are the two stores' own reports: lifetime
+	// hits, misses and evictions, and entries resident now. CacheHits,
+	// CacheMisses and CacheEvictions above repeat Predictions' counters
+	// under the names they have always had. Only jobs whose prediction
+	// lookup hit consult the result store, so Results' lookups are a subset
+	// of Predictions' hits.
+	Predictions memo.Stats
+	Results     memo.Stats
 	// Prewarmed is always 0: every prediction is computed by the job that
 	// first asks for it. The field stays because the benchmark harness
 	// (bench/doors.go) reads it.

@@ -23,8 +23,11 @@ func Summary(results []Result) string {
 			continue
 		}
 		ins := r.Insights
-		cache := "miss"
-		if r.CacheHit {
+		cache := "miss" // which store answered: neither, the §3 prediction's, the whole job's
+		switch {
+		case r.ResultHit:
+			cache = "result"
+		case r.CacheHit:
 			cache = "hit"
 		}
 		fmt.Fprintf(w, "%s\t%s\t%.1f\t%d\t%d\t%s\t%d\t%s\t%d\t%s\t%s\t%s\n",

@@ -36,6 +36,7 @@
 package interp
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math/bits"
@@ -305,10 +306,14 @@ type compiled struct {
 	err  error
 }
 
+// ProgramStoreStats reports the compiled-program store's counters, for
+// /metrics. The store is the process's, not one fleet's.
+func ProgramStoreStats() memo.Stats { return programs.Stats() }
+
 // programFor returns mod's compiled program. Concurrent first requests
 // for one module share a single compile.
 func programFor(mod *ir.Module) (*program, error) {
-	c, _, err := programs.Get(ir.Fingerprint(mod), func() (compiled, error) {
+	c, _, err := programs.Get(context.Background(), ir.Fingerprint(mod), func() (compiled, error) {
 		prog, err := compileModule(mod)
 		return compiled{prog, err}, nil
 	})

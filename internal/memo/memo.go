@@ -6,6 +6,7 @@ package memo
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -61,13 +62,23 @@ func New[K comparable, V any](cap int) *Store[K, V] {
 // failed computation is not retained, so the next Get of k computes
 // again. Going over the cap evicts the least recently used entry, in
 // flight or not.
-func (s *Store[K, V]) Get(k K, compute func() (V, error)) (v V, hit bool, err error) {
+//
+// ctx bounds only the wait: a waiter whose ctx ends before the leader
+// finishes returns ctx.Err() — a miss, the entry untouched. compute is
+// never interrupted by Get; one that should stop observes a context of
+// its own.
+func (s *Store[K, V]) Get(ctx context.Context, k K, compute func() (V, error)) (v V, hit bool, err error) {
 	s.mu.Lock()
 	if el, ok := s.m[k]; ok {
 		s.lru.MoveToFront(el)
 		e := el.Value.(*entry[K, V])
 		s.mu.Unlock()
-		<-e.ready
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			s.misses.Add(1)
+			return v, false, ctx.Err()
+		}
 		if e.err != nil {
 			s.misses.Add(1)
 			return v, false, e.err
@@ -118,4 +129,16 @@ func (s *Store[K, V]) Len() int {
 // Counts returns the lifetime counters.
 func (s *Store[K, V]) Counts() Counts {
 	return Counts{Hits: s.hits.Load(), Misses: s.misses.Load(), Evictions: s.evictions.Load()}
+}
+
+// Stats is what a store reports about itself: the lifetime counters and
+// how many entries are resident now.
+type Stats struct {
+	Counts
+	Resident int
+}
+
+// Stats returns the counters and the resident count.
+func (s *Store[K, V]) Stats() Stats {
+	return Stats{Counts: s.Counts(), Resident: s.Len()}
 }

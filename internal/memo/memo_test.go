@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func (s *Store[K, V]) front() K {
 // the front and then waits for k to take its place: an event, not a sleep.
 func attach(t *testing.T, s *Store[string, int], k, park string, wg *sync.WaitGroup, get func()) {
 	t.Helper()
-	if _, hit, err := s.Get(park, nil); !hit || err != nil {
+	if _, hit, err := s.Get(context.Background(), park, nil); !hit || err != nil {
 		t.Fatalf("park key %q not resident: hit=%v err=%v", park, hit, err)
 	}
 	wg.Add(1)
@@ -49,7 +50,7 @@ func blockedLeader(s *Store[string, int], k string, release <-chan struct{}, wg 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got(s.Get(k, func() (int, error) {
+		got(s.Get(context.Background(), k, func() (int, error) {
 			close(started)
 			<-release
 			return finish()
@@ -70,7 +71,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := s.Get("k", func() (int, error) {
+			v, hit, err := s.Get(context.Background(), "k", func() (int, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -102,7 +103,7 @@ func TestSingleflight(t *testing.T) {
 // computes again.
 func TestLeaderError(t *testing.T) {
 	s := New[string, int](8)
-	s.Get("park", constant(0))
+	s.Get(context.Background(), "park", constant(0))
 	boom := errors.New("leader failed")
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -116,7 +117,7 @@ func TestLeaderError(t *testing.T) {
 	const waiters = 8
 	for i := 0; i < waiters; i++ {
 		attach(t, s, "k", "park", &wg, func() {
-			_, hit, err := s.Get("k", func() (int, error) {
+			_, hit, err := s.Get(context.Background(), "k", func() (int, error) {
 				t.Error("attached waiter ran its own compute")
 				return 0, nil
 			})
@@ -134,10 +135,10 @@ func TestLeaderError(t *testing.T) {
 	if c := s.Counts(); c != (Counts{Hits: waiters, Misses: 2 + waiters}) {
 		t.Errorf("counts %+v", c)
 	}
-	if v, hit, err := s.Get("k", constant(3)); v != 3 || hit || err != nil {
+	if v, hit, err := s.Get(context.Background(), "k", constant(3)); v != 3 || hit || err != nil {
 		t.Errorf("after failure: %d hit=%v err=%v; want a recompute", v, hit, err)
 	}
-	if v, hit, err := s.Get("k", nil); v != 3 || !hit || err != nil {
+	if v, hit, err := s.Get(context.Background(), "k", nil); v != 3 || !hit || err != nil {
 		t.Errorf("completed entry: %d hit=%v err=%v; want a hit", v, hit, err)
 	}
 }
@@ -146,7 +147,7 @@ func TestLeaderError(t *testing.T) {
 // ErrPanicked instead of blocking forever, and the key is not poisoned.
 func TestLeaderPanic(t *testing.T) {
 	s := New[string, int](8)
-	s.Get("park", constant(0))
+	s.Get(context.Background(), "park", constant(0))
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
@@ -158,7 +159,7 @@ func TestLeaderPanic(t *testing.T) {
 				t.Errorf("leader recovered %v, want the compute's panic", r)
 			}
 		}()
-		s.Get("k", func() (int, error) {
+		s.Get(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			panic("compute exploded")
@@ -167,7 +168,7 @@ func TestLeaderPanic(t *testing.T) {
 	<-started
 	for i := 0; i < 4; i++ {
 		attach(t, s, "k", "park", &wg, func() {
-			if _, hit, err := s.Get("k", nil); hit || !errors.Is(err, ErrPanicked) {
+			if _, hit, err := s.Get(context.Background(), "k", nil); hit || !errors.Is(err, ErrPanicked) {
 				t.Errorf("waiter: hit=%v err=%v, want miss and ErrPanicked", hit, err)
 			}
 		})
@@ -177,7 +178,7 @@ func TestLeaderPanic(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("panicked entry retained: %d resident, want 1", s.Len())
 	}
-	if v, hit, err := s.Get("k", constant(5)); v != 5 || hit || err != nil {
+	if v, hit, err := s.Get(context.Background(), "k", constant(5)); v != 5 || hit || err != nil {
 		t.Errorf("key poisoned after panic: %d hit=%v err=%v", v, hit, err)
 	}
 }
@@ -208,7 +209,7 @@ func TestInFlightEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if v, hit, err := s.Get("a", nil); v != 10 || !hit || err != nil {
+		if v, hit, err := s.Get(context.Background(), "a", nil); v != 10 || !hit || err != nil {
 			t.Errorf("waiter on evicted entry: %d hit=%v err=%v, want 10 as a hit", v, hit, err)
 		}
 	}()
@@ -223,26 +224,75 @@ func TestInFlightEviction(t *testing.T) {
 	if s.Len() != 2 {
 		t.Errorf("%d resident after the fills, want 2", s.Len())
 	}
-	if v, hit, _ := s.Get("a", constant(99)); v != 99 || hit {
+	if v, hit, _ := s.Get(context.Background(), "a", constant(99)); v != 99 || hit {
 		t.Errorf("evicted key: %d hit=%v, want a recompute", v, hit)
+	}
+}
+
+// TestWaiterContext: a waiter's context bounds its own wait and nothing
+// else. One whose context ends first returns that context's error as a
+// miss, without running compute and without disturbing the entry; the
+// leader finishes, a patient waiter shares its value, and the key stays
+// resident.
+func TestWaiterContext(t *testing.T) {
+	s := New[string, int](8)
+	s.Get(context.Background(), "park", constant(0))
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	blockedLeader(s, "k", release, &wg, constant(7), func(v int, hit bool, err error) {
+		if v != 7 || hit || err != nil {
+			t.Errorf("leader: %d hit=%v err=%v, want 7 as a miss", v, hit, err)
+		}
+	})
+	attach(t, s, "k", "park", &wg, func() {
+		if v, hit, err := s.Get(context.Background(), "k", nil); v != 7 || !hit || err != nil {
+			t.Errorf("patient waiter: %d hit=%v err=%v, want 7 as a hit", v, hit, err)
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan struct{})
+	attach(t, s, "k", "park", &wg, func() {
+		defer close(gone)
+		_, hit, err := s.Get(ctx, "k", func() (int, error) {
+			t.Error("attached waiter ran its own compute")
+			return 0, nil
+		})
+		if hit || !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled waiter: hit=%v err=%v, want a miss with context.Canceled", hit, err)
+		}
+	})
+	cancel()
+	<-gone // returns while the leader is still blocked
+	// Misses: park's fill, the leader, the canceled waiter. Hits: attach
+	// touching park twice.
+	if c := s.Counts(); c != (Counts{Hits: 2, Misses: 3}) {
+		t.Errorf("counts with the leader in flight %+v, want 2 hits, 3 misses", c)
+	}
+	close(release)
+	wg.Wait()
+	if v, hit, err := s.Get(context.Background(), "k", nil); v != 7 || !hit || err != nil {
+		t.Errorf("after the leader: %d hit=%v err=%v, want the entry resident", v, hit, err)
+	}
+	if st := s.Stats(); st.Resident != 2 || st.Counts != (Counts{Hits: 4, Misses: 3}) {
+		t.Errorf("stats %+v, want 2 resident, 4 hits, 3 misses", st)
 	}
 }
 
 func TestLRUOrder(t *testing.T) {
 	s := New[string, int](2)
-	s.Get("a", constant(1))
-	s.Get("b", constant(2))
-	if _, hit, _ := s.Get("a", nil); !hit {
+	s.Get(context.Background(), "a", constant(1))
+	s.Get(context.Background(), "b", constant(2))
+	if _, hit, _ := s.Get(context.Background(), "a", nil); !hit {
 		t.Fatal("resident entry missed")
 	}
-	s.Get("c", constant(3))
+	s.Get(context.Background(), "c", constant(3))
 	if s.Len() != 2 {
 		t.Fatalf("%d resident, want cap 2", s.Len())
 	}
-	if _, hit, _ := s.Get("a", nil); !hit {
+	if _, hit, _ := s.Get(context.Background(), "a", nil); !hit {
 		t.Error("touched entry was evicted")
 	}
-	if _, hit, _ := s.Get("b", constant(2)); hit {
+	if _, hit, _ := s.Get(context.Background(), "b", constant(2)); hit {
 		t.Error("untouched entry survived past the cap")
 	}
 }
@@ -259,9 +309,9 @@ func TestWarmGetZeroAllocs(t *testing.T) {
 	s := New[key, *int](4)
 	k := key{hash: [32]byte{1, 2, 3}}
 	x := 42
-	s.Get(k, func() (*int, error) { return &x, nil })
+	s.Get(context.Background(), k, func() (*int, error) { return &x, nil })
 	allocs := testing.AllocsPerRun(1000, func() {
-		if v, hit, err := s.Get(k, func() (*int, error) { return &x, nil }); !hit || err != nil || *v != 42 {
+		if v, hit, err := s.Get(context.Background(), k, func() (*int, error) { return &x, nil }); !hit || err != nil || *v != 42 {
 			t.Fatalf("warm Get: hit=%v err=%v", hit, err)
 		}
 	})

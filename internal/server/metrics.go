@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"clara/internal/fleet"
+	"clara/internal/interp"
+	"clara/internal/memo"
+	"clara/internal/traffic"
 )
 
 // statusClientClosed marks requests whose client disconnected before a
@@ -74,6 +77,22 @@ type FleetStats struct {
 	AnalysisLatency     HistogramJSON `json:"analysis_latency"`
 }
 
+// StoreStats is the /metrics rendering of one keyed store (memo.Stats).
+type StoreStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Resident  int   `json:"resident"`
+}
+
+func storeJSON(s memo.Stats) StoreStats {
+	return StoreStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Resident: s.Resident}
+}
+
+func (a StoreStats) plus(b StoreStats) StoreStats {
+	return StoreStats{a.Hits + b.Hits, a.Misses + b.Misses, a.Evictions + b.Evictions, a.Resident + b.Resident}
+}
+
 // ModelStats is the /metrics rendering of the served model's
 // provenance: whether the server has a model at all (false while a
 // Train-configured server is still in its startup training run), where
@@ -103,6 +122,18 @@ type MetricsSnapshot struct {
 	// Fleet is the analysis pool's lifetime stats (per-job, not
 	// per-request: one batch request contributes many jobs).
 	Fleet FleetStats `json:"fleet"`
+	// Stores reports every keyed store on one schema, so "which store
+	// answered" reads off one place: the fleet's §3 predictions and whole
+	// results (a result hit is a job that ran no analysis at all; only
+	// jobs whose prediction lookup hit consult that store), and the
+	// process-wide compiled programs and traffic traces, which servers
+	// sharing a process also share and each report in full.
+	Stores struct {
+		Prediction StoreStats `json:"prediction"`
+		Result     StoreStats `json:"result"`
+		Program    StoreStats `json:"program"`
+		Trace      StoreStats `json:"trace"`
+	} `json:"stores"`
 }
 
 // metrics accumulates per-route counters and latency histograms.
@@ -187,11 +218,15 @@ func (m *metrics) snapshot(fs fleet.Stats, queueDepth, queueCap int) MetricsSnap
 		PayloadKeyedStructs: fs.PayloadKeyedStructs,
 		AnalysisLatency:     histJSON(fs.Analyses),
 	}
+	out.Stores.Prediction = storeJSON(fs.Predictions)
+	out.Stores.Result = storeJSON(fs.Results)
+	out.Stores.Program = storeJSON(interp.ProgramStoreStats())
+	out.Stores.Trace = storeJSON(traffic.TraceStoreStats())
 	return out
 }
 
 // MergeSnapshots folds per-worker /metrics snapshots into one
-// cluster-wide view: route counters and fleet counters sum, latency
+// cluster-wide view: route, fleet and store counters sum, latency
 // histograms merge bucket-wise (workers share HistCollector's fixed
 // bounds), queue depth/capacity add across workers, and the model is
 // Ready only when every worker's is. Uptime is the minimum across
@@ -241,6 +276,10 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 		out.Queue.Depth += s.Queue.Depth
 		out.Queue.Capacity += s.Queue.Capacity
 		out.Fleet = mergeFleet(out.Fleet, s.Fleet)
+		out.Stores.Prediction = out.Stores.Prediction.plus(s.Stores.Prediction)
+		out.Stores.Result = out.Stores.Result.plus(s.Stores.Result)
+		out.Stores.Program = out.Stores.Program.plus(s.Stores.Program)
+		out.Stores.Trace = out.Stores.Trace.plus(s.Stores.Trace)
 	}
 	total := out.Fleet.CacheHits + out.Fleet.CacheMisses
 	if total > 0 {

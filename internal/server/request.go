@@ -56,7 +56,9 @@ func element(name string) (*click.Element, error) {
 }
 
 // ElementJob builds the job that analyzes a library element under wl,
-// seeding its state the way the element declares.
+// seeding its state the way the element declares. The element's name is
+// the setup's identity: it is what lets the fleet's result store tell this
+// job from another element's, and answer it again from memory.
 func ElementJob(name string, wl traffic.Spec) (fleet.Job, error) {
 	e, err := element(name)
 	if err != nil {
@@ -69,7 +71,7 @@ func ElementJob(name string, wl traffic.Spec) (fleet.Job, error) {
 	return fleet.Job{
 		Name: e.Name,
 		Mod:  mod,
-		PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes},
+		PS:   core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes, ID: e.Name},
 		WL:   wl,
 	}, nil
 }
@@ -79,6 +81,9 @@ func (r *AnalyzeRequest) Jobs() ([]fleet.Job, error) {
 	wl, err := traffic.Standard(r.Workload)
 	if err != nil {
 		return nil, err
+	}
+	if r.TimeoutMs < 0 {
+		return nil, fmt.Errorf("timeout_ms must not be negative (got %d)", r.TimeoutMs)
 	}
 	selectors := 0
 	for _, set := range []bool{r.NF != "", len(r.NFs) > 0, r.Src != ""} {

@@ -28,6 +28,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -85,7 +86,10 @@ type Config struct {
 
 	// JobHook, when set, is applied to every job built from a request —
 	// a seam for injecting slow or panicking analyses (used by the
-	// server's and the cluster coordinator's failure-mode tests).
+	// server's and the cluster coordinator's failure-mode tests). A hook
+	// that changes what a job's Setup does must replace the whole
+	// ProfileSetup, dropping the resolver's ID with it: a job that keeps
+	// an element's ID is answered from the result store as that element.
 	JobHook func(j *fleet.Job)
 }
 
@@ -302,19 +306,57 @@ func (d *drainGate) close() {
 	d.mu.Unlock()
 }
 
-// AnalyzeResult is one job's JSON outcome.
+// AnalyzeResult is one job's JSON outcome, as clients decode it. The
+// server writes the same members in the same order, but never encodes
+// Insights through this struct (see resultJSON).
 type AnalyzeResult struct {
-	Name      string         `json:"name"`
-	Workload  string         `json:"workload"`
-	Insights  *core.Insights `json:"insights,omitempty"`
-	Error     string         `json:"error,omitempty"`
-	Panicked  bool           `json:"panicked,omitempty"`
+	Name     string `json:"name"`
+	Workload string `json:"workload"`
+	Error    string `json:"error,omitempty"`
+	Panicked bool   `json:"panicked,omitempty"`
+	// CacheHit says the §3 prediction came from the fleet's store;
+	// ResultHit that the whole analysis did.
 	CacheHit  bool           `json:"cache_hit"`
+	ResultHit bool           `json:"result_hit,omitempty"`
 	ElapsedMs float64        `json:"elapsed_ms"`
+	Insights  *core.Insights `json:"insights,omitempty"`
 }
 
 type AnalyzeResponse struct {
 	Results []AnalyzeResult `json:"results"`
+}
+
+// encodeInsights is the one insights encoder. A variable so that a test
+// can count its calls: a result hit must make none.
+var encodeInsights = func(ins *core.Insights) ([]byte, error) { return json.Marshal(ins) }
+
+// resultJSON renders one job's result object: AnalyzeResult's small
+// members through the encoder (so names and error texts are escaped by
+// it), then the insights — encoded once per stored analysis, not once per
+// reply — spliced in as the last member.
+func resultJSON(res *fleet.Result) ([]byte, error) {
+	head := AnalyzeResult{
+		Name:      res.Name,
+		Workload:  res.Workload,
+		Panicked:  res.Panicked,
+		CacheHit:  res.CacheHit,
+		ResultHit: res.ResultHit,
+		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
+	}
+	if res.Err != nil {
+		head.Error = res.Err.Error()
+	}
+	out, err := json.Marshal(head)
+	if err != nil {
+		return nil, err
+	}
+	ins, err := res.EncodedInsights(encodeInsights)
+	if err != nil || ins == nil {
+		return out, err
+	}
+	out = append(out[:len(out)-1], `,"insights":`...)
+	out = append(out, ins...)
+	return append(out, '}'), nil
 }
 
 // observed runs a handler — which returns the status it answered — and
@@ -388,22 +430,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 		return WriteError(w, http.StatusInternalServerError, runErr.Error())
 	}
 
-	resp := AnalyzeResponse{Results: make([]AnalyzeResult, len(results))}
+	out := make([][]byte, len(results))
 	failed := 0
-	for i, res := range results {
-		out := AnalyzeResult{
-			Name:      res.Name,
-			Workload:  res.Workload,
-			Insights:  res.Insights,
-			CacheHit:  res.CacheHit,
-			Panicked:  res.Panicked,
-			ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-		}
-		if res.Err != nil {
-			out.Error = res.Err.Error()
+	for i := range results {
+		if results[i].Err != nil {
 			failed++
 		}
-		resp.Results[i] = out
+		var err error
+		if out[i], err = resultJSON(&results[i]); err != nil {
+			return WriteError(w, http.StatusInternalServerError, err.Error())
+		}
 	}
 	// A batch with failed jobs is still a delivered batch: per-job errors
 	// ride in the results and the count in X-Clara-Failed-Jobs. Answering
@@ -413,7 +449,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 	if failed > 0 {
 		w.Header().Set(FailedJobsHeader, strconv.Itoa(failed))
 	}
-	return WriteJSON(w, http.StatusOK, resp)
+	return WriteResults(w, out)
 }
 
 // FailedJobsHeader carries the number of jobs in a 200 batch response

@@ -523,6 +523,10 @@ func TestMergeSnapshots(t *testing.T) {
 			JobsCompleted: 9, JobsFailed: 1,
 			CacheHits: hits, CacheMisses: misses, CacheEvictions: 2,
 		}
+		s.Stores.Prediction = StoreStats{Hits: hits, Misses: misses, Evictions: 2, Resident: 5}
+		s.Stores.Result = StoreStats{Hits: 3, Misses: 1, Resident: 1}
+		s.Stores.Program = StoreStats{Misses: 7, Resident: 7}
+		s.Stores.Trace = StoreStats{Hits: 9, Misses: 3, Resident: 3}
 		return s
 	}
 	a := mk(100, 6, 4, true, "aaaa")
@@ -550,6 +554,14 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if !m.Model.Ready || m.Model.Hash != "aaaa" {
 		t.Errorf("merged model: %+v", m.Model)
+	}
+	wantStores := a.Stores
+	wantStores.Prediction = StoreStats{Hits: 8, Misses: 12, Evictions: 4, Resident: 10}
+	wantStores.Result = StoreStats{Hits: 6, Misses: 2, Resident: 2}
+	wantStores.Program = StoreStats{Misses: 14, Resident: 14}
+	wantStores.Trace = StoreStats{Hits: 18, Misses: 6, Resident: 6}
+	if m.Stores != wantStores {
+		t.Errorf("merged stores: %+v, want %+v", m.Stores, wantStores)
 	}
 
 	// One unready worker makes the cluster unready; skewed hashes flag.
@@ -604,6 +616,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Fleet.JobsCompleted != 2 || snap.Fleet.AnalysisLatency.N != 2 {
 		t.Errorf("fleet jobs: %+v", snap.Fleet)
+	}
+	// Every store on one schema. The second request's prediction hit took
+	// it to the result store, where it missed and was kept; the program
+	// and trace stores are the process's, so other tests' lookups are in
+	// them too.
+	if want := (StoreStats{Hits: 1, Misses: 1, Resident: 1}); snap.Stores.Prediction != want {
+		t.Errorf("prediction store: %+v, want %+v", snap.Stores.Prediction, want)
+	}
+	if want := (StoreStats{Misses: 1, Resident: 1}); snap.Stores.Result != want {
+		t.Errorf("result store: %+v, want %+v", snap.Stores.Result, want)
+	}
+	if snap.Stores.Program.Resident < 1 || snap.Stores.Trace.Hits+snap.Stores.Trace.Misses < 2 {
+		t.Errorf("process stores: program %+v, trace %+v", snap.Stores.Program, snap.Stores.Trace)
+	}
+	for _, key := range []string{`"stores":{"prediction":{"hits":1,"misses":1,"evictions":0,"resident":1}`, `"result":{`, `"program":{`, `"trace":{`} {
+		if !strings.Contains(rec.Body.String(), key) {
+			t.Errorf("/metrics lacks %s", key)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -15,13 +16,24 @@ import (
 // maxBodyBytes bounds request bodies; NFC sources are small programs.
 const maxBodyBytes = 1 << 20
 
-// DecodeBody parses a JSON request body, refusing unknown fields and
-// anything over maxBodyBytes. The error text is the 400 reply.
+// DecodeBody parses a JSON request body, refusing unknown fields, anything
+// after the one value and anything over maxBodyBytes. The error text is
+// the 400 reply.
 func DecodeBody(w http.ResponseWriter, r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(into)
 	var tooLarge *http.MaxBytesError
+	err := dec.Decode(into)
+	if err == nil {
+		// A second value, or garbage, after the first is a malformed
+		// request, not one to answer as if it ended where it parsed.
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+			if errors.As(more, &tooLarge) {
+				err = more
+			}
+		}
+	}
 	switch {
 	case errors.As(err, &tooLarge):
 		return fmt.Errorf("request body too large (limit %d bytes)", tooLarge.Limit)
@@ -43,6 +55,32 @@ func WriteJSON(w http.ResponseWriter, status int, v any) int {
 // WriteError writes the {"error": msg} reply every failure uses.
 func WriteError(w http.ResponseWriter, status int, msg string) int {
 	return WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// WriteResults writes the analyze reply {"results":[…]} around result
+// objects that are already JSON — the server's headers spliced around
+// stored insights, the coordinator's worker bytes — without handing them
+// to an encoder, which would re-scan every byte to validate and compact
+// what was valid and compact when it was stored.
+func WriteResults(w http.ResponseWriter, results [][]byte) int {
+	const open, sep, end = `{"results":[`, ",", "]}\n"
+	n := len(open) + len(end) + len(results)*len(sep)
+	for _, r := range results {
+		n += len(r)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, open...)
+	for i, r := range results {
+		if i > 0 {
+			buf = append(buf, sep...)
+		}
+		buf = append(buf, r...)
+	}
+	buf = append(buf, end...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf) //nolint:errcheck // the client may already be gone
+	return http.StatusOK
 }
 
 // ListenAndDrain serves h on addr until ctx is canceled, then runs drain

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"sync"
 
 	"clara/internal/memo"
@@ -20,6 +21,10 @@ import (
 // unbounded stream of distinct workloads.
 var traces = memo.New[Spec, *traceEntry](16)
 
+// TraceStoreStats reports the trace store's counters, for /metrics. The
+// store is the process's, not one fleet's.
+func TraceStoreStats() memo.Stats { return traces.Stats() }
+
 // traceEntry caches one spec's generator together with the packets drawn
 // from it so far; requests longer than any previous one extend the trace
 // by drawing more packets from the retained generator.
@@ -36,7 +41,7 @@ type traceEntry struct {
 // independent cursor.
 func Replay(spec Spec, n int) (*Replayer, error) {
 	// A spec NewGenerator refuses is not retained.
-	e, _, err := traces.Get(spec, func() (*traceEntry, error) {
+	e, _, err := traces.Get(context.Background(), spec, func() (*traceEntry, error) {
 		gen, err := NewGenerator(spec)
 		if err != nil {
 			return nil, err

@@ -35,9 +35,12 @@ serve-check:
 
 # cluster-check exercises the coordinator/worker layer end to end under
 # the race detector: content-hash routing, worker death mid-batch with
-# single retry, probe-driven rejoin, merged metrics.
+# single retry, probe-driven rejoin, merged metrics — and the reply's
+# writer and cutter together (WriteResults / SplitResults, one validation
+# scan per forwarded result).
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
+	$(GO) test -race -run 'TestWireSplice|TestHopOneScan' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 
 # store-check holds the keyed stores to their contracts under the race
@@ -103,6 +106,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTaint -fuzztime=20s ./internal/analysis/
 	$(GO) test -run=^$$ -fuzz=FuzzSimulate -fuzztime=10s ./internal/offload/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledExec -fuzztime=20s ./internal/interp/
+	$(GO) test -run=^$$ -fuzz=FuzzSplitResults -fuzztime=10s ./internal/server/
 
 bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .

@@ -11,8 +11,11 @@
 // analysis. It resolves a request with the workers' own resolver
 // (server.AnalyzeRequest.Jobs, so both doors reject the same input with
 // the same words), splits the batch into per-worker sub-batches, fans
-// them out concurrently, and splices the workers' per-job results —
-// verbatim bytes, never decoded — back together in request order. It also
+// them out concurrently, and splices the workers' per-job results back
+// together in request order: each reply is cut at the result lengths its
+// worker announced (server.SplitResults, which checks the envelope and
+// validates every result in one pass), and the pieces are forwarded as the
+// bytes they arrived in, never decoded or re-encoded. It also
 // merges the workers' /metrics into one cluster snapshot. A background
 // probe loop health-checks each worker (/healthz, exponential backoff
 // while down); a dead worker's hash range rebalances to the live
@@ -61,6 +64,11 @@ type Config struct {
 	RequestTimeout time.Duration
 }
 
+// workerIdleConns is how many idle connections the default client keeps
+// to each worker: the number of sub-batches that can be in flight to one
+// worker without any of them dialing.
+const workerIdleConns = 64
+
 func (c Config) norm() (Config, error) {
 	if len(c.Workers) == 0 {
 		return c, errors.New("cluster: no workers configured")
@@ -76,7 +84,18 @@ func (c Config) norm() (Config, error) {
 		seen[w] = true
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		// http.DefaultTransport keeps two idle connections per host, so a
+		// third concurrent sub-batch to one worker would dial, and close,
+		// a connection of its own every time.
+		tr, ok := http.DefaultTransport.(*http.Transport)
+		if ok {
+			tr = tr.Clone()
+		} else {
+			tr = &http.Transport{}
+		}
+		tr.MaxIdleConnsPerHost = workerIdleConns
+		tr.MaxIdleConns = workerIdleConns * len(c.Workers)
+		c.Client = &http.Client{Transport: tr}
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -296,15 +315,10 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if failed > 0 {
 		w.Header().Set(server.FailedJobsHeader, strconv.Itoa(failed))
 	}
-	// The workers' bytes were validated when their replies were split;
-	// they leave as bytes, not through an encoder that would scan them again.
+	// server.SplitResults held every worker result to one well-formed JSON
+	// object when it cut the replies; the bytes leave as they came, not
+	// through an encoder that would scan them a second time.
 	server.WriteResults(w, b.results)
-}
-
-// workerReply is server.AnalyzeResponse with its results left as the
-// bytes they arrived in.
-type workerReply struct {
-	Results []json.RawMessage `json:"results"`
 }
 
 // dispatch groups jobs by owner and runs every sub-batch concurrently,
@@ -357,8 +371,8 @@ func (c *Coordinator) dispatch(ctx context.Context, jobs []cjob, b *batch, exclu
 // 429 is backpressure (the worker is alive, just full; retrying
 // elsewhere would stampede the next worker), per-job errors inside a 200
 // are deterministic analysis faults that would fail identically on any
-// worker, and a 200 whose body does not parse arrived from a live worker
-// and would be just as unparsable from the next one.
+// worker, and a 200 that is oversize or does not split into its announced
+// results arrived from a live worker and would be no better from the next.
 func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []cjob, b *batch) (dead bool) {
 	fail := func(format string, args ...any) {
 		msg := fmt.Sprintf(format, args...)
@@ -378,13 +392,20 @@ func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []c
 		return false
 	}
 	var body []byte
+	var reason string
 	resp, err := c.call(ctx, "POST", w, "/v1/analyze", blob)
 	if err == nil {
-		// A reply cut off at the cap fails to parse below.
-		body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		if resp.StatusCode == http.StatusOK {
+			body, err = readReply(resp, maxReplyBytes)
+		} else {
+			reason = errorReason(resp.Body)
+		}
 		resp.Body.Close()
 	}
 	switch {
+	case errors.Is(err, errReplyTooLarge):
+		fail("worker %s: %v", w.addr, err)
+		return false
 	case err != nil && ctx.Err() != nil:
 		// The client hung up or timed out; that says nothing about the
 		// worker's health.
@@ -400,29 +421,84 @@ func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []c
 		fail("worker %s at capacity: retry later", w.addr)
 		return false
 	case resp.StatusCode != http.StatusOK:
-		fail("worker %s answered %d", w.addr, resp.StatusCode)
+		fail("worker %s answered %d%s", w.addr, resp.StatusCode, reason)
 		return false
 	}
-	var reply workerReply
 	failed := 0
 	if h := resp.Header.Get(server.FailedJobsHeader); h != "" {
 		failed, err = strconv.Atoi(h)
 	}
-	if err == nil {
-		err = json.Unmarshal(body, &reply)
+	lengths := resp.Header.Get(server.ResultLengthsHeader)
+	if err == nil && lengths == "" {
+		// Every sub-batch has a job, so every reply has a length to announce.
+		err = errors.New("no " + server.ResultLengthsHeader + " header")
 	}
-	if err == nil && len(reply.Results) != len(group) {
-		err = fmt.Errorf("%d results for %d jobs", len(reply.Results), len(group))
+	var results [][]byte
+	if err == nil {
+		results, err = server.SplitResults(body, lengths)
+	}
+	if err == nil && len(results) != len(group) {
+		err = fmt.Errorf("%d results for %d jobs", len(results), len(group))
 	}
 	if err != nil {
 		fail("worker %s: bad response: %v", w.addr, err)
 		return false
 	}
 	for i, j := range group {
-		b.results[j.index], b.errs[j.index] = reply.Results[i], ""
+		b.results[j.index], b.errs[j.index] = results[i], ""
 	}
 	b.workerFailed.Add(int64(failed))
 	return false
+}
+
+// maxReplyBytes bounds one worker reply held in memory.
+const maxReplyBytes = 64 << 20
+
+var errReplyTooLarge = fmt.Errorf("reply exceeds the %d MiB limit", maxReplyBytes>>20)
+
+// readReply reads a reply body whole into one buffer. Content-Length only
+// sizes the buffer — a worker that announces its length costs one
+// allocation and no regrowth; the limit holds for what is announced and,
+// announced or not, for what arrives.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, errReplyTooLarge
+	}
+	hint := resp.ContentLength
+	if hint < 0 {
+		hint = 4 << 10
+	}
+	// One byte spare, so the Read that reports EOF finds room to try.
+	buf := make([]byte, 0, hint+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, errReplyTooLarge
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// errorReason is the ": <message>" a worker's {"error": …} reply adds to
+// the status it came with, or "" when the body is anything else. Best
+// effort, and bounded: an error reply is a sentence, not a document.
+func errorReason(body io.Reader) string {
+	var reply struct {
+		Error string `json:"error"`
+	}
+	if json.NewDecoder(io.LimitReader(body, 4<<10)).Decode(&reply) != nil || reply.Error == "" {
+		return ""
+	}
+	return ": " + reply.Error
 }
 
 // call issues one request to a worker; a nil body sends none. The caller

@@ -5,6 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"clara/internal/click"
@@ -531,24 +535,33 @@ func TestOversizeBodyRejectedAlike(t *testing.T) {
 	}
 }
 
-// TestClusterMalformedReplyIsFinal: a 200 whose body does not parse came
-// from a live worker and would be as unparsable from the next one, so it
-// is a per-job error — not a death sentence passed from worker to worker.
-func TestClusterMalformedReplyIsFinal(t *testing.T) {
-	var hits atomic.Int64
-	garbage := func() *httptest.Server {
+// stubCluster is a coordinator over two stub workers that all run handler,
+// with the number of requests they saw between them.
+func stubCluster(t *testing.T, handler http.HandlerFunc) (c *Coordinator, a, b string, hits *atomic.Int64) {
+	t.Helper()
+	hits = new(atomic.Int64)
+	stub := func() string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			hits.Add(1)
-			w.Write([]byte("{garbage")) //nolint:errcheck
+			handler(w, r)
 		}))
 		t.Cleanup(ts.Close)
-		return ts
+		return ts.URL
 	}
-	a, b := garbage(), garbage()
-	c, err := New(Config{Workers: []string{a.URL, b.URL}})
+	a, b = stub(), stub()
+	c, err := New(Config{Workers: []string{a, b}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, a, b, hits
+}
+
+// checkAllFailFinally posts the six-job batch and holds the reply to a
+// final failure of every job: 200, each result carrying its job's name and
+// an error containing want, all six counted in X-Clara-Failed-Jobs, no
+// retry, both workers still alive, one request per sub-batch.
+func checkAllFailFinally(t *testing.T, c *Coordinator, a, b string, hits *atomic.Int64, want string) {
+	t.Helper()
 	rec := postJSON(t, c.Handler(), "/v1/analyze", server.AnalyzeRequest{NFs: batchNames})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d:\n%s", rec.Code, rec.Body.String())
@@ -557,18 +570,219 @@ func TestClusterMalformedReplyIsFinal(t *testing.T) {
 		t.Errorf("%s = %q, want %d", server.FailedJobsHeader, got, len(batchNames))
 	}
 	resp := decodeAnalyze(t, rec)
+	if len(resp.Results) != len(batchNames) {
+		t.Fatalf("%d results for %d jobs", len(resp.Results), len(batchNames))
+	}
 	for i, r := range resp.Results {
-		if r.Name != batchNames[i] || !strings.Contains(r.Error, "bad response") {
-			t.Errorf("result %d = %+v, want %s with a bad-response error", i, r, batchNames[i])
+		if r.Name != batchNames[i] || !strings.Contains(r.Error, want) {
+			t.Errorf("result %d = %+v, want %s with an error containing %q", i, r, batchNames[i], want)
 		}
 	}
 	if got := c.Retries(); got != 0 {
 		t.Errorf("retries = %d, want 0", got)
 	}
-	if !c.alive(a.URL) || !c.alive(b.URL) {
-		t.Error("an unparsable reply demoted a live worker")
+	if !c.alive(a) || !c.alive(b) {
+		t.Error("a final failure demoted a live worker")
 	}
 	if got := hits.Load(); got > 2 {
 		t.Errorf("workers saw %d requests for one batch, want one per sub-batch", got)
+	}
+}
+
+// TestClusterMalformedReplyIsFinal: a 200 that does not split into one
+// well-formed result per job came from a live worker and would be as bad
+// from the next one, so it is a per-job error — not a death sentence
+// passed from worker to worker. Every way the frame can be wrong counts:
+// the coordinator forwards only bytes it has checked.
+func TestClusterMalformedReplyIsFinal(t *testing.T) {
+	// rightReply answers a sub-batch as a worker would, a result per job
+	// — and one more for each extra name.
+	rightReply := func(r *http.Request, extra ...string) *httptest.ResponseRecorder {
+		var req server.AnalyzeRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		var rs [][]byte
+		for _, n := range append(req.NFs, extra...) {
+			rs = append(rs, []byte(`{"name":"`+n+`","workload":"mix"}`))
+		}
+		rec := httptest.NewRecorder()
+		server.WriteResults(rec, rs)
+		return rec
+	}
+	for name, c := range map[string]struct {
+		handler http.HandlerFunc
+		want    string
+	}{
+		"garbage": {func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("{garbage")) //nolint:errcheck
+		}, "bad response"},
+		"right body, no header": {func(w http.ResponseWriter, r *http.Request) {
+			w.Write(rightReply(r).Body.Bytes()) //nolint:errcheck
+		}, "bad response: no " + server.ResultLengthsHeader + " header"},
+		"header longer than body": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r)
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader)+" 2")
+			w.Write(rec.Body.Bytes()) //nolint:errcheck
+		}, "bad response: no separator before result"},
+		"a result too many": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r, "uninvited")
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader))
+			w.Write(rec.Body.Bytes()) //nolint:errcheck
+		}, " results for "},
+		"garbage inside a result": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r)
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader))
+			w.Write(bytes.Replace(rec.Body.Bytes(), []byte(`"mix"`), []byte(`"mi"x`), 1)) //nolint:errcheck
+		}, "bad response: result 0 is not a JSON object"},
+		"failed-jobs header not a number": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r)
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader))
+			w.Header().Set(server.FailedJobsHeader, "some")
+			w.Write(rec.Body.Bytes()) //nolint:errcheck
+		}, "bad response"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			coord, a, b, hits := stubCluster(t, c.handler)
+			checkAllFailFinally(t, coord, a, b, hits, c.want)
+		})
+	}
+}
+
+// TestClusterWorkerErrorKeepsItsWords: a worker's non-200 answer reaches
+// the client with the worker's reason, not as a bare status — and stays
+// final, whatever the body holds.
+func TestClusterWorkerErrorKeepsItsWords(t *testing.T) {
+	for name, c := range map[string]struct {
+		status int
+		body   string
+		want   string
+	}{
+		"timeout":        {http.StatusGatewayTimeout, `{"error":"analysis timed out after 2s"}`, "answered 504: analysis timed out after 2s"},
+		"bad request":    {http.StatusBadRequest, `{"error":"unknown workload \"x\""}`, `answered 400: unknown workload "x"`},
+		"internal error": {http.StatusInternalServerError, `{"error":"boom"}`, "answered 500: boom"},
+		"not JSON":       {http.StatusBadGateway, "<html>upstream sad</html>", "answered 502"},
+		"no error field": {http.StatusTeapot, `{"status":"short and stout"}`, "answered 418"},
+		"endless reason": {http.StatusInternalServerError, `{"error":"` + strings.Repeat("a", 1<<20) + `"}`, "answered 500"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			coord, a, b, hits := stubCluster(t, func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(c.status)
+				w.Write([]byte(c.body)) //nolint:errcheck
+			})
+			checkAllFailFinally(t, coord, a, b, hits, c.want)
+			rec := postJSON(t, coord.Handler(), "/v1/analyze", server.AnalyzeRequest{NF: "tcpack"})
+			if r := decodeAnalyze(t, rec).Results[0]; !strings.HasSuffix(r.Error, c.want) {
+				t.Errorf("error %q does not end with %q", r.Error, c.want)
+			}
+		})
+	}
+}
+
+// TestClusterOversizeReplyIsNamed: a reply that announces more than the
+// cap fails its jobs in those words before a byte of it is read — it used
+// to be cut off at the cap and reported as a JSON syntax error.
+func TestClusterOversizeReplyIsNamed(t *testing.T) {
+	coord, a, b, hits := stubCluster(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(65<<20))
+		w.WriteHeader(http.StatusOK)
+	})
+	checkAllFailFinally(t, coord, a, b, hits, ": reply exceeds the 64 MiB limit")
+}
+
+// TestReadReply: the announced length sizes the buffer and nothing more;
+// the limit holds for what arrives, announced or not.
+func TestReadReply(t *testing.T) {
+	const limit = 16
+	for name, c := range map[string]struct {
+		announced int64
+		body      string
+		tooLarge  bool
+	}{
+		"announced":                {5, "hello", false},
+		"unannounced":              {-1, "hello", false},
+		"announced short":          {2, "hello", false},
+		"at the limit":             {limit, strings.Repeat("a", limit), false},
+		"announced over":           {limit + 1, "", true},
+		"unannounced over":         {-1, strings.Repeat("a", limit+1), true},
+		"announced under, is over": {3, strings.Repeat("a", limit+1), true},
+		"empty":                    {0, "", false},
+	} {
+		got, err := readReply(&http.Response{ContentLength: c.announced, Body: io.NopCloser(iotest.OneByteReader(strings.NewReader(c.body)))}, limit)
+		if c.tooLarge {
+			if !errors.Is(err, errReplyTooLarge) || got != nil {
+				t.Errorf("%s: %d bytes, error %v; want errReplyTooLarge", name, len(got), err)
+			}
+			continue
+		}
+		if err != nil || string(got) != c.body {
+			t.Errorf("%s: read %q, %v", name, got, err)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := readReply(&http.Response{ContentLength: 9, Body: io.NopCloser(iotest.ErrReader(boom))}, limit); !errors.Is(err, boom) {
+		t.Errorf("a failing body reads as %v", err)
+	}
+}
+
+// TestDefaultClientKeepsConnections: the default client's idle pool holds
+// a wave of concurrent sub-batches to one worker, so the next wave dials
+// nothing. (http.DefaultTransport keeps two per host: six of these eight
+// would dial, and close, a connection each time.)
+func TestDefaultClientKeepsConnections(t *testing.T) {
+	const wave = 8
+	var dialed atomic.Int64
+	arrived := make(chan struct{}, wave)
+	release := make(chan struct{})
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold each request until the whole wave is in, so the wave needs
+		// eight connections at once.
+		arrived <- struct{}{}
+		<-release
+		server.WriteResults(w, [][]byte{[]byte(`{"name":"tcpack"}`)})
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c, err := New(Config{Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(server.AnalyzeRequest{NF: "tcpack"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWave := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < wave; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(blob)))
+				if rec.Code != http.StatusOK || rec.Header().Get(server.FailedJobsHeader) != "" {
+					t.Errorf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}()
+		}
+		for i := 0; i < wave; i++ {
+			<-arrived
+		}
+		for i := 0; i < wave; i++ {
+			release <- struct{}{}
+		}
+		wg.Wait()
+	}
+	runWave()
+	if got := dialed.Load(); got != wave {
+		t.Fatalf("the warm-up wave of %d opened %d connections", wave, got)
+	}
+	runWave()
+	if got := dialed.Load() - wave; got != 0 {
+		t.Errorf("the second wave opened %d new connections, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clara/internal/core"
@@ -41,4 +42,19 @@ func recordEncodes(t *testing.T) *encodeLog {
 	}
 	t.Cleanup(func() { encodeInsights = real })
 	return l
+}
+
+// CountResultScans counts, for the rest of the test, every scan
+// SplitResults makes of a result. Exported for hop_test.go, which sits
+// outside the package to drive it through internal/cluster. Tests using it
+// must not run in parallel: the validator is the package's.
+func CountResultScans(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	real := validResult
+	validResult = func(r []byte) bool {
+		n.Add(1)
+		return real(r)
+	}
+	t.Cleanup(func() { validResult = real })
+	return &n
 }

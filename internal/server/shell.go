@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -57,30 +60,95 @@ func WriteError(w http.ResponseWriter, status int, msg string) int {
 	return WriteJSON(w, status, map[string]string{"error": msg})
 }
 
+// ResultLengthsHeader rides on every analyze reply: the byte length of
+// each result object, space-separated, in reply order. With it a reader
+// can index a batch reply — result i starts len(`{"results":[`) + i + the
+// lengths before it into the body — without parsing it; SplitResults is
+// that reader.
+const ResultLengthsHeader = "X-Clara-Result-Lengths"
+
+// The analyze reply's envelope: everything in the body that is not a result.
+const resultsOpen, resultsSep, resultsEnd = `{"results":[`, ",", "]}\n"
+
 // WriteResults writes the analyze reply {"results":[…]} around result
 // objects that are already JSON — the server's headers spliced around
 // stored insights, the coordinator's worker bytes — without handing them
 // to an encoder, which would re-scan every byte to validate and compact
-// what was valid and compact when it was stored.
+// what was valid and compact when it was stored. It announces the body's
+// length and, in ResultLengthsHeader, where each result lies in it.
 func WriteResults(w http.ResponseWriter, results [][]byte) int {
-	const open, sep, end = `{"results":[`, ",", "]}\n"
-	n := len(open) + len(end) + len(results)*len(sep)
+	n := len(resultsOpen) + len(resultsEnd) + len(results)*len(resultsSep)
 	for _, r := range results {
 		n += len(r)
 	}
 	buf := make([]byte, 0, n)
-	buf = append(buf, open...)
+	lengths := make([]byte, 0, 6*len(results))
+	buf = append(buf, resultsOpen...)
 	for i, r := range results {
 		if i > 0 {
-			buf = append(buf, sep...)
+			buf = append(buf, resultsSep...)
+			lengths = append(lengths, ' ')
 		}
 		buf = append(buf, r...)
+		lengths = strconv.AppendInt(lengths, int64(len(r)), 10)
 	}
-	buf = append(buf, end...)
-	w.Header().Set("Content-Type", "application/json")
+	buf = append(buf, resultsEnd...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	h.Set(ResultLengthsHeader, string(lengths))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf) //nolint:errcheck // the client may already be gone
 	return http.StatusOK
+}
+
+// validResult is the one scan SplitResults makes of a result's bytes. A
+// variable so that a test can count the scans.
+var validResult = json.Valid
+
+// SplitResults cuts an analyze reply written by WriteResults back into its
+// result objects, given the reply's ResultLengthsHeader. The results are
+// sub-slices of body, not copies. Nothing is taken on the header's word:
+// every byte outside the announced ranges must be the envelope WriteResults
+// writes, the ranges must cover the rest of the body exactly, and each one
+// must be a single well-formed JSON object — checked in one pass over it —
+// so bytes that pass here can be forwarded without an encoder's re-scan.
+func SplitResults(body []byte, lengths string) ([][]byte, error) {
+	if !bytes.HasPrefix(body, []byte(resultsOpen)) {
+		return nil, errors.New("body does not open with " + resultsOpen)
+	}
+	pos := len(resultsOpen)
+	// Sized from the header, but never past what the body could hold: a
+	// result is at least "{}" and a separator.
+	out := make([][]byte, 0, min(strings.Count(lengths, " ")+1, len(body)/3))
+	for more := lengths != ""; more; {
+		var field string
+		field, lengths, more = strings.Cut(lengths, " ")
+		size, err := strconv.ParseUint(field, 10, 31)
+		if err != nil {
+			return nil, fmt.Errorf("result length %q is not a number", field)
+		}
+		if len(out) > 0 {
+			if pos == len(body) || body[pos] != resultsSep[0] {
+				return nil, fmt.Errorf("no separator before result %d", len(out))
+			}
+			pos++
+		}
+		if int(size) > len(body)-pos {
+			return nil, fmt.Errorf("result %d runs past the body: %d bytes announced, %d left", len(out), size, len(body)-pos)
+		}
+		end := pos + int(size)
+		r := body[pos:end:end]
+		if size < 2 || r[0] != '{' || r[size-1] != '}' || !validResult(r) {
+			return nil, fmt.Errorf("result %d is not a JSON object", len(out))
+		}
+		out = append(out, r)
+		pos = end
+	}
+	if string(body[pos:]) != resultsEnd {
+		return nil, fmt.Errorf("%d results end at byte %d of %d, not at the closing %q", len(out), pos, len(body), resultsEnd)
+	}
+	return out, nil
 }
 
 // ListenAndDrain serves h on addr until ctx is canceled, then runs drain

@@ -44,6 +44,10 @@ func TestWireSplice(t *testing.T) {
 		if !bytes.HasSuffix(rec.Body.Bytes(), []byte("]}\n")) || bytes.Count(rec.Body.Bytes(), []byte("\n")) != 1 {
 			t.Errorf("reply is not one compact JSON line:\n%q", rec.Body.String())
 		}
+		cut, err := SplitResults(rec.Body.Bytes(), rec.Header().Get(ResultLengthsHeader))
+		if err != nil || len(cut) != 1 || !bytes.Equal(cut[0], raw.Results[0]) {
+			t.Errorf("the announced lengths %q cut the reply into %d results, %v; the decoder reads\n%s", rec.Header().Get(ResultLengthsHeader), len(cut), err, raw.Results[0])
+		}
 		got := decodeAnalyze(t, rec).Results[0]
 		again, err := json.Marshal(got)
 		if err != nil {

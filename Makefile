@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check fuzz bench-fleet update-golden
+.PHONY: build test race vet fmt-check check serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check repro-check fuzz bench-fleet update-golden
 
 build:
 	$(GO) build ./...
@@ -91,10 +91,19 @@ analysis-check:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# repro-check holds the paper's evaluation (cmd/clarabench -quick) to its
+# pinned transcript, internal/experiments/testdata/quick.golden, byte for
+# byte; requires it to be identical across fresh runs under GOMAXPROCS 1
+# and 4; and asserts each headline claim's shape with explicit bands (the
+# claims quick scale does not reproduce are recorded as known gaps).
+repro-check:
+	$(GO) test -run 'TestQuickSuite|TestPaperClaims' ./internal/experiments/
+
 # check is the PR gate: static gates first, then build, plain tests,
 # then the race passes, then the benchmark harness's own tests (whose
-# TestSmoke drives all four BENCHMARK.json workloads, traced and untraced).
-check: vet fmt-check build test race serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check
+# TestSmoke drives all four BENCHMARK.json workloads, traced and untraced),
+# then the reproduction's golden and claims.
+check: vet fmt-check build test race serve-check cluster-check store-check simulate-check interp-check analysis-check bench-check repro-check
 
 # Short smoke runs of every fuzz target (seed corpus always runs under
 # plain `go test`; this adds a bounded mutation pass).
@@ -111,11 +120,12 @@ fuzz:
 bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .
 
-# Regenerate the Insights.Report, lint, simulation-trajectory, and
-# taint/frequency state-profile golden files after intentional
-# formatting/simulator/analysis changes.
+# Regenerate the Insights.Report, lint, simulation-trajectory,
+# taint/frequency state-profile and quick-suite evaluation golden files
+# after intentional formatting/simulator/analysis/experiment changes.
 update-golden:
 	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) test ./internal/analysis/ -run TestLintGolden -update
 	$(GO) test ./internal/offload/ -run TestSimulateGolden -update
 	$(GO) test ./internal/analysis/ -run TestStateProfileGoldens -update
+	$(GO) test ./internal/experiments/ -run TestQuickSuiteRuns -update

@@ -12,7 +12,8 @@ import (
 )
 
 // The benchmark context is shared: training the predictor and the cost
-// models happens once, at full evaluation scale, on first use.
+// models happens once, at full evaluation scale, on first use. Every other
+// stage is redone per iteration (see benchExperiment).
 var (
 	benchCtxOnce sync.Once
 	benchCtx     *experiments.Context
@@ -26,7 +27,9 @@ func fullCtx() *experiments.Context {
 }
 
 // benchExperiment regenerates one table/figure per iteration and reports
-// failure through b.
+// failure through b. Each iteration runs on a Fresh context — the trained
+// models, but none of the stages experiments share — so it times the
+// experiment's own work, not a read of what an earlier iteration cached.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	e := experiments.Get(id)
@@ -36,7 +39,7 @@ func benchExperiment(b *testing.B, id string) {
 	ctx := fullCtx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := e.Run(ctx)
+		t, err := e.Run(ctx.Fresh())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,9 +27,10 @@
 //
 // The analyzer is deliberately syntactic (go/ast only, no dependencies,
 // no type checker): map-range detection uses the package's own
-// declarations to learn which names are maps, which covers the
-// deterministic packages' actual code and errs silent rather than
-// noisy on what it cannot see. It is a tripwire, not a proof.
+// declarations to learn which names are maps — names per file, struct
+// fields package-wide — which covers the deterministic packages' actual
+// code and errs silent rather than noisy on what it cannot see. It is a
+// tripwire, not a proof.
 //
 // Usage: claravet [dir ...]   (default: the deterministic packages)
 package main
@@ -48,12 +49,15 @@ import (
 // defaultDirs are the packages whose determinism contract claravet
 // enforces (see their package comments: offload's golden trajectories,
 // ml's bit-identical training, nicsim's cost model, fleet's
-// result-is-a-pure-function-of-the-job promise).
+// result-is-a-pure-function-of-the-job promise, core's insights and the
+// evaluation tables pinned by the experiments quick-suite golden).
 var defaultDirs = []string{
 	"internal/ml",
 	"internal/offload",
 	"internal/nicsim",
 	"internal/fleet",
+	"internal/core",
+	"internal/experiments",
 }
 
 // allowDirective suppresses findings on its own line or the next.
@@ -152,6 +156,18 @@ func vetPackage(dir string, paths []string) ([]finding, error) {
 	}
 	// The vek package is where reduction loops are supposed to live.
 	inVek := filepath.Base(dir) == "vek"
+	// Map-typed struct fields are learned package-wide: a selector such as
+	// prof.GlobalFreq can only mean the field, in whichever file the
+	// struct is declared.
+	fieldMaps := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				addMapFields(fieldMaps, st.Fields)
+			}
+			return true
+		})
+	}
 	var out []finding
 	for _, f := range files {
 		allowed := allowedLines(fset, f)
@@ -161,9 +177,10 @@ func vetPackage(dir string, paths []string) ([]finding, error) {
 			// Map names are learned per file: the same short name (idx,
 			// order, ...) routinely means a map in one file and a slice in
 			// another, and a package-wide table would flag the slice.
-			mapNames: collectMapNames([]*ast.File{f}),
-			allowed:  allowed,
-			inVek:    inVek,
+			mapNames:  collectMapNames([]*ast.File{f}),
+			fieldMaps: fieldMaps,
+			allowed:   allowed,
+			inVek:     inVek,
 		}
 		ast.Inspect(f, v.check)
 		out = append(out, v.findings...)
@@ -207,18 +224,7 @@ func importNames(f *ast.File) map[string]string {
 // make(map[...])/map literals.
 func collectMapNames(files []*ast.File) map[string]bool {
 	names := map[string]bool{}
-	addField := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fd := range fl.List {
-			if isMapType(fd.Type) {
-				for _, n := range fd.Names {
-					names[n.Name] = true
-				}
-			}
-		}
-	}
+	addField := func(fl *ast.FieldList) { addMapFields(names, fl) }
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -257,6 +263,20 @@ func collectMapNames(files []*ast.File) map[string]bool {
 	return names
 }
 
+// addMapFields records the map-typed names a field list declares.
+func addMapFields(names map[string]bool, fl *ast.FieldList) {
+	if fl == nil {
+		return
+	}
+	for _, fd := range fl.List {
+		if isMapType(fd.Type) {
+			for _, n := range fd.Names {
+				names[n.Name] = true
+			}
+		}
+	}
+}
+
 func isMapType(e ast.Expr) bool {
 	_, ok := e.(*ast.MapType)
 	return ok
@@ -277,12 +297,13 @@ func isMapExpr(e ast.Expr) bool {
 
 // vetter runs the per-file checks.
 type vetter struct {
-	fset     *token.FileSet
-	imports  map[string]string
-	mapNames map[string]bool
-	allowed  map[int]bool
-	inVek    bool
-	findings []finding
+	fset      *token.FileSet
+	imports   map[string]string
+	mapNames  map[string]bool // this file's map-typed names
+	fieldMaps map[string]bool // the package's map-typed struct fields
+	allowed   map[int]bool
+	inVek     bool
+	findings  []finding
 }
 
 func (v *vetter) report(n ast.Node, rule, msg string) {
@@ -327,14 +348,15 @@ func (v *vetter) checkCall(c *ast.CallExpr) {
 }
 
 func (v *vetter) checkRange(r *ast.RangeStmt) {
-	name := ""
+	name, isMap := "", false
 	switch x := r.X.(type) {
 	case *ast.Ident:
-		name = x.Name
+		name, isMap = x.Name, v.mapNames[x.Name]
 	case *ast.SelectorExpr:
 		name = x.Sel.Name
+		isMap = v.mapNames[name] || v.fieldMaps[name]
 	}
-	if name != "" && v.mapNames[name] {
+	if isMap {
 		v.report(r, "map-range", fmt.Sprintf("iteration order over map %q is randomized per run; sort the keys or annotate an order-insensitive fold", name))
 	}
 	v.checkReduce(r.Body, rangeInduction(r))

@@ -108,6 +108,35 @@ func g(idx []int) int {
 	}
 }
 
+func TestMapRangeFieldAcrossFiles(t *testing.T) {
+	// A struct field declared in one file and ranged through a selector in
+	// another (core's HostProfile.GlobalFreq summed in scaleout.go): the
+	// selector can only mean the field, so it is flagged. A bare name that
+	// merely matches the field's name stays per-file.
+	fs := vetSource(t, map[string]string{
+		"a.go": `package p
+
+type profile struct{ GlobalFreq map[string]float64 }
+`,
+		"b.go": `package p
+
+func sum(prof *profile, GlobalFreq []float64) float64 {
+	s := 0.0
+	for _, f := range prof.GlobalFreq {
+		s += f
+	}
+	for _, f := range GlobalFreq {
+		s += f
+	}
+	return s
+}
+`,
+	})
+	if len(fs) != 1 || fs[0] != "b.go:5:map-range" {
+		t.Fatalf("findings = %v, want exactly [b.go:5:map-range]", fs)
+	}
+}
+
 func TestMapRangeSources(t *testing.T) {
 	// Struct fields, params, := of make(map) all teach the map table.
 	fs := vetSource(t, map[string]string{"a.go": `package p

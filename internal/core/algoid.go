@@ -70,6 +70,7 @@ func programGrams(m *ir.Module) map[string]bool {
 func allBlocks(m *ir.Module) []int {
 	f := m.Handler()
 	out := make([]int, len(f.Blocks))
+	//claravet:allow out is a slice here (the map named out is blockGrams')
 	for i := range out {
 		out[i] = i
 	}
@@ -115,6 +116,7 @@ func loopRegions(m *ir.Module) [][]int {
 				}
 			}
 		}
+		//claravet:allow order-insensitive: comp is sorted right below
 		for v := range ring {
 			comp = append(comp, v)
 		}
@@ -283,6 +285,7 @@ func TrainAlgoIdentifier(corpus []synth.LabeledProgram, maxGrams int, seed int64
 		score float64
 	}
 	var cands []classScored
+	//claravet:allow order-insensitive: cands is sorted below by (score, gram, class), a total order
 	for _, gs := range gramFreq {
 		for _, cls := range []int{AlgoCRC, AlgoLPM} {
 			if counts[cls] == 0 {
@@ -304,7 +307,10 @@ func TrainAlgoIdentifier(corpus []synth.LabeledProgram, maxGrams int, seed int64
 		if cands[i].score != cands[j].score {
 			return cands[i].score > cands[j].score
 		}
-		return cands[i].gram < cands[j].gram
+		if cands[i].gram != cands[j].gram {
+			return cands[i].gram < cands[j].gram
+		}
+		return cands[i].cls < cands[j].cls
 	})
 	seen := map[string]bool{}
 	id := &AlgoIdentifier{}

@@ -86,6 +86,7 @@ func SuggestPacks(mod *ir.Module, prof *HostProfile, cfg CoalesceConfig) [][]str
 		clusters[c] = append(clusters[c], names[i])
 	}
 	keys := make([]int, 0, len(clusters))
+	//claravet:allow order-insensitive: keys is sorted right below
 	for c := range clusters {
 		keys = append(keys, c)
 	}

@@ -187,6 +187,46 @@ func TestProfileOnHost(t *testing.T) {
 	}
 }
 
+// TestScaleoutFeaturesFixedSumOrder pins the accesses-per-packet feature to
+// one summation order. udpcount's five per-global frequencies add up to
+// different float64s depending on the order they are summed in; a sum over
+// the GlobalFreq map followed Go's randomized iteration order, so the
+// scale-out features (and every model trained on them) moved run to run.
+func TestScaleoutFeaturesFixedSumOrder(t *testing.T) {
+	e := click.Get("udpcount")
+	mod := e.MustModule()
+	prof, err := ProfileOnHost(mod, ProfileSetup{Setup: e.Setup}, traffic.MediumMix, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freqs []float64
+	for _, g := range mod.Globals {
+		if f, ok := prof.GlobalFreq[g.Name]; ok {
+			freqs = append(freqs, f)
+		}
+	}
+	sums := map[float64]bool{}
+	for r := range freqs {
+		s := 0.0
+		for i := range freqs {
+			s += freqs[(i+r)%len(freqs)]
+		}
+		sums[s] = true
+	}
+	if len(freqs) < 3 || len(sums) < 2 {
+		t.Fatalf("fixture no longer order-sensitive: frequencies %v", freqs)
+	}
+	want := 0.0
+	for _, f := range freqs {
+		want += f
+	}
+	for i := 0; i < 200; i++ {
+		if got := ScaleoutFeatures(&ModulePrediction{}, prof, traffic.MediumMix, 0)[2]; got != want {
+			t.Fatalf("call %d: accesses/packet = %v, want the declaration-order sum %v", i, got, want)
+		}
+	}
+}
+
 func TestSuggestPlacementPrefersFastForHotSmall(t *testing.T) {
 	e := click.Get("udpcount")
 	mod := e.MustModule()

@@ -138,6 +138,7 @@ func PlacementCandidates(mod *ir.Module, params nicsim.Params) []nicsim.Placemen
 				used[r] += g.SizeBytes()
 			}
 		}
+		//claravet:allow order-insensitive: ok is the AND of every region's fit
 		for r, b := range used {
 			if b > params.Regions[r].Capacity {
 				ok = false

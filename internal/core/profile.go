@@ -17,6 +17,10 @@ type HostProfile struct {
 	// GlobalFreq is stateful accesses per packet, per global (map probes
 	// count as accesses to the map).
 	GlobalFreq map[string]float64
+	// AccessesPerPacket is the sum of GlobalFreq, added up in the module's
+	// global declaration order so it is bit-identical run to run (a sum
+	// over the map would follow Go's randomized iteration order).
+	AccessesPerPacket float64
 	// BlockAccess[global][block] counts accesses per basic block (the
 	// §4.4 access vectors before normalization).
 	BlockAccess map[string][]float64
@@ -160,7 +164,9 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 			va[b] = float64(ctr.State[row+b] + ctr.API[row+b])
 		}
 		hp.BlockAccess[g.Name] = va
-		hp.GlobalFreq[g.Name] = float64(total) / float64(n)
+		freq := float64(total) / float64(n)
+		hp.GlobalFreq[g.Name] = freq
+		hp.AccessesPerPacket += freq
 	}
 	return hp, nil
 }

@@ -57,10 +57,7 @@ func (c ScaleoutConfig) norm() ScaleoutConfig {
 // predicted compute/memory parameters from §3, the host access profile,
 // state footprint, and the workload spec.
 func ScaleoutFeatures(pred *ModulePrediction, prof *HostProfile, wl traffic.Spec, stateBytes int) []float64 {
-	var accessesPerPkt float64
-	for _, f := range prof.GlobalFreq {
-		accessesPerPkt += f
-	}
+	accessesPerPkt := prof.AccessesPerPacket
 	compute := pred.TotalCompute + float64(pred.TotalAPI)
 	mem := float64(pred.TotalMem)
 	ai := compute / (accessesPerPkt + 1)

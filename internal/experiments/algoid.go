@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"clara/internal/click"
 	"clara/internal/interp"
@@ -21,19 +22,11 @@ func Figure9(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nTest := 40
-	if ctx.Cfg.Quick {
-		nTest = 12
-	}
-	test := synth.AlgoCorpus(nTest, ctx.Cfg.Seed+31337)
+	test := synth.AlgoCorpus(ctx.scale.algoTest, ctx.Cfg.Seed+31337)
 
 	// Shared feature sets for the baselines: the same mined-subsequence +
 	// manual features Clara's SVM consumes.
-	trainCorpus := algoTrainCorpus(40, ctx.Cfg.Seed)
-	if ctx.Cfg.Quick {
-		trainCorpus = algoTrainCorpus(14, ctx.Cfg.Seed)
-	}
-	Xtr, ytr, err := id.FeatureDataset(trainCorpus)
+	Xtr, ytr, err := id.FeatureDataset(algoTrainCorpus(ctx.scale.algoBaselineTrain, ctx.Cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -97,41 +90,29 @@ func Figure10a(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 30
-	if ctx.Cfg.Quick {
-		n = 10
-	}
-	corpus := synth.AlgoCorpus(n, ctx.Cfg.Seed+555)
-	X, y, err := id.FeatureDataset(corpus)
+	X, y, err := id.FeatureDataset(synth.AlgoCorpus(ctx.scale.pcaCorpus, ctx.Cfg.Seed+555))
 	if err != nil {
 		return nil, err
 	}
 	pca := ml.FitPCA(X, 2, ctx.Cfg.Seed)
 	// Quantify separation: distance between class centroids in PC space
 	// relative to within-class spread.
-	type acc struct {
-		sum [2]float64
-		n   float64
-	}
-	cents := map[int]*acc{}
-	var proj [][]float64
+	var sum, cent [3][2]float64
+	var count [3]float64
+	proj := make([][]float64, len(X))
 	for i, x := range X {
-		p := pca.Project(x)
-		proj = append(proj, p)
-		a := cents[y[i]]
-		if a == nil {
-			a = &acc{}
-			cents[y[i]] = a
-		}
-		a.sum[0] += p[0]
-		a.sum[1] += p[1]
-		a.n++
+		proj[i] = pca.Project(x)
+		sum[y[i]][0] += proj[i][0]
+		sum[y[i]][1] += proj[i][1]
+		count[y[i]]++
+	}
+	for c := range cent {
+		cent[c] = [2]float64{sum[c][0] / count[c], sum[c][1] / count[c]}
 	}
 	var spread float64
 	for i, p := range proj {
-		a := cents[y[i]]
-		dx := p[0] - a.sum[0]/a.n
-		dy := p[1] - a.sum[1]/a.n
+		dx := p[0] - cent[y[i]][0]
+		dy := p[1] - cent[y[i]][1]
 		spread += dx*dx + dy*dy
 	}
 	spread /= float64(len(proj))
@@ -141,25 +122,17 @@ func Figure10a(ctx *Context) (*Table, error) {
 		Title:  "PCA separation of algorithm-ID features (class centroids in PC1/PC2)",
 		Header: []string{"class", "centroid PC1", "centroid PC2", "count"},
 	}
-	for _, cls := range []int{0, 1, 2} {
-		a := cents[cls]
-		if a == nil {
-			continue
+	for c, name := range []string{"none", "CRC", "LPM"} {
+		if count[c] > 0 {
+			t.AddRow(name, f2(cent[c][0]), f2(cent[c][1]), fmt.Sprintf("%d", int(count[c])))
 		}
-		name := []string{"none", "CRC", "LPM"}[cls]
-		t.AddRow(name, f2(a.sum[0]/a.n), f2(a.sum[1]/a.n), fmt.Sprintf("%d", int(a.n)))
 	}
 	// Pairwise centroid separation vs within-class spread.
-	var minSep float64 = 1e18
-	classes := []int{0, 1, 2}
-	for i := 0; i < len(classes); i++ {
-		for j := i + 1; j < len(classes); j++ {
-			a, b := cents[classes[i]], cents[classes[j]]
-			dx := a.sum[0]/a.n - b.sum[0]/b.n
-			dy := a.sum[1]/a.n - b.sum[1]/b.n
-			if d := dx*dx + dy*dy; d < minSep {
-				minSep = d
-			}
+	minSep := math.Inf(1)
+	for i := range cent {
+		for j := i + 1; j < len(cent); j++ {
+			dx, dy := cent[i][0]-cent[j][0], cent[i][1]-cent[j][1]
+			minSep = min(minSep, dx*dx+dy*dy)
 		}
 	}
 	t.Notef("min centroid separation / mean within-class spread = %.2f (>1 means visibly separated clusters)", minSep/spread)
@@ -171,7 +144,7 @@ func Figure10a(ctx *Context) (*Table, error) {
 // latency −25%).
 func Figure10b(ctx *Context) (*Table, error) {
 	params := ctx.Cfg.Params
-	n := ctx.packets(3000)
+	n := ctx.scale.simPkts
 	cores := 16
 	wl := traffic.MediumMix
 
@@ -182,11 +155,11 @@ func Figure10b(ctx *Context) (*Table, error) {
 	}
 	pairs := [][2]string{{"cmsketch", "cmsketch_crc"}, {"wepdecap", "wepdecap_crc"}}
 	for _, pair := range pairs {
-		naive, _, err := runNF(params, elementNF(pair[0], nil), wl, n, cores)
+		naive, err := runNF(params, elementNF(pair[0], nil), wl, n, cores)
 		if err != nil {
 			return nil, err
 		}
-		accel, _, err := runNF(params, elementNF(pair[1], func(nf *nicsim.NF) {
+		accel, err := runNF(params, elementNF(pair[1], func(nf *nicsim.NF) {
 			nf.Accel.CRCEngine = true
 		}), wl, n, cores)
 		if err != nil {
@@ -207,7 +180,7 @@ func Figure10b(ctx *Context) (*Table, error) {
 // (§5.3: roughly one order of magnitude).
 func Figure10c(ctx *Context) (*Table, error) {
 	params := ctx.Cfg.Params
-	n := ctx.packets(2500)
+	n := ctx.scale.tracePkts
 	cores := 16
 	wl := traffic.MediumMix
 
@@ -216,18 +189,14 @@ func Figure10c(ctx *Context) (*Table, error) {
 		Title:  "LPM accelerator sweep over rule-table size",
 		Header: []string{"rules", "naive Th", "naive Lat", "Clara Th", "Clara Lat", "lat ratio"},
 	}
-	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
-	if ctx.Cfg.Quick {
-		sizes = []int{16, 128, 1024}
-	}
-	for _, rules := range sizes {
+	for _, rules := range ctx.scale.lpmRules {
 		routes := click.GenRoutes(rules, 41)
 		naiveNF := elementNF("iplookup", func(nf *nicsim.NF) {
 			nf.Setup = func(m *interp.Machine) error {
 				return click.InstallTrie(m, routes, "trie_left", "trie_right", "trie_port", 65536)
 			}
 		})
-		naive, _, err := runNF(params, naiveNF, wl, n, cores)
+		naive, err := runNF(params, naiveNF, wl, n, cores)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +206,7 @@ func Figure10c(ctx *Context) (*Table, error) {
 			nf.Accel.FlowCache = true
 			nf.Accel.CsumEngine = true
 		})
-		accel, _, err := runNF(params, accelNF, wl, n, cores)
+		accel, err := runNF(params, accelNF, wl, n, cores)
 		if err != nil {
 			return nil, err
 		}

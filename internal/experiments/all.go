@@ -1,7 +1,5 @@
 package experiments
 
-import "io"
-
 // Experiment names one regenerable table/figure.
 type Experiment struct {
 	ID  string
@@ -41,19 +39,6 @@ func Get(id string) *Experiment {
 			out := e
 			return &out
 		}
-	}
-	return nil
-}
-
-// RunAll executes every experiment, printing each table to w as it
-// completes. It stops at the first failure.
-func RunAll(ctx *Context, w io.Writer) error {
-	for _, e := range All() {
-		t, err := e.Run(ctx)
-		if err != nil {
-			return err
-		}
-		t.Fprint(w)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"clara/internal/core"
 	"clara/internal/lang"
@@ -10,6 +12,22 @@ import (
 	"clara/internal/synth"
 	"clara/internal/traffic"
 )
+
+// colocator is the pairwise colocation ranker both colocation experiments
+// score with, trained once on the Th.Tot objective. Figure14a refits it to
+// every objective in turn (Retrain reuses the measured training pairs), so
+// a reader wanting Th.Tot retrains to it first.
+func colocator(ctx *Context) (*core.Colocator, error) {
+	return stage(ctx.stages, "colocator", func() (*core.Colocator, error) {
+		pred, err := ctx.Predictor()
+		if err != nil {
+			return nil, err
+		}
+		cfg := ctx.scale.coloc
+		cfg.Params, cfg.Seed = ctx.Cfg.Params, ctx.Cfg.Seed
+		return core.TrainColocator(cfg, pred, core.ObjThroughputTotal)
+	})
+}
 
 // Figure14a reproduces the colocation ranking accuracy: top-1/2/3 accuracy
 // of the pairwise ranker on random groups of synthesized NFs, for all four
@@ -19,28 +37,16 @@ func Figure14a(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := core.ColocConfig{Params: ctx.Cfg.Params, Seed: ctx.Cfg.Seed}
-	groups := 30
-	groupSize := 4
-	if ctx.Cfg.Quick {
-		ccfg.TrainNFs = 8
-		ccfg.PairsMax = 20
-		ccfg.Packets = 500
-		groups = 8
-	}
-	co, err := core.TrainColocator(ccfg, pred, core.ObjThroughputTotal)
+	co, err := colocator(ctx)
 	if err != nil {
 		return nil, err
 	}
+	groups, groupSize := ctx.scale.colocGroups, 4
 
 	// Evaluation candidates: fresh synthesized NFs, measured exhaustively
 	// per group so the ranker's choice can be graded against the truth.
-	nEval := 10
-	if ctx.Cfg.Quick {
-		nEval = 6
-	}
 	var cands []*core.ColocNF
-	for i := 0; i < nEval; i++ {
+	for i := 0; i < ctx.scale.colocEval; i++ {
 		mod, _, err := synth.GenerateModule(synth.Config{
 			Profile:   synth.UniformProfile(),
 			Seed:      ctx.Cfg.Seed + 99000 + int64(i)*23,
@@ -50,7 +56,7 @@ func Figure14a(ctx *Context) (*Table, error) {
 			return nil, err
 		}
 		nf := &nicsim.NF{Name: fmt.Sprintf("eval%d", i), Mod: mod}
-		c, err := core.PrepareColocNF(nf, traffic.MediumMix, ctx.packets(1200), 24, ctx.Cfg.Params, pred)
+		c, err := core.PrepareColocNF(nf, traffic.MediumMix, ctx.scale.profilePkts, 24, ctx.Cfg.Params, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -73,52 +79,26 @@ func Figure14a(ctx *Context) (*Table, error) {
 			// Pick a random group and measure every pair's true
 			// friendliness.
 			perm := rng.Perm(len(cands))[:groupSize]
-			group := make([]*core.ColocNF, groupSize)
-			for i, pi := range perm {
-				group[i] = cands[pi]
-			}
-			type pairScore struct {
-				i, j  int
-				truth float64
-			}
-			var pairsList []pairScore
+			type pairScore struct{ truth, score float64 }
+			var pairs []pairScore
+			bestTruth := -1.0
 			for i := 0; i < groupSize; i++ {
 				for j := i + 1; j < groupSize; j++ {
-					o, err := core.MeasurePair(group[i], group[j], 24, ctx.Cfg.Params)
+					a, b := cands[perm[i]], cands[perm[j]]
+					o, err := core.MeasurePair(a, b, 24, ctx.Cfg.Params)
 					if err != nil {
 						return nil, err
 					}
-					pairsList = append(pairsList, pairScore{i, j, o.Friendliness[obj]})
+					pairs = append(pairs, pairScore{o.Friendliness[obj], co.Score(a, b)})
+					bestTruth = max(bestTruth, o.Friendliness[obj])
 				}
-			}
-			bestTruth := -1.0
-			scores := make([]float64, len(pairsList))
-			for k, p := range pairsList {
-				if p.truth > bestTruth {
-					bestTruth = p.truth
-				}
-				scores[k] = co.Score(group[p.i], group[p.j])
 			}
 			// Tie-aware success: a suggestion counts if it is within one
 			// point of the measured best (colocations this close are
 			// interchangeable in practice).
-			order := make([]int, len(pairsList))
-			for k := range order {
-				order[k] = k
-			}
-			for a := 1; a < len(order); a++ {
-				for b := a; b > 0 && scores[order[b]] > scores[order[b-1]]; b-- {
-					order[b], order[b-1] = order[b-1], order[b]
-				}
-			}
-			for k := 0; k < 3; k++ {
-				hit := false
-				for _, oi := range order[:k+1] {
-					if pairsList[oi].truth >= bestTruth-0.01 {
-						hit = true
-					}
-				}
-				if hit {
+			sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].score > pairs[j].score })
+			for k := range top {
+				if slices.ContainsFunc(pairs[:k+1], func(p pairScore) bool { return p.truth >= bestTruth-0.01 }) {
 					top[k]++
 				}
 			}
@@ -142,23 +122,18 @@ func Figure14bc(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := core.ColocConfig{Params: ctx.Cfg.Params, Seed: ctx.Cfg.Seed}
-	if ctx.Cfg.Quick {
-		ccfg.TrainNFs = 8
-		ccfg.PairsMax = 20
-		ccfg.Packets = 500
-	}
-	co, err := core.TrainColocator(ccfg, pred, core.ObjThroughputTotal)
+	co, err := colocator(ctx)
 	if err != nil {
 		return nil, err
 	}
+	co.Retrain(core.ObjThroughputTotal)
 
 	var cands []*core.ColocNF
 	for _, name := range complexNFs {
 		// Small flows defeat the EMEM cache, so colocated NFs genuinely
 		// meet at the memory subsystem (§4.5).
 		c, err := core.PrepareColocNF(elementNF(name, nil), traffic.SmallFlows,
-			ctx.packets(2000), 24, ctx.Cfg.Params, pred)
+			ctx.scale.colocPkts, 24, ctx.Cfg.Params, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -172,8 +147,7 @@ func Figure14bc(ctx *Context) (*Table, error) {
 		Header: []string{"pair", "norm.throughput", "latA co/solo(us)", "latB co/solo(us)"},
 	}
 	var norms []float64
-	var spear []float64
-	for rank, p := range ranked {
+	for _, p := range ranked {
 		a, b := cands[p[0]], cands[p[1]]
 		o, err := core.MeasurePair(a, b, 24, ctx.Cfg.Params)
 		if err != nil {
@@ -187,21 +161,11 @@ func Figure14bc(ctx *Context) (*Table, error) {
 		}
 		norm := o.Friendliness[core.ObjThroughputTotal]
 		norms = append(norms, norm)
-		spear = append(spear, float64(rank))
 		t.AddRow(a.Name+"+"+b.Name, f3(norm),
 			fmt.Sprintf("%s/%s", f2(rs[0].AvgLatencyUs), f2(a.Solo.AvgLatencyUs)),
 			fmt.Sprintf("%s/%s", f2(rs[1].AvgLatencyUs), f2(b.Solo.AvgLatencyUs)))
 	}
-	minN, maxN := norms[0], norms[0]
-	for _, v := range norms {
-		if v < minN {
-			minN = v
-		}
-		if v > maxN {
-			maxN = v
-		}
-	}
-	t.Notef("normalized throughput spread %.1f points across strategies (paper: up to ~15)", 100*(maxN-minN))
+	t.Notef("normalized throughput spread %.1f points across strategies (paper: up to ~15)", 100*(slices.Max(norms)-slices.Min(norms)))
 	// Is the ranking consistent with measured friendliness?
 	misorder := 0
 	for i := 0; i+1 < len(norms); i++ {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"clara/internal/click"
 	"clara/internal/ir"
@@ -19,7 +21,6 @@ import (
 func Figure1(ctx *Context) (*Table, error) {
 	params := ctx.Cfg.Params
 	cores := 16
-	n := ctx.packets(2500)
 
 	type variant struct {
 		nf    string
@@ -89,7 +90,7 @@ func Figure1(ctx *Context) (*Table, error) {
 		if v.cores != 0 {
 			c = v.cores
 		}
-		r, _, err := runNF(params, v.make(), v.wl, n, c)
+		r, err := runNF(params, v.make(), v.wl, ctx.scale.tracePkts, c)
 		if err != nil {
 			return nil, fmt.Errorf("figure1 %s/%s: %w", v.nf, v.label, err)
 		}
@@ -98,17 +99,10 @@ func Figure1(ctx *Context) (*Table, error) {
 	}
 	var maxRatio float64
 	for _, nf := range order {
-		best := lat[nf][0]
-		for _, l := range lat[nf] {
-			if l < best {
-				best = l
-			}
-		}
+		best := slices.Min(lat[nf])
 		for i, l := range lat[nf] {
 			norm := l / best
-			if norm > maxRatio {
-				maxRatio = norm
-			}
+			maxRatio = max(maxRatio, norm)
 			t.AddRow(nf, labels[nf][i], f2(l), f2(norm)+"x")
 		}
 	}
@@ -124,20 +118,13 @@ func Table1(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := synth.ProfileFromModules(mods)
-	n := 160
-	probe := 60
-	if ctx.Cfg.Quick {
-		n = 30
-		probe = 15
-	}
-	prof, err = synth.Calibrate(prof, probe, ctx.Cfg.Seed+7777, lang.Compile)
+	prof, err := synth.Calibrate(synth.ProfileFromModules(mods), ctx.scale.synthProbe, ctx.Cfg.Seed+7777, lang.Compile)
 	if err != nil {
 		return nil, err
 	}
 	gen := func(p synth.Profile, seedOff int64) ([]*ir.Module, error) {
 		var out []*ir.Module
-		for i := 0; i < n; i++ {
+		for i := 0; i < ctx.scale.synthPrograms; i++ {
 			m, _, err := synth.GenerateModule(synth.Config{Profile: p, Seed: ctx.Cfg.Seed + seedOff + int64(i)}, lang.Compile)
 			if err != nil {
 				return nil, err
@@ -223,18 +210,7 @@ func Table2(ctx *Context) (*Table, error) {
 			stateful,
 			fmt.Sprintf("%d", st.StateMem),
 			fmt.Sprintf("%d", st.APICalls),
-			joinStrings(e.Insights, ","))
+			strings.Join(e.Insights, ","))
 	}
 	return t, nil
-}
-
-func joinStrings(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
 }

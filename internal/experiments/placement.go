@@ -3,32 +3,46 @@ package experiments
 import (
 	"math"
 
+	"clara/internal/click"
 	"clara/internal/core"
 	"clara/internal/nicsim"
 	"clara/internal/stats"
 	"clara/internal/traffic"
 )
 
+// Placement is measured under small flows at an operating point below the
+// ingress ceiling, where placement headroom translates into throughput (the
+// paper's ports are far from line rate on the tested NFs).
+const placementCores = 10
+
 // placementRun measures one NF under a given placement.
-func placementRun(ctx *Context, name string, pl nicsim.Placement, wl traffic.Spec, cores int) (nicsim.Result, error) {
-	n := ctx.packets(3000)
-	r, _, err := runNF(ctx.Cfg.Params, elementNF(name, func(nf *nicsim.NF) {
+func placementRun(ctx *Context, name string, pl nicsim.Placement) (nicsim.Result, error) {
+	return runNF(ctx.Cfg.Params, elementNF(name, func(nf *nicsim.NF) {
 		nf.Placement = pl
-	}), wl, n, cores)
-	return r, err
+	}), traffic.SmallFlows, ctx.scale.simPkts, placementCores)
+}
+
+// claraPlacement is a complex NF measured under the placement Clara's ILP
+// suggests from its host profile (figure12, figure15).
+func claraPlacement(ctx *Context, name string) (nicsim.Result, error) {
+	return stage(ctx.stages, "placement/"+name, func() (nicsim.Result, error) {
+		mod := click.Get(name).MustModule()
+		prof, err := core.ProfileOnHost(mod, profileSetup(name), traffic.SmallFlows, ctx.scale.profilePkts)
+		if err != nil {
+			return nicsim.Result{}, err
+		}
+		pl, err := core.SuggestPlacement(mod, prof, ctx.Cfg.Params)
+		if err != nil {
+			return nicsim.Result{}, err
+		}
+		return placementRun(ctx, name, pl)
+	})
 }
 
 // Figure12 reproduces the NF state placement evaluation: Clara's ILP
 // placement vs the naive all-EMEM baseline on the four complex NFs under
 // small flows (§5.5: latency −33% and throughput +89% on average).
 func Figure12(ctx *Context) (*Table, error) {
-	params := ctx.Cfg.Params
-	wl := traffic.SmallFlows
-	// An operating point below the ingress ceiling, where placement
-	// headroom translates into throughput (the paper's ports are far from
-	// line rate on the tested NFs).
-	cores := 10
-
 	t := &Table{
 		ID:     "figure12",
 		Title:  "NF state placement: Clara(ILP) vs naive(all-EMEM), small flows",
@@ -36,20 +50,11 @@ func Figure12(ctx *Context) (*Table, error) {
 	}
 	var latGain, thGain []float64
 	for _, name := range complexNFs {
-		mod := elementNF(name, nil).Mod
-		prof, err := core.ProfileOnHost(mod, profileSetup(name), wl, ctx.packets(1200))
+		naive, err := placementRun(ctx, name, core.NaivePlacement(click.Get(name).MustModule()))
 		if err != nil {
 			return nil, err
 		}
-		pl, err := core.SuggestPlacement(mod, prof, params)
-		if err != nil {
-			return nil, err
-		}
-		naive, err := placementRun(ctx, name, core.NaivePlacement(mod), wl, cores)
-		if err != nil {
-			return nil, err
-		}
-		clara, err := placementRun(ctx, name, pl, wl, cores)
+		clara, err := claraPlacement(ctx, name)
 		if err != nil {
 			return nil, err
 		}
@@ -67,10 +72,6 @@ func Figure12(ctx *Context) (*Table, error) {
 // Clara's ILP vs an exhaustive sweep over per-structure placements (§5.8:
 // Clara's latency up to 9.7% higher, throughput up to 7.6% lower).
 func Figure15(ctx *Context) (*Table, error) {
-	params := ctx.Cfg.Params
-	wl := traffic.SmallFlows
-	cores := 10
-
 	t := &Table{
 		ID:     "figure15",
 		Title:  "Placement: Clara(ILP) vs expert (exhaustive sweep), small flows",
@@ -78,29 +79,20 @@ func Figure15(ctx *Context) (*Table, error) {
 	}
 	var worstLat, worstTh float64
 	for _, name := range complexNFs {
-		mod := elementNF(name, nil).Mod
-		prof, err := core.ProfileOnHost(mod, profileSetup(name), wl, ctx.packets(1200))
-		if err != nil {
-			return nil, err
-		}
-		pl, err := core.SuggestPlacement(mod, prof, params)
-		if err != nil {
-			return nil, err
-		}
-		clara, err := placementRun(ctx, name, pl, wl, cores)
+		clara, err := claraPlacement(ctx, name)
 		if err != nil {
 			return nil, err
 		}
 
 		// Expert: measure every feasible candidate, keep the best ratio.
-		cands := core.PlacementCandidates(mod, params)
-		if ctx.Cfg.Quick && len(cands) > 8 {
-			cands = cands[:8]
+		cands := core.PlacementCandidates(click.Get(name).MustModule(), ctx.Cfg.Params)
+		if n := ctx.scale.expertPlacements; n > 0 && len(cands) > n {
+			cands = cands[:n]
 		}
 		best := nicsim.Result{}
 		bestScore := math.Inf(-1)
 		for _, cand := range cands {
-			r, err := placementRun(ctx, name, cand, wl, cores)
+			r, err := placementRun(ctx, name, cand)
 			if err != nil {
 				return nil, err
 			}
@@ -111,12 +103,8 @@ func Figure15(ctx *Context) (*Table, error) {
 		}
 		t.AddRow(name, "Clara", f2(clara.ThroughputMpps), f2(clara.AvgLatencyUs))
 		t.AddRow(name, "expert", f2(best.ThroughputMpps), f2(best.AvgLatencyUs))
-		if d := clara.AvgLatencyUs/best.AvgLatencyUs - 1; d > worstLat {
-			worstLat = d
-		}
-		if d := 1 - clara.ThroughputMpps/best.ThroughputMpps; d > worstTh {
-			worstTh = d
-		}
+		worstLat = max(worstLat, clara.AvgLatencyUs/best.AvgLatencyUs-1)
+		worstTh = max(worstTh, 1-clara.ThroughputMpps/best.ThroughputMpps)
 	}
 	t.Notef("Clara latency up to %s higher, throughput up to %s lower than exhaustive (paper: 9.7%% / 7.6%%)",
 		pct(worstLat), pct(worstTh))

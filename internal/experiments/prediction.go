@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
 	"clara/internal/click"
 	"clara/internal/core"
 	"clara/internal/ir"
+	"clara/internal/isa"
 	"clara/internal/ml"
 	"clara/internal/niccc"
 	"clara/internal/stats"
@@ -15,6 +18,30 @@ import (
 var figure8NFs = []string{
 	"tcpack", "udpipencap", "timefilter", "anonipaddr",
 	"tcpresp", "forcetcp", "aggcounter", "tcpgen",
+}
+
+// compiled is the vendor compiler's output for a library element, the
+// per-block ground truth of figure8 and the reverse-porting ablation.
+func compiled(ctx *Context, name string) (*isa.Program, error) {
+	return stage(ctx.stages, "compile/"+name, func() (*isa.Program, error) {
+		return niccc.Compile(click.Get(name).MustModule(), niccc.Options{})
+	})
+}
+
+// ablationPredictor trains the ablations' LSTM with the given vocabulary
+// and library-cost handling; the compact, reverse-ported one is the
+// baseline both ablations compare against.
+func ablationPredictor(ctx *Context, compact, predictAPI bool) (*core.Predictor, error) {
+	key := fmt.Sprintf("ablation-predictor/compact=%t/api=%t", compact, predictAPI)
+	return stage(ctx.stages, key, func() (*core.Predictor, error) {
+		prof, err := corpusProfile()
+		if err != nil {
+			return nil, err
+		}
+		cfg := ctx.scale.ablation
+		cfg.CompactVocab, cfg.PredictAPI, cfg.Seed = compact, predictAPI, ctx.Cfg.Seed
+		return core.TrainPredictor(cfg, prof)
+	})
 }
 
 // Figure8 reproduces the instruction-prediction comparison: per-NF WMAPE
@@ -28,17 +55,11 @@ func Figure8(ctx *Context) (*Table, error) {
 
 	// Rebuild the training corpus for the baselines (same generator
 	// settings as the predictor's).
-	mods, err := click.Modules(click.Table2Order)
+	prof, err := corpusProfile()
 	if err != nil {
 		return nil, err
 	}
-	nTrain := 320
-	epochs := 0 // defaults
-	if ctx.Cfg.Quick {
-		nTrain = 60
-		epochs = 6
-	}
-	trainMods, err := core.SynthTrainingModules(nTrain, core.CorpusProfile(mods), ctx.Cfg.Seed+1000)
+	trainMods, err := core.SynthTrainingModules(ctx.scale.predictor.TrainPrograms, prof, ctx.Cfg.Seed+1000)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +71,7 @@ func Figure8(ctx *Context) (*Table, error) {
 
 	// Sequence dataset (CNN) and bag-of-words dataset (DNN, AutoML).
 	var seq []ml.SeqSample
-	var bow [][]float64
+	var bow, targets [][]float64
 	var bowY []float64
 	for _, s := range samples {
 		if len(s.Words) == 0 {
@@ -59,6 +80,7 @@ func Figure8(ctx *Context) (*Table, error) {
 		seq = append(seq, ml.SeqSample{Tokens: vocab.Encode(s.Words), Target: []float64{float64(s.Compute)}})
 		bow = append(bow, core.BagOfWords(vocab, s.Words))
 		bowY = append(bowY, float64(s.Compute))
+		targets = append(targets, []float64{float64(s.Compute)})
 	}
 	// Feature selection for the tree-based AutoML candidates (TPOT also
 	// reduces dimensionality): keep the 64 most frequent words + length.
@@ -70,34 +92,23 @@ func Figure8(ctx *Context) (*Table, error) {
 		}
 		return out
 	}
-	bowR := make([][]float64, len(bow))
-	for i := range bow {
-		bowR[i] = reduce(bow[i])
-	}
 
-	cnnEpochs, dnnEpochs := 30, 30
-	if epochs > 0 {
-		cnnEpochs, dnnEpochs = epochs, epochs
-	}
 	cnn, _ := ml.TrainCNN(seq, ml.CNNConfig{
-		Vocab: vocab.Size(), Filters: 24, Epochs: cnnEpochs, Seed: ctx.Cfg.Seed + 11,
+		Vocab: vocab.Size(), Filters: 24, Epochs: ctx.scale.baselineEpochs, Seed: ctx.Cfg.Seed + 11,
 	})
-	targets := make([][]float64, len(bowY))
-	for i, v := range bowY {
-		targets[i] = []float64{v}
-	}
 	dnn, _ := ml.TrainMLP(bow, targets, ml.MLPConfig{
-		Layers: []int{len(bow[0]), 48, 24, 1}, Epochs: dnnEpochs,
+		Layers: []int{len(bow[0]), 48, 24, 1}, Epochs: ctx.scale.baselineEpochs,
 		Seed: ctx.Cfg.Seed + 12, TargetScale: 10,
 	})
 
 	// AutoML (TPOT stand-in) on a subsample (CV over the full block corpus
 	// with tree ensembles is disproportionate).
-	autoN := len(bow)
-	if autoN > 1000 {
-		autoN = 1000
+	autoN := min(len(bow), 1000)
+	bowR := make([][]float64, autoN)
+	for i := range bowR {
+		bowR[i] = reduce(bow[i])
 	}
-	autoModel, autoRes, err := ml.AutoMLRegressor(bowR[:autoN], bowY[:autoN], 3, ctx.Cfg.Seed+13)
+	autoModel, autoRes, err := ml.AutoMLRegressor(bowR, bowY[:autoN], 3, ctx.Cfg.Seed+13)
 	if err != nil {
 		return nil, err
 	}
@@ -107,15 +118,16 @@ func Figure8(ctx *Context) (*Table, error) {
 		Title:  "Instruction-prediction WMAPE: Clara vs DNN vs CNN vs AutoML",
 		Header: []string{"NF", "Clara", "DNN", "CNN", "AutoML"},
 	}
-	sum := map[string][]float64{}
+	var wmape [4][]float64 // Clara, DNN, CNN, AutoML
 	memAccMin, memAccMax := 1.0, 0.0
 	for _, name := range figure8NFs {
 		m := click.Get(name).MustModule()
-		prog, err := niccc.Compile(m, niccc.Options{})
+		prog, err := compiled(ctx, name)
 		if err != nil {
 			return nil, err
 		}
-		var truth, pClara, pDNN, pCNN, pAuto []float64
+		var truth []float64
+		var preds [4][]float64
 		for bi, b := range m.Handler().Blocks {
 			gt := prog.Blocks[bi].ComputeCount
 			if gt == 0 && len(b.Instrs) <= 1 {
@@ -124,36 +136,28 @@ func Figure8(ctx *Context) (*Table, error) {
 			words := ir.BlockWords(b, true)
 			c, _ := pred.PredictBlock(b)
 			truth = append(truth, float64(gt))
-			pClara = append(pClara, c)
 			x := core.BagOfWords(vocab, words)
-			pDNN = append(pDNN, clampNonNeg(dnn.Predict(x)))
-			pCNN = append(pCNN, cnn.Predict(vocab.Encode(words))[0])
-			pAuto = append(pAuto, clampNonNeg(autoModel.Predict(reduce(x))))
+			preds[0] = append(preds[0], c)
+			preds[1] = append(preds[1], clampNonNeg(dnn.Predict(x)))
+			preds[2] = append(preds[2], cnn.Predict(vocab.Encode(words))[0])
+			preds[3] = append(preds[3], clampNonNeg(autoModel.Predict(reduce(x))))
 		}
-		wc := stats.WMAPE(truth, pClara)
-		wd := stats.WMAPE(truth, pDNN)
-		wn := stats.WMAPE(truth, pCNN)
-		wa := stats.WMAPE(truth, pAuto)
-		t.AddRow(name, f3(wc), f3(wd), f3(wn), f3(wa))
-		sum["clara"] = append(sum["clara"], wc)
-		sum["dnn"] = append(sum["dnn"], wd)
-		sum["cnn"] = append(sum["cnn"], wn)
-		sum["auto"] = append(sum["auto"], wa)
+		row := []string{name}
+		for i, p := range preds {
+			w := stats.WMAPE(truth, p)
+			wmape[i] = append(wmape[i], w)
+			row = append(row, f3(w))
+		}
+		t.AddRow(row...)
 
 		res, err := pred.Evaluate(m)
 		if err != nil {
 			return nil, err
 		}
-		if res.MemAccuracy < memAccMin {
-			memAccMin = res.MemAccuracy
-		}
-		if res.MemAccuracy > memAccMax {
-			memAccMax = res.MemAccuracy
-		}
+		memAccMin = min(memAccMin, res.MemAccuracy)
+		memAccMax = max(memAccMax, res.MemAccuracy)
 	}
-	t.AddRow("MEAN",
-		f3(stats.Mean(sum["clara"])), f3(stats.Mean(sum["dnn"])),
-		f3(stats.Mean(sum["cnn"])), f3(stats.Mean(sum["auto"])))
+	t.AddRow("MEAN", f3(stats.Mean(wmape[0])), f3(stats.Mean(wmape[1])), f3(stats.Mean(wmape[2])), f3(stats.Mean(wmape[3])))
 	t.Notef("paper: Clara WMAPE 10.74%% overall (6.0–22.3%% per NF), beating DNN/CNN/AutoML")
 	t.Notef("memory-access count accuracy %s–%s (paper: 96.4%%–100%%)", pct(memAccMin), pct(memAccMax))
 	t.Notef("AutoML selected pipeline: %s (CV MAE %.2f); paper: random-forest regression", autoRes.Pipeline, autoRes.CVScore)
@@ -161,11 +165,8 @@ func Figure8(ctx *Context) (*Table, error) {
 }
 
 // topFeatures returns the indices of the k columns with the largest total
-// mass (plus the final length column).
+// mass, heaviest first, plus the final length column.
 func topFeatures(X [][]float64, k int) []int {
-	if len(X) == 0 {
-		return nil
-	}
 	nf := len(X[0])
 	mass := make([]float64, nf)
 	for _, x := range X {
@@ -177,22 +178,9 @@ func topFeatures(X [][]float64, k int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Selection of top k by mass (stable for determinism).
-	for i := 0; i < k && i < nf; i++ {
-		best := i
-		for j := i + 1; j < nf; j++ {
-			if mass[idx[j]] > mass[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	if k > nf {
-		k = nf
-	}
-	out := append([]int(nil), idx[:k]...)
-	out = append(out, nf-1) // length feature
-	return out
+	sort.SliceStable(idx, func(a, b int) bool { return mass[idx[a]] > mass[idx[b]] })
+	k = min(k, nf)
+	return append(idx[:k:k], nf-1)
 }
 
 func clampNonNeg(v float64) float64 {
@@ -205,24 +193,11 @@ func clampNonNeg(v float64) float64 {
 // Figure8Ablation quantifies the vocabulary-compaction ablation (§6): the
 // same LSTM trained on a raw-operand vocabulary.
 func Figure8Ablation(ctx *Context) (*Table, error) {
-	mods, err := click.Modules(click.Table2Order)
+	compact, err := ablationPredictor(ctx, true, false)
 	if err != nil {
 		return nil, err
 	}
-	prof := core.CorpusProfile(mods)
-	n, ep := 120, 14
-	if ctx.Cfg.Quick {
-		n, ep = 40, 6
-	}
-	compact, err := core.TrainPredictor(core.PredictorConfig{
-		TrainPrograms: n, Epochs: ep, CompactVocab: true, Seed: ctx.Cfg.Seed,
-	}, prof)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := core.TrainPredictor(core.PredictorConfig{
-		TrainPrograms: n, Epochs: ep, CompactVocab: false, Seed: ctx.Cfg.Seed,
-	}, prof)
+	raw, err := ablationPredictor(ctx, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -257,24 +232,11 @@ func Figure8Ablation(ctx *Context) (*Table, error) {
 // taking them, exactly, from the reverse-ported implementations), its
 // prediction error grows.
 func ReversePortAblation(ctx *Context) (*Table, error) {
-	mods, err := click.Modules(click.Table2Order)
+	withRP, err := ablationPredictor(ctx, true, false)
 	if err != nil {
 		return nil, err
 	}
-	prof := core.CorpusProfile(mods)
-	n, ep := 120, 14
-	if ctx.Cfg.Quick {
-		n, ep = 40, 6
-	}
-	withRP, err := core.TrainPredictor(core.PredictorConfig{
-		TrainPrograms: n, Epochs: ep, CompactVocab: true, Seed: ctx.Cfg.Seed,
-	}, prof)
-	if err != nil {
-		return nil, err
-	}
-	withoutRP, err := core.TrainPredictor(core.PredictorConfig{
-		TrainPrograms: n, Epochs: ep, CompactVocab: true, PredictAPI: true, Seed: ctx.Cfg.Seed,
-	}, prof)
+	withoutRP, err := ablationPredictor(ctx, true, true)
 	if err != nil {
 		return nil, err
 	}
@@ -289,13 +251,12 @@ func ReversePortAblation(ctx *Context) (*Table, error) {
 	// API counts, the ablation must predict them.
 	var a, b []float64
 	for _, name := range figure8NFs {
-		m := click.Get(name).MustModule()
-		prog, err := niccc.Compile(m, niccc.Options{})
+		prog, err := compiled(ctx, name)
 		if err != nil {
 			return nil, err
 		}
 		var truth, predRP, predAbl []float64
-		for bi, blk := range m.Handler().Blocks {
+		for bi, blk := range click.Get(name).MustModule().Handler().Blocks {
 			api := 0
 			for _, in := range blk.Instrs {
 				if in.Op == ir.OpCall {

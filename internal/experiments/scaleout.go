@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"clara/internal/core"
 	"clara/internal/ml"
 	"clara/internal/niccc"
 	"clara/internal/nicsim"
@@ -21,6 +20,32 @@ func portedNF(name string) *nicsim.NF {
 	return elementNF(name, func(nf *nicsim.NF) { nf.Accel.CsumEngine = true })
 }
 
+// coreSweep is a ported complex NF measured at every core count of the
+// default sweep under wl: figure11b's optimum, figure11cd's and
+// figure11ef's curves.
+func coreSweep(ctx *Context, name string, wl traffic.Spec) ([]nicsim.Result, error) {
+	return stage(ctx.stages, "sweep/"+name+"/"+wl.Name, func() ([]nicsim.Result, error) {
+		return sweepNF(ctx.Cfg.Params, portedNF(name), wl, ctx.scale.sweepPkts)
+	})
+}
+
+// suggestedCores is Clara's core-count suggestion for a ported complex NF
+// under large flows (figure11b, figure11ef).
+func suggestedCores(ctx *Context, name string) (int, error) {
+	return stage(ctx.stages, "suggest/"+name, func() (int, error) {
+		sm, err := ctx.Scaleout()
+		if err != nil {
+			return 0, err
+		}
+		pred, err := ctx.Predictor()
+		if err != nil {
+			return 0, err
+		}
+		return sm.SuggestForNF(portedNF(name).Mod, profileSetup(name), traffic.LargeFlows, pred,
+			niccc.AccelConfig{CsumEngine: true})
+	})
+}
+
 // Figure11a reproduces the model comparison for core-count prediction:
 // MAE (in cores) of Clara's GBDT vs AutoML, kNN and DNN on the scale-out
 // dataset (§5.4).
@@ -29,25 +54,25 @@ func Figure11a(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := sm.Train
 	// Held-out split: every fourth sample tests.
-	var trX, teX [][]float64
+	var trX, teX, targets [][]float64
 	var trY, teY []float64
-	for i, s := range data {
+	for i, s := range sm.Train {
 		if i%4 == 3 {
 			teX = append(teX, s.Features)
 			teY = append(teY, float64(s.Optimal))
 		} else {
 			trX = append(trX, s.Features)
 			trY = append(trY, float64(s.Optimal))
+			targets = append(targets, []float64{float64(s.Optimal)})
 		}
 	}
-	mae := func(m ml.Regressor) float64 {
+	mae := func(m ml.Regressor) string {
 		var preds []float64
 		for _, x := range teX {
 			preds = append(preds, m.Predict(x))
 		}
-		return stats.MAE(teY, preds)
+		return f2(stats.MAE(teY, preds))
 	}
 
 	t := &Table{
@@ -56,21 +81,17 @@ func Figure11a(ctx *Context) (*Table, error) {
 		Header: []string{"model", "MAE(cores)"},
 	}
 	gb := ml.FitGBDT(trX, trY, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08, Seed: ctx.Cfg.Seed})
-	t.AddRow("Clara(GBDT)", f2(mae(gb)))
+	t.AddRow("Clara(GBDT)", mae(gb))
 	auto, autoRes, err := ml.AutoMLRegressor(trX, trY, 4, ctx.Cfg.Seed+51)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("AutoML", f2(mae(auto)))
-	t.AddRow("kNN", f2(mae(ml.FitKNNRegressor(trX, trY, 3))))
-	targets := make([][]float64, len(trY))
-	for i, v := range trY {
-		targets[i] = []float64{v}
-	}
+	t.AddRow("AutoML", mae(auto))
+	t.AddRow("kNN", mae(ml.FitKNNRegressor(trX, trY, 3)))
 	dnn, _ := ml.TrainMLP(trX, targets, ml.MLPConfig{
 		Layers: []int{len(trX[0]), 24, 1}, Epochs: 80, Seed: ctx.Cfg.Seed + 52, TargetScale: 10,
 	})
-	t.AddRow("DNN", f2(mae(dnn)))
+	t.AddRow("DNN", mae(dnn))
 	t.Notef("paper Figure 11(a): GBDT lowest MAE, AutoML picks GBDT with different parameters")
 	t.Notef("AutoML selected: %s", autoRes.Pipeline)
 	return t, nil
@@ -79,18 +100,6 @@ func Figure11a(ctx *Context) (*Table, error) {
 // Figure11b reproduces the suggested-vs-optimal core counts for the four
 // most complex NFs (§5.4: deviations of 1–6%).
 func Figure11b(ctx *Context) (*Table, error) {
-	sm, err := ctx.Scaleout()
-	if err != nil {
-		return nil, err
-	}
-	pred, err := ctx.Predictor()
-	if err != nil {
-		return nil, err
-	}
-	params := ctx.Cfg.Params
-	n := ctx.packets(5000)
-	wl := traffic.LargeFlows
-
 	t := &Table{
 		ID:     "figure11b",
 		Title:  "Suggested vs optimal core counts (large flows)",
@@ -99,26 +108,16 @@ func Figure11b(ctx *Context) (*Table, error) {
 	var devs []float64
 	for _, name := range complexNFs {
 		// Optimal by exhaustive sweep.
-		b, err := portedNF(name).Build(params)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := nicsim.GenTraces(b, wl, n, params)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := nicsim.SweepCores(params, ts, nicsim.DefaultCoreSweep)
+		rs, err := coreSweep(ctx, name, traffic.LargeFlows)
 		if err != nil {
 			return nil, err
 		}
 		optimal := nicsim.KneeCores(rs)
-
-		suggested, err := sm.SuggestForNF(portedNF(name).Mod, profileSetup(name), wl, pred,
-			niccc.AccelConfig{CsumEngine: true})
+		suggested, err := suggestedCores(ctx, name)
 		if err != nil {
 			return nil, err
 		}
-		dev := float64(abs(suggested-optimal)) / float64(params.NumCores)
+		dev := float64(abs(suggested-optimal)) / float64(ctx.Cfg.Params.NumCores)
 		devs = append(devs, dev)
 		t.AddRow(name, fmt.Sprintf("%d", suggested), fmt.Sprintf("%d", optimal), pct(dev))
 	}
@@ -136,26 +135,19 @@ func abs(x int) int {
 // Figure11cd reproduces the throughput/latency-ratio curves against core
 // count under large-flow and small-flow workloads (§5.4).
 func Figure11cd(ctx *Context) (*Table, error) {
-	params := ctx.Cfg.Params
-	n := ctx.packets(5000)
 	t := &Table{
 		ID:     "figure11cd",
 		Title:  "Throughput/latency ratio vs cores (large and small flows)",
-		Header: append([]string{"NF", "workload"}, coreCols()...),
+		Header: []string{"NF", "workload"},
 	}
-	peaks := map[string][2]int{}
+	for _, c := range nicsim.DefaultCoreSweep {
+		t.Header = append(t.Header, fmt.Sprintf("c%d", c))
+	}
+	knees := make([][2]int, len(complexNFs)) // large flows, small flows
 	maxGain := 0.0
-	for _, name := range complexNFs {
-		for _, wl := range []traffic.Spec{traffic.LargeFlows, traffic.SmallFlows} {
-			b, err := portedNF(name).Build(params)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := nicsim.GenTraces(b, wl, n, params)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := nicsim.SweepCores(params, ts, nicsim.DefaultCoreSweep)
+	for i, name := range complexNFs {
+		for w, wl := range []traffic.Spec{traffic.LargeFlows, traffic.SmallFlows} {
+			rs, err := coreSweep(ctx, name, wl)
 			if err != nil {
 				return nil, err
 			}
@@ -163,29 +155,21 @@ func Figure11cd(ctx *Context) (*Table, error) {
 			bestRatio, allRatio := 0.0, 0.0
 			for _, r := range rs {
 				row = append(row, f2(r.Ratio()))
-				if r.Ratio() > bestRatio {
-					bestRatio = r.Ratio()
-				}
-				if r.Cores == params.NumCores {
+				bestRatio = max(bestRatio, r.Ratio())
+				if r.Cores == ctx.Cfg.Params.NumCores {
 					allRatio = r.Ratio()
 				}
 			}
-			if allRatio > 0 && bestRatio/allRatio-1 > maxGain {
-				maxGain = bestRatio/allRatio - 1
+			if allRatio > 0 {
+				maxGain = max(maxGain, bestRatio/allRatio-1)
 			}
-			t.Rows = append(t.Rows, row)
-			k := peaks[name]
-			if wl.Name == traffic.LargeFlows.Name {
-				k[0] = nicsim.KneeCores(rs)
-			} else {
-				k[1] = nicsim.KneeCores(rs)
-			}
-			peaks[name] = k
+			t.AddRow(row...)
+			knees[i][w] = nicsim.KneeCores(rs)
 		}
 	}
 	earlier := 0
-	for _, name := range complexNFs {
-		k := peaks[name]
+	for i, name := range complexNFs {
+		k := knees[i]
 		t.Notef("%s: ratio peaks at %d cores (large flows) vs %d (small flows)", name, k[0], k[1])
 		if k[0] <= k[1] {
 			earlier++
@@ -196,50 +180,22 @@ func Figure11cd(ctx *Context) (*Table, error) {
 	return t, nil
 }
 
-func coreCols() []string {
-	out := make([]string, len(nicsim.DefaultCoreSweep))
-	for i, c := range nicsim.DefaultCoreSweep {
-		out[i] = fmt.Sprintf("c%d", c)
-	}
-	return out
-}
-
 // Figure11ef reproduces the detailed MazuNAT and WebGen curves: absolute
 // throughput and latency per core count with Clara's suggestion marked.
 func Figure11ef(ctx *Context) (*Table, error) {
-	sm, err := ctx.Scaleout()
-	if err != nil {
-		return nil, err
-	}
-	pred, err := ctx.Predictor()
-	if err != nil {
-		return nil, err
-	}
-	params := ctx.Cfg.Params
-	n := ctx.packets(5000)
-	wl := traffic.LargeFlows
-
 	t := &Table{
 		ID:     "figure11ef",
 		Title:  "MazuNAT / WebGen detail curves (large flows)",
 		Header: []string{"NF", "cores", "throughput(Mpps)", "latency(us)", "ratio"},
 	}
-	naiveGain := map[string]float64{}
-	for _, name := range []string{"mazunat", "webgen"} {
-		b, err := portedNF(name).Build(params)
+	detailNFs := []string{"mazunat", "webgen"}
+	naiveGain := make([]float64, len(detailNFs))
+	for i, name := range detailNFs {
+		rs, err := coreSweep(ctx, name, traffic.LargeFlows)
 		if err != nil {
 			return nil, err
 		}
-		ts, err := nicsim.GenTraces(b, wl, n, params)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := nicsim.SweepCores(params, ts, nicsim.DefaultCoreSweep)
-		if err != nil {
-			return nil, err
-		}
-		suggested, err := sm.SuggestForNF(portedNF(name).Mod, profileSetup(name), wl, pred,
-			niccc.AccelConfig{CsumEngine: true})
+		suggested, err := suggestedCores(ctx, name)
 		if err != nil {
 			return nil, err
 		}
@@ -251,17 +207,17 @@ func Figure11ef(ctx *Context) (*Table, error) {
 			}
 			t.AddRow(name, fmt.Sprintf("%d%s", r.Cores, mark),
 				f2(r.ThroughputMpps), f2(r.AvgLatencyUs), f2(r.Ratio()))
-			if r.Cores == params.NumCores {
+			if r.Cores == ctx.Cfg.Params.NumCores {
 				atAll = r
 			}
 			if r.Ratio() > best.Ratio() {
 				best = r
 			}
 		}
-		naiveGain[name] = best.Ratio()/atAll.Ratio() - 1
+		naiveGain[i] = best.Ratio()/atAll.Ratio() - 1
 	}
-	for name, g := range naiveGain {
-		t.Notef("%s: optimal operating point beats all-60-cores by %s on Th/Lat ratio (paper: up to 71.1%%)", name, pct(g))
+	for i, name := range detailNFs {
+		t.Notef("%s: optimal operating point beats all-60-cores by %s on Th/Lat ratio (paper: up to 71.1%%)", name, pct(naiveGain[i]))
 	}
 	return t, nil
 }
@@ -277,5 +233,3 @@ func nearestCore(c int) int {
 	}
 	return best
 }
-
-var _ = core.ScaleoutFeatures

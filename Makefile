@@ -47,12 +47,14 @@ cluster-check:
 # detector: memo's singleflight (waiter contexts included); the fleet's
 # result tier — second-sighting admission, every key component, hit ==
 # fresh analysis after a miss and after an eviction, and no waiter ever
-# inheriting its leader's cancellation, deadline or panic; the doors
+# inheriting its leader's cancellation, deadline or panic; the batch's
+# module facts — one static half per module, results equal to one-job runs;
+# the doors
 # agreeing cold and warm; and the server's wire splice, with a warm
 # /v1/analyze pinned to zero insights encodes and a stated allocation count.
 store-check:
 	$(GO) test -race ./internal/memo/
-	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob' ./internal/fleet/
+	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob|TestBatchSharesModuleFacts' ./internal/fleet/
 	$(GO) test -race -run 'TestWireSplice|TestWarmAnalyzeNoEncode' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 
@@ -70,12 +72,14 @@ simulate-check:
 # detector: every library element x every traffic spec, counting and
 # hooked, plus the fuel-starvation and HostMap sweeps and 300 generated
 # programs, must produce byte-identical transcripts from RunPacket (the
-# step engine) and the reference loop; the profile loop must not allocate.
+# step engine) and the reference loop — also with fuel running out inside
+# every superblock a packet enters (TestChainFuelBoundary); the profile
+# loop must not allocate.
 # The slab tests run every program on state other programs released (8
 # goroutines at once, generation wraparound included) and require it to be
 # indistinguishable from fresh memory; a released machine must panic.
 interp-check:
-	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestChainFuelBoundary|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the

@@ -92,36 +92,59 @@ func (c *Clara) AnalyzeContext(ctx context.Context, mod *ir.Module, ps ProfileSe
 	if err != nil {
 		return nil, err
 	}
-	return c.AnalyzeWithPredictionContext(ctx, mod, ps, wl, mp)
+	return c.AnalyzeWorkloadContext(ctx, mod, ps, wl, c.Facts(mod, mp))
 }
 
-// AnalyzeWithPredictionContext runs the workload-dependent analyses
-// against an already-computed §3 prediction. Fleet runs use it to share
-// one PredictModule result across every workload an NF is analyzed under;
-// the prediction is read-only here, so a cached *ModulePrediction may be
-// passed to concurrent calls. The context is observed inside the profiling
+// ModuleFacts is the workload-independent half of an analysis: what
+// Insights carry that depends on the module and the tool alone — the §3
+// prediction, the offloadability diagnostics and static state profile
+// (one analysis.Analyze pass), and the §4.1 algorithm. It is read-only
+// once built, so one value may back every workload a module is analyzed
+// under, and the Insights built from it share its slices.
+type ModuleFacts struct {
+	Prediction   *ModulePrediction
+	Diagnostics  []analysis.Diagnostic
+	StateProfile *analysis.StateProfile
+	Algorithm    int // AlgoCRC / AlgoLPM / AlgoNone
+}
+
+// Facts computes the static half of mod's analysis against an
+// already-computed §3 prediction. The prediction is only read, so a cached
+// *ModulePrediction may back concurrent calls.
+func (c *Clara) Facts(mod *ir.Module, mp *ModulePrediction) *ModuleFacts {
+	f := &ModuleFacts{Prediction: mp}
+	f.Diagnostics, f.StateProfile = analysis.Analyze(mod, c.LintConfig())
+	if c.AlgoID != nil {
+		f.Algorithm = c.AlgoID.Classify(mod)
+	}
+	return f
+}
+
+// AnalyzeWorkloadContext runs the workload-dependent half of an analysis
+// on top of mod's Facts: the state-oversize refusal, the host profile,
+// placement, coalescing packs and scale-out. A caller analyzing one module
+// under several workloads computes Facts once and calls this per workload,
+// as a fleet batch does. The context is observed inside the profiling
 // packet loop (the longest stage) and between stages, so canceling stops
 // the analysis within at most one stage boundary or 64 profiled packets.
-func (c *Clara) AnalyzeWithPredictionContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, mp *ModulePrediction) (*Insights, error) {
-	if mp == nil {
+func (c *Clara) AnalyzeWorkloadContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, f *ModuleFacts) (*Insights, error) {
+	if f == nil || f.Prediction == nil {
 		return nil, fmt.Errorf("core: nil prediction for %s", mod.Name)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ins := &Insights{NF: mod.Name, Workload: wl.Name, Prediction: mp}
-	ins.Diagnostics, ins.StateProfile = analysis.Analyze(mod, c.LintConfig())
 	// A structure beyond the largest tier has no feasible placement, so the
 	// job is lost either way; fail it before profiling allocates the
 	// structure on the host (the size comes from submitted source).
-	for _, d := range ins.Diagnostics {
+	for _, d := range f.Diagnostics {
 		if d.Rule == analysis.RuleStateOversize && d.Severity == analysis.SevError {
 			return nil, fmt.Errorf("core: %s cannot be placed: %s", mod.Name, d)
 		}
 	}
-
-	if c.AlgoID != nil {
-		ins.Algorithm = c.AlgoID.Classify(mod)
+	ins := &Insights{
+		NF: mod.Name, Workload: wl.Name, Prediction: f.Prediction, Algorithm: f.Algorithm,
+		Diagnostics: f.Diagnostics, StateProfile: f.StateProfile,
 	}
 
 	prof, err := ProfileOnHostContext(ctx, mod, ps, wl, 800)
@@ -145,7 +168,7 @@ func (c *Clara) AnalyzeWithPredictionContext(ctx context.Context, mod *ir.Module
 		for _, g := range mod.Globals {
 			stateBytes += g.SizeBytes()
 		}
-		ins.SuggestedCores = c.Scaleout.Suggest(ScaleoutFeatures(mp, prof, wl, stateBytes))
+		ins.SuggestedCores = c.Scaleout.Suggest(ScaleoutFeatures(f.Prediction, prof, wl, stateBytes))
 	}
 	return ins, nil
 }

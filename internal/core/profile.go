@@ -75,8 +75,16 @@ func ProfileOnHost(mod *ir.Module, ps ProfileSetup, wl traffic.Spec, n int) (*Ho
 // promptly instead of executing the full workload. The workload trace is
 // served from the shared replay cache — a fleet profiling many NFs under
 // the same spec generates the packet sequence once — and replaying it
-// yields exactly the packets a fresh generator would.
+// yields exactly the packets a fresh generator would. n = 0 builds the
+// machine and runs Setup but no packet, and returns an empty profile.
 func ProfileOnHostContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, n int) (*HostProfile, error) {
+	if n <= 0 {
+		// No trace to replay; the spec is still the caller's to get right.
+		if err := wl.Validate(); err != nil {
+			return nil, err
+		}
+		return ProfileOnHostSourceContext(ctx, mod, ps, nil, n)
+	}
 	gen, err := traffic.Replay(wl, n)
 	if err != nil {
 		return nil, err
@@ -93,8 +101,12 @@ func ProfileOnHostSource(mod *ir.Module, ps ProfileSetup, gen traffic.Source, n 
 // ProfileOnHostSourceContext profiles over any packet source under a
 // context. Cancellation is checked every 64 packets — coarse enough to be
 // free, fine enough that profiling (the longest per-analysis stage) stops
-// within microseconds of a client disconnect.
+// within microseconds of a client disconnect. gen is not read when n = 0;
+// a negative n is an error.
 func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, gen traffic.Source, n int) (*HostProfile, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("core: profiling %s: negative packet count %d", mod.Name, n)
+	}
 	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: ps.LPMTable, Seed: ps.Seed})
 	if err != nil {
 		return nil, err

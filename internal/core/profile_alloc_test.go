@@ -58,7 +58,7 @@ func profileLoop(tb testing.TB, name string, n int) func() {
 // here silently taxes every fleet job, so it fails the build rather than
 // just a benchmark delta.
 func TestProfileLoopZeroAllocs(t *testing.T) {
-	for _, name := range []string{"udpcount", "cmsketch"} {
+	for _, name := range []string{"udpcount", "cmsketch", "wepdecap"} {
 		t.Run(name, func(t *testing.T) {
 			const n = 256
 			loop := profileLoop(t, name, n)
@@ -71,13 +71,20 @@ func TestProfileLoopZeroAllocs(t *testing.T) {
 
 // BenchmarkProfilePacketLoop measures the steady-state per-packet cost of
 // host profiling (replayer + compiled machine + counters), with allocs
-// reported so `-benchmem` shows the 0 allocs/op contract.
+// reported so `-benchmem` shows the 0 allocs/op contract. udpcount is a
+// short straight-line handler (3 blocks a packet); wepdecap and cmsketch
+// are the loop-heavy elements most of a library batch's profiling time
+// goes to.
 func BenchmarkProfilePacketLoop(b *testing.B) {
-	const n = 256
-	loop := profileLoop(b, "udpcount", n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += n {
-		loop()
+	for _, name := range []string{"udpcount", "wepdecap", "cmsketch"} {
+		b.Run(name, func(b *testing.B) {
+			const n = 256
+			loop := profileLoop(b, name, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += n {
+				loop()
+			}
+		})
 	}
 }

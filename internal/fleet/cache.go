@@ -40,7 +40,7 @@ const resultCacheCap = 512
 // profiling seed, what Setup and LPMTable do — named by ProfileSetup.ID,
 // since a func cannot be compared — and the fleet's tool, which the store
 // shares its lifetime with. The profiled packet count is a constant of
-// core.AnalyzeWithPredictionContext.
+// core.AnalyzeWorkloadContext.
 type resultKey struct {
 	pred  predKey
 	wl    traffic.Spec

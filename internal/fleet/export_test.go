@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"sync/atomic"
+	"testing"
+
 	"clara/internal/core"
+	"clara/internal/ir"
 	"clara/internal/memo"
 )
 
@@ -15,4 +19,18 @@ func (f *Fleet) setCacheCap(n int) {
 // setResultCap does the same for the result store.
 func (f *Fleet) setResultCap(n int) {
 	f.results = memo.New[resultKey, *analysed](n)
+}
+
+// countFacts counts, for the rest of the test, every computation of a
+// module's static half (one analysis.Analyze pass each). Tests using it
+// must not run in parallel: the hook is the package's.
+func countFacts(t *testing.T) *atomic.Int64 {
+	facts := new(atomic.Int64)
+	real := moduleFacts
+	moduleFacts = func(c *core.Clara, mod *ir.Module, mp *core.ModulePrediction) *core.ModuleFacts {
+		facts.Add(1)
+		return real(c, mod, mp)
+	}
+	t.Cleanup(func() { moduleFacts = real })
+	return facts
 }

@@ -2,15 +2,17 @@
 // jobs: a bounded worker pool executes core.Clara analyses concurrently,
 // a memoizing cache shares each module's §3 prediction across every
 // workload it is analyzed under, a second one answers a repeated job with
-// the Insights it was answered with before, and per-stage metrics (jobs
-// completed, cache hits/misses, per-analysis wall-time histogram) are
-// exposed as a Stats snapshot.
+// the Insights it was answered with before, a third, living only as long
+// as one batch, shares each module's static facts (core.ModuleFacts)
+// between the batch's workloads, and per-stage metrics (jobs completed,
+// cache hits/misses, per-analysis wall-time histogram) are exposed as a
+// Stats snapshot.
 //
 // The trained models (Predictor, AlgoIdentifier, ScaleoutModel) are
 // shared read-only across workers — after training they are never
 // mutated, and every per-job mutable structure (interpreter machines,
 // host profiles, traffic generators) is created per analysis. The only
-// shared mutable state the fleet adds, the two stores and the metrics, is
+// shared mutable state the fleet adds, the stores and the metrics, is
 // guarded internally, so Run is safe to call with any worker count and
 // its results are deterministic: result i always corresponds to job i,
 // and analysis output is a pure function of the job.
@@ -171,7 +173,7 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 		// A one-job batch — every single-NF request a server gets — runs on
 		// the caller's goroutine: analyze confines its own panics, and a
 		// channel, a goroutine and a wakeup cost more than a result hit.
-		results[0] = f.analyze(ctx, jobs[0])
+		results[0] = f.analyze(ctx, jobs[0], nil)
 	} else {
 		f.runPool(ctx, jobs, results)
 	}
@@ -181,6 +183,7 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 
 // runPool spreads jobs over the worker pool, filling results in job order.
 func (f *Fleet) runPool(ctx context.Context, jobs []Job, results []Result) {
+	batch := memo.New[predKey, *core.ModuleFacts](len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	workers := f.cfg.Workers
@@ -192,7 +195,7 @@ func (f *Fleet) runPool(ctx context.Context, jobs []Job, results []Result) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = f.analyze(ctx, jobs[i])
+				results[i] = f.analyze(ctx, jobs[i], batch)
 			}
 		}()
 	}
@@ -214,7 +217,8 @@ dispatch:
 	wg.Wait()
 }
 
-// analyze runs one job: the §3 prediction via its store, then the
+// analyze runs one job: the §3 prediction via its store, the module's
+// static facts (shared with the rest of the batch, if any), then the
 // workload-dependent analyses — or, for a module this fleet has predicted
 // before, the stored outcome of an identical job. A panic anywhere in the
 // analysis is confined to this job's Result — one poisoned NF must not
@@ -226,7 +230,7 @@ dispatch:
 // never-seen source cannot fill the store with replies nobody asks for
 // again (keeping all of them cost unique-src +30 % peak RSS), and a
 // repeated job pays for one extra analysis before it becomes a lookup.
-func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
+func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Result) {
 	start := time.Now() //claravet:allow metrics only: feeds Result.Elapsed, not the analysis
 	res = Result{Name: j.label(), Workload: j.WL.Name}
 	defer func() {
@@ -248,7 +252,7 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 		return res
 	}
 	compute := func() (*analysed, error) {
-		ins, err := f.tool.AnalyzeWithPredictionContext(ctx, j.Mod, j.PS, j.WL, mp)
+		ins, err := f.tool.AnalyzeWorkloadContext(ctx, j.Mod, j.PS, j.WL, f.facts(ctx, batch, pk, j.Mod, mp))
 		if err != nil {
 			return nil, err
 		}
@@ -279,6 +283,35 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 	res.Insights, res.Lint = a.ins, a.lint
 	res.PayloadLoops, res.PayloadKeyedStructs = a.payloadLoops, a.payloadKeyedStructs
 	return res
+}
+
+// moduleFacts computes a module's static half; tests count its calls.
+var moduleFacts = (*core.Clara).Facts
+
+// factsStore holds a batch's module facts: each module's static half,
+// computed once however many workloads the batch analyzes it under. It
+// lives and dies with the batch.
+type factsStore = memo.Store[predKey, *core.ModuleFacts]
+
+// facts returns mod's static half: computed for this job alone outside a
+// batch (batch nil), else through the batch's store, keyed like the
+// prediction whose facts they are (the tool, which the rest depends on,
+// is the fleet's).
+func (f *Fleet) facts(ctx context.Context, batch *factsStore, pk predKey, mod *ir.Module, mp *core.ModulePrediction) *core.ModuleFacts {
+	if batch == nil {
+		return moduleFacts(f.tool, mod, mp)
+	}
+	fs, _, err := batch.Get(ctx, pk, func() (*core.ModuleFacts, error) {
+		return moduleFacts(f.tool, mod, mp), nil
+	})
+	if err != nil {
+		// Only a waiter sees an error: the computation it waited on
+		// panicked, or its own context ended the wait. As with the result
+		// tier, it computes for itself, so a panic and its stack stay with
+		// the job that raises it.
+		return moduleFacts(f.tool, mod, mp)
+	}
+	return fs
 }
 
 // stackSnippet returns the first few KB of the panicking goroutine's

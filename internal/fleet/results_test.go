@@ -486,3 +486,45 @@ func TestWaiterKeepsItsOwnDeadline(t *testing.T) {
 		t.Error("the leader's result was not stored after an impatient waiter left")
 	}
 }
+
+// TestBatchSharesModuleFacts: a batch computes each module's static half
+// once, however many workloads it analyzes the module under, and the
+// results are exactly what one-job runs give, each of which computes its
+// own. The whole library batch computes one per element.
+func TestBatchSharesModuleFacts(t *testing.T) {
+	facts := countFacts(t)
+	var jobs []Job
+	for _, wl := range []traffic.Spec{traffic.SmallFlows, traffic.LargeFlows, traffic.MediumMix} {
+		j := elementJob("dnsproxy")
+		j.WL = wl
+		jobs = append(jobs, j)
+	}
+	res, err := newFleet(t, 3).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := facts.Load(); n != 1 {
+		t.Errorf("one module under 3 workloads: %d static halves, want 1", n)
+	}
+	for i, j := range jobs {
+		if res[i].Err != nil {
+			t.Fatalf("%s/%s: %v", j.Name, j.WL.Name, res[i].Err)
+		}
+		facts.Store(0)
+		alone := run1(t, newFleet(t, 1), j)
+		if got, want := canonical(t, res[i].Insights), canonical(t, alone.Insights); got != want {
+			t.Errorf("%s/%s: batch insights differ from a one-job run:\n%s\n%s", j.Name, j.WL.Name, got, want)
+		}
+		if n := facts.Load(); n != 1 {
+			t.Errorf("one-job run: %d static halves, want 1", n)
+		}
+	}
+
+	facts.Store(0)
+	if _, err := newFleet(t, 8).Run(libraryJobs(t)); err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(len(click.Table2Order)); facts.Load() != n {
+		t.Errorf("library batch: %d static halves, want %d", facts.Load(), n)
+	}
+}

@@ -8,21 +8,25 @@ import (
 )
 
 // This file lowers a compiled program (the flat cInstr form the reference
-// loop walks) into the step engine's form: per block, one []vstep body
-// plus a resolved terminator (steps.go). One pipeline produces both
+// loop walks) into the step engine's form: superblocks — chains of blocks
+// joined by unconditional branches — each one []vstep body plus the last
+// block's resolved terminator (steps.go). One pipeline produces both
 // lowerings — plain, and counting with each global access's flat counter
-// index (gidx*NBlocks+block) baked into its step:
+// index (gidx*NBlocks+block) baked into its step and a vCount step for
+// every non-head block of a chain:
 //
+//	chains         which blocks each chain holds
 //	remapInstrs    operands move into the combined register space
 //	lvnBlock       local loads whose value never leaves the block vanish
 //	toStep         each instruction becomes a vstep
 //	peepholeSteps  constant operands and trailing local stores fold in
 //
-// Every rewrite keeps the write-through contract: each surviving
-// instruction still writes its IR result cell before the next one reads
-// its operands, so no use-def matching is needed and other blocks observe
-// exactly the unlowered state. Fuel and Steps charge by source IR count
-// (sBlock.size), so lowering never changes the observable cost model.
+// Every rewrite is per block and keeps the write-through contract: each
+// surviving instruction still writes its IR result cell before the next
+// one reads its operands, so no use-def matching is needed and other
+// blocks observe exactly the unlowered state. Fuel and Steps charge by
+// source IR count (sChain.size, seg.size), so lowering never changes the
+// observable cost model.
 //
 // Framework API calls are not lowered: an xCall step hands the original
 // instruction to Machine.call, the code the reference loop runs, so probe
@@ -33,7 +37,7 @@ import (
 // dynamically: blocks without a proper final terminator, branch targets
 // outside the function, map/vec APIs aimed at the wrong global kind, and
 // zero-length modulo arrays. The step loop therefore needs no error check
-// per instruction, only the m.err gate after blocks that hold a call.
+// per instruction, only the m.err gate after chains that hold a call.
 
 // checkInstr validates one instruction; last reports whether it is its
 // block's final one. Errors read on from "block N ...".
@@ -82,44 +86,162 @@ func isTerm(op xop) bool {
 
 // lowering returns the program's step-engine form, plain or counting,
 // building it on first use; every machine for the module shares it.
-func (p *program) lowering(counting bool) []sBlock {
+func (p *program) lowering(counting bool) *lowered {
 	i := 0
 	if counting {
 		i = 1
 	}
 	p.lowerOnce[i].Do(func() { p.lowered[i] = lower(p, counting) })
-	return p.lowered[i]
+	return &p.lowered[i]
 }
 
-func lower(p *program, counting bool) []sBlock {
-	cross := crossReads(p)
-	blocks := make([]sBlock, len(p.blocks))
-	for bi := range p.blocks {
-		instrs := lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs), cross)
-		body, tm := instrs[:len(instrs)-1], &instrs[len(instrs)-1]
-		b := &blocks[bi]
-		*b = sBlock{
-			size: p.blocks[bi].size,
-			term: tm.op, pred: tm.pred, a0: tm.a0, a1: tm.a1, id: tm.id, t: tm.t, f: tm.f,
-		}
-		ss := make([]vstep, len(body))
-		// Calls pass through remapInstrs and lvnBlock untouched and in
-		// order, so the k-th call step is the block's k-th original call;
-		// pointing at that one lets the lowered copy be collected.
-		orig := p.blocks[bi].instrs
-		for i := range body {
-			ss[i] = toStep(p, &body[i], bi, counting)
-			if body[i].op == xCall {
-				for orig[0].op != xCall {
-					orig = orig[1:]
-				}
-				ss[i].call, orig = &orig[0], orig[1:]
-				b.hasCall = true
-			}
-		}
-		b.steps = peepholeSteps(p, ss)
+// maxChain caps a chain's blocks. A block is copied into every chain that
+// runs through it, so the cap bounds a lowering at maxChain× the blocks'
+// steps; loop bodies of a few blocks fit well inside it.
+const maxChain = 8
+
+// chains partitions the reachable control flow into superblocks and
+// returns them flat: chain c holds blocks members[starts[c]:starts[c+1]],
+// and chainOf maps each root block to its chain (-1 for other blocks).
+// Roots are the entry block, every conditional target, and every block a
+// chain was cut before; a chain follows unconditional branches from its
+// root and is cut after a block holding a call, before a block it already
+// holds, or at maxChain blocks. Only roots are ever branched to from a
+// chain's end, so every terminator resolves through chainOf.
+func chains(p *program) (members, starts, chainOf []int32) {
+	nb := len(p.blocks)
+	marks := make([]int32, 2*nb)
+	chainOf, in := marks[:nb], marks[nb:]
+	for b := range chainOf {
+		chainOf[b] = -1
 	}
-	return blocks
+	var roots []int32
+	root := func(b int32) {
+		if chainOf[b] < 0 {
+			chainOf[b] = int32(len(roots))
+			roots = append(roots, b)
+		}
+	}
+	root(0)
+	// in[b] == c+1 while chain c is being built and holds b.
+	members = make([]int32, 0, nb)
+	for c := int32(0); int(c) < len(roots); c++ {
+		starts = append(starts, int32(len(members)))
+		b := roots[c]
+		for n := 1; ; n++ {
+			members = append(members, b)
+			in[b] = c + 1
+			instrs := p.blocks[b].instrs
+			tm := &instrs[len(instrs)-1]
+			if tm.op == xCondBr || tm.op == xCmpBr {
+				root(tm.t)
+				root(tm.f)
+				break
+			}
+			if tm.op != xBr {
+				break
+			}
+			if n == maxChain || in[tm.t] == c+1 || hasCall(instrs) {
+				root(tm.t)
+				break
+			}
+			b = tm.t
+		}
+	}
+	return members, append(starts, int32(len(members))), chainOf
+}
+
+func hasCall(instrs []cInstr) bool {
+	for i := range instrs {
+		if instrs[i].op == xCall {
+			return true
+		}
+	}
+	return false
+}
+
+func lower(p *program, counting bool) lowered {
+	members, starts, chainOf := chains(p)
+	cross := crossReads(p)
+	nb, nc := len(p.blocks), len(starts)-1
+	// Every chain's steps live in one array. A block is lowered where the
+	// first chain holding it needs it, and later chains copy it from there.
+	// Lowering never adds instructions, so the blocks' body counts (plus a
+	// vCount per non-head block) bound the array, which is never regrown.
+	limit := 0
+	for _, b := range members {
+		limit += len(p.blocks[b].instrs) - 1
+	}
+	if counting {
+		limit += len(members) - nc
+	}
+	all := make([]vstep, 0, limit)
+	span := make([]int32, 2*nb) // block b's steps are all[span[2b]:span[2b+1]]
+	done := make([]bool, nb)
+	terms := make([]cInstr, nb) // lowered terminators
+	segs := make([]seg, len(members))
+	out := make([]sChain, nc)
+	for c := range out {
+		ms := members[starts[c]:starts[c+1]]
+		ch := &out[c]
+		first := len(all)
+		for k, b := range ms {
+			if k > 0 && counting {
+				all = append(all, vstep{op: vCount, k: b})
+			}
+			if done[b] {
+				all = append(all, all[span[2*b]:span[2*b+1]]...)
+			} else {
+				done[b] = true
+				span[2*b] = int32(len(all))
+				all = lowerBlock(p, all, int(b), counting, cross, &terms[b])
+				span[2*b+1] = int32(len(all))
+			}
+			size := int32(p.blocks[b].size)
+			segs[int(starts[c])+k] = seg{block: b, size: size, end: int32(len(all) - first)}
+			ch.size += size
+		}
+		tail := ms[len(ms)-1]
+		tm := &terms[tail]
+		ch.steps = all[first:len(all):len(all)]
+		ch.seg, ch.nseg = starts[c], uint8(len(ms))
+		ch.head = ms[0]
+		ch.term, ch.pred, ch.a0, ch.a1, ch.id = tm.op, tm.pred, tm.a0, tm.a1, tm.id
+		switch tm.op {
+		case xBr:
+			ch.t = chainOf[tm.t]
+		case xCondBr, xCmpBr:
+			ch.t, ch.f = chainOf[tm.t], chainOf[tm.f]
+		}
+		ch.hasCall = hasCall(p.blocks[tail].instrs)
+	}
+	return lowered{chains: out, segs: segs}
+}
+
+// lowerBlock appends block bi's body in step form to flat and stores its
+// lowered terminator in tm. The body has at most one step per instruction
+// before the terminator.
+func lowerBlock(p *program, flat []vstep, bi int, counting bool, cross map[int32]bool, tm *cInstr) []vstep {
+	instrs := lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs), cross)
+	body := instrs[:len(instrs)-1]
+	*tm = instrs[len(instrs)-1]
+	first := len(flat)
+	// Calls pass through remapInstrs and lvnBlock untouched and in order,
+	// so the k-th call step is the block's k-th original call; pointing at
+	// that one lets the lowered copy be collected.
+	orig := p.blocks[bi].instrs
+	for i := range body {
+		s := toStep(p, &body[i], bi, counting)
+		if body[i].op == xCall {
+			for orig[0].op != xCall {
+				orig = orig[1:]
+			}
+			s.call, orig = &orig[0], orig[1:]
+		}
+		flat = append(flat, s)
+	}
+	// peepholeSteps rewrites in place, from the front of its argument.
+	return flat[:first+len(peepholeSteps(p, flat[first:]))]
 }
 
 // vsOff is where the vals space (instruction results + const pool)
@@ -180,7 +302,7 @@ func remapInstrs(p *program, src []cInstr) []cInstr {
 
 // lvnBlock elides local loads. On the step engine local slot traffic is
 // unobservable (no OnLocal hooks, no counters, and fuel and Steps charge
-// by sBlock.size regardless), so a load whose result is only consumed
+// by seg.size regardless), so a load whose result is only consumed
 // inside this block need not execute at all: its consumers read the slot
 // cell directly. The load is materialized late only where its elision
 // would be visible — before a store that overwrites the slot while the

@@ -3,6 +3,7 @@ package interp
 import (
 	"sync"
 
+	"clara/internal/ir"
 	"clara/internal/traffic"
 )
 
@@ -33,3 +34,35 @@ func (m *Machine) SetMapGeneration(gen uint32) {
 // programFor's compute never fails, so every program-cache miss is one
 // compile.
 func Compiles() int64 { return programs.Counts().Misses }
+
+// Chains returns the blocks of every chain in mod's counting lowering,
+// chain 0 (rooted at the entry block) first. The plain lowering has the
+// same chains.
+func Chains(mod *ir.Module) ([][]int, error) {
+	prog, err := programFor(mod)
+	if err != nil {
+		return nil, err
+	}
+	l := prog.lowering(true)
+	out := make([][]int, len(l.chains))
+	for c, ch := range l.chains {
+		for _, s := range l.segs[ch.seg : ch.seg+int32(ch.nseg)] {
+			out[c] = append(out[c], int(s.block))
+		}
+	}
+	return out, nil
+}
+
+// SetFuel changes m's per-packet step budget from the next packet on.
+func (m *Machine) SetFuel(n int) { m.cfg.Fuel = n }
+
+// Uncounted runs one packet through run with m's counters detached, so
+// RunPacket takes the plain lowering and neither loop counts.
+func Uncounted(run func(*Machine, *traffic.Packet) error) func(*Machine, *traffic.Packet) error {
+	return func(m *Machine, p *traffic.Packet) error {
+		c := m.ctr
+		m.ctr = nil
+		defer func() { m.ctr = c }()
+		return run(m, p)
+	}
+}

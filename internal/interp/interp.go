@@ -24,10 +24,11 @@
 // basic block instead of per instruction (blocks always retire fully —
 // the terminator is the last instruction — so counts stay exact).
 //
-// Packets run on the step engine (compile.go, steps.go): each block of
-// the flat form is lowered once more into a list of pre-resolved steps
-// over one register file, with local loads elided and constants and
-// local stores folded into the step that produces the value. A machine
+// Packets run on the step engine (compile.go, steps.go): the flat form is
+// lowered once more into superblocks — chains of blocks joined by
+// unconditional branches, each one list of pre-resolved steps over one
+// register file, with local loads elided and constants and local stores
+// folded into the step that produces the value. A machine
 // with Hooks attached runs the reference loop instead (runReference),
 // which walks the flat form one instruction at a time and fires the
 // hooks; it is the semantic definition of execution, and the tests hold
@@ -285,7 +286,7 @@ type program struct {
 	gmeta  []gmeta
 
 	lowerOnce [2]sync.Once
-	lowered   [2][]sBlock
+	lowered   [2]lowered
 }
 
 // programs is the compiled-program cache. It keys by content hash

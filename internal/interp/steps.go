@@ -6,7 +6,7 @@ import (
 )
 
 // vstep is one instruction of the step engine, pre-resolved to flat
-// operand indices into the machine's combined register array. A block's
+// operand indices into the machine's combined register array. A chain's
 // body is a []vstep walked by one dense switch (execSteps), so the
 // per-instruction cost is a predicted jump plus the op itself.
 type vstep struct {
@@ -20,17 +20,20 @@ type vstep struct {
 	a1   int32
 	id   int32 // result cell; dest slot for lstore
 	gi   int32 // global index (global accesses) or store slot (S variants)
-	k    int32 // baked state-counter index, -1 when not counting; block index for xCall
+	// k is the baked state-counter index (-1 when not counting), the block
+	// index for xCall, or the counted block for vCount.
+	k    int32
 	op   xop
 	pred ir.Pred
 }
 
-// Step-only pseudo-ops, produced by peepholeSteps and never present in
-// cInstr form: C variants bake a constant right operand into the step
-// (const-pool cells are immutable, preloaded at machine construction),
-// S variants fold a following local store of the step's own result into
-// the same step, CS variants do both. Values start past the real xop
-// enum so the execSteps switch can host both sets.
+// Step-only pseudo-ops, never present in cInstr form. peepholeSteps
+// produces the first three families: C variants bake a constant right
+// operand into the step (const-pool cells are immutable, preloaded at
+// machine construction), S variants fold a following local store of the
+// step's own result into the same step, CS variants do both. vCount is the
+// block counter of a chain's non-head block in a counting lowering. Values
+// start past the real xop enum so the execSteps switch can host both sets.
 const (
 	vAddC xop = 64 + iota
 	vSubC
@@ -58,6 +61,7 @@ const (
 	vXorCS
 	vShlCS
 	vLShrCS
+	vCount
 )
 
 // constOp maps an op to its baked-constant variant (0 = none).
@@ -133,10 +137,11 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// execSteps runs one block body. Every step writes its result cell
-// (write-through), so later steps and other blocks observe exactly the
-// state the reference loop would leave. A call that fails parks its error
-// in m.err and abandons the body, as the reference loop does.
+// execSteps runs one chain body, or a block's part of one. Every step
+// writes its result cell (write-through), so later steps and other blocks
+// observe exactly the state the reference loop would leave. A call that
+// fails parks its error in m.err and abandons the body, as the reference
+// loop does.
 func execSteps(m *Machine, vs []uint64, ss []vstep) {
 	for k := range ss {
 		s := &ss[k]
@@ -314,39 +319,68 @@ func execSteps(m *Machine, vs []uint64, ss []vstep) {
 			r := (vs[s.a0] >> s.aux) & s.mask
 			vs[s.id] = r
 			vs[s.gi] = r & s.sm
+		case vCount:
+			m.ctr.Block[s.k]++
 		}
 	}
 }
 
-// sBlock is one basic block in step form: the body as steps plus the
-// terminator resolved to register cells and block indices. A lowering is
-// a program's []sBlock (plain, or counting with baked counter rows):
-// shared, immutable, and machine-independent — steps reach mutable state
-// only through the *Machine they are run on.
-type sBlock struct {
+// lowered is a program's step-engine form (plain, or counting with baked
+// counter rows): its chains, chain 0 rooted at the entry block, and every
+// chain's blocks in one flat table. Shared, immutable, and
+// machine-independent — steps reach mutable state only through the
+// *Machine they are run on.
+type lowered struct {
+	chains []sChain
+	segs   []seg
+}
+
+// sChain is a superblock in step form: a run of basic blocks joined by
+// unconditional branches, their bodies laid end to end as one []vstep,
+// plus the last block's terminator resolved to register cells and chain
+// indices. Kept at 64 bytes: the loop indexes chains once per dispatch.
+type sChain struct {
 	steps []vstep
-	// size is the source IR instruction count — fuel and Steps charge by
-	// it, so elision and peephole folding never change the cost model.
-	size int
+	// size is the chain's source IR instruction count — fuel and Steps
+	// charge by it, so elision and peephole folding never change the cost
+	// model.
+	size int32
+	head int32 // the first block, counted on entry
 	// a0, a1 and id are the terminator's operand and result cells (xCmpBr
-	// still writes its comparison result); t and f its targets.
+	// still writes its comparison result); t and f its target chains.
 	a0, a1, id int32
 	t, f       int32
-	term       xop // xRet, xBr, xCondBr or xCmpBr
-	pred       ir.Pred
-	// hasCall marks blocks holding an xCall step, the only kind that can
-	// set m.err; the loop skips the error gate for every other block.
+	// seg and nseg place the chain's blocks in lowered.segs; only a packet
+	// short of fuel for the whole chain reads them (starve).
+	seg  int32
+	nseg uint8
+	term xop // xRet, xBr, xCondBr or xCmpBr
+	pred ir.Pred
+	// hasCall marks chains holding an xCall step, the only kind that can
+	// set m.err; the loop skips the error gate for every other chain. A
+	// call ends its chain, so the step is in the last block.
 	hasCall bool
+}
+
+// seg is one block of a chain: its source IR size and where its steps end
+// in the chain's body. In a counting lowering a non-head block's steps
+// begin with its vCount step, at the previous block's end.
+type seg struct {
+	block, size, end int32
 }
 
 // runSteps executes one packet through the step engine, in the reference
 // loop's observable order: block counter, then the fuel gate (a packet
 // that exhausts fuel aborts at block entry with Steps not charged for the
-// aborted block), then the body, then the terminator. Fuel and Steps live
+// aborted block), then the body, then the terminator. A chain whose blocks
+// all fit in the fuel left is charged once and run as one body — its
+// non-head block counters are steps inside it, and only its last block can
+// fail — which is what the reference loop observes block by block; one
+// that does not fit is walked block by block (starve). Fuel and Steps live
 // in locals while the loop runs — no hooks exist on this path, so nothing
 // can observe the machine mid-packet — and are flushed on every exit so
 // the fields read exactly as the reference loop leaves them.
-func (m *Machine) runSteps(blocks []sBlock, p *traffic.Packet) error {
+func (m *Machine) runSteps(l *lowered, p *traffic.Packet) error {
 	p.Reset()
 	m.pkt = p
 	m.err = nil
@@ -355,52 +389,80 @@ func (m *Machine) runSteps(blocks []sBlock, p *traffic.Packet) error {
 		blk = m.ctr.Block
 	}
 	vs := m.regs
+	chains := l.chains
+	// Until a packet runs out, Steps grows by exactly the fuel it burns.
 	fuel := m.cfg.Fuel
-	steps := uint64(0)
-	bi := int32(0)
+	ci := int32(0)
 	var err error
 	for {
-		b := &blocks[bi]
+		c := &chains[ci]
 		if blk != nil {
-			blk[bi]++
+			blk[c.head]++
 		}
-		fuel -= b.size
-		if fuel < 0 {
-			err = ErrFuel
-			break
+		if fuel < int(c.size) {
+			var short int
+			fuel, short = m.starve(c, l.segs[c.seg:c.seg+int32(c.nseg)], vs, blk, fuel)
+			m.Steps += uint64(m.cfg.Fuel - fuel)
+			m.fuel = fuel - short
+			return ErrFuel
 		}
-		steps += uint64(b.size)
-		if len(b.steps) > 0 {
-			execSteps(m, vs, b.steps)
-			if b.hasCall && m.err != nil {
+		fuel -= int(c.size)
+		if len(c.steps) > 0 {
+			execSteps(m, vs, c.steps)
+			if c.hasCall && m.err != nil {
 				err = m.err
 				break
 			}
 		}
-		switch b.term {
+		switch c.term {
 		case xBr:
-			bi = b.t
+			ci = c.t
 			continue
 		case xCondBr:
-			if vs[b.a0] != 0 {
-				bi = b.t
+			if vs[c.a0] != 0 {
+				ci = c.t
 			} else {
-				bi = b.f
+				ci = c.f
 			}
 			continue
 		case xCmpBr:
-			if cmpPred(b.pred, vs[b.a0], vs[b.a1]) {
-				vs[b.id] = 1
-				bi = b.t
+			if cmpPred(c.pred, vs[c.a0], vs[c.a1]) {
+				vs[c.id] = 1
+				ci = c.t
 			} else {
-				vs[b.id] = 0
-				bi = b.f
+				vs[c.id] = 0
+				ci = c.f
 			}
 			continue
 		}
 		break // xRet
 	}
+	m.Steps += uint64(m.cfg.Fuel - fuel)
 	m.fuel = fuel
-	m.Steps += steps
 	return err
+}
+
+// starve runs c for a packet whose fuel cannot cover the whole chain, one
+// block at a time in the reference loop's order. The head's counter has
+// been taken. Since the chain's size exceeds fuel, some block runs out — at
+// the latest the last one, before its body, so the one block that may hold
+// a call never runs here and the packet always ends in ErrFuel. starve
+// returns the fuel left before the block that ran out, and that block's
+// size.
+func (m *Machine) starve(c *sChain, segs []seg, vs, blk []uint64, fuel int) (int, int) {
+	lo := int32(0)
+	for i := range segs {
+		s := &segs[i]
+		if i > 0 && blk != nil {
+			blk[s.block]++
+			lo++ // past the vCount step just accounted for
+		}
+		if fuel < int(s.size) {
+			return fuel, int(s.size)
+		}
+		fuel -= int(s.size)
+		execSteps(m, vs, c.steps[lo:s.end])
+		lo = s.end
+	}
+	panic("interp: chain fits the fuel it was starved of")
 }

@@ -73,13 +73,16 @@ simulate-check:
 # hooked, plus the fuel-starvation and HostMap sweeps and 300 generated
 # programs, must produce byte-identical transcripts from RunPacket (the
 # step engine) and the reference loop — also with fuel running out inside
-# every superblock a packet enters (TestChainFuelBoundary); the profile
-# loop must not allocate.
+# every superblock a packet enters (TestChainFuelBoundary) and for every
+# framework API alone in a handler (TestEveryAPIRuns); native counters must
+# match the hooks and read the same whenever they are read
+# (TestCountersMatchHooks, TestCountersReadAnytime); the profile loop must
+# not allocate.
 # The slab tests run every program on state other programs released (8
 # goroutines at once, generation wraparound included) and require it to be
 # indistinguishable from fresh memory; a released machine must panic.
 interp-check:
-	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestChainFuelBoundary|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the

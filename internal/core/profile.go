@@ -120,12 +120,12 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 			return nil, err
 		}
 	}
-	// Profiling counts natively via interp.Counters — one slice increment
-	// per event on the packet hot path — and builds the string-keyed
-	// profile maps once afterwards. The counts are identical to what the
-	// OnBlock/OnState/OnAPI hooks would accumulate (integer weights summed
-	// in float64 are exact well past any realistic packet count).
-	ctr := m.EnableCounters()
+	// Profiling counts natively via interp.Counters and builds the
+	// string-keyed profile maps once afterwards. The counts are identical
+	// to what the OnBlock/OnState/OnAPI hooks would accumulate (integer
+	// weights summed in float64 are exact well past any realistic packet
+	// count).
+	m.EnableCounters()
 	// Sources that support caller-provided payload scratch (the trace
 	// Replayer) make the loop allocation-free: each packet is fully
 	// consumed by RunPacket before the next overwrites the buffer.
@@ -152,6 +152,7 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 			return nil, fmt.Errorf("core: profiling %s: %w", mod.Name, err)
 		}
 	}
+	ctr := m.Counters()
 	nblocks := ctr.NBlocks
 	hp := &HostProfile{
 		Packets:     n,

@@ -11,9 +11,9 @@ import (
 // profileLoop builds the exact machinery of the ProfileOnHostSourceContext
 // hot loop — NICMap machine, native counters, trace replayer with caller
 // scratch — and returns a closure replaying n packets through it. One warm
-// pass is run first so the one-time costs (threaded-program compile,
-// payload scratch growth, map state reaching its steady-state size) are
-// paid before the caller measures.
+// pass is run first so the one-time costs (compile and lowering, payload
+// scratch growth, map state reaching its steady-state size) are paid
+// before the caller measures.
 func profileLoop(tb testing.TB, name string, n int) func() {
 	tb.Helper()
 	e := click.Get(name)
@@ -21,7 +21,7 @@ func profileLoop(tb testing.TB, name string, n int) func() {
 		tb.Fatalf("no library element %q", name)
 	}
 	mod := e.MustModule()
-	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func profileLoop(tb testing.TB, name string, n int) func() {
 // here silently taxes every fleet job, so it fails the build rather than
 // just a benchmark delta.
 func TestProfileLoopZeroAllocs(t *testing.T) {
-	for _, name := range []string{"udpcount", "cmsketch", "wepdecap"} {
+	for _, name := range []string{"udpcount", "cmsketch", "wepdecap", "iplookup"} {
 		t.Run(name, func(t *testing.T) {
 			const n = 256
 			loop := profileLoop(t, name, n)
@@ -74,9 +74,9 @@ func TestProfileLoopZeroAllocs(t *testing.T) {
 // reported so `-benchmem` shows the 0 allocs/op contract. udpcount is a
 // short straight-line handler (3 blocks a packet); wepdecap and cmsketch
 // are the loop-heavy elements most of a library batch's profiling time
-// goes to.
+// goes to, and iplookup's trie walk is the next-heaviest loop.
 func BenchmarkProfilePacketLoop(b *testing.B) {
-	for _, name := range []string{"udpcount", "wepdecap", "cmsketch"} {
+	for _, name := range []string{"udpcount", "wepdecap", "cmsketch", "iplookup"} {
 		b.Run(name, func(b *testing.B) {
 			const n = 256
 			loop := profileLoop(b, name, n)

@@ -6,8 +6,10 @@ import (
 	"clara/internal/ir"
 )
 
-// call executes a framework API call instruction.
-func (m *Machine) call(in *cInstr, block int) error {
+// call executes a framework API call instruction. It cannot fail:
+// compileInstr rejects unknown APIs and checkInstr map/vec calls on the
+// wrong kind of global, so the panics below mark broken invariants.
+func (m *Machine) call(in *cInstr, block int) {
 	p := m.pkt
 	switch in.api {
 	case apiPktLen:
@@ -79,7 +81,7 @@ func (m *Machine) call(in *cInstr, block int) error {
 	case apiCsumUpdate:
 		p.CsumUpdated = true
 		m.emitAPI(in, int(p.IPLen), 0, block)
-		return nil
+		return
 	case apiSend:
 		p.OutPort = int32(m.arg(in.a0))
 	case apiDrop:
@@ -100,23 +102,22 @@ func (m *Machine) call(in *cInstr, block int) error {
 		n := int(m.arg(in.a1))
 		m.vals[in.id] = uint64(CRC32(p.Payload, off, n))
 		m.emitAPI(in, clampLen(p.Payload, off, n), 0, block)
-		return nil
+		return
 	case apiLPMHW:
 		m.vals[in.id] = uint64(m.lpmLookup(uint32(m.arg(in.a0))))
 
 	case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize:
-		return m.mapOp(in, block)
+		m.mapOp(in, block)
+		return
 
 	case apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
-		return m.vecOp(in, block)
+		m.vecOp(in, block)
+		return
 
 	default:
-		return fmt.Errorf("interp: unimplemented API %q", m.strs[in.sidx].callee)
+		panic(fmt.Sprintf("interp: unimplemented API %q", m.strs[in.sidx].callee))
 	}
-	if in.api < apiMapFind {
-		m.emitAPI(in, 0, 0, block)
-	}
-	return nil
+	m.emitAPI(in, 0, 0, block)
 }
 
 // clampLen returns how many payload bytes [off, off+n) actually covers.
@@ -198,10 +199,10 @@ func (m *Machine) lpmLookup(addr uint32) uint32 {
 }
 
 // mapOp executes a stateful map API call under the configured semantics.
-func (m *Machine) mapOp(in *cInstr, block int) error {
+func (m *Machine) mapOp(in *cInstr, block int) {
 	g := m.gl[in.gidx]
 	if g.g.Kind != ir.GMap {
-		return fmt.Errorf("interp: %s on non-map %q", m.strs[in.sidx].callee, m.strs[in.sidx].global)
+		panic(fmt.Sprintf("interp: %s on non-map %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
 	}
 	probes := 0
 	var addr uint64
@@ -269,7 +270,6 @@ func (m *Machine) mapOp(in *cInstr, block int) error {
 		}
 	}
 	m.emitAPI(in, probes, addr, block)
-	return nil
 }
 
 func (nm *nicMapState) bucket(key uint64) int {
@@ -325,10 +325,10 @@ func (nm *nicMapState) insert(key, val uint64) int {
 // vecOp executes a vector API call under the configured semantics. Probe
 // counts reflect the §3.3 divergence: a host delete shifts the tail (O(n)
 // slot touches) while the NIC delete tombstones one slot.
-func (m *Machine) vecOp(in *cInstr, block int) error {
+func (m *Machine) vecOp(in *cInstr, block int) {
 	g := m.gl[in.gidx]
 	if g.g.Kind != ir.GVec {
-		return fmt.Errorf("interp: %s on non-vector %q", m.strs[in.sidx].callee, m.strs[in.sidx].global)
+		panic(fmt.Sprintf("interp: %s on non-vector %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
 	}
 	v := g.vec
 	probes := 0
@@ -416,7 +416,6 @@ func (m *Machine) vecOp(in *cInstr, block int) error {
 		m.vals[in.id] = uint64(v.live)
 	}
 	m.emitAPI(in, probes, addr, block)
-	return nil
 }
 
 // --- State inspection and seeding (element setup + tests) ---

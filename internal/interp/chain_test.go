@@ -13,15 +13,16 @@ import (
 )
 
 // TestChainFuelBoundary runs packets out of fuel inside superblocks, where
-// the step engine stops charging a chain whole and walks it block by
-// block. For every chain of two or more blocks the packet stream executes,
-// at the first packet that enters it, one budget per inner block makes
-// that packet run out exactly there; every packet before it runs on the
-// default budget, so it reaches the chain along the same path. RunPacket
-// and the reference loop must agree on the whole transcript — ErrFuel, the
-// packet it hits, Steps, block and state counters, packet and state
-// mutations — counting and plain. The library runs under every traffic
-// spec, and so do the 300 generated programs of the unique-src workload.
+// the step engine stops charging a chain whole and hands it to the
+// reference loop at its head. For every chain of two or more blocks the
+// packet stream executes, at the first packet that enters it, one budget
+// per inner block makes that packet run out exactly there; every packet
+// before it runs on the default budget, so it reaches the chain along the
+// same path. RunPacket and the reference loop must agree on the whole
+// transcript — ErrFuel, the packet it hits, Steps, block and state
+// counters, packet and state mutations — with counters and without. The
+// library runs under every traffic spec, and so do the 300 generated
+// programs of the unique-src workload.
 func TestChainFuelBoundary(t *testing.T) {
 	for _, e := range click.Library() {
 		e := e

@@ -9,11 +9,9 @@ import (
 
 // This file lowers a compiled program (the flat cInstr form the reference
 // loop walks) into the step engine's form: superblocks — chains of blocks
-// joined by unconditional branches — each one []vstep body plus the last
-// block's resolved terminator (steps.go). One pipeline produces both
-// lowerings — plain, and counting with each global access's flat counter
-// index (gidx*NBlocks+block) baked into its step and a vCount step for
-// every non-head block of a chain:
+// joined by unconditional branches — each one []vstep closed by the last
+// block's terminator, its targets resolved to chain indices (steps.go).
+// One pipeline, one lowering per program:
 //
 //	chains         which blocks each chain holds
 //	remapInstrs    operands move into the combined register space
@@ -25,8 +23,10 @@ import (
 // surviving instruction still writes its IR result cell before the next
 // one reads its operands, so no use-def matching is needed and other
 // blocks observe exactly the unlowered state. Fuel and Steps charge by
-// source IR count (sChain.size, seg.size), so lowering never changes the
-// observable cost model.
+// source IR count (sChain.size), so lowering never changes the observable
+// cost model. No step counts anything: the engine counts chain entries,
+// and lower records each chain's blocks and global accesses for
+// Machine.Counters to fold those entries through.
 //
 // Framework API calls are not lowered: an xCall step hands the original
 // instruction to Machine.call, the code the reference loop runs, so probe
@@ -36,8 +36,8 @@ import (
 // report it) rejects whatever the engine would otherwise have to handle
 // dynamically: blocks without a proper final terminator, branch targets
 // outside the function, map/vec APIs aimed at the wrong global kind, and
-// zero-length modulo arrays. The step loop therefore needs no error check
-// per instruction, only the m.err gate after chains that hold a call.
+// zero-length modulo arrays. With compileInstr rejecting unknown APIs, no
+// instruction can fail at run time; only fuel can run out.
 
 // checkInstr validates one instruction; last reports whether it is its
 // block's final one. Errors read on from "block N ...".
@@ -84,15 +84,11 @@ func isTerm(op xop) bool {
 	return op == xBr || op == xCondBr || op == xRet || op == xCmpBr
 }
 
-// lowering returns the program's step-engine form, plain or counting,
-// building it on first use; every machine for the module shares it.
-func (p *program) lowering(counting bool) *lowered {
-	i := 0
-	if counting {
-		i = 1
-	}
-	p.lowerOnce[i].Do(func() { p.lowered[i] = lower(p, counting) })
-	return &p.lowered[i]
+// lowering returns the program's step-engine form, building it on first
+// use; every machine for the module shares it.
+func (p *program) lowering() *lowered {
+	p.lowerOnce.Do(func() { p.lowered = lower(p) })
+	return &p.lowered
 }
 
 // maxChain caps a chain's blocks. A block is copied into every chain that
@@ -105,9 +101,9 @@ const maxChain = 8
 // and chainOf maps each root block to its chain (-1 for other blocks).
 // Roots are the entry block, every conditional target, and every block a
 // chain was cut before; a chain follows unconditional branches from its
-// root and is cut after a block holding a call, before a block it already
-// holds, or at maxChain blocks. Only roots are ever branched to from a
-// chain's end, so every terminator resolves through chainOf.
+// root and is cut before a block it already holds or at maxChain blocks.
+// Only roots are ever branched to from a chain's end, so every terminator
+// resolves through chainOf.
 func chains(p *program) (members, starts, chainOf []int32) {
 	nb := len(p.blocks)
 	marks := make([]int32, 2*nb)
@@ -141,7 +137,7 @@ func chains(p *program) (members, starts, chainOf []int32) {
 			if tm.op != xBr {
 				break
 			}
-			if n == maxChain || in[tm.t] == c+1 || hasCall(instrs) {
+			if n == maxChain || in[tm.t] == c+1 {
 				root(tm.t)
 				break
 			}
@@ -151,77 +147,67 @@ func chains(p *program) (members, starts, chainOf []int32) {
 	return members, append(starts, int32(len(members))), chainOf
 }
 
-func hasCall(instrs []cInstr) bool {
-	for i := range instrs {
-		if instrs[i].op == xCall {
-			return true
-		}
-	}
-	return false
-}
-
-func lower(p *program, counting bool) lowered {
+func lower(p *program) lowered {
 	members, starts, chainOf := chains(p)
 	cross := crossReads(p)
 	nb, nc := len(p.blocks), len(starts)-1
 	// Every chain's steps live in one array. A block is lowered where the
 	// first chain holding it needs it, and later chains copy it from there.
-	// Lowering never adds instructions, so the blocks' body counts (plus a
-	// vCount per non-head block) bound the array, which is never regrown.
-	limit := 0
+	// Lowering never adds instructions, so the blocks' body counts plus a
+	// terminator per chain bound the array, which is never regrown.
+	limit := nc
 	for _, b := range members {
 		limit += len(p.blocks[b].instrs) - 1
 	}
-	if counting {
-		limit += len(members) - nc
-	}
 	all := make([]vstep, 0, limit)
-	span := make([]int32, 2*nb) // block b's steps are all[span[2b]:span[2b+1]]
+	span := make([]int32, 2*nb) // block b's body is all[span[2b]:span[2b+1]]
 	done := make([]bool, nb)
 	terms := make([]cInstr, nb) // lowered terminators
-	segs := make([]seg, len(members))
+	tab := make([]int32, 0, len(members))
 	out := make([]sChain, nc)
 	for c := range out {
 		ms := members[starts[c]:starts[c+1]]
 		ch := &out[c]
 		first := len(all)
-		for k, b := range ms {
-			if k > 0 && counting {
-				all = append(all, vstep{op: vCount, k: b})
-			}
+		ch.lo = int32(len(tab))
+		tab = append(tab, ms...)
+		ch.mid = int32(len(tab))
+		for _, b := range ms {
 			if done[b] {
 				all = append(all, all[span[2*b]:span[2*b+1]]...)
 			} else {
 				done[b] = true
 				span[2*b] = int32(len(all))
-				all = lowerBlock(p, all, int(b), counting, cross, &terms[b])
+				all = lowerBlock(p, all, int(b), cross, &terms[b])
 				span[2*b+1] = int32(len(all))
 			}
-			size := int32(p.blocks[b].size)
-			segs[int(starts[c])+k] = seg{block: b, size: size, end: int32(len(all) - first)}
-			ch.size += size
+			ch.size += int32(p.blocks[b].size)
+			for i := range p.blocks[b].instrs {
+				switch in := &p.blocks[b].instrs[i]; in.op {
+				case xGLoadS, xGStoreS, xGLoadA, xGStoreA, xGLoadAP, xGStoreAP:
+					tab = append(tab, in.gidx*int32(nb)+b)
+				}
+			}
 		}
-		tail := ms[len(ms)-1]
-		tm := &terms[tail]
-		ch.steps = all[first:len(all):len(all)]
-		ch.seg, ch.nseg = starts[c], uint8(len(ms))
-		ch.head = ms[0]
-		ch.term, ch.pred, ch.a0, ch.a1, ch.id = tm.op, tm.pred, tm.a0, tm.a1, tm.id
+		ch.hi = int32(len(tab))
+		tm := &terms[ms[len(ms)-1]]
+		ts := vstep{op: tm.op, pred: tm.pred, a0: tm.a0, a1: tm.a1, id: tm.id}
 		switch tm.op {
 		case xBr:
-			ch.t = chainOf[tm.t]
+			ts.k = chainOf[tm.t]
 		case xCondBr, xCmpBr:
-			ch.t, ch.f = chainOf[tm.t], chainOf[tm.f]
+			ts.k, ts.gi = chainOf[tm.t], chainOf[tm.f]
 		}
-		ch.hasCall = hasCall(p.blocks[tail].instrs)
+		all = append(all, ts)
+		ch.steps = all[first:len(all):len(all)]
 	}
-	return lowered{chains: out, segs: segs}
+	return lowered{chains: out, tab: tab}
 }
 
 // lowerBlock appends block bi's body in step form to flat and stores its
 // lowered terminator in tm. The body has at most one step per instruction
 // before the terminator.
-func lowerBlock(p *program, flat []vstep, bi int, counting bool, cross map[int32]bool, tm *cInstr) []vstep {
+func lowerBlock(p *program, flat []vstep, bi int, cross map[int32]bool, tm *cInstr) []vstep {
 	instrs := lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs), cross)
 	body := instrs[:len(instrs)-1]
 	*tm = instrs[len(instrs)-1]
@@ -231,7 +217,7 @@ func lowerBlock(p *program, flat []vstep, bi int, counting bool, cross map[int32
 	// that one lets the lowered copy be collected.
 	orig := p.blocks[bi].instrs
 	for i := range body {
-		s := toStep(p, &body[i], bi, counting)
+		s := toStep(p, &body[i], bi)
 		if body[i].op == xCall {
 			for orig[0].op != xCall {
 				orig = orig[1:]
@@ -302,7 +288,7 @@ func remapInstrs(p *program, src []cInstr) []cInstr {
 
 // lvnBlock elides local loads. On the step engine local slot traffic is
 // unobservable (no OnLocal hooks, no counters, and fuel and Steps charge
-// by seg.size regardless), so a load whose result is only consumed
+// by source size regardless), so a load whose result is only consumed
 // inside this block need not execute at all: its consumers read the slot
 // cell directly. The load is materialized late only where its elision
 // would be visible — before a store that overwrites the slot while the
@@ -400,28 +386,22 @@ func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool) []cInstr {
 }
 
 // toStep translates one lowered body instruction of block bi into its
-// step. Counting lowerings bake the flat state-counter index of every
-// global access; calls carry the block index Machine.call reports.
-func toStep(p *program, in *cInstr, bi int, counting bool) vstep {
-	s := vstep{mask: in.mask, a0: in.a0, a1: in.a1, id: in.id, op: in.op, pred: in.pred, k: -1}
+// step; calls carry the block index Machine.call reports.
+func toStep(p *program, in *cInstr, bi int) vstep {
+	s := vstep{mask: in.mask, a0: in.a0, a1: in.a1, id: in.id, op: in.op, pred: in.pred}
 	switch in.op {
 	case xLLoad:
 		s.a0 = in.slot // vs[id] = vs[slot]
 	case xLStore:
 		s.id = in.slot // vs[slot] = vs[a0] & mask
 	case xCall:
-		s.k = int32(bi) // lower sets s.call
-	case xGLoadS, xGStoreS, xGLoadA, xGStoreA, xGLoadAP, xGStoreAP:
+		s.k = int32(bi) // lowerBlock sets s.call
+	case xGLoadS, xGStoreS:
 		s.gi = in.gidx
-		switch in.op {
-		case xGLoadA, xGStoreA:
-			s.aux = uint64(p.gmeta[in.gidx].len)
-		case xGLoadAP, xGStoreAP:
-			s.aux = uint64(p.gmeta[in.gidx].len - 1)
-		}
-		if counting {
-			s.k = in.gidx*int32(len(p.blocks)) + int32(bi)
-		}
+	case xGLoadA, xGStoreA:
+		s.gi, s.aux = in.gidx, uint64(p.gmeta[in.gidx].len)
+	case xGLoadAP, xGStoreAP:
+		s.gi, s.aux = in.gidx, uint64(p.gmeta[in.gidx].len-1)
 	}
 	return s
 }

@@ -1,7 +1,10 @@
 package interp
 
 import (
+	"fmt"
 	"testing"
+
+	"clara/internal/traffic"
 )
 
 // Native counters must agree exactly with what the closure hooks report:
@@ -55,8 +58,9 @@ void handle() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := cm.EnableCounters()
+	cm.EnableCounters()
 	run(cm)
+	ctr := cm.Counters()
 
 	if ctr.NBlocks != nb {
 		t.Fatalf("NBlocks = %d, want %d", ctr.NBlocks, nb)
@@ -74,6 +78,82 @@ void handle() {
 	for i, want := range refAPI {
 		if ctr.API[i] != want {
 			t.Errorf("API[%d] = %d, want %d", i, ctr.API[i], want)
+		}
+	}
+}
+
+// TestCountersReadAnytime: the step engine's chain entries are folded
+// into Block and State when Counters is read, so the totals must not
+// depend on when, or how often, that happens — nor on which loop ran each
+// packet — and a second EnableCounters must forget everything before it.
+func TestCountersReadAnytime(t *testing.T) {
+	for _, src := range []string{natSrc, benchLoopSrc} {
+		mod := compile(t, "anytime", src)
+		pkts := traffic.MustTrace(traffic.MediumMix, 96)
+		// counted runs every packet through a fresh machine, counting from
+		// packet from on, and reads the counters after every packet that
+		// every reports true for; run picks the loop per packet.
+		counted := func(from int, every func(int) bool, run func(*Machine, int, *traffic.Packet) error) string {
+			m, err := New(mod, Config{Mode: NICMap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Release()
+			for i := range pkts {
+				if i == from {
+					m.EnableCounters()
+				}
+				p := pkts[i]
+				p.Payload = append([]byte(nil), p.Payload...)
+				if err := run(m, i, &p); err != nil {
+					t.Fatal(err)
+				}
+				if every(i) {
+					m.Counters()
+				}
+			}
+			c := m.Counters()
+			return fmt.Sprint(c.Block, c.State, c.API)
+		}
+		steps := func(m *Machine, _ int, p *traffic.Packet) error { return m.RunPacket(p) }
+		ref := func(m *Machine, _ int, p *traffic.Packet) error { return m.runReference(p) }
+		never := func(int) bool { return false }
+		always := func(int) bool { return true }
+
+		want := counted(0, never, ref)
+		if got := counted(0, never, steps); got != want {
+			t.Errorf("read once at the end: %s\nreference: %s", got, want)
+		}
+		if got := counted(0, always, steps); got != want {
+			t.Errorf("read after every packet: %s\nreference: %s", got, want)
+		}
+		alternate := func(m *Machine, i int, p *traffic.Packet) error {
+			if i%2 == 0 {
+				m.SetHooks(Hooks{OnBlock: func(int) {}})
+			} else {
+				m.SetHooks(Hooks{})
+			}
+			return m.RunPacket(p)
+		}
+		if got := counted(0, func(i int) bool { return i%3 == 0 }, alternate); got != want {
+			t.Errorf("hooked and unhooked packets alternating: %s\nreference: %s", got, want)
+		}
+
+		// A second EnableCounters starts from zero, dropping chain entries
+		// the first set has not folded yet.
+		const from = 40
+		later := counted(from, never, ref)
+		if later == want {
+			t.Fatal("counting from packet 0 and from packet 40 read the same; the check cannot tell")
+		}
+		again := func(m *Machine, i int, p *traffic.Packet) error {
+			if i == from {
+				m.EnableCounters()
+			}
+			return m.RunPacket(p)
+		}
+		if got := counted(0, never, again); got != later {
+			t.Errorf("second EnableCounters at packet %d: %s\nreference from there: %s", from, got, later)
 		}
 	}
 }

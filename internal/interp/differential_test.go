@@ -59,7 +59,7 @@ func transcript(e *click.Element, pkts []traffic.Packet, cfg interp.Config, hook
 			return "", fmt.Errorf("%s setup: %v", e.Name, err)
 		}
 	}
-	ctr := m.EnableCounters()
+	m.EnableCounters()
 	var b strings.Builder
 	if hooked {
 		m.SetHooks(interp.Hooks{
@@ -83,6 +83,7 @@ func transcript(e *click.Element, pkts []traffic.Packet, cfg interp.Config, hook
 		fmt.Fprintf(&b, "\npkt%d err=%v steps=%d out=%d csum=%v ttl=%d seq=%d ack=%d pay=%x",
 			i, err, m.Steps, p.OutPort, p.CsumUpdated, p.TTL, p.Seq, p.Ack, p.Payload)
 	}
+	ctr := m.Counters()
 	fmt.Fprintf(&b, "\nblock=%v\nstate=%v\napi=%v\n", ctr.Block, ctr.State, ctr.API)
 	// Post-run state inspection: scalars exactly, aggregate shape for the
 	// bulk structures (full array dumps would bloat the transcript
@@ -153,8 +154,8 @@ var specs = []struct {
 
 // TestCompiledBackendEquivalence drives every library element under every
 // standard traffic spec through RunPacket and the reference loop, with
-// counters only (the counting step engine) and with full hooks (see
-// equivCheck), and requires byte-identical transcripts.
+// counters only (the step engine) and with full hooks (see equivCheck),
+// and requires byte-identical transcripts.
 func TestCompiledBackendEquivalence(t *testing.T) {
 	const n = 160
 	for _, e := range click.Library() {

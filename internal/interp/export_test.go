@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync"
 
 	"clara/internal/ir"
@@ -35,19 +36,18 @@ func (m *Machine) SetMapGeneration(gen uint32) {
 // compile.
 func Compiles() int64 { return programs.Counts().Misses }
 
-// Chains returns the blocks of every chain in mod's counting lowering,
-// chain 0 (rooted at the entry block) first. The plain lowering has the
-// same chains.
+// Chains returns the blocks of every chain in mod's lowering, chain 0
+// (rooted at the entry block) first.
 func Chains(mod *ir.Module) ([][]int, error) {
 	prog, err := programFor(mod)
 	if err != nil {
 		return nil, err
 	}
-	l := prog.lowering(true)
+	l := prog.lowering()
 	out := make([][]int, len(l.chains))
 	for c, ch := range l.chains {
-		for _, s := range l.segs[ch.seg : ch.seg+int32(ch.nseg)] {
-			out[c] = append(out[c], int(s.block))
+		for _, b := range l.tab[ch.lo:ch.mid] {
+			out[c] = append(out[c], int(b))
 		}
 	}
 	return out, nil
@@ -57,7 +57,7 @@ func Chains(mod *ir.Module) ([][]int, error) {
 func (m *Machine) SetFuel(n int) { m.cfg.Fuel = n }
 
 // Uncounted runs one packet through run with m's counters detached, so
-// RunPacket takes the plain lowering and neither loop counts.
+// neither loop counts it.
 func Uncounted(run func(*Machine, *traffic.Packet) error) func(*Machine, *traffic.Packet) error {
 	return func(m *Machine, p *traffic.Packet) error {
 		c := m.ctr
@@ -65,4 +65,14 @@ func Uncounted(run func(*Machine, *traffic.Packet) error) func(*Machine, *traffi
 		defer func() { m.ctr = c }()
 		return run(m, p)
 	}
+}
+
+// APINames returns every framework API the interpreter implements, sorted.
+func APINames() []string {
+	names := make([]string, 0, len(apiCodes))
+	for name := range apiCodes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

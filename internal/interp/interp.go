@@ -273,9 +273,8 @@ type gmeta struct {
 // depend on Config — map-mode and fuel only matter at runtime — so one
 // program serves host and NIC machines alike.
 //
-// The step-engine lowerings (plain, counting) hang off the program
-// lazily, built on first demand under lowerOnce so every machine for the
-// module shares them.
+// The step-engine lowering hangs off the program lazily, built on first
+// demand under lowerOnce so every machine for the module shares it.
 type program struct {
 	blocks []cBlock
 	nvals  int      // f.NumVals; const pool occupies vals[nvals:]
@@ -285,14 +284,14 @@ type program struct {
 	gidx   map[string]int
 	gmeta  []gmeta
 
-	lowerOnce [2]sync.Once
-	lowered   [2]lowered
+	lowerOnce sync.Once
+	lowered   lowered
 }
 
 // programs is the compiled-program cache. It keys by content hash
 // (ir.Fingerprint) rather than pointer identity, so distinct parses of
 // identical source — the serving path hands each request a fresh
-// *ir.Module — share one compiled program and its lowerings; hashing is
+// *ir.Module — share one compiled program and its lowering; hashing is
 // sound because ir.Modules are immutable once built. Library modules are
 // singletons (a few dozen), so in steady state the fleet compiles each NF
 // once; freshly parsed modules (e.g. per-request submissions in serving
@@ -324,16 +323,15 @@ func programFor(mod *ir.Module) (*program, error) {
 	return c.prog, c.err
 }
 
-// Precompile warms the program cache for mod and builds its counting
-// lowering (the one host profiling uses), so the first packet of a later
-// analysis pays no compile latency. Errors are the same ones New would
-// report.
+// Precompile warms the program cache for mod and builds its step-engine
+// lowering, so the first packet of a later analysis pays no compile
+// latency. Errors are the same ones New would report.
 func Precompile(mod *ir.Module) error {
 	prog, err := programFor(mod)
 	if err != nil {
 		return err
 	}
-	prog.lowering(true)
+	prog.lowering()
 	return nil
 }
 
@@ -548,12 +546,11 @@ type globalState struct {
 }
 
 // Counters accumulate the host-profiling signals natively, replacing
-// closure hooks on the hot path: one slice increment per event instead
-// of a call through a function pointer into string-keyed maps. Weights
-// match the Hooks semantics exactly — Block counts block entries, State
-// counts GLoad/GStore accesses, and API accumulates per-call probe
-// counts — so a profile built from Counters is identical to one built
-// from OnBlock/OnState/OnAPI.
+// closure hooks on the hot path. Weights match the Hooks semantics
+// exactly — Block counts block entries, State counts GLoad/GStore
+// accesses, and API accumulates per-call probe counts — so a profile
+// built from Counters is identical to one built from
+// OnBlock/OnState/OnAPI. Read them through Machine.Counters.
 type Counters struct {
 	// Block[b] counts executions of block b.
 	Block []uint64
@@ -565,6 +562,9 @@ type Counters struct {
 	API   []uint64
 	// NBlocks is the row stride of State and API.
 	NBlocks int
+	// entries[c] counts the step engine's runs of chain c not yet folded
+	// into Block and State.
+	entries []uint64
 }
 
 // Machine executes one module over packets.
@@ -590,9 +590,6 @@ type Machine struct {
 	rng   uint64
 	pkt   *traffic.Packet
 	fuel  int
-	// err carries a call's runtime error out of execSteps (the block loop
-	// checks it after the body).
-	err error
 	// ewma is the host-side double-precision rate average backing the
 	// ewma_rate intrinsic (Click AverageCounter semantics).
 	ewma float64
@@ -679,18 +676,45 @@ func (m *Machine) Release() {
 // SetHooks installs execution hooks (may be called between packets).
 func (m *Machine) SetHooks(h Hooks) { m.hooks = h }
 
-// EnableCounters attaches (and returns) zeroed native profiling counters
-// sized for this machine's module. Counters and Hooks are independent;
-// either or both may be active.
-func (m *Machine) EnableCounters() *Counters {
+// EnableCounters attaches zeroed native profiling counters sized for
+// this machine's module, replacing any attached before. Counters and
+// Hooks are independent; either or both may be active.
+func (m *Machine) EnableCounters() {
 	nb := len(m.blocks)
 	m.ctr = &Counters{
 		Block:   make([]uint64, nb),
 		State:   make([]uint64, len(m.gl)*nb),
 		API:     make([]uint64, len(m.gl)*nb),
 		NBlocks: nb,
+		entries: make([]uint64, len(m.prog.lowering().chains)),
 	}
-	return m.ctr
+}
+
+// Counters returns the counters EnableCounters attached (nil if none),
+// exact as of the last packet. The reference loop counts every event;
+// the step engine counts only how often each chain ran whole, and
+// reading adds those runs to the blocks and global accesses of their
+// chains. Machine.call counts API probes as they happen.
+func (m *Machine) Counters() *Counters {
+	c := m.ctr
+	if c == nil {
+		return nil
+	}
+	l := m.prog.lowering()
+	for ci, n := range c.entries {
+		if n == 0 {
+			continue
+		}
+		ch := &l.chains[ci]
+		for _, b := range l.tab[ch.lo:ch.mid] {
+			c.Block[b] += n
+		}
+		for _, k := range l.tab[ch.mid:ch.hi] {
+			c.State[k] += n
+		}
+		c.entries[ci] = 0
+	}
+	return c
 }
 
 func maskOf(ty ir.Type) uint64 {
@@ -879,9 +903,8 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 //
 // A machine with hooks attached (they may change between packets) runs
 // the reference loop, the only code that fires them; otherwise the step
-// engine runs, counting when counters are enabled. Every other observable
-// — Steps, fuel, counters, packet and state mutations — is identical
-// between the two.
+// engine runs. Every other observable — Steps, fuel, counters, packet and
+// state mutations — is identical between the two.
 func (m *Machine) RunPacket(p *traffic.Packet) error {
 	if m.regs == nil {
 		panic("interp: RunPacket on a released Machine")
@@ -890,7 +913,7 @@ func (m *Machine) RunPacket(p *traffic.Packet) error {
 		h.OnCompute != nil || h.OnAPI != nil {
 		return m.runReference(p)
 	}
-	return m.runSteps(m.prog.lowering(m.ctr != nil), p)
+	return m.runSteps(m.prog.lowering(), p)
 }
 
 // runReference is the switch-dispatch loop over the flat form. It is the
@@ -900,8 +923,14 @@ func (m *Machine) runReference(p *traffic.Packet) error {
 	p.Reset()
 	m.pkt = p
 	m.fuel = m.cfg.Fuel
-	bi := 0
-	vals := m.vals
+	return m.reference(0)
+}
+
+// reference runs the current packet on from the start of block bi with
+// m.fuel left, one instruction at a time. The step engine enters it at a
+// chain's head when the chain does not fit the fuel left.
+func (m *Machine) reference(bi int) error {
+	vals, p := m.vals, m.pkt
 	for {
 		if m.ctr != nil {
 			m.ctr.Block[bi]++
@@ -1045,9 +1074,7 @@ func (m *Machine) runReference(p *traffic.Packet) error {
 					m.hooks.OnState(m.strs[in.sidx].global, true, idx, bi)
 				}
 			case xCall:
-				if err := m.call(in, bi); err != nil {
-					return err
-				}
+				m.call(in, bi)
 			case xCallPayload:
 				if i := vals[in.a0]; i < uint64(len(p.Payload)) {
 					vals[in.id] = uint64(p.Payload[i])
@@ -1084,8 +1111,8 @@ func (m *Machine) runReference(p *traffic.Packet) error {
 				return nil
 			}
 		}
-		if next < 0 {
-			return fmt.Errorf("interp: block %d fell through", bi)
+		if next < 0 { // checkInstr ends every block in a terminator
+			panic(fmt.Sprintf("interp: block %d fell through", bi))
 		}
 		bi = next
 	}

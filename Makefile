@@ -35,12 +35,15 @@ serve-check:
 
 # cluster-check exercises the coordinator/worker layer end to end under
 # the race detector: content-hash routing, worker death mid-batch with
-# single retry, probe-driven rejoin, merged metrics — and the reply's
-# writer and cutter together (WriteResults / SplitResults, one validation
-# scan per forwarded result).
+# single retry, probe-driven rejoin, probes that keep their connection and
+# a backoff cap never below the probe interval (TestProbeReusesConnection,
+# TestProbeBackoffCap), merged metrics — and the reply's writer and cutter
+# together (WriteResults / SplitResults, one validation scan per forwarded
+# result, by a checker held to json.Valid's language by
+# TestValidJSONMatchesStdlib).
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
-	$(GO) test -race -run 'TestWireSplice|TestHopOneScan' ./internal/server/
+	$(GO) test -race -run 'TestWireSplice|TestHopOneScan|TestValidJSONMatchesStdlib' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 
 # store-check holds the keyed stores to their contracts under the race
@@ -123,6 +126,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSimulate -fuzztime=10s ./internal/offload/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledExec -fuzztime=20s ./internal/interp/
 	$(GO) test -run=^$$ -fuzz=FuzzSplitResults -fuzztime=10s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzValidJSON -fuzztime=20s ./internal/server/
 
 bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .

@@ -58,7 +58,8 @@ type Config struct {
 	// starting backoff for dead ones; 0 means 2s.
 	ProbeInterval time.Duration
 	// ProbeBackoffMax caps the dead-worker re-probe backoff (the
-	// interval doubles from ProbeInterval up to this); 0 means 30s.
+	// interval doubles from ProbeInterval up to this); 0, or anything
+	// below ProbeInterval, means 30s or ProbeInterval, whichever is longer.
 	ProbeBackoffMax time.Duration
 	// RequestTimeout caps one forwarded sub-batch request; 0 means 60s.
 	RequestTimeout time.Duration
@@ -101,7 +102,8 @@ func (c Config) norm() (Config, error) {
 		c.ProbeInterval = 2 * time.Second
 	}
 	if c.ProbeBackoffMax < c.ProbeInterval {
-		c.ProbeBackoffMax = 30 * time.Second
+		// A dead worker is never probed more often than a live one.
+		c.ProbeBackoffMax = max(30*time.Second, c.ProbeInterval)
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -495,10 +497,25 @@ func errorReason(body io.Reader) string {
 	var reply struct {
 		Error string `json:"error"`
 	}
-	if json.NewDecoder(io.LimitReader(body, 4<<10)).Decode(&reply) != nil || reply.Error == "" {
+	lr := io.LimitReader(body, drainLimit)
+	err := json.NewDecoder(lr).Decode(&reply)
+	drain(lr)
+	if err != nil || reply.Error == "" {
 		return ""
 	}
 	return ": " + reply.Error
+}
+
+// drainLimit bounds what is read of a reply the coordinator has no use for.
+const drainLimit = 4 << 10
+
+// drain reads what is left of body, up to drainLimit bytes, before its
+// Close: the transport puts a connection back in its idle pool only when
+// the body on it was read to the end, so closing a /healthz or error reply
+// unread would cost the next request a new connection. A longer body is
+// not worth reading to save a dial.
+func drain(body io.Reader) {
+	io.Copy(io.Discard, io.LimitReader(body, drainLimit)) //nolint:errcheck // best effort: the connection is closed instead
 }
 
 // call issues one request to a worker; a nil body sends none. The caller

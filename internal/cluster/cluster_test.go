@@ -786,3 +786,71 @@ func TestDefaultClientKeepsConnections(t *testing.T) {
 		t.Errorf("the second wave opened %d new connections, want 0", got)
 	}
 }
+
+// TestProbeReusesConnection: a health probe, and a sub-batch a worker
+// refuses with 429, leave their connection in the idle pool for the next
+// request. Closed unread, each probe used to dial a connection of its own.
+func TestProbeReusesConnection(t *testing.T) {
+	var dialed atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			return
+		}
+		server.WriteError(w, http.StatusTooManyRequests, "queue full")
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c, err := New(Config{Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probes, refusals = 25, 20
+	for i := 0; i < probes; i++ {
+		if !c.probe(context.Background(), c.workers[ts.URL]) {
+			t.Fatalf("probe %d failed", i)
+		}
+	}
+	if got := dialed.Load(); got != 1 {
+		t.Errorf("%d probes opened %d connections, want 1", probes, got)
+	}
+	for i := 0; i < refusals; i++ {
+		rec := postJSON(t, c.Handler(), "/v1/analyze", server.AnalyzeRequest{NF: "tcpack"})
+		if r := decodeAnalyze(t, rec).Results[0]; !strings.Contains(r.Error, "at capacity") {
+			t.Fatalf("result %+v, want the worker at capacity", r)
+		}
+	}
+	if got := dialed.Load(); got != 1 {
+		t.Errorf("%d probes and %d refused sub-batches opened %d connections, want 1", probes, refusals, got)
+	}
+}
+
+// TestProbeBackoffCap: the dead-worker re-probe cap is never below the
+// live-worker interval, so a dead worker is never probed more often than a
+// live one; unset or too low, it is 30s unless the interval is longer.
+func TestProbeBackoffCap(t *testing.T) {
+	const s = time.Second
+	for name, c := range map[string]struct{ interval, cap, want time.Duration }{
+		"both unset":            {0, 0, 30 * s},
+		"unset, short interval": {5 * s, 0, 30 * s},
+		"unset, long interval":  {60 * s, 0, 60 * s},
+		"below, short interval": {2 * s, 1 * s, 30 * s},
+		"below, long interval":  {60 * s, 45 * s, 60 * s},
+		"equal":                 {60 * s, 60 * s, 60 * s},
+		"above, short interval": {2 * s, 10 * s, 10 * s},
+		"above, long interval":  {60 * s, 120 * s, 120 * s},
+	} {
+		cfg, err := Config{Workers: []string{"w:1"}, ProbeInterval: c.interval, ProbeBackoffMax: c.cap}.norm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.ProbeBackoffMax != c.want {
+			t.Errorf("%s: interval %v, cap %v: normalised cap %v, want %v", name, c.interval, c.cap, cfg.ProbeBackoffMax, c.want)
+		}
+	}
+}

@@ -61,6 +61,7 @@ func (c *Coordinator) probe(ctx context.Context, w *workerState) bool {
 	if err != nil {
 		return false
 	}
-	defer resp.Body.Close()
+	drain(resp.Body)
+	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

@@ -44,6 +44,14 @@ func recordEncodes(t *testing.T) *encodeLog {
 	return l
 }
 
+// LightElements are the 18 library elements of the benchmark's
+// cluster-light-batch request (bench/workloads.go).
+var LightElements = []string{
+	"aggcounter", "anonipaddr", "cmsketch_crc", "dnsproxy", "firewall", "forcetcp",
+	"ipclassifier", "iprewriter", "mazunat", "tcpack", "tcpgen", "tcpresp",
+	"timefilter", "tokenbucket", "udpcount", "udpipencap", "webgen", "webtcp",
+}
+
 // CountResultScans counts, for the rest of the test, every scan
 // SplitResults makes of a result. Exported for hop_test.go, which sits
 // outside the package to drive it through internal/cluster. Tests using it

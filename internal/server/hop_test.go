@@ -26,11 +26,7 @@ const hopAllocs = 370
 // its worker wrote it, and the request stays inside a stated allocation
 // count.
 func TestHopOneScan(t *testing.T) {
-	names := []string{
-		"aggcounter", "anonipaddr", "cmsketch_crc", "dnsproxy", "firewall", "forcetcp",
-		"ipclassifier", "iprewriter", "mazunat", "tcpack", "tcpgen", "tcpresp",
-		"timefilter", "tokenbucket", "udpcount", "udpipencap", "webgen", "webtcp",
-	}
+	names := server.LightElements
 	canned := make(map[string][]byte, len(names))
 	for _, n := range names {
 		canned[n] = []byte(fmt.Sprintf(`{"name":%q,"workload":"mix","elapsed_ms":0.01,"cache_hit":true,"result_hit":true,"insights":{"nf":%q,"notes":["]}\n","<&>","%s"]}}`,

@@ -89,10 +89,14 @@ interp-check:
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the
-# library and the 300 unique-src programs) and pins "every fact once" as
-# an absolute allocation count over the library.
+# library and the 300 unique-src programs) and pins "every fact once": an
+# absolute allocation count over the library, and one interval solve per
+# frontend function. Over the same modules it checks that renumbering
+# blocks and slots changes no diagnostic or state profile, and that
+# SimplifyModule's output behaves as its input on 96 traced packets. It
+# also runs the recursion-widening and `!=` trip-bound tests.
 analysis-check:
-	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations' ./internal/analysis/
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestRangesRecursionWidens|TestLintNETripBound' ./internal/analysis/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile

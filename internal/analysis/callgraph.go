@@ -9,8 +9,8 @@ import (
 
 // This file is the interprocedural spine of the analysis layer: a call
 // graph over a module's IR functions, Tarjan SCC condensation, and the
-// SCC-ordered fixpoint driver the interprocedural passes (taint.go,
-// freq.go, sccp.go) iterate on.
+// SCC-ordered fixpoint driver the interprocedural passes (range.go,
+// taint.go) iterate on, and the caller-first order freq.go propagates in.
 //
 // The NFC frontend inlines every user subroutine into the packet handler,
 // so frontend-lowered modules have a one-node call graph and the engine
@@ -24,9 +24,9 @@ import (
 // framework API (lang.Intrinsics) are leaves, not edges.
 //
 // It is also the per-module analysis context. The facts several passes
-// need are derived once and kept where they belong — the loop nest, the
-// range fixpoint and each loop's trip count on the function's CFG, the
-// taint fixpoint here — so a pass asks for a fact (NaturalLoops,
+// need are derived once and kept where they belong — the loop nest and
+// each loop's trip count on the function's CFG, the interval and taint
+// fixpoints here — so a pass asks for a fact (NaturalLoops,
 // ComputeRanges, InferTripCount, ComputeTaint) and never rebuilds it. The
 // memoization takes no locks: a call graph is built and consumed by one
 // goroutine and dropped with the job; it is not a cache across requests.
@@ -49,8 +49,9 @@ type CallGraph struct {
 	// sccs[k] lists the node indices of SCC k, ascending.
 	sccs [][]int
 
-	index map[string]int
-	taint *TaintInfo // memoized by ComputeTaint
+	index  map[string]int
+	ranges []*RangeInfo // memoized by ComputeRanges
+	taint  *TaintInfo   // memoized by ComputeTaint
 }
 
 // BuildCallGraph derives the call graph, per-function CFGs, and the SCC
@@ -219,9 +220,10 @@ func (cg *CallGraph) Recursive(i int) bool {
 // self-recursive function needs for its summary to stabilize. Because
 // top-down facts (e.g. parameter taint flowing caller→callee) travel
 // against this order, whole sweeps repeat until a full pass changes
-// nothing. The lattices the passes use are finite and step is monotone,
-// so termination is structural; maxSweeps is a defensive bound for
-// hand-built adversarial inputs.
+// nothing. Taint's lattice is finite, the interval cells widen to their
+// type range after widenAfter moves, and step is monotone, so termination
+// is structural; maxSweeps is a defensive bound for hand-built
+// adversarial inputs.
 func (cg *CallGraph) FixpointSCC(step func(node int) bool) {
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {

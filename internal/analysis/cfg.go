@@ -1,7 +1,7 @@
 // Package analysis is Clara's static-analysis layer over the NFC IR: CFG
 // construction (dominators, reverse postorder, natural loops), a generic
-// worklist dataflow framework (liveness, reaching definitions, and
-// constant/range propagation are the stock instantiations), and the
+// worklist dataflow framework (liveness, reaching definitions, and the
+// interprocedural interval analysis are the stock instantiations), and the
 // offloadability linter that turns those facts into structured diagnostics
 // for SmartNIC-hostile constructs (paper §3: a legacy NF is analyzed
 // statically, before porting).
@@ -35,9 +35,6 @@ type CFG struct {
 
 	// loops is the natural-loop nest, found once by BuildCFG.
 	loops []*Loop
-	// ranges is the range fixpoint, solved on first use (ComputeRanges) and
-	// kept. Unsynchronized — see CallGraph for the one-goroutine rule.
-	ranges *RangeInfo
 }
 
 // BuildCFG derives the CFG of f.

@@ -114,12 +114,10 @@ func TestLibraryLoopFacts(t *testing.T) {
 		if !ok {
 			t.Fatalf("no expectation for %s", name)
 		}
-		f := click.Get(name).MustModule().Handler()
-		c := analysis.BuildCFG(f)
-		ri := analysis.ComputeRanges(c)
+		c, ri := handlerRanges(click.Get(name).MustModule())
 		var got []uint64
 		for _, l := range c.NaturalLoops() {
-			tc := ri.InferTripCount(c, l)
+			tc := ri.InferTripCount(l)
 			if !tc.HasFeasibleExit {
 				t.Errorf("%s: loop at b%d has no feasible exit", name, l.Head)
 				continue
@@ -151,6 +149,13 @@ func TestLibraryLoopFacts(t *testing.T) {
 	}
 }
 
+// handlerRanges returns the handler's CFG and interval fixpoint.
+func handlerRanges(m *ir.Module) (*analysis.CFG, *analysis.RangeInfo) {
+	cg := analysis.BuildCallGraph(m)
+	node := cg.Node(ir.HandlerName)
+	return cg.CFGs[node], analysis.ComputeRanges(cg)[node]
+}
+
 // TestCFGStructured checks the derived structures on a small known shape:
 // a diamond followed by a while loop.
 func TestCFGStructured(t *testing.T) {
@@ -166,8 +171,7 @@ void handle() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.Handler()
-	c := analysis.BuildCFG(f)
+	c, ri := handlerRanges(m)
 
 	loops := c.NaturalLoops()
 	if len(loops) != 1 {
@@ -198,8 +202,7 @@ void handle() {
 		t.Errorf("expected two non-dominating diamond arms, found %d", arms)
 	}
 
-	ri := analysis.ComputeRanges(c)
-	tc := ri.InferTripCount(c, l)
+	tc := ri.InferTripCount(l)
 	// x enters the loop as 1 or 2, so at most 10-1 iterations remain.
 	if !tc.Bounded || tc.Max != 9 {
 		t.Errorf("trip count = %+v, want bounded max 9", tc)
@@ -318,13 +321,12 @@ void handle() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := analysis.BuildCFG(m.Handler())
-	ri := analysis.ComputeRanges(c)
+	c, ri := handlerRanges(m)
 	loops := c.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(loops))
 	}
-	tc := ri.InferTripCount(c, loops[0])
+	tc := ri.InferTripCount(loops[0])
 	if !tc.Bounded || tc.Max != 64 {
 		t.Errorf("clamped loop trip = %+v, want bounded max 64", tc)
 	}
@@ -343,13 +345,12 @@ void handle() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := analysis.BuildCFG(m.Handler())
-	ri := analysis.ComputeRanges(c)
+	c, ri := handlerRanges(m)
 	loops := c.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(loops))
 	}
-	tc := ri.InferTripCount(c, loops[0])
+	tc := ri.InferTripCount(loops[0])
 	if tc.HasFeasibleExit {
 		t.Errorf("while(true) reported a feasible exit: %+v", tc)
 	}

@@ -5,9 +5,10 @@ import "clara/internal/ir"
 // This file is the generic worklist dataflow framework. A Problem supplies
 // the lattice (Bottom/Meet/Equal) and the block transfer function; Solve
 // iterates to a fixpoint over the CFG in reverse postorder (forward) or
-// postorder (backward). Liveness, reaching definitions (here), and range
-// propagation (range.go, which additionally refines along branch edges)
-// are the stock instantiations.
+// postorder (backward). Liveness, reaching definitions (here), and the
+// interval analysis (range.go, which additionally refines along branch
+// edges and is re-solved per function inside CallGraph.FixpointSCC) are
+// the stock instantiations.
 
 // Dir is a dataflow direction.
 type Dir int

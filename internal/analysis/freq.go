@@ -151,9 +151,8 @@ func statefulGlobal(cg *CallGraph, in *ir.Instr) string {
 // localFreq propagates per-invocation block frequencies for one function
 // and records its loop multipliers.
 func (fi *FreqInfo) localFreq(node int) []float64 {
-	c := fi.CG.CFGs[node]
-	f := c.F
-	ri := ComputeRanges(c)
+	ri := ComputeRanges(fi.CG)[node]
+	c, f := ri.c, ri.c.F
 	loops := c.NaturalLoops()
 
 	// Loop multiplier per block: product of trips over containing loops.
@@ -163,7 +162,7 @@ func (fi *FreqInfo) localFreq(node int) []float64 {
 	}
 	back := map[[2]int]bool{}
 	for _, l := range loops {
-		tc := ri.InferTripCount(c, l)
+		tc := ri.InferTripCount(l)
 		trips := float64(freqDefaultTrips)
 		if tc.Bounded {
 			n := tc.Max

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"clara/internal/analysis"
 	"clara/internal/click"
 	"clara/internal/ir"
+	"clara/internal/lang"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
@@ -320,6 +322,40 @@ void handle() {
 		if d.Rule == analysis.RuleLoopVarBound || d.Rule == analysis.RuleLoopUnbounded {
 			t.Errorf("u16-bounded loop (max 65535) wrongly flagged: %v", d)
 		}
+	}
+}
+
+// TestLintNETripBound: `i != N` with a unit step ends at N only if every
+// start is at or below N. Starting anywhere in 0..127, a start of 51..127
+// wraps through ~2^32 iterations, so the loop cannot be bounded; starting
+// in 0..31 it runs at most 50.
+func TestLintNETripBound(t *testing.T) {
+	loop := func(mask int) string {
+		return fmt.Sprintf(`
+void handle() {
+	for (u32 i = u32(pkt_ip_proto()) & %d; i != 50; i += 1) { }
+	pkt_send(0);
+}
+`, mask)
+	}
+	ds, err := analysis.LintSource("wraps", loop(127), analysis.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, d := range ds {
+		found = found || d.Rule == analysis.RuleLoopVarBound && d.Line == 3
+	}
+	if !found {
+		t.Errorf("a != loop whose start can exceed its bound was not flagged: %v", ds)
+	}
+	m, err := lang.Compile("below", loop(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ri := handlerRanges(m)
+	if tc := ri.InferTripCount(c.NaturalLoops()[0]); !tc.Bounded || tc.Max != 50 {
+		t.Errorf("start in 0..31, i != 50: trip = %+v, want bounded max 50", tc)
 	}
 }
 

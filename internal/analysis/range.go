@@ -1,19 +1,24 @@
 package analysis
 
 import (
-	"fmt"
-
 	"clara/internal/ir"
 )
 
-// This file instantiates the dataflow framework as an unsigned interval
-// (constant/range) propagation: every slot and every SSA value gets a
-// conservative [lo, hi] range. Branch edges refine ranges (the false edge
-// of `limit > 64` caps limit at 64), constant conditions make edges
-// infeasible (`while (true)` has no feasible exit), and natural-loop trip
-// counts fall out of the induction-variable ranges. Constants are the
-// degenerate one-point intervals, so this pass subsumes constant
-// propagation.
+// This file instantiates the dataflow framework as the package's one value
+// analysis: an interprocedural unsigned interval propagation. Every slot
+// and every SSA value gets a conservative [lo, hi] range. A constant is the
+// one-point interval, and an operation over constants folds exactly
+// (foldOp), so the pass subsumes constant propagation. Branch edges refine
+// ranges (the false edge of `limit > 64` caps limit at 64), a branch whose
+// condition is constant has one infeasible edge (`while (true)` has no
+// feasible exit), and natural-loop trip counts fall out of the
+// induction-variable ranges. Across functions, parameter intervals join
+// over in-module call sites and return intervals summarize callees,
+// iterated to a fixpoint over call-graph SCCs (CallGraph.FixpointSCC).
+//
+// The facts feed const-branch and dead-code (lint.go), SimplifyModule
+// (simplify.go), trip counts, taint's loop classes and the static
+// frequencies (freq.go).
 
 // Interval is an unsigned value range [Lo, Hi], inclusive.
 type Interval struct {
@@ -22,6 +27,10 @@ type Interval struct {
 
 // FullRange is the unconstrained interval.
 var FullRange = Interval{0, ^uint64(0)}
+
+// noValue is the empty interval (Lo > Hi), the identity of Union: a
+// parameter no call site has bound yet, or a return no path has reached.
+var noValue = Interval{^uint64(0), 0}
 
 // typeMax returns the largest value of ty (u64 for Void/unknown widths).
 func typeMax(ty ir.Type) uint64 {
@@ -66,11 +75,36 @@ func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	return iv, true
 }
 
-func (iv Interval) String() string {
-	if c, ok := iv.Const(); ok {
-		return fmt.Sprintf("[%d]", c)
+// within returns iv clamped to ty's range, or the whole range if they do
+// not overlap (an empty iv included).
+func within(iv Interval, ty ir.Type) Interval {
+	if r, ok := iv.Intersect(typeRange(ty)); ok {
+		return r
 	}
-	return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi)
+	return typeRange(ty)
+}
+
+// summary is one interprocedural cell: a parameter or a return interval.
+// Intervals have no finite height (a self-recursive f(n) calling f(n+1)
+// would grow the parameter forever), so a cell widens to its type range
+// once it has moved widenAfter times, as loop heads do.
+type summary struct {
+	iv    Interval
+	moves int
+}
+
+// add joins v into the cell of type ty and reports whether the cell moved.
+func (s *summary) add(v Interval, ty ir.Type) bool {
+	j := s.iv.Union(v)
+	if j != s.iv && s.moves >= widenAfter {
+		j = typeRange(ty)
+	}
+	if j == s.iv {
+		return false
+	}
+	s.iv = j
+	s.moves++
+	return true
 }
 
 // rangeState is the per-point lattice value: reachability plus one
@@ -84,17 +118,26 @@ func (s rangeState) clone() rangeState {
 	return rangeState{reachable: s.reachable, slots: append([]Interval(nil), s.slots...)}
 }
 
-// RangeInfo is the fixpoint result of range propagation over one function.
+// RangeInfo is the interval fixpoint of one function of a call graph.
 type RangeInfo struct {
-	c *CFG
+	cg *CallGraph
+	c  *CFG
 	// instrByID resolves a VInstr operand to its defining instruction.
 	instrByID []*ir.Instr
 	blockOf   []int // defining block of each value ID
 	indexOf   []int // instruction index within the block
 	// vals[id] is the final over-approximate interval of each SSA value.
 	vals []Interval
-	sol  *Solution[rangeState]
-	prob *rangeProblem
+	// sol is nil until a reachable call site enters the function (roots
+	// are entered from the start).
+	sol *Solution[rangeState]
+	// params joins the arguments of every reachable in-module call site
+	// (a root's are its type range); ret joins every reachable return.
+	params  []summary
+	ret     summary
+	root    bool
+	entered bool
+	solves  int
 }
 
 type rangeProblem struct {
@@ -108,10 +151,14 @@ type rangeProblem struct {
 	// body blocks too would destroy loop bounds that merely oscillate as
 	// edge refinements shift.
 	isHead []bool
+	// changed reports that a cell another solve reads has moved: a
+	// callee's parameter, or a return that has callers.
+	changed bool
 }
 
 // widenAfter is the number of fixpoint visits before a loop header's slot
-// ranges widen to full range; widenHard is the fallback for every other
+// ranges widen to full range (and the number of moves before an
+// interprocedural cell does); widenHard is the fallback for every other
 // block (cycles outside natural loops can only come from irreducible
 // hand-built IR).
 const (
@@ -119,45 +166,76 @@ const (
 	widenHard  = 32
 )
 
-// ComputeRanges runs constant/range propagation over the CFG, once: the
-// fixpoint is kept on c and later calls return it (it is read-only after
-// construction, so lint, taint and the frequency estimate share it).
-func ComputeRanges(c *CFG) *RangeInfo {
-	if c.ranges != nil {
-		return c.ranges
+// ComputeRanges runs the interval fixpoint over the module, once: it is
+// kept on cg and later calls return it (node i's function is entry i), so
+// lint, taint, the frequency estimate and SimplifyModule share it. Each
+// step re-solves one function under the current parameter and return
+// cells and reports a change only when a cell another solve reads has
+// moved, so the single-function modules the frontend emits solve once.
+func ComputeRanges(cg *CallGraph) []*RangeInfo {
+	if cg.ranges != nil {
+		return cg.ranges
 	}
-	ri := &RangeInfo{
-		c:         c,
-		instrByID: make([]*ir.Instr, c.F.NumVals),
-		blockOf:   make([]int, c.F.NumVals),
-		indexOf:   make([]int, c.F.NumVals),
-		vals:      make([]Interval, c.F.NumVals),
-	}
-	for _, b := range c.F.Blocks {
-		for ii, in := range b.Instrs {
-			if in.ID >= 0 && in.ID < len(ri.instrByID) {
-				ri.instrByID[in.ID] = in
-				ri.blockOf[in.ID] = b.Index
-				ri.indexOf[in.ID] = ii
+	cg.ranges = make([]*RangeInfo, len(cg.Funcs))
+	for node, c := range cg.CFGs {
+		n := c.F.NumVals
+		ri := &RangeInfo{
+			cg: cg, c: c,
+			instrByID: make([]*ir.Instr, n),
+			blockOf:   make([]int, n),
+			indexOf:   make([]int, n),
+			vals:      make([]Interval, n),
+			params:    make([]summary, len(c.F.Params)),
+			ret:       summary{iv: noValue},
+			root:      len(cg.Callers[node]) == 0,
+		}
+		for _, b := range c.F.Blocks {
+			for ii, in := range b.Instrs {
+				if in.ID >= 0 && in.ID < n {
+					ri.instrByID[in.ID] = in
+					ri.blockOf[in.ID] = b.Index
+					ri.indexOf[in.ID] = ii
+				}
 			}
 		}
+		for i := range ri.vals {
+			ri.vals[i] = FullRange
+		}
+		// Roots (no in-module callers: the packet handler, or any
+		// externally invoked entry) take arbitrary runtime arguments.
+		for i, p := range c.F.Params {
+			ri.params[i].iv = noValue
+			if ri.root {
+				ri.params[i].iv = typeRange(p.Ty)
+			}
+		}
+		ri.entered = ri.root
+		cg.ranges[node] = ri
 	}
-	for i := range ri.vals {
-		ri.vals[i] = FullRange
+	cg.FixpointSCC(func(node int) bool { return cg.ranges[node].solve() })
+	return cg.ranges
+}
+
+// solve re-solves the function under the current cells, if any reachable
+// call site has entered it, and reports whether a cell another solve
+// reads has moved.
+func (ri *RangeInfo) solve() bool {
+	if !ri.entered {
+		return false
 	}
+	n := len(ri.c.F.Blocks)
 	p := &rangeProblem{
 		ri:      ri,
-		visits:  make([]int, len(c.F.Blocks)),
-		prevOut: make([]rangeState, len(c.F.Blocks)),
-		isHead:  make([]bool, len(c.F.Blocks)),
+		visits:  make([]int, n),
+		prevOut: make([]rangeState, n),
+		isHead:  make([]bool, n),
 	}
-	for _, l := range c.NaturalLoops() {
+	for _, l := range ri.c.NaturalLoops() {
 		p.isHead[l.Head] = true
 	}
-	ri.prob = p
-	ri.sol = Solve[rangeState](c, Forward, p)
-	c.ranges = ri
-	return ri
+	ri.sol = Solve[rangeState](ri.c, Forward, p)
+	ri.solves++
+	return p.changed
 }
 
 func (p *rangeProblem) Boundary() rangeState {
@@ -207,8 +285,15 @@ func (p *rangeProblem) Transfer(b *ir.Block, in rangeState) rangeState {
 		if instr.ID >= 0 && instr.ID < len(ri.vals) {
 			ri.vals[instr.ID] = iv
 		}
-		if instr.Op == ir.OpLStore {
-			out.slots[instr.Slot] = ri.operand(instr.Args[0], out.slots)
+		switch instr.Op {
+		case ir.OpLStore:
+			out.slots[instr.Slot] = res(instr.Args[0])
+		case ir.OpCall:
+			p.enter(instr, res)
+		case ir.OpRet:
+			if len(instr.Args) > 0 && ri.ret.add(res(instr.Args[0]), ri.c.F.Ret) && !ri.root {
+				p.changed = true
+			}
 		}
 	}
 	p.visits[b.Index]++
@@ -228,6 +313,24 @@ func (p *rangeProblem) Transfer(b *ir.Block, in rangeState) rangeState {
 	return out
 }
 
+// enter binds the arguments of a call to a sibling function into the
+// callee's parameter cells.
+func (p *rangeProblem) enter(in *ir.Instr, res func(ir.Value) Interval) {
+	node := p.ri.cg.CalleeNode(in)
+	if node < 0 {
+		return // intrinsics read packets and state
+	}
+	callee := p.ri.cg.ranges[node]
+	if !callee.entered {
+		callee.entered, p.changed = true, true
+	}
+	for i, a := range in.Args {
+		if i < len(callee.params) && callee.params[i].add(res(a), callee.c.F.Params[i].Ty) {
+			p.changed = true
+		}
+	}
+}
+
 // operand returns the interval of an operand under the given slot state.
 func (ri *RangeInfo) operand(v ir.Value, slots []Interval) Interval {
 	switch v.Kind {
@@ -235,13 +338,13 @@ func (ri *RangeInfo) operand(v ir.Value, slots []Interval) Interval {
 		c := uint64(v.Const) & typeMax(v.Ty)
 		return Interval{c, c}
 	case ir.VParam:
+		if v.ID >= 0 && v.ID < len(ri.params) {
+			return within(ri.params[v.ID].iv, v.Ty)
+		}
 		return typeRange(v.Ty)
 	case ir.VInstr:
 		if v.ID >= 0 && v.ID < len(ri.vals) {
-			iv := ri.vals[v.ID]
-			if r, ok := iv.Intersect(typeRange(v.Ty)); ok {
-				return r
-			}
+			return within(ri.vals[v.ID], v.Ty)
 		}
 		return typeRange(v.Ty)
 	}
@@ -249,101 +352,126 @@ func (ri *RangeInfo) operand(v ir.Value, slots []Interval) Interval {
 }
 
 // evalInstr computes the result interval of one instruction, resolving
-// operands through res.
+// operands through res. Operations whose operands are all single values
+// fold exactly.
 func (ri *RangeInfo) evalInstr(in *ir.Instr, slots []Interval, res func(ir.Value) Interval) Interval {
 	tr := typeRange(in.Ty)
+	switch {
+	case in.Op == ir.OpLLoad:
+		return within(slots[in.Slot], in.Ty)
+	case in.Op == ir.OpCall:
+		if node := ri.cg.CalleeNode(in); node >= 0 {
+			return within(ri.cg.ranges[node].ret.iv, in.Ty)
+		}
+		return tr
+	case !in.Op.IsCompute():
+		return tr // global loads read runtime NF state
+	}
+	a, b := res(in.Args[0]), Interval{}
+	if len(in.Args) > 1 {
+		b = res(in.Args[1])
+	}
+	if ca, ok := a.Const(); ok {
+		if cb, ok := b.Const(); ok {
+			c := foldOp(in, ca, cb)
+			return Interval{c, c}
+		}
+	}
 	switch in.Op {
-	case ir.OpLLoad:
-		if r, ok := slots[in.Slot].Intersect(tr); ok {
-			return r
-		}
-		return tr
-	case ir.OpGLoad, ir.OpCall:
-		return tr
 	case ir.OpZExt:
-		if r, ok := res(in.Args[0]).Intersect(tr); ok {
-			return r
-		}
-		return tr
+		return within(a, in.Ty)
 	case ir.OpTrunc:
-		a := res(in.Args[0])
 		if a.Hi <= tr.Hi {
 			return a // narrowing preserved the value
 		}
-		return tr
 	case ir.OpICmp:
-		a, b := res(in.Args[0]), res(in.Args[1])
 		if r, ok := evalICmp(in.Pred, a, b); ok {
-			c := uint64(0)
 			if r {
-				c = 1
+				return Interval{1, 1}
 			}
-			return Interval{c, c}
+			return Interval{0, 0}
 		}
 		return Interval{0, 1}
 	case ir.OpAdd:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		lo, hi := a.Lo+b.Lo, a.Hi+b.Hi
-		if hi < a.Hi || hi > tr.Hi { // overflow or exceeds type width
-			return tr
+		if hi := a.Hi + b.Hi; hi >= a.Hi && hi <= tr.Hi { // no overflow
+			return Interval{a.Lo + b.Lo, hi}
 		}
-		return Interval{lo, hi}
 	case ir.OpSub:
-		a, b := res(in.Args[0]), res(in.Args[1])
 		if a.Lo >= b.Hi { // no unsigned underflow possible
 			return Interval{a.Lo - b.Hi, a.Hi - b.Lo}
 		}
-		return tr
 	case ir.OpMul:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		if a.Hi != 0 && b.Hi != 0 && a.Hi > tr.Hi/b.Hi { // overflow
-			return tr
+		if a.Hi == 0 || b.Hi == 0 || a.Hi <= tr.Hi/b.Hi { // no overflow
+			return Interval{a.Lo * b.Lo, a.Hi * b.Hi}
 		}
-		return Interval{a.Lo * b.Lo, a.Hi * b.Hi}
 	case ir.OpUDiv:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		if b.Lo > 0 {
+		if b.Lo > 0 { // division by zero yields all-ones on the NIC
 			return Interval{a.Lo / b.Hi, a.Hi / b.Lo}
 		}
-		return tr // division by zero yields all-ones on the NIC
 	case ir.OpURem:
-		b := res(in.Args[1])
 		if b.Hi > 0 {
 			return Interval{0, b.Hi - 1}
 		}
 		return Interval{0, 0}
 	case ir.OpAnd:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		hi := a.Hi
-		if b.Hi < hi {
-			hi = b.Hi
-		}
-		return Interval{0, hi}
+		return Interval{0, min(a.Hi, b.Hi)}
 	case ir.OpOr, ir.OpXor:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		hi := roundUpPow2(a.Hi | b.Hi)
-		if hi > tr.Hi {
-			hi = tr.Hi
-		}
-		return Interval{0, hi}
+		return Interval{0, min(roundUpPow2(a.Hi|b.Hi), tr.Hi)}
 	case ir.OpShl:
-		a, b := res(in.Args[0]), res(in.Args[1])
-		if sh, ok := b.Const(); ok && sh < 64 {
-			if a.Hi <= tr.Hi>>sh {
-				return Interval{a.Lo << sh, a.Hi << sh}
-			}
+		if sh, ok := b.Const(); ok && sh < 64 && a.Hi <= tr.Hi>>sh {
+			return Interval{a.Lo << sh, a.Hi << sh}
 		}
-		return tr
 	case ir.OpLShr:
-		a, b := res(in.Args[0]), res(in.Args[1])
 		if sh, ok := b.Const(); ok && sh < 64 {
 			return Interval{a.Lo >> sh, a.Hi >> sh}
 		}
 		return Interval{0, a.Hi}
-	case ir.OpNot:
-		return tr
 	}
 	return tr
+}
+
+// foldOp folds one compute instruction over constant operands, mirroring
+// the interpreter's exact semantics (width masking, shift-amount &63,
+// division by zero yielding all-ones like the NIC firmware).
+func foldOp(in *ir.Instr, a, b uint64) uint64 {
+	mask := typeMax(in.Ty)
+	switch in.Op {
+	case ir.OpAdd:
+		return (a + b) & mask
+	case ir.OpSub:
+		return (a - b) & mask
+	case ir.OpMul:
+		return (a * b) & mask
+	case ir.OpUDiv:
+		if b == 0 {
+			return mask
+		}
+		return (a / b) & mask
+	case ir.OpURem:
+		if b == 0 {
+			return 0
+		}
+		return (a % b) & mask
+	case ir.OpAnd:
+		return a & b & mask
+	case ir.OpOr:
+		return (a | b) & mask
+	case ir.OpXor:
+		return (a ^ b) & mask
+	case ir.OpShl:
+		return (a << (b & 63)) & mask
+	case ir.OpLShr:
+		return (a >> (b & 63)) & mask
+	case ir.OpNot:
+		return ^a & mask
+	case ir.OpZExt, ir.OpTrunc:
+		return a & mask
+	case ir.OpICmp:
+		if r, _ := evalICmp(in.Pred, Interval{a, a}, Interval{b, b}); r {
+			return 1
+		}
+	}
+	return 0
 }
 
 // roundUpPow2 returns the smallest 2^k-1 value >= v (a sound upper bound
@@ -403,26 +531,37 @@ func evalICmp(p ir.Pred, a, b Interval) (res, ok bool) {
 // branch conditions kill infeasible edges, and comparisons against slot
 // loads narrow the slot's range on each side.
 func (p *rangeProblem) TransferEdge(from, to int, out rangeState) rangeState {
-	if !out.reachable {
-		return out
-	}
 	term := p.ri.c.F.Blocks[from].Terminator()
-	if term == nil || term.Op != ir.OpCondBr || term.True == term.False {
+	if !out.reachable || term == nil || term.Op != ir.OpCondBr || term.True == term.False {
 		return out
 	}
-	takenTrue := to == term.True
-	cond := term.Args[0]
-	// Feasibility must be decided from the end-of-block state alone: the
-	// cached value intervals can still grow after this block's out-state
-	// has converged, and a stale constant would wrongly kill the edge.
-	if iv, exact := p.ri.evalAt(from, cond, out.slots); exact {
-		if c, ok := iv.Const(); ok && (c != 0) != takenTrue {
-			return rangeState{} // edge infeasible
-		}
+	if taken, ok := p.ri.decide(from, out); ok && taken != to {
+		return rangeState{} // edge infeasible
 	}
 	refined := out.clone()
-	p.ri.refineCond(from, cond, takenTrue, &refined)
+	p.ri.refineCond(from, term.Args[0], to == term.True, &refined)
 	return refined
+}
+
+// decide returns the successor the two-way branch ending block from must
+// take when its condition is constant under the end-of-block state out.
+// Feasibility is decided from that state alone: the cached value
+// intervals can still grow after this block's out-state has converged,
+// and a stale constant would wrongly kill the edge.
+func (ri *RangeInfo) decide(from int, out rangeState) (int, bool) {
+	term := ri.c.F.Blocks[from].Terminator()
+	if !out.reachable || term == nil || term.Op != ir.OpCondBr || term.True == term.False {
+		return 0, false
+	}
+	iv, exact := ri.evalAt(from, term.Args[0], out.slots)
+	c, ok := iv.Const()
+	switch {
+	case !exact || !ok:
+		return 0, false
+	case c == 0:
+		return term.False, true
+	}
+	return term.True, true
 }
 
 // evalAt re-evaluates v against the end-of-block slot state, walking the
@@ -430,38 +569,21 @@ func (p *rangeProblem) TransferEdge(from, to int, out rangeState) rangeState {
 // soundly reconstructed there (cross-block def, or a load whose slot was
 // overwritten later in the block).
 func (ri *RangeInfo) evalAt(block int, v ir.Value, slots []Interval) (Interval, bool) {
-	switch v.Kind {
-	case ir.VConst, ir.VParam:
+	if v.Kind != ir.VInstr {
 		return ri.operand(v, slots), true
-	case ir.VInstr:
-		def := ri.instrByID[v.ID]
-		if def == nil || ri.blockOf[v.ID] != block {
-			return FullRange, false
-		}
-		switch {
-		case def.Op == ir.OpLLoad:
-			if ri.storedBetween(block, ri.indexOf[v.ID], def.Slot) {
-				return FullRange, false
-			}
-			if r, ok := slots[def.Slot].Intersect(typeRange(def.Ty)); ok {
-				return r, true
-			}
-			return typeRange(def.Ty), true
-		case def.Op == ir.OpGLoad || def.Op == ir.OpCall:
-			return typeRange(def.Ty), true // sound without any cached state
-		case def.Op.IsCompute():
-			exact := true
-			iv := ri.evalInstr(def, slots, func(a ir.Value) Interval {
-				r, ok := ri.evalAt(block, a, slots)
-				if !ok {
-					exact = false
-				}
-				return r
-			})
-			return iv, exact
-		}
 	}
-	return FullRange, false
+	def := ri.instrByID[v.ID]
+	if def == nil || ri.blockOf[v.ID] != block ||
+		def.Op == ir.OpLLoad && ri.storedBetween(block, ri.indexOf[v.ID], def.Slot) {
+		return FullRange, false
+	}
+	exact := true
+	iv := ri.evalInstr(def, slots, func(a ir.Value) Interval {
+		r, ok := ri.evalAt(block, a, slots)
+		exact = exact && ok
+		return r
+	})
+	return iv, exact
 }
 
 // refineCond narrows slot ranges in st under the assumption that cond
@@ -587,16 +709,25 @@ func swapPred(p ir.Pred) ir.Pred {
 
 // BlockReachable reports whether range propagation found any feasible path
 // to block b.
-func (ri *RangeInfo) BlockReachable(b int) bool { return ri.sol.Out[b].reachable || b == 0 }
+func (ri *RangeInfo) BlockReachable(b int) bool {
+	return ri.sol != nil && (b == 0 || ri.sol.Out[b].reachable)
+}
+
+// constBranch returns the only feasible successor of block b's two-way
+// branch, if exactly one side is feasible: the one predicate const-branch
+// reports and SimplifyModule straightens.
+func (ri *RangeInfo) constBranch(b int) (int, bool) {
+	if ri.sol == nil {
+		return 0, false
+	}
+	return ri.decide(b, ri.sol.Out[b])
+}
 
 // EdgeFeasible reports whether the edge from→to can be taken under the
 // computed ranges.
 func (ri *RangeInfo) EdgeFeasible(from, to int) bool {
-	out := ri.sol.Out[from]
-	if !out.reachable {
-		return false
-	}
-	return ri.prob.TransferEdge(from, to, out).reachable
+	taken, decided := ri.constBranch(from)
+	return ri.BlockReachable(from) && (!decided || taken == to)
 }
 
 // ValRange returns the computed interval of SSA value id.
@@ -605,15 +736,6 @@ func (ri *RangeInfo) ValRange(id int) Interval {
 		return ri.vals[id]
 	}
 	return FullRange
-}
-
-// SlotRangeOut returns slot's interval at the end of block b.
-func (ri *RangeInfo) SlotRangeOut(b, slot int) Interval {
-	st := ri.sol.Out[b]
-	if !st.reachable {
-		return FullRange
-	}
-	return st.slots[slot]
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +756,7 @@ type TripCount struct {
 // condition governed by an induction slot (every in-loop store is a
 // constant-step increment) whose bound has a known range at the exit test.
 // The bound is computed once per loop and kept on it.
-func (ri *RangeInfo) InferTripCount(c *CFG, l *Loop) (tc TripCount) {
+func (ri *RangeInfo) InferTripCount(l *Loop) (tc TripCount) {
 	if l.trip != nil {
 		return *l.trip
 	}
@@ -649,18 +771,18 @@ func (ri *RangeInfo) InferTripCount(c *CFG, l *Loop) (tc TripCount) {
 		return tc
 	}
 	// Initial slot ranges entering the loop.
-	pres := c.Preheaders(l)
+	pres := ri.c.Preheaders(l)
 	best := ^uint64(0)
 	found := false
 	for _, e := range l.Exits {
-		term := c.F.Blocks[e.From].Terminator()
+		term := ri.c.F.Blocks[e.From].Terminator()
 		if term == nil || term.Op != ir.OpCondBr || !ri.EdgeFeasible(e.From, e.To) {
 			continue
 		}
 		// The loop leaves when the branch takes the exit side; the
 		// condition's truth on that side is what bounds the loop.
 		exitOnTrue := e.To == term.True
-		if n, ok := ri.exitBound(c, l, e.From, term.Args[0], exitOnTrue, pres); ok && n < best {
+		if n, ok := ri.exitBound(l, e.From, term.Args[0], exitOnTrue, pres); ok && n < best {
 			best = n
 			found = true
 		}
@@ -674,7 +796,7 @@ func (ri *RangeInfo) InferTripCount(c *CFG, l *Loop) (tc TripCount) {
 
 // exitBound tries to bound the iterations before cond reaches the truth
 // value that exits the loop.
-func (ri *RangeInfo) exitBound(c *CFG, l *Loop, block int, cond ir.Value, exitTruth bool, pres []int) (uint64, bool) {
+func (ri *RangeInfo) exitBound(l *Loop, block int, cond ir.Value, exitTruth bool, pres []int) (uint64, bool) {
 	if cond.Kind != ir.VInstr {
 		return 0, false
 	}
@@ -687,17 +809,17 @@ func (ri *RangeInfo) exitBound(c *CFG, l *Loop, block int, cond ir.Value, exitTr
 		if !exitTruth {
 			// Loop continues while both conjuncts hold: either conjunct
 			// failing exits, so either bound limits the trip count.
-			if n, ok := ri.exitBound(c, l, block, def.Args[0], false, pres); ok {
+			if n, ok := ri.exitBound(l, block, def.Args[0], false, pres); ok {
 				return n, true
 			}
-			return ri.exitBound(c, l, block, def.Args[1], false, pres)
+			return ri.exitBound(l, block, def.Args[1], false, pres)
 		}
 	case ir.OpOr:
 		if exitTruth {
-			if n, ok := ri.exitBound(c, l, block, def.Args[0], true, pres); ok {
+			if n, ok := ri.exitBound(l, block, def.Args[0], true, pres); ok {
 				return n, true
 			}
-			return ri.exitBound(c, l, block, def.Args[1], true, pres)
+			return ri.exitBound(l, block, def.Args[1], true, pres)
 		}
 	case ir.OpICmp:
 		// Normalize to the *continue* condition: the comparison that holds
@@ -708,12 +830,12 @@ func (ri *RangeInfo) exitBound(c *CFG, l *Loop, block int, cond ir.Value, exitTr
 		}
 		lhs, rhs := def.Args[0], def.Args[1]
 		if slot, _, ok := ri.slotOperand(block, lhs); ok {
-			if n, ok2 := ri.inductionBound(c, l, slot, pred, ri.operand(rhs, ri.sol.In[block].slots), pres); ok2 {
+			if n, ok2 := ri.inductionBound(l, slot, pred, ri.operand(rhs, ri.sol.In[block].slots), pres); ok2 {
 				return n, true
 			}
 		}
 		if slot, _, ok := ri.slotOperand(block, rhs); ok {
-			if n, ok2 := ri.inductionBound(c, l, slot, swapPred(pred), ri.operand(lhs, ri.sol.In[block].slots), pres); ok2 {
+			if n, ok2 := ri.inductionBound(l, slot, swapPred(pred), ri.operand(lhs, ri.sol.In[block].slots), pres); ok2 {
 				return n, true
 			}
 		}
@@ -724,8 +846,8 @@ func (ri *RangeInfo) exitBound(c *CFG, l *Loop, block int, cond ir.Value, exitTr
 // inductionBound bounds iterations of a loop that continues while
 // `slot PRED bound` holds, given that every in-loop store to slot is a
 // constant-step increment (step > 0).
-func (ri *RangeInfo) inductionBound(c *CFG, l *Loop, slot int, pred ir.Pred, bound Interval, pres []int) (uint64, bool) {
-	step, ok := ri.inductionStep(c, l, slot)
+func (ri *RangeInfo) inductionBound(l *Loop, slot int, pred ir.Pred, bound Interval, pres []int) (uint64, bool) {
+	step, ok := ri.inductionStep(l, slot)
 	if !ok {
 		return 0, false
 	}
@@ -757,9 +879,10 @@ func (ri *RangeInfo) inductionBound(c *CFG, l *Loop, slot int, pred ir.Pred, bou
 		}
 		limit = bound.Hi + 1
 	case ir.PredNE:
-		// i != N with unit step starting at/below N terminates at N.
+		// i != N with unit step terminates at N only if every start is at
+		// or below N; a start above it wraps through the whole type.
 		cb, isConst := bound.Const()
-		if !isConst || step != 1 || init.Lo > cb {
+		if !isConst || step != 1 || init.Hi > cb {
 			return 0, false
 		}
 		limit = cb
@@ -775,11 +898,11 @@ func (ri *RangeInfo) inductionBound(c *CFG, l *Loop, slot int, pred ir.Pred, bou
 // inductionStep checks that every store to slot inside the loop is
 // `slot = slot + c` (c > 0, via load of the same slot) and returns the
 // smallest step.
-func (ri *RangeInfo) inductionStep(c *CFG, l *Loop, slot int) (uint64, bool) {
+func (ri *RangeInfo) inductionStep(l *Loop, slot int) (uint64, bool) {
 	step := ^uint64(0)
 	stores := 0
 	for _, bi := range l.Blocks {
-		for _, in := range c.F.Blocks[bi].Instrs {
+		for _, in := range ri.c.F.Blocks[bi].Instrs {
 			if in.Op != ir.OpLStore || in.Slot != slot {
 				continue
 			}

@@ -467,7 +467,7 @@ func (ti *TaintInfo) record() {
 		}
 
 		// Loops: join the taint of every feasible exit condition.
-		ri := ComputeRanges(c)
+		ri := ComputeRanges(ti.CG)[node]
 		for _, l := range c.NaturalLoops() {
 			if !ri.BlockReachable(l.Head) {
 				continue

@@ -109,9 +109,12 @@ bench-check:
 # pinned transcript, internal/experiments/testdata/quick.golden, byte for
 # byte; requires it to be identical across fresh runs under GOMAXPROCS 1
 # and 4; and asserts each headline claim's shape with explicit bands (the
-# claims quick scale does not reproduce are recorded as known gaps).
+# claims quick scale does not reproduce are recorded as known gaps). Beside
+# them, TestLibraryInsightsGolden holds the served quick tool's Insights for
+# the 51-job library batch to testdata/library_insights.golden.
 repro-check:
 	$(GO) test -run 'TestQuickSuite|TestPaperClaims' ./internal/experiments/
+	$(GO) test -run TestLibraryInsightsGolden .
 
 # check is the PR gate: static gates first, then build, plain tests,
 # then the race passes, then the benchmark harness's own tests (whose
@@ -136,11 +139,13 @@ bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .
 
 # Regenerate the Insights.Report, lint, simulation-trajectory,
-# taint/frequency state-profile and quick-suite evaluation golden files
-# after intentional formatting/simulator/analysis/experiment changes.
+# taint/frequency state-profile, quick-suite evaluation and library-insights
+# golden files after intentional formatting/simulator/analysis/experiment/
+# model changes.
 update-golden:
 	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) test ./internal/analysis/ -run TestLintGolden -update
 	$(GO) test ./internal/offload/ -run TestSimulateGolden -update
 	$(GO) test ./internal/analysis/ -run TestStateProfileGoldens -update
 	$(GO) test ./internal/experiments/ -run TestQuickSuiteRuns -update
+	$(GO) test . -run TestLibraryInsightsGolden -update

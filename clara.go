@@ -157,16 +157,13 @@ func Elements() []*Element { return click.Library() }
 // GetElement returns a library element by name, or nil.
 func GetElement(name string) *Element { return click.Get(name) }
 
-// TrainConfig sizes Tool training.
+// TrainConfig sizes Tool training. Corpus synthesis, compilation,
+// scale-out measurement and minibatch gradients run on up to GOMAXPROCS
+// goroutines; the trained tool is bit-identical for any GOMAXPROCS.
 type TrainConfig struct {
 	// Quick trades accuracy for speed (tests, demos).
 	Quick bool
 	Seed  int64
-	// Workers bounds training parallelism — corpus synthesis, compilation,
-	// scale-out measurement, and minibatch gradient sharding (0 =
-	// GOMAXPROCS). Any value produces bit-identical models; it only trades
-	// wall clock.
-	Workers int
 }
 
 // Train builds a full Clara tool: it synthesizes a corpus guided by the
@@ -185,9 +182,9 @@ func TrainContext(ctx context.Context, cfg TrainConfig) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := core.PredictorConfig{CompactVocab: true, Seed: cfg.Seed, Workers: cfg.Workers}
+	pcfg := core.PredictorConfig{CompactVocab: true, Seed: cfg.Seed}
 	acN := 40
-	scfg := core.ScaleoutConfig{Params: params, Seed: cfg.Seed, Workers: cfg.Workers}
+	scfg := core.ScaleoutConfig{Params: params, Seed: cfg.Seed}
 	if cfg.Quick {
 		pcfg.TrainPrograms, pcfg.Epochs, pcfg.Hidden = 50, 6, 16
 		acN = 12
@@ -243,10 +240,9 @@ func SaveTool(path string, tool *Tool, cfg TrainConfig, trainSeconds float64) (s
 
 // LoadTool restores a tool from a model bundle, validating the encoding
 // version, content hash, vendor-library fingerprint, and that the bundle
-// was trained under the requested cfg (Quick and Seed; Workers is a
-// wall-clock knob and is ignored). The restored tool predicts
-// bit-identically to the one SaveTool captured. Returns the bundle's
-// content hash alongside the tool.
+// was trained under the requested cfg (Quick and Seed). The restored tool
+// predicts bit-identically to the one SaveTool captured. Returns the
+// bundle's content hash alongside the tool.
 func LoadTool(path string, cfg TrainConfig) (*Tool, string, error) {
 	b, err := core.LoadBundle(path)
 	if err != nil {

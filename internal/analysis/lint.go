@@ -107,19 +107,18 @@ type Config struct {
 	// FastBudget is the combined on-chip SRAM capacity (CLS+CTM+IMEM): a
 	// structure beyond it is forced into DRAM-backed EMEM.
 	FastBudget int
-	// TripBudget is the per-packet loop iteration budget: a bounded loop
-	// beyond it still ruins per-packet latency.
-	TripBudget uint64
 }
 
+// tripBudget is the per-packet loop iteration budget: a bounded loop
+// beyond it still ruins per-packet latency.
+const tripBudget = 1 << 16
+
 // DefaultConfig returns budgets matching the reference hardware model:
-// 1 GB EMEM, 64 KB CLS + 224 KB CTM + 4 MB IMEM on chip, and a 64 Ki
-// iteration budget.
+// 1 GB EMEM and 64 KB CLS + 224 KB CTM + 4 MB IMEM on chip.
 func DefaultConfig() Config {
 	return Config{
 		TotalBudget: 1 << 30,
 		FastBudget:  64<<10 + 224<<10 + 4<<20,
-		TripBudget:  1 << 16,
 	}
 }
 
@@ -145,7 +144,7 @@ func lint(cg *CallGraph, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
 	ti := ComputeTaint(cg)
 	for node, ri := range ComputeRanges(cg) {
 		f, c := cg.Funcs[node], cg.CFGs[node]
-		ds = append(ds, lintLoops(m, f, c, ri, ti, cfg)...)
+		ds = append(ds, lintLoops(m, f, c, ri, ti)...)
 		ds = append(ds, lintConstFacts(m, f, ri)...)
 		ds = append(ds, lintCalls(m, f, c)...)
 		ds = append(ds, lintDeadStores(m, f, c)...)
@@ -418,7 +417,7 @@ func earlier(a, b ir.Pos) ir.Pos {
 // engine supplies the cause: whether the loop's bound derives from packet
 // headers (a fast path could still compute it) or payload bytes (slow
 // path only).
-func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo, cfg Config) []Diagnostic {
+func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo) []Diagnostic {
 	var ds []Diagnostic
 	for _, l := range c.NaturalLoops() {
 		if !ri.BlockReachable(l.Head) {
@@ -454,7 +453,7 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo, c
 				Hint:     "cap the controlling variable with a constant (e.g. clamp it before the loop)",
 				Cause:    cause,
 			})
-		case tc.Max > cfg.TripBudget:
+		case tc.Max > tripBudget:
 			ds = append(ds, Diagnostic{
 				Rule:     RuleLoopVarBound,
 				Severity: SevWarning,
@@ -463,7 +462,7 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo, c
 				Line:     pos.Line,
 				Col:      pos.Col,
 				Msg: fmt.Sprintf("loop may run %d iterations per packet, beyond the %d budget",
-					tc.Max, cfg.TripBudget),
+					tc.Max, tripBudget),
 				Hint:  "tighten the loop bound or move the work off the per-packet path",
 				Cause: cause,
 			})

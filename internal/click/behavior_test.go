@@ -12,7 +12,7 @@ import (
 func newMachine(t *testing.T, name string) *interp.Machine {
 	t.Helper()
 	e := Get(name)
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Seed: 4})
+	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // This file implements the persistent model bundle: a versioned,
 // content-hashed encoding of every trained component a Clara tool carries
-// (LSTM predictor ensemble + vocabulary, algorithm-ID SVM + mined grams,
+// (LSTM predictor + vocabulary, algorithm-ID SVM + mined grams,
 // scale-out GBDT + training set, hardware params). A server restart loads
 // the bundle in well under a second instead of re-synthesizing a corpus
 // and retraining — the warm-start path of `clara -serve -model-load`.
@@ -37,8 +37,10 @@ import (
 
 // BundleVersion is the encoding version this build reads and writes.
 // Version 1 bundles carried a minor version and int8 predictor weights;
-// they are refused as ErrBundleVersion, and callers train instead.
-const BundleVersion = 2
+// version 2 bundles carried a list of predictor models and the predictor,
+// LSTM and coalescing options since made constants. Both are refused as
+// ErrBundleVersion, and callers train instead.
+const BundleVersion = 3
 
 // Bundle rejection causes, matchable with errors.Is.
 var (
@@ -62,7 +64,7 @@ type BundleMeta struct {
 type predictorState struct {
 	Config    PredictorConfig `json:"config"`
 	Vocab     []string        `json:"vocab"`
-	Models    []ml.LSTMState  `json:"models"`
+	Model     ml.LSTMState    `json:"model"`
 	TrainLoss float64         `json:"train_loss"`
 }
 
@@ -103,17 +105,12 @@ func NewBundle(tool *Clara, meta BundleMeta) (*Bundle, error) {
 		Params:   tool.Params,
 		Coalesce: tool.Coalesce,
 	}
-	pcfg := tool.Predictor.cfg
-	pcfg.Workers = 0 // wall-clock knob, not part of the model identity
-	ps := &predictorState{
-		Config:    pcfg,
+	b.Predictor = &predictorState{
+		Config:    tool.Predictor.cfg,
 		Vocab:     tool.Predictor.Vocab.Words(),
+		Model:     tool.Predictor.model.Export(),
 		TrainLoss: tool.Predictor.TrainLoss,
 	}
-	for _, m := range tool.Predictor.models {
-		ps.Models = append(ps.Models, m.Export())
-	}
-	b.Predictor = ps
 	if tool.AlgoID != nil {
 		b.AlgoID = &algoIDState{
 			Grams:     append([]string(nil), tool.AlgoID.Grams...),
@@ -122,10 +119,8 @@ func NewBundle(tool *Clara, meta BundleMeta) (*Bundle, error) {
 		}
 	}
 	if tool.Scaleout != nil {
-		scfg := tool.Scaleout.cfg
-		scfg.Workers = 0
 		b.Scaleout = &scaleoutState{
-			Config: scfg,
+			Config: tool.Scaleout.cfg,
 			GBDT:   tool.Scaleout.gbdt.Export(),
 			Train:  append([]ScaleoutSample(nil), tool.Scaleout.Train...),
 		}
@@ -143,17 +138,11 @@ func (b *Bundle) Tool() (*Clara, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: bundle vocabulary: %w", err)
 	}
-	p := &Predictor{cfg: b.Predictor.Config, Vocab: vocab, TrainLoss: b.Predictor.TrainLoss}
-	if len(b.Predictor.Models) == 0 {
-		return nil, fmt.Errorf("core: bundle predictor has no models")
+	model, err := ml.NewLSTMFromState(b.Predictor.Model)
+	if err != nil {
+		return nil, fmt.Errorf("core: bundle predictor model: %w", err)
 	}
-	for i, st := range b.Predictor.Models {
-		m, err := ml.NewLSTMFromState(st)
-		if err != nil {
-			return nil, fmt.Errorf("core: bundle model %d: %w", i, err)
-		}
-		p.models = append(p.models, m)
-	}
+	p := &Predictor{cfg: b.Predictor.Config, Vocab: vocab, model: model, TrainLoss: b.Predictor.TrainLoss}
 	tool := &Clara{Predictor: p, Params: b.Params, Coalesce: b.Coalesce}
 	if b.AlgoID != nil {
 		if len(b.AlgoID.Grams) != len(b.AlgoID.GramClass) {

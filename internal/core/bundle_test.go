@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -102,16 +103,14 @@ func TestBundleRoundTripBitIdenticalPredict(t *testing.T) {
 
 // TestPredictorConfigWireFormat pins the predictor config's bytes inside a
 // bundle: they are hashed into model_hash, so adding, renaming or removing
-// a field that serializes invalidates every saved bundle. Runtime-only
-// knobs stay out of these bytes (omitempty and cleared by NewBundle), which
-// is what let the never-set Simplify field be deleted at an unchanged hash.
+// a field that serializes invalidates every saved bundle, and must come
+// with a BundleVersion bump.
 func TestPredictorConfigWireFormat(t *testing.T) {
 	got, err := json.Marshal(PredictorConfig{}.norm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"TrainPrograms":220,"Profile":null,"Hidden":28,"Epochs":24,"CompactVocab":false,` +
-		`"Ensemble":1,"PredictAPI":false,"Seed":0,"Batch":8,"Workers":0}`
+	const want = `{"TrainPrograms":220,"Hidden":28,"Epochs":24,"CompactVocab":false,"PredictAPI":false,"Seed":0}`
 	if string(got) != want {
 		t.Errorf("predictor config wire format changed (breaks saved bundles):\n got %s\nwant %s", got, want)
 	}
@@ -180,26 +179,45 @@ func TestBundleVersionMismatchRejected(t *testing.T) {
 	}
 	b.Version = BundleVersion
 
-	// A document the previous encoding wrote — version 1 with a minor and
-	// int8 predictor weights — is refused by its version, not as a
-	// content-hash mismatch over fields this build no longer has.
+	// Documents earlier encodings wrote are refused by their version, not
+	// as a content-hash mismatch over fields this build no longer has:
+	// version 1 with a minor and int8 predictor weights, and version 2 with
+	// a list of predictor models and the since-deleted options.
 	blob, err = EncodeBundle(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["version"], doc["minor"] = 1, 1
-	doc["predictor"].(map[string]any)["quant"] = []any{map[string]any{"qwh": "AAEC", "whf": []float64{0.5}}}
-	v1, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = DecodeBundle(v1)
-	if !errors.Is(err, ErrBundleVersion) || !strings.Contains(err.Error(), "bundle v1, this build reads v2") {
-		t.Fatalf("v1 bundle: got %v, want ErrBundleVersion naming v1 and v2", err)
+	for _, old := range []struct {
+		version int
+		edit    func(doc, pred map[string]any)
+	}{
+		{1, func(doc, pred map[string]any) {
+			doc["minor"] = 1
+			pred["quant"] = []any{map[string]any{"qwh": "AAEC", "whf": []float64{0.5}}}
+		}},
+		{2, func(doc, pred map[string]any) {
+			pred["models"] = []any{pred["model"]}
+			delete(pred, "model")
+			cfg := pred["config"].(map[string]any)
+			cfg["Ensemble"], cfg["Batch"], cfg["Workers"], cfg["Profile"] = 1, 8, 0, nil
+			doc["coalesce"].(map[string]any)["MaxK"] = 6
+		}},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["version"] = old.version
+		old.edit(doc, doc["predictor"].(map[string]any))
+		prev, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeBundle(prev)
+		want := fmt.Sprintf("bundle v%d, this build reads v%d", old.version, BundleVersion)
+		if !errors.Is(err, ErrBundleVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d bundle: got %v, want ErrBundleVersion with %q", old.version, err, want)
+		}
 	}
 }
 

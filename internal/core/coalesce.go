@@ -13,30 +13,22 @@ import (
 
 // CoalesceConfig controls clustering.
 type CoalesceConfig struct {
-	// MaxK bounds the number of clusters tried.
-	MaxK int
-	// Cutoff is the intra-cluster distance threshold used to pick k (the
-	// paper's "cutoff threshold to determine some suitable inter-cluster
-	// distance", §5.8).
-	Cutoff float64
-	Seed   int64
+	Seed int64
 }
 
-func (c CoalesceConfig) norm() CoalesceConfig {
-	if c.MaxK == 0 {
-		c.MaxK = 6
-	}
-	if c.Cutoff == 0 {
-		c.Cutoff = 0.3
-	}
-	return c
-}
+const (
+	// coalesceMaxK bounds the number of clusters tried.
+	coalesceMaxK = 6
+	// coalesceCutoff is the intra-cluster distance threshold used to pick k
+	// (the paper's "cutoff threshold to determine some suitable
+	// inter-cluster distance", §5.8).
+	coalesceCutoff = 0.3
+)
 
 // SuggestPacks clusters the NF's scalar globals by access-vector
 // similarity and returns packs of co-accessed variables (singletons are
 // not packs — a lone variable gains nothing from coalescing).
 func SuggestPacks(mod *ir.Module, prof *HostProfile, cfg CoalesceConfig) [][]string {
-	cfg = cfg.norm()
 	var names []string
 	var vecs [][]float64
 	for _, g := range mod.Globals {
@@ -54,10 +46,7 @@ func SuggestPacks(mod *ir.Module, prof *HostProfile, cfg CoalesceConfig) [][]str
 		return nil
 	}
 
-	maxK := cfg.MaxK
-	if maxK > len(names) {
-		maxK = len(names)
-	}
+	maxK := min(coalesceMaxK, len(names))
 	// Pick the smallest k whose mean within-cluster distance falls under
 	// the cutoff. If no k satisfies it, the vectors are all dissimilar;
 	// fall back to a coarse two-way grouping — coalescing pays whenever a
@@ -67,7 +56,7 @@ func SuggestPacks(mod *ir.Module, prof *HostProfile, cfg CoalesceConfig) [][]str
 	var chosen *ml.KMeans
 	for k := 1; k <= maxK; k++ {
 		km := ml.FitKMeans(vecs, k, cfg.Seed)
-		if km.Inertia(vecs)/float64(len(vecs)) <= cfg.Cutoff*cfg.Cutoff {
+		if km.Inertia(vecs)/float64(len(vecs)) <= coalesceCutoff*coalesceCutoff {
 			chosen = km
 			break
 		}

@@ -146,16 +146,18 @@ func MeasurePair(a, b *ColocNF, cores int, params nicsim.Params) (PairOutcome, e
 	return out, nil
 }
 
-// ColocConfig controls ranker training.
+// ColocConfig controls ranker training. Every training pair runs colocEach
+// cores per NF under the medium-mix workload.
 type ColocConfig struct {
-	TrainNFs  int
-	PairsMax  int
-	Packets   int
-	CoresEach int
-	Workload  traffic.Spec
-	Params    nicsim.Params
-	Seed      int64
+	TrainNFs int
+	PairsMax int
+	Packets  int
+	Params   nicsim.Params
+	Seed     int64
 }
+
+// colocEach is the core count each NF of a training pair gets.
+const colocEach = 24
 
 func (c ColocConfig) norm() ColocConfig {
 	if c.TrainNFs == 0 {
@@ -167,12 +169,6 @@ func (c ColocConfig) norm() ColocConfig {
 	if c.Packets == 0 {
 		c.Packets = 1200
 	}
-	if c.CoresEach == 0 {
-		c.CoresEach = 24
-	}
-	if c.Workload.NumFlows == 0 {
-		c.Workload = traffic.MediumMix
-	}
 	if c.Params.NumCores == 0 {
 		c.Params = nicsim.DefaultParams()
 	}
@@ -181,7 +177,6 @@ func (c ColocConfig) norm() ColocConfig {
 
 // Colocator is the trained colocation ranker.
 type Colocator struct {
-	cfg    ColocConfig
 	ranker *ml.Ranker
 	// Outcomes retains the training measurements for evaluation.
 	Outcomes []PairOutcome
@@ -204,7 +199,7 @@ func TrainColocator(cfg ColocConfig, pred *Predictor, obj RankObjective) (*Coloc
 			return nil, err
 		}
 		nf := &nicsim.NF{Name: mod.Name, Mod: mod}
-		c, err := PrepareColocNF(nf, cfg.Workload, cfg.Packets, cfg.CoresEach, cfg.Params, pred)
+		c, err := PrepareColocNF(nf, traffic.MediumMix, cfg.Packets, colocEach, cfg.Params, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -215,9 +210,7 @@ func TrainColocator(cfg ColocConfig, pred *Predictor, obj RankObjective) (*Coloc
 	if err != nil {
 		return nil, err
 	}
-	co := &Colocator{cfg: cfg, Outcomes: outcomes}
-	co.ranker = fitRanker(outcomes, obj, cfg.Seed)
-	return co, nil
+	return &Colocator{ranker: fitRanker(outcomes, obj), Outcomes: outcomes}, nil
 }
 
 func samplePairs(cands []*ColocNF, cfg ColocConfig, rng *rand.Rand) ([]PairOutcome, error) {
@@ -234,7 +227,7 @@ func samplePairs(cands []*ColocNF, cfg ColocConfig, rng *rand.Rand) ([]PairOutco
 	}
 	var outcomes []PairOutcome
 	for _, p := range all {
-		o, err := MeasurePair(cands[p[0]], cands[p[1]], cfg.CoresEach, cfg.Params)
+		o, err := MeasurePair(cands[p[0]], cands[p[1]], colocEach, cfg.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +237,7 @@ func samplePairs(cands []*ColocNF, cfg ColocConfig, rng *rand.Rand) ([]PairOutco
 	return outcomes, nil
 }
 
-func fitRanker(outcomes []PairOutcome, obj RankObjective, seed int64) *ml.Ranker {
+func fitRanker(outcomes []PairOutcome, obj RankObjective) *ml.Ranker {
 	X := make([][]float64, len(outcomes))
 	var prefs []ml.PrefPair
 	for i, o := range outcomes {
@@ -260,13 +253,13 @@ func fitRanker(outcomes []PairOutcome, obj RankObjective, seed int64) *ml.Ranker
 			}
 		}
 	}
-	return ml.FitRanker(X, prefs, ml.RankConfig{Trees: 140, MaxDepth: 4, Seed: seed})
+	return ml.FitRanker(X, prefs, ml.RankConfig{Trees: 140, MaxDepth: 4})
 }
 
 // Retrain refits the ranker on a different objective using the cached
 // measurements.
 func (co *Colocator) Retrain(obj RankObjective) {
-	co.ranker = fitRanker(co.Outcomes, obj, co.cfg.Seed)
+	co.ranker = fitRanker(co.Outcomes, obj)
 }
 
 // Score ranks one candidate pair (higher = friendlier).

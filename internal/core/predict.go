@@ -24,39 +24,31 @@ import (
 	"clara/internal/synth"
 )
 
-// PredictorConfig controls training of the §3.2 LSTM+FC model.
+// PredictorConfig controls training of the §3.2 LSTM+FC model: one LSTM,
+// as in the paper, trained in minibatches of predictorBatch samples.
+// Corpus synthesis, compilation and minibatch gradients run on up to
+// GOMAXPROCS goroutines; the trained model is bit-identical for any
+// GOMAXPROCS. Every field is part of the model bundle's bytes, and so of
+// its content hash.
 type PredictorConfig struct {
 	// TrainPrograms is the number of synthesized training programs.
 	TrainPrograms int
-	// Profile guides the synthesizer (zero value: measure the Click
-	// library corpus).
-	Profile *synth.Profile
-	Hidden  int
-	Epochs  int
+	Hidden        int
+	Epochs        int
 	// CompactVocab applies the paper's vocabulary compaction; disabling it
 	// is the ablation discussed in §6 ("applying LSTM without vocabulary
 	// compaction shows much lower performance").
 	CompactVocab bool
-	// Ensemble averages this many independently-seeded LSTMs (1 = the
-	// paper's single model; small ensembles reduce variance on blocks far
-	// from the synthesized training distribution).
-	Ensemble int
 	// PredictAPI is the reverse-porting ablation (§3.3): instead of taking
 	// framework library instruction counts from the reverse-ported code
 	// (exact), the LSTM must predict them too.
 	PredictAPI bool
 	Seed       int64
-	// Batch is the LSTM minibatch size (samples per optimizer step);
-	// 0 picks the tuned default. Changing it changes training dynamics
-	// (and therefore the exact trained weights), so it participates in
-	// the model-bundle config hash.
-	Batch int
-	// Workers bounds the goroutines used for corpus synthesis,
-	// compilation, and minibatch gradient sharding (0 = GOMAXPROCS).
-	// Any value produces bit-identical models — it only trades wall
-	// clock, so it is *not* part of the bundle config hash.
-	Workers int
 }
+
+// predictorBatch is the LSTM minibatch size (samples per optimizer step).
+// It shapes the training dynamics, and so the exact trained weights.
+const predictorBatch = 8
 
 func (c PredictorConfig) norm() PredictorConfig {
 	if c.TrainPrograms == 0 {
@@ -67,12 +59,6 @@ func (c PredictorConfig) norm() PredictorConfig {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 24
-	}
-	if c.Ensemble == 0 {
-		c.Ensemble = 1
-	}
-	if c.Batch == 0 {
-		c.Batch = 8
 	}
 	return c
 }
@@ -93,12 +79,8 @@ type BlockSample struct {
 // ports, like the paper's). Modules compile in parallel; sample order is
 // module order regardless of worker scheduling.
 func BlockCorpus(mods []*ir.Module, compact bool) ([]BlockSample, error) {
-	return blockCorpus(mods, compact, 0)
-}
-
-func blockCorpus(mods []*ir.Module, compact bool, workers int) ([]BlockSample, error) {
 	perMod := make([][]BlockSample, len(mods))
-	err := par.ForErr(context.Background(), workers, len(mods), func(i int) error {
+	err := par.ForErr(context.Background(), 0, len(mods), func(i int) error {
 		m := mods[i]
 		prog, err := niccc.Compile(m, niccc.Options{})
 		if err != nil {
@@ -148,12 +130,8 @@ func blockCorpus(mods []*ir.Module, compact bool, workers int) ([]BlockSample, e
 // seed+i — so they generate in parallel with the output in index order,
 // identical to the serial corpus for any worker count.
 func SynthTrainingModules(n int, prof synth.Profile, seed int64) ([]*ir.Module, error) {
-	return synthTrainingModules(n, prof, seed, 0)
-}
-
-func synthTrainingModules(n int, prof synth.Profile, seed int64, workers int) ([]*ir.Module, error) {
 	mods := make([]*ir.Module, n)
-	err := par.ForErr(context.Background(), workers, n, func(i int) error {
+	err := par.ForErr(context.Background(), 0, n, func(i int) error {
 		m, _, err := synth.GenerateModule(synth.Config{Profile: prof, Seed: seed + int64(i)}, lang.Compile)
 		if err != nil {
 			return err
@@ -174,9 +152,9 @@ func CorpusProfile(mods []*ir.Module) synth.Profile {
 
 // Predictor is the trained cross-platform performance predictor.
 type Predictor struct {
-	cfg    PredictorConfig
-	Vocab  *ir.Vocab
-	models []*ml.LSTM
+	cfg   PredictorConfig
+	Vocab *ir.Vocab
+	model *ml.LSTM
 	// TrainLoss is the final mean training loss (convergence telemetry).
 	TrainLoss float64
 }
@@ -207,7 +185,7 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mods, err := synthTrainingModules(cfg.TrainPrograms, guide, cfg.Seed+1000, cfg.Workers)
+	mods, err := SynthTrainingModules(cfg.TrainPrograms, guide, cfg.Seed+1000)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +193,7 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 		return nil, err
 	}
 	vocab := ir.BuildVocab(mods, cfg.CompactVocab)
-	samples, err := blockCorpus(mods, cfg.CompactVocab, cfg.Workers)
+	samples, err := BlockCorpus(mods, cfg.CompactVocab)
 	if err != nil {
 		return nil, err
 	}
@@ -239,20 +217,14 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 			Target: []float64{target},
 		})
 	}
-	p := &Predictor{cfg: cfg, Vocab: vocab}
-	for k := 0; k < cfg.Ensemble; k++ {
-		model, loss, err := ml.TrainLSTMContext(ctx, seq, ml.LSTMConfig{
-			Vocab: vocab.Size(), Hidden: cfg.Hidden, Out: 1,
-			Epochs: cfg.Epochs, Seed: cfg.Seed + int64(k)*7919,
-			Batch: cfg.Batch, Workers: cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.models = append(p.models, model)
-		p.TrainLoss += loss / float64(cfg.Ensemble)
+	model, loss, err := ml.TrainLSTMContext(ctx, seq, ml.LSTMConfig{
+		Vocab: vocab.Size(), Hidden: cfg.Hidden, Out: 1,
+		Epochs: cfg.Epochs, Seed: cfg.Seed, Batch: predictorBatch,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return &Predictor{cfg: cfg, Vocab: vocab, model: model, TrainLoss: loss}, nil
 }
 
 // PredictBlock predicts one block's NIC compute-instruction count and
@@ -271,13 +243,7 @@ func (p *Predictor) PredictBlock(b *ir.Block) (compute float64, mem int) {
 		}
 	}
 	if len(words) > 0 {
-		var resid float64
-		toks := p.Vocab.Encode(words)
-		for _, m := range p.models {
-			resid += m.PredictRaw(toks)[0]
-		}
-		resid /= float64(len(p.models))
-		compute = float64(irCompute) + resid
+		compute = float64(irCompute) + p.model.PredictRaw(p.Vocab.Encode(words))[0]
 		if compute < 0 {
 			compute = 0
 		}
@@ -285,28 +251,11 @@ func (p *Predictor) PredictBlock(b *ir.Block) (compute float64, mem int) {
 	return compute, mem
 }
 
-// residualBatch predicts the compute residual for every encoded block
-// sequence in one batched sweep per ensemble member. Model order and the
-// final division match PredictBlock exactly, and the underlying batch
-// forward is bit-identical to the per-sequence one, so batched
-// predictions equal per-block predictions bit-for-bit.
-func (p *Predictor) residualBatch(seqs [][]int) []float64 {
-	resid := make([]float64, len(seqs))
-	for _, m := range p.models {
-		outs := m.PredictRawBatch(seqs)
-		for i := range resid {
-			resid[i] += outs[i][0]
-		}
-	}
-	for i := range resid {
-		resid[i] /= float64(len(p.models))
-	}
-	return resid
-}
-
 // predictBlocksBatch is the batched core of PredictModule/Evaluate: one
 // LSTM sweep over every block with a non-empty word sequence, direct IR
-// counting for the rest.
+// counting for the rest. The batch forward is bit-identical to the
+// per-sequence one, so batched predictions equal PredictBlock's
+// bit-for-bit.
 func (p *Predictor) predictBlocksBatch(blocks []*ir.Block) (compute []float64, mem []int) {
 	compute = make([]float64, len(blocks))
 	mem = make([]int, len(blocks))
@@ -328,9 +277,9 @@ func (p *Predictor) predictBlocksBatch(blocks []*ir.Block) (compute []float64, m
 		}
 	}
 	if len(seqs) > 0 {
-		resid := p.residualBatch(seqs)
+		resid := p.model.PredictRawBatch(seqs)
 		for k, i := range seqBlock {
-			c := float64(irCompute[i]) + resid[k]
+			c := float64(irCompute[i]) + resid[k][0]
 			if c < 0 {
 				c = 0
 			}

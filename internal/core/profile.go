@@ -53,7 +53,6 @@ func (hp *HostProfile) AccessVector(global string) []float64 {
 type ProfileSetup struct {
 	Setup    func(*interp.Machine) error
 	LPMTable []interp.Route
-	Seed     uint64
 	// ID names what Setup and LPMTable do, for callers that memoise on a
 	// ProfileSetup (a func cannot be compared): two setups with the same
 	// non-empty ID must seed the same state and routes. The request
@@ -107,7 +106,7 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 	if n < 0 {
 		return nil, fmt.Errorf("core: profiling %s: negative packet count %d", mod.Name, n)
 	}
-	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: ps.LPMTable, Seed: ps.Seed})
+	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: ps.LPMTable})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,8 @@ import (
 // under different "schedules" (core counts) and workloads, and fits a GBDT
 // regressor from static + workload features to the measured knee.
 
-// ScaleoutConfig controls training.
+// ScaleoutConfig controls training. Training programs are measured on up
+// to GOMAXPROCS goroutines; the dataset is identical for any GOMAXPROCS.
 type ScaleoutConfig struct {
 	TrainPrograms   int
 	PacketsPerTrace int
@@ -29,9 +30,6 @@ type ScaleoutConfig struct {
 	Workloads       []traffic.Spec
 	Params          nicsim.Params
 	Seed            int64
-	// Workers bounds the goroutines measuring training programs
-	// (0 = GOMAXPROCS). Dataset contents are identical for any value.
-	Workers int
 }
 
 func (c ScaleoutConfig) norm() ScaleoutConfig {
@@ -98,11 +96,11 @@ func BuildScaleoutDataset(cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample
 // profile-and-sweep unit of a few milliseconds). Programs are generated,
 // profiled, and swept in parallel; each is derived from a per-index seed
 // and lands in its index's slot, so the dataset is identical — in content
-// and order — for any worker count.
+// and order — for any GOMAXPROCS.
 func BuildScaleoutDatasetContext(ctx context.Context, cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
 	cfg = cfg.norm()
 	perProg := make([][]ScaleoutSample, cfg.TrainPrograms)
-	err := par.ForErr(ctx, cfg.Workers, cfg.TrainPrograms, func(i int) error {
+	err := par.ForErr(ctx, 0, cfg.TrainPrograms, func(i int) error {
 		// Span arithmetic intensities: bias state and compute rates.
 		bias := synth.Config{
 			Profile:     synth.UniformProfile(),
@@ -149,10 +147,7 @@ func MeasureScaleout(mod *ir.Module, ps ProfileSetup, cfg ScaleoutConfig, pred *
 		if err != nil {
 			return nil, err
 		}
-		nf := &nicsim.NF{Name: mod.Name, Mod: mod, LPMTable: ps.LPMTable, Seed: ps.Seed}
-		if ps.Setup != nil {
-			nf.Setup = ps.Setup
-		}
+		nf := &nicsim.NF{Name: mod.Name, Mod: mod, LPMTable: ps.LPMTable, Setup: ps.Setup}
 		built, err := nf.Build(cfg.Params)
 		if err != nil {
 			return nil, err
@@ -195,7 +190,7 @@ func TrainScaleoutContext(ctx context.Context, cfg ScaleoutConfig, pred *Predict
 		X[i] = s.Features
 		y[i] = float64(s.Optimal)
 	}
-	g := ml.FitGBDT(X, y, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08, Seed: cfg.Seed})
+	g := ml.FitGBDT(X, y, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08})
 	return &ScaleoutModel{cfg: cfg, gbdt: g, Train: data}, nil
 }
 

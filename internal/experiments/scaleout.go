@@ -80,7 +80,7 @@ func Figure11a(ctx *Context) (*Table, error) {
 		Title:  "Core-count prediction MAE (cores), Clara(GBDT) vs baselines",
 		Header: []string{"model", "MAE(cores)"},
 	}
-	gb := ml.FitGBDT(trX, trY, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08, Seed: ctx.Cfg.Seed})
+	gb := ml.FitGBDT(trX, trY, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08})
 	t.AddRow("Clara(GBDT)", mae(gb))
 	auto, autoRes, err := ml.AutoMLRegressor(trX, trY, 4, ctx.Cfg.Seed+51)
 	if err != nil {

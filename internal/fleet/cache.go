@@ -36,15 +36,15 @@ const resultCacheCap = 512
 
 // resultKey identifies one memoized job outcome. Insights are a pure
 // function of the module's content (which covers the name that becomes
-// Insights.NF), the accelerator configuration, the whole traffic spec, the
-// profiling seed, what Setup and LPMTable do — named by ProfileSetup.ID,
-// since a func cannot be compared — and the fleet's tool, which the store
-// shares its lifetime with. The profiled packet count is a constant of
-// core.AnalyzeWorkloadContext.
+// Insights.NF), the accelerator configuration, the whole traffic spec,
+// what Setup and LPMTable do — named by ProfileSetup.ID, since a func
+// cannot be compared — and the fleet's tool, which the store shares its
+// lifetime with. The profiled packet count is a constant of
+// core.AnalyzeWorkloadContext, and the interpreter's rand32 sequence is a
+// constant of the interpreter.
 type resultKey struct {
 	pred  predKey
 	wl    traffic.Spec
-	seed  uint64
 	setup string
 }
 

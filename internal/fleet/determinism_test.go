@@ -10,9 +10,9 @@ import (
 )
 
 // TestAnalyzeDeterminism is the table-driven determinism check: with the
-// workload seed fixed by the Spec and the interpreter seed fixed by the
-// ProfileSetup, two Analyze runs must produce byte-identical insights —
-// the property the fleet's result-ordering guarantee builds on.
+// workload seed fixed by the Spec and the interpreter's rand32 sequence
+// fixed by the interpreter, two Analyze runs must produce byte-identical
+// insights — the property the fleet's result-ordering guarantee builds on.
 func TestAnalyzeDeterminism(t *testing.T) {
 	tool := quickTool(t)
 	cases := []struct {

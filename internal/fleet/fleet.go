@@ -261,7 +261,7 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 	var a *analysed
 	if hit && memoisable(j.PS) {
 		led := false
-		a, res.ResultHit, err = f.results.Get(ctx, resultKey{pk, j.WL, j.PS.Seed, j.PS.ID}, func() (*analysed, error) {
+		a, res.ResultHit, err = f.results.Get(ctx, resultKey{pk, j.WL, j.PS.ID}, func() (*analysed, error) {
 			led = true
 			return compute()
 		})

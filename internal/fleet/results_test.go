@@ -130,7 +130,6 @@ func TestResultKeyComponents(t *testing.T) {
 		variants[what] = j
 	}
 	add("accel", func(j *Job) { j.Accel = niccc.AccelConfig{CRCEngine: true} })
-	add("profiling seed", func(j *Job) { j.PS.Seed = 7 })
 	add("setup identity", func(j *Job) { j.PS.ID = "tcpack-other-routes" })
 	renamed, err := lang.Compile("tcpack2", click.Get("tcpack").Src)
 	if err != nil {

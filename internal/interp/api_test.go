@@ -61,7 +61,7 @@ func TestEveryAPIRuns(t *testing.T) {
 		e := &click.Element{Name: "api_" + name, Src: src}
 		for _, mode := range []interp.MapMode{interp.HostMap, interp.NICMap} {
 			for _, hooked := range []bool{false, true} {
-				equivCheck(t, e, pkts, interp.Config{Mode: mode, LPMTable: routes, Seed: 7}, hooked)
+				equivCheck(t, e, pkts, interp.Config{Mode: mode, LPMTable: routes}, hooked)
 			}
 		}
 	}

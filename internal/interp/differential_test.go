@@ -200,7 +200,7 @@ func TestCompiledBackendEquivalenceHostMode(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := interp.Config{Mode: interp.HostMap, LPMTable: e.Routes, Seed: 99}
+			cfg := interp.Config{Mode: interp.HostMap, LPMTable: e.Routes}
 			equivCheck(t, e, pkts, cfg, false)
 		})
 	}
@@ -310,7 +310,7 @@ func FuzzCompiledExec(f *testing.F) {
 		// fuzzer to ~1 exec/s without exploring anything new. Equivalence
 		// must hold at every budget, so a small one loses no coverage —
 		// and mode&2 shrinks it further to hammer the mid-block abort path.
-		cfg := interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Seed: uint64(mode), Fuel: 4096}
+		cfg := interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Fuel: 4096}
 		if mode&2 != 0 {
 			cfg.Fuel = 24 + int(mode)
 		}

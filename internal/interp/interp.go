@@ -95,11 +95,14 @@ type Config struct {
 	Fuel int
 	// LPMTable backs the lpm_hw accelerator.
 	LPMTable []Route
-	// Seed seeds the rand32 intrinsic.
-	Seed uint64
 }
 
 const defaultFuel = 1 << 20
+
+// rngInit is the rand32 intrinsic's starting state: every machine draws
+// the same sequence, so a run is a function of the module, the setup and
+// the packets alone.
+const rngInit = 0x9E3779B97F4A7C15
 
 // ErrFuel is returned when a packet exceeds the step budget.
 var ErrFuel = fmt.Errorf("interp: fuel exhausted (runaway loop?)")
@@ -622,7 +625,7 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		slots:  regs[:nslots],
 		gidx:   prog.gidx,
 		strs:   prog.strs,
-		rng:    cfg.Seed*2654435761 + 0x9E3779B97F4A7C15,
+		rng:    rngInit,
 	}
 	copy(m.vals[prog.nvals:], prog.pool)
 	m.gl = make([]*globalState, 0, len(mod.Globals))

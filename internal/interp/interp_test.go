@@ -375,7 +375,7 @@ global u32 x;
 void handle() { x = rand32(); pkt_send(0); }
 `
 	run := func() uint64 {
-		m, err := New(compile(t, "rng", src), Config{Seed: 42})
+		m, err := New(compile(t, "rng", src), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,11 @@ func TestInterpreterInvariantsOnSynthCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []MapMode{HostMap, NICMap} {
-			m1, err := New(mod, Config{Mode: mode, Seed: 9})
+			m1, err := New(mod, Config{Mode: mode})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			m2, err := New(mod, Config{Mode: mode, Seed: 9})
+			m2, err := New(mod, Config{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -113,7 +113,7 @@ func TestSlabsAcrossPrograms(t *testing.T) {
 				continue // no NIC map tables to wrap
 			}
 			cfgOf := func(e *click.Element) interp.Config {
-				return interp.Config{Mode: mode, LPMTable: e.Routes, Seed: 7}
+				return interp.Config{Mode: mode, LPMTable: e.Routes}
 			}
 			want := make([]string, len(subjects))
 			for i, e := range subjects {
@@ -143,7 +143,7 @@ func TestSlabsConcurrent(t *testing.T) {
 	subjects := slabSubjects(t)
 	pkts := traffic.MustTrace(traffic.MediumMix, 48)
 	cfgOf := func(e *click.Element) interp.Config {
-		return interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Seed: 7}
+		return interp.Config{Mode: interp.NICMap, LPMTable: e.Routes}
 	}
 	want := make([]string, len(subjects))
 	for i, e := range subjects {

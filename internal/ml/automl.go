@@ -55,10 +55,10 @@ func regCandidates(seed int64) []candidateReg {
 			return FitForest(X, y, ForestConfig{Trees: 80, MaxDepth: 12, Seed: seed})
 		}},
 		{"gbdt(60)", func(X [][]float64, y []float64) Regressor {
-			return FitGBDT(X, y, GBDTConfig{Trees: 60, MaxDepth: 3, Seed: seed})
+			return FitGBDT(X, y, GBDTConfig{Trees: 60, MaxDepth: 3})
 		}},
 		{"gbdt(120,slow)", func(X [][]float64, y []float64) Regressor {
-			return FitGBDT(X, y, GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.05, Seed: seed})
+			return FitGBDT(X, y, GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.05})
 		}},
 	}
 }
@@ -74,7 +74,7 @@ func clsCandidates(seed int64) []candidateCls {
 			return FitSVM(X, l, SVMConfig{Seed: seed})
 		}},
 		{"gbdt(40)", func(X [][]float64, l []int) Classifier {
-			return FitGBDTClassifier(X, l, GBDTConfig{Trees: 40, MaxDepth: 3, Seed: seed})
+			return FitGBDTClassifier(X, l, GBDTConfig{Trees: 40, MaxDepth: 3})
 		}},
 	}
 }

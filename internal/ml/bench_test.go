@@ -38,7 +38,7 @@ func BenchmarkLSTMTrainEpochParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainLSTM(samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2, Batch: 8, Workers: 0})
+		TrainLSTM(samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2, Batch: 8})
 	}
 }
 

@@ -96,16 +96,15 @@ type SVM struct {
 
 // SVMConfig controls SVM training.
 type SVMConfig struct {
-	Lambda float64
 	Epochs int
 	Seed   int64
 }
 
+// svmLambda is the SVM's L2 regularization strength.
+const svmLambda = 1e-3
+
 // FitSVM trains one-vs-rest linear SVMs.
 func FitSVM(X [][]float64, labels []int, cfg SVMConfig) *SVM {
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 1e-3
-	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 20
 	}
@@ -120,13 +119,13 @@ func FitSVM(X [][]float64, labels []int, cfg SVMConfig) *SVM {
 			perm := rng.Perm(len(X))
 			for _, i := range perm {
 				t++
-				eta := 1 / (cfg.Lambda * float64(t))
+				eta := 1 / (svmLambda * float64(t))
 				yi := -1.0
 				if labels[i] == c {
 					yi = 1.0
 				}
 				margin := yi * (Dot(w[:nf], X[i]) + w[nf])
-				Scale(1-eta*cfg.Lambda, w[:nf])
+				Scale(1-eta*svmLambda, w[:nf])
 				if margin < 1 {
 					Axpy(eta*yi, X[i], w[:nf])
 					w[nf] += eta * yi * 0.1

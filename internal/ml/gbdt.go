@@ -5,15 +5,13 @@ import (
 	"math/rand"
 )
 
-// GBDTConfig controls gradient-boosted tree training.
+// GBDTConfig controls gradient-boosted tree training. Every round fits its
+// tree to all rows and all features, so the ensemble is a deterministic
+// function of the data and the config: there is no seed.
 type GBDTConfig struct {
-	Trees       int
-	LR          float64
-	MaxDepth    int
-	MinSamples  int
-	SubsampleN  float64 // row subsampling fraction per round
-	FeatureFrac float64
-	Seed        int64
+	Trees    int
+	LR       float64
+	MaxDepth int
 }
 
 func (c GBDTConfig) norm() GBDTConfig {
@@ -25,12 +23,6 @@ func (c GBDTConfig) norm() GBDTConfig {
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 4
-	}
-	if c.SubsampleN == 0 {
-		c.SubsampleN = 1
-	}
-	if c.FeatureFrac == 0 {
-		c.FeatureFrac = 1
 	}
 	return c
 }
@@ -47,7 +39,6 @@ type GBDT struct {
 // FitGBDT trains gradient boosting on squared loss.
 func FitGBDT(X [][]float64, y []float64, cfg GBDTConfig) *GBDT {
 	cfg = cfg.norm()
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	g := &GBDT{lr: cfg.LR}
 	n := len(y)
 	var s float64
@@ -61,28 +52,13 @@ func FitGBDT(X [][]float64, y []float64, cfg GBDTConfig) *GBDT {
 		pred[i] = g.base
 	}
 	resid := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: cfg.MinSamples,
-		FeatureFrac: cfg.FeatureFrac, Rng: rng}
+	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth}
 
 	for round := 0; round < cfg.Trees; round++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
-		Xr, yr := X, resid
-		if cfg.SubsampleN < 1 {
-			k := int(cfg.SubsampleN * float64(n))
-			if k < 2 {
-				k = 2
-			}
-			Xr = make([][]float64, k)
-			yr = make([]float64, k)
-			for i := 0; i < k; i++ {
-				j := rng.Intn(n)
-				Xr[i] = X[j]
-				yr[i] = resid[j]
-			}
-		}
-		tr := FitTree(Xr, yr, tcfg)
+		tr := FitTree(X, resid, tcfg)
 		g.trees = append(g.trees, tr)
 		for i := range pred {
 			pred[i] += cfg.LR * tr.Predict(X[i])
@@ -121,7 +97,7 @@ func (m *gbdtLogit) score(x []float64) float64 {
 	return s
 }
 
-func fitGBDTLogit(X [][]float64, y01 []float64, cfg GBDTConfig, rng *rand.Rand) *gbdtLogit {
+func fitGBDTLogit(X [][]float64, y01 []float64, cfg GBDTConfig) *gbdtLogit {
 	n := len(y01)
 	var pos float64
 	for _, v := range y01 {
@@ -134,8 +110,7 @@ func fitGBDTLogit(X [][]float64, y01 []float64, cfg GBDTConfig, rng *rand.Rand) 
 		raw[i] = m.base
 	}
 	grad := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: cfg.MinSamples,
-		FeatureFrac: cfg.FeatureFrac, Rng: rng}
+	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth}
 	for round := 0; round < cfg.Trees; round++ {
 		for i := range grad {
 			grad[i] = y01[i] - sigmoid(raw[i]) // negative gradient of logloss
@@ -154,7 +129,6 @@ func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 // FitGBDTClassifier trains one logistic GBDT per class.
 func FitGBDTClassifier(X [][]float64, labels []int, cfg GBDTConfig) *GBDTClassifier {
 	cfg = cfg.norm()
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	classes := distinctLabels(labels)
 	gc := &GBDTClassifier{Classes: classes}
 	for _, c := range classes {
@@ -164,7 +138,7 @@ func FitGBDTClassifier(X [][]float64, labels []int, cfg GBDTConfig) *GBDTClassif
 				y[i] = 1
 			}
 		}
-		gc.models = append(gc.models, fitGBDTLogit(X, y, cfg, rng))
+		gc.models = append(gc.models, fitGBDTLogit(X, y, cfg))
 	}
 	return gc
 }
@@ -188,11 +162,13 @@ type Forest struct {
 
 // ForestConfig controls random-forest training.
 type ForestConfig struct {
-	Trees       int
-	MaxDepth    int
-	FeatureFrac float64
-	Seed        int64
+	Trees    int
+	MaxDepth int
+	Seed     int64
 }
+
+// forestFeatureFrac is the share of features each forest split considers.
+const forestFeatureFrac = 0.7
 
 // FitForest trains a bagged ensemble with feature subsampling.
 func FitForest(X [][]float64, y []float64, cfg ForestConfig) *Forest {
@@ -201,9 +177,6 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) *Forest {
 	}
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 8
-	}
-	if cfg.FeatureFrac == 0 {
-		cfg.FeatureFrac = 0.7
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	f := &Forest{}
@@ -218,7 +191,7 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) *Forest {
 		}
 		f.trees = append(f.trees, FitTree(Xb, yb, TreeConfig{
 			MaxDepth: cfg.MaxDepth, MinSamples: 3,
-			FeatureFrac: cfg.FeatureFrac, Rng: rng,
+			FeatureFrac: forestFeatureFrac, Rng: rng,
 		}))
 	}
 	return f

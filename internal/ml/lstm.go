@@ -24,21 +24,20 @@ type LSTMConfig struct {
 	Vocab       int
 	Hidden      int
 	Out         int
-	LR          float64
 	Epochs      int
-	Clip        float64
 	TargetScale float64 // targets are divided by this during training
 	Seed        int64
 	// Batch is the number of samples per optimizer step. 0 or 1 keeps the
 	// original per-sample update; >1 accumulates a minibatch gradient
 	// (summed, not averaged — Adam normalizes scale away).
 	Batch int
-	// Workers is the number of goroutines sharing each minibatch. 0 means
-	// GOMAXPROCS. Results are bit-identical for any worker count: each
-	// batch slot accumulates into its own gradient buffer and the buffers
-	// are reduced in slot order, so no float ever depends on scheduling.
-	Workers int
 }
+
+// The LSTM's Adam learning rate and gradient-norm clip.
+const (
+	lstmLR   = 0.004
+	lstmClip = 5
+)
 
 func (c LSTMConfig) norm() LSTMConfig {
 	if c.Hidden == 0 {
@@ -47,14 +46,8 @@ func (c LSTMConfig) norm() LSTMConfig {
 	if c.Out == 0 {
 		c.Out = 1
 	}
-	if c.LR == 0 {
-		c.LR = 0.004
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 30
-	}
-	if c.Clip == 0 {
-		c.Clip = 5
 	}
 	if c.TargetScale == 0 {
 		c.TargetScale = 10
@@ -279,26 +272,20 @@ func TrainLSTM(samples []SeqSample, cfg LSTMConfig) (*LSTM, float64) {
 // partially-trained model is returned alongside the context's error.
 //
 // With cfg.Batch > 1 the epoch is walked in minibatches whose samples are
-// processed by cfg.Workers goroutines. Each batch slot owns a private
+// processed by up to GOMAXPROCS goroutines. Each batch slot owns a private
 // gradient buffer; after the batch the buffers are reduced in slot order
 // and one optimizer step is taken. The reduction order — and therefore
 // every trained weight — is a function of (seed, batch) only, never of
-// the worker count or goroutine schedule.
+// GOMAXPROCS or the goroutine schedule.
 func TrainLSTMContext(ctx context.Context, samples []SeqSample, cfg LSTMConfig) (*LSTM, float64, error) {
 	m := NewLSTM(cfg)
 	cfg = m.cfg
-	opt := NewAdam(len(m.params), cfg.LR, cfg.Clip)
+	opt := NewAdam(len(m.params), lstmLR, lstmClip)
 	B := cfg.Batch
 	if B > len(samples) && len(samples) > 0 {
 		B = len(samples)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > B {
-		workers = B
-	}
+	workers := min(runtime.GOMAXPROCS(0), B)
 
 	grads := make([]float64, len(m.params))
 	slots := make([][]float64, B)

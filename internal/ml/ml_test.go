@@ -42,7 +42,7 @@ func TestGBDTBeatsSingleTree(t *testing.T) {
 	X, y := synthReg(400, 2)
 	Xt, yt := synthReg(200, 3)
 	tr := FitTree(X, y, TreeConfig{MaxDepth: 3})
-	gb := FitGBDT(X, y, GBDTConfig{Trees: 120, MaxDepth: 3, Seed: 4})
+	gb := FitGBDT(X, y, GBDTConfig{Trees: 120, MaxDepth: 3})
 	if maeOf(gb, Xt, yt) >= maeOf(tr, Xt, yt) {
 		t.Errorf("GBDT (%f) should beat a depth-3 tree (%f)",
 			maeOf(gb, Xt, yt), maeOf(tr, Xt, yt))
@@ -292,7 +292,7 @@ func TestRankerOrdersByQuality(t *testing.T) {
 			pairs = append(pairs, PrefPair{Better: a, Worse: b})
 		}
 	}
-	r := FitRanker(X, pairs, RankConfig{Trees: 60, Seed: 26})
+	r := FitRanker(X, pairs, RankConfig{Trees: 60})
 	// Concordance on fresh comparisons.
 	good, total := 0, 0
 	for i := 0; i < 300; i++ {
@@ -370,8 +370,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	X, y := synthReg(100, 31)
-	g1 := FitGBDT(X, y, GBDTConfig{Trees: 20, Seed: 32})
-	g2 := FitGBDT(X, y, GBDTConfig{Trees: 20, Seed: 32})
+	g1 := FitGBDT(X, y, GBDTConfig{Trees: 20})
+	g2 := FitGBDT(X, y, GBDTConfig{Trees: 20})
 	for i := 0; i < 10; i++ {
 		if g1.Predict(X[i]) != g2.Predict(X[i]) {
 			t.Fatal("GBDT training not deterministic")

@@ -3,9 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"clara/internal/ml/vek"
 )
@@ -15,31 +13,22 @@ import (
 // MLPConfig configures a fully connected network.
 type MLPConfig struct {
 	Layers []int // sizes including input and output
-	LR     float64
 	Epochs int
 	Seed   int64
 	// Classification switches the output to softmax + cross-entropy.
 	Classification bool
 	TargetScale    float64 // regression target scaling
-	// Batch/Workers mirror LSTMConfig: samples per optimizer step and
-	// goroutines per minibatch. 0/1 keeps per-sample updates; results are
-	// bit-identical for any worker count (fixed-order slot reduction).
-	Batch   int
-	Workers int
 }
 
+// mlpLR is the MLP's Adam learning rate.
+const mlpLR = 0.003
+
 func (c MLPConfig) norm() MLPConfig {
-	if c.LR == 0 {
-		c.LR = 0.003
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 60
 	}
 	if c.TargetScale == 0 {
 		c.TargetScale = 1
-	}
-	if c.Batch == 0 {
-		c.Batch = 1
 	}
 	return c
 }
@@ -66,8 +55,8 @@ func NewMLP(cfg MLPConfig) *MLP {
 }
 
 // mlpScratch holds forward activations and backward deltas for one pass.
-// Not goroutine-safe; Predict* borrow one from a pool, trainers keep one
-// per worker.
+// Not goroutine-safe; Predict* borrow one from a pool, TrainMLP keeps its
+// own.
 type mlpScratch struct {
 	ar   vek.Arena
 	acts [][]float64
@@ -205,10 +194,8 @@ func (m *MLP) trainStep(sc *mlpScratch, x, target []float64, grads [][]float64) 
 	return loss
 }
 
-// TrainMLP trains on (X, targets); for classification, targets are one-hot
-// rows. Returns the final mean loss. With cfg.Batch > 1, minibatches are
-// sharded across cfg.Workers goroutines with the same deterministic
-// slot-ordered gradient reduction as TrainLSTMContext.
+// TrainMLP trains on (X, targets), one optimizer step per sample; for
+// classification, targets are one-hot rows. Returns the final mean loss.
 func TrainMLP(X [][]float64, targets [][]float64, cfg MLPConfig) (*MLP, float64) {
 	m := NewMLP(cfg)
 	cfg = m.cfg
@@ -216,88 +203,28 @@ func TrainMLP(X [][]float64, targets [][]float64, cfg MLPConfig) (*MLP, float64)
 	for _, w := range m.W {
 		nparams += len(w)
 	}
-	// Per-layer gradient views over one flat buffer for Adam; model
-	// weights likewise re-homed into one flat buffer.
+	// Adam steps one flat parameter buffer against one flat gradient
+	// buffer: the model's weights are re-homed into the first, and each
+	// layer's gradient is a view of the second.
 	paramsFlat := make([]float64, nparams)
-	layerViews := func(flat []float64) [][]float64 {
-		views := make([][]float64, len(m.W))
-		off := 0
-		for l, w := range m.W {
-			views[l] = flat[off : off+len(w)]
-			off += len(w)
-		}
-		return views
-	}
-	pviews := layerViews(paramsFlat)
-	for l, w := range m.W {
-		copy(pviews[l], w)
-		m.W[l] = pviews[l]
-	}
 	gradsFlat := make([]float64, nparams)
-
-	B := cfg.Batch
-	if B > len(X) && len(X) > 0 {
-		B = len(X)
+	grads := make([][]float64, len(m.W))
+	off := 0
+	for l, w := range m.W {
+		copy(paramsFlat[off:], w)
+		m.W[l] = paramsFlat[off : off+len(w)]
+		grads[l] = gradsFlat[off : off+len(w)]
+		off += len(w)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > B {
-		workers = B
-	}
-	slots := make([][]float64, B)
-	slotViews := make([][][]float64, B)
-	slotLoss := make([]float64, B)
-	for b := range slots {
-		slots[b] = make([]float64, nparams)
-		slotViews[b] = layerViews(slots[b])
-	}
-	scratch := make([]*mlpScratch, workers)
-	for w := range scratch {
-		scratch[w] = new(mlpScratch)
-	}
-	runSlot := func(b, i int, sc *mlpScratch) {
-		vek.Zero(slots[b])
-		slotLoss[b] = m.trainStep(sc, X[i], targets[i], slotViews[b])
-	}
-
-	opt := NewAdam(nparams, cfg.LR, 5)
+	sc := new(mlpScratch)
+	opt := NewAdam(nparams, mlpLR, 5)
 	rng := rand.New(rand.NewSource(cfg.Seed + 302))
 	last := 0.0
 	for e := 0; e < cfg.Epochs; e++ {
-		perm := rng.Perm(len(X))
 		total := 0.0
-		for start := 0; start < len(perm); start += B {
-			batch := perm[start:min(start+B, len(perm))]
-			nw := min(workers, len(batch))
-			if nw <= 1 {
-				for b, i := range batch {
-					runSlot(b, i, scratch[0])
-				}
-			} else {
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < nw; w++ {
-					wg.Add(1)
-					go func(sc *mlpScratch) {
-						defer wg.Done()
-						for {
-							b := int(next.Add(1)) - 1
-							if b >= len(batch) {
-								return
-							}
-							runSlot(b, batch[b], sc)
-						}
-					}(scratch[w])
-				}
-				wg.Wait()
-			}
+		for _, i := range rng.Perm(len(X)) {
 			vek.Zero(gradsFlat)
-			for b := range batch {
-				vek.Add(slots[b], gradsFlat)
-				total += slotLoss[b]
-			}
+			total += m.trainStep(sc, X[i], targets[i], grads)
 			opt.Step(paramsFlat, gradsFlat)
 		}
 		last = total / float64(len(X))
@@ -324,26 +251,22 @@ func OneHot(labels []int, n int) [][]float64 {
 type CNNConfig struct {
 	Vocab       int
 	Filters     int
-	Width       int // receptive field in tokens
-	Out         int
-	LR          float64
 	Epochs      int
 	TargetScale float64
 	Seed        int64
 }
 
+// The CNN's receptive field in tokens, its output count, and its Adam
+// learning rate.
+const (
+	cnnWidth = 3
+	cnnOut   = 1
+	cnnLR    = 0.004
+)
+
 func (c CNNConfig) norm() CNNConfig {
 	if c.Filters == 0 {
 		c.Filters = 24
-	}
-	if c.Width == 0 {
-		c.Width = 3
-	}
-	if c.Out == 0 {
-		c.Out = 1
-	}
-	if c.LR == 0 {
-		c.LR = 0.004
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
@@ -367,7 +290,7 @@ type CNN struct {
 // NewCNN allocates a randomly initialized model.
 func NewCNN(cfg CNNConfig) *CNN {
 	cfg = cfg.norm()
-	V, F, W, D := cfg.Vocab, cfg.Filters, cfg.Width, cfg.Out
+	V, F, W, D := cfg.Vocab, cfg.Filters, cnnWidth, cnnOut
 	m := &CNN{cfg: cfg}
 	m.oW = 0
 	m.oBF = F * W * V
@@ -383,7 +306,7 @@ func NewCNN(cfg CNNConfig) *CNN {
 // forwardInto fills caller-provided buffers with pooled activations,
 // winning positions, and outputs (len F, F, D respectively).
 func (m *CNN) forwardInto(tokens []int, pooled []float64, argmax []int, y []float64) {
-	F, W, V, D := m.cfg.Filters, m.cfg.Width, m.cfg.Vocab, m.cfg.Out
+	F, W, V, D := m.cfg.Filters, cnnWidth, m.cfg.Vocab, cnnOut
 	p := m.params
 	for f := 0; f < F; f++ {
 		best := math.Inf(-1)
@@ -424,7 +347,7 @@ func (m *CNN) forwardInto(tokens []int, pooled []float64, argmax []int, y []floa
 func (m *CNN) forward(tokens []int) (pooled []float64, argmax []int, y []float64) {
 	pooled = make([]float64, m.cfg.Filters)
 	argmax = make([]int, m.cfg.Filters)
-	y = make([]float64, m.cfg.Out)
+	y = make([]float64, cnnOut)
 	m.forwardInto(tokens, pooled, argmax, y)
 	return pooled, argmax, y
 }
@@ -432,7 +355,7 @@ func (m *CNN) forward(tokens []int) (pooled []float64, argmax []int, y []float64
 // Predict returns rescaled, clamped outputs.
 func (m *CNN) Predict(tokens []int) []float64 {
 	if len(tokens) == 0 {
-		return make([]float64, m.cfg.Out)
+		return make([]float64, cnnOut)
 	}
 	_, _, y := m.forward(tokens)
 	out := make([]float64, len(y))
@@ -449,8 +372,8 @@ func (m *CNN) Predict(tokens []int) []float64 {
 func TrainCNN(samples []SeqSample, cfg CNNConfig) (*CNN, float64) {
 	m := NewCNN(cfg)
 	cfg = m.cfg
-	F, W, V, D := cfg.Filters, cfg.Width, cfg.Vocab, cfg.Out
-	opt := NewAdam(len(m.params), cfg.LR, 5)
+	F, W, V, D := cfg.Filters, cnnWidth, cfg.Vocab, cnnOut
+	opt := NewAdam(len(m.params), cnnLR, 5)
 	grads := make([]float64, len(m.params))
 	pooled := make([]float64, F)
 	argmax := make([]int, F)

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // PrefPair expresses that sample Better should rank above sample Worse.
 type PrefPair struct {
@@ -12,20 +9,19 @@ type PrefPair struct {
 
 // RankConfig configures the pairwise gradient-boosted ranker — the
 // LambdaMART-style model Clara trains for NF colocation analysis (§4.5),
-// standing in for XGBoost's rank:pairwise objective.
+// standing in for XGBoost's rank:pairwise objective. Like GBDTConfig it has
+// no seed: every round sees all samples and features.
 type RankConfig struct {
 	Trees    int
-	LR       float64
 	MaxDepth int
-	Seed     int64
 }
+
+// rankLR is the ranker's boosting learning rate.
+const rankLR = 0.1
 
 func (c RankConfig) norm() RankConfig {
 	if c.Trees == 0 {
 		c.Trees = 80
-	}
-	if c.LR == 0 {
-		c.LR = 0.1
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 3
@@ -44,12 +40,11 @@ type Ranker struct {
 // fits a regression tree to the per-sample pseudo-gradients ("lambdas").
 func FitRanker(X [][]float64, pairs []PrefPair, cfg RankConfig) *Ranker {
 	cfg = cfg.norm()
-	rng := rand.New(rand.NewSource(cfg.Seed + 501))
-	r := &Ranker{lr: cfg.LR}
+	r := &Ranker{lr: rankLR}
 	n := len(X)
 	scores := make([]float64, n)
 	lambdas := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: 3, Rng: rng}
+	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: 3}
 	for round := 0; round < cfg.Trees; round++ {
 		for i := range lambdas {
 			lambdas[i] = 0
@@ -63,7 +58,7 @@ func FitRanker(X [][]float64, pairs []PrefPair, cfg RankConfig) *Ranker {
 		tr := FitTree(X, lambdas, tcfg)
 		r.trees = append(r.trees, tr)
 		for i := range scores {
-			scores[i] += cfg.LR * tr.Predict(X[i])
+			scores[i] += rankLR * tr.Predict(X[i])
 		}
 	}
 	return r

@@ -14,13 +14,9 @@ type LSTMState struct {
 	Params []float64  `json:"params"`
 }
 
-// Export returns the model's persistent state. The Workers knob is
-// cleared: it only affects training wall-clock, never weights, so a
-// bundle must not be invalidated by the host's core count.
+// Export returns the model's persistent state.
 func (m *LSTM) Export() LSTMState {
-	cfg := m.cfg
-	cfg.Workers = 0
-	return LSTMState{Config: cfg, Params: append([]float64(nil), m.params...)}
+	return LSTMState{Config: m.cfg, Params: append([]float64(nil), m.params...)}
 }
 
 // NewLSTMFromState reconstructs a model from persisted state.

@@ -35,8 +35,6 @@ type NF struct {
 
 	// Setup pre-populates NF state (rules, table entries) before traffic.
 	Setup func(*interp.Machine) error
-
-	Seed uint64
 }
 
 // Built is a compiled, state-initialized NF ready for trace generation.
@@ -57,11 +55,7 @@ func (nf *NF) Build(params Params) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := interp.New(nf.Mod, interp.Config{
-		Mode:     interp.NICMap,
-		LPMTable: nf.LPMTable,
-		Seed:     nf.Seed,
-	})
+	m, err := interp.New(nf.Mod, interp.Config{Mode: interp.NICMap, LPMTable: nf.LPMTable})
 	if err != nil {
 		return nil, err
 	}

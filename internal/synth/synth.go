@@ -127,8 +127,6 @@ func UniformProfile() Profile {
 // Config controls generation.
 type Config struct {
 	Profile Profile
-	// SizeJitter scales program sizes in [1−j, 1+j].
-	SizeJitter float64
 	// StateBias multiplies the profile's stateful-access rate — the
 	// scale-out training sweep uses it to span arithmetic intensities.
 	StateBias float64
@@ -137,10 +135,10 @@ type Config struct {
 	Seed        int64
 }
 
+// sizeJitter scales program sizes in [1−j, 1+j].
+const sizeJitter = 0.5
+
 func (c Config) norm() Config {
-	if c.SizeJitter == 0 {
-		c.SizeJitter = 0.5
-	}
 	if c.StateBias == 0 {
 		c.StateBias = 1
 	}
@@ -598,7 +596,7 @@ func (g *generator) program() string {
 		g.w("%s %s = %s();", gt.ty, v, gt.name)
 		g.vars = append(g.vars, genVar{v, gt.ty})
 	}
-	jit := 1 + (g.rng.Float64()*2-1)*g.cfg.SizeJitter
+	jit := 1 + (g.rng.Float64()*2-1)*sizeJitter
 	budget := int(p.AvgHandlerInstrs / 4 * jit)
 	if budget < 4 {
 		budget = 4

@@ -18,6 +18,9 @@ const (
 	traceVersion = 1
 )
 
+// maxTracePackets bounds the packet count a trace header may claim.
+const maxTracePackets = 64 << 20
+
 // WriteTrace serializes packets to w.
 func WriteTrace(w io.Writer, pkts []Packet) error {
 	bw := bufio.NewWriter(w)
@@ -76,11 +79,14 @@ func ReadTrace(r io.Reader) ([]Packet, error) {
 		return nil, fmt.Errorf("traffic: unsupported trace version %d", v)
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:])
-	const maxTracePackets = 64 << 20
 	if n > maxTracePackets {
 		return nil, fmt.Errorf("traffic: implausible packet count %d", n)
 	}
-	pkts := make([]Packet, 0, n)
+	// The count is the file's claim, not a measurement: the slice grows
+	// with the records actually read, so a short file claiming millions of
+	// packets fails at its first missing record without allocating for
+	// them.
+	pkts := make([]Packet, 0, min(n, 1024))
 	var rec [44]byte
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

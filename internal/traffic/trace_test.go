@@ -2,7 +2,9 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,5 +112,26 @@ func TestReplayerPayloadIsolation(t *testing.T) {
 func TestNewReplayerEmpty(t *testing.T) {
 	if _, err := NewReplayer(nil); err == nil {
 		t.Error("empty trace accepted")
+	}
+}
+
+// TestReadTraceHeaderClaimBounded: a header-only file claiming the largest
+// accepted packet count is refused at its first record, having allocated
+// for the records it read, not for the ones it claimed (sizing from the
+// claim reserved 80 B per packet, about 5 GiB here).
+func TestReadTraceHeaderClaimBounded(t *testing.T) {
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], traceVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], maxTracePackets)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated record 0") {
+		t.Fatalf("header-only trace: got %v, want a truncated-record-0 error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("header-only trace allocated %d bytes, want < 1 MB", alloc)
 	}
 }

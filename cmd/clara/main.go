@@ -206,39 +206,49 @@ func analyze(f cliFlags) {
 // analyzeTrace takes the workload from a recorded trace (the paper's pcap
 // profile input) and runs the workload-specific analyses over it directly.
 func analyzeTrace(tool *clara.Tool, job clara.FleetJob, path string) {
+	if err := writeTraceReport(os.Stdout, tool, job, path); err != nil {
+		fatal(err)
+	}
+}
+
+// writeTraceReport profiles job over the trace at path and writes its
+// state placement, one global per line in declaration order, and its
+// coalescing packs to w.
+func writeTraceReport(w io.Writer, tool *clara.Tool, job clara.FleetJob, path string) error {
 	fh, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pkts, err := traffic.ReadTrace(fh)
 	fh.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := traffic.NewReplayer(pkts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prof, err := core.ProfileOnHostSource(job.Mod, job.PS, rep, len(pkts))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	placement, err := core.SuggestPlacement(job.Mod, prof, tool.Params)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	packs := core.SuggestPacks(job.Mod, prof, tool.Coalesce)
-	fmt.Printf("trace-driven analysis over %d recorded packets (%s):\n", len(pkts), path)
-	fmt.Println("\nState placement:")
-	for g, r := range placement {
-		fmt.Printf("  %-16s -> %s\n", g, r)
+	fmt.Fprintf(w, "trace-driven analysis over %d recorded packets (%s):\n", len(pkts), path)
+	fmt.Fprintln(w, "\nState placement:")
+	for _, g := range job.Mod.Globals {
+		fmt.Fprintf(w, "  %-16s -> %s\n", g.Name, placement[g.Name])
 	}
 	if len(packs) > 0 {
-		fmt.Println("Coalescing packs:")
+		fmt.Fprintln(w, "Coalescing packs:")
 		for i, p := range packs {
-			fmt.Printf("  pack %d: %v\n", i, p)
+			fmt.Fprintf(w, "  pack %d: %v\n", i, p)
 		}
 	}
+	return nil
 }
 
 // parseWorkersFlag interprets -workers for the current mode: a worker

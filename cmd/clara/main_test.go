@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"clara"
+	"clara/internal/server"
+	"clara/internal/traffic"
 )
 
 // check runs one command line through the same two steps main does.
@@ -133,5 +141,49 @@ func TestParseWorkersFlag(t *testing.T) {
 	}
 	if _, addrs, _ := parseWorkersFlag("", true); len(addrs) != 0 {
 		t.Errorf("empty coordinator list parsed as %v", addrs)
+	}
+}
+
+// TestTraceReportDeclarationOrder: `clara -nf X -trace f` prints one
+// placement line per global, in the module's declaration order, on every
+// run — not in map iteration order, which changes from run to run.
+func TestTraceReportDeclarationOrder(t *testing.T) {
+	job, err := server.ElementJob("mazunat", traffic.MediumMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, g := range job.Mod.Globals {
+		want = append(want, g.Name)
+	}
+	if len(want) < 3 {
+		t.Fatalf("mazunat has %d globals; the test needs several", len(want))
+	}
+	path := filepath.Join(t.TempDir(), "mix.trace")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := traffic.WriteTrace(fh, traffic.MustTrace(traffic.MediumMix, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tool := &clara.Tool{Params: clara.DefaultParams()}
+	for run := 0; run < 10; run++ {
+		var out bytes.Buffer
+		if err := writeTraceReport(&out, tool, job, path); err != nil {
+			t.Fatal(err)
+		}
+		_, lines, _ := strings.Cut(out.String(), "State placement:\n")
+		lines, _, _ = strings.Cut(lines, "Coalescing packs:")
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(lines), "\n") {
+			got = append(got, strings.Fields(line)[0])
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: placement printed as %v, want declaration order %v", run, got, want)
+		}
 	}
 }

@@ -93,10 +93,12 @@ interp-check:
 # absolute allocation count over the library, and one interval solve per
 # frontend function. Over the same modules it checks that renumbering
 # blocks and slots changes no diagnostic or state profile, and that
-# SimplifyModule's output behaves as its input on 96 traced packets. It
-# also runs the recursion-widening and `!=` trip-bound tests.
+# SimplifyModule's output behaves as its input on 96 traced packets, and
+# TestAnalysisOutputGolden pins every module's diagnostics, state profile
+# and simplified IR by hash (testdata/analysis_outputs.golden). It also
+# runs the recursion-widening and `!=` trip-bound tests.
 analysis-check:
-	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestRangesRecursionWidens|TestLintNETripBound' ./internal/analysis/
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestRangesRecursionWidens|TestLintNETripBound' ./internal/analysis/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile
@@ -147,5 +149,6 @@ update-golden:
 	$(GO) test ./internal/analysis/ -run TestLintGolden -update
 	$(GO) test ./internal/offload/ -run TestSimulateGolden -update
 	$(GO) test ./internal/analysis/ -run TestStateProfileGoldens -update
+	$(GO) test ./internal/analysis/ -run TestAnalysisOutputGolden -update
 	$(GO) test ./internal/experiments/ -run TestQuickSuiteRuns -update
 	$(GO) test . -run TestLibraryInsightsGolden -update

@@ -4,13 +4,13 @@ import (
 	"sort"
 
 	"clara/internal/ir"
-	"clara/internal/lang"
 )
 
 // This file is the interprocedural spine of the analysis layer: a call
-// graph over a module's IR functions, Tarjan SCC condensation, and the
-// SCC-ordered fixpoint driver the interprocedural passes (range.go,
-// taint.go) iterate on, and the caller-first order freq.go propagates in.
+// graph over a module's IR functions, Tarjan SCC condensation, the
+// SCC-ordered driver that re-solves one function's intervals (range.go) or
+// taint (taint.go) until no summary moves, and the caller-first order
+// freq.go propagates in.
 //
 // The NFC frontend inlines every user subroutine into the packet handler,
 // so frontend-lowered modules have a one-node call graph and the engine
@@ -25,9 +25,10 @@ import (
 //
 // It is also the per-module analysis context. The facts several passes
 // need are derived once and kept where they belong — the loop nest and
-// each loop's trip count on the function's CFG, the interval and taint
-// fixpoints here — so a pass asks for a fact (NaturalLoops,
-// ComputeRanges, InferTripCount, ComputeTaint) and never rebuilds it. The
+// each loop's trip count on the function's CFG, each function's slot SSA
+// and the interval and taint fixpoints over it here — so a pass asks for a
+// fact (NaturalLoops, ComputeRanges, InferTripCount, ComputeTaint) and
+// never rebuilds it. The
 // memoization takes no locks: a call graph is built and consumed by one
 // goroutine and dropped with the job; it is not a cache across requests.
 type CallGraph struct {
@@ -50,6 +51,7 @@ type CallGraph struct {
 	sccs [][]int
 
 	index  map[string]int
+	ssa    []*SSA       // memoized by ssaOf
 	ranges []*RangeInfo // memoized by ComputeRanges
 	taint  *TaintInfo   // memoized by ComputeTaint
 }
@@ -90,28 +92,22 @@ func BuildCallGraph(m *ir.Module) *CallGraph {
 	return cg
 }
 
-// Node returns the node index of the named function, or -1.
+// ssaOf returns the slot SSA of node i's function, built on first use.
+func (cg *CallGraph) ssaOf(i int) *SSA {
+	if cg.ssa == nil {
+		cg.ssa = make([]*SSA, len(cg.Funcs))
+	}
+	if cg.ssa[i] == nil {
+		cg.ssa[i] = buildSSA(cg.CFGs[i])
+	}
+	return cg.ssa[i]
+}
+
+// Node returns the node index of the named function, or -1: a call whose
+// callee has no node is a framework API call or an unknown one.
 func (cg *CallGraph) Node(name string) int {
 	if i, ok := cg.index[name]; ok {
 		return i
-	}
-	return -1
-}
-
-// IsIntrinsicCall reports whether an OpCall instruction targets the
-// framework API rather than a sibling function of the module.
-func (cg *CallGraph) IsIntrinsicCall(in *ir.Instr) bool {
-	if _, ok := cg.index[in.Callee]; ok {
-		return false
-	}
-	return lang.IsIntrinsic(in.Callee)
-}
-
-// CalleeNode resolves an OpCall to a call-graph node, or -1 for intrinsic
-// or unknown callees.
-func (cg *CallGraph) CalleeNode(in *ir.Instr) int {
-	if j, ok := cg.index[in.Callee]; ok {
-		return j
 	}
 	return -1
 }
@@ -198,20 +194,6 @@ func (cg *CallGraph) SCCOf(i int) int { return cg.sccOf[i] }
 // order: every callee's SCC precedes its callers'. Members are ascending
 // node indices.
 func (cg *CallGraph) SCCs() [][]int { return cg.sccs }
-
-// Recursive reports whether node i participates in a call cycle (an SCC
-// with more than one member, or a self edge).
-func (cg *CallGraph) Recursive(i int) bool {
-	if len(cg.sccs[cg.sccOf[i]]) > 1 {
-		return true
-	}
-	for _, j := range cg.Callees[i] {
-		if j == i {
-			return true
-		}
-	}
-	return false
-}
 
 // FixpointSCC runs step over the module to a fixpoint with SCC-aware
 // scheduling: SCCs are visited in reverse topological order (so

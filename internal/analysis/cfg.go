@@ -1,10 +1,10 @@
 // Package analysis is Clara's static-analysis layer over the NFC IR: CFG
-// construction (dominators, reverse postorder, natural loops), a generic
-// worklist dataflow framework (liveness, reaching definitions, and the
-// interprocedural interval analysis are the stock instantiations), and the
-// offloadability linter that turns those facts into structured diagnostics
-// for SmartNIC-hostile constructs (paper §3: a legacy NF is analyzed
-// statically, before porting).
+// construction (dominators, reverse postorder, natural loops), one SSA
+// form over each function's stack slots that every analysis solves over
+// sparsely (intervals, payload taint, the dead-store and uninit-read
+// rules), and the offloadability linter that turns those facts into
+// structured diagnostics for SmartNIC-hostile constructs (paper §3: a
+// legacy NF is analyzed statically, before porting).
 //
 // Downstream consumers: core.Clara attaches lint diagnostics to every
 // Insights report, cmd/clara exposes them as a -lint mode, and
@@ -242,16 +242,4 @@ func (c *CFG) findLoops() []*Loop {
 		loops = append(loops, l)
 	}
 	return loops
-}
-
-// Preheaders returns the loop-entry predecessors of the header (the blocks
-// that enter the loop from outside).
-func (c *CFG) Preheaders(l *Loop) []int {
-	var out []int
-	for _, p := range c.Preds[l.Head] {
-		if !l.Contains(p) && c.Reachable(p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

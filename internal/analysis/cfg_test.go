@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"reflect"
 	"testing"
 
 	"clara/internal/analysis"
@@ -75,7 +76,7 @@ func TestCFGLibraryInvariants(t *testing.T) {
 							t.Errorf("%s: bad exit edge %v", f.Name, e)
 						}
 					}
-					if len(c.Preheaders(l)) == 0 {
+					if len(preheaders(c, l)) == 0 {
 						t.Errorf("%s: loop at b%d has no entry from outside", f.Name, l.Head)
 					}
 				}
@@ -149,6 +150,17 @@ func TestLibraryLoopFacts(t *testing.T) {
 	}
 }
 
+// preheaders returns the reachable predecessors entering l from outside.
+func preheaders(c *analysis.CFG, l *analysis.Loop) []int {
+	var out []int
+	for _, p := range c.Preds[l.Head] {
+		if !l.Contains(p) && c.Reachable(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // handlerRanges returns the handler's CFG and interval fixpoint.
 func handlerRanges(m *ir.Module) (*analysis.CFG, *analysis.RangeInfo) {
 	cg := analysis.BuildCallGraph(m)
@@ -181,7 +193,7 @@ void handle() {
 	if len(l.Backs) != 1 || len(l.Exits) != 1 {
 		t.Fatalf("loop shape: backs=%v exits=%v", l.Backs, l.Exits)
 	}
-	if pres := c.Preheaders(l); len(pres) != 1 {
+	if pres := preheaders(c, l); len(pres) != 1 {
 		t.Fatalf("want 1 preheader, got %v", pres)
 	}
 	// The diamond join dominates the loop; neither arm does.
@@ -237,37 +249,32 @@ func buildStraight() *ir.Func {
 	return b.F
 }
 
+// TestLivenessStraight: over the slot SSA, a store is live exactly when
+// its version reaches a load.
 func TestLivenessStraight(t *testing.T) {
 	f := buildStraight()
-	c := analysis.BuildCFG(f)
-	lv := analysis.ComputeLiveness(c)
-	// s0 is read in b2, so it is live out of b0 and b1 and live into b2.
-	if !lv.LiveOut(0).Has(0) || !lv.LiveOut(1).Has(0) || !lv.LiveIn(2).Has(0) {
-		t.Errorf("slot0 liveness wrong: out0=%v out1=%v in2=%v",
-			lv.LiveOut(0).Has(0), lv.LiveOut(1).Has(0), lv.LiveIn(2).Has(0))
+	v, v2, r := 1, 3, 4 // the s1 loads in b0 and b1, the s0 load in b2
+	// Both stores to s0 reach the b2 load, through the phi at b2.
+	for _, st := range [][2]int{{0, 0}, {1, 1}} {
+		if got := analysis.StoreReaches(f, st[0], st[1]); !reflect.DeepEqual(got, []int{r}) {
+			t.Errorf("s0 store at b%d:%d reaches loads %v, want [%d]", st[0], st[1], got, r)
+		}
 	}
-	// s1 is read in b1 but never after b1 completes.
-	if !lv.LiveOut(0).Has(1) {
-		t.Error("slot1 should be live out of the entry (b1 reads it)")
-	}
-	if lv.LiveOut(1).Has(1) || lv.LiveIn(2).Has(1) {
-		t.Error("slot1 should be dead after b1")
+	// The s1 store reaches the reads in b0 and b1, but nothing after b1.
+	if got := analysis.StoreReaches(f, 0, 2); !reflect.DeepEqual(got, []int{v, v2}) {
+		t.Errorf("s1 store reaches loads %v, want [%d %d]", got, v, v2)
 	}
 }
 
 func TestReachingDefsStraight(t *testing.T) {
 	f := buildStraight()
-	c := analysis.BuildCFG(f)
-	rd := analysis.ComputeReachingDefs(c)
 	// At the b2 load of s0, both the entry store and the b1 store reach.
-	defs := rd.At(2, 0, 0)
-	if len(defs) != 2 {
-		t.Fatalf("want 2 reaching defs for slot0 at b2, got %v", defs)
+	stores, uninit := analysis.LoadDefs(f, 4) // the s0 load in b2
+	if want := [][2]int{{0, 0}, {1, 1}}; !reflect.DeepEqual(stores, want) {
+		t.Fatalf("stores reaching the slot0 load at b2 = %v, want %v", stores, want)
 	}
-	for _, d := range defs {
-		if d == analysis.UninitDef {
-			t.Errorf("slot0 is initialized on every path; got uninit def in %v", defs)
-		}
+	if uninit {
+		t.Error("slot0 is initialized on every path; the undefined entry value reaches")
 	}
 }
 
@@ -289,19 +296,9 @@ func TestReachingDefsUninit(t *testing.T) {
 	r := b.LLoad(s0, ir.U32)
 	b.Ret(&r)
 
-	c := analysis.BuildCFG(b.F)
-	rd := analysis.ComputeReachingDefs(c)
-	defs := rd.At(2, 0, 0)
-	hasUninit, hasStore := false, false
-	for _, d := range defs {
-		if d == analysis.UninitDef {
-			hasUninit = true
-		} else {
-			hasStore = true
-		}
-	}
-	if !hasUninit || !hasStore {
-		t.Errorf("want both the uninit pseudo-def and the b1 store to reach, got %v", defs)
+	stores, uninit := analysis.LoadDefs(b.F, r.ID)
+	if !uninit || len(stores) != 1 {
+		t.Errorf("want both the undefined entry value and the b1 store to reach, got stores %v uninit %v", stores, uninit)
 	}
 }
 

@@ -159,13 +159,6 @@ func Summarize(ds []Diagnostic) Summary {
 	return s
 }
 
-// Clean reports whether the list carries no offload blockers (errors) or
-// likely degradations (warnings); info-level notes are allowed.
-func Clean(ds []Diagnostic) bool {
-	s := Summarize(ds)
-	return s.Errors == 0 && s.Warnings == 0
-}
-
 // Render formats diagnostics for humans, one per line, hints indented
 // beneath their finding.
 func Render(ds []Diagnostic) string {

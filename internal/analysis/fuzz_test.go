@@ -6,13 +6,14 @@ import (
 
 	"clara/internal/analysis"
 	"clara/internal/click"
+	"clara/internal/lang"
 )
 
-// FuzzLint drives the full parse→lower→CFG→dataflow→lint pipeline on
+// FuzzLint drives the full parse→lower→CFG→slot SSA→lint pipeline on
 // arbitrary source. The contract under fuzzing: never panic, never loop
 // forever (the range solver widens, the trip-count inference walks finite
-// structures), and every produced diagnostic list is sorted and JSON
-// round-trippable. Seeded with all stock click elements so the corpus
+// structures), the slot SSA is well formed (CheckSSA), and every produced
+// diagnostic list is sorted and JSON round-trippable. Seeded with all stock click elements so the corpus
 // starts from every loop/map/call shape the library exercises, plus the
 // known-offender fixtures.
 func FuzzLint(f *testing.F) {
@@ -49,6 +50,11 @@ func FuzzLint(f *testing.F) {
 					p.Fn == d.Fn && p.Msg == d.Msg {
 					t.Errorf("duplicate diagnostic survived dedup at %d: %v", i, ds)
 				}
+			}
+		}
+		if m, err := lang.Compile("fuzz", src); err == nil {
+			if err := analysis.CheckSSA(m); err != nil {
+				t.Fatalf("slot SSA ill-formed: %v", err)
 			}
 		}
 		blob, err := json.Marshal(ds)

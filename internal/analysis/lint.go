@@ -7,7 +7,7 @@ import (
 	"clara/internal/lang"
 )
 
-// The offloadability linter: a rule catalog over the CFG/dataflow facts
+// The offloadability linter: a rule catalog over the CFG and slot-SSA facts
 // that flags SmartNIC-hostile constructs before any porting effort is
 // spent (the paper's pitch: insights from the unported NF). Each rule has
 // a stable ID so reports, golden files, and downstream tooling can key on
@@ -77,7 +77,7 @@ var RuleDocs = []RuleDoc{
 	{RuleDeadStore, SevWarning, "a computed value stored to a local that is never read",
 		"Wasted cycles on a wimpy core, often a porting bug. Constant stores are exempt (declaration defaults cost nothing after register allocation)."},
 	{RuleUninitRead, SevWarning, "a local read that may observe its uninitialized entry value",
-		"Reaching-definitions found a path on which the slot is read before any store. Frontend-lowered code zero-initializes declarations, so this fires on hand-built IR."},
+		"The slot's undefined entry value reaches the load through the slot SSA: on some path it is read before any store. Frontend-lowered code zero-initializes declarations, so this fires on hand-built IR."},
 	{RuleReversePort, SevInfo, "a stateful framework API with divergent host/NIC implementations",
 		"The call must be reverse ported (paper §3.3): the NIC side has fixed capacity and no growth, unlike the host's elastic structures."},
 	{RuleAPIUnknown, SevWarning, "a call to an API outside the framework registry",
@@ -147,8 +147,8 @@ func lint(cg *CallGraph, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
 		ds = append(ds, lintLoops(m, f, c, ri, ti)...)
 		ds = append(ds, lintConstFacts(m, f, ri)...)
 		ds = append(ds, lintCalls(m, f, c)...)
-		ds = append(ds, lintDeadStores(m, f, c)...)
-		ds = append(ds, lintUninitReads(m, f, c)...)
+		ds = append(ds, lintDeadStores(m, f, ri.ssa)...)
+		ds = append(ds, lintUninitReads(m, f, ri.ssa)...)
 	}
 	return NormalizeDiagnostics(ds)
 }
@@ -210,16 +210,9 @@ func lintRecursion(file *lang.File) []Diagnostic {
 				visit(callee)
 			case gray: // back edge: cycle through callee
 				d := decls[callee]
-				ds = append(ds, Diagnostic{
-					Rule:     RuleRecursion,
-					Severity: SevError,
-					Elem:     file.Name,
-					Fn:       callee,
-					Line:     d.Line,
-					Col:      d.Col,
-					Msg:      fmt.Sprintf("function %q is recursive", callee),
-					Hint:     "convert to an iterative form with a bounded loop; NIC cores have no call stack for recursion",
-				})
+				ds = append(ds, finding(RuleRecursion, file.Name, callee, ir.Pos{Line: d.Line, Col: d.Col},
+					fmt.Sprintf("function %q is recursive", callee),
+					"convert to an iterative form with a bounded loop; NIC cores have no call stack for recursion"))
 			}
 		}
 		color[name] = black
@@ -303,6 +296,13 @@ func collectCalls(s lang.Stmt, fn func(string)) {
 	walk(s)
 }
 
+// finding builds a diagnostic of rule at pos with the rule's catalog
+// severity.
+func finding(rule, elem, fn string, pos ir.Pos, msg, hint string) Diagnostic {
+	doc, _ := DocFor(rule)
+	return Diagnostic{Rule: rule, Severity: doc.Severity, Elem: elem, Fn: fn, Line: pos.Line, Col: pos.Col, Msg: msg, Hint: hint}
+}
+
 // lintGlobals applies the state-size rule.
 func lintGlobals(m *ir.Module, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
 	var ds []Diagnostic
@@ -311,27 +311,17 @@ func lintGlobals(m *ir.Module, cfg Config, gpos map[string]ir.Pos) []Diagnostic 
 		pos := gpos[g.Name]
 		switch {
 		case size > cfg.TotalBudget:
-			ds = append(ds, Diagnostic{
-				Rule:     RuleStateOversize,
-				Severity: SevError,
-				Elem:     m.Name,
-				Line:     pos.Line,
-				Col:      pos.Col,
-				Msg: fmt.Sprintf("%s %q needs %d bytes of stateful memory; the largest NIC tier holds %d",
+			ds = append(ds, finding(RuleStateOversize, m.Name, "", pos,
+				fmt.Sprintf("%s %q needs %d bytes of stateful memory; the largest NIC tier holds %d",
 					g.Kind, g.Name, size, cfg.TotalBudget),
-				Hint: "shrink the structure (fewer entries or narrower types) or keep it on the host",
-			})
+				"shrink the structure (fewer entries or narrower types) or keep it on the host"))
 		case size > cfg.FastBudget:
-			ds = append(ds, Diagnostic{
-				Rule:     RuleStateOversize,
-				Severity: SevWarning,
-				Elem:     m.Name,
-				Line:     pos.Line,
-				Col:      pos.Col,
-				Msg: fmt.Sprintf("%s %q needs %d bytes, beyond the %d bytes of on-chip SRAM; it will be placed in DRAM-backed EMEM",
+			d := finding(RuleStateOversize, m.Name, "", pos,
+				fmt.Sprintf("%s %q needs %d bytes, beyond the %d bytes of on-chip SRAM; it will be placed in DRAM-backed EMEM",
 					g.Kind, g.Name, size, cfg.FastBudget),
-				Hint: "shrink the structure to fit an SRAM tier, or expect EMEM latency on every access",
-			})
+				"shrink the structure to fit an SRAM tier, or expect EMEM latency on every access")
+			d.Severity = SevWarning // it fits, in the slowest tier
+			ds = append(ds, d)
 		}
 	}
 	return ds
@@ -348,16 +338,9 @@ func lintConstFacts(m *ir.Module, f *ir.Func, ri *RangeInfo) []Diagnostic {
 			if taken != t.True {
 				truth = "false"
 			}
-			ds = append(ds, Diagnostic{
-				Rule:     RuleConstBranch,
-				Severity: SevWarning,
-				Elem:     m.Name,
-				Fn:       f.Name,
-				Line:     t.Pos.Line,
-				Col:      t.Pos.Col,
-				Msg:      fmt.Sprintf("branch condition is always %s; the untaken side is dead weight in the NIC instruction store", truth),
-				Hint:     "delete the dead side, or make the condition depend on runtime input",
-			})
+			ds = append(ds, finding(RuleConstBranch, m.Name, f.Name, t.Pos,
+				fmt.Sprintf("branch condition is always %s; the untaken side is dead weight in the NIC instruction store", truth),
+				"delete the dead side, or make the condition depend on runtime input"))
 		}
 		if !ri.c.Reachable(b.Index) || ri.BlockReachable(b.Index) {
 			continue
@@ -369,16 +352,9 @@ func lintConstFacts(m *ir.Module, f *ir.Func, ri *RangeInfo) []Diagnostic {
 				break
 			}
 		}
-		ds = append(ds, Diagnostic{
-			Rule:     RuleDeadCode,
-			Severity: SevWarning,
-			Elem:     m.Name,
-			Fn:       f.Name,
-			Line:     pos.Line,
-			Col:      pos.Col,
-			Msg:      fmt.Sprintf("block b%d is unreachable under propagated constants; it still occupies NIC instruction store", b.Index),
-			Hint:     "remove the dead code, or make the branch guarding it depend on runtime input",
-		})
+		ds = append(ds, finding(RuleDeadCode, m.Name, f.Name, pos,
+			fmt.Sprintf("block b%d is unreachable under propagated constants; it still occupies NIC instruction store", b.Index),
+			"remove the dead code, or make the branch guarding it depend on runtime input"))
 	}
 	return ds
 }
@@ -429,44 +405,26 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo) [
 		if lt, ok := ti.LoopClass(f.Name, l.Head); ok {
 			cause = lt.Cause()
 		}
+		var d Diagnostic
 		switch {
 		case !tc.HasFeasibleExit:
-			ds = append(ds, Diagnostic{
-				Rule:     RuleLoopUnbounded,
-				Severity: SevError,
-				Elem:     m.Name,
-				Fn:       f.Name,
-				Line:     pos.Line,
-				Col:      pos.Col,
-				Msg:      "loop has no feasible exit; a run-to-completion NIC core would never finish the packet",
-				Hint:     "bound the loop with an induction variable and a constant limit",
-			})
+			d = finding(RuleLoopUnbounded, m.Name, f.Name, pos,
+				"loop has no feasible exit; a run-to-completion NIC core would never finish the packet",
+				"bound the loop with an induction variable and a constant limit")
 		case !tc.Bounded:
-			ds = append(ds, Diagnostic{
-				Rule:     RuleLoopVarBound,
-				Severity: SevWarning,
-				Elem:     m.Name,
-				Fn:       f.Name,
-				Line:     pos.Line,
-				Col:      pos.Col,
-				Msg:      "cannot bound the loop's iteration count; per-packet latency becomes input-dependent",
-				Hint:     "cap the controlling variable with a constant (e.g. clamp it before the loop)",
-				Cause:    cause,
-			})
+			d = finding(RuleLoopVarBound, m.Name, f.Name, pos,
+				"cannot bound the loop's iteration count; per-packet latency becomes input-dependent",
+				"cap the controlling variable with a constant (e.g. clamp it before the loop)")
+			d.Cause = cause
 		case tc.Max > tripBudget:
-			ds = append(ds, Diagnostic{
-				Rule:     RuleLoopVarBound,
-				Severity: SevWarning,
-				Elem:     m.Name,
-				Fn:       f.Name,
-				Line:     pos.Line,
-				Col:      pos.Col,
-				Msg: fmt.Sprintf("loop may run %d iterations per packet, beyond the %d budget",
-					tc.Max, tripBudget),
-				Hint:  "tighten the loop bound or move the work off the per-packet path",
-				Cause: cause,
-			})
+			d = finding(RuleLoopVarBound, m.Name, f.Name, pos,
+				fmt.Sprintf("loop may run %d iterations per packet, beyond the %d budget", tc.Max, tripBudget),
+				"tighten the loop bound or move the work off the per-packet path")
+			d.Cause = cause
+		default:
+			continue
 		}
+		ds = append(ds, d)
 	}
 	return ds
 }
@@ -488,27 +446,13 @@ func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 			intr, known := lang.Intrinsics[in.Callee]
 			switch {
 			case !known:
-				ds = append(ds, Diagnostic{
-					Rule:     RuleAPIUnknown,
-					Severity: SevWarning,
-					Elem:     m.Name,
-					Fn:       f.Name,
-					Line:     in.Pos.Line,
-					Col:      in.Pos.Col,
-					Msg:      fmt.Sprintf("call to %q, which is not a known framework API; its NIC cost and semantics are unknown", in.Callee),
-					Hint:     "port the callee explicitly or replace it with a framework API",
-				})
+				ds = append(ds, finding(RuleAPIUnknown, m.Name, f.Name, in.Pos,
+					fmt.Sprintf("call to %q, which is not a known framework API; its NIC cost and semantics are unknown", in.Callee),
+					"port the callee explicitly or replace it with a framework API"))
 			case intr.Float:
-				ds = append(ds, Diagnostic{
-					Rule:     RuleFloatOp,
-					Severity: SevError,
-					Elem:     m.Name,
-					Fn:       f.Name,
-					Line:     in.Pos.Line,
-					Col:      in.Pos.Col,
-					Msg:      fmt.Sprintf("%q computes in floating point on the host; NIC cores have no FPU and fall back to soft-float emulation", in.Callee),
-					Hint:     "rewrite with fixed-point integer arithmetic (e.g. a shifted EWMA)",
-				})
+				ds = append(ds, finding(RuleFloatOp, m.Name, f.Name, in.Pos,
+					fmt.Sprintf("%q computes in floating point on the host; NIC cores have no FPU and fall back to soft-float emulation", in.Callee),
+					"rewrite with fixed-point integer arithmetic (e.g. a shifted EWMA)"))
 			case intr.Stateful:
 				if i, ok := noted[in.Callee]; ok {
 					p := earlier(ir.Pos{Line: ds[i].Line, Col: ds[i].Col}, in.Pos)
@@ -516,90 +460,48 @@ func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 					continue
 				}
 				noted[in.Callee] = len(ds)
-				ds = append(ds, Diagnostic{
-					Rule:     RuleReversePort,
-					Severity: SevInfo,
-					Elem:     m.Name,
-					Fn:       f.Name,
-					Line:     in.Pos.Line,
-					Col:      in.Pos.Col,
-					Msg:      fmt.Sprintf("%q has divergent host/NIC implementations; the call must be reverse ported", in.Callee),
-					Hint:     "review the NIC-side semantics (fixed capacity, no growth) against the host's elastic structures",
-				})
+				ds = append(ds, finding(RuleReversePort, m.Name, f.Name, in.Pos,
+					fmt.Sprintf("%q has divergent host/NIC implementations; the call must be reverse ported", in.Callee),
+					"review the NIC-side semantics (fixed capacity, no growth) against the host's elastic structures"))
 			}
 		}
 	}
 	return ds
 }
 
-// lintDeadStores flags stores of computed values into locals that are
-// never subsequently read. Constant stores are exempt: the -O0-style
-// lowering emits them for every declaration default, and they cost the
-// NIC compiler nothing after register allocation.
-func lintDeadStores(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
-	lv := ComputeLiveness(c)
+// lintDeadStores flags stores of computed values whose version no load
+// reads, directly or through phis. Constant stores are exempt: the
+// -O0-style lowering emits them for every declaration default, and they
+// cost the NIC compiler nothing after register allocation.
+func lintDeadStores(m *ir.Module, f *ir.Func, s *SSA) []Diagnostic {
+	live := s.liveVersions()
 	var ds []Diagnostic
-	for _, b := range f.Blocks {
-		if !c.Reachable(b.Index) {
-			continue
-		}
-		live := lv.LiveOut(b.Index).Clone()
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := b.Instrs[i]
-			switch in.Op {
-			case ir.OpLLoad:
-				live.Add(in.Slot)
-			case ir.OpLStore:
-				if !live.Has(in.Slot) && in.Args[0].Kind != ir.VConst {
-					ds = append(ds, Diagnostic{
-						Rule:     RuleDeadStore,
-						Severity: SevWarning,
-						Elem:     m.Name,
-						Fn:       f.Name,
-						Line:     in.Pos.Line,
-						Col:      in.Pos.Col,
-						Msg:      fmt.Sprintf("computed value stored to local slot %d is never read", in.Slot),
-						Hint:     "delete the assignment, or use the value; wimpy NIC cores cannot spare the cycles",
-					})
-				}
-				live.Remove(in.Slot)
-			}
+	for v, ver := range s.vers {
+		if in := ver.store; in != nil && !live[v] && in.Args[0].Kind != ir.VConst {
+			ds = append(ds, finding(RuleDeadStore, m.Name, f.Name, in.Pos,
+				fmt.Sprintf("computed value stored to local slot %d is never read", in.Slot),
+				"delete the assignment, or use the value; wimpy NIC cores cannot spare the cycles"))
 		}
 	}
 	return ds
 }
 
-// lintUninitReads flags loads that may observe a slot's uninitialized
-// entry value (possible only in hand-built IR; lowering zero-initializes
-// every declaration).
-func lintUninitReads(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
-	rd := ComputeReachingDefs(c)
+// lintUninitReads flags loads the entry's undefined value may reach
+// (possible only in hand-built IR; lowering zero-initializes every
+// declaration).
+func lintUninitReads(m *ir.Module, f *ir.Func, s *SSA) []Diagnostic {
+	undef := s.undefVersions()
 	var ds []Diagnostic
 	reported := map[int]bool{} // one report per slot keeps the noise down
 	for _, b := range f.Blocks {
-		if !c.Reachable(b.Index) {
-			continue
-		}
-		for i, in := range b.Instrs {
-			if in.Op != ir.OpLLoad || reported[in.Slot] {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpLLoad || reported[in.Slot] || s.loadVer[in.ID] < 0 || !undef[s.loadVer[in.ID]] {
 				continue
 			}
-			for _, d := range rd.At(b.Index, i, in.Slot) {
-				if d == UninitDef {
-					reported[in.Slot] = true
-					ds = append(ds, Diagnostic{
-						Rule:     RuleUninitRead,
-						Severity: SevWarning,
-						Elem:     m.Name,
-						Fn:       f.Name,
-						Line:     in.Pos.Line,
-						Col:      in.Pos.Col,
-						Msg:      fmt.Sprintf("local slot %d may be read before it is written", in.Slot),
-						Hint:     "initialize the variable on every path before this read",
-					})
-					break
-				}
-			}
+			reported[in.Slot] = true
+			ds = append(ds, finding(RuleUninitRead, m.Name, f.Name, in.Pos,
+				fmt.Sprintf("local slot %d may be read before it is written", in.Slot),
+				"initialize the variable on every path before this read"))
 		}
 	}
 	return ds

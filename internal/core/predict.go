@@ -80,7 +80,7 @@ type BlockSample struct {
 // module order regardless of worker scheduling.
 func BlockCorpus(mods []*ir.Module, compact bool) ([]BlockSample, error) {
 	perMod := make([][]BlockSample, len(mods))
-	err := par.ForErr(context.Background(), 0, len(mods), func(i int) error {
+	err := par.ForErr(context.Background(), len(mods), func(i int) error {
 		m := mods[i]
 		prog, err := niccc.Compile(m, niccc.Options{})
 		if err != nil {
@@ -131,7 +131,7 @@ func BlockCorpus(mods []*ir.Module, compact bool) ([]BlockSample, error) {
 // identical to the serial corpus for any worker count.
 func SynthTrainingModules(n int, prof synth.Profile, seed int64) ([]*ir.Module, error) {
 	mods := make([]*ir.Module, n)
-	err := par.ForErr(context.Background(), 0, n, func(i int) error {
+	err := par.ForErr(context.Background(), n, func(i int) error {
 		m, _, err := synth.GenerateModule(synth.Config{Profile: prof, Seed: seed + int64(i)}, lang.Compile)
 		if err != nil {
 			return err

@@ -100,7 +100,7 @@ func BuildScaleoutDataset(cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample
 func BuildScaleoutDatasetContext(ctx context.Context, cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
 	cfg = cfg.norm()
 	perProg := make([][]ScaleoutSample, cfg.TrainPrograms)
-	err := par.ForErr(ctx, 0, cfg.TrainPrograms, func(i int) error {
+	err := par.ForErr(ctx, cfg.TrainPrograms, func(i int) error {
 		// Span arithmetic intensities: bias state and compute rates.
 		bias := synth.Config{
 			Profile:     synth.UniformProfile(),

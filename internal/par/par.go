@@ -13,58 +13,21 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a worker-count knob: n <= 0 means GOMAXPROCS, and
-// the result is clamped to jobs (no idle goroutines).
-func Workers(n, jobs int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > jobs {
-		n = jobs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// workers returns how many goroutines run jobs items: GOMAXPROCS, clamped
+// to jobs (no idle goroutines) and to at least one.
+func workers(jobs int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), jobs))
 }
 
-// For runs fn(i) for every i in [0, n) on up to workers goroutines
-// (workers <= 0 means GOMAXPROCS). fn must confine its writes to
-// per-index state.
-func For(workers, n int, fn func(i int)) {
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForErr is For with error propagation and cancellation: workers stop
-// claiming new indices once any fn fails or ctx is done. The returned
-// error is the lowest-index failure (deterministic, because indices are
-// claimed in order: every index below a failed one was already claimed
-// and allowed to finish), or ctx.Err() if the context fired first.
-func ForErr(ctx context.Context, workers, n int, fn func(i int) error) error {
-	workers = Workers(workers, n)
-	if workers == 1 {
+// ForErr runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines.
+// fn must confine its writes to per-index state. Workers stop claiming new
+// indices once any fn fails or ctx is done. The returned error is the
+// lowest-index failure (deterministic, because indices are claimed in
+// order: every index below a failed one was already claimed and allowed to
+// finish), or ctx.Err() if the context fired first.
+func ForErr(ctx context.Context, n int, fn func(i int) error) error {
+	w := workers(n)
+	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -79,7 +42,7 @@ func ForErr(ctx context.Context, workers, n int, fn func(i int) error) error {
 	var failed atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -24,7 +24,7 @@ func Calibrate(target Profile, probeSize int, seed int64,
 		// iteration's corpus generates in parallel; mods keeps index
 		// order, making the measured profile worker-count-invariant.
 		mods := make([]*ir.Module, probeSize)
-		err := par.ForErr(noCtx, 0, probeSize, func(i int) error {
+		err := par.ForErr(noCtx, probeSize, func(i int) error {
 			m, _, err := GenerateModule(Config{
 				Profile: guide,
 				Seed:    seed + int64(iter)*100000 + int64(i),

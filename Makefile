@@ -141,8 +141,8 @@ bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .
 
 # Regenerate the Insights.Report, lint, simulation-trajectory,
-# taint/frequency state-profile, quick-suite evaluation and library-insights
-# golden files after intentional formatting/simulator/analysis/experiment/
+# taint/frequency state-profile, quick-suite evaluation, library-insights
+# and module-fingerprint golden files after intentional formatting/simulator/analysis/experiment/
 # model changes.
 update-golden:
 	$(GO) test ./internal/core/ -run TestReportGolden -update
@@ -152,3 +152,4 @@ update-golden:
 	$(GO) test ./internal/analysis/ -run TestAnalysisOutputGolden -update
 	$(GO) test ./internal/experiments/ -run TestQuickSuiteRuns -update
 	$(GO) test . -run TestLibraryInsightsGolden -update
+	$(GO) test ./internal/ir/ -run TestFingerprintGolden -update

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	clara -nf mazunat [-workload small|large|mix] [-quick]
+//	clara -nf mazunat [-workload small|large|mix] [-quick] [-timing]
 //	clara -src element.nfc [-workload mix]
 //	clara -nf udpcount -trace capture.bin   # profile over a recorded trace
 //	clara -fleet [-workers 8] [-quick]      # whole library × all workloads
@@ -46,6 +46,7 @@ type cliFlags struct {
 	nf, src   string
 	workload  string
 	trace     string
+	timing    bool
 	quick     bool
 	list      bool
 	fleetMode bool
@@ -96,7 +97,7 @@ var modes = []modeSpec{
 	{"list", "lists the element library", ""},
 	{"fleet", "analyzes the whole library", "workers" + trainFlags},
 	{"lint", "is static and trains nothing", "nf src json"},
-	{"", "", "nf src workload trace" + trainFlags},
+	{"", "", "nf src workload trace timing" + trainFlags},
 }
 
 func (m modeSpec) uses(name string) bool {
@@ -114,6 +115,7 @@ func parseFlags(args []string) (cliFlags, *flag.FlagSet, error) {
 	fs.StringVar(&f.src, "src", "", "analyze an NFC source file")
 	fs.StringVar(&f.workload, "workload", "mix", "workload: small | large | mix")
 	fs.StringVar(&f.trace, "trace", "", "profile over a recorded trace file instead of a synthetic workload")
+	fs.BoolVar(&f.timing, "timing", false, "print the analysis' stage clock (time per stage) on stderr")
 	fs.BoolVar(&f.quick, "quick", false, "fast, lower-accuracy training")
 	fs.BoolVar(&f.list, "list", false, "list library elements and exit")
 	fs.BoolVar(&f.fleetMode, "fleet", false, "analyze-fleet mode: every library element under every standard workload")
@@ -196,12 +198,50 @@ func analyze(f cliFlags) {
 		analyzeTrace(tool, job, f.trace)
 		return
 	}
+	if f.timing {
+		analyzeTimed(tool, job)
+		return
+	}
 	ins, err := tool.Analyze(job.Mod, job.PS, job.WL)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(ins.Report())
 }
+
+// analyzeTimed is analyze under -timing: the job runs as a one-job fleet
+// batch, the path every server request takes, so the stage clock it
+// prints on stderr is the one /metrics aggregates. The report on stdout
+// is the same as without -timing.
+func analyzeTimed(tool *clara.Tool, job clara.FleetJob) {
+	fl, err := clara.NewFleet(tool, clara.FleetConfig{Workers: 1})
+	if err != nil {
+		fatal(err)
+	}
+	results, err := fl.Run([]clara.FleetJob{job})
+	if err != nil {
+		fatal(err)
+	}
+	r := results[0]
+	if r.Err != nil {
+		fatal(r.Err)
+	}
+	fmt.Print(r.Insights.Report())
+	writeTiming(os.Stderr, &r)
+}
+
+// writeTiming prints a job's stage clock: one line per per-job stage in
+// enum order, then the stages' total against the job's elapsed time (the
+// difference is bookkeeping between stages; lowering precedes Elapsed).
+func writeTiming(w io.Writer, r *clara.FleetResult) {
+	fmt.Fprintln(w, "stage clock (µs):")
+	for s := core.Stage(0); s < core.NJobStages; s++ {
+		fmt.Fprintf(w, "  %-14s %9.1f\n", s, us(r.Stages[s]))
+	}
+	fmt.Fprintf(w, "  %-14s %9.1f (elapsed %.1f)\n", "total", us(r.Stages.Total()), us(r.Elapsed))
+}
+
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // analyzeTrace takes the workload from a recorded trace (the paper's pcap
 // profile input) and runs the workload-specific analyses over it directly.
@@ -332,6 +372,9 @@ func checkFlags(f cliFlags) error {
 		}
 		if f.trace != "" && slices.Contains(f.set, "workload") {
 			return fmt.Errorf("-workload does not apply with -trace (the recorded trace is the workload)")
+		}
+		if f.trace != "" && f.timing {
+			return fmt.Errorf("-timing does not apply with -trace (a trace report runs no analysis job)")
 		}
 	}
 	return nil

@@ -119,6 +119,11 @@ func TestCheckFlagsExisting(t *testing.T) {
 		{"fleet with every flag it reads", "-fleet -quick -workers 8 -model-load m -model-save m", ""},
 		{"lint json ok", "-lint -src f.nfc -json", ""},
 		{"trace ok", "-nf udpcount -trace capture.bin", ""},
+		{"timing ok", "-nf udpcount -quick -timing", ""},
+		{"timing with src", "-src f.nfc -timing", ""},
+		{"fleet with timing", "-fleet -timing", "-timing only applies to -nf/-src analysis"},
+		{"serve with timing", "-serve :1 -timing", "-timing only applies to -nf/-src analysis"},
+		{"trace with timing", "-nf x -trace f -timing", "-timing does not apply with -trace"},
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"clara/internal/analysis"
+	"clara/internal/interp"
 	"clara/internal/ir"
 	"clara/internal/isa"
 	"clara/internal/niccc"
@@ -92,7 +93,7 @@ func (c *Clara) AnalyzeContext(ctx context.Context, mod *ir.Module, ps ProfileSe
 	if err != nil {
 		return nil, err
 	}
-	return c.AnalyzeWorkloadContext(ctx, mod, ps, wl, c.Facts(mod, mp))
+	return c.AnalyzeWorkloadContext(ctx, mod, ps, wl, c.Facts(mod, mp), nil)
 }
 
 // ModuleFacts is the workload-independent half of an analysis: what
@@ -106,6 +107,10 @@ type ModuleFacts struct {
 	Diagnostics  []analysis.Diagnostic
 	StateProfile *analysis.StateProfile
 	Algorithm    int // AlgoCRC / AlgoLPM / AlgoNone
+	// Stages is what computing these facts took (StageAnalyze,
+	// StageAlgoID): the job that computed them is charged with it, not
+	// the jobs that share them.
+	Stages Stages
 }
 
 // Facts computes the static half of mod's analysis against an
@@ -113,9 +118,12 @@ type ModuleFacts struct {
 // *ModulePrediction may back concurrent calls.
 func (c *Clara) Facts(mod *ir.Module, mp *ModulePrediction) *ModuleFacts {
 	f := &ModuleFacts{Prediction: mp}
+	clk := StartClock(&f.Stages)
 	f.Diagnostics, f.StateProfile = analysis.Analyze(mod, c.LintConfig())
+	clk.Lap(StageAnalyze)
 	if c.AlgoID != nil {
 		f.Algorithm = c.AlgoID.Classify(mod)
+		clk.Lap(StageAlgoID)
 	}
 	return f
 }
@@ -127,7 +135,9 @@ func (c *Clara) Facts(mod *ir.Module, mp *ModulePrediction) *ModuleFacts {
 // as a fleet batch does. The context is observed inside the profiling
 // packet loop (the longest stage) and between stages, so canceling stops
 // the analysis within at most one stage boundary or 64 profiled packets.
-func (c *Clara) AnalyzeWorkloadContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, f *ModuleFacts) (*Insights, error) {
+// A non-nil st is charged with the stages this half runs, StageCompile
+// through StageScaleout.
+func (c *Clara) AnalyzeWorkloadContext(ctx context.Context, mod *ir.Module, ps ProfileSetup, wl traffic.Spec, f *ModuleFacts, st *Stages) (*Insights, error) {
 	if f == nil || f.Prediction == nil {
 		return nil, fmt.Errorf("core: nil prediction for %s", mod.Name)
 	}
@@ -147,17 +157,25 @@ func (c *Clara) AnalyzeWorkloadContext(ctx context.Context, mod *ir.Module, ps P
 		Diagnostics: f.Diagnostics, StateProfile: f.StateProfile,
 	}
 
+	clk := StartClock(st)
+	// Compiling ahead of profiling only splits the clock: a compile error
+	// is kept with the program, and the profiler's interp.New reports it.
+	_ = interp.Precompile(mod)
+	clk.Lap(StageCompile)
 	prof, err := ProfileOnHostContext(ctx, mod, ps, wl, 800)
 	if err != nil {
 		return nil, err
 	}
+	clk.Lap(StageProfile)
 	if len(mod.Globals) > 0 {
 		pl, err := SuggestPlacementContext(ctx, mod, prof, c.Params)
 		if err != nil {
 			return nil, err
 		}
 		ins.Placement = pl
+		clk.Lap(StagePlacement)
 		ins.Packs = SuggestPacks(mod, prof, c.Coalesce)
+		clk.Lap(StagePacks)
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -169,6 +187,7 @@ func (c *Clara) AnalyzeWorkloadContext(ctx context.Context, mod *ir.Module, ps P
 			stateBytes += g.SizeBytes()
 		}
 		ins.SuggestedCores = c.Scaleout.Suggest(ScaleoutFeatures(f.Prediction, prof, wl, stateBytes))
+		clk.Lap(StageScaleout)
 	}
 	return ins, nil
 }

@@ -46,6 +46,10 @@ type Job struct {
 	// part of the cache key (the same module predicted under different
 	// engine configurations yields different API costs).
 	Accel niccc.AccelConfig
+	// Lower is the time the request resolver spent lowering Mod from
+	// source (zero for a library element, whose module is compiled once
+	// per process); the Result carries it as core.StageLower.
+	Lower time.Duration
 }
 
 func (j Job) label() string {
@@ -68,6 +72,11 @@ type Result struct {
 	// Elapsed is this analysis' wall time (prediction + profiling +
 	// placement + scale-out, or the two lookups of a result hit).
 	Elapsed time.Duration
+	// Stages attributes the job's time to the per-job stages of the stage
+	// clock. All but StageLower fall inside Elapsed; a batch's shared
+	// module facts (analyze, algoid) are charged to the job that computed
+	// them.
+	Stages core.Stages
 	// CacheHit records whether the §3 prediction was served from the
 	// fleet cache rather than recomputed.
 	CacheHit bool
@@ -233,6 +242,7 @@ dispatch:
 func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Result) {
 	start := time.Now() //claravet:allow metrics only: feeds Result.Elapsed, not the analysis
 	res = Result{Name: j.label(), Workload: j.WL.Name}
+	res.Stages[core.StageLower] = j.Lower
 	defer func() {
 		if r := recover(); r != nil {
 			res.Panicked = true
@@ -242,17 +252,22 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 		f.stats.record(res)
 	}()
 
+	clk := core.StartClock(&res.Stages)
 	pk := predKey{ir.Fingerprint(j.Mod), j.Accel}
+	clk.Lap(core.StageFingerprint)
 	mp, hit, err := f.cache.Get(ctx, pk, func() (*core.ModulePrediction, error) {
 		return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
 	})
+	clk.Lap(core.StagePredict)
 	res.CacheHit = hit
 	if err != nil {
 		res.Err = err
 		return res
 	}
+	// compute's stages are charged by the clocks of Facts and
+	// AnalyzeWorkloadContext.
 	compute := func() (*analysed, error) {
-		ins, err := f.tool.AnalyzeWorkloadContext(ctx, j.Mod, j.PS, j.WL, f.facts(ctx, batch, pk, j.Mod, mp))
+		ins, err := f.tool.AnalyzeWorkloadContext(ctx, j.Mod, j.PS, j.WL, f.facts(ctx, batch, pk, j.Mod, mp, &res.Stages), &res.Stages)
 		if err != nil {
 			return nil, err
 		}
@@ -265,6 +280,9 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 			led = true
 			return compute()
 		})
+		if res.ResultHit {
+			clk.Lap(core.StageResultLookup)
+		}
 		if err != nil && !led {
 			// The computation this job waited on was canceled, timed out or
 			// panicked under another request's context — or this job's own
@@ -296,12 +314,17 @@ type factsStore = memo.Store[predKey, *core.ModuleFacts]
 // facts returns mod's static half: computed for this job alone outside a
 // batch (batch nil), else through the batch's store, keyed like the
 // prediction whose facts they are (the tool, which the rest depends on,
-// is the fleet's).
-func (f *Fleet) facts(ctx context.Context, batch *factsStore, pk predKey, mod *ir.Module, mp *core.ModulePrediction) *core.ModuleFacts {
+// is the fleet's). The facts' stages are charged to st when this job
+// computed them.
+func (f *Fleet) facts(ctx context.Context, batch *factsStore, pk predKey, mod *ir.Module, mp *core.ModulePrediction, st *core.Stages) *core.ModuleFacts {
 	if batch == nil {
-		return moduleFacts(f.tool, mod, mp)
+		fs := moduleFacts(f.tool, mod, mp)
+		st.Add(&fs.Stages)
+		return fs
 	}
+	led := false
 	fs, _, err := batch.Get(ctx, pk, func() (*core.ModuleFacts, error) {
+		led = true
 		return moduleFacts(f.tool, mod, mp), nil
 	})
 	if err != nil {
@@ -309,7 +332,10 @@ func (f *Fleet) facts(ctx context.Context, batch *factsStore, pk predKey, mod *i
 		// panicked, or its own context ended the wait. As with the result
 		// tier, it computes for itself, so a panic and its stack stay with
 		// the job that raises it.
-		return moduleFacts(f.tool, mod, mp)
+		fs, led = moduleFacts(f.tool, mod, mp), true
+	}
+	if led {
+		st.Add(&fs.Stages)
 	}
 	return fs
 }

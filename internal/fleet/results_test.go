@@ -527,3 +527,45 @@ func TestBatchSharesModuleFacts(t *testing.T) {
 		t.Errorf("library batch: %d static halves, want %d", facts.Load(), n)
 	}
 }
+
+// TestStagesChargeSharedFactsOnce runs one module under three workloads in
+// one batch: the facts the batch computes once are charged to one job's
+// analyze and algoid stages, and every job carries its own fingerprint,
+// predict, compile and profile stages.
+func TestStagesChargeSharedFactsOnce(t *testing.T) {
+	var jobs []Job
+	for _, wl := range []traffic.Spec{traffic.SmallFlows, traffic.LargeFlows, traffic.MediumMix} {
+		j := elementJob("dnsproxy")
+		j.WL = wl
+		jobs = append(jobs, j)
+	}
+	fl := newFleet(t, 3)
+	res, err := fl.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := 0
+	for i := range res {
+		st := &res[i].Stages
+		if res[i].Err != nil {
+			t.Fatal(res[i].Err)
+		}
+		if st[core.StageAnalyze] > 0 {
+			charged++
+		}
+		for _, s := range []core.Stage{core.StageFingerprint, core.StagePredict, core.StageCompile, core.StageProfile} {
+			if st[s] <= 0 {
+				t.Errorf("job %d: no time in stage %s", i, s)
+			}
+		}
+		if total := st.Total(); total > res[i].Elapsed {
+			t.Errorf("job %d: stages sum to %s, past its elapsed %s", i, total, res[i].Elapsed)
+		}
+	}
+	if charged != 1 {
+		t.Errorf("%d jobs charged with the shared facts' analysis, want 1", charged)
+	}
+	if n := fl.Stats().Stages[core.StageAnalyze].N; n != 1 {
+		t.Errorf("analyze stage histogram counts %d jobs, want 1", n)
+	}
+}

@@ -8,12 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"clara/internal/core"
 	"clara/internal/memo"
 )
 
 // histBounds are the upper bounds of the per-analysis wall-time
 // histogram buckets; the final implicit bucket is +Inf.
-var histBounds = []time.Duration{
+var histBounds = [...]time.Duration{
 	10 * time.Microsecond, // a result hit is a few µs
 	100 * time.Microsecond,
 	500 * time.Microsecond,
@@ -113,6 +114,10 @@ type Stats struct {
 	PayloadKeyedStructs int64
 	// Analyses is the per-analysis wall-time distribution.
 	Analyses Histogram
+	// Stages is the per-stage distribution of the stage clock, one
+	// histogram per job stage (core.Stage below core.NJobStages). A job
+	// is counted in a stage's histogram only if it spent time there.
+	Stages [core.NJobStages]Histogram
 	// Wall is the cumulative wall time of every Run call.
 	Wall time.Duration
 }
@@ -154,28 +159,17 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// HistCollector accumulates a wall-time histogram over the standard
-// bucket bounds; it is safe for concurrent use. The fleet's per-analysis
-// histogram and the serving layer's per-endpoint request-latency
-// histograms are both instances of it.
-type HistCollector struct {
-	mu     sync.Mutex
-	counts []int64
+// hist accumulates a wall-time histogram over the standard bucket
+// bounds; its owner serializes access.
+type hist struct {
+	counts [len(histBounds) + 1]int64
 	min    time.Duration
 	max    time.Duration
 	sum    time.Duration
 	n      int64
 }
 
-// NewHistCollector returns an empty histogram collector.
-func NewHistCollector() *HistCollector {
-	return &HistCollector{counts: make([]int64, len(histBounds)+1)}
-}
-
-// Observe records one duration.
-func (h *HistCollector) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *hist) observe(d time.Duration) {
 	if h.n == 0 || d < h.min {
 		h.min = d
 	}
@@ -187,13 +181,10 @@ func (h *HistCollector) Observe(d time.Duration) {
 	h.counts[bucket(d)]++
 }
 
-// Snapshot returns a consistent copy of the distribution.
-func (h *HistCollector) Snapshot() Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *hist) snapshot() Histogram {
 	return Histogram{
-		Bounds: append([]time.Duration(nil), histBounds...),
-		Counts: append([]int64(nil), h.counts...),
+		Bounds: append([]time.Duration(nil), histBounds[:]...),
+		Counts: append([]int64(nil), h.counts[:]...),
 		Min:    h.min,
 		Max:    h.max,
 		Sum:    h.sum,
@@ -201,13 +192,40 @@ func (h *HistCollector) Snapshot() Histogram {
 	}
 }
 
+// HistCollector accumulates a wall-time histogram over the standard
+// bucket bounds; it is safe for concurrent use. The fleet's per-analysis
+// histogram and the serving layer's per-endpoint request-latency
+// histograms are both instances of it.
+type HistCollector struct {
+	mu sync.Mutex
+	h  hist
+}
+
+// NewHistCollector returns an empty histogram collector.
+func NewHistCollector() *HistCollector { return &HistCollector{} }
+
+// Observe records one duration.
+func (h *HistCollector) Observe(d time.Duration) {
+	h.mu.Lock()
+	h.h.observe(d)
+	h.mu.Unlock()
+}
+
+// Snapshot returns a consistent copy of the distribution.
+func (h *HistCollector) Snapshot() Histogram {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.snapshot()
+}
+
 // collector accumulates metrics under one mutex. Analysis latencies are
 // a few milliseconds, so a single lock per completed job is invisible
 // next to the work it measures and keeps snapshots trivially consistent.
 type collector struct {
-	mu   sync.Mutex
-	s    Stats
-	hist *HistCollector
+	mu     sync.Mutex
+	s      Stats
+	stages [core.NJobStages]hist
+	hist   *HistCollector
 }
 
 func newCollector() *collector {
@@ -216,6 +234,11 @@ func newCollector() *collector {
 
 func (c *collector) record(r Result) {
 	c.mu.Lock()
+	for i := range c.stages {
+		if d := r.Stages[i]; d > 0 {
+			c.stages[i].observe(d)
+		}
+	}
 	switch {
 	case r.Panicked:
 		c.s.JobsPanicked++
@@ -261,6 +284,9 @@ func (c *collector) addWall(d time.Duration) {
 func (c *collector) snapshot() Stats {
 	c.mu.Lock()
 	s := c.s
+	for i := range c.stages {
+		s.Stages[i] = c.stages[i].snapshot()
+	}
 	c.mu.Unlock()
 	s.Analyses = c.hist.Snapshot()
 	return s

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"clara/internal/core"
 	"clara/internal/fleet"
 	"clara/internal/interp"
 	"clara/internal/memo"
@@ -119,6 +120,10 @@ type MetricsSnapshot struct {
 	} `json:"queue"`
 	// Latency is the per-endpoint request wall-time distribution.
 	Latency map[string]HistogramJSON `json:"latency"`
+	// Stages is the stage clock, by stage name: the per-job stages of
+	// every analysis job, and the server stages of every analyze request.
+	// A job or request is counted in a stage only if it spent time there.
+	Stages map[string]HistogramJSON `json:"stages"`
 	// Fleet is the analysis pool's lifetime stats (per-job, not
 	// per-request: one batch request contributes many jobs).
 	Fleet FleetStats `json:"fleet"`
@@ -136,12 +141,14 @@ type MetricsSnapshot struct {
 	} `json:"stores"`
 }
 
-// metrics accumulates per-route counters and latency histograms.
+// metrics accumulates per-route counters and latency histograms, and
+// the server stages of the stage clock.
 type metrics struct {
 	mu     sync.Mutex
 	start  time.Time
 	routes map[string]*RouteStats
 	lat    map[string]*fleet.HistCollector
+	stages [core.NStages - core.NJobStages]fleet.HistCollector
 }
 
 func newMetrics() *metrics {
@@ -149,6 +156,15 @@ func newMetrics() *metrics {
 		start:  time.Now(),
 		routes: make(map[string]*RouteStats),
 		lat:    make(map[string]*fleet.HistCollector),
+	}
+}
+
+// observeStages records a request's server stages.
+func (m *metrics) observeStages(st *core.Stages) {
+	for s := core.NJobStages; s < core.NStages; s++ {
+		if d := st[s]; d > 0 {
+			m.stages[s-core.NJobStages].Observe(d)
+		}
 	}
 }
 
@@ -185,6 +201,13 @@ func (m *metrics) snapshot(fs fleet.Stats, queueDepth, queueCap int) MetricsSnap
 	out := MetricsSnapshot{
 		Requests: make(map[string]RouteStats),
 		Latency:  make(map[string]HistogramJSON),
+		Stages:   make(map[string]HistogramJSON, core.NStages),
+	}
+	for s := core.Stage(0); s < core.NJobStages; s++ {
+		out.Stages[s.String()] = histJSON(fs.Stages[s])
+	}
+	for s := core.NJobStages; s < core.NStages; s++ {
+		out.Stages[s.String()] = histJSON(m.stages[s-core.NJobStages].Snapshot())
 	}
 	m.mu.Lock()
 	out.UptimeSeconds = time.Since(m.start).Seconds()
@@ -236,6 +259,7 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 	out := MetricsSnapshot{
 		Requests: make(map[string]RouteStats),
 		Latency:  make(map[string]HistogramJSON),
+		Stages:   make(map[string]HistogramJSON),
 	}
 	if len(snaps) == 0 {
 		return out
@@ -272,6 +296,9 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 		}
 		for route, h := range s.Latency {
 			out.Latency[route] = mergeHist(out.Latency[route], h)
+		}
+		for stage, h := range s.Stages {
+			out.Stages[stage] = mergeHist(out.Stages[stage], h)
 		}
 		out.Queue.Depth += s.Queue.Depth
 		out.Queue.Capacity += s.Queue.Capacity

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"clara/internal/click"
 	"clara/internal/core"
@@ -96,11 +97,12 @@ func (r *AnalyzeRequest) Jobs() ([]fleet.Job, error) {
 	}
 	if r.Src != "" {
 		name := orSubmitted(r.Name)
+		start := time.Now()
 		mod, err := lang.Compile(name, r.Src)
 		if err != nil {
 			return nil, fmt.Errorf("compiling %s: %v", name, err)
 		}
-		return []fleet.Job{{Name: name, Mod: mod, WL: wl}}, nil
+		return []fleet.Job{{Name: name, Mod: mod, WL: wl, Lower: time.Since(start)}}, nil
 	}
 	names := r.NFs
 	if r.NF != "" {

@@ -374,13 +374,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 	if fl == nil {
 		return status
 	}
+	// The server's own stages; its jobs' stages are the fleet's to record.
+	var st core.Stages
+	defer s.met.observeStages(&st)
+	clk := core.StartClock(&st)
 	var req AnalyzeRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
+	clk.Lap(core.StageDecode)
 	jobs, err := req.Jobs()
 	if err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	clk.Lap(core.StageResolve)
+	for i := range jobs {
+		st[core.StageResolve] -= jobs[i].Lower
 	}
 	if s.cfg.JobHook != nil {
 		for i := range jobs {
@@ -430,6 +439,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 		return WriteError(w, http.StatusInternalServerError, runErr.Error())
 	}
 
+	clk.Skip()
+	defer clk.Lap(core.StageEncode)
 	out := make([][]byte, len(results))
 	failed := 0
 	for i := range results {

@@ -102,3 +102,17 @@ func BenchmarkFingerprint(b *testing.B) {
 		}
 	}
 }
+
+// TestFingerprintAllocs holds fingerprinting to the printer's one buffer:
+// a fresh unique-src module hashes in at most 2 allocations.
+func TestFingerprintAllocs(t *testing.T) {
+	mods := uniqueSrcModules(t)
+	i := 0
+	allocs := testing.AllocsPerRun(len(mods)-1, func() {
+		ir.Fingerprint(mods[i])
+		i++
+	})
+	if allocs > 2 {
+		t.Errorf("fingerprinting a fresh unique-src module makes %.1f allocations, want at most 2", allocs)
+	}
+}

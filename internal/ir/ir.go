@@ -18,7 +18,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -279,16 +279,19 @@ func InstrVal(id int, ty Type) Value { return Value{Kind: VInstr, ID: id, Ty: ty
 // ParamVal returns an operand referring to parameter index.
 func ParamVal(idx int, ty Type) Value { return Value{Kind: VParam, ID: idx, Ty: ty} }
 
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendTo(nil)) }
+
+// appendTo appends the operand's printed form to b.
+func (v Value) appendTo(b []byte) []byte {
 	switch v.Kind {
 	case VInstr:
-		return fmt.Sprintf("%%%d", v.ID)
+		return strconv.AppendInt(append(b, '%'), int64(v.ID), 10)
 	case VConst:
-		return fmt.Sprintf("%d", v.Const)
+		return strconv.AppendInt(b, v.Const, 10)
 	case VParam:
-		return fmt.Sprintf("$%d", v.ID)
+		return strconv.AppendInt(append(b, '$'), int64(v.ID), 10)
 	default:
-		return "<invalid>"
+		return append(b, "<invalid>"...)
 	}
 }
 
@@ -324,46 +327,53 @@ type Instr struct {
 // Uses returns the operand values of the instruction.
 func (in *Instr) Uses() []Value { return in.Args }
 
-func (in *Instr) String() string {
-	var b strings.Builder
+func (in *Instr) String() string { return string(in.appendTo(nil)) }
+
+// appendTo appends the instruction's printed form to b.
+func (in *Instr) appendTo(b []byte) []byte {
 	if in.ID >= 0 {
-		fmt.Fprintf(&b, "%%%d = ", in.ID)
+		b = strconv.AppendInt(append(b, '%'), int64(in.ID), 10)
+		b = append(b, " = "...)
 	}
-	b.WriteString(in.Op.String())
+	b = append(b, in.Op.String()...)
 	if in.Op == OpICmp {
-		b.WriteByte(' ')
-		b.WriteString(in.Pred.String())
+		b = append(append(b, ' '), in.Pred.String()...)
 	}
 	if in.Ty != Void {
-		b.WriteByte(' ')
-		b.WriteString(in.Ty.String())
+		b = append(append(b, ' '), in.Ty.String()...)
 	}
 	switch in.Op {
 	case OpLLoad, OpLStore:
-		fmt.Fprintf(&b, " slot%d", in.Slot)
+		b = strconv.AppendInt(append(b, " slot"...), int64(in.Slot), 10)
 	case OpGLoad, OpGStore:
-		fmt.Fprintf(&b, " @%s", in.Global)
+		b = append(append(b, " @"...), in.Global...)
 	case OpCall:
-		fmt.Fprintf(&b, " @%s", in.Callee)
+		b = append(append(b, " @"...), in.Callee...)
 		if in.Global != "" {
-			fmt.Fprintf(&b, "<%s>", in.Global)
+			b = append(append(append(b, '<'), in.Global...), '>')
 		}
 	}
 	for i, a := range in.Args {
 		if i == 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		} else {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(a.String())
+		b = a.appendTo(b)
 	}
 	switch in.Op {
 	case OpBr:
-		fmt.Fprintf(&b, " b%d", in.True)
+		b = appendBlock(append(b, ' '), in.True)
 	case OpCondBr:
-		fmt.Fprintf(&b, " b%d, b%d", in.True, in.False)
+		b = appendBlock(append(b, ' '), in.True)
+		b = appendBlock(append(b, ", "...), in.False)
 	}
-	return b.String()
+	return b
+}
+
+// appendBlock appends a block reference, b<index>.
+func appendBlock(b []byte, index int) []byte {
+	return strconv.AppendInt(append(b, 'b'), int64(index), 10)
 }
 
 // Block is a basic block: a straight-line instruction sequence ending in a
@@ -538,38 +548,75 @@ func (m *Module) Handler() *Func { return m.Func(HandlerName) }
 
 // String renders the module in a textual form resembling LLVM assembly.
 func (m *Module) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "module %s\n", m.Name)
+	return string(m.appendTo(make([]byte, 0, m.printSizeHint())))
+}
+
+// appendTo appends the module's printed form to b. It is the one printer:
+// String wraps it, and Fingerprint hashes its output.
+func (m *Module) appendTo(b []byte) []byte {
+	b = append(append(append(b, "module "...), m.Name...), '\n')
 	for _, g := range m.Globals {
 		switch g.Kind {
-		case GScalar:
-			fmt.Fprintf(&b, "global %s @%s\n", g.Elem, g.Name)
-		case GArray:
-			fmt.Fprintf(&b, "global %s @%s[%d]\n", g.Elem, g.Name, g.Len)
+		case GScalar, GArray:
+			b = append(append(b, "global "...), g.Elem.String()...)
 		case GMap:
-			fmt.Fprintf(&b, "global map<%s,%s> @%s[%d]\n", g.Key, g.Elem, g.Name, g.Len)
+			b = append(append(b, "global map<"...), g.Key.String()...)
+			b = append(append(append(b, ','), g.Elem.String()...), '>')
 		case GVec:
-			fmt.Fprintf(&b, "global vec<%s> @%s[%d]\n", g.Elem, g.Name, g.Len)
+			b = append(append(append(b, "global vec<"...), g.Elem.String()...), '>')
+		default:
+			continue // an unknown kind prints nothing
 		}
+		b = append(append(b, " @"...), g.Name...)
+		if g.Kind != GScalar {
+			b = strconv.AppendInt(append(b, '['), int64(g.Len), 10)
+			b = append(b, ']')
+		}
+		b = append(b, '\n')
 	}
 	for _, f := range m.Funcs {
-		fmt.Fprintf(&b, "func @%s(", f.Name)
+		b = append(append(append(b, "func @"...), f.Name...), '(')
 		for i, p := range f.Params {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%s %s", p.Ty, p.Name)
+			b = append(append(append(b, p.Ty.String()...), ' '), p.Name...)
 		}
-		fmt.Fprintf(&b, ") %s {\n", f.Ret)
+		b = append(append(append(b, ") "...), f.Ret.String()...), " {\n"...)
 		for _, blk := range f.Blocks {
-			fmt.Fprintf(&b, "b%d: ; %s\n", blk.Index, blk.Name)
+			b = appendBlock(b, blk.Index)
+			b = append(append(append(b, ": ; "...), blk.Name...), '\n')
 			for _, in := range blk.Instrs {
-				fmt.Fprintf(&b, "  %s\n", in)
+				b = append(in.appendTo(append(b, "  "...)), '\n')
 			}
 		}
-		b.WriteString("}\n")
+		b = append(b, "}\n"...)
 	}
-	return b.String()
+	return b
+}
+
+// printSizeHint estimates the length of m's printed form, generously for
+// the IR the frontend emits (an instruction prints in at most 24 bytes
+// plus its names and operands), so the printer fills one buffer; IR that
+// prints longer only makes the buffer grow.
+func (m *Module) printSizeHint() int {
+	n := 16 + len(m.Name)
+	for _, g := range m.Globals {
+		n += 48 + len(g.Name)
+	}
+	for _, f := range m.Funcs {
+		n += 32 + len(f.Name)
+		for _, p := range f.Params {
+			n += 8 + len(p.Name)
+		}
+		for _, blk := range f.Blocks {
+			n += 16 + len(blk.Name)
+			for _, in := range blk.Instrs {
+				n += 32 + 8*len(in.Args) + len(in.Global) + len(in.Callee)
+			}
+		}
+	}
+	return n
 }
 
 // Stats summarizes a module the way Table 2 summarizes an element.

@@ -4,46 +4,125 @@ import (
 	"fmt"
 
 	"clara/internal/ir"
+	"clara/internal/traffic"
 )
+
+// pktOp returns the step kind a packet-only API lowers to: vPktGet for a
+// header getter, vPktSet for a setter or a disposition, 0 for any other
+// API. pkt_payload and pkt_set_payload, which index the payload, have
+// steps of their own.
+func pktOp(api int32) xop {
+	switch api {
+	case apiPktLen, apiEthType, apiIPProto, apiIPSrc, apiIPDst, apiIPTTL,
+		apiIPLen, apiIPHL, apiTCPSport, apiTCPDport, apiTCPSeq, apiTCPAck,
+		apiTCPFlags, apiTCPOff, apiUDPSport, apiUDPDport, apiPayloadLen, apiTime:
+		return vPktGet
+	case apiSetIPSrc, apiSetIPDst, apiSetIPTTL, apiSetTCPSport, apiSetTCPDport,
+		apiSetTCPSeq, apiSetTCPAck, apiSetTCPFlags, apiSetUDPSport,
+		apiSetUDPDport, apiCsumUpdate, apiSend, apiDrop:
+		return vPktSet
+	}
+	return 0
+}
+
+// pktGet is a header getter API: the field of p it returns.
+func pktGet(p *traffic.Packet, api int32) uint64 {
+	switch api {
+	case apiPktLen:
+		return uint64(p.Len)
+	case apiEthType:
+		return uint64(p.EthType)
+	case apiIPProto:
+		return uint64(p.Proto)
+	case apiIPSrc:
+		return uint64(p.SrcIP)
+	case apiIPDst:
+		return uint64(p.DstIP)
+	case apiIPTTL:
+		return uint64(p.TTL)
+	case apiIPLen:
+		return uint64(p.IPLen)
+	case apiIPHL:
+		return uint64(p.IPHL)
+	case apiTCPSport, apiUDPSport:
+		return uint64(p.SrcPort)
+	case apiTCPDport, apiUDPDport:
+		return uint64(p.DstPort)
+	case apiTCPSeq:
+		return uint64(p.Seq)
+	case apiTCPAck:
+		return uint64(p.Ack)
+	case apiTCPFlags:
+		return uint64(p.TCPFlag)
+	case apiTCPOff:
+		return uint64(p.TCPOff)
+	case apiPayloadLen:
+		return uint64(len(p.Payload))
+	case apiTime:
+		return p.Time
+	}
+	panic(fmt.Sprintf("interp: API %d is not a packet getter", api))
+}
+
+// pktSet is a packet setter or disposition API with argument v (ignored
+// by pkt_csum_update and pkt_drop, which take none).
+func pktSet(p *traffic.Packet, api int32, v uint64) {
+	switch api {
+	case apiSetIPSrc:
+		p.SrcIP = uint32(v)
+	case apiSetIPDst:
+		p.DstIP = uint32(v)
+	case apiSetIPTTL:
+		p.TTL = uint8(v)
+	case apiSetTCPSport, apiSetUDPSport:
+		p.SrcPort = uint16(v)
+	case apiSetTCPDport, apiSetUDPDport:
+		p.DstPort = uint16(v)
+	case apiSetTCPSeq:
+		p.Seq = uint32(v)
+	case apiSetTCPAck:
+		p.Ack = uint32(v)
+	case apiSetTCPFlags:
+		p.TCPFlag = uint8(v)
+	case apiCsumUpdate:
+		p.CsumUpdated = true
+	case apiSend:
+		p.OutPort = int32(v)
+	case apiDrop:
+		p.OutPort = -1
+	default:
+		panic(fmt.Sprintf("interp: API %d is not a packet setter", api))
+	}
+}
 
 // call executes a framework API call instruction. It cannot fail:
 // compileInstr rejects unknown APIs and checkInstr map/vec calls on the
 // wrong kind of global, so the panics below mark broken invariants.
+//
+// The packet-only APIs run the same helpers, pktGet and pktSet, as the
+// step engine's vPktGet and vPktSet steps. Here they also report to the
+// hooks; none of them touches a global, so the counters never see them.
 func (m *Machine) call(in *cInstr, block int) {
 	p := m.pkt
+	switch pktOp(in.api) {
+	case vPktGet:
+		m.vals[in.id] = pktGet(p, in.api)
+		m.emitAPI(in, 0, 0, block)
+		return
+	case vPktSet:
+		var v uint64
+		if in.nargs > 0 {
+			v = m.arg(in.a0)
+		}
+		pktSet(p, in.api, v)
+		probes := 0
+		if in.api == apiCsumUpdate {
+			probes = int(p.IPLen) // bytes checksummed
+		}
+		m.emitAPI(in, probes, 0, block)
+		return
+	}
 	switch in.api {
-	case apiPktLen:
-		m.vals[in.id] = uint64(p.Len)
-	case apiEthType:
-		m.vals[in.id] = uint64(p.EthType)
-	case apiIPProto:
-		m.vals[in.id] = uint64(p.Proto)
-	case apiIPSrc:
-		m.vals[in.id] = uint64(p.SrcIP)
-	case apiIPDst:
-		m.vals[in.id] = uint64(p.DstIP)
-	case apiIPTTL:
-		m.vals[in.id] = uint64(p.TTL)
-	case apiIPLen:
-		m.vals[in.id] = uint64(p.IPLen)
-	case apiIPHL:
-		m.vals[in.id] = uint64(p.IPHL)
-	case apiTCPSport:
-		m.vals[in.id] = uint64(p.SrcPort)
-	case apiTCPDport:
-		m.vals[in.id] = uint64(p.DstPort)
-	case apiTCPSeq:
-		m.vals[in.id] = uint64(p.Seq)
-	case apiTCPAck:
-		m.vals[in.id] = uint64(p.Ack)
-	case apiTCPFlags:
-		m.vals[in.id] = uint64(p.TCPFlag)
-	case apiTCPOff:
-		m.vals[in.id] = uint64(p.TCPOff)
-	case apiUDPSport:
-		m.vals[in.id] = uint64(p.SrcPort)
-	case apiUDPDport:
-		m.vals[in.id] = uint64(p.DstPort)
 	case apiPayload:
 		i := m.arg(in.a0)
 		if i < uint64(len(p.Payload)) {
@@ -51,41 +130,11 @@ func (m *Machine) call(in *cInstr, block int) {
 		} else {
 			m.vals[in.id] = 0
 		}
-	case apiPayloadLen:
-		m.vals[in.id] = uint64(len(p.Payload))
-	case apiTime:
-		m.vals[in.id] = p.Time
-
-	case apiSetIPSrc:
-		p.SrcIP = uint32(m.arg(in.a0))
-	case apiSetIPDst:
-		p.DstIP = uint32(m.arg(in.a0))
-	case apiSetIPTTL:
-		p.TTL = uint8(m.arg(in.a0))
-	case apiSetTCPSport, apiSetUDPSport:
-		p.SrcPort = uint16(m.arg(in.a0))
-	case apiSetTCPDport, apiSetUDPDport:
-		p.DstPort = uint16(m.arg(in.a0))
-	case apiSetTCPSeq:
-		p.Seq = uint32(m.arg(in.a0))
-	case apiSetTCPAck:
-		p.Ack = uint32(m.arg(in.a0))
-	case apiSetTCPFlags:
-		p.TCPFlag = uint8(m.arg(in.a0))
 	case apiSetPayload:
 		i := m.arg(in.a0)
 		if i < uint64(len(p.Payload)) {
 			p.Payload[i] = byte(m.arg(in.a1))
 		}
-
-	case apiCsumUpdate:
-		p.CsumUpdated = true
-		m.emitAPI(in, int(p.IPLen), 0, block)
-		return
-	case apiSend:
-		p.OutPort = int32(m.arg(in.a0))
-	case apiDrop:
-		p.OutPort = -1
 
 	case apiHash32:
 		m.vals[in.id] = uint64(Hash32(m.arg(in.a0)))

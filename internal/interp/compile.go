@@ -14,7 +14,8 @@ import (
 // One pipeline, one lowering per program:
 //
 //	chains         which blocks each chain holds
-//	remapInstrs    operands move into the combined register space
+//	remapInstrs    operands move into the combined register space, and
+//	               packet-only API calls become vPktGet/vPktSet
 //	lvnBlock       local loads whose value never leaves the block vanish
 //	toStep         each instruction becomes a vstep
 //	peepholeSteps  constant operands and trailing local stores fold in
@@ -28,9 +29,14 @@ import (
 // and lower records each chain's blocks and global accesses for
 // Machine.Counters to fold those entries through.
 //
-// Framework API calls are not lowered: an xCall step hands the original
-// instruction to Machine.call, the code the reference loop runs, so probe
-// counts, counters and map/vector semantics exist once.
+// The packet-only framework APIs (header getters, setters, pkt_send,
+// pkt_drop, pkt_csum_update) lower to vPktGet and vPktSet steps that read
+// or write the packet through pktGet and pktSet, the helpers Machine.call
+// runs for the same APIs; none of them carries probe work against a
+// global, so no counter can tell the two paths apart. Every other API
+// call is an xCall step handing the original instruction to Machine.call,
+// the code the reference loop runs, so probe counts, counters and
+// map/vector semantics exist once.
 //
 // checkInstr (run when the module is compiled, so New and Precompile
 // report it) rejects whatever the engine would otherwise have to handle
@@ -150,6 +156,7 @@ func chains(p *program) (members, starts, chainOf []int32) {
 func lower(p *program) lowered {
 	members, starts, chainOf := chains(p)
 	cross := crossReads(p)
+	sc := newLVNScratch(p)
 	nb, nc := len(p.blocks), len(starts)-1
 	// Every chain's steps live in one array. A block is lowered where the
 	// first chain holding it needs it, and later chains copy it from there.
@@ -178,7 +185,7 @@ func lower(p *program) lowered {
 			} else {
 				done[b] = true
 				span[2*b] = int32(len(all))
-				all = lowerBlock(p, all, int(b), cross, &terms[b])
+				all = lowerBlock(p, all, int(b), cross, sc, &terms[b])
 				span[2*b+1] = int32(len(all))
 			}
 			ch.size += int32(p.blocks[b].size)
@@ -207,19 +214,21 @@ func lower(p *program) lowered {
 // lowerBlock appends block bi's body in step form to flat and stores its
 // lowered terminator in tm. The body has at most one step per instruction
 // before the terminator.
-func lowerBlock(p *program, flat []vstep, bi int, cross map[int32]bool, tm *cInstr) []vstep {
-	instrs := lvnBlock(p, remapInstrs(p, p.blocks[bi].instrs), cross)
+func lowerBlock(p *program, flat []vstep, bi int, cross []bool, sc *lvnScratch, tm *cInstr) []vstep {
+	sc.remap = remapInstrs(p, sc.remap[:0], p.blocks[bi].instrs)
+	instrs := lvnBlock(p, sc.remap, cross, sc)
 	body := instrs[:len(instrs)-1]
 	*tm = instrs[len(instrs)-1]
 	first := len(flat)
-	// Calls pass through remapInstrs and lvnBlock untouched and in order,
-	// so the k-th call step is the block's k-th original call; pointing at
-	// that one lets the lowered copy be collected.
+	// Calls other than the packet-only ones pass through remapInstrs and
+	// lvnBlock untouched and in order, so the k-th call step is the
+	// block's k-th such original call; pointing at that one lets the
+	// lowered copy be collected.
 	orig := p.blocks[bi].instrs
 	for i := range body {
 		s := toStep(p, &body[i], bi)
 		if body[i].op == xCall {
-			for orig[0].op != xCall {
+			for orig[0].op != xCall || pktOp(orig[0].api) != 0 {
 				orig = orig[1:]
 			}
 			s.call, orig = &orig[0], orig[1:]
@@ -240,23 +249,26 @@ func (p *program) vsOff() int32 {
 	return int32(p.nslots)
 }
 
-// crossReads returns the set of vals-space cells read by more than one
-// block. A local load whose result cell is only ever read inside its own
-// block is a candidate for elision by lvnBlock; one read elsewhere
+// crossReads reports, per vals-space cell, whether more than one block
+// reads it. A local load whose result cell is only ever read inside its
+// own block is a candidate for elision by lvnBlock; one read elsewhere
 // disqualifies it. Operand fields are scanned blanket-style (including
 // fields an op does not actually read) — that can only over-approximate,
-// which keeps loads, never drops them.
-func crossReads(p *program) map[int32]bool {
-	seen := make(map[int32]int)
-	cross := make(map[int32]bool)
+// which keeps loads, never drops them. An unread field is 0, which is why
+// the vals space gets one cell more than it has.
+func crossReads(p *program) []bool {
+	n := p.nvals + len(p.pool) + 1
+	cross := make([]bool, n)
+	seen := make([]int32, n) // 1 + the first block reading the cell; 0 = none yet
 	for b := range p.blocks {
+		tag := int32(b) + 1
 		for i := range p.blocks[b].instrs {
 			in := &p.blocks[b].instrs[i]
 			for _, c := range [2]int32{in.a0, in.a1} {
-				if fb, ok := seen[c]; ok && fb != b {
+				if fb := seen[c]; fb != 0 && fb != tag {
 					cross[c] = true
 				} else {
-					seen[c] = b
+					seen[c] = tag
 				}
 			}
 		}
@@ -264,26 +276,65 @@ func crossReads(p *program) map[int32]bool {
 	return cross
 }
 
-// remapInstrs copies a block's instructions with every vals-space
-// operand offset into the combined register space (slot cells keep their
-// indices; value and const cells shift up by vsOff). Calls are left
-// untouched — Machine.call reads m.vals with the original encoding, and
-// the two views share cells. Offsetting a field an op never reads is
-// harmless; no step touches it.
-func remapInstrs(p *program, src []cInstr) []cInstr {
+// remapInstrs appends a copy of a block's instructions to dst with every
+// vals-space operand offset into the combined register space (slot cells
+// keep their indices; value and const cells shift up by vsOff), and each
+// packet-only API call turned into its vPktGet or vPktSet step. Other
+// calls are left untouched — Machine.call reads m.vals with the original
+// encoding, and the two views share cells. Offsetting a field an op never
+// reads is harmless; no step touches it.
+func remapInstrs(p *program, dst, src []cInstr) []cInstr {
 	off := p.vsOff()
-	out := make([]cInstr, len(src))
-	copy(out, src)
-	for i := range out {
-		in := &out[i]
+	first := len(dst)
+	dst = append(dst, src...)
+	for i := range dst[first:] {
+		in := &dst[first+i]
 		if in.op == xCall {
-			continue
+			op := pktOp(in.api)
+			if op == 0 {
+				continue
+			}
+			in.op = op
 		}
 		in.id += off
 		in.a0 += off
 		in.a1 += off
+		if in.op == vPktSet && in.nargs == 0 {
+			// pkt_drop and pkt_csum_update read their missing argument
+			// from slot cell 0, which every machine has, and ignore it.
+			in.a0 = 0
+		}
 	}
-	return out
+	return dst
+}
+
+// lvnScratch is lvnBlock's per-cell state, indexed by combined-space
+// cell: allocated once per lowering, and back to "nothing recorded" after
+// every block, so no block pays for another's cells.
+type lvnScratch struct {
+	// first and last are the first and last positions in the block
+	// reading each cell; -1 when no instruction reads it.
+	first, last []int32
+	// alias maps a value cell to the slot cell holding the same value
+	// (its elided load's slot); -1 when the value has no deferred load.
+	alias []int32
+	// bySlot lists, per slot cell, the value cells aliased to it.
+	bySlot [][]int32
+	// remap and out hold one block's instructions on their way through
+	// remapInstrs and lvnBlock.
+	remap, out []cInstr
+}
+
+func newLVNScratch(p *program) *lvnScratch {
+	n := int(p.vsOff()) + p.nvals + len(p.pool) + 1
+	cells := make([]int32, 3*n)
+	for i := range cells {
+		cells[i] = -1
+	}
+	return &lvnScratch{
+		first: cells[:n], last: cells[n : 2*n], alias: cells[2*n:],
+		bySlot: make([][]int32, p.vsOff()),
+	}
 }
 
 // lvnBlock elides local loads. On the step engine local slot traffic is
@@ -295,20 +346,19 @@ func remapInstrs(p *program, src []cInstr) []cInstr {
 // loaded value still has uses, and before a call that reads the cell
 // through m.vals. Loads whose result escapes the block (crossReads) are
 // kept. Runs on the remapped copy and returns a possibly shorter
-// instruction sequence, terminator included.
-func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool) []cInstr {
+// instruction sequence, terminator included, in sc.out.
+func lvnBlock(p *program, instrs []cInstr, cross []bool, sc *lvnScratch) []cInstr {
 	off := p.vsOff()
-	// lastUse[c] is the last position reading cell c (blanket over
-	// operand fields: over-approximation only keeps loads alive longer).
-	lastUse := make(map[int32]int)
-	// firstUse guards the degenerate use-before-def pattern: if a cell is
-	// read earlier in the block than the load defining it, eliding the
-	// load would clobber a value carried from a prior iteration.
-	firstUse := make(map[int32]int)
+	// last[c] is the last position reading cell c (blanket over operand
+	// fields: over-approximation only keeps loads alive longer). first
+	// guards the degenerate use-before-def pattern: if a cell is read
+	// earlier in the block than the load defining it, eliding the load
+	// would clobber a value carried from a prior iteration.
+	first, last, alias := sc.first, sc.last, sc.alias
 	use := func(c int32, i int) {
-		lastUse[c] = i
-		if _, ok := firstUse[c]; !ok {
-			firstUse[c] = i
+		last[c] = int32(i)
+		if first[c] < 0 {
+			first[c] = int32(i)
 		}
 	}
 	for i := range instrs {
@@ -325,63 +375,76 @@ func lvnBlock(p *program, instrs []cInstr, cross map[int32]bool) []cInstr {
 		use(in.a0, i)
 		use(in.a1, i)
 	}
-	alias := make(map[int32]int32)    // value cell -> slot cell holding the same value
-	bySlot := make(map[int32][]int32) // slot cell -> aliased value cells
-	out := make([]cInstr, 0, len(instrs))
+	out := sc.out[:0]
 	// materialize emits the deferred load for cell v now (reading slot s
 	// while it still holds the value) and retires the alias.
 	materialize := func(v, s int32) {
 		out = append(out, cInstr{op: xLLoad, id: v, slot: s, sidx: -1})
-		delete(alias, v)
+		alias[v] = -1
 	}
 	for i := range instrs {
 		in := instrs[i]
 		if in.op == xCall {
 			if in.nargs > 0 {
-				if s, ok := alias[in.a0+off]; ok {
+				if s := alias[in.a0+off]; s >= 0 {
 					materialize(in.a0+off, s)
 				}
 			}
 			if in.nargs > 1 {
-				if s, ok := alias[in.a1+off]; ok {
+				if s := alias[in.a1+off]; s >= 0 {
 					materialize(in.a1+off, s)
 				}
 			}
 			out = append(out, in)
 			continue
 		}
-		if s, ok := alias[in.a0]; ok {
+		if s := alias[in.a0]; s >= 0 {
 			in.a0 = s
 		}
-		if s, ok := alias[in.a1]; ok {
+		if s := alias[in.a1]; s >= 0 {
 			in.a1 = s
 		}
 		switch in.op {
 		case xLLoad:
 			v := in.id
-			if fu, used := firstUse[v]; !cross[v-off] && (!used || fu >= i) {
+			if fu := first[v]; !cross[v-off] && (fu < 0 || fu >= int32(i)) {
 				alias[v] = in.slot
-				bySlot[in.slot] = append(bySlot[in.slot], v)
+				sc.bySlot[in.slot] = append(sc.bySlot[in.slot], v)
 				continue
 			}
 			out = append(out, in)
 		case xLStore:
 			s := in.slot
-			for _, v := range bySlot[s] {
-				if cur, ok := alias[v]; ok && cur == s {
-					if lastUse[v] > i {
+			for _, v := range sc.bySlot[s] {
+				if alias[v] == s {
+					if last[v] > int32(i) {
 						materialize(v, s)
 					} else {
-						delete(alias, v)
+						alias[v] = -1
 					}
 				}
 			}
-			delete(bySlot, s)
+			sc.bySlot[s] = sc.bySlot[s][:0]
 			out = append(out, in)
 		default:
 			out = append(out, in)
 		}
 	}
+	// Forget the block: every cell recorded above is an operand, or the
+	// result and slot of a local load.
+	for i := range instrs {
+		in := &instrs[i]
+		a0, a1 := in.a0, in.a1
+		if in.op == xCall {
+			a0, a1 = a0+off, a1+off
+		}
+		first[a0], last[a0], first[a1], last[a1] = -1, -1, -1, -1
+		if in.op == xLLoad {
+			alias[in.id] = -1
+			sc.bySlot[in.slot] = sc.bySlot[in.slot][:0]
+		}
+	}
+	sc.out = out
 	return out
 }
 
@@ -396,6 +459,8 @@ func toStep(p *program, in *cInstr, bi int) vstep {
 		s.id = in.slot // vs[slot] = vs[a0] & mask
 	case xCall:
 		s.k = int32(bi) // lowerBlock sets s.call
+	case vPktGet, vPktSet:
+		s.k = in.api
 	case xGLoadS, xGStoreS:
 		s.gi = in.gidx
 	case xGLoadA, xGStoreA:

@@ -76,3 +76,21 @@ func APINames() []string {
 	slices.Sort(names)
 	return names
 }
+
+// CallSteps returns the callee of every step in mod's lowering that hands
+// its API call to Machine.call, in chain order.
+func CallSteps(mod *ir.Module) ([]string, error) {
+	prog, err := programFor(mod)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, ch := range prog.lowering().chains {
+		for _, s := range ch.steps {
+			if s.op == xCall {
+				out = append(out, prog.strs[s.call.sidx].callee)
+			}
+		}
+	}
+	return out, nil
+}

@@ -750,6 +750,9 @@ func (c *compiler) compileArg(v ir.Value) (int32, error) {
 		c.pool[cv] = idx
 		return idx, nil
 	case ir.VInstr:
+		if v.ID < 0 || v.ID >= c.p.nvals {
+			return 0, fmt.Errorf("operand %%%d out of range (%d values)", v.ID, c.p.nvals)
+		}
 		return int32(v.ID), nil
 	default:
 		return 0, fmt.Errorf("unsupported operand kind %d (params must be inlined)", v.Kind)
@@ -854,6 +857,14 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 		return ci, err
 	}
 	ci.op = op
+	// Lowering keeps per-cell state in slices, so every cell an
+	// instruction names must exist.
+	if in.ID >= c.p.nvals {
+		return ci, fmt.Errorf("value %%%d out of range (%d values)", in.ID, c.p.nvals)
+	}
+	if in.Op.IsLocalMem() && (in.Slot < 0 || in.Slot >= c.p.nslots) {
+		return ci, fmt.Errorf("slot %d out of range (%d slots)", in.Slot, c.p.nslots)
+	}
 	if len(in.Args) > 2 {
 		return ci, fmt.Errorf("instruction %s has %d operands (max 2)", in.Op, len(in.Args))
 	}

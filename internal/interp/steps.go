@@ -23,21 +23,26 @@ type vstep struct {
 	// gi is the global index (global accesses), the store slot (S
 	// variants) or the false target chain (conditional terminators).
 	gi int32
-	// k is the block index for xCall, or the (true) target chain of a
-	// terminator.
+	// k is the block index for xCall, the API for vPktGet and vPktSet, or
+	// the (true) target chain of a terminator.
 	k    int32
 	op   xop
 	pred ir.Pred
 }
 
-// Step-only pseudo-ops, never present in cInstr form. peepholeSteps
-// produces all three families: C variants bake a constant right operand
-// into the step (const-pool cells are immutable, preloaded at machine
-// construction), S variants fold a following local store of the step's
-// own result into the same step, CS variants do both. Values start past
-// the real xop enum so one switch hosts both sets.
+// Step-only pseudo-ops, never present in a program's cInstr form.
+// Lowering turns a packet-only API call into vPktGet (a header getter) or
+// vPktSet (a setter or a disposition), which read and write the packet
+// directly. peepholeSteps produces the other three families: C variants
+// bake a constant right operand into the step (const-pool cells are
+// immutable, preloaded at machine construction), S variants fold a
+// following local store of the step's own result into the same step, CS
+// variants do both. Values start past the real xop enum so one switch
+// hosts both sets.
 const (
-	vAddC xop = 64 + iota
+	vPktGet xop = 64 + iota
+	vPktSet
+	vAddC
 	vSubC
 	vMulC
 	vAndC
@@ -255,6 +260,10 @@ chain:
 				}
 			case xCallHash32:
 				vs[s.id] = uint64(Hash32(vs[s.a0]))
+			case vPktGet:
+				vs[s.id] = pktGet(p, s.k)
+			case vPktSet:
+				pktSet(p, s.k, vs[s.a0])
 			case xCall:
 				m.call(s.call, int(s.k))
 			case xGLoadS:

@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"clara/internal/click"
@@ -55,4 +56,46 @@ func BenchmarkRunPacketSynth(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(m.Steps)/float64(b.N), "instrs/pkt")
+}
+
+// TestPacketCallsAreSteps lowers every library element and the 300
+// unique-src programs and requires that no packet API (pkt_*) is left as
+// an xCall step: the header getters, setters, pkt_send, pkt_drop and
+// pkt_csum_update run as vPktGet/vPktSet steps, pkt_payload and
+// pkt_set_payload as their own. Only the APIs with state or probe work
+// reach Machine.call.
+func TestPacketCallsAreSteps(t *testing.T) {
+	mods := uniqueSrcModules(t, 300)
+	for _, e := range click.Library() {
+		m, err := e.Module()
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		mods = append(mods, m)
+	}
+	pktCalls, otherCalls := 0, 0
+	for _, m := range mods {
+		callees, err := interp.CallSteps(m)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		for _, c := range callees {
+			if strings.HasPrefix(c, "pkt_") {
+				t.Errorf("%s: %s is still an xCall step", m.Name, c)
+			}
+		}
+		otherCalls += len(callees)
+		for _, f := range m.Funcs {
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					if in.Op == ir.OpCall && strings.HasPrefix(in.Callee, "pkt_") {
+						pktCalls++
+					}
+				}
+			}
+		}
+	}
+	if pktCalls == 0 || otherCalls == 0 {
+		t.Fatalf("population has %d packet call sites and %d other call steps; the test needs both", pktCalls, otherCalls)
+	}
 }

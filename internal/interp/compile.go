@@ -215,7 +215,7 @@ func lower(p *program) lowered {
 // lowered terminator in tm. The body has at most one step per instruction
 // before the terminator.
 func lowerBlock(p *program, flat []vstep, bi int, cross []bool, sc *lvnScratch, tm *cInstr) []vstep {
-	sc.remap = remapInstrs(p, sc.remap[:0], p.blocks[bi].instrs)
+	sc.remap = remapInstrs(p, sc.remap, p.blocks[bi].instrs)
 	instrs := lvnBlock(p, sc.remap, cross, sc)
 	body := instrs[:len(instrs)-1]
 	*tm = instrs[len(instrs)-1]
@@ -276,7 +276,7 @@ func crossReads(p *program) []bool {
 	return cross
 }
 
-// remapInstrs appends a copy of a block's instructions to dst with every
+// remapInstrs copies a block's instructions into dst's array with every
 // vals-space operand offset into the combined register space (slot cells
 // keep their indices; value and const cells shift up by vsOff), and each
 // packet-only API call turned into its vPktGet or vPktSet step. Other
@@ -285,10 +285,9 @@ func crossReads(p *program) []bool {
 // reads is harmless; no step touches it.
 func remapInstrs(p *program, dst, src []cInstr) []cInstr {
 	off := p.vsOff()
-	first := len(dst)
-	dst = append(dst, src...)
-	for i := range dst[first:] {
-		in := &dst[first+i]
+	dst = append(dst[:0], src...)
+	for i := range dst {
+		in := &dst[i]
 		if in.op == xCall {
 			op := pktOp(in.api)
 			if op == 0 {

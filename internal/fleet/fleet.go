@@ -240,19 +240,18 @@ dispatch:
 // again (keeping all of them cost unique-src +30 % peak RSS), and a
 // repeated job pays for one extra analysis before it becomes a lookup.
 func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Result) {
-	start := time.Now() //claravet:allow metrics only: feeds Result.Elapsed, not the analysis
 	res = Result{Name: j.label(), Workload: j.WL.Name}
 	res.Stages[core.StageLower] = j.Lower
+	clk := core.StartClock(&res.Stages)
 	defer func() {
 		if r := recover(); r != nil {
 			res.Panicked = true
 			res.Err = fmt.Errorf("fleet: job %q panicked: %v\n%s", res.Name, r, stackSnippet())
 		}
-		res.Elapsed = time.Since(start)
+		res.Elapsed = clk.Elapsed()
 		f.stats.record(res)
 	}()
 
-	clk := core.StartClock(&res.Stages)
 	pk := predKey{ir.Fingerprint(j.Mod), j.Accel}
 	clk.Lap(core.StageFingerprint)
 	mp, hit, err := f.cache.Get(ctx, pk, func() (*core.ModulePrediction, error) {

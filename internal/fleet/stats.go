@@ -114,10 +114,9 @@ type Stats struct {
 	PayloadKeyedStructs int64
 	// Analyses is the per-analysis wall-time distribution.
 	Analyses Histogram
-	// Stages is the per-stage distribution of the stage clock, one
-	// histogram per job stage (core.Stage below core.NJobStages). A job
-	// is counted in a stage's histogram only if it spent time there.
-	Stages [core.NJobStages]Histogram
+	// Stages is the stage clock's distribution over the fleet's jobs, one
+	// histogram per stage (the server stages stay empty here).
+	Stages [core.NStages]Histogram
 	// Wall is the cumulative wall time of every Run call.
 	Wall time.Duration
 }
@@ -218,13 +217,43 @@ func (h *HistCollector) Snapshot() Histogram {
 	return h.h.snapshot()
 }
 
+// StageHistograms keeps one wall-time histogram per stage of the stage
+// clock, under one lock; it is safe for concurrent use. A stage's
+// histogram counts only the jobs or requests that spent time in it.
+type StageHistograms struct {
+	mu sync.Mutex
+	h  [core.NStages]hist
+}
+
+// Observe records every stage st spent time in.
+func (s *StageHistograms) Observe(st *core.Stages) {
+	s.mu.Lock()
+	for i, d := range st {
+		if d > 0 {
+			s.h[i].observe(d)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// Snapshot returns every stage's distribution.
+func (s *StageHistograms) Snapshot() (out [core.NStages]Histogram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.h {
+		out[i] = s.h[i].snapshot()
+	}
+	return out
+}
+
 // collector accumulates metrics under one mutex. Analysis latencies are
 // a few milliseconds, so a single lock per completed job is invisible
 // next to the work it measures and keeps snapshots trivially consistent.
+// The stage histograms keep their own.
 type collector struct {
 	mu     sync.Mutex
 	s      Stats
-	stages [core.NJobStages]hist
+	stages StageHistograms
 	hist   *HistCollector
 }
 
@@ -233,12 +262,8 @@ func newCollector() *collector {
 }
 
 func (c *collector) record(r Result) {
+	c.stages.Observe(&r.Stages)
 	c.mu.Lock()
-	for i := range c.stages {
-		if d := r.Stages[i]; d > 0 {
-			c.stages[i].observe(d)
-		}
-	}
 	switch {
 	case r.Panicked:
 		c.s.JobsPanicked++
@@ -284,10 +309,8 @@ func (c *collector) addWall(d time.Duration) {
 func (c *collector) snapshot() Stats {
 	c.mu.Lock()
 	s := c.s
-	for i := range c.stages {
-		s.Stages[i] = c.stages[i].snapshot()
-	}
 	c.mu.Unlock()
+	s.Stages = c.stages.Snapshot()
 	s.Analyses = c.hist.Snapshot()
 	return s
 }

@@ -142,13 +142,13 @@ type MetricsSnapshot struct {
 }
 
 // metrics accumulates per-route counters and latency histograms, and
-// the server stages of the stage clock.
+// the stage clock's server stages (its jobs' stages are the fleet's).
 type metrics struct {
 	mu     sync.Mutex
 	start  time.Time
 	routes map[string]*RouteStats
 	lat    map[string]*fleet.HistCollector
-	stages [core.NStages - core.NJobStages]fleet.HistCollector
+	stages fleet.StageHistograms
 }
 
 func newMetrics() *metrics {
@@ -156,15 +156,6 @@ func newMetrics() *metrics {
 		start:  time.Now(),
 		routes: make(map[string]*RouteStats),
 		lat:    make(map[string]*fleet.HistCollector),
-	}
-}
-
-// observeStages records a request's server stages.
-func (m *metrics) observeStages(st *core.Stages) {
-	for s := core.NJobStages; s < core.NStages; s++ {
-		if d := st[s]; d > 0 {
-			m.stages[s-core.NJobStages].Observe(d)
-		}
 	}
 }
 
@@ -203,11 +194,14 @@ func (m *metrics) snapshot(fs fleet.Stats, queueDepth, queueCap int) MetricsSnap
 		Latency:  make(map[string]HistogramJSON),
 		Stages:   make(map[string]HistogramJSON, core.NStages),
 	}
-	for s := core.Stage(0); s < core.NJobStages; s++ {
-		out.Stages[s.String()] = histJSON(fs.Stages[s])
-	}
-	for s := core.NJobStages; s < core.NStages; s++ {
-		out.Stages[s.String()] = histJSON(m.stages[s-core.NJobStages].Snapshot())
+	// Job stages are the fleet's, server stages the requests'.
+	srv := m.stages.Snapshot()
+	for s := core.Stage(0); s < core.NStages; s++ {
+		h := fs.Stages[s]
+		if s >= core.NJobStages {
+			h = srv[s]
+		}
+		out.Stages[s.String()] = histJSON(h)
 	}
 	m.mu.Lock()
 	out.UptimeSeconds = time.Since(m.start).Seconds()

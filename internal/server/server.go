@@ -376,7 +376,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 	}
 	// The server's own stages; its jobs' stages are the fleet's to record.
 	var st core.Stages
-	defer s.met.observeStages(&st)
+	defer s.met.stages.Observe(&st)
 	clk := core.StartClock(&st)
 	var req AnalyzeRequest
 	if err := DecodeBody(w, r, &req); err != nil {

@@ -40,9 +40,7 @@ type vstep struct {
 // variants do both. Values start past the real xop enum so one switch
 // hosts both sets.
 const (
-	vPktGet xop = 64 + iota
-	vPktSet
-	vAddC
+	vAddC xop = 64 + iota
 	vSubC
 	vMulC
 	vAndC
@@ -68,6 +66,8 @@ const (
 	vXorCS
 	vShlCS
 	vLShrCS
+	vPktGet
+	vPktSet
 )
 
 // constOp maps an op to its baked-constant variant (0 = none).

@@ -104,24 +104,6 @@ func pktSet(p *traffic.Packet, api int32, v uint64) {
 // hooks; none of them touches a global, so the counters never see them.
 func (m *Machine) call(in *cInstr, block int) {
 	p := m.pkt
-	switch pktOp(in.api) {
-	case vPktGet:
-		m.vals[in.id] = pktGet(p, in.api)
-		m.emitAPI(in, 0, 0, block)
-		return
-	case vPktSet:
-		var v uint64
-		if in.nargs > 0 {
-			v = m.arg(in.a0)
-		}
-		pktSet(p, in.api, v)
-		probes := 0
-		if in.api == apiCsumUpdate {
-			probes = int(p.IPLen) // bytes checksummed
-		}
-		m.emitAPI(in, probes, 0, block)
-		return
-	}
 	switch in.api {
 	case apiPayload:
 		i := m.arg(in.a0)
@@ -164,9 +146,34 @@ func (m *Machine) call(in *cInstr, block int) {
 		return
 
 	default:
-		panic(fmt.Sprintf("interp: unimplemented API %q", m.strs[in.sidx].callee))
+		m.pktCall(in, block)
+		return
 	}
 	m.emitAPI(in, 0, 0, block)
+}
+
+// pktCall is call for the packet-only APIs: the helpers their vPktGet and
+// vPktSet steps run, then the hooks and counters. Kept out of call's own
+// switch so that the other APIs reach their case without classifying.
+func (m *Machine) pktCall(in *cInstr, block int) {
+	p := m.pkt
+	probes := 0
+	switch pktOp(in.api) {
+	case vPktGet:
+		m.vals[in.id] = pktGet(p, in.api)
+	case vPktSet:
+		var v uint64
+		if in.nargs > 0 {
+			v = m.arg(in.a0)
+		}
+		pktSet(p, in.api, v)
+		if in.api == apiCsumUpdate {
+			probes = int(p.IPLen) // bytes checksummed
+		}
+	default:
+		panic(fmt.Sprintf("interp: unimplemented API %q", m.strs[in.sidx].callee))
+	}
+	m.emitAPI(in, probes, 0, block)
 }
 
 // clampLen returns how many payload bytes [off, off+n) actually covers.

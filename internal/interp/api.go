@@ -7,25 +7,8 @@ import (
 	"clara/internal/traffic"
 )
 
-// pktOp returns the step kind a packet-only API lowers to: vPktGet for a
-// header getter, vPktSet for a setter or a disposition, 0 for any other
-// API. pkt_payload and pkt_set_payload, which index the payload, have
-// steps of their own.
-func pktOp(api int32) xop {
-	switch api {
-	case apiPktLen, apiEthType, apiIPProto, apiIPSrc, apiIPDst, apiIPTTL,
-		apiIPLen, apiIPHL, apiTCPSport, apiTCPDport, apiTCPSeq, apiTCPAck,
-		apiTCPFlags, apiTCPOff, apiUDPSport, apiUDPDport, apiPayloadLen, apiTime:
-		return vPktGet
-	case apiSetIPSrc, apiSetIPDst, apiSetIPTTL, apiSetTCPSport, apiSetTCPDport,
-		apiSetTCPSeq, apiSetTCPAck, apiSetTCPFlags, apiSetUDPSport,
-		apiSetUDPDport, apiCsumUpdate, apiSend, apiDrop:
-		return vPktSet
-	}
-	return 0
-}
-
-// pktGet is a header getter API: the field of p it returns.
+// pktGet is a header getter API (an xPktGet instruction): the field of p
+// it returns.
 func pktGet(p *traffic.Packet, api int32) uint64 {
 	switch api {
 	case apiPktLen:
@@ -64,8 +47,9 @@ func pktGet(p *traffic.Packet, api int32) uint64 {
 	panic(fmt.Sprintf("interp: API %d is not a packet getter", api))
 }
 
-// pktSet is a packet setter or disposition API with argument v (ignored
-// by pkt_csum_update and pkt_drop, which take none).
+// pktSet is a packet setter or disposition API (an xPktSet instruction)
+// with argument v (ignored by pkt_csum_update and pkt_drop, which take
+// none).
 func pktSet(p *traffic.Packet, api int32, v uint64) {
 	switch api {
 	case apiSetIPSrc:
@@ -99,27 +83,12 @@ func pktSet(p *traffic.Packet, api int32, v uint64) {
 // compileInstr rejects unknown APIs and checkInstr map/vec calls on the
 // wrong kind of global, so the panics below mark broken invariants.
 //
-// The packet-only APIs run the same helpers, pktGet and pktSet, as the
-// step engine's vPktGet and vPktSet steps. Here they also report to the
-// hooks; none of them touches a global, so the counters never see them.
+// The packet APIs and hash32 never get here: compileInstr gives them
+// instructions of their own (xPktGet, xPktSet, xCallPayload,
+// xCallSetPayload, xCallHash32).
 func (m *Machine) call(in *cInstr, block int) {
 	p := m.pkt
 	switch in.api {
-	case apiPayload:
-		i := m.arg(in.a0)
-		if i < uint64(len(p.Payload)) {
-			m.vals[in.id] = uint64(p.Payload[i])
-		} else {
-			m.vals[in.id] = 0
-		}
-	case apiSetPayload:
-		i := m.arg(in.a0)
-		if i < uint64(len(p.Payload)) {
-			p.Payload[i] = byte(m.arg(in.a1))
-		}
-
-	case apiHash32:
-		m.vals[in.id] = uint64(Hash32(m.arg(in.a0)))
 	case apiRand32:
 		m.rng = m.rng*6364136223846793005 + 1442695040888963407
 		m.vals[in.id] = (m.rng >> 32) & 0xffffffff
@@ -146,34 +115,9 @@ func (m *Machine) call(in *cInstr, block int) {
 		return
 
 	default:
-		m.pktCall(in, block)
-		return
-	}
-	m.emitAPI(in, 0, 0, block)
-}
-
-// pktCall is call for the packet-only APIs: the helpers their vPktGet and
-// vPktSet steps run, then the hooks and counters. Kept out of call's own
-// switch so that the other APIs reach their case without classifying.
-func (m *Machine) pktCall(in *cInstr, block int) {
-	p := m.pkt
-	probes := 0
-	switch pktOp(in.api) {
-	case vPktGet:
-		m.vals[in.id] = pktGet(p, in.api)
-	case vPktSet:
-		var v uint64
-		if in.nargs > 0 {
-			v = m.arg(in.a0)
-		}
-		pktSet(p, in.api, v)
-		if in.api == apiCsumUpdate {
-			probes = int(p.IPLen) // bytes checksummed
-		}
-	default:
 		panic(fmt.Sprintf("interp: unimplemented API %q", m.strs[in.sidx].callee))
 	}
-	m.emitAPI(in, probes, 0, block)
+	m.emitAPI(in, 0, 0, block)
 }
 
 // clampLen returns how many payload bytes [off, off+n) actually covers.

@@ -14,8 +14,7 @@ import (
 // One pipeline, one lowering per program:
 //
 //	chains         which blocks each chain holds
-//	remapInstrs    operands move into the combined register space, and
-//	               packet-only API calls become vPktGet/vPktSet
+//	remapInstrs    operands move into the combined register space
 //	lvnBlock       local loads whose value never leaves the block vanish
 //	toStep         each instruction becomes a vstep
 //	peepholeSteps  constant operands and trailing local stores fold in
@@ -29,14 +28,13 @@ import (
 // and lower records each chain's blocks and global accesses for
 // Machine.Counters to fold those entries through.
 //
-// The packet-only framework APIs (header getters, setters, pkt_send,
-// pkt_drop, pkt_csum_update) lower to vPktGet and vPktSet steps that read
-// or write the packet through pktGet and pktSet, the helpers Machine.call
-// runs for the same APIs; none of them carries probe work against a
-// global, so no counter can tell the two paths apart. Every other API
-// call is an xCall step handing the original instruction to Machine.call,
-// the code the reference loop runs, so probe counts, counters and
-// map/vector semantics exist once.
+// The packet framework APIs and hash32 arrive as instructions of their
+// own (compileInstr picks xPktGet, xPktSet, xCallPayload, xCallSetPayload
+// or xCallHash32), which both loops run the same way; none of them
+// carries probe work against a global. Every other API call is an xCall
+// step handing the original instruction to Machine.call, the code the
+// reference loop runs, so probe counts, counters and map/vector semantics
+// exist once.
 //
 // checkInstr (run when the module is compiled, so New and Precompile
 // report it) rejects whatever the engine would otherwise have to handle
@@ -220,15 +218,14 @@ func lowerBlock(p *program, flat []vstep, bi int, cross []bool, sc *lvnScratch, 
 	body := instrs[:len(instrs)-1]
 	*tm = instrs[len(instrs)-1]
 	first := len(flat)
-	// Calls other than the packet-only ones pass through remapInstrs and
-	// lvnBlock untouched and in order, so the k-th call step is the
-	// block's k-th such original call; pointing at that one lets the
-	// lowered copy be collected.
+	// Calls pass through remapInstrs and lvnBlock untouched and in order,
+	// so the k-th call step is the block's k-th original call; pointing at
+	// that one lets the lowered copy be collected.
 	orig := p.blocks[bi].instrs
 	for i := range body {
 		s := toStep(p, &body[i], bi)
 		if body[i].op == xCall {
-			for orig[0].op != xCall || pktOp(orig[0].api) != 0 {
+			for orig[0].op != xCall {
 				orig = orig[1:]
 			}
 			s.call, orig = &orig[0], orig[1:]
@@ -278,9 +275,8 @@ func crossReads(p *program) []bool {
 
 // remapInstrs copies a block's instructions into dst's array with every
 // vals-space operand offset into the combined register space (slot cells
-// keep their indices; value and const cells shift up by vsOff), and each
-// packet-only API call turned into its vPktGet or vPktSet step. Other
-// calls are left untouched — Machine.call reads m.vals with the original
+// keep their indices; value and const cells shift up by vsOff). Calls
+// are left untouched — Machine.call reads m.vals with the original
 // encoding, and the two views share cells. Offsetting a field an op never
 // reads is harmless; no step touches it.
 func remapInstrs(p *program, dst, src []cInstr) []cInstr {
@@ -289,20 +285,11 @@ func remapInstrs(p *program, dst, src []cInstr) []cInstr {
 	for i := range dst {
 		in := &dst[i]
 		if in.op == xCall {
-			op := pktOp(in.api)
-			if op == 0 {
-				continue
-			}
-			in.op = op
+			continue
 		}
 		in.id += off
 		in.a0 += off
 		in.a1 += off
-		if in.op == vPktSet && in.nargs == 0 {
-			// pkt_drop and pkt_csum_update read their missing argument
-			// from slot cell 0, which every machine has, and ignore it.
-			in.a0 = 0
-		}
 	}
 	return dst
 }
@@ -458,7 +445,7 @@ func toStep(p *program, in *cInstr, bi int) vstep {
 		s.id = in.slot // vs[slot] = vs[a0] & mask
 	case xCall:
 		s.k = int32(bi) // lowerBlock sets s.call
-	case vPktGet, vPktSet:
+	case xPktGet, xPktSet:
 		s.k = in.api
 	case xGLoadS, xGStoreS:
 		s.gi = in.gidx

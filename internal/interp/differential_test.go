@@ -317,3 +317,23 @@ func FuzzCompiledExec(f *testing.F) {
 		equivCheck(t, e, pkts, cfg, mode&1 != 0)
 	})
 }
+
+// TestCompiledBackendEquivalenceNoArgCalls runs handlers whose only calls
+// take no argument, some of them with no values, slots or constants at
+// all: a packet setter step that read an operand cell would index past
+// such a machine's registers.
+func TestCompiledBackendEquivalenceNoArgCalls(t *testing.T) {
+	pkts := traffic.MustTrace(traffic.MediumMix, 16)
+	for i, src := range []string{
+		"void handle() { pkt_drop(); }",
+		"void handle() { pkt_csum_update(); }",
+		"void handle() { pkt_csum_update(); pkt_drop(); }",
+		"void handle() { pkt_send(pkt_len()); }",
+		"global u32 n;\nvoid handle() { n += 1; pkt_csum_update(); pkt_drop(); }",
+	} {
+		e := &click.Element{Name: fmt.Sprintf("noarg%d", i), Src: src}
+		for _, hooked := range []bool{false, true} {
+			equivCheck(t, e, pkts, interp.Config{Mode: interp.NICMap}, hooked)
+		}
+	}
+}

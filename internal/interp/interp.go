@@ -217,6 +217,8 @@ const (
 	xCallPayload    // pkt_payload(i): hot per-byte read, inlined
 	xCallSetPayload // pkt_set_payload(i, v): hot per-byte write, inlined
 	xCallHash32     // hash32(k): pure mix, inlined
+	xPktGet         // a header getter: reads one packet field
+	xPktSet         // a header setter or a disposition: writes the packet
 	xBr
 	xCondBr
 	xRet
@@ -578,7 +580,8 @@ type Machine struct {
 	prog   *program // shared, immutable
 	blocks []cBlock // prog.blocks; kept unrolled for the reference loop
 	// regs is the single backing array for all mutable per-packet cells:
-	// local slots first, then instruction results, then the const pool.
+	// local slots first, then instruction results, then the const pool,
+	// then one spare cell.
 	// vals and slots are views into it. The step engine addresses regs
 	// with operands pre-offset into the combined space (one slice instead
 	// of two), while the reference loop and Machine.call keep addressing
@@ -614,7 +617,10 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		cfg.Fuel = defaultFuel
 	}
 	nslots := int(prog.vsOff())
-	regs := make([]uint64, nslots+prog.nvals+len(prog.pool))
+	// One spare cell past the pool: an operand field an instruction does
+	// not use is 0, and a no-argument xPktSet reads it (and ignores it)
+	// even in a handler with no values or constants.
+	regs := make([]uint64, nslots+prog.nvals+len(prog.pool)+1)
 	m := &Machine{
 		Mod:    mod,
 		cfg:    cfg,
@@ -893,10 +899,13 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 			return ci, fmt.Errorf("unknown framework API %q", in.Callee)
 		}
 		ci.api = int32(code)
-		// The per-byte packet intrinsics and the hash mix dominate
-		// byte-granular elements (ciphers, sketches); dispatch them
-		// without the API-call detour. Their call() cases end in
-		// emitAPI(probes=0), which the inlined forms reproduce.
+		// The packet APIs and the hash mix touch no global, so the
+		// counters never see them: dispatch them without the API-call
+		// detour, both loops firing OnAPI as Machine.call would. The
+		// per-byte payload intrinsics, which dominate byte-granular
+		// elements (ciphers, sketches), and the hash mix get ops of their
+		// own; every other packet API reads one field (xPktGet, via
+		// pktGet) or writes the packet (xPktSet, via pktSet).
 		switch code {
 		case apiPayload:
 			ci.op = xCallPayload
@@ -904,6 +913,14 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 			ci.op = xCallSetPayload
 		case apiHash32:
 			ci.op = xCallHash32
+		case apiPktLen, apiEthType, apiIPProto, apiIPSrc, apiIPDst, apiIPTTL,
+			apiIPLen, apiIPHL, apiTCPSport, apiTCPDport, apiTCPSeq, apiTCPAck,
+			apiTCPFlags, apiTCPOff, apiUDPSport, apiUDPDport, apiPayloadLen, apiTime:
+			ci.op = xPktGet
+		case apiSetIPSrc, apiSetIPDst, apiSetIPTTL, apiSetTCPSport, apiSetTCPDport,
+			apiSetTCPSeq, apiSetTCPAck, apiSetTCPFlags, apiSetUDPSport,
+			apiSetUDPDport, apiCsumUpdate, apiSend, apiDrop:
+			ci.op = xPktSet
 		}
 	}
 	if in.Op == ir.OpGLoad || in.Op == ir.OpGStore || in.Op == ir.OpCall {
@@ -1112,6 +1129,22 @@ func (m *Machine) reference(bi int) error {
 				if m.hooks.OnAPI != nil {
 					s := &m.strs[in.sidx]
 					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+				}
+			case xPktGet:
+				vals[in.id] = pktGet(p, in.api)
+				if m.hooks.OnAPI != nil {
+					s := &m.strs[in.sidx]
+					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+				}
+			case xPktSet:
+				pktSet(p, in.api, vals[in.a0])
+				if m.hooks.OnAPI != nil {
+					probes := 0
+					if in.api == apiCsumUpdate {
+						probes = int(p.IPLen) // bytes checksummed
+					}
+					s := &m.strs[in.sidx]
+					m.hooks.OnAPI(s.callee, s.global, probes, 0, bi)
 				}
 			case xBr:
 				next = int(in.t)

@@ -23,22 +23,19 @@ type vstep struct {
 	// gi is the global index (global accesses), the store slot (S
 	// variants) or the false target chain (conditional terminators).
 	gi int32
-	// k is the block index for xCall, the API for vPktGet and vPktSet, or
+	// k is the block index for xCall, the API for xPktGet and xPktSet, or
 	// the (true) target chain of a terminator.
 	k    int32
 	op   xop
 	pred ir.Pred
 }
 
-// Step-only pseudo-ops, never present in a program's cInstr form.
-// Lowering turns a packet-only API call into vPktGet (a header getter) or
-// vPktSet (a setter or a disposition), which read and write the packet
-// directly. peepholeSteps produces the other three families: C variants
-// bake a constant right operand into the step (const-pool cells are
-// immutable, preloaded at machine construction), S variants fold a
-// following local store of the step's own result into the same step, CS
-// variants do both. Values start past the real xop enum so one switch
-// hosts both sets.
+// Step-only pseudo-ops, never present in cInstr form. peepholeSteps
+// produces all three families: C variants bake a constant right operand
+// into the step (const-pool cells are immutable, preloaded at machine
+// construction), S variants fold a following local store of the step's
+// own result into the same step, CS variants do both. Values start past
+// the real xop enum so one switch hosts both sets.
 const (
 	vAddC xop = 64 + iota
 	vSubC
@@ -66,8 +63,6 @@ const (
 	vXorCS
 	vShlCS
 	vLShrCS
-	vPktGet
-	vPktSet
 )
 
 // constOp maps an op to its baked-constant variant (0 = none).
@@ -260,9 +255,9 @@ chain:
 				}
 			case xCallHash32:
 				vs[s.id] = uint64(Hash32(vs[s.a0]))
-			case vPktGet:
+			case xPktGet:
 				vs[s.id] = pktGet(p, s.k)
-			case vPktSet:
+			case xPktSet:
 				pktSet(p, s.k, vs[s.a0])
 			case xCall:
 				m.call(s.call, int(s.k))

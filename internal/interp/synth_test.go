@@ -61,7 +61,7 @@ func BenchmarkRunPacketSynth(b *testing.B) {
 // TestPacketCallsAreSteps lowers every library element and the 300
 // unique-src programs and requires that no packet API (pkt_*) is left as
 // an xCall step: the header getters, setters, pkt_send, pkt_drop and
-// pkt_csum_update run as vPktGet/vPktSet steps, pkt_payload and
+// pkt_csum_update run as xPktGet/xPktSet steps, pkt_payload and
 // pkt_set_payload as their own. Only the APIs with state or probe work
 // reach Machine.call.
 func TestPacketCallsAreSteps(t *testing.T) {

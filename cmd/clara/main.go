@@ -190,7 +190,10 @@ func main() {
 }
 
 // analyze is the default mode: one NF, one workload (synthetic, or a
-// recorded trace), the insights report on stdout.
+// recorded trace), the insights report on stdout. A synthetic workload
+// runs as a one-job fleet batch, the path every server request takes, so
+// the stage clock -timing prints on stderr is the one /metrics
+// aggregates.
 func analyze(f cliFlags) {
 	job := f.job()
 	tool, _ := obtainTool(context.Background(), f)
@@ -198,22 +201,6 @@ func analyze(f cliFlags) {
 		analyzeTrace(tool, job, f.trace)
 		return
 	}
-	if f.timing {
-		analyzeTimed(tool, job)
-		return
-	}
-	ins, err := tool.Analyze(job.Mod, job.PS, job.WL)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(ins.Report())
-}
-
-// analyzeTimed is analyze under -timing: the job runs as a one-job fleet
-// batch, the path every server request takes, so the stage clock it
-// prints on stderr is the one /metrics aggregates. The report on stdout
-// is the same as without -timing.
-func analyzeTimed(tool *clara.Tool, job clara.FleetJob) {
 	fl, err := clara.NewFleet(tool, clara.FleetConfig{Workers: 1})
 	if err != nil {
 		fatal(err)
@@ -227,7 +214,9 @@ func analyzeTimed(tool *clara.Tool, job clara.FleetJob) {
 		fatal(r.Err)
 	}
 	fmt.Print(r.Insights.Report())
-	writeTiming(os.Stderr, &r)
+	if f.timing {
+		writeTiming(os.Stderr, &r)
+	}
 }
 
 // writeTiming prints a job's stage clock: one line per per-job stage in

@@ -141,9 +141,9 @@ bench-fleet:
 	$(GO) test -run=^$$ -bench=BenchmarkFleetAnalyze -benchtime=5x .
 
 # Regenerate the Insights.Report, lint, simulation-trajectory,
-# taint/frequency state-profile, quick-suite evaluation, library-insights
-# and module-fingerprint golden files after intentional formatting/simulator/analysis/experiment/
-# model changes.
+# taint/frequency state-profile, quick-suite evaluation, library-insights,
+# module-fingerprint and /metrics wire-form golden files after intentional
+# formatting/simulator/analysis/experiment/model/metrics-schema changes.
 update-golden:
 	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) test ./internal/analysis/ -run TestLintGolden -update
@@ -153,3 +153,4 @@ update-golden:
 	$(GO) test ./internal/experiments/ -run TestQuickSuiteRuns -update
 	$(GO) test . -run TestLibraryInsightsGolden -update
 	$(GO) test ./internal/ir/ -run TestFingerprintGolden -update
+	$(GO) test ./internal/server/ -run TestMetricsWireGolden -update

@@ -282,11 +282,32 @@ func TestStatsRendering(t *testing.T) {
 	if s.Analyses.Counts[len(s.Analyses.Counts)-1] != 1 {
 		t.Errorf("overflow bucket: %v", s.Analyses.Counts)
 	}
-	out := s.String()
-	for _, want := range []string{"2 completed", "1 hits", "batch wall time"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats output missing %q:\n%s", want, out)
-		}
+	// The CLI's -fleet footer, byte for byte: first as recorded, then with
+	// every optional clause switched on.
+	const footer = "jobs: 2 completed, 1 failed\n" +
+		"prediction cache: 1 hits, 2 misses (33% hit rate)\n" +
+		"lint findings: 1 errors, 1 warnings, 2 notes\n" +
+		"analysis time: n=3 min=1ms mean=668ms max=2s [≤1ms:1 ≤5ms:1 +Inf:1]\n" +
+		"batch wall time: 5ms\n"
+	if out := s.String(); out != footer {
+		t.Errorf("stats footer:\n%s\nwant:\n%s", out, footer)
+	}
+	s.JobsCanceled, s.JobsPanicked, s.CacheEvictions = 4, 1, 7
+	s.PayloadLoops, s.PayloadKeyedStructs = 0, 3
+	const full = "jobs: 2 completed, 1 failed, 4 canceled, 1 panicked\n" +
+		"prediction cache: 1 hits, 2 misses (33% hit rate), 7 evicted\n" +
+		"lint findings: 1 errors, 1 warnings, 2 notes\n" +
+		"payload-dependent: 0 loop(s), 3 keyed structure(s)\n" +
+		"analysis time: n=3 min=1ms mean=668ms max=2s [≤1ms:1 ≤5ms:1 +Inf:1]\n" +
+		"batch wall time: 5ms\n"
+	if out := s.String(); out != full {
+		t.Errorf("stats footer:\n%s\nwant:\n%s", out, full)
+	}
+	if out := (Stats{}).String(); out != "jobs: 0 completed, 0 failed\n"+
+		"prediction cache: 0 hits, 0 misses (0% hit rate)\n"+
+		"lint findings: 0 errors, 0 warnings, 0 notes\n"+
+		"analysis time: no analyses\nbatch wall time: 0s\n" {
+		t.Errorf("empty stats footer:\n%s", out)
 	}
 }
 

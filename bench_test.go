@@ -212,7 +212,7 @@ func BenchmarkFleetAnalyze(b *testing.B) {
 			run(b, fl)
 		}
 		b.ReportMetric(jobsPerOp*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-		b.ReportMetric(100*fl.Stats().HitRate(), "cache-hit-%")
+		b.ReportMetric(100*fl.Stats().CacheHitRate, "cache-hit-%")
 	})
 }
 

@@ -458,6 +458,10 @@ const maxReplyBytes = 64 << 20
 
 var errReplyTooLarge = fmt.Errorf("reply exceeds the %d MiB limit", maxReplyBytes>>20)
 
+// maxMetricsBytes bounds one worker's /metrics reply, a few KiB in
+// practice; a worker whose reply exceeds it is left out of the merged view.
+const maxMetricsBytes = 1 << 20
+
 // readReply reads a reply body whole into one buffer. Content-Length only
 // sizes the buffer — a worker that announces its length costs one
 // allocation and no regrowth; the limit holds for what is announced and,
@@ -646,12 +650,12 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer resp.Body.Close()
+			defer drain(resp.Body)
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			if json.NewDecoder(resp.Body).Decode(&snaps[i]) == nil {
-				oks[i] = true
-			}
+			body, err := readReply(resp, maxMetricsBytes)
+			oks[i] = err == nil && json.Unmarshal(body, &snaps[i]) == nil
 		}(i, ws)
 	}
 	wg.Wait()

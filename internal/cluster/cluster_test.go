@@ -690,6 +690,36 @@ func TestClusterOversizeReplyIsNamed(t *testing.T) {
 	checkAllFailFinally(t, coord, a, b, hits, ": reply exceeds the 64 MiB limit")
 }
 
+// TestClusterMetricsReplyBounded: the coordinator reads a worker's
+// /metrics through the reply cap, so a well-formed reply over 1 MiB is
+// left out of the merged view rather than decoded whole.
+func TestClusterMetricsReplyBounded(t *testing.T) {
+	worker := func(total int64, trainErr string) string {
+		var snap server.MetricsSnapshot
+		snap.Requests = map[string]server.RouteStats{"analyze": {Total: total, OK: total}}
+		snap.Model.TrainError = trainErr
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			server.WriteJSON(w, http.StatusOK, snap)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	c, err := New(Config{Workers: []string{worker(1, ""), worker(2, strings.Repeat("x", 1<<20))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var snap Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("metrics not JSON (%d): %v", rec.Code, err)
+	}
+	if got := snap.Merged.Requests["analyze"].Total; got != 1 || snap.Merged.Model.TrainError != "" {
+		t.Errorf("merged %d analyze requests (train error %d bytes); want 1 — the oversize reply merged",
+			got, len(snap.Merged.Model.TrainError))
+	}
+}
+
 // TestReadReply: the announced length sizes the buffer and nothing more;
 // the limit holds for what arrives, announced or not.
 func TestReadReply(t *testing.T) {

@@ -85,18 +85,12 @@ type ScaleoutModel struct {
 	Train []ScaleoutSample
 }
 
-// BuildScaleoutDataset measures knee core counts for synthesized programs
-// across workloads.
-func BuildScaleoutDataset(cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
-	return BuildScaleoutDatasetContext(context.Background(), cfg, pred)
-}
-
-// BuildScaleoutDatasetContext is BuildScaleoutDataset with cancellation,
-// checked once per training program (each program is a bounded
-// profile-and-sweep unit of a few milliseconds). Programs are generated,
-// profiled, and swept in parallel; each is derived from a per-index seed
-// and lands in its index's slot, so the dataset is identical — in content
-// and order — for any GOMAXPROCS.
+// BuildScaleoutDatasetContext measures knee core counts for synthesized
+// programs across workloads. Cancellation is checked once per training
+// program (each program is a bounded profile-and-sweep unit of a few
+// milliseconds). Programs are generated, profiled, and swept in parallel;
+// each is derived from a per-index seed and lands in its index's slot, so
+// the dataset is identical — in content and order — for any GOMAXPROCS.
 func BuildScaleoutDatasetContext(ctx context.Context, cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
 	cfg = cfg.norm()
 	perProg := make([][]ScaleoutSample, cfg.TrainPrograms)

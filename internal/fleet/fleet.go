@@ -123,7 +123,7 @@ type Fleet struct {
 	cfg     Config
 	cache   *memo.Store[predKey, *core.ModulePrediction]
 	results *memo.Store[resultKey, *analysed]
-	stats   *collector
+	stats   collector
 }
 
 // New builds a fleet around a trained tool.
@@ -137,7 +137,6 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 		cfg:     cfg,
 		cache:   memo.New[predKey, *core.ModulePrediction](predCacheCap),
 		results: memo.New[resultKey, *analysed](resultCacheCap),
-		stats:   newCollector(),
 	}, nil
 }
 
@@ -154,6 +153,7 @@ func (f *Fleet) Stats() Stats {
 	s := f.stats.snapshot()
 	s.Predictions, s.Results = f.cache.Stats(), f.results.Stats()
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = s.Predictions.Hits, s.Predictions.Misses, s.Predictions.Evictions
+	s.setHitRate()
 	return s
 }
 

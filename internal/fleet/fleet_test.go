@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,7 +152,7 @@ func TestFleetLibraryEightWorkers(t *testing.T) {
 		t.Errorf("cache: %d hits, %d misses, %d prewarmed; want 34, 17, 0",
 			s.CacheHits, s.CacheMisses, s.Prewarmed)
 	}
-	if got := s.HitRate(); got != 2.0/3.0 {
+	if got := s.CacheHitRate; got != 2.0/3.0 {
 		t.Errorf("hit rate %v, want 2/3", got)
 	}
 	perJob := 0
@@ -164,8 +167,8 @@ func TestFleetLibraryEightWorkers(t *testing.T) {
 	if got := fl.cache.Len(); got != 17 {
 		t.Errorf("cache holds %d entries, want 17", got)
 	}
-	if s.Analyses.N != int64(len(jobs)) || s.Analyses.Mean() <= 0 {
-		t.Errorf("histogram: n=%d mean=%s", s.Analyses.N, s.Analyses.Mean())
+	if s.Analyses.N != int64(len(jobs)) || s.Analyses.MeanMs <= 0 {
+		t.Errorf("histogram: n=%d mean=%vms", s.Analyses.N, s.Analyses.MeanMs)
 	}
 	if s.Wall <= 0 {
 		t.Error("no wall time recorded")
@@ -253,9 +256,41 @@ func TestFleetJobValidation(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge holds Merge to real observations: over random
+// duration sets A and B, the merge of a Hist's snapshot of A and one of B
+// is the snapshot of one Hist that observed A and B — counts, n, min and
+// max exactly, the mean to 1e-9 relative.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// Durations log-uniform over 1µs..4s, so every bucket, the overflow
+	// included, is hit.
+	draw := func() time.Duration { return time.Duration(1e3 * math.Exp(rng.Float64()*math.Log(4e6))) }
+	for trial := 0; trial < 200; trial++ {
+		var a, b, both Hist
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			d := draw()
+			a.Observe(d)
+			both.Observe(d)
+		}
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			d := draw()
+			b.Observe(d)
+			both.Observe(d)
+		}
+		got, want := a.Snapshot().Merge(b.Snapshot()), both.Snapshot()
+		if !reflect.DeepEqual(got.BoundsMs, want.BoundsMs) || !reflect.DeepEqual(got.Counts, want.Counts) ||
+			got.N != want.N || got.MinMs != want.MinMs || got.MaxMs != want.MaxMs {
+			t.Fatalf("trial %d: merged %+v\nwant %+v", trial, got, want)
+		}
+		if diff := math.Abs(got.MeanMs - want.MeanMs); diff > 1e-9*want.MeanMs {
+			t.Fatalf("trial %d: merged mean %v ms, want %v ms", trial, got.MeanMs, want.MeanMs)
+		}
+	}
+}
+
 // TestStatsRendering pins the stats snapshot arithmetic.
 func TestStatsRendering(t *testing.T) {
-	c := newCollector()
+	var c collector
 	c.record(Result{Elapsed: 1e6, CacheHit: true, Lint: analysis.Summary{Warnings: 1, Infos: 2}})
 	c.record(Result{Elapsed: 3e6, Lint: analysis.Summary{Errors: 1}})
 	c.record(Result{Elapsed: 2e9, Err: errors.New("x")})
@@ -269,13 +304,14 @@ func TestStatsRendering(t *testing.T) {
 		t.Errorf("collector counted cache lookups: %+v", s)
 	}
 	s.CacheHits, s.CacheMisses = 1, 2
+	s.setHitRate()
 	if s.LintErrors != 1 || s.LintWarnings != 1 || s.LintInfos != 2 {
 		t.Errorf("lint counts: %+v", s)
 	}
-	if got := s.HitRate(); got < 0.33 || got > 0.34 {
+	if got := s.CacheHitRate; got < 0.33 || got > 0.34 {
 		t.Errorf("hit rate %v", got)
 	}
-	if s.Analyses.N != 3 || s.Analyses.Max != 2e9 || s.Analyses.Min != 1e6 {
+	if s.Analyses.N != 3 || s.Analyses.MaxMs != 2000 || s.Analyses.MinMs != 1 {
 		t.Errorf("histogram: %+v", s.Analyses)
 	}
 	// Overflow bucket holds the 2s outlier.

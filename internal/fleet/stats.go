@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -30,24 +31,57 @@ var histBounds = [...]time.Duration{
 	time.Second,
 }
 
-// Histogram is a snapshot of the analysis wall-time distribution.
+// boundsMs is histBounds in milliseconds, the unit Histogram carries.
+var boundsMs = func() (out [len(histBounds)]float64) {
+	for i, b := range histBounds {
+		out[i] = ms(b)
+	}
+	return out
+}()
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// dur is the duration ms milliseconds stand for, to the nanosecond.
+func dur(ms float64) time.Duration { return time.Duration(math.Round(ms * float64(time.Millisecond))) }
+
+// Histogram is a wall-time distribution in milliseconds: a Hist's
+// snapshot, and as it is the /metrics form of one.
 type Histogram struct {
-	// Bounds[i] is the inclusive upper bound of Counts[i];
-	// Counts[len(Bounds)] is the overflow bucket.
-	Bounds []time.Duration
-	Counts []int64
-	Min    time.Duration
-	Max    time.Duration
-	Sum    time.Duration
-	N      int64
+	// BoundsMs[i] is the inclusive upper bound of Counts[i];
+	// Counts[len(BoundsMs)] is the overflow bucket.
+	BoundsMs []float64 `json:"bounds_ms"`
+	Counts   []int64   `json:"counts"`
+	N        int64     `json:"n"`
+	MinMs    float64   `json:"min_ms"`
+	MeanMs   float64   `json:"mean_ms"`
+	MaxMs    float64   `json:"max_ms"`
 }
 
-// Mean returns the mean analysis time.
-func (h Histogram) Mean() time.Duration {
+// Merge returns the distribution of h's and o's observations together.
+// Every Hist shares the standard bounds, so equal-length bucket slices
+// merge by adding counts; a dimension mismatch (a worker on a different
+// build) keeps h's buckets and only folds o's moments.
+func (h Histogram) Merge(o Histogram) Histogram {
 	if h.N == 0 {
-		return 0
+		return o
 	}
-	return h.Sum / time.Duration(h.N)
+	if o.N == 0 {
+		return h
+	}
+	out := Histogram{
+		BoundsMs: h.BoundsMs,
+		Counts:   append([]int64(nil), h.Counts...),
+		N:        h.N + o.N,
+		MinMs:    min(h.MinMs, o.MinMs),
+		MaxMs:    max(h.MaxMs, o.MaxMs),
+	}
+	if len(h.Counts) == len(o.Counts) {
+		for i := range out.Counts {
+			out.Counts[i] += o.Counts[i]
+		}
+	}
+	out.MeanMs = (h.MeanMs*float64(h.N) + o.MeanMs*float64(o.N)) / float64(out.N)
+	return out
 }
 
 // String renders the non-empty buckets compactly.
@@ -61,73 +95,139 @@ func (h Histogram) String() string {
 			continue
 		}
 		label := "+Inf"
-		if i < len(h.Bounds) {
-			label = "≤" + h.Bounds[i].String()
+		if i < len(h.BoundsMs) {
+			label = "≤" + dur(h.BoundsMs[i]).String()
 		}
 		parts = append(parts, fmt.Sprintf("%s:%d", label, c))
 	}
 	return fmt.Sprintf("n=%d min=%s mean=%s max=%s [%s]",
-		h.N, h.Min, h.Mean(), h.Max, strings.Join(parts, " "))
+		h.N, dur(h.MinMs), dur(h.MeanMs), dur(h.MaxMs), strings.Join(parts, " "))
 }
 
-// Stats is a consistent snapshot of a fleet's lifetime metrics.
+// Hist accumulates a wall-time histogram over the standard bucket bounds.
+// It takes no lock: its owner serializes access.
+type Hist struct {
+	counts        [len(histBounds) + 1]int64
+	min, max, sum time.Duration
+	n             int64
+}
+
+// Observe records one duration.
+func (h *Hist) Observe(d time.Duration) {
+	if h.n == 0 || d < h.min {
+		h.min = d
+	}
+	h.max = max(h.max, d)
+	h.sum += d
+	h.n++
+	i := 0
+	for i < len(histBounds) && d > histBounds[i] {
+		i++
+	}
+	h.counts[i]++
+}
+
+// Snapshot returns the distribution observed so far.
+func (h *Hist) Snapshot() Histogram {
+	out := Histogram{
+		BoundsMs: append([]float64(nil), boundsMs[:]...),
+		Counts:   append([]int64(nil), h.counts[:]...),
+		N:        h.n,
+		MinMs:    ms(h.min),
+		MaxMs:    ms(h.max),
+	}
+	if h.n > 0 {
+		out.MeanMs = ms(h.sum) / float64(h.n)
+	}
+	return out
+}
+
+// Stats is a consistent snapshot of a fleet's lifetime metrics, and as it
+// is the "fleet" member of /metrics.
 type Stats struct {
-	JobsCompleted int64
-	JobsFailed    int64
+	JobsCompleted int64 `json:"jobs_completed"`
+	JobsFailed    int64 `json:"jobs_failed"`
 	// JobsCanceled counts jobs that ended with a context error — either
 	// never dispatched after cancellation or aborted mid-analysis.
-	JobsCanceled int64
+	JobsCanceled int64 `json:"jobs_canceled"`
 	// JobsPanicked counts jobs whose analysis panicked (the panic is
 	// isolated per job; see Result.Panicked). Disjoint from JobsFailed.
-	JobsPanicked int64
+	JobsPanicked int64 `json:"jobs_panicked"`
 	// CacheHits and CacheMisses are the prediction store's lookup
 	// counters: a hit is a job that skipped the §3 computation and got a
 	// prediction, everything else — the computation itself, or sharing a
 	// failed one — is a miss.
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	// CacheHitRate is CacheHits over prediction lookups, in [0,1].
+	CacheHitRate float64 `json:"cache_hit_rate"`
 	// CacheEvictions counts prediction-store entries dropped by the LRU
 	// cap over the fleet's lifetime. A high rate relative to misses means
 	// the cap is smaller than the working set (each eviction is a future
 	// recompute), which in cluster mode reads as poor per-worker locality.
-	CacheEvictions int64
+	CacheEvictions int64 `json:"cache_evictions"`
 	// Predictions and Results are the two stores' own reports: lifetime
 	// hits, misses and evictions, and entries resident now. CacheHits,
 	// CacheMisses and CacheEvictions above repeat Predictions' counters
 	// under the names they have always had. Only jobs whose prediction
 	// lookup hit consult the result store, so Results' lookups are a subset
-	// of Predictions' hits.
-	Predictions memo.Stats
-	Results     memo.Stats
+	// of Predictions' hits. /metrics reports them under "stores".
+	Predictions memo.Stats `json:"-"`
+	Results     memo.Stats `json:"-"`
 	// Prewarmed is always 0: every prediction is computed by the job that
 	// first asks for it. The field stays because the benchmark harness
 	// (bench/doors.go) reads it.
-	Prewarmed int64
+	Prewarmed int64 `json:"prewarmed"`
 	// Lint findings across all completed jobs, by severity.
-	LintErrors   int64
-	LintWarnings int64
-	LintInfos    int64
+	LintErrors   int64 `json:"lint_errors"`
+	LintWarnings int64 `json:"lint_warnings"`
+	LintInfos    int64 `json:"lint_infos"`
 	// Taint classification across all completed jobs: payload-bounded
 	// loops and payload-keyed structures (from each NF's static state
 	// profile).
-	PayloadLoops        int64
-	PayloadKeyedStructs int64
+	PayloadLoops        int64 `json:"payload_loops"`
+	PayloadKeyedStructs int64 `json:"payload_keyed_structs"`
 	// Analyses is the per-analysis wall-time distribution.
-	Analyses Histogram
+	Analyses Histogram `json:"analysis_latency"`
 	// Stages is the stage clock's distribution over the fleet's jobs, one
-	// histogram per stage (the server stages stay empty here).
-	Stages [core.NStages]Histogram
+	// histogram per stage (the server stages stay empty here). /metrics
+	// reports it, by stage name, under "stages".
+	Stages [core.NStages]Histogram `json:"-"`
 	// Wall is the cumulative wall time of every Run call.
-	Wall time.Duration
+	Wall time.Duration `json:"-"`
 }
 
-// HitRate returns cache hits over prediction lookups, in [0,1].
-func (s Stats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
+// Add folds o into s: counters sum, distributions merge, and the hit rate
+// is recomputed over the summed lookups. A cluster's fleet is its
+// workers' Stats added up.
+func (s *Stats) Add(o Stats) {
+	s.JobsCompleted += o.JobsCompleted
+	s.JobsFailed += o.JobsFailed
+	s.JobsCanceled += o.JobsCanceled
+	s.JobsPanicked += o.JobsPanicked
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheEvictions += o.CacheEvictions
+	s.Predictions.Add(o.Predictions)
+	s.Results.Add(o.Results)
+	s.Prewarmed += o.Prewarmed
+	s.LintErrors += o.LintErrors
+	s.LintWarnings += o.LintWarnings
+	s.LintInfos += o.LintInfos
+	s.PayloadLoops += o.PayloadLoops
+	s.PayloadKeyedStructs += o.PayloadKeyedStructs
+	s.Analyses = s.Analyses.Merge(o.Analyses)
+	for i := range s.Stages {
+		s.Stages[i] = s.Stages[i].Merge(o.Stages[i])
 	}
-	return float64(s.CacheHits) / float64(total)
+	s.Wall += o.Wall
+	s.setHitRate()
+}
+
+func (s *Stats) setHitRate() {
+	if total := s.CacheHits + s.CacheMisses; total > 0 {
+		s.CacheHitRate = float64(s.CacheHits) / float64(total)
+	}
 }
 
 // String renders the snapshot as the CLI's stats footer.
@@ -142,7 +242,7 @@ func (s Stats) String() string {
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "prediction cache: %d hits, %d misses (%.0f%% hit rate)",
-		s.CacheHits, s.CacheMisses, 100*s.HitRate())
+		s.CacheHits, s.CacheMisses, 100*s.CacheHitRate)
 	if s.CacheEvictions > 0 {
 		fmt.Fprintf(&b, ", %d evicted", s.CacheEvictions)
 	}
@@ -158,112 +258,20 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// hist accumulates a wall-time histogram over the standard bucket
-// bounds; its owner serializes access.
-type hist struct {
-	counts [len(histBounds) + 1]int64
-	min    time.Duration
-	max    time.Duration
-	sum    time.Duration
-	n      int64
-}
-
-func (h *hist) observe(d time.Duration) {
-	if h.n == 0 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-	h.sum += d
-	h.n++
-	h.counts[bucket(d)]++
-}
-
-func (h *hist) snapshot() Histogram {
-	return Histogram{
-		Bounds: append([]time.Duration(nil), histBounds[:]...),
-		Counts: append([]int64(nil), h.counts[:]...),
-		Min:    h.min,
-		Max:    h.max,
-		Sum:    h.sum,
-		N:      h.n,
-	}
-}
-
-// HistCollector accumulates a wall-time histogram over the standard
-// bucket bounds; it is safe for concurrent use. The fleet's per-analysis
-// histogram and the serving layer's per-endpoint request-latency
-// histograms are both instances of it.
-type HistCollector struct {
-	mu sync.Mutex
-	h  hist
-}
-
-// NewHistCollector returns an empty histogram collector.
-func NewHistCollector() *HistCollector { return &HistCollector{} }
-
-// Observe records one duration.
-func (h *HistCollector) Observe(d time.Duration) {
-	h.mu.Lock()
-	h.h.observe(d)
-	h.mu.Unlock()
-}
-
-// Snapshot returns a consistent copy of the distribution.
-func (h *HistCollector) Snapshot() Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.snapshot()
-}
-
-// StageHistograms keeps one wall-time histogram per stage of the stage
-// clock, under one lock; it is safe for concurrent use. A stage's
-// histogram counts only the jobs or requests that spent time in it.
-type StageHistograms struct {
-	mu sync.Mutex
-	h  [core.NStages]hist
-}
-
-// Observe records every stage st spent time in.
-func (s *StageHistograms) Observe(st *core.Stages) {
-	s.mu.Lock()
-	for i, d := range st {
-		if d > 0 {
-			s.h[i].observe(d)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Snapshot returns every stage's distribution.
-func (s *StageHistograms) Snapshot() (out [core.NStages]Histogram) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.h {
-		out[i] = s.h[i].snapshot()
-	}
-	return out
-}
-
-// collector accumulates metrics under one mutex. Analysis latencies are
-// a few milliseconds, so a single lock per completed job is invisible
-// next to the work it measures and keeps snapshots trivially consistent.
-// The stage histograms keep their own.
+// collector accumulates metrics under one mutex, which a finished job
+// takes once. Analysis latencies are a few milliseconds, so a single lock
+// per completed job is invisible next to the work it measures and keeps
+// snapshots trivially consistent.
 type collector struct {
-	mu     sync.Mutex
-	s      Stats
-	stages StageHistograms
-	hist   *HistCollector
-}
-
-func newCollector() *collector {
-	return &collector{hist: NewHistCollector()}
+	mu       sync.Mutex
+	s        Stats
+	analyses Hist
+	stages   [core.NStages]Hist
 }
 
 func (c *collector) record(r Result) {
-	c.stages.Observe(&r.Stages)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case r.Panicked:
 		c.s.JobsPanicked++
@@ -279,8 +287,13 @@ func (c *collector) record(r Result) {
 	c.s.LintInfos += int64(r.Lint.Infos)
 	c.s.PayloadLoops += int64(r.PayloadLoops)
 	c.s.PayloadKeyedStructs += int64(r.PayloadKeyedStructs)
-	c.mu.Unlock()
-	c.hist.Observe(r.Elapsed)
+	c.analyses.Observe(r.Elapsed)
+	// A stage's histogram counts only the jobs that spent time in it.
+	for i, d := range r.Stages {
+		if d > 0 {
+			c.stages[i].Observe(d)
+		}
+	}
 }
 
 // recordSkipped accounts a job that was canceled before dispatch: it ran
@@ -291,15 +304,6 @@ func (c *collector) recordSkipped() {
 	c.mu.Unlock()
 }
 
-func bucket(d time.Duration) int {
-	for i, b := range histBounds {
-		if d <= b {
-			return i
-		}
-	}
-	return len(histBounds)
-}
-
 func (c *collector) addWall(d time.Duration) {
 	c.mu.Lock()
 	c.s.Wall += d
@@ -308,9 +312,11 @@ func (c *collector) addWall(d time.Duration) {
 
 func (c *collector) snapshot() Stats {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := c.s
-	c.mu.Unlock()
-	s.Stages = c.stages.Snapshot()
-	s.Analyses = c.hist.Snapshot()
+	s.Analyses = c.analyses.Snapshot()
+	for i := range c.stages {
+		s.Stages[i] = c.stages[i].Snapshot()
+	}
 	return s
 }

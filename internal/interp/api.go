@@ -420,16 +420,6 @@ func (m *Machine) vecOp(in *cInstr, block int) {
 
 // --- State inspection and seeding (element setup + tests) ---
 
-// SetScalar sets a scalar global.
-func (m *Machine) SetScalar(name string, v uint64) error {
-	gi, ok := m.gidx[name]
-	if !ok || m.gl[gi].g.Kind != ir.GScalar {
-		return fmt.Errorf("interp: no scalar global %q", name)
-	}
-	m.gl[gi].scalar = v
-	return nil
-}
-
 // Scalar reads a scalar global.
 func (m *Machine) Scalar(name string) (uint64, error) {
 	gi, ok := m.gidx[name]

@@ -324,7 +324,7 @@ func newLVNScratch(p *program) *lvnScratch {
 }
 
 // lvnBlock elides local loads. On the step engine local slot traffic is
-// unobservable (no OnLocal hooks, no counters, and fuel and Steps charge
+// unobservable (no hook or counter sees it, and fuel and Steps charge
 // by source size regardless), so a load whose result is only consumed
 // inside this block need not execute at all: its consumers read the slot
 // cell directly. The load is materialized late only where its elision

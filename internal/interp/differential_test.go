@@ -67,8 +67,6 @@ func transcript(e *click.Element, pkts []traffic.Packet, cfg interp.Config, hook
 			OnState: func(global string, store bool, addr uint64, block int) {
 				fmt.Fprintf(&b, "S(%s,%v,%d,%d) ", global, store, addr, block)
 			},
-			OnLocal:   func(store bool, block int) { fmt.Fprintf(&b, "L(%v,%d) ", store, block) },
-			OnCompute: func(block, n int) { fmt.Fprintf(&b, "C(%d,%d) ", block, n) },
 			OnAPI: func(name, global string, probes int, addr uint64, block int) {
 				fmt.Fprintf(&b, "A(%s,%s,%d,%d,%d) ", name, global, probes, addr, block)
 			},

@@ -69,11 +69,6 @@ type Hooks struct {
 	// OnState fires for each stateful global access (GLoad/GStore); addr
 	// is the element index for arrays (0 for scalars).
 	OnState func(global string, store bool, addr uint64, block int)
-	// OnLocal fires for each local slot access (stateless traffic).
-	OnLocal func(store bool, block int)
-	// OnCompute fires once per block with the count of compute
-	// instructions retired in that visit.
-	OnCompute func(block, n int)
 	// OnAPI fires for each framework API call. probes carries the call's
 	// dynamic work: slot probes for map APIs, bytes processed for
 	// checksum/CRC, 0 otherwise. addr localizes the access (bucket base
@@ -254,11 +249,9 @@ type cInstr struct {
 }
 
 type cBlock struct {
-	instrs   []cInstr
-	nCompute int
-	// size is the source IR instruction count; fuel, Steps and the
-	// compute hooks are charged by it, so fusion never changes the
-	// observable cost model.
+	instrs []cInstr
+	// size is the source IR instruction count; fuel and Steps are charged
+	// by it, so fusion never changes the observable cost model.
 	size int
 }
 
@@ -375,9 +368,6 @@ func compileModule(mod *ir.Module) (*program, error) {
 		cb.size = len(b.Instrs)
 		for k := 0; k < len(b.Instrs); k++ {
 			in := b.Instrs[k]
-			if in.Op.IsCompute() {
-				cb.nCompute++
-			}
 			ci, err := c.compileInstr(in)
 			if err != nil {
 				return nil, fmt.Errorf("interp: %s: %w", mod.Name, err)
@@ -940,8 +930,7 @@ func (m *Machine) RunPacket(p *traffic.Packet) error {
 	if m.regs == nil {
 		panic("interp: RunPacket on a released Machine")
 	}
-	if h := &m.hooks; h.OnBlock != nil || h.OnState != nil || h.OnLocal != nil ||
-		h.OnCompute != nil || h.OnAPI != nil {
+	if h := &m.hooks; h.OnBlock != nil || h.OnState != nil || h.OnAPI != nil {
 		return m.runReference(p)
 	}
 	return m.runSteps(m.prog.lowering(), p)
@@ -970,9 +959,6 @@ func (m *Machine) reference(bi int) error {
 			m.hooks.OnBlock(bi)
 		}
 		cb := &m.blocks[bi]
-		if m.hooks.OnCompute != nil && cb.nCompute > 0 {
-			m.hooks.OnCompute(bi, cb.nCompute)
-		}
 		// Fuel and Steps are charged per block, by source IR instruction
 		// count (cb.size — fusion does not change the cost model). Blocks
 		// always retire in full — the terminator (Ret/Br/CondBr) is the
@@ -1040,14 +1026,8 @@ func (m *Machine) reference(bi int) error {
 				}
 			case xLLoad:
 				vals[in.id] = m.slots[in.slot]
-				if m.hooks.OnLocal != nil {
-					m.hooks.OnLocal(false, bi)
-				}
 			case xLStore:
 				m.slots[in.slot] = vals[in.a0] & in.mask
-				if m.hooks.OnLocal != nil {
-					m.hooks.OnLocal(true, bi)
-				}
 			case xGLoadS:
 				vals[in.id] = m.gl[in.gidx].scalar
 				if m.ctr != nil {

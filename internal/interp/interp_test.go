@@ -218,12 +218,10 @@ func TestHooksFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blocks, state, local, api, compute int
+	var blocks, state, api int
 	m.SetHooks(Hooks{
-		OnBlock:   func(int) { blocks++ },
-		OnState:   func(string, bool, uint64, int) { state++ },
-		OnLocal:   func(bool, int) { local++ },
-		OnCompute: func(_, n int) { compute += n },
+		OnBlock: func(int) { blocks++ },
+		OnState: func(string, bool, uint64, int) { state++ },
 		OnAPI: func(name, global string, probes int, _ uint64, _ int) {
 			api++
 			if name == "map_insert" && global != "nat" {
@@ -238,9 +236,8 @@ func TestHooksFire(t *testing.T) {
 	if err := m.RunPacket(&p); err != nil {
 		t.Fatal(err)
 	}
-	if blocks == 0 || state == 0 || local == 0 || api == 0 || compute == 0 {
-		t.Errorf("hooks missed events: blocks=%d state=%d local=%d api=%d compute=%d",
-			blocks, state, local, api, compute)
+	if blocks == 0 || state == 0 || api == 0 {
+		t.Errorf("hooks missed events: blocks=%d state=%d api=%d", blocks, state, api)
 	}
 }
 

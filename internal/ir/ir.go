@@ -324,9 +324,6 @@ type Instr struct {
 	Pos Pos
 }
 
-// Uses returns the operand values of the instruction.
-func (in *Instr) Uses() []Value { return in.Args }
-
 func (in *Instr) String() string { return string(in.appendTo(nil)) }
 
 // appendTo appends the instruction's printed form to b.
@@ -431,9 +428,6 @@ type Func struct {
 	NumVals int // number of SSA values (instruction IDs are [0, NumVals))
 	NSlots  int // number of local stack slots
 }
-
-// Entry returns the entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
 
 // Preds computes the predecessor lists of all blocks.
 func (f *Func) Preds() [][]int {

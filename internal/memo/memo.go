@@ -20,10 +20,11 @@ var ErrPanicked = errors.New("memo: computation panicked")
 // Counts is a snapshot of a store's lifetime counters. Every Get is
 // exactly one hit or one miss.
 type Counts struct {
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped by the cap — not failed
 	// computations, which are dropped so the next Get retries them.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 }
 
 // Store memoizes compute results by key under an LRU entry cap. Safe for
@@ -132,10 +133,18 @@ func (s *Store[K, V]) Counts() Counts {
 }
 
 // Stats is what a store reports about itself: the lifetime counters and
-// how many entries are resident now.
+// how many entries are resident now. It is also a store's /metrics form.
 type Stats struct {
 	Counts
-	Resident int
+	Resident int `json:"resident"`
+}
+
+// Add folds o into s, so several stores — a cluster's, say — read as one.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Resident += o.Resident
 }
 
 // Stats returns the counters and the resident count.

@@ -108,16 +108,3 @@ func (nf *NF) Build(params Params) (*Built, error) {
 	}
 	return b, nil
 }
-
-// regionOf returns the placed region of a global (PktMeta pins to CTM).
-func (b *Built) regionOf(name string) isa.Region {
-	if name == niccc.PktMeta {
-		return isa.CTM
-	}
-	for i, g := range b.NF.Mod.Globals {
-		if g.Name == name {
-			return b.place[i]
-		}
-	}
-	return isa.EMEM
-}

@@ -26,74 +26,6 @@ type RouteStats struct {
 	Canceled     int64 `json:"canceled"`      // client disconnected
 }
 
-// HistogramJSON is a latency histogram in milliseconds — the /metrics
-// rendering of a fleet.Histogram.
-type HistogramJSON struct {
-	// BoundsMs[i] is the inclusive upper bound of Counts[i];
-	// Counts[len(BoundsMs)] is the overflow bucket.
-	BoundsMs []float64 `json:"bounds_ms"`
-	Counts   []int64   `json:"counts"`
-	N        int64     `json:"n"`
-	MinMs    float64   `json:"min_ms"`
-	MeanMs   float64   `json:"mean_ms"`
-	MaxMs    float64   `json:"max_ms"`
-}
-
-func histJSON(h fleet.Histogram) HistogramJSON {
-	out := HistogramJSON{
-		Counts: h.Counts,
-		N:      h.N,
-		MinMs:  ms(h.Min),
-		MeanMs: ms(h.Mean()),
-		MaxMs:  ms(h.Max),
-	}
-	for _, b := range h.Bounds {
-		out.BoundsMs = append(out.BoundsMs, ms(b))
-	}
-	return out
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// FleetStats is the /metrics rendering of fleet.Stats.
-type FleetStats struct {
-	JobsCompleted  int64   `json:"jobs_completed"`
-	JobsFailed     int64   `json:"jobs_failed"`
-	JobsCanceled   int64   `json:"jobs_canceled"`
-	JobsPanicked   int64   `json:"jobs_panicked"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	// Prewarmed is always 0, like fleet.Stats.Prewarmed; the benchmark
-	// harness reads it.
-	Prewarmed    int64 `json:"prewarmed"`
-	LintErrors   int64 `json:"lint_errors"`
-	LintWarnings int64 `json:"lint_warnings"`
-	LintInfos    int64 `json:"lint_infos"`
-	// Taint classification totals across analyzed jobs: loops bounded by
-	// payload bytes and structures keyed by payload-derived values.
-	PayloadLoops        int64         `json:"payload_loops"`
-	PayloadKeyedStructs int64         `json:"payload_keyed_structs"`
-	AnalysisLatency     HistogramJSON `json:"analysis_latency"`
-}
-
-// StoreStats is the /metrics rendering of one keyed store (memo.Stats).
-type StoreStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Resident  int   `json:"resident"`
-}
-
-func storeJSON(s memo.Stats) StoreStats {
-	return StoreStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Resident: s.Resident}
-}
-
-func (a StoreStats) plus(b StoreStats) StoreStats {
-	return StoreStats{a.Hits + b.Hits, a.Misses + b.Misses, a.Evictions + b.Evictions, a.Resident + b.Resident}
-}
-
 // ModelStats is the /metrics rendering of the served model's
 // provenance: whether the server has a model at all (false while a
 // Train-configured server is still in its startup training run), where
@@ -119,14 +51,14 @@ type MetricsSnapshot struct {
 		Capacity int `json:"capacity"`
 	} `json:"queue"`
 	// Latency is the per-endpoint request wall-time distribution.
-	Latency map[string]HistogramJSON `json:"latency"`
+	Latency map[string]fleet.Histogram `json:"latency"`
 	// Stages is the stage clock, by stage name: the per-job stages of
 	// every analysis job, and the server stages of every analyze request.
 	// A job or request is counted in a stage only if it spent time there.
-	Stages map[string]HistogramJSON `json:"stages"`
+	Stages map[string]fleet.Histogram `json:"stages"`
 	// Fleet is the analysis pool's lifetime stats (per-job, not
 	// per-request: one batch request contributes many jobs).
-	Fleet FleetStats `json:"fleet"`
+	Fleet fleet.Stats `json:"fleet"`
 	// Stores reports every keyed store on one schema, so "which store
 	// answered" reads off one place: the fleet's §3 predictions and whole
 	// results (a result hit is a job that ran no analysis at all; only
@@ -134,42 +66,42 @@ type MetricsSnapshot struct {
 	// process-wide compiled programs and traffic traces, which servers
 	// sharing a process also share and each report in full.
 	Stores struct {
-		Prediction StoreStats `json:"prediction"`
-		Result     StoreStats `json:"result"`
-		Program    StoreStats `json:"program"`
-		Trace      StoreStats `json:"trace"`
+		Prediction memo.Stats `json:"prediction"`
+		Result     memo.Stats `json:"result"`
+		Program    memo.Stats `json:"program"`
+		Trace      memo.Stats `json:"trace"`
 	} `json:"stores"`
 }
 
 // metrics accumulates per-route counters and latency histograms, and
-// the stage clock's server stages (its jobs' stages are the fleet's).
+// the stage clock's server stages (its jobs' stages are the fleet's),
+// under one mutex that a request takes once.
 type metrics struct {
 	mu     sync.Mutex
 	start  time.Time
 	routes map[string]*RouteStats
-	lat    map[string]*fleet.HistCollector
-	stages fleet.StageHistograms
+	lat    map[string]*fleet.Hist
+	stages [core.NStages]fleet.Hist
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		start:  time.Now(),
 		routes: make(map[string]*RouteStats),
-		lat:    make(map[string]*fleet.HistCollector),
+		lat:    make(map[string]*fleet.Hist),
 	}
 }
 
-func (m *metrics) observe(route string, status int, d time.Duration) {
+// observe records one request: its outcome and wall time under route,
+// and every server stage st spent time in.
+func (m *metrics) observe(route string, status int, d time.Duration, st *core.Stages) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	rs := m.routes[route]
 	if rs == nil {
 		rs = &RouteStats{}
 		m.routes[route] = rs
-	}
-	h := m.lat[route]
-	if h == nil {
-		h = fleet.NewHistCollector()
-		m.lat[route] = h
+		m.lat[route] = &fleet.Hist{}
 	}
 	rs.Total++
 	switch {
@@ -184,76 +116,57 @@ func (m *metrics) observe(route string, status int, d time.Duration) {
 	default:
 		rs.OK++
 	}
-	m.mu.Unlock()
-	h.Observe(d)
+	m.lat[route].Observe(d)
+	for i, sd := range st {
+		if sd > 0 {
+			m.stages[i].Observe(sd)
+		}
+	}
 }
 
 func (m *metrics) snapshot(fs fleet.Stats, queueDepth, queueCap int) MetricsSnapshot {
 	out := MetricsSnapshot{
 		Requests: make(map[string]RouteStats),
-		Latency:  make(map[string]HistogramJSON),
-		Stages:   make(map[string]HistogramJSON, core.NStages),
-	}
-	// Job stages are the fleet's, server stages the requests'.
-	srv := m.stages.Snapshot()
-	for s := core.Stage(0); s < core.NStages; s++ {
-		h := fs.Stages[s]
-		if s >= core.NJobStages {
-			h = srv[s]
-		}
-		out.Stages[s.String()] = histJSON(h)
+		Latency:  make(map[string]fleet.Histogram),
+		Stages:   make(map[string]fleet.Histogram, core.NStages),
+		Fleet:    fs,
 	}
 	m.mu.Lock()
 	out.UptimeSeconds = time.Since(m.start).Seconds()
 	for route, rs := range m.routes {
 		out.Requests[route] = *rs
+		out.Latency[route] = m.lat[route].Snapshot()
 	}
-	hists := make(map[string]*fleet.HistCollector, len(m.lat))
-	for route, h := range m.lat {
-		hists[route] = h
+	// Job stages are the fleet's, server stages the requests'.
+	for s := core.Stage(0); s < core.NStages; s++ {
+		h := fs.Stages[s]
+		if s >= core.NJobStages {
+			h = m.stages[s].Snapshot()
+		}
+		out.Stages[s.String()] = h
 	}
 	m.mu.Unlock()
-	for route, h := range hists {
-		out.Latency[route] = histJSON(h.Snapshot())
-	}
 	out.Queue.Depth = queueDepth
 	out.Queue.Capacity = queueCap
-	out.Fleet = FleetStats{
-		JobsCompleted:       fs.JobsCompleted,
-		JobsFailed:          fs.JobsFailed,
-		JobsCanceled:        fs.JobsCanceled,
-		JobsPanicked:        fs.JobsPanicked,
-		CacheHits:           fs.CacheHits,
-		CacheMisses:         fs.CacheMisses,
-		CacheHitRate:        fs.HitRate(),
-		CacheEvictions:      fs.CacheEvictions,
-		Prewarmed:           fs.Prewarmed,
-		LintErrors:          fs.LintErrors,
-		LintWarnings:        fs.LintWarnings,
-		LintInfos:           fs.LintInfos,
-		PayloadLoops:        fs.PayloadLoops,
-		PayloadKeyedStructs: fs.PayloadKeyedStructs,
-		AnalysisLatency:     histJSON(fs.Analyses),
-	}
-	out.Stores.Prediction = storeJSON(fs.Predictions)
-	out.Stores.Result = storeJSON(fs.Results)
-	out.Stores.Program = storeJSON(interp.ProgramStoreStats())
-	out.Stores.Trace = storeJSON(traffic.TraceStoreStats())
+	out.Stores.Prediction = fs.Predictions
+	out.Stores.Result = fs.Results
+	out.Stores.Program = interp.ProgramStoreStats()
+	out.Stores.Trace = traffic.TraceStoreStats()
 	return out
 }
 
 // MergeSnapshots folds per-worker /metrics snapshots into one
-// cluster-wide view: route, fleet and store counters sum, latency
-// histograms merge bucket-wise (workers share HistCollector's fixed
-// bounds), queue depth/capacity add across workers, and the model is
-// Ready only when every worker's is. Uptime is the minimum across
-// workers — the window for which all counters have been accumulating.
-// The cluster coordinator serves this from its own /metrics endpoint.
+// cluster-wide view: route counters sum, and the fleet, its histograms and
+// the stores fold by their own Add and Merge; queue depth/capacity add
+// across workers, and the model is Ready only when every worker's is.
+// Uptime is the minimum across workers — the window for which all
+// counters have been accumulating. The cluster coordinator serves this
+// from its own /metrics endpoint.
 func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 	out := MetricsSnapshot{
 		Requests: make(map[string]RouteStats),
-		Latency:  make(map[string]HistogramJSON),
-		Stages:   make(map[string]HistogramJSON),
+		Latency:  make(map[string]fleet.Histogram),
+		Stages:   make(map[string]fleet.Histogram),
 	}
 	if len(snaps) == 0 {
 		return out
@@ -289,77 +202,20 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 			out.Requests[route] = acc
 		}
 		for route, h := range s.Latency {
-			out.Latency[route] = mergeHist(out.Latency[route], h)
+			out.Latency[route] = out.Latency[route].Merge(h)
 		}
 		for stage, h := range s.Stages {
-			out.Stages[stage] = mergeHist(out.Stages[stage], h)
+			out.Stages[stage] = out.Stages[stage].Merge(h)
 		}
 		out.Queue.Depth += s.Queue.Depth
 		out.Queue.Capacity += s.Queue.Capacity
-		out.Fleet = mergeFleet(out.Fleet, s.Fleet)
-		out.Stores.Prediction = out.Stores.Prediction.plus(s.Stores.Prediction)
-		out.Stores.Result = out.Stores.Result.plus(s.Stores.Result)
-		out.Stores.Program = out.Stores.Program.plus(s.Stores.Program)
-		out.Stores.Trace = out.Stores.Trace.plus(s.Stores.Trace)
-	}
-	total := out.Fleet.CacheHits + out.Fleet.CacheMisses
-	if total > 0 {
-		out.Fleet.CacheHitRate = float64(out.Fleet.CacheHits) / float64(total)
+		out.Fleet.Add(s.Fleet)
+		out.Stores.Prediction.Add(s.Stores.Prediction)
+		out.Stores.Result.Add(s.Stores.Result)
+		out.Stores.Program.Add(s.Stores.Program)
+		out.Stores.Trace.Add(s.Stores.Trace)
 	}
 	return out
-}
-
-// mergeHist adds histogram b into a. Bounds come from the shared
-// HistCollector bucket layout, so equal-length bound slices merge by
-// adding counts; a dimension mismatch (a worker on a different build)
-// keeps a's buckets and only folds b's scalar moments.
-func mergeHist(a, b HistogramJSON) HistogramJSON {
-	if a.N == 0 {
-		return b
-	}
-	if b.N == 0 {
-		return a
-	}
-	out := HistogramJSON{
-		BoundsMs: a.BoundsMs,
-		Counts:   append([]int64(nil), a.Counts...),
-	}
-	if len(a.Counts) == len(b.Counts) {
-		for i := range out.Counts {
-			out.Counts[i] += b.Counts[i]
-		}
-	}
-	out.N = a.N + b.N
-	out.MinMs = a.MinMs
-	if b.MinMs < out.MinMs {
-		out.MinMs = b.MinMs
-	}
-	out.MaxMs = a.MaxMs
-	if b.MaxMs > out.MaxMs {
-		out.MaxMs = b.MaxMs
-	}
-	out.MeanMs = (a.MeanMs*float64(a.N) + b.MeanMs*float64(b.N)) / float64(out.N)
-	return out
-}
-
-// mergeFleet sums b's counters into a. CacheHitRate is recomputed by
-// the caller once all workers are folded in.
-func mergeFleet(a, b FleetStats) FleetStats {
-	a.JobsCompleted += b.JobsCompleted
-	a.JobsFailed += b.JobsFailed
-	a.JobsCanceled += b.JobsCanceled
-	a.JobsPanicked += b.JobsPanicked
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheEvictions += b.CacheEvictions
-	a.Prewarmed += b.Prewarmed
-	a.LintErrors += b.LintErrors
-	a.LintWarnings += b.LintWarnings
-	a.LintInfos += b.LintInfos
-	a.PayloadLoops += b.PayloadLoops
-	a.PayloadKeyedStructs += b.PayloadKeyedStructs
-	a.AnalysisLatency = mergeHist(a.AnalysisLatency, b.AnalysisLatency)
-	return a
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -359,25 +359,26 @@ func resultJSON(res *fleet.Result) ([]byte, error) {
 	return append(out, '}'), nil
 }
 
-// observed runs a handler — which returns the status it answered — and
-// records the request under route with its real wall time, whatever the
-// outcome: a 504 enters the latency histogram at its timeout, not at zero.
-func (s *Server) observed(route string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
+// observed runs a handler — which returns the status it answered and
+// charges the server's own stages to st — and records the request under
+// route with its real wall time, whatever the outcome: a 504 enters the
+// latency histogram at its timeout, not at zero. The request's jobs'
+// stages are the fleet's to record.
+func (s *Server) observed(route string, h func(http.ResponseWriter, *http.Request, *core.Stages) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		var st core.Stages
 		start := time.Now()
-		s.met.observe(route, h(w, r), time.Since(start))
+		status := h(w, r, &st)
+		s.met.observe(route, status, time.Since(start), &st)
 	}
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, st *core.Stages) int {
 	fl, status := s.gate(w)
 	if fl == nil {
 		return status
 	}
-	// The server's own stages; its jobs' stages are the fleet's to record.
-	var st core.Stages
-	defer s.met.stages.Observe(&st)
-	clk := core.StartClock(&st)
+	clk := core.StartClock(st)
 	var req AnalyzeRequest
 	if err := DecodeBody(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
@@ -490,7 +491,7 @@ type LintResponse struct {
 	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
 }
 
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleLint(w http.ResponseWriter, r *http.Request, _ *core.Stages) int {
 	// Lint is static, but its thresholds come from the trained tool's
 	// hardware model — it waits for readiness like analyze does.
 	if fl, status := s.gate(w); fl == nil {
@@ -528,7 +529,7 @@ type elementInfo struct {
 	Stateful bool   `json:"stateful"`
 }
 
-func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleElements(w http.ResponseWriter, r *http.Request, _ *core.Stages) int {
 	var out []elementInfo
 	for _, e := range click.Library() {
 		out = append(out, elementInfo{Name: e.Name, Desc: e.Desc, LoC: e.LoC(), Stateful: e.Stateful})

@@ -19,6 +19,7 @@ import (
 	"clara/internal/core"
 	"clara/internal/fleet"
 	"clara/internal/interp"
+	"clara/internal/memo"
 	"clara/internal/nicsim"
 	"clara/internal/synth"
 )
@@ -502,6 +503,11 @@ func TestRetryAfterScalesWithOccupancy(t *testing.T) {
 	wg.Wait()
 }
 
+// store is one keyed store's report.
+func store(hits, misses, evictions int64, resident int) memo.Stats {
+	return memo.Stats{Counts: memo.Counts{Hits: hits, Misses: misses, Evictions: evictions}, Resident: resident}
+}
+
 // TestMergeSnapshots checks the cluster metric fold: counters sum,
 // histograms merge bucket-wise with correct moments, hit rate is
 // recomputed over the merged counters, readiness requires every worker,
@@ -514,19 +520,19 @@ func TestMergeSnapshots(t *testing.T) {
 		s.Requests = map[string]RouteStats{
 			"analyze": {Total: 10, OK: 8, Rejected: 1, ServerErrors: 1},
 		}
-		s.Latency = map[string]HistogramJSON{
+		s.Latency = map[string]fleet.Histogram{
 			"analyze": {BoundsMs: []float64{1, 5}, Counts: []int64{3, 4, 3}, N: 10, MinMs: 0.5, MeanMs: 2, MaxMs: 9},
 		}
 		s.Queue.Depth = 1
 		s.Queue.Capacity = 4
-		s.Fleet = FleetStats{
+		s.Fleet = fleet.Stats{
 			JobsCompleted: 9, JobsFailed: 1,
 			CacheHits: hits, CacheMisses: misses, CacheEvictions: 2,
 		}
-		s.Stores.Prediction = StoreStats{Hits: hits, Misses: misses, Evictions: 2, Resident: 5}
-		s.Stores.Result = StoreStats{Hits: 3, Misses: 1, Resident: 1}
-		s.Stores.Program = StoreStats{Misses: 7, Resident: 7}
-		s.Stores.Trace = StoreStats{Hits: 9, Misses: 3, Resident: 3}
+		s.Stores.Prediction = store(hits, misses, 2, 5)
+		s.Stores.Result = store(3, 1, 0, 1)
+		s.Stores.Program = store(0, 7, 0, 7)
+		s.Stores.Trace = store(9, 3, 0, 3)
 		return s
 	}
 	a := mk(100, 6, 4, true, "aaaa")
@@ -556,10 +562,10 @@ func TestMergeSnapshots(t *testing.T) {
 		t.Errorf("merged model: %+v", m.Model)
 	}
 	wantStores := a.Stores
-	wantStores.Prediction = StoreStats{Hits: 8, Misses: 12, Evictions: 4, Resident: 10}
-	wantStores.Result = StoreStats{Hits: 6, Misses: 2, Resident: 2}
-	wantStores.Program = StoreStats{Misses: 14, Resident: 14}
-	wantStores.Trace = StoreStats{Hits: 18, Misses: 6, Resident: 6}
+	wantStores.Prediction = store(8, 12, 4, 10)
+	wantStores.Result = store(6, 2, 0, 2)
+	wantStores.Program = store(0, 14, 0, 14)
+	wantStores.Trace = store(18, 6, 0, 6)
 	if m.Stores != wantStores {
 		t.Errorf("merged stores: %+v, want %+v", m.Stores, wantStores)
 	}
@@ -614,17 +620,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Fleet.CacheHits != 1 || snap.Fleet.CacheHitRate <= 0 {
 		t.Errorf("fleet cache: hits=%d rate=%v", snap.Fleet.CacheHits, snap.Fleet.CacheHitRate)
 	}
-	if snap.Fleet.JobsCompleted != 2 || snap.Fleet.AnalysisLatency.N != 2 {
+	if snap.Fleet.JobsCompleted != 2 || snap.Fleet.Analyses.N != 2 {
 		t.Errorf("fleet jobs: %+v", snap.Fleet)
 	}
 	// Every store on one schema. The second request's prediction hit took
 	// it to the result store, where it missed and was kept; the program
 	// and trace stores are the process's, so other tests' lookups are in
 	// them too.
-	if want := (StoreStats{Hits: 1, Misses: 1, Resident: 1}); snap.Stores.Prediction != want {
+	if want := store(1, 1, 0, 1); snap.Stores.Prediction != want {
 		t.Errorf("prediction store: %+v, want %+v", snap.Stores.Prediction, want)
 	}
-	if want := (StoreStats{Misses: 1, Resident: 1}); snap.Stores.Result != want {
+	if want := store(0, 1, 0, 1); snap.Stores.Result != want {
 		t.Errorf("result store: %+v, want %+v", snap.Stores.Result, want)
 	}
 	if snap.Stores.Program.Resident < 1 || snap.Stores.Trace.Hits+snap.Stores.Trace.Misses < 2 {
@@ -679,12 +685,22 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestConcurrentRequests hammers the server with parallel analyze and
-// lint requests — the -race run for the whole serving stack.
+// lint requests, and reads /metrics while they run — the -race run for
+// the whole serving stack.
 func TestConcurrentRequests(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueDepth: 32})
 	var wg sync.WaitGroup
 	names := []string{"tcpack", "aggcounter", "udpipencap", "forcetcp"}
 	errs := make(chan string, 64)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := getPath(t, s.Handler(), "/metrics"); rec.Code != http.StatusOK {
+				errs <- fmt.Sprintf("metrics: %d", rec.Code)
+			}
+		}()
+	}
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -711,6 +727,13 @@ func TestConcurrentRequests(t *testing.T) {
 	// 3 distinct modules, so exactly 3 predictions are computed.
 	if fs := s.fl.Stats(); fs.JobsCompleted != 12 || fs.CacheMisses != 3 {
 		t.Errorf("fleet stats after hammer: %+v", fs)
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(getPath(t, s.Handler(), "/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := snap.Latency["analyze"].N, snap.Stages["decode"].N; n != 12 || d != 12 {
+		t.Errorf("after hammer: %d analyze latencies, %d decode stages; want 12 each", n, d)
 	}
 }
 

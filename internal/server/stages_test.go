@@ -18,7 +18,7 @@ func TestStageClockCoversElapsed(t *testing.T) {
 		t.Fatalf("analyze: %d %s", rec.Code, rec.Body.String())
 	}
 	snap := metricsSnap(t, s.Handler())
-	elapsed := snap.Fleet.AnalysisLatency
+	elapsed := snap.Fleet.Analyses
 	if elapsed.N != 1 {
 		t.Fatalf("%d analyses recorded, want 1", elapsed.N)
 	}

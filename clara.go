@@ -158,8 +158,9 @@ func Elements() []*Element { return click.Library() }
 func GetElement(name string) *Element { return click.Get(name) }
 
 // TrainConfig sizes Tool training. Corpus synthesis, compilation,
-// scale-out measurement and minibatch gradients run on up to GOMAXPROCS
-// goroutines; the trained tool is bit-identical for any GOMAXPROCS.
+// scale-out knee measurement and minibatch gradients run on up to
+// GOMAXPROCS goroutines; the trained tool is bit-identical for any
+// GOMAXPROCS.
 type TrainConfig struct {
 	// Quick trades accuracy for speed (tests, demos).
 	Quick bool
@@ -175,7 +176,10 @@ func Train(cfg TrainConfig) (*Tool, error) {
 
 // TrainContext is Train under a context: cancellation is observed
 // between training steps and inside the LSTM epoch loop, so a serving
-// process interrupted during startup stops training promptly.
+// process interrupted during startup stops training promptly. The
+// scale-out knees need no predictor, so they are measured on their own
+// goroutine while the predictor and algorithm identifier train; an error
+// in either half cancels the other, and both have finished on return.
 func TrainContext(ctx context.Context, cfg TrainConfig) (*Tool, error) {
 	params := nicsim.DefaultParams()
 	mods, err := click.Modules(click.Table2Order)
@@ -191,18 +195,34 @@ func TrainContext(ctx context.Context, cfg TrainConfig) (*Tool, error) {
 		scfg.TrainPrograms, scfg.PacketsPerTrace = 8, 400
 		scfg.CoreGrid = []int{2, 8, 16, 32, 48, 60}
 	}
+	// The first failure cancels the other half and is the one returned.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var knees *core.Knees
+	kneesDone := make(chan error, 1)
+	go func() {
+		var err error
+		knees, err = core.MeasureKnees(ctx, scfg)
+		if err != nil {
+			cancel(err)
+		}
+		kneesDone <- err
+	}()
 	pred, err := core.TrainPredictorContext(ctx, pcfg, core.CorpusProfile(mods))
+	if err == nil {
+		err = ctx.Err()
+	}
+	var algo *core.AlgoIdentifier
+	if err == nil {
+		algo, err = core.TrainAlgoIdentifier(synthCorpus(acN, cfg.Seed), 48, cfg.Seed)
+	}
 	if err != nil {
-		return nil, err
+		cancel(err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if kerr := <-kneesDone; err != nil || kerr != nil {
+		return nil, context.Cause(ctx)
 	}
-	algo, err := core.TrainAlgoIdentifier(synthCorpus(acN, cfg.Seed), 48, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sm, err := core.TrainScaleoutContext(ctx, scfg, pred)
+	sm, err := core.FitScaleout(knees, pred)
 	if err != nil {
 		return nil, err
 	}

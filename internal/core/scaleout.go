@@ -85,16 +85,27 @@ type ScaleoutModel struct {
 	Train []ScaleoutSample
 }
 
-// BuildScaleoutDatasetContext measures knee core counts for synthesized
-// programs across workloads. Cancellation is checked once per training
-// program (each program is a bounded profile-and-sweep unit of a few
-// milliseconds). Programs are generated, profiled, and swept in parallel;
-// each is derived from a per-index seed and lands in its index's slot, so
-// the dataset is identical — in content and order — for any GOMAXPROCS.
-func BuildScaleoutDatasetContext(ctx context.Context, cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
+// Knees is the half of the scale-out training set that needs no
+// predictor: the synthesized training programs and, for each (program,
+// workload) pair in program-major, workload-minor order, its host profile
+// and the knee core count measured by sweeping.
+type Knees struct {
+	cfg   ScaleoutConfig
+	mods  []*ir.Module
+	profs []*HostProfile
+	knees []int
+}
+
+// MeasureKnees synthesizes the training programs, then profiles, traces
+// and sweeps every (program, workload) pair as its own parallel unit.
+// Cancellation is checked once per unit and inside host profiling. Each
+// program derives from a per-index seed and each pair lands in its index's
+// slot, so the result is identical — in content and order — for any
+// GOMAXPROCS.
+func MeasureKnees(ctx context.Context, cfg ScaleoutConfig) (*Knees, error) {
 	cfg = cfg.norm()
-	perProg := make([][]ScaleoutSample, cfg.TrainPrograms)
-	err := par.ForErr(ctx, cfg.TrainPrograms, func(i int) error {
+	mods := make([]*ir.Module, cfg.TrainPrograms)
+	err := par.ForErr(ctx, len(mods), func(i int) error {
 		// Span arithmetic intensities: bias state and compute rates.
 		bias := synth.Config{
 			Profile:     synth.UniformProfile(),
@@ -103,89 +114,82 @@ func BuildScaleoutDatasetContext(ctx context.Context, cfg ScaleoutConfig, pred *
 			ComputeBias: 0.5 + 2*float64(i%3)/2,
 		}
 		mod, _, err := synth.GenerateModule(bias, lang.Compile)
+		mods[i] = mod
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	nw := len(cfg.Workloads)
+	k := &Knees{cfg: cfg, mods: mods, profs: make([]*HostProfile, len(mods)*nw), knees: make([]int, len(mods)*nw)}
+	err = par.ForErr(ctx, len(k.knees), func(u int) error {
+		mod, wl := mods[u/nw], cfg.Workloads[u%nw]
+		prof, err := ProfileOnHostContext(ctx, mod, ProfileSetup{}, wl, cfg.PacketsPerTrace/2)
 		if err != nil {
 			return err
 		}
-		samples, err := MeasureScaleout(mod, ProfileSetup{}, cfg, pred)
+		built, err := (&nicsim.NF{Name: mod.Name, Mod: mod}).Build(cfg.Params)
 		if err != nil {
 			return err
 		}
-		perProg[i] = samples
+		ts, err := nicsim.GenTraces(built, wl, cfg.PacketsPerTrace, cfg.Params)
+		if err != nil {
+			return err
+		}
+		rs, err := nicsim.SweepCores(cfg.Params, ts, cfg.CoreGrid)
+		if err != nil {
+			return err
+		}
+		k.profs[u], k.knees[u] = prof, nicsim.KneeCores(rs)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []ScaleoutSample
-	for _, s := range perProg {
-		out = append(out, s...)
-	}
-	return out, nil
+	return k, nil
 }
 
-// MeasureScaleout sweeps core counts for one module under the configured
-// workloads, returning one sample per workload.
-func MeasureScaleout(mod *ir.Module, ps ProfileSetup, cfg ScaleoutConfig, pred *Predictor) ([]ScaleoutSample, error) {
-	cfg = cfg.norm()
-	mp, err := pred.PredictModule(mod, niccc.AccelConfig{})
+// FitScaleout is the half that needs the predictor: it featurizes every
+// measured pair with its program's §3 prediction and fits the GBDT cost
+// model to the knees.
+func FitScaleout(k *Knees, pred *Predictor) (*ScaleoutModel, error) {
+	if len(k.knees) < 8 {
+		return nil, fmt.Errorf("core: scale-out training set too small (%d)", len(k.knees))
+	}
+	mps, err := pred.PredictModules(k.mods, niccc.AccelConfig{})
 	if err != nil {
 		return nil, err
 	}
-	stateBytes := 0
-	for _, g := range mod.Globals {
-		stateBytes += g.SizeBytes()
+	nw := len(k.cfg.Workloads)
+	data := make([]ScaleoutSample, len(k.knees))
+	X := make([][]float64, len(data))
+	y := make([]float64, len(data))
+	for u, knee := range k.knees {
+		stateBytes := 0
+		for _, g := range k.mods[u/nw].Globals {
+			stateBytes += g.SizeBytes()
+		}
+		X[u] = ScaleoutFeatures(mps[u/nw], k.profs[u], k.cfg.Workloads[u%nw], stateBytes)
+		y[u] = float64(knee)
+		data[u] = ScaleoutSample{Features: X[u], Optimal: knee}
 	}
-	var out []ScaleoutSample
-	for _, wl := range cfg.Workloads {
-		prof, err := ProfileOnHost(mod, ps, wl, cfg.PacketsPerTrace/2)
-		if err != nil {
-			return nil, err
-		}
-		nf := &nicsim.NF{Name: mod.Name, Mod: mod, LPMTable: ps.LPMTable, Setup: ps.Setup}
-		built, err := nf.Build(cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := nicsim.GenTraces(built, wl, cfg.PacketsPerTrace, cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := nicsim.SweepCores(cfg.Params, ts, cfg.CoreGrid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScaleoutSample{
-			Features: ScaleoutFeatures(mp, prof, wl, stateBytes),
-			Optimal:  nicsim.KneeCores(rs),
-		})
-	}
-	return out, nil
+	g := ml.FitGBDT(X, y, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08})
+	return &ScaleoutModel{cfg: k.cfg, gbdt: g, Train: data}, nil
 }
 
-// TrainScaleout builds the dataset and fits the GBDT cost model.
+// TrainScaleout measures the knees and fits the GBDT cost model.
 func TrainScaleout(cfg ScaleoutConfig, pred *Predictor) (*ScaleoutModel, error) {
 	return TrainScaleoutContext(context.Background(), cfg, pred)
 }
 
 // TrainScaleoutContext is TrainScaleout with cancellation (threaded
-// through dataset construction, the dominant cost).
+// through knee measurement, the dominant cost).
 func TrainScaleoutContext(ctx context.Context, cfg ScaleoutConfig, pred *Predictor) (*ScaleoutModel, error) {
-	cfg = cfg.norm()
-	data, err := BuildScaleoutDatasetContext(ctx, cfg, pred)
+	k, err := MeasureKnees(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 8 {
-		return nil, fmt.Errorf("core: scale-out training set too small (%d)", len(data))
-	}
-	X := make([][]float64, len(data))
-	y := make([]float64, len(data))
-	for i, s := range data {
-		X[i] = s.Features
-		y[i] = float64(s.Optimal)
-	}
-	g := ml.FitGBDT(X, y, ml.GBDTConfig{Trees: 120, MaxDepth: 4, LR: 0.08})
-	return &ScaleoutModel{cfg: cfg, gbdt: g, Train: data}, nil
+	return FitScaleout(k, pred)
 }
 
 // Suggest predicts the core count for an NF and workload from its features.

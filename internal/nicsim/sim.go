@@ -235,6 +235,7 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 	// Invariant: at the top of each iteration every heap entry's cached t
 	// equals its thread's t — only the root's t drifts while its events
 	// are applied, and it is written back right before fixRoot.
+sched:
 	for cores.Len() > 0 {
 		c := &threads[cores[0].ci]
 		st := states[c.part]
@@ -324,7 +325,11 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 					j = 2
 				}
 				if cores[j].t < c.t {
-					break // another thread is now earlier: yield
+					// Another thread is now earlier: yield. This test is
+					// fixRoot's, so sift without repeating it.
+					cores[0].t = c.t
+					cores.siftDown()
+					continue sched
 				}
 			}
 		}

@@ -234,7 +234,7 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 
 	// Invariant: at the top of each iteration every heap entry's cached t
 	// equals its thread's t — only the root's t drifts while its events
-	// are applied, and it is written back right before fixRoot.
+	// are applied, and it is written back right before the root is re-sorted.
 sched:
 	for cores.Len() > 0 {
 		c := &threads[cores[0].ci]

@@ -34,7 +34,6 @@ import (
 	"clara/internal/nicsim"
 	"clara/internal/offload"
 	"clara/internal/server"
-	"clara/internal/synth"
 	"clara/internal/traffic"
 )
 
@@ -214,7 +213,7 @@ func TrainContext(ctx context.Context, cfg TrainConfig) (*Tool, error) {
 	}
 	var algo *core.AlgoIdentifier
 	if err == nil {
-		algo, err = core.TrainAlgoIdentifier(synthCorpus(acN, cfg.Seed), 48, cfg.Seed)
+		algo, err = core.TrainAlgoIdentifier(core.AlgoTrainCorpus(acN, cfg.Seed), 48, cfg.Seed)
 	}
 	if err != nil {
 		cancel(err)
@@ -380,16 +379,4 @@ func SimulatePair(params Params, a, b *NF, wl Workload, packets, coresEach int) 
 		parts = append(parts, nicsim.Part{TS: ts, Cores: coresEach})
 	}
 	return nicsim.SimulateColocation(params, parts)
-}
-
-// synthCorpus builds the algorithm-ID training corpus (synthesized
-// variants plus library negatives).
-func synthCorpus(n int, seed int64) []synth.LabeledProgram {
-	corpus := synth.AlgoCorpus(n, seed)
-	for _, name := range []string{"tcpack", "udpipencap", "forcetcp", "aggcounter", "timefilter"} {
-		corpus = append(corpus, synth.LabeledProgram{
-			Name: "click_" + name, Src: click.Get(name).Src, Label: synth.LabelNone,
-		})
-	}
-	return corpus
 }

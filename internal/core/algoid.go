@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"clara/internal/click"
 	"clara/internal/ir"
 	"clara/internal/lang"
 	"clara/internal/ml"
@@ -241,6 +242,19 @@ func manualFeaturesFor(m *ir.Module, blocks []int) []float64 {
 		loopState / total,
 		float64(len(blocks)) / 16,
 	}
+}
+
+// AlgoTrainCorpus builds the algorithm-ID training corpus: n synthesized
+// variants per class, plus the library's non-CRC/LPM elements as extra
+// real negatives.
+func AlgoTrainCorpus(n int, seed int64) []synth.LabeledProgram {
+	corpus := synth.AlgoCorpus(n, seed)
+	for _, name := range []string{"tcpack", "udpipencap", "forcetcp", "aggcounter", "timefilter"} {
+		corpus = append(corpus, synth.LabeledProgram{
+			Name: "click_" + name, Src: click.Get(name).Src, Label: synth.LabelNone,
+		})
+	}
+	return corpus
 }
 
 // TrainAlgoIdentifier mines subsequence features from the labeled corpus

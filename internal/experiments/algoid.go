@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"clara/internal/click"
+	"clara/internal/core"
 	"clara/internal/interp"
 	"clara/internal/lang"
 	"clara/internal/ml"
@@ -26,7 +27,7 @@ func Figure9(ctx *Context) (*Table, error) {
 
 	// Shared feature sets for the baselines: the same mined-subsequence +
 	// manual features Clara's SVM consumes.
-	Xtr, ytr, err := id.FeatureDataset(algoTrainCorpus(ctx.scale.algoBaselineTrain, ctx.Cfg.Seed))
+	Xtr, ytr, err := id.FeatureDataset(core.AlgoTrainCorpus(ctx.scale.algoBaselineTrain, ctx.Cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

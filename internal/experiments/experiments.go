@@ -217,7 +217,7 @@ func (c *Context) Predictor() (*core.Predictor, error) {
 // AlgoID trains (once) the §4.1 classifier.
 func (c *Context) AlgoID() (*core.AlgoIdentifier, error) {
 	return stage(c.models, "algoid", func() (*core.AlgoIdentifier, error) {
-		return core.TrainAlgoIdentifier(algoTrainCorpus(c.scale.algoTrain, c.Cfg.Seed), 48, c.Cfg.Seed)
+		return core.TrainAlgoIdentifier(core.AlgoTrainCorpus(c.scale.algoTrain, c.Cfg.Seed), 48, c.Cfg.Seed)
 	})
 }
 
@@ -284,17 +284,4 @@ func sweepNF(params nicsim.Params, nf *nicsim.NF, wl traffic.Spec, packets int) 
 func profileSetup(name string) core.ProfileSetup {
 	e := click.Get(name)
 	return core.ProfileSetup{Setup: e.Setup, LPMTable: e.Routes}
-}
-
-// algoTrainCorpus builds the training corpus for algorithm identification:
-// n synthesized variants per class, plus the library's non-CRC/LPM
-// elements as extra real negatives.
-func algoTrainCorpus(n int, seed int64) []synth.LabeledProgram {
-	corpus := synth.AlgoCorpus(n, seed)
-	for _, name := range []string{"tcpack", "udpipencap", "forcetcp", "aggcounter", "timefilter"} {
-		corpus = append(corpus, synth.LabeledProgram{
-			Name: "click_" + name, Src: click.Get(name).Src, Label: synth.LabelNone,
-		})
-	}
-	return corpus
 }

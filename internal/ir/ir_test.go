@@ -272,9 +272,3 @@ func TestFuncPreds(t *testing.T) {
 		t.Errorf("exit preds = %v", preds[2])
 	}
 }
-
-func TestSeqString(t *testing.T) {
-	if s := SeqString([]string{"a", "b"}); s != "[a b]" {
-		t.Errorf("SeqString = %q", s)
-	}
-}

@@ -192,8 +192,3 @@ func AlignDistributions(p, q map[string]float64) (pv, qv []float64) {
 	}
 	return pv, qv
 }
-
-// SeqString renders a word sequence for debugging.
-func SeqString(words []string) string {
-	return fmt.Sprintf("%v", words)
-}

@@ -111,16 +111,11 @@ func TestEnsembleBitsPinned(t *testing.T) {
 // classScores returns a one-vs-rest classifier's per-class score
 // functions in Classes order.
 func classScores(m Classifier) []func([]float64) float64 {
-	var out []func([]float64) float64
 	switch m := m.(type) {
 	case *TreeClassifier:
-		for _, tr := range m.trees {
-			out = append(out, tr.Predict)
-		}
+		return m.scores
 	case *GBDTClassifier:
-		for _, lm := range m.models {
-			out = append(out, lm.score)
-		}
+		return m.scores
 	}
-	return out
+	return nil
 }

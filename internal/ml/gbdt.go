@@ -27,133 +27,91 @@ func (c GBDTConfig) norm() GBDTConfig {
 	return c
 }
 
-// GBDT is a gradient-boosted regression ensemble (squared loss), the model
-// class Clara uses for scale-out prediction (§4.2, "a regression model
-// based upon GBDT").
-type GBDT struct {
+// boosted is an additive tree ensemble, score(x) = base + Σ lr·tree(x):
+// the model every gradient-boosted learner here fits, whatever its loss.
+type boosted struct {
 	base  float64
 	lr    float64
 	trees []*Tree
 }
 
-// FitGBDT trains gradient boosting on squared loss.
+func (b *boosted) score(x []float64) float64 {
+	s := b.base
+	for _, tr := range b.trees {
+		s += b.lr * tr.Predict(x)
+	}
+	return s
+}
+
+// boost fits an ensemble by gradient boosting (Friedman 2001): from the
+// constant base, each of rounds trees is a regression fit to the loss's
+// negative gradient at the current raw scores, which negGrad writes into g.
+func boost(X [][]float64, base, lr float64, rounds int, tcfg TreeConfig, negGrad func(raw, g []float64)) boosted {
+	b := boosted{base: base, lr: lr}
+	raw := make([]float64, len(X))
+	for i := range raw {
+		raw[i] = base
+	}
+	g := make([]float64, len(X))
+	for round := 0; round < rounds; round++ {
+		negGrad(raw, g)
+		tr := FitTree(X, g, tcfg)
+		b.trees = append(b.trees, tr)
+		for i := range raw {
+			raw[i] += lr * tr.Predict(X[i])
+		}
+	}
+	return b
+}
+
+// GBDT is a gradient-boosted regression ensemble (squared loss), the model
+// class Clara uses for scale-out prediction (§4.2, "a regression model
+// based upon GBDT").
+type GBDT struct{ boosted }
+
+// FitGBDT trains gradient boosting on squared loss, starting from the mean.
 func FitGBDT(X [][]float64, y []float64, cfg GBDTConfig) *GBDT {
 	cfg = cfg.norm()
-	g := &GBDT{lr: cfg.LR}
-	n := len(y)
 	var s float64
 	for _, v := range y {
 		s += v
 	}
-	g.base = s / float64(n)
-
-	pred := make([]float64, n)
-	for i := range pred {
-		pred[i] = g.base
-	}
-	resid := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth}
-
-	for round := 0; round < cfg.Trees; round++ {
-		for i := range resid {
-			resid[i] = y[i] - pred[i]
-		}
-		tr := FitTree(X, resid, tcfg)
-		g.trees = append(g.trees, tr)
-		for i := range pred {
-			pred[i] += cfg.LR * tr.Predict(X[i])
-		}
-	}
-	return g
+	return &GBDT{boost(X, s/float64(len(y)), cfg.LR, cfg.Trees, TreeConfig{MaxDepth: cfg.MaxDepth},
+		func(raw, g []float64) {
+			for i := range g {
+				g[i] = y[i] - raw[i]
+			}
+		})}
 }
 
 // Predict evaluates the ensemble.
-func (g *GBDT) Predict(x []float64) float64 {
-	s := g.base
-	for _, tr := range g.trees {
-		s += g.lr * tr.Predict(x)
-	}
-	return s
-}
+func (g *GBDT) Predict(x []float64) float64 { return g.score(x) }
 
 // GBDTClassifier is binary logistic gradient boosting wrapped one-vs-rest
 // for multi-class problems.
-type GBDTClassifier struct {
-	Classes []int
-	models  []*gbdtLogit
-}
+type GBDTClassifier struct{ ovr }
 
-type gbdtLogit struct {
-	base  float64
-	lr    float64
-	trees []*Tree
-}
-
-func (m *gbdtLogit) score(x []float64) float64 {
-	s := m.base
-	for _, tr := range m.trees {
-		s += m.lr * tr.Predict(x)
-	}
-	return s
-}
-
-func fitGBDTLogit(X [][]float64, y01 []float64, cfg GBDTConfig) *gbdtLogit {
-	n := len(y01)
-	var pos float64
-	for _, v := range y01 {
-		pos += v
-	}
-	p := (pos + 1) / (float64(n) + 2)
-	m := &gbdtLogit{lr: cfg.LR, base: math.Log(p / (1 - p))}
-	raw := make([]float64, n)
-	for i := range raw {
-		raw[i] = m.base
-	}
-	grad := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth}
-	for round := 0; round < cfg.Trees; round++ {
-		for i := range grad {
-			grad[i] = y01[i] - sigmoid(raw[i]) // negative gradient of logloss
+// FitGBDTClassifier trains one logistic GBDT per class, each boosted on
+// logloss from the smoothed log-odds of its class.
+func FitGBDTClassifier(X [][]float64, labels []int, cfg GBDTConfig) *GBDTClassifier {
+	cfg = cfg.norm()
+	return &GBDTClassifier{fitOVR(labels, func(y01 []float64) func([]float64) float64 {
+		var pos float64
+		for _, v := range y01 {
+			pos += v
 		}
-		tr := FitTree(X, grad, tcfg)
-		m.trees = append(m.trees, tr)
-		for i := range raw {
-			raw[i] += cfg.LR * tr.Predict(X[i])
-		}
-	}
-	return m
+		p := (pos + 1) / (float64(len(y01)) + 2)
+		m := boost(X, math.Log(p/(1-p)), cfg.LR, cfg.Trees, TreeConfig{MaxDepth: cfg.MaxDepth},
+			func(raw, g []float64) {
+				for i := range g {
+					g[i] = y01[i] - sigmoid(raw[i]) // negative gradient of logloss
+				}
+			})
+		return m.score
+	})}
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
-
-// FitGBDTClassifier trains one logistic GBDT per class.
-func FitGBDTClassifier(X [][]float64, labels []int, cfg GBDTConfig) *GBDTClassifier {
-	cfg = cfg.norm()
-	classes := distinctLabels(labels)
-	gc := &GBDTClassifier{Classes: classes}
-	for _, c := range classes {
-		y := make([]float64, len(labels))
-		for i, l := range labels {
-			if l == c {
-				y[i] = 1
-			}
-		}
-		gc.models = append(gc.models, fitGBDTLogit(X, y, cfg))
-	}
-	return gc
-}
-
-// PredictClass returns the argmax-score class.
-func (gc *GBDTClassifier) PredictClass(x []float64) int {
-	best, bestScore := gc.Classes[0], math.Inf(-1)
-	for i, m := range gc.models {
-		if s := m.score(x); s > bestScore {
-			bestScore = s
-			best = gc.Classes[i]
-		}
-	}
-	return best
-}
 
 // Forest is a random-forest regressor (the model TPOT selects in §5.2).
 type Forest struct {

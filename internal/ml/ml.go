@@ -11,6 +11,10 @@
 //   - PCA for the Figure 10(a) feature-space view,
 //   - an AutoML pipeline search standing in for TPOT (§5.1).
 //
+// The three boosted models share one additive ensemble and one boosting
+// loop (gbdt.go), differing only in their loss; the tree and GBDT
+// classifiers share one one-vs-rest wrapper (tree.go).
+//
 // All training is deterministic given the caller's seed.
 package ml
 

@@ -30,48 +30,28 @@ func (c RankConfig) norm() RankConfig {
 }
 
 // Ranker scores feature vectors such that preferred items score higher.
-type Ranker struct {
-	lr    float64
-	trees []*Tree
-}
+type Ranker struct{ boosted }
 
 // FitRanker minimizes the pairwise logistic loss
-// Σ log(1 + exp(−(s(better) − s(worse)))) by gradient boosting: each round
-// fits a regression tree to the per-sample pseudo-gradients ("lambdas").
+// Σ log(1 + exp(−(s(better) − s(worse)))) by gradient boosting from 0:
+// each round fits a regression tree to the per-sample pseudo-gradients
+// ("lambdas").
 func FitRanker(X [][]float64, pairs []PrefPair, cfg RankConfig) *Ranker {
 	cfg = cfg.norm()
-	r := &Ranker{lr: rankLR}
-	n := len(X)
-	scores := make([]float64, n)
-	lambdas := make([]float64, n)
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: 3}
-	for round := 0; round < cfg.Trees; round++ {
-		for i := range lambdas {
-			lambdas[i] = 0
-		}
-		for _, pr := range pairs {
-			// d/ds of −log σ(s_b − s_w): push better up, worse down.
-			rho := sigmoid(-(scores[pr.Better] - scores[pr.Worse]))
-			lambdas[pr.Better] += rho
-			lambdas[pr.Worse] -= rho
-		}
-		tr := FitTree(X, lambdas, tcfg)
-		r.trees = append(r.trees, tr)
-		for i := range scores {
-			scores[i] += rankLR * tr.Predict(X[i])
-		}
-	}
-	return r
+	return &Ranker{boost(X, 0, rankLR, cfg.Trees, TreeConfig{MaxDepth: cfg.MaxDepth, MinSamples: 3},
+		func(scores, lambdas []float64) {
+			clear(lambdas)
+			for _, pr := range pairs {
+				// d/ds of −log σ(s_b − s_w): push better up, worse down.
+				rho := sigmoid(-(scores[pr.Better] - scores[pr.Worse]))
+				lambdas[pr.Better] += rho
+				lambdas[pr.Worse] -= rho
+			}
+		})}
 }
 
 // Score returns the ranking score (higher = preferred).
-func (r *Ranker) Score(x []float64) float64 {
-	var s float64
-	for _, tr := range r.trees {
-		s += r.lr * tr.Predict(x)
-	}
-	return s
-}
+func (r *Ranker) Score(x []float64) float64 { return r.score(x) }
 
 // PairLoss computes the pairwise logistic loss of the ranker on held-out
 // pairs (convergence check).

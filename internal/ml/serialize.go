@@ -113,7 +113,7 @@ func (g *GBDT) Export() GBDTState {
 
 // NewGBDTFromState reconstructs an ensemble from persisted state.
 func NewGBDTFromState(st GBDTState) (*GBDT, error) {
-	g := &GBDT{base: st.Base, lr: st.LR}
+	g := &GBDT{boosted{base: st.Base, lr: st.LR}}
 	for i, ts := range st.Trees {
 		tr, err := NewTreeFromState(ts)
 		if err != nil {

@@ -158,39 +158,50 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// TreeClassifier wraps per-class regression trees (one-vs-rest on 0/1
-// targets) into a classifier.
-type TreeClassifier struct {
+// ovr is a one-vs-rest classifier: one regression model per class, fit
+// to that class's 0/1 indicator, predicting the class that scores highest.
+type ovr struct {
 	Classes []int
-	trees   []*Tree
+	scores  []func(x []float64) float64
 }
 
-// FitTreeClassifier trains one tree per distinct label.
-func FitTreeClassifier(X [][]float64, labels []int, cfg TreeConfig) *TreeClassifier {
-	classes := distinctLabels(labels)
-	tc := &TreeClassifier{Classes: classes}
-	for _, c := range classes {
+// fitOVR fits one model per distinct label: fit maps a class's 0/1
+// targets to its score function.
+func fitOVR(labels []int, fit func(y01 []float64) func(x []float64) float64) ovr {
+	o := ovr{Classes: distinctLabels(labels)}
+	for _, c := range o.Classes {
 		y := make([]float64, len(labels))
 		for i, l := range labels {
 			if l == c {
 				y[i] = 1
 			}
 		}
-		tc.trees = append(tc.trees, FitTree(X, y, cfg))
+		o.scores = append(o.scores, fit(y))
 	}
-	return tc
+	return o
 }
 
-// PredictClass returns the class whose tree scores highest.
-func (tc *TreeClassifier) PredictClass(x []float64) int {
-	best, bestScore := tc.Classes[0], math.Inf(-1)
-	for i, tr := range tc.trees {
-		if s := tr.Predict(x); s > bestScore {
+// PredictClass returns the argmax-score class.
+func (o *ovr) PredictClass(x []float64) int {
+	best, bestScore := o.Classes[0], math.Inf(-1)
+	for i, score := range o.scores {
+		if s := score(x); s > bestScore {
 			bestScore = s
-			best = tc.Classes[i]
+			best = o.Classes[i]
 		}
 	}
 	return best
+}
+
+// TreeClassifier wraps per-class regression trees (one-vs-rest on 0/1
+// targets) into a classifier.
+type TreeClassifier struct{ ovr }
+
+// FitTreeClassifier trains one tree per distinct label.
+func FitTreeClassifier(X [][]float64, labels []int, cfg TreeConfig) *TreeClassifier {
+	return &TreeClassifier{fitOVR(labels, func(y01 []float64) func([]float64) float64 {
+		return FitTree(X, y01, cfg).Predict
+	})}
 }
 
 func distinctLabels(labels []int) []int {

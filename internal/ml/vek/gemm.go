@@ -78,20 +78,3 @@ func gemm1(c, a, b []float64, n, k int) {
 		Axpy(a[p], b[p*n:p*n+n], c)
 	}
 }
-
-// GemmNT computes C += A·Bᵀ for row-major matrices: C is m×n, A is m×k,
-// B is n×k (so C[i][j] is the dot product of row i of A with row j of
-// B). Each element uses the Dot kernel, inheriting its fixed 4-way
-// partial-sum association.
-func GemmNT(c, a, b []float64, m, n, k int) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			ci[j] += Dot(ai, b[j*k:j*k+k])
-		}
-	}
-}

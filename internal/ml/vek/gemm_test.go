@@ -79,24 +79,3 @@ func TestGemmMatchesGemvTAddRows(t *testing.T) {
 		}
 	}
 }
-
-func TestGemmNTMatchesDotRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sh := range []struct{ m, n, k int }{{0, 3, 3}, {1, 1, 5}, {3, 4, 28}, {7, 5, 13}} {
-		a := randSlice(rng, sh.m*sh.k, false)
-		b := randSlice(rng, sh.n*sh.k, false)
-		got := randSlice(rng, sh.m*sh.n, false)
-		want := append([]float64(nil), got...)
-		GemmNT(got, a, b, sh.m, sh.n, sh.k)
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				want[i*sh.n+j] += Dot(a[i*sh.k:(i+1)*sh.k], b[j*sh.k:(j+1)*sh.k])
-			}
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("shape %dx%dx%d: C[%d] = %v, want %v", sh.m, sh.n, sh.k, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -89,13 +89,6 @@ func Gemv(y, a, x []float64, rows, cols int) {
 	}
 }
 
-// GemvAdd computes y += A·x for a row-major rows×cols matrix A.
-func GemvAdd(y, a, x []float64, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		y[r] += Dot(a[r*cols:r*cols+cols], x)
-	}
-}
-
 // GemvTAdd computes y += Aᵀ·x for a row-major rows×cols matrix A
 // (y has cols elements, x has rows elements). Implemented as a sum of
 // scaled rows so the inner loop stays contiguous.

@@ -65,10 +65,6 @@ func TestGemvFamily(t *testing.T) {
 	if !almost(y[0], 6) || !almost(y[1], 15) {
 		t.Fatalf("Gemv = %v, want [6 15]", y)
 	}
-	GemvAdd(y, a, x, 2, 3)
-	if !almost(y[0], 12) || !almost(y[1], 30) {
-		t.Fatalf("GemvAdd = %v, want [12 30]", y)
-	}
 	yt := make([]float64, 3)
 	GemvTAdd(yt, a, []float64{1, 2}, 2, 3)
 	// col sums weighted: [1+8, 2+10, 3+12]

@@ -420,9 +420,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, st *core.
 	}
 	defer func() { <-s.sem }()
 
+	// Compared in milliseconds: a timeout_ms at or above the cap means
+	// the cap, however large (its Duration could overflow).
 	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMs > 0 && time.Duration(req.TimeoutMs)*time.Millisecond < timeout {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+	if ms := int64(req.TimeoutMs); ms > 0 && ms <= timeout.Milliseconds() {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

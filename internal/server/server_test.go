@@ -327,6 +327,17 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutMeansCap: a timeout_ms too large for a time.Duration
+// is at or above the server's cap, so the request runs under the cap. (It
+// used to overflow to a negative deadline and answer 504 at once.)
+func TestHugeTimeoutMeansCap(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := postJSON(t, s.Handler(), "/v1/analyze", AnalyzeRequest{NF: "tcpack", TimeoutMs: 10_000_000_000_000})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200:\n%s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestPanickingNFIsolation submits a job whose analysis panics: the
 // batch is still delivered as 200 with the per-job error in its result
 // and the failure count in X-Clara-Failed-Jobs, and the server keeps

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // WMAPE is the weighted mean absolute percentage error:
@@ -66,44 +65,6 @@ func PrecisionRecall(truth, pred []int) (precision, recall float64) {
 	return precision, recall
 }
 
-// Accuracy is the fraction of exact matches.
-func Accuracy(truth, pred []int) float64 {
-	if len(truth) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range truth {
-		if truth[i] == pred[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(truth))
-}
-
-// TopK reports whether target is among the k highest-scored indices.
-func TopK(scores []float64, target, k int) bool {
-	type iv struct {
-		i int
-		v float64
-	}
-	order := make([]iv, len(scores))
-	for i, v := range scores {
-		order[i] = iv{i, v}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].v != order[b].v {
-			return order[a].v > order[b].v
-		}
-		return order[a].i < order[b].i
-	})
-	for i := 0; i < k && i < len(order); i++ {
-		if order[i].i == target {
-			return true
-		}
-	}
-	return false
-}
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -114,21 +75,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // --- Distribution distances (Table 1) ---

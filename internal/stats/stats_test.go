@@ -27,12 +27,6 @@ func TestMAEAndMean(t *testing.T) {
 	if m := Mean([]float64{2, 4}); m != 3 {
 		t.Errorf("Mean = %f", m)
 	}
-	if g := GeoMean([]float64{1, 4}); !near(g, 2, 1e-12) {
-		t.Errorf("GeoMean = %f", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean of negative should be NaN")
-	}
 }
 
 func TestPrecisionRecall(t *testing.T) {
@@ -49,22 +43,6 @@ func TestPrecisionRecall(t *testing.T) {
 	p, r = PrecisionRecall([]int{1, 0, 2}, []int{1, 0, 2})
 	if p != 1 || r != 1 {
 		t.Errorf("perfect p/r = %f/%f", p, r)
-	}
-}
-
-func TestAccuracyAndTopK(t *testing.T) {
-	if a := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); !near(a, 2.0/3, 1e-12) {
-		t.Errorf("Accuracy = %f", a)
-	}
-	scores := []float64{0.1, 0.9, 0.5}
-	if !TopK(scores, 1, 1) {
-		t.Error("index 1 should be top-1")
-	}
-	if TopK(scores, 0, 2) {
-		t.Error("index 0 should not be top-2")
-	}
-	if !TopK(scores, 0, 3) {
-		t.Error("index 0 should be top-3")
 	}
 }
 

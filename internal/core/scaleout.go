@@ -102,8 +102,55 @@ type Knees struct {
 // program derives from a per-index seed and each pair lands in its index's
 // slot, so the result is identical — in content and order — for any
 // GOMAXPROCS.
+//
+// A pair's trace is dead once its sweep is done, so its event buffer goes
+// to a free list and the next pair traces into it. The list lives for
+// this call only: a second training starts as cold as the first.
 func MeasureKnees(ctx context.Context, cfg ScaleoutConfig) (*Knees, error) {
 	cfg = cfg.norm()
+	mods, err := kneePrograms(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw := len(cfg.Workloads)
+	k := &Knees{cfg: cfg, mods: mods, profs: make([]*HostProfile, len(mods)*nw), knees: make([]int, len(mods)*nw)}
+	free := make(chan []nicsim.Event, len(k.knees)) // never full: no put blocks
+	err = par.ForErr(ctx, len(k.knees), func(u int) error {
+		mod, wl := mods[u/nw], cfg.Workloads[u%nw]
+		prof, err := ProfileOnHostContext(ctx, mod, ProfileSetup{}, wl, cfg.PacketsPerTrace/2)
+		if err != nil {
+			return err
+		}
+		built, err := (&nicsim.NF{Name: mod.Name, Mod: mod}).Build(cfg.Params)
+		if err != nil {
+			return err
+		}
+		var buf []nicsim.Event
+		select {
+		case buf = <-free:
+		default:
+		}
+		ts, err := nicsim.GenTracesInto(buf, built, wl, cfg.PacketsPerTrace, cfg.Params)
+		if err != nil {
+			return err
+		}
+		rs, err := nicsim.SweepCores(cfg.Params, ts, cfg.CoreGrid)
+		if err != nil {
+			return err
+		}
+		free <- ts.Events
+		k.profs[u], k.knees[u] = prof, nicsim.KneeCores(rs)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// kneePrograms synthesizes the scale-out training programs, spanning
+// arithmetic intensities by biasing state and compute rates per index.
+func kneePrograms(ctx context.Context, cfg ScaleoutConfig) ([]*ir.Module, error) {
 	mods := make([]*ir.Module, cfg.TrainPrograms)
 	err := par.ForErr(ctx, len(mods), func(i int) error {
 		// Span arithmetic intensities: bias state and compute rates.
@@ -117,36 +164,7 @@ func MeasureKnees(ctx context.Context, cfg ScaleoutConfig) (*Knees, error) {
 		mods[i] = mod
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	nw := len(cfg.Workloads)
-	k := &Knees{cfg: cfg, mods: mods, profs: make([]*HostProfile, len(mods)*nw), knees: make([]int, len(mods)*nw)}
-	err = par.ForErr(ctx, len(k.knees), func(u int) error {
-		mod, wl := mods[u/nw], cfg.Workloads[u%nw]
-		prof, err := ProfileOnHostContext(ctx, mod, ProfileSetup{}, wl, cfg.PacketsPerTrace/2)
-		if err != nil {
-			return err
-		}
-		built, err := (&nicsim.NF{Name: mod.Name, Mod: mod}).Build(cfg.Params)
-		if err != nil {
-			return err
-		}
-		ts, err := nicsim.GenTraces(built, wl, cfg.PacketsPerTrace, cfg.Params)
-		if err != nil {
-			return err
-		}
-		rs, err := nicsim.SweepCores(cfg.Params, ts, cfg.CoreGrid)
-		if err != nil {
-			return err
-		}
-		k.profs[u], k.knees[u] = prof, nicsim.KneeCores(rs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
+	return mods, err
 }
 
 // FitScaleout is the half that needs the predictor: it featurizes every

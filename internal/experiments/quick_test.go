@@ -182,3 +182,14 @@ func TestGetExperiment(t *testing.T) {
 		t.Error("phantom experiment")
 	}
 }
+
+// TestConfigParamsValidate checks that the hardware model every experiment
+// simulates — Context.Cfg.Params, at full and quick scale — passes
+// nicsim's validation.
+func TestConfigParamsValidate(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), {Quick: true}} {
+		if err := NewContext(cfg).Cfg.Params.Validate(); err != nil {
+			t.Errorf("quick=%v: %v", cfg.Quick, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"math"
 	"testing"
 
 	"clara/internal/interp"
@@ -88,6 +89,39 @@ func TestParamsValidate(t *testing.T) {
 	bad2.NumCores = 0
 	if err := bad2.Validate(); err == nil {
 		t.Error("accepted zero cores")
+	}
+	// The replay keys its heap by the bits of clocks that only move
+	// forward by finite amounts: every cost must be finite, not negative,
+	// and fit its Event field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		mut  func(*Params)
+	}{
+		{"NaN IngressMpps", func(p *Params) { p.IngressMpps = nan }},
+		{"+Inf IngressMpps", func(p *Params) { p.IngressMpps = inf }},
+		{"NaN CoreGHz", func(p *Params) { p.CoreGHz = nan }},
+		{"+Inf CoreGHz", func(p *Params) { p.CoreGHz = inf }},
+		{"negative LMEM latency", func(p *Params) { p.Regions[isa.LMEM].Latency = -1 }},
+		{"negative LMEM issue", func(p *Params) { p.Regions[isa.LMEM].Issue = -0.5 }},
+		{"NaN CTM issue", func(p *Params) { p.Regions[isa.CTM].Issue = nan }},
+		{"+Inf EMEM issue", func(p *Params) { p.Regions[isa.EMEM].Issue = inf }},
+		{"EMEM latency past int32", func(p *Params) { p.Regions[isa.EMEM].Latency = math.MaxInt32 + 1 }},
+		{"negative EMEM cache hit", func(p *Params) { p.EMEMCacheHitLat = -260 }},
+		{"NaN EMEM cache issue", func(p *Params) { p.EMEMCacheIssue = nan }},
+		{"negative Csum latency", func(p *Params) { p.Csum.Latency = -1 }},
+		{"+Inf Crc issue", func(p *Params) { p.Crc.Issue = inf }},
+		{"negative Lpm issue", func(p *Params) { p.Lpm.Issue = -4 }},
+		{"NaN Hash issue", func(p *Params) { p.Hash.Issue = nan }},
+		{"Hash issue past float32", func(p *Params) { p.Hash.Issue = 1e39 }},
+		{"negative flow-cache hit", func(p *Params) { p.FlowCacheHitCycles = -120 }},
+		{"negative wire overhead", func(p *Params) { p.WireOverheadCycles = -140 }},
+	} {
+		p := DefaultParams()
+		c.mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("accepted %s", c.name)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package nicsim
 
 import (
 	"fmt"
+	"math"
 
 	"clara/internal/isa"
 )
@@ -115,10 +116,16 @@ func DefaultParams() Params {
 	return p
 }
 
-// Validate sanity-checks a parameter set.
+// Validate sanity-checks a parameter set. Beyond the model's own shape
+// (a positive core count, latencies increasing along the hierarchy) it
+// refuses every cost the replay could not keep ordered: the simulator
+// keys its event heap by the bits of clocks that start at +0, and those
+// bits sort as the times do only while every cycle count added is finite
+// and not negative. A latency must fit an Event's int32 cycles and an
+// issue cost its float32 occupancy.
 func (p *Params) Validate() error {
-	if p.NumCores <= 0 || p.CoreGHz <= 0 {
-		return fmt.Errorf("nicsim: cores/frequency must be positive")
+	if p.NumCores <= 0 || !finitePositive(p.CoreGHz) {
+		return fmt.Errorf("nicsim: cores/frequency must be positive and finite")
 	}
 	if p.ThreadsPerCore <= 0 {
 		return fmt.Errorf("nicsim: ThreadsPerCore must be positive")
@@ -130,8 +137,44 @@ func (p *Params) Validate() error {
 		}
 		prev = p.Regions[r].Latency
 	}
-	if p.IngressMpps <= 0 {
-		return fmt.Errorf("nicsim: ingress ceiling must be positive")
+	for r, rp := range p.Regions {
+		if err := checkCost(isa.Region(r).String(), rp.Latency, rp.Issue); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		lat   int
+		issue float64
+	}{
+		{"EMEM cache", p.EMEMCacheHitLat, p.EMEMCacheIssue},
+		{"Csum", p.Csum.Latency, p.Csum.Issue},
+		{"Crc", p.Crc.Latency, p.Crc.Issue},
+		{"Lpm", p.Lpm.Latency, p.Lpm.Issue},
+		{"Hash", p.Hash.Latency, p.Hash.Issue},
+		{"FlowCacheHitCycles", p.FlowCacheHitCycles, 0},
+		{"WireOverheadCycles", p.WireOverheadCycles, 0},
+	} {
+		if err := checkCost(c.name, c.lat, c.issue); err != nil {
+			return err
+		}
+	}
+	if !finitePositive(p.IngressMpps) {
+		return fmt.Errorf("nicsim: ingress ceiling must be positive and finite")
+	}
+	return nil
+}
+
+func finitePositive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+// checkCost refuses a latency outside an Event's int32 cycles or an issue
+// cost outside its float32 occupancy, negative or non-finite ones included.
+func checkCost(name string, lat int, issue float64) error {
+	if lat < 0 || lat > math.MaxInt32 {
+		return fmt.Errorf("nicsim: %s latency %d outside [0, %d]", name, lat, math.MaxInt32)
+	}
+	if !(issue >= 0 && issue <= math.MaxFloat32) {
+		return fmt.Errorf("nicsim: %s issue cost %v must be finite and not negative", name, issue)
 	}
 	return nil
 }

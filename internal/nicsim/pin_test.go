@@ -132,11 +132,13 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 // The accessors below are the test's only contact with coreHeap's layout.
 
 func testHeap(keys []float64) coreHeap {
-	h := make(coreHeap, len(keys))
+	h := newCoreHeap(nil, len(keys))
 	for i, k := range keys {
-		h[i] = coreRef{t: k, ci: int32(i)}
+		h[i].t = math.Float64bits(k)
 	}
-	h.initHeap()
+	for i := len(keys)/2 - 1; i >= 0; i-- { // container/heap.Init's order
+		h.down(i, h[i])
+	}
 	return h
 }
 
@@ -146,25 +148,18 @@ func testLen(h coreHeap) int { return h.Len() }
 
 func testPop(h *coreHeap) { h.popRoot() }
 
-// testSetRoot moves the root's time to k, through fixRoot or, with
-// drain, through the drain loop's yield path: sift only once a child is
-// strictly earlier.
+// testSetRoot moves the root's time to k, through setRoot or, with
+// drain, through the drain loop's yield path: sink from the earlier child
+// once it is strictly earlier.
 func testSetRoot(h coreHeap, k float64, drain bool) {
+	key := math.Float64bits(k)
 	if !drain {
-		h[0].t = k
-		h.fixRoot()
+		h.setRoot(key)
 		return
 	}
-	if len(h) > 1 {
-		j := 1
-		if len(h) > 2 && h[2].t < h[1].t {
-			j = 2
-		}
-		if h[j].t < k {
-			h[0].t = k
-			h.siftDown()
-			return
-		}
+	if j := h.earlierChild(); h[j].t < key {
+		h.sink(j, key)
+		return
 	}
-	h[0].t = k
+	h[0].t = key
 }

@@ -2,6 +2,8 @@ package nicsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Result summarizes one simulated run of one NF.
@@ -42,93 +44,97 @@ type coreState struct {
 // every sift comparison inside the contiguous heap slice — the previous
 // []*coreState layout dereferenced a pointer per comparison, and those
 // cache misses dominated simulation time.
+//
+// The key is the time's IEEE-754 bits (math.Float64bits). Clocks start at
+// +0 and only advance by finite, non-negative amounts (Params.Validate
+// refuses anything else), so every key is a finite float ≥ +0, whose bit
+// patterns sort exactly as the floats do, equal times included. Every key
+// and the +Inf sentinel are below 1<<63, so the top bit of a - b is set
+// exactly when a < b: the smaller-child pick is a subtract and a shift.
 type coreRef struct {
-	t  float64
+	t  uint64
 	ci int32
 }
 
-// coreHeap is a min-heap over core next-action times. The sift operations
-// are hand-rolled (same algorithm and tie behaviour as container/heap, so
-// schedules are unchanged) because the simulator re-sorts the root after
-// every event — an interface-dispatched Less/Swap pair per comparison
-// dominated simulation time.
+// infKey is math.Float64bits(math.Inf(1)), the sentinels' key.
+const infKey = 0x7ff0000000000000
+
+// coreHeap is a binary min-heap over core next-action times: its last two
+// entries are +Inf sentinels, so the root always has two children and a
+// node with a left child always has a right one. The sift operations are
+// hand-rolled (same algorithm and tie behaviour as container/heap: the
+// right child wins only when strictly earlier, so schedules are
+// unchanged) because the simulator re-sorts the root after every event —
+// an interface-dispatched Less/Swap pair per comparison dominated
+// simulation time. A d-ary heap or a (time, thread) order would break
+// ties differently and change results.
 type coreHeap []coreRef
 
-func (h coreHeap) Len() int { return len(h) }
+// newCoreHeap returns the heap of threads 0..n-1, all at time +0, in
+// h's storage.
+func newCoreHeap(h coreHeap, n int) coreHeap {
+	h = slices.Grow(h[:0], n+2)[:n+2]
+	for i := range h {
+		h[i] = coreRef{ci: int32(i)}
+	}
+	h[n].t, h[n+1].t = infKey, infKey
+	return h // equal keys: already a heap in container/heap.Init's order
+}
 
-// siftDown restores the heap property from the root, mirroring
-// container/heap's down(0): the smaller child wins ties exactly the same
-// way, so event order is identical to the container/heap implementation.
-func (h coreHeap) siftDown() {
-	n := len(h)
-	i := 0
-	root := h[0]
+// Len returns the number of live threads.
+func (h coreHeap) Len() int { return len(h) - 2 }
+
+// earlierChild returns the earlier of the root's children (the left one
+// on a tie); it is a sentinel when the root has no live child.
+func (h coreHeap) earlierChild() int { return 1 + int((h[2].t-h[1].t)>>63) }
+
+// down sinks x into the hole at i, mirroring container/heap's down.
+func (h coreHeap) down(i int, x coreRef) {
+	n := len(h) - 2
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].t < h[j].t {
-			j = j2
-		}
-		if h[j].t >= root.t {
+		j += int((h[j+1].t - h[j].t) >> 63)
+		if h[j].t >= x.t {
 			break
 		}
 		h[i] = h[j]
 		i = j
 	}
-	h[i] = root
+	h[i] = x
 }
 
-// fixRoot re-sorts the root after its time advanced. The common case —
-// the root is still no later than both children — is a two-compare
-// no-op, skipping the full sift.
-func (h coreHeap) fixRoot() {
-	if len(h) > 1 {
-		j := 1
-		if len(h) > 2 && h[2].t < h[1].t {
-			j = 2
-		}
-		if h[j].t < h[0].t {
-			h.siftDown()
-		}
+// sink moves the root's time to t, already known to be later than its
+// child j (the root's earlier child): j rises into the root and the root
+// sinks from j's place.
+func (h coreHeap) sink(j int, t uint64) {
+	x := coreRef{t: t, ci: h[0].ci}
+	h[0] = h[j]
+	h.down(j, x)
+}
+
+// setRoot moves the root's time to t and restores the heap. The common
+// case — the root is still no later than both children — is two
+// compares.
+func (h coreHeap) setRoot(t uint64) {
+	if j := h.earlierChild(); h[j].t < t {
+		h.sink(j, t)
+		return
 	}
+	h[0].t = t
 }
 
 // popRoot removes the root (a drained part's core retiring).
 func (h *coreHeap) popRoot() {
 	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	n := len(old) - 3
+	x := old[n]
+	old[n].t = infKey
+	*h = old[:n+2]
 	if n > 0 {
-		(*h).siftDown()
-	}
-}
-
-// initHeap establishes the heap property (container/heap.Init order).
-func (h coreHeap) initHeap() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		// Sift h[i] down within h[:n], same comparisons as siftDown but
-		// rooted at i.
-		root := h[i]
-		k := i
-		for {
-			j := 2*k + 1
-			if j >= n {
-				break
-			}
-			if j2 := j + 1; j2 < n && h[j2].t < h[j].t {
-				j = j2
-			}
-			if h[j].t >= root.t {
-				break
-			}
-			h[k] = h[j]
-			k = j
-		}
-		h[k] = root
+		h.down(0, x)
 	}
 }
 
@@ -149,6 +155,14 @@ func Simulate(params Params, cores int, ts *TraceSet) (Result, error) {
 		return Result{}, err
 	}
 	return rs[0], nil
+}
+
+// simArrays is the storage one replay's threads, pipelines and heap live
+// in; SweepCores reuses it across its core counts.
+type simArrays struct {
+	threads []coreState
+	pipes   []float64 // per-core compute-pipeline busy clocks
+	heap    coreHeap
 }
 
 // partState tracks one NF's dispatch progress and measurements.
@@ -176,6 +190,10 @@ type partState struct {
 // (reciprocal bandwidth) while the requesting core blocks for the full
 // access latency — run-to-completion cores over pipelined memory units.
 func SimulateColocation(params Params, parts []Part) ([]Result, error) {
+	return new(simArrays).simulate(params, parts)
+}
+
+func (a *simArrays) simulate(params Params, parts []Part) ([]Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -198,8 +216,10 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 
 	ghz := params.CoreGHz
 	states := make([]*partState, len(parts))
-	var threads []coreState
-	var pipes []float64 // per-core compute-pipeline busy clocks
+	// Sized for the whole NIC, so a sweep allocates them once.
+	most := params.NumCores * params.ThreadsPerCore
+	threads := slices.Grow(a.threads[:0], most)
+	pipes := slices.Grow(a.pipes[:0], params.NumCores)
 	for i, p := range parts {
 		// Each colocated NF is fed through its own port at up to
 		// IngressMpps (the modeled NIC, like the Agilio CX, has one MAC
@@ -223,11 +243,8 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 			}
 		}
 	}
-	cores := make(coreHeap, len(threads))
-	for i := range cores {
-		cores[i] = coreRef{ci: int32(i)}
-	}
-	cores.initHeap()
+	cores := newCoreHeap(slices.Grow(a.heap[:0], most+2), len(threads))
+	a.threads, a.pipes, a.heap = threads, pipes, cores
 
 	var servers [numServers]float64
 	wire := float64(params.WireOverheadCycles)
@@ -235,7 +252,6 @@ func SimulateColocation(params Params, parts []Part) ([]Result, error) {
 	// Invariant: at the top of each iteration every heap entry's cached t
 	// equals its thread's t — only the root's t drifts while its events
 	// are applied, and it is written back right before the root is re-sorted.
-sched:
 	for cores.Len() > 0 {
 		c := &threads[cores[0].ci]
 		st := states[c.part]
@@ -254,8 +270,7 @@ sched:
 			c.ev = st.ts.Off[c.pkt]
 			c.start = c.t
 			st.next++
-			cores[0].t = c.t
-			cores.fixRoot()
+			cores.setRoot(math.Float64bits(c.t))
 			continue
 		}
 
@@ -276,19 +291,21 @@ sched:
 					st.lastEnd = end
 				}
 			}
-			c.pkt = -1
-			cores.fixRoot()
+			c.pkt = -1 // the root's time is unchanged: it stays the root
 			continue
 		}
 
 		// Drain this core's events while it remains the earliest thread.
-		// The stay-or-yield test below uses exactly the comparisons
-		// fixRoot performs, so the batched loop replays the same global
-		// event order as re-extracting the root after every event — it
-		// only skips the redundant heap reads in between. (math.Max is
-		// spelled as a compare: these clocks are never NaN, and the
-		// intrinsic's NaN/±0 handling kept it from inlining.)
+		// Only the root's time moves meanwhile, so the earliest other
+		// thread is one of its children, picked once up front. The
+		// stay-or-yield test is setRoot's, so the batched loop replays the
+		// same global event order as re-extracting the root after every
+		// event — it only skips the redundant heap reads in between.
+		// (math.Max is spelled as a compare: these clocks are never NaN,
+		// and the intrinsic's NaN/±0 handling kept it from inlining.)
 		evEnd := st.ts.Off[c.pkt+1]
+		j := cores.earlierChild()
+		next := cores[j].t
 		for {
 			ev := &st.ts.Events[c.ev]
 			c.ev++
@@ -316,25 +333,17 @@ sched:
 				*s = issue + float64(ev.Occupy)
 				c.t = issue + float64(ev.Cycles)
 			}
-			if c.ev >= evEnd {
-				break // packet complete: handled on re-extraction
-			}
-			if len(cores) > 1 {
-				j := 1
-				if len(cores) > 2 && cores[2].t < cores[1].t {
-					j = 2
-				}
-				if cores[j].t < c.t {
-					// Another thread is now earlier: yield. This test is
-					// fixRoot's, so sift without repeating it.
-					cores[0].t = c.t
-					cores.siftDown()
-					continue sched
-				}
+			// Stop at the packet's end (completion is handled once the
+			// thread is the root again) or once another thread is earlier.
+			if c.ev >= evEnd || next < math.Float64bits(c.t) {
+				break
 			}
 		}
-		cores[0].t = c.t
-		cores.fixRoot()
+		if key := math.Float64bits(c.t); next < key {
+			cores.sink(j, key)
+		} else {
+			cores[0].t = key
+		}
 	}
 
 	out := make([]Result, len(parts))
@@ -356,12 +365,13 @@ sched:
 // SweepCores simulates ts at each core count.
 func SweepCores(params Params, ts *TraceSet, coreCounts []int) ([]Result, error) {
 	out := make([]Result, 0, len(coreCounts))
+	var a simArrays
 	for _, c := range coreCounts {
-		r, err := Simulate(params, c, ts)
+		rs, err := a.simulate(params, []Part{{TS: ts, Cores: c}})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		out = append(out, rs[0])
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"fmt"
+	"slices"
 
 	"clara/internal/interp"
 	"clara/internal/ir"
@@ -262,6 +263,13 @@ func (tr *tracer) api(name, global string, probes int, addr uint64) {
 // GenTraces executes n packets of workload wl through the built NF and
 // returns the replayable trace set.
 func GenTraces(b *Built, wl traffic.Spec, n int, params Params) (*TraceSet, error) {
+	return GenTracesInto(nil, b, wl, n, params)
+}
+
+// GenTracesInto is GenTraces recording the events into buf's storage
+// (from buf[:0]), so a caller done with an earlier trace set can hand its
+// Events back instead of growing a fresh buffer. The result is the same.
+func GenTracesInto(buf []Event, b *Built, wl traffic.Spec, n int, params Params) (*TraceSet, error) {
 	gen, err := traffic.Replay(wl, n)
 	if err != nil {
 		return nil, err
@@ -270,14 +278,22 @@ func GenTraces(b *Built, wl traffic.Spec, n int, params Params) (*TraceSet, erro
 	if wl.RatePps > 0 {
 		offered = wl.RatePps / 1e6
 	}
-	return GenTracesSource(b, gen, n, offered, params)
+	return traceInto(buf, b, gen, n, offered, params)
 }
 
 // GenTracesSource is GenTraces over any packet source (e.g. a recorded
 // trace Replayer). offeredMpps caps the replayed arrival rate (0 =
 // saturate the ingress).
+// sizingPackets is how many packets are traced before the event buffer is
+// sized for the rest of the trace.
+const sizingPackets = 32
+
 func GenTracesSource(b *Built, gen traffic.Source, n int, offeredMpps float64, params Params) (*TraceSet, error) {
-	ts := &TraceSet{Name: b.NF.Name, Off: make([]int32, 1, n+1), OfferedMpps: offeredMpps}
+	return traceInto(nil, b, gen, n, offeredMpps, params)
+}
+
+func traceInto(buf []Event, b *Built, gen traffic.Source, n int, offeredMpps float64, params Params) (*TraceSet, error) {
+	ts := &TraceSet{Name: b.NF.Name, Events: buf[:0], Off: make([]int32, 1, n+1), OfferedMpps: offeredMpps}
 	tr := newTracer(params, b, ts)
 
 	prog := b.Prog
@@ -296,8 +312,15 @@ func GenTracesSource(b *Built, gen traffic.Source, n int, offeredMpps float64, p
 		},
 	})
 
+	var p traffic.Packet // one for the whole trace: RunPacket takes its address
 	for i := 0; i < n; i++ {
-		p := gen.Next()
+		if i == sizingPackets {
+			// Reserve the rest of the trace at the rate so far, plus an
+			// eighth. Growing by append's ~1.25× steps instead allocates
+			// about five times a trace's final size on the way there.
+			ts.Events = slices.Grow(ts.Events, len(ts.Events)*(n-i)/i*9/8)
+		}
+		p = gen.Next()
 
 		// Ingress flow cache: hits bypass the cores entirely.
 		if b.NF.Accel.FlowCache && tr.flowTags != nil {

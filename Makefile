@@ -113,10 +113,13 @@ bench-check:
 # and 4; and asserts each headline claim's shape with explicit bands (the
 # claims quick scale does not reproduce are recorded as known gaps). Beside
 # them, TestLibraryInsightsGolden holds the served quick tool's Insights for
-# the 51-job library batch to testdata/library_insights.golden.
+# the 51-job library batch to testdata/library_insights.golden, and the
+# simulator's pins hold every core sweep's results bit for bit and its event
+# heap to container/heap's tie order.
 repro-check:
 	$(GO) test -run 'TestQuickSuite|TestPaperClaims' ./internal/experiments/
 	$(GO) test -run TestLibraryInsightsGolden .
+	$(GO) test -run 'TestSimulationBitsPinned|TestCoreHeapMatchesContainerHeap' ./internal/nicsim/
 
 # check is the PR gate: static gates first, then build, plain tests,
 # then the race passes, then the benchmark harness's own tests (whose

@@ -132,7 +132,7 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 // The accessors below are the test's only contact with coreHeap's layout.
 
 func testHeap(keys []float64) coreHeap {
-	h := newCoreHeap(nil, len(keys))
+	h := newCoreHeap(make(coreHeap, 0, len(keys)+2), len(keys))
 	for i, k := range keys {
 		h[i].t = math.Float64bits(k)
 	}

@@ -71,9 +71,9 @@ const infKey = 0x7ff0000000000000
 type coreHeap []coreRef
 
 // newCoreHeap returns the heap of threads 0..n-1, all at time +0, in
-// h's storage.
+// h's storage, which must have room for n+2 entries.
 func newCoreHeap(h coreHeap, n int) coreHeap {
-	h = slices.Grow(h[:0], n+2)[:n+2]
+	h = h[:n+2]
 	for i := range h {
 		h[i] = coreRef{ci: int32(i)}
 	}

@@ -281,13 +281,13 @@ func GenTracesInto(buf []Event, b *Built, wl traffic.Spec, n int, params Params)
 	return traceInto(buf, b, gen, n, offered, params)
 }
 
-// GenTracesSource is GenTraces over any packet source (e.g. a recorded
-// trace Replayer). offeredMpps caps the replayed arrival rate (0 =
-// saturate the ingress).
 // sizingPackets is how many packets are traced before the event buffer is
 // sized for the rest of the trace.
 const sizingPackets = 32
 
+// GenTracesSource is GenTraces over any packet source (e.g. a recorded
+// trace Replayer). offeredMpps caps the replayed arrival rate (0 =
+// saturate the ingress).
 func GenTracesSource(b *Built, gen traffic.Source, n int, offeredMpps float64, params Params) (*TraceSet, error) {
 	return traceInto(nil, b, gen, n, offeredMpps, params)
 }

@@ -80,12 +80,14 @@ simulate-check:
 # framework API alone in a handler (TestEveryAPIRuns); native counters must
 # match the hooks and read the same whenever they are read
 # (TestCountersMatchHooks, TestCountersReadAnytime); the profile loop must
-# not allocate.
+# not allocate. TestNICSemanticsPinned hashes the hooked transcripts of the
+# library, every API alone and a map/vector churn program, so a change to
+# what a map or vector operation returns, probes or touches fails it.
 # The slab tests run every program on state other programs released (8
 # goroutines at once, generation wraparound included) and require it to be
 # indistinguishable from fresh memory; a released machine must panic.
 interp-check:
-	$(GO) test -race -run 'TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the

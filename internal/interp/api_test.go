@@ -46,13 +46,15 @@ void handle() {
 `, nil
 }
 
+// apiRoutes backs lpm_hw in the apiProgram handlers.
+var apiRoutes = []interp.Route{{Prefix: 0x0a000000, Len: 8, Port: 1}, {Prefix: 0, Len: 0, Port: 2}}
+
 // TestEveryAPIRuns calls every API the interpreter implements, alone in a
 // handler, under both map semantics. Machine.call cannot fail, so none may
 // panic, and RunPacket must agree with the reference loop on the whole
 // transcript, hooked and not.
 func TestEveryAPIRuns(t *testing.T) {
 	pkts := traffic.MustTrace(traffic.MediumMix, 24)
-	routes := []interp.Route{{Prefix: 0x0a000000, Len: 8, Port: 1}, {Prefix: 0, Len: 0, Port: 2}}
 	for _, name := range interp.APINames() {
 		src, err := apiProgram(name)
 		if err != nil {
@@ -61,7 +63,7 @@ func TestEveryAPIRuns(t *testing.T) {
 		e := &click.Element{Name: "api_" + name, Src: src}
 		for _, mode := range []interp.MapMode{interp.HostMap, interp.NICMap} {
 			for _, hooked := range []bool{false, true} {
-				equivCheck(t, e, pkts, interp.Config{Mode: mode, LPMTable: routes}, hooked)
+				equivCheck(t, e, pkts, interp.Config{Mode: mode, LPMTable: apiRoutes}, hooked)
 			}
 		}
 	}

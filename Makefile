@@ -73,9 +73,9 @@ simulate-check:
 
 # interp-check runs the interpreter's differential suite under the race
 # detector: every library element x every traffic spec, counting and
-# hooked, plus the fuel-starvation and HostMap sweeps and 300 generated
-# programs, must produce byte-identical transcripts from RunPacket (the
-# step engine) and the reference loop — also with fuel running out inside
+# hooked, plus the fuel-starvation sweep and 300 generated programs, must
+# produce byte-identical transcripts from RunPacket (the step engine) and
+# the reference loop — also with fuel running out inside
 # every superblock a packet enters (TestChainFuelBoundary) and for every
 # framework API alone in a handler (TestEveryAPIRuns); native counters must
 # match the hooks and read the same whenever they are read

@@ -75,7 +75,7 @@ func BenchmarkFigure16(b *testing.B)            { benchExperiment(b, "figure16")
 
 func BenchmarkInterpPacket(b *testing.B) {
 	e := GetElement("mazunat")
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(e.MustModule(), interp.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

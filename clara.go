@@ -62,7 +62,8 @@ type (
 	Packet = traffic.Packet
 	// AccelConfig selects hardware engines for a port.
 	AccelConfig = niccc.AccelConfig
-	// Machine executes an NF over packets (host or NIC semantics).
+	// Machine executes an NF over packets, with the NIC library's map and
+	// vector semantics (reverse ported, §3.3).
 	Machine = interp.Machine
 	// Route is one LPM rule.
 	Route = interp.Route

@@ -494,12 +494,12 @@ func TestSimplifyEquivalence(t *testing.T) {
 	for _, e := range click.Library() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			checkSimplifyEquivalent(t, e.MustModule(), interp.Config{Mode: interp.NICMap, LPMTable: e.Routes}, e.Setup)
+			checkSimplifyEquivalent(t, e.MustModule(), interp.Config{LPMTable: e.Routes}, e.Setup)
 		})
 	}
 	t.Run("unique-src", func(t *testing.T) {
 		for _, m := range uniqueSrcModules(t) {
-			checkSimplifyEquivalent(t, m, interp.Config{Mode: interp.NICMap}, nil)
+			checkSimplifyEquivalent(t, m, interp.Config{}, nil)
 		}
 	})
 }

@@ -52,7 +52,7 @@ func TestTable2OrderComplete(t *testing.T) {
 func runElement(t *testing.T, name string, wl traffic.Spec, n int) (*interp.Machine, int, int) {
 	t.Helper()
 	e := Get(name)
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
+	m, err := interp.New(e.MustModule(), interp.Config{LPMTable: e.Routes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +122,14 @@ func TestIPLookupMatchesLPMEngine(t *testing.T) {
 	// forwarding decision (same routes).
 	soft := Get("iplookup")
 	hard := Get("iplookup_lpm")
-	ms, err := interp.New(soft.MustModule(), interp.Config{Mode: interp.NICMap})
+	ms, err := interp.New(soft.MustModule(), interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := soft.Setup(ms); err != nil {
 		t.Fatal(err)
 	}
-	mh, err := interp.New(hard.MustModule(), interp.Config{Mode: interp.NICMap, LPMTable: hard.Routes})
+	mh, err := interp.New(hard.MustModule(), interp.Config{LPMTable: hard.Routes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFirewallBlocksDeniedSources(t *testing.T) {
 
 func TestDNSProxyCachesAnswers(t *testing.T) {
 	e := Get("dnsproxy")
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(e.MustModule(), interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestGenRoutesAndInstallTrie(t *testing.T) {
 
 func TestTrieOverflowDetected(t *testing.T) {
 	e := Get("iplookup")
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(e.MustModule(), interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,60 +254,3 @@ func sorted(xs []string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// ReversePortNICMapSource is the NFC source of the NIC-style map lookup —
-// the reverse-ported Click element of §3.3. Its control flow mirrors the
-// SmartNIC library (fixed bucket slots probed in order, free slot ends the
-// chain) so host execution triggers the same branch behaviour as the NIC;
-// internal/interp's NICMap mode implements exactly these semantics, and
-// the vendor library's instruction counts (niccc.Library) are its compiled
-// cost.
-const ReversePortNICMapSource = `
-// Reverse-ported HashMap.find: fixed buckets of 4 slots, no growth.
-global u64 slot_key[4096];
-global u64 slot_val[4096];
-global u32 slot_used[4096];
-
-u64 nic_map_find(u64 key) {
-	u32 bucket = (hash32(key) & 1023) * 4;
-	for (u32 i = 0; i < 4; i += 1) {
-		u32 s = bucket + i;
-		if (slot_used[s] == 0) { return 0; }
-		if (slot_used[s] == 1 && slot_key[s] == key) { return slot_val[s]; }
-	}
-	return 0;
-}
-
-void handle() {
-	u64 v = nic_map_find(u64(pkt_ip_src()));
-	if (v == 0) { pkt_drop(); return; }
-	pkt_send(u32(v));
-}
-`
-
-// HostMapSource is the host-style (Click) counterpart: elastic growth with
-// linear probing. The asymmetry between the two sources is what reverse
-// porting eliminates from Clara's analysis inputs.
-const HostMapSource = `
-// Click-style HashMap.find: open addressing with linear probing over a
-// table that reallocates as it fills (growth elided: probe semantics only).
-global u64 slot_key[8192];
-global u64 slot_val[8192];
-global u32 slot_used[8192];
-
-u64 click_map_find(u64 key) {
-	u32 idx = hash32(key) & 8191;
-	for (u32 i = 0; i < 8192; i += 1) {
-		u32 s = (idx + i) & 8191;
-		if (slot_used[s] == 0) { return 0; }
-		if (slot_key[s] == key) { return slot_val[s]; }
-	}
-	return 0;
-}
-
-void handle() {
-	u64 v = click_map_find(u64(pkt_ip_src()));
-	if (v == 0) { pkt_drop(); return; }
-	pkt_send(u32(v));
-}
-`

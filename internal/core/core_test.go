@@ -460,16 +460,6 @@ func TestClaraAnalyzeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestReversePortSourcesCompile(t *testing.T) {
-	for name, src := range map[string]string{
-		"nicmap": ReversePortNICMapSource, "hostmap": HostMapSource,
-	} {
-		if _, err := lang.Compile(name, src); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
 func containsStr(s, sub string) bool {
 	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || indexOf(s, sub) >= 0)
 }

@@ -106,7 +106,7 @@ func ProfileOnHostSourceContext(ctx context.Context, mod *ir.Module, ps ProfileS
 	if n < 0 {
 		return nil, fmt.Errorf("core: profiling %s: negative packet count %d", mod.Name, n)
 	}
-	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: ps.LPMTable})
+	m, err := interp.New(mod, interp.Config{LPMTable: ps.LPMTable})
 	if err != nil {
 		return nil, err
 	}

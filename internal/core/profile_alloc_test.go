@@ -9,7 +9,7 @@ import (
 )
 
 // profileLoop builds the exact machinery of the ProfileOnHostSourceContext
-// hot loop — NICMap machine, native counters, trace replayer with caller
+// hot loop — machine, native counters, trace replayer with caller
 // scratch — and returns a closure replaying n packets through it. One warm
 // pass is run first so the one-time costs (compile and lowering, payload
 // scratch growth, map state reaching its steady-state size) are paid
@@ -21,7 +21,7 @@ func profileLoop(tb testing.TB, name string, n int) func() {
 		tb.Fatalf("no library element %q", name)
 	}
 	mod := e.MustModule()
-	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
+	m, err := interp.New(mod, interp.Config{LPMTable: e.Routes})
 	if err != nil {
 		tb.Fatal(err)
 	}

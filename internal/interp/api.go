@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"clara/internal/ir"
 	"clara/internal/traffic"
@@ -198,78 +199,44 @@ func (m *Machine) lpmLookup(addr uint32) uint32 {
 	return port
 }
 
-// mapOp executes a stateful map API call under the configured semantics.
+// mapOp executes a stateful map API call on the NIC library's fixed
+// buckets (§3.3): a full bucket drops the insert and a remove tombstones
+// its slot.
 func (m *Machine) mapOp(in *cInstr, block int) {
 	g := m.gl[in.gidx]
 	if g.g.Kind != ir.GMap {
 		panic(fmt.Sprintf("interp: %s on non-map %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
 	}
+	nm := g.nmap
+	key := m.arg(in.a0)
 	probes := 0
-	var addr uint64
-	switch m.cfg.Mode {
-	case HostMap:
-		if in.nargs > 0 {
-			addr = uint64(Hash32(m.arg(in.a0)))
-		}
-		switch in.api {
-		case apiMapFind:
-			m.vals[in.id] = g.hmap[m.arg(in.a0)]
-			probes = 1
-		case apiMapContains:
-			_, ok := g.hmap[m.arg(in.a0)]
-			if ok {
-				m.vals[in.id] = 1
-			} else {
-				m.vals[in.id] = 0
-			}
-			probes = 1
-		case apiMapInsert:
-			// Click HashMaps grow elastically; capacity is a hint only.
-			g.hmap[m.arg(in.a0)] = m.arg(in.a1)
-			probes = 1
-		case apiMapRemove:
-			delete(g.hmap, m.arg(in.a0))
-			probes = 1
-		case apiMapSize:
-			m.vals[in.id] = uint64(len(g.hmap))
-		}
-	case NICMap:
-		nm := g.nmap
-		key := m.arg(in.a0)
-		addr = uint64(nm.bucket(key))
-		switch in.api {
-		case apiMapFind, apiMapContains:
-			slot, n := nm.lookup(key)
-			probes = n
+	switch in.api {
+	case apiMapFind, apiMapContains:
+		slot, n := nm.lookup(key)
+		probes = n
+		var v uint64
+		if slot >= 0 {
+			v = 1
 			if in.api == apiMapFind {
-				if slot >= 0 {
-					m.vals[in.id] = nm.slots[slot].val
-				} else {
-					m.vals[in.id] = 0
-				}
-			} else {
-				if slot >= 0 {
-					m.vals[in.id] = 1
-				} else {
-					m.vals[in.id] = 0
-				}
+				v = nm.slots[slot].val
 			}
-		case apiMapInsert:
-			probes = nm.insert(key, m.arg(in.a1))
-		case apiMapRemove:
-			slot, n := nm.lookup(key)
-			probes = n
-			if slot >= 0 {
-				// Deletions only mark the entry invalid (§3.3): the slot is
-				// reusable by later inserts but never compacted.
-				nm.slots[slot].state = 2
-				nm.size--
-			}
-		case apiMapSize:
-			m.vals[in.id] = uint64(nm.size)
 		}
+		m.vals[in.id] = v
+	case apiMapInsert:
+		probes = nm.insert(key, m.arg(in.a1))
+	case apiMapRemove:
+		slot, n := nm.lookup(key)
+		probes = n
+		if slot >= 0 {
+			// Deletions only mark the entry invalid (§3.3): the slot is
+			// reusable by later inserts but never compacted.
+			nm.slots[slot].state = 2
+			nm.size--
+		}
+	case apiMapSize:
+		m.vals[in.id] = uint64(nm.size)
 	}
-	m.emitAPI(in, probes, addr, block)
+	m.emitAPI(in, probes, uint64(nm.bucket(key)), block)
 }
 
 func (nm *nicMapState) bucket(key uint64) int {
@@ -322,98 +289,55 @@ func (nm *nicMapState) insert(key, val uint64) int {
 	return BucketSlots
 }
 
-// vecOp executes a vector API call under the configured semantics. Probe
-// counts reflect the §3.3 divergence: a host delete shifts the tail (O(n)
-// slot touches) while the NIC delete tombstones one slot.
+// vecOp executes a vector API call on the NIC library's fixed-capacity
+// vector (§3.3): a push takes the first free or tombstoned slot, probing
+// from the front, and a delete tombstones one slot where a Click Vector
+// would shift its tail.
 func (m *Machine) vecOp(in *cInstr, block int) {
 	g := m.gl[in.gidx]
 	if g.g.Kind != ir.GVec {
 		panic(fmt.Sprintf("interp: %s on non-vector %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
 	}
 	v := g.vec
-	probes := 0
-	var addr uint64
+	// vec_get, vec_set and vec_delete touch one slot: the one at their index.
+	probes := 1
+	addr := m.arg(in.a0)
+	inRange := addr < uint64(len(v.vals))
 	switch in.api {
 	case apiVecPush:
-		val := m.arg(in.a0)
-		if v.nic {
-			// First free (or tombstoned) slot; full vectors drop the push.
-			placed := false
-			for i := 0; i < v.cap; i++ {
-				probes++
-				if !v.valid[i] {
-					v.vals[i] = val
-					v.valid[i] = true
-					v.live++
-					addr = uint64(i)
-					placed = true
-					break
-				}
-			}
-			if placed {
-				m.vals[in.id] = 1
-			} else {
-				v.dropped++
-				m.vals[in.id] = 0
-			}
-		} else {
-			v.vals = append(v.vals, val)
-			v.live++
-			probes = 1
-			addr = uint64(len(v.vals) - 1)
-			m.vals[in.id] = 1
+		i := slices.Index(v.valid, false)
+		if i < 0 {
+			v.dropped++
+			m.vals[in.id] = 0
+			probes, addr = len(v.vals), 0
+			break
 		}
+		v.vals[i] = m.arg(in.a0)
+		v.valid[i] = true
+		v.live++
+		m.vals[in.id] = 1
+		probes, addr = i+1, uint64(i)
 	case apiVecGet:
-		i := m.arg(in.a0)
-		probes = 1
-		addr = i
 		m.vals[in.id] = 0
-		if v.nic {
-			if i < uint64(v.cap) && v.valid[i] {
-				m.vals[in.id] = v.vals[i]
-			}
-		} else if i < uint64(len(v.vals)) {
-			m.vals[in.id] = v.vals[i]
+		if inRange && v.valid[addr] {
+			m.vals[in.id] = v.vals[addr]
 		}
 	case apiVecSet:
-		i := m.arg(in.a0)
-		val := m.arg(in.a1)
-		probes = 1
-		addr = i
-		if v.nic {
-			if i < uint64(v.cap) {
-				if !v.valid[i] {
-					v.live++
-				}
-				v.vals[i] = val
-				v.valid[i] = true
+		if inRange {
+			if !v.valid[addr] {
+				v.live++
 			}
-		} else if i < uint64(len(v.vals)) {
-			v.vals[i] = val
+			v.vals[addr] = m.arg(in.a1)
+			v.valid[addr] = true
 		}
 	case apiVecDelete:
-		i := m.arg(in.a0)
-		addr = i
-		if v.nic {
-			// NIC library: mark invalid, one slot touched.
-			probes = 1
-			if i < uint64(v.cap) && v.valid[i] {
-				v.valid[i] = false
-				v.live--
-			}
-		} else {
-			// Click Vector: shift the tail down.
-			if i < uint64(len(v.vals)) {
-				probes = len(v.vals) - int(i)
-				copy(v.vals[i:], v.vals[i+1:])
-				v.vals = v.vals[:len(v.vals)-1]
-				v.live--
-			} else {
-				probes = 1
-			}
+		if inRange && v.valid[addr] {
+			v.valid[addr] = false
+			v.live--
 		}
 	case apiVecLen:
 		m.vals[in.id] = uint64(v.live)
+		probes, addr = 0, 0
 	}
 	m.emitAPI(in, probes, addr, block)
 }
@@ -456,18 +380,14 @@ func (m *Machine) ArrayAt(name string, i int) (uint64, error) {
 	return a[i], nil
 }
 
-// MapSeed inserts key→val into a map global under the active semantics.
+// MapSeed inserts key→val into a map global; like map_insert, a full
+// bucket drops it.
 func (m *Machine) MapSeed(name string, key, val uint64) error {
 	gi, ok := m.gidx[name]
 	if !ok || m.gl[gi].g.Kind != ir.GMap {
 		return fmt.Errorf("interp: no map global %q", name)
 	}
-	g := m.gl[gi]
-	if m.cfg.Mode == HostMap {
-		g.hmap[key] = val
-	} else {
-		g.nmap.insert(key, val)
-	}
+	m.gl[gi].nmap.insert(key, val)
 	return nil
 }
 
@@ -477,16 +397,12 @@ func (m *Machine) MapGet(name string, key uint64) (uint64, bool, error) {
 	if !ok || m.gl[gi].g.Kind != ir.GMap {
 		return 0, false, fmt.Errorf("interp: no map global %q", name)
 	}
-	g := m.gl[gi]
-	if m.cfg.Mode == HostMap {
-		v, ok := g.hmap[key]
-		return v, ok, nil
-	}
-	slot, _ := g.nmap.lookup(key)
+	nm := m.gl[gi].nmap
+	slot, _ := nm.lookup(key)
 	if slot < 0 {
 		return 0, false, nil
 	}
-	return g.nmap.slots[slot].val, true, nil
+	return nm.slots[slot].val, true, nil
 }
 
 // MapLen returns the live entry count of a map global.
@@ -495,18 +411,14 @@ func (m *Machine) MapLen(name string) (int, error) {
 	if !ok || m.gl[gi].g.Kind != ir.GMap {
 		return 0, fmt.Errorf("interp: no map global %q", name)
 	}
-	g := m.gl[gi]
-	if m.cfg.Mode == HostMap {
-		return len(g.hmap), nil
-	}
-	return g.nmap.size, nil
+	return m.gl[gi].nmap.size, nil
 }
 
-// FailedInserts returns the number of dropped inserts on a NIC-mode map.
+// FailedInserts returns the number of inserts a map global dropped.
 func (m *Machine) FailedInserts(name string) (int, error) {
 	gi, ok := m.gidx[name]
-	if !ok || m.gl[gi].g.Kind != ir.GMap || m.gl[gi].nmap == nil {
-		return 0, fmt.Errorf("interp: no NIC-mode map %q", name)
+	if !ok || m.gl[gi].g.Kind != ir.GMap {
+		return 0, fmt.Errorf("interp: no map global %q", name)
 	}
 	return m.gl[gi].nmap.failedInserts, nil
 }
@@ -528,23 +440,17 @@ func (m *Machine) VecAt(name string, i int) (uint64, bool, error) {
 		return 0, false, fmt.Errorf("interp: no vector global %q", name)
 	}
 	v := m.gl[gi].vec
-	if v.nic {
-		if i < 0 || i >= v.cap || !v.valid[i] {
-			return 0, false, nil
-		}
-		return v.vals[i], true, nil
-	}
-	if i < 0 || i >= len(v.vals) {
+	if i < 0 || i >= len(v.vals) || !v.valid[i] {
 		return 0, false, nil
 	}
 	return v.vals[i], true, nil
 }
 
-// VecDropped returns the number of pushes dropped by a full NIC vector.
+// VecDropped returns the number of pushes a full vector global dropped.
 func (m *Machine) VecDropped(name string) (int, error) {
 	gi, ok := m.gidx[name]
-	if !ok || m.gl[gi].g.Kind != ir.GVec || !m.gl[gi].vec.nic {
-		return 0, fmt.Errorf("interp: no NIC-mode vector %q", name)
+	if !ok || m.gl[gi].g.Kind != ir.GVec {
+		return 0, fmt.Errorf("interp: no vector global %q", name)
 	}
 	return m.gl[gi].vec.dropped, nil
 }

@@ -50,7 +50,7 @@ void handle() {
 var apiRoutes = []interp.Route{{Prefix: 0x0a000000, Len: 8, Port: 1}, {Prefix: 0, Len: 0, Port: 2}}
 
 // TestEveryAPIRuns calls every API the interpreter implements, alone in a
-// handler, under both map semantics. Machine.call cannot fail, so none may
+// handler. Machine.call cannot fail, so none may
 // panic, and RunPacket must agree with the reference loop on the whole
 // transcript, hooked and not.
 func TestEveryAPIRuns(t *testing.T) {
@@ -61,10 +61,8 @@ func TestEveryAPIRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := &click.Element{Name: "api_" + name, Src: src}
-		for _, mode := range []interp.MapMode{interp.HostMap, interp.NICMap} {
-			for _, hooked := range []bool{false, true} {
-				equivCheck(t, e, pkts, interp.Config{Mode: mode, LPMTable: apiRoutes}, hooked)
-			}
+		for _, hooked := range []bool{false, true} {
+			equivCheck(t, e, pkts, interp.Config{LPMTable: apiRoutes}, hooked)
 		}
 	}
 }

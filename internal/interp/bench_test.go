@@ -52,7 +52,7 @@ func benchPackets(b *testing.B, n int) []traffic.Packet {
 
 func benchRun(b *testing.B, src string, run func(*Machine, *traffic.Packet) error) {
 	mod := compileB(b, "bench", src)
-	m, err := New(mod, Config{Mode: HostMap})
+	m, err := New(mod, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

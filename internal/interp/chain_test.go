@@ -30,7 +30,7 @@ func TestChainFuelBoundary(t *testing.T) {
 			pkts := traffic.MustTrace(sp.spec, 16)
 			t.Run(e.Name+"/"+sp.name, func(t *testing.T) {
 				t.Parallel()
-				chainFuelCheck(t, e, pkts, interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
+				chainFuelCheck(t, e, pkts, interp.Config{LPMTable: e.Routes})
 			})
 		}
 	}
@@ -50,7 +50,7 @@ func TestChainFuelBoundary(t *testing.T) {
 				Name: fmt.Sprintf("u%d", p),
 				Src:  synth.Generate(synth.Config{Profile: prof, Seed: 1000003 + int64(p)}),
 			}
-			chainFuelCheck(t, e, traces[p%3], interp.Config{Mode: interp.NICMap})
+			chainFuelCheck(t, e, traces[p%3], interp.Config{})
 		}
 	})
 }

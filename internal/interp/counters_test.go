@@ -34,7 +34,7 @@ void handle() {
 	}
 
 	// Reference run: accumulate the same shapes via hooks.
-	hm, err := New(mod, Config{Mode: NICMap})
+	hm, err := New(mod, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ void handle() {
 	})
 	run(hm)
 
-	cm, err := New(mod, Config{Mode: NICMap})
+	cm, err := New(mod, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCountersReadAnytime(t *testing.T) {
 		// packet from on, and reads the counters after every packet that
 		// every reports true for; run picks the loop per packet.
 		counted := func(from int, every func(int) bool, run func(*Machine, int, *traffic.Packet) error) string {
-			m, err := New(mod, Config{Mode: NICMap})
+			m, err := New(mod, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,7 +164,7 @@ func TestCompiledBackendEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/hooked=%v", e.Name, sp.name, hooked)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					cfg := interp.Config{Mode: interp.NICMap, LPMTable: e.Routes}
+					cfg := interp.Config{LPMTable: e.Routes}
 					equivCheck(t, e, pkts, cfg, hooked)
 				})
 			}
@@ -182,24 +182,9 @@ func TestCompiledBackendEquivalenceFuel(t *testing.T) {
 		t.Run(fmt.Sprint(fuel), func(t *testing.T) {
 			t.Parallel()
 			for _, e := range click.Library() {
-				cfg := interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Fuel: fuel}
+				cfg := interp.Config{LPMTable: e.Routes, Fuel: fuel}
 				equivCheck(t, e, pkts, cfg, false)
 			}
-		})
-	}
-}
-
-// TestCompiledBackendEquivalenceHostMode repeats the sweep under HostMap
-// semantics (native map behavior) — the mode interp benchmarks and ad-hoc
-// Machine users run in.
-func TestCompiledBackendEquivalenceHostMode(t *testing.T) {
-	pkts := traffic.MustTrace(traffic.MediumMix, 120)
-	for _, e := range click.Library() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			t.Parallel()
-			cfg := interp.Config{Mode: interp.HostMap, LPMTable: e.Routes}
-			equivCheck(t, e, pkts, cfg, false)
 		})
 	}
 }
@@ -207,7 +192,7 @@ func TestCompiledBackendEquivalenceHostMode(t *testing.T) {
 // TestCompiledBackendEquivalenceSynth extends the sweep from the library to the
 // population the serving path actually compiles: the generated programs
 // the unique-src benchmark workload submits (same profile, same seeds,
-// same traffic rotation), under both map modes and starved of fuel.
+// same traffic rotation), with the default fuel and starved of it.
 func TestCompiledBackendEquivalenceSynth(t *testing.T) {
 	mods, err := click.Modules(click.Table2Order)
 	if err != nil {
@@ -224,11 +209,7 @@ func TestCompiledBackendEquivalenceSynth(t *testing.T) {
 			Src:  synth.Generate(synth.Config{Profile: prof, Seed: 1000003 + int64(p)}),
 		}
 		pkts := traces[p%3]
-		for _, cfg := range []interp.Config{
-			{Mode: interp.NICMap},
-			{Mode: interp.HostMap},
-			{Mode: interp.NICMap, Fuel: 300},
-		} {
+		for _, cfg := range []interp.Config{{}, {Fuel: 300}} {
 			equivCheck(t, e, pkts, cfg, false)
 		}
 	}
@@ -308,7 +289,7 @@ func FuzzCompiledExec(f *testing.F) {
 		// fuzzer to ~1 exec/s without exploring anything new. Equivalence
 		// must hold at every budget, so a small one loses no coverage —
 		// and mode&2 shrinks it further to hammer the mid-block abort path.
-		cfg := interp.Config{Mode: interp.NICMap, LPMTable: e.Routes, Fuel: 4096}
+		cfg := interp.Config{LPMTable: e.Routes, Fuel: 4096}
 		if mode&2 != 0 {
 			cfg.Fuel = 24 + int(mode)
 		}
@@ -331,7 +312,7 @@ func TestCompiledBackendEquivalenceNoArgCalls(t *testing.T) {
 	} {
 		e := &click.Element{Name: fmt.Sprintf("noarg%d", i), Src: src}
 		for _, hooked := range []bool{false, true} {
-			equivCheck(t, e, pkts, interp.Config{Mode: interp.NICMap}, hooked)
+			equivCheck(t, e, pkts, interp.Config{}, hooked)
 		}
 	}
 }

@@ -1,16 +1,19 @@
 // Package interp executes IR modules over packets. It serves two roles
-// from the paper:
+// from the paper, with one set of semantics:
 //
-//   - Host execution: Clara runs the (reverse-ported) Click NF on the host
+//   - Host profiling: Clara runs the reverse-ported Click NF on the host
 //     with a workload to collect stateful access frequencies (§4.3, §4.4).
-//     Host mode uses elastic, linear-probing map semantics like Click's
-//     HashMap.
 //
 //   - NIC-semantics execution: the SmartNIC simulator (internal/nicsim)
-//     needs functional execution with *Netronome-style* data structures —
-//     fixed bucket arrays, no dynamic growth, deletions that only mark
-//     entries invalid (§3.3). NIC mode provides those semantics and reports
-//     per-call probe counts so the simulator can charge memory traffic.
+//     replays the NF's blocks and state accesses as NIC events.
+//
+// Both need the Netronome library's data structures, which is what reverse
+// porting (§3.3) puts on the host: maps are fixed arrays of 4-slot
+// buckets that never grow (a full bucket drops the insert), vectors have a
+// fixed capacity, and deletions only mark an entry invalid. So the host's
+// control flow matches the NIC's, and every map and vector call reports
+// its probe count and address for the profiler and the simulator to
+// charge.
 //
 // The interpreter precompiles IR into a flat internal form so per-packet
 // execution involves no map lookups or allocation. Compiled programs are
@@ -49,16 +52,7 @@ import (
 	"clara/internal/traffic"
 )
 
-// MapMode selects the stateful data-structure semantics.
-type MapMode uint8
-
-// Map semantics.
-const (
-	HostMap MapMode = iota // elastic, linear probing (Click HashMap)
-	NICMap                 // fixed buckets, no growth (Netronome library)
-)
-
-// BucketSlots is the number of entries per NIC map bucket.
+// BucketSlots is the number of entries per map bucket.
 const BucketSlots = 4
 
 // Hooks receive execution events; any field may be nil. Block indices refer
@@ -85,7 +79,6 @@ type Route struct {
 
 // Config configures a Machine.
 type Config struct {
-	Mode MapMode
 	// Fuel bounds interpreted steps per packet (0 = default).
 	Fuel int
 	// LPMTable backs the lpm_hw accelerator.
@@ -268,8 +261,8 @@ type gmeta struct {
 // program is a module's compiled, immutable form: every Machine built
 // for the same module shares one program (blocks, const pool, global
 // index) and only allocates its own mutable state. Compilation does not
-// depend on Config — map-mode and fuel only matter at runtime — so one
-// program serves host and NIC machines alike.
+// depend on Config — fuel and the LPM table only matter at runtime — so
+// one program serves every machine of the module.
 //
 // The step-engine lowering hangs off the program lazily, built on first
 // demand under lowerOnce so every machine for the module shares it.
@@ -403,7 +396,7 @@ func compileModule(mod *ir.Module) (*program, error) {
 	return c.p, nil
 }
 
-// mslot is one NIC-map slot. The generation stamp makes recycling a whole
+// mslot is one map slot. The generation stamp makes recycling a whole
 // table O(1): a slot whose gen trails the table's reads as free, so
 // handing a multi-MB flow table to the next machine costs one counter bump
 // instead of a memclr (padding absorbs the field — mslot stays 24 bytes).
@@ -432,8 +425,8 @@ func (nm *nicMapState) st(s *mslot) uint8 {
 	return s.state
 }
 
-// State slabs. A machine's big state — global arrays, NIC-mode vector
-// storage, NIC map slot tables — comes from package-level pools indexed by
+// State slabs. A machine's big state — global arrays, vector storage,
+// map slot tables — comes from package-level pools indexed by
 // size class and goes back on Release, so what is recycled is memory that
 // reads as zero (or, for slot tables, as free), whichever program used it
 // last: never-seen programs reuse state, and idle memory is bounded by
@@ -485,8 +478,8 @@ func (sp *slabPool[T]) put(s []T) {
 	}
 }
 
-// newNICMap returns an empty table of the given bucket count.
-func newNICMap(buckets int) *nicMapState {
+// newNICMapState returns an empty table of the given bucket count.
+func newNICMapState(buckets int) *nicMapState {
 	n := buckets * BucketSlots
 	c, ok := slabClass[mslot](n)
 	if !ok {
@@ -515,16 +508,15 @@ func (nm *nicMapState) release() {
 	}
 }
 
-// vecState backs a Click-Vector-style global. In host mode the slice
-// grows elastically and deletions shift; in NIC mode capacity is fixed and
-// deletions tombstone (§3.3).
+// vecState backs a Click-Vector-style global with the NIC library's
+// semantics (§3.3): capacity is fixed at the declared length, a push takes
+// the first free or tombstoned slot, and a delete only clears the slot's
+// valid flag — nothing shifts.
 type vecState struct {
 	vals  []uint64
-	valid []bool // NIC mode only
+	valid []bool
 	live  int
-	nic   bool
-	cap   int
-	// dropped counts pushes refused by a full NIC vector.
+	// dropped counts pushes refused by a full vector.
 	dropped int
 }
 
@@ -535,7 +527,6 @@ type globalState struct {
 	// exactly one of these is active, by g.Kind
 	scalar uint64
 	array  []uint64
-	hmap   map[uint64]uint64
 	nmap   *nicMapState
 	vec    *vecState
 }
@@ -596,8 +587,8 @@ type Machine struct {
 
 // New builds a machine for mod, compiling its handler on first use (the
 // compiled program is cached and shared across machines). The machine
-// itself is a small shell built fresh each time; its arrays, NIC vectors
-// and NIC map tables come from the state slabs.
+// itself is a small shell built fresh each time; its arrays, vectors and
+// map tables come from the state slabs.
 func New(mod *ir.Module, cfg Config) (*Machine, error) {
 	prog, err := programFor(mod)
 	if err != nil {
@@ -634,24 +625,16 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 				st.amask = uint64(g.Len - 1)
 			}
 		case ir.GMap:
-			if cfg.Mode == HostMap {
-				st.hmap = make(map[uint64]uint64)
-			} else {
-				st.nmap = newNICMap(max(g.Len/BucketSlots, 1))
-			}
+			st.nmap = newNICMapState(max(g.Len/BucketSlots, 1))
 		case ir.GVec:
-			st.vec = &vecState{nic: cfg.Mode == NICMap, cap: g.Len}
-			if st.vec.nic {
-				st.vec.vals = wordSlabs.get(g.Len)
-				st.vec.valid = flagSlabs.get(g.Len)
-			}
+			st.vec = &vecState{vals: wordSlabs.get(g.Len), valid: flagSlabs.get(g.Len)}
 		}
 		m.gl = append(m.gl, st)
 	}
 	return m, nil
 }
 
-// Release hands m's arrays, NIC vectors and NIC map tables back to the
+// Release hands m's arrays, vectors and map tables back to the
 // state slabs — zeroed, or generation-bumped in O(1) — for whichever
 // machine is built next, of any program. It leaves m unusable: RunPacket
 // and the state accessors panic, so a stale reference can never read
@@ -664,7 +647,7 @@ func (m *Machine) Release() {
 			wordSlabs.put(g.array)
 		case g.nmap != nil:
 			g.nmap.release()
-		case g.vec != nil && g.vec.nic:
+		case g.vec != nil:
 			wordSlabs.put(g.vec.vals)
 			flagSlabs.put(g.vec.valid)
 		}

@@ -82,39 +82,38 @@ void handle() {
 `
 
 func TestMapSemanticsHostVsNIC(t *testing.T) {
-	for _, mode := range []MapMode{HostMap, NICMap} {
-		mod := compile(t, "nat", natSrc)
-		m, err := New(mod, Config{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := tcpPacket(0xC0A80001, 0x0A000001)
-		if err := m.RunPacket(&p); err != nil {
-			t.Fatal(err)
-		}
-		if !p.Dropped() {
-			t.Fatalf("mode %d: first packet should miss", mode)
-		}
-		p = tcpPacket(0xC0A80001, 0x0A000001)
-		if err := m.RunPacket(&p); err != nil {
-			t.Fatal(err)
-		}
-		if p.OutPort != 0 || p.DstIP != 0x0A000001>>0 && p.DstPort != 8080 {
-			t.Fatalf("mode %d: second packet not translated: port=%d dst=%x dport=%d",
-				mode, p.OutPort, p.DstIP, p.DstPort)
-		}
-		if !p.CsumUpdated {
-			t.Fatalf("mode %d: checksum not updated", mode)
-		}
-		if n, _ := m.MapLen("nat"); n != 1 {
-			t.Fatalf("mode %d: map size %d", mode, n)
-		}
+	mod := compile(t, "nat", natSrc)
+	m, err := New(mod, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tcpPacket(0xC0A80001, 0x0A000001)
+	if err := m.RunPacket(&p); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Dropped() {
+		t.Fatal("first packet should miss")
+	}
+	p = tcpPacket(0xC0A80001, 0x0A000001)
+	if err := m.RunPacket(&p); err != nil {
+		t.Fatal(err)
+	}
+	if p.OutPort != 0 || p.DstIP != 0x0A000001>>0 && p.DstPort != 8080 {
+		t.Fatalf("second packet not translated: port=%d dst=%x dport=%d",
+			p.OutPort, p.DstIP, p.DstPort)
+	}
+	if !p.CsumUpdated {
+		t.Fatal("checksum not updated")
+	}
+	if n, _ := m.MapLen("nat"); n != 1 {
+		t.Fatalf("map size %d", n)
 	}
 }
 
 func TestNICMapBucketOverflow(t *testing.T) {
-	// Capacity 4 => a single bucket of 4 slots. Force ≥5 distinct keys into
-	// it; the NIC map must drop inserts while the host map grows.
+	// Capacity 4 => a single bucket of 4 slots. Force 16 distinct keys into
+	// it; the map must keep the first 4 and drop the other 12 inserts, where
+	// a Click HashMap would grow.
 	src := `
 map<u64,u64> m[4];
 void handle() {
@@ -123,11 +122,7 @@ void handle() {
 }
 `
 	mod := compile(t, "overflow", src)
-	nic, err := New(mod, Config{Mode: NICMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := New(compile(t, "overflow", src), Config{Mode: HostMap})
+	nic, err := New(mod, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +131,12 @@ void handle() {
 		if err := nic.RunPacket(&p); err != nil {
 			t.Fatal(err)
 		}
-		p = tcpPacket(i, 9)
-		if err := host.RunPacket(&p); err != nil {
-			t.Fatal(err)
-		}
 	}
-	nn, _ := nic.MapLen("m")
-	hn, _ := host.MapLen("m")
-	if nn > 4 {
-		t.Errorf("NIC map grew beyond capacity: %d", nn)
+	if nn, _ := nic.MapLen("m"); nn != 4 {
+		t.Errorf("NIC map holds %d entries, want its capacity 4", nn)
 	}
-	if hn != 16 {
-		t.Errorf("host map should hold 16, has %d", hn)
-	}
-	if fi, _ := nic.FailedInserts("m"); fi == 0 {
-		t.Error("expected failed inserts on the NIC map")
+	if fi, _ := nic.FailedInserts("m"); fi != 12 {
+		t.Errorf("NIC map failed %d inserts, want 12", fi)
 	}
 }
 
@@ -163,7 +149,7 @@ void handle() {
 	pkt_send(0);
 }
 `
-	m, err := New(compile(t, "rm", src), Config{Mode: NICMap})
+	m, err := New(compile(t, "rm", src), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +200,7 @@ void handle() {
 
 func TestHooksFire(t *testing.T) {
 	mod := compile(t, "nat", natSrc)
-	m, err := New(mod, Config{Mode: NICMap})
+	m, err := New(mod, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

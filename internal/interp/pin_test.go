@@ -63,7 +63,7 @@ func TestNICSemanticsPinned(t *testing.T) {
 	}
 	for _, e := range click.Library() {
 		for _, sp := range specs {
-			put(e.Name+"/"+sp.name, e, traffic.MustTrace(sp.spec, 160), interp.Config{Mode: interp.NICMap, LPMTable: e.Routes})
+			put(e.Name+"/"+sp.name, e, traffic.MustTrace(sp.spec, 160), interp.Config{LPMTable: e.Routes})
 		}
 	}
 	pkts := traffic.MustTrace(traffic.MediumMix, 24)
@@ -72,9 +72,9 @@ func TestNICSemanticsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(name, &click.Element{Name: "api_" + name, Src: src}, pkts, interp.Config{Mode: interp.NICMap, LPMTable: apiRoutes})
+		put(name, &click.Element{Name: "api_" + name, Src: src}, pkts, interp.Config{LPMTable: apiRoutes})
 	}
-	put("churn", &click.Element{Name: "churn", Src: churnSrc}, traffic.MustTrace(traffic.SmallFlows, 400), interp.Config{Mode: interp.NICMap})
+	put("churn", &click.Element{Name: "churn", Src: churnSrc}, traffic.MustTrace(traffic.SmallFlows, 400), interp.Config{})
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != nicSemanticsHash {
 		t.Errorf("NIC map/vector semantics moved: sha256 %s, want %s", got, nicSemanticsHash)
 	}

@@ -43,13 +43,13 @@ func slabSubjects(t *testing.T) []*click.Element {
 // releases the machine, so the pools hold a used slab for every size class
 // the elements ask for. With wrap set, each table is then taken once more
 // and released at the last generation, which forces the wraparound clear.
-func dirtySlabs(elems []*click.Element, pkts []traffic.Packet, mode interp.MapMode, wrap bool) error {
+func dirtySlabs(elems []*click.Element, pkts []traffic.Packet, wrap bool) error {
 	for _, e := range elems {
 		mod, err := e.Module()
 		if err != nil {
 			return err
 		}
-		cfg := interp.Config{Mode: mode, LPMTable: e.Routes}
+		cfg := interp.Config{LPMTable: e.Routes}
 		m, err := interp.New(mod, cfg)
 		if err != nil {
 			return err
@@ -102,34 +102,29 @@ func dirtySlabs(elems []*click.Element, pkts []traffic.Packet, mode interp.MapMo
 // introduce: after the whole library (mazunat's 3 MB tables included) and
 // the subjects themselves dirtied and released every size class, each
 // subject's full transcript and counters must be byte-equal to the same
-// run on a process-fresh machine, under both map modes, with and without
-// a generation wraparound on the recycled tables.
+// run on a process-fresh machine, with and without a generation
+// wraparound on the recycled tables.
 func TestSlabsAcrossPrograms(t *testing.T) {
 	subjects := slabSubjects(t)
 	pkts := traffic.MustTrace(traffic.MediumMix, 96)
-	for _, mode := range []interp.MapMode{interp.NICMap, interp.HostMap} {
-		for _, wrap := range []bool{false, true} {
-			if wrap && mode == interp.HostMap {
-				continue // no NIC map tables to wrap
-			}
-			cfgOf := func(e *click.Element) interp.Config {
-				return interp.Config{Mode: mode, LPMTable: e.Routes}
-			}
-			want := make([]string, len(subjects))
-			for i, e := range subjects {
-				interp.DropSlabs()
-				want[i] = observe(t, e, pkts, cfgOf(e), false, (*interp.Machine).RunPacket)
-			}
+	cfgOf := func(e *click.Element) interp.Config {
+		return interp.Config{LPMTable: e.Routes}
+	}
+	for _, wrap := range []bool{false, true} {
+		want := make([]string, len(subjects))
+		for i, e := range subjects {
 			interp.DropSlabs()
-			if err := dirtySlabs(append(click.Library(), subjects...), pkts, mode, wrap); err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range subjects {
-				got := observe(t, e, pkts, cfgOf(e), false, (*interp.Machine).RunPacket)
-				if got != want[i] {
-					t.Errorf("%s mode=%d wrap=%v: recycled slabs change the run:\n%s",
-						e.Name, mode, wrap, diffLine(want[i], got))
-				}
+			want[i] = observe(t, e, pkts, cfgOf(e), false, (*interp.Machine).RunPacket)
+		}
+		interp.DropSlabs()
+		if err := dirtySlabs(append(click.Library(), subjects...), pkts, wrap); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range subjects {
+			got := observe(t, e, pkts, cfgOf(e), false, (*interp.Machine).RunPacket)
+			if got != want[i] {
+				t.Errorf("%s wrap=%v: recycled slabs change the run:\n%s",
+					e.Name, wrap, diffLine(want[i], got))
 			}
 		}
 	}
@@ -143,7 +138,7 @@ func TestSlabsConcurrent(t *testing.T) {
 	subjects := slabSubjects(t)
 	pkts := traffic.MustTrace(traffic.MediumMix, 48)
 	cfgOf := func(e *click.Element) interp.Config {
-		return interp.Config{Mode: interp.NICMap, LPMTable: e.Routes}
+		return interp.Config{LPMTable: e.Routes}
 	}
 	want := make([]string, len(subjects))
 	for i, e := range subjects {
@@ -155,7 +150,7 @@ func TestSlabsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := dirtySlabs(subjects, pkts, interp.NICMap, w%2 == 1); err != nil {
+			if err := dirtySlabs(subjects, pkts, w%2 == 1); err != nil {
 				t.Error(err)
 				return
 			}
@@ -178,7 +173,7 @@ func TestSlabsConcurrent(t *testing.T) {
 // its state away, and the next machine may already be writing to it.
 func TestUseAfterRelease(t *testing.T) {
 	e := click.Get("mazunat")
-	m, err := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(e.MustModule(), interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +199,8 @@ func TestUseAfterRelease(t *testing.T) {
 		}()
 	}
 	// Two machines built after the double Release must not share a table.
-	a, _ := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
-	b, _ := interp.New(e.MustModule(), interp.Config{Mode: interp.NICMap})
+	a, _ := interp.New(e.MustModule(), interp.Config{})
+	b, _ := interp.New(e.MustModule(), interp.Config{})
 	if err := a.MapSeed("nat_out", 9, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +221,7 @@ func TestSlabWrapClearsWholeCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := interp.New(mod, interp.Config{Mode: interp.NICMap})
+		m, err := interp.New(mod, interp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func uniqueSrcModules(tb testing.TB, n int) []*ir.Module {
 // replayed mix trace.
 func BenchmarkRunPacketSynth(b *testing.B) {
 	mod := uniqueSrcModules(b, 1)[0]
-	m, err := interp.New(mod, interp.Config{Mode: interp.NICMap})
+	m, err := interp.New(mod, interp.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,13 +27,13 @@ void handle() {
 }
 `
 
-func vecMachine(t *testing.T, mode MapMode) *Machine {
+func vecMachine(t *testing.T) *Machine {
 	t.Helper()
 	mod, err := lang.Compile("vec", vecSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(mod, Config{Mode: mode})
+	m, err := New(mod, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,66 +53,45 @@ func run(t *testing.T, m *Machine, p traffic.Packet) traffic.Packet {
 }
 
 func TestVecPushGetLen(t *testing.T) {
-	for _, mode := range []MapMode{HostMap, NICMap} {
-		m := vecMachine(t, mode)
-		run(t, m, op(1, 100, 0))
-		run(t, m, op(1, 200, 0))
-		run(t, m, op(1, 300, 0))
-		if got := run(t, m, op(0, 0, 0)); got.OutPort != 3 {
-			t.Errorf("mode %d: len = %d, want 3", mode, got.OutPort)
-		}
-		if got := run(t, m, op(3, 0, 1)); got.OutPort != 200 {
-			t.Errorf("mode %d: get(1) = %d, want 200", mode, got.OutPort)
-		}
+	m := vecMachine(t)
+	run(t, m, op(1, 100, 0))
+	run(t, m, op(1, 200, 0))
+	run(t, m, op(1, 300, 0))
+	if got := run(t, m, op(0, 0, 0)); got.OutPort != 3 {
+		t.Errorf("len = %d, want 3", got.OutPort)
+	}
+	if got := run(t, m, op(3, 0, 1)); got.OutPort != 200 {
+		t.Errorf("get(1) = %d, want 200", got.OutPort)
 	}
 }
 
-// TestVecDeleteSemanticsDiverge is the §3.3 Vector.delete example: the
-// Click host vector shifts the tail down, the NIC library only marks the
-// slot invalid — so the element visible at index 0 after delete(0) differs.
+// TestVecDeleteSemanticsDiverge is the §3.3 Vector.delete example: where a
+// Click vector would shift its tail down, the NIC library only marks the
+// slot invalid — so index 0 reads empty after delete(0) and the second
+// element stays at index 1.
 func TestVecDeleteSemanticsDiverge(t *testing.T) {
-	host := vecMachine(t, HostMap)
-	nic := vecMachine(t, NICMap)
-	for _, m := range []*Machine{host, nic} {
-		run(t, m, op(1, 100, 0))
-		run(t, m, op(1, 200, 0))
-		run(t, m, op(2, 0, 0)) // delete index 0
-	}
-	// Both report one live element...
-	if got := run(t, host, op(0, 0, 0)); got.OutPort != 1 {
-		t.Errorf("host len = %d", got.OutPort)
-	}
+	nic := vecMachine(t)
+	run(t, nic, op(1, 100, 0))
+	run(t, nic, op(1, 200, 0))
+	run(t, nic, op(2, 0, 0)) // delete index 0
 	if got := run(t, nic, op(0, 0, 0)); got.OutPort != 1 {
 		t.Errorf("nic len = %d", got.OutPort)
-	}
-	// ...but index 0 now reads 200 on the host (shifted) and 0 on the NIC
-	// (tombstoned slot).
-	if got := run(t, host, op(3, 0, 0)); got.OutPort != 200 {
-		t.Errorf("host get(0) = %d, want 200 (shifted)", got.OutPort)
 	}
 	if got := run(t, nic, op(3, 0, 0)); got.OutPort != 0 {
 		t.Errorf("nic get(0) = %d, want 0 (tombstone)", got.OutPort)
 	}
-	// The NIC keeps 200 at its original slot 1.
 	if got := run(t, nic, op(3, 0, 1)); got.OutPort != 200 {
 		t.Errorf("nic get(1) = %d, want 200", got.OutPort)
 	}
 }
 
 func TestVecNICCapacityFixed(t *testing.T) {
-	nic := vecMachine(t, NICMap)
-	host := vecMachine(t, HostMap)
+	nic := vecMachine(t)
 	for i := uint32(0); i < 12; i++ {
 		run(t, nic, op(1, 1000+i, 0))
-		run(t, host, op(1, 1000+i, 0))
 	}
-	nl, _ := nic.VecLive("recent")
-	hl, _ := host.VecLive("recent")
-	if nl != 8 {
+	if nl, _ := nic.VecLive("recent"); nl != 8 {
 		t.Errorf("NIC vector grew past capacity: %d", nl)
-	}
-	if hl != 12 {
-		t.Errorf("host vector should be elastic: %d", hl)
 	}
 	if d, _ := nic.VecDropped("recent"); d != 4 {
 		t.Errorf("dropped = %d, want 4", d)
@@ -126,29 +105,21 @@ func TestVecNICCapacityFixed(t *testing.T) {
 }
 
 func TestVecDeleteProbeCostsDiverge(t *testing.T) {
-	// Host delete of the head touches the whole tail; NIC delete touches
-	// one slot. This is the performance asymmetry reverse porting makes
-	// visible to Clara.
-	probesFor := func(mode MapMode) int {
-		m := vecMachine(t, mode)
-		for i := uint32(0); i < 6; i++ {
-			run(t, m, op(1, i, 0))
+	// Deleting the head of six elements touches one slot on the NIC, where
+	// a Click vector would shift the whole tail. This is the performance
+	// asymmetry reverse porting makes visible to Clara.
+	m := vecMachine(t)
+	for i := uint32(0); i < 6; i++ {
+		run(t, m, op(1, i, 0))
+	}
+	probes := 0
+	m.SetHooks(Hooks{OnAPI: func(name, _ string, p int, _ uint64, _ int) {
+		if name == "vec_delete" {
+			probes = p
 		}
-		probes := 0
-		m.SetHooks(Hooks{OnAPI: func(name, _ string, p int, _ uint64, _ int) {
-			if name == "vec_delete" {
-				probes = p
-			}
-		}})
-		run(t, m, op(2, 0, 0))
-		return probes
-	}
-	h := probesFor(HostMap)
-	n := probesFor(NICMap)
-	if h <= n {
-		t.Errorf("host delete probes %d should exceed NIC probes %d", h, n)
-	}
-	if n != 1 {
-		t.Errorf("NIC delete probes = %d, want 1", n)
+	}})
+	run(t, m, op(2, 0, 0))
+	if probes != 1 {
+		t.Errorf("NIC delete probes = %d, want 1", probes)
 	}
 }

@@ -88,17 +88,20 @@ var Intrinsics = map[string]Intrinsic{
 	"crc32_hw": {Name: "crc32_hw", Params: []ir.Type{ir.U32, ir.U32}, Ret: ir.U32, Accel: true},
 	"lpm_hw":   {Name: "lpm_hw", Params: []ir.Type{ir.U32}, Ret: ir.U32, Accel: true},
 
-	// Stateful data-structure API (Click HashMap analog). Host semantics:
-	// elastic, linear probing. NIC semantics: fixed buckets, no growth.
+	// Stateful data-structure API (Click HashMap analog). Click's HashMap
+	// grows and probes linearly; the NIC library's has fixed buckets and no
+	// growth. The interpreter runs the NIC semantics on the host too: that
+	// is reverse porting (§3.3).
 	"map_find":     {Name: "map_find", Params: []ir.Type{ir.U64}, Ret: ir.U64, TakesMap: true, Stateful: true},
 	"map_contains": {Name: "map_contains", Params: []ir.Type{ir.U64}, Ret: ir.Bool, TakesMap: true, Stateful: true},
 	"map_insert":   {Name: "map_insert", Params: []ir.Type{ir.U64, ir.U64}, TakesMap: true, Stateful: true},
 	"map_remove":   {Name: "map_remove", Params: []ir.Type{ir.U64}, TakesMap: true, Stateful: true},
 	"map_size":     {Name: "map_size", Ret: ir.U32, TakesMap: true, Stateful: true},
 
-	// Click Vector analog. Host semantics: elastic growth, deletions shift
-	// the tail down (O(n)). NIC semantics: fixed capacity, deletions only
-	// mark entries invalid (§3.3's Vector.delete example).
+	// Click Vector analog. Click's Vector grows and a delete shifts the
+	// tail down (O(n)); the NIC library's has fixed capacity and a delete
+	// only marks the entry invalid (§3.3's Vector.delete example). The
+	// interpreter runs the NIC semantics.
 	"vec_push":   {Name: "vec_push", Params: []ir.Type{ir.U64}, Ret: ir.Bool, TakesMap: true, Stateful: true},
 	"vec_get":    {Name: "vec_get", Params: []ir.Type{ir.U32}, Ret: ir.U64, TakesMap: true, Stateful: true},
 	"vec_set":    {Name: "vec_set", Params: []ir.Type{ir.U32, ir.U64}, TakesMap: true, Stateful: true},

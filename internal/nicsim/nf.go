@@ -47,7 +47,7 @@ type Built struct {
 	packSz  []int
 }
 
-// Build compiles the NF with the vendor toolchain, instantiates NIC-mode
+// Build compiles the NF with the vendor toolchain, instantiates its
 // state, applies Setup, and validates the placement against region
 // capacities.
 func (nf *NF) Build(params Params) (*Built, error) {
@@ -55,7 +55,7 @@ func (nf *NF) Build(params Params) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := interp.New(nf.Mod, interp.Config{Mode: interp.NICMap, LPMTable: nf.LPMTable})
+	m, err := interp.New(nf.Mod, interp.Config{LPMTable: nf.LPMTable})
 	if err != nil {
 		return nil, err
 	}

@@ -285,13 +285,6 @@ func GenTracesInto(buf []Event, b *Built, wl traffic.Spec, n int, params Params)
 // sized for the rest of the trace.
 const sizingPackets = 32
 
-// GenTracesSource is GenTraces over any packet source (e.g. a recorded
-// trace Replayer). offeredMpps caps the replayed arrival rate (0 =
-// saturate the ingress).
-func GenTracesSource(b *Built, gen traffic.Source, n int, offeredMpps float64, params Params) (*TraceSet, error) {
-	return traceInto(nil, b, gen, n, offeredMpps, params)
-}
-
 func traceInto(buf []Event, b *Built, gen traffic.Source, n int, offeredMpps float64, params Params) (*TraceSet, error) {
 	ts := &TraceSet{Name: b.NF.Name, Events: buf[:0], Off: make([]int32, 1, n+1), OfferedMpps: offeredMpps}
 	tr := newTracer(params, b, ts)

@@ -157,3 +157,44 @@ func TestWarmAnalyzeNoEncode(t *testing.T) {
 	}
 	t.Logf("warm /v1/analyze: %.0f allocations", allocs)
 }
+
+// BenchmarkAnalyzeHit prices a /v1/analyze answered wholly from the result
+// store, through Server.Handler() with an httptest recorder: one library
+// NF, and three in one request. Run it with -benchmem; resp_bytes is the
+// reply size the allocations buy.
+func BenchmarkAnalyzeHit(b *testing.B) {
+	s, err := New(Config{Tool: quickTool(b), Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct{ name, body string }{
+		{"one", `{"nf":"tcpack","workload":"small"}`},
+		{"three", `{"nfs":["iplookup","mazunat","tcpack"],"workload":"small"}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			body := []byte(c.body)
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body)))
+				return rec
+			}
+			// A module's first job is never stored and its second is, so
+			// the third request on is a result hit.
+			for i := 0; i < 3; i++ {
+				post()
+			}
+			rec := post()
+			if rec.Code != http.StatusOK || bytes.Contains(rec.Body.Bytes(), []byte(`"result_hit":false`)) ||
+				!bytes.Contains(rec.Body.Bytes(), []byte(`"result_hit":true`)) {
+				b.Fatalf("warm request: %d, not all result hits:\n%.300s", rec.Code, rec.Body.String())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			b.ReportMetric(float64(rec.Body.Len()), "resp_bytes")
+		})
+	}
+}

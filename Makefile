@@ -98,9 +98,11 @@ interp-check:
 # SimplifyModule's output behaves as its input on 96 traced packets, and
 # TestAnalysisOutputGolden pins every module's diagnostics, state profile
 # and simplified IR by hash (testdata/analysis_outputs.golden). It also
-# runs the recursion-widening and `!=` trip-bound tests.
+# runs the recursion-widening and `!=` trip-bound tests, and
+# TestSubroutineFactsInline: a subroutine's weight, taint and constant
+# facts survive the frontend's inlining.
 analysis-check:
-	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestRangesRecursionWidens|TestLintNETripBound' ./internal/analysis/
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestRangesRecursionWidens|TestLintNETripBound|TestSubroutineFactsInline' ./internal/analysis/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile

@@ -677,6 +677,68 @@ func TestFreqInterprocedural(t *testing.T) {
 	}
 }
 
+// TestSubroutineFactsInline: the frontend inlines every subroutine into
+// the handler, so the facts a subroutine contributes (its accesses'
+// weight, the taint of its result, the constant it returns) reach the
+// analysis through the one function it lowers to.
+func TestSubroutineFactsInline(t *testing.T) {
+	compile := func(name, src string) *ir.Module {
+		t.Helper()
+		m, err := lang.Compile(name, src)
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		if len(m.Funcs) != 1 {
+			t.Fatalf("%s lowered to %d functions, want 1", name, len(m.Funcs))
+		}
+		return m
+	}
+
+	// A helper called from a 4-trip loop: its load and store of ctr run
+	// 4 times each.
+	m := compile("bump", `global u32 ctr;
+void bump() { ctr = ctr + 1; }
+void handle() {
+	for (u32 i = 0; i < 4; i += 1) { bump(); }
+	pkt_send(0);
+}`)
+	if w := analysis.ComputeStateProfile(m).GlobalFreq()["ctr"]; w != 8 {
+		t.Errorf("ctr bumped in a 4-trip loop has weight %v, want 8", w)
+	}
+
+	// Payload taint passes through a helper's parameter and return.
+	m = compile("id", `u32 id(u32 x) { return x; }
+void handle() {
+	for (u32 i = 0; i < id(pkt_payload_len()); i += 1) { }
+	pkt_send(0);
+}`)
+	sp := analysis.ComputeStateProfile(m)
+	if len(sp.Loops) != 1 {
+		t.Fatalf("want 1 loop, got %+v", sp.Loops)
+	}
+	if l := sp.Loops[0]; !l.PayloadDependent || !strings.Contains(l.Cause, "pkt_payload_len") {
+		t.Errorf("loop bounded by id(pkt_payload_len()) = %+v, want payload-dependent from pkt_payload_len", l)
+	}
+
+	// A helper's constant result decides the caller's branch.
+	ds, err := analysis.LintSource("twice", `global u32 hits;
+u32 twice(u32 x) { return x * 2; }
+void handle() {
+	if (twice(3) == 6) { hits = hits + 1; } else { hits = hits + 100; }
+	pkt_send(0);
+}`, analysis.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := map[string]bool{}
+	for _, d := range ds {
+		rules[d.Rule] = true
+	}
+	if !rules[analysis.RuleConstBranch] || !rules[analysis.RuleDeadCode] {
+		t.Errorf("twice(3) == 6: want const-branch and dead-code, got %v", ds)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Golden fixtures over the paper's 17 elements: every loop and state
 // access classified (taint_*.golden), every structure weighted

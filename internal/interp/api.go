@@ -208,6 +208,12 @@ func (m *Machine) mapOp(in *cInstr, block int) {
 		panic(fmt.Sprintf("interp: %s on non-map %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
 	}
 	nm := g.nmap
+	if in.api == apiMapSize {
+		// map_size has no key: like vec_len it reads no bucket.
+		m.vals[in.id] = uint64(nm.size)
+		m.emitAPI(in, 0, 0, block)
+		return
+	}
 	key := m.arg(in.a0)
 	probes := 0
 	switch in.api {
@@ -233,8 +239,6 @@ func (m *Machine) mapOp(in *cInstr, block int) {
 			nm.slots[slot].state = 2
 			nm.size--
 		}
-	case apiMapSize:
-		m.vals[in.id] = uint64(nm.size)
 	}
 	m.emitAPI(in, probes, uint64(nm.bucket(key)), block)
 }

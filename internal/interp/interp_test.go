@@ -181,6 +181,42 @@ void handle() {
 	}
 }
 
+// TestMapSizeAddressZero: map_size reads no bucket, so its API event
+// carries no probes and address 0 on every packet, as vec_len's does,
+// whatever the packet's earlier values are.
+func TestMapSizeAddressZero(t *testing.T) {
+	src := `
+map<u64,u64> m[64];
+void handle() {
+	map_insert(m, u64(pkt_ip_src()), 1);
+	pkt_send(u32(map_size(m)));
+}
+`
+	m, err := New(compile(t, "size", src), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := 0
+	m.SetHooks(Hooks{OnAPI: func(name, _ string, probes int, addr uint64, _ int) {
+		if name != "map_size" {
+			return
+		}
+		sizes++
+		if probes != 0 || addr != 0 {
+			t.Errorf("map_size event %d: probes %d, address %d; want 0, 0", sizes, probes, addr)
+		}
+	}})
+	for i := uint32(0); i < 16; i++ {
+		p := tcpPacket(0x0A000000+i*7919, 9)
+		if err := m.RunPacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sizes != 16 {
+		t.Errorf("saw %d map_size events, want 16", sizes)
+	}
+}
+
 func TestFuelStopsRunawayLoop(t *testing.T) {
 	src := `
 void handle() {

@@ -14,7 +14,7 @@ import (
 // only when what a program observes of its state does: a map or vector
 // operation's result, its probe count or address, a bucket that fills or a
 // delete that tombstones differently.
-const nicSemanticsHash = "ce33374c40564a10239f1e5f733bf0a631dc0f3e744f0fb91e67906a9f7a9b17"
+const nicSemanticsHash = "3a32f5efc0b0d0a640ca82fe33155b78baf8e4e45d0c9bb82d7bae42ad2d184f"
 
 // churnSrc inserts, removes and looks up keys from a small key space in a
 // four-bucket map, and pushes, deletes and overwrites vector slots, so

@@ -92,17 +92,17 @@ interp-check:
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the
 # library and the 300 unique-src programs) and pins "every fact once": an
-# absolute allocation count over the library, and one interval solve per
-# frontend function. Over the same modules it checks that renumbering
-# blocks and slots changes no diagnostic or state profile, and that
+# absolute allocation count over the library, and one slot SSA shared by
+# the interval and taint fixpoints. Over the same modules it checks that
+# renumbering blocks and slots changes no diagnostic or state profile, and that
 # SimplifyModule's output behaves as its input on 96 traced packets, and
 # TestAnalysisOutputGolden pins every module's diagnostics, state profile
 # and simplified IR by hash (testdata/analysis_outputs.golden). It also
-# runs the recursion-widening and `!=` trip-bound tests, and
-# TestSubroutineFactsInline: a subroutine's weight, taint and constant
-# facts survive the frontend's inlining.
+# runs the `!=` trip-bound test and TestSubroutineFactsInline: a
+# subroutine's weight, taint and constant facts survive the frontend's
+# inlining into the module's one function.
 analysis-check:
-	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestRangesRecursionWidens|TestLintNETripBound|TestSubroutineFactsInline' ./internal/analysis/
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestLintNETripBound|TestSubroutineFactsInline' ./internal/analysis/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile

@@ -1,6 +1,7 @@
-// Package analysis is Clara's static-analysis layer over the NFC IR: CFG
-// construction (dominators, reverse postorder, natural loops), one SSA
-// form over each function's stack slots that every analysis solves over
+// Package analysis is Clara's static-analysis layer over the NFC IR, whose
+// modules are one function, the packet handler: CFG construction
+// (dominators, reverse postorder, natural loops), one SSA form over the
+// handler's stack slots that every analysis solves over
 // sparsely (intervals, payload taint, the dead-store and uninit-read
 // rules), and the offloadability linter that turns those facts into
 // structured diagnostics for SmartNIC-hostile constructs (paper §3: a

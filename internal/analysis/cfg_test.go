@@ -163,9 +163,8 @@ func preheaders(c *analysis.CFG, l *analysis.Loop) []int {
 
 // handlerRanges returns the handler's CFG and interval fixpoint.
 func handlerRanges(m *ir.Module) (*analysis.CFG, *analysis.RangeInfo) {
-	cg := analysis.BuildCallGraph(m)
-	node := cg.Node(ir.HandlerName)
-	return cg.CFGs[node], analysis.ComputeRanges(cg)[node]
+	fx := analysis.NewFacts(m)
+	return fx.CFG, analysis.ComputeRanges(fx)
 }
 
 // TestCFGStructured checks the derived structures on a small known shape:
@@ -227,7 +226,7 @@ void handle() {
 //	b1: s0 <- s1load2 ; br b2       (s0 overwritten before any read)
 //	b2: ret s0load
 func buildStraight() *ir.Func {
-	b := ir.NewBuilder("handle", nil, ir.U32)
+	b := ir.NewBuilder("handle", ir.U32)
 	s0, s1 := b.NewSlot(), b.NewSlot()
 	entry := b.Current()
 	b.LStore(s0, ir.ConstVal(1, ir.U32))
@@ -279,12 +278,12 @@ func TestReachingDefsStraight(t *testing.T) {
 }
 
 func TestReachingDefsUninit(t *testing.T) {
-	// b0: cbr (param0 < 5) b1 b2 ; b1: s0 <- 7 ; b2: ret s0load
+	// b0: cbr (pkt_ip_ttl() < 5) b1 b2 ; b1: s0 <- 7 ; b2: ret s0load
 	// s0 is uninitialized on the fallthrough path.
-	b := ir.NewBuilder("handle", []ir.Param{{Name: "p", Ty: ir.U32}}, ir.U32)
+	b := ir.NewBuilder("handle", ir.U32)
 	s0 := b.NewSlot()
 	entry := b.Current()
-	cond := b.ICmp(ir.PredULT, ir.ParamVal(0, ir.U32), ir.ConstVal(5, ir.U32))
+	cond := b.ICmp(ir.PredULT, b.Call("pkt_ip_ttl", "", ir.U8), ir.ConstVal(5, ir.U8))
 	then := b.NewBlock("then")
 	exit := b.NewBlock("exit")
 	b.SetBlock(entry)

@@ -7,14 +7,11 @@ import (
 	"clara/internal/ir"
 )
 
-// Solves reports how many times the interval fixpoint solved ri's function.
-func (ri *RangeInfo) Solves() int { return ri.solves }
-
-// SharesSSA reports whether the interval and taint fixpoints of node read
-// the one slot SSA the call graph keeps for it.
-func SharesSSA(cg *CallGraph, node int) bool {
-	s := cg.ssaOf(node)
-	return ComputeRanges(cg)[node].ssa == s && ComputeTaint(cg).fns[node].ssa == s
+// SharesSSA reports whether the interval and taint fixpoints read the one
+// slot SSA fx keeps for the handler.
+func SharesSSA(fx *Facts) bool {
+	s := fx.ssaOf()
+	return ComputeRanges(fx).ssa == s && ComputeTaint(fx).ssa == s
 }
 
 // reaching returns the versions that flow into version v through phi
@@ -74,68 +71,66 @@ func LoadDefs(f *ir.Func, id int) (stores [][2]int, uninit bool) {
 	return stores, uninit
 }
 
-// CheckSSA verifies the slot SSA of every function of m: each LLoad of a
+// CheckSSA verifies the slot SSA of m's handler: each LLoad of a
 // reachable block reads exactly one version of its slot, each phi has one
 // operand per reachable predecessor, and each use — of an instruction
 // value, a load's version, a phi operand at the end of its predecessor, a
 // σ's parent at the end of its branch — is dominated by its definition.
 func CheckSSA(m *ir.Module) error {
-	cg := BuildCallGraph(m)
-	for node, f := range cg.Funcs {
-		c, s := cg.CFGs[node], cg.ssaOf(node)
-		end := func(b int) int { return len(f.Blocks[b].Instrs) }
-		// avail reports whether version v is defined before instruction i
-		// of block b on every path to it.
-		avail := func(v int32, b, i int) bool {
-			ver := s.vers[v]
-			db, di := ver.block, -1
-			switch ver.kind {
-			case verEntry:
-				return true
-			case verStore:
-				di = indexOf(f.Blocks[db], ver.store)
-			case verSigma:
-				if len(s.preds[ver.to]) != 1 { // only the merge's phi reads it
-					return b == ver.block && i == end(b)
-				}
-				db = ver.to
+	fx := NewFacts(m)
+	f, c, s := fx.F, fx.CFG, fx.ssaOf()
+	end := func(b int) int { return len(f.Blocks[b].Instrs) }
+	// avail reports whether version v is defined before instruction i
+	// of block b on every path to it.
+	avail := func(v int32, b, i int) bool {
+		ver := s.vers[v]
+		db, di := ver.block, -1
+		switch ver.kind {
+		case verEntry:
+			return true
+		case verStore:
+			di = indexOf(f.Blocks[db], ver.store)
+		case verSigma:
+			if len(s.preds[ver.to]) != 1 { // only the merge's phi reads it
+				return b == ver.block && i == end(b)
 			}
-			return db == b && di < i || db != b && c.Dominates(db, b)
+			db = ver.to
 		}
-		for v, ver := range s.vers {
-			switch ver.kind {
-			case verPhi:
-				if len(ver.ops) != len(s.preds[ver.block]) {
-					return fmt.Errorf("%s: phi %d at b%d has %d operands for %d predecessors", f.Name, v, ver.block, len(ver.ops), len(s.preds[ver.block]))
-				}
-				for k, o := range ver.ops {
-					if p := s.preds[ver.block][k]; s.vers[o].slot != ver.slot || p >= 0 && !avail(o, p, end(p)) {
-						return fmt.Errorf("%s: phi %d at b%d: operand %d does not reach from b%d", f.Name, v, ver.block, o, p)
-					}
-				}
-			case verSigma:
-				if p := ver.ops[0]; s.vers[p].slot != ver.slot || !avail(p, ver.block, end(ver.block)) {
-					return fmt.Errorf("%s: σ %d on b%d→b%d: parent %d does not reach", f.Name, v, ver.block, ver.to, p)
+		return db == b && di < i || db != b && c.Dominates(db, b)
+	}
+	for v, ver := range s.vers {
+		switch ver.kind {
+		case verPhi:
+			if len(ver.ops) != len(s.preds[ver.block]) {
+				return fmt.Errorf("%s: phi %d at b%d has %d operands for %d predecessors", f.Name, v, ver.block, len(ver.ops), len(s.preds[ver.block]))
+			}
+			for k, o := range ver.ops {
+				if p := s.preds[ver.block][k]; s.vers[o].slot != ver.slot || p >= 0 && !avail(o, p, end(p)) {
+					return fmt.Errorf("%s: phi %d at b%d: operand %d does not reach from b%d", f.Name, v, ver.block, o, p)
 				}
 			}
+		case verSigma:
+			if p := ver.ops[0]; s.vers[p].slot != ver.slot || !avail(p, ver.block, end(ver.block)) {
+				return fmt.Errorf("%s: σ %d on b%d→b%d: parent %d does not reach", f.Name, v, ver.block, ver.to, p)
+			}
 		}
-		for _, b := range c.RPO {
-			for i, in := range f.Blocks[b].Instrs {
-				for _, a := range in.Args {
-					if a.Kind != ir.VInstr {
-						continue
-					}
-					d := s.instr(a)
-					if db := int(s.defBlk[a.ID]); d == nil || db == b && indexOf(f.Blocks[b], d) >= i || !c.Dominates(db, b) {
-						return fmt.Errorf("%s: b%d: %s uses %%%d where its definition does not dominate", f.Name, b, in, a.ID)
-					}
-				}
-				if in.Op != ir.OpLLoad {
+	}
+	for _, b := range c.RPO {
+		for i, in := range f.Blocks[b].Instrs {
+			for _, a := range in.Args {
+				if a.Kind != ir.VInstr {
 					continue
 				}
-				if v := s.loadVer[in.ID]; v < 0 || s.vers[v].slot != in.Slot || !avail(v, b, i) {
-					return fmt.Errorf("%s: b%d: %s reads version %d, not one of its slot that dominates it", f.Name, b, in, v)
+				d := s.instr(a)
+				if db := int(s.defBlk[a.ID]); d == nil || db == b && indexOf(f.Blocks[b], d) >= i || !c.Dominates(db, b) {
+					return fmt.Errorf("%s: b%d: %s uses %%%d where its definition does not dominate", f.Name, b, in, a.ID)
 				}
+			}
+			if in.Op != ir.OpLLoad {
+				continue
+			}
+			if v := s.loadVer[in.ID]; v < 0 || s.vers[v].slot != in.Slot || !avail(v, b, i) {
+				return fmt.Errorf("%s: b%d: %s reads version %d, not one of its slot that dominates it", f.Name, b, in, v)
 			}
 		}
 	}

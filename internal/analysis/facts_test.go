@@ -14,7 +14,7 @@ import (
 	"clara/internal/traffic"
 )
 
-// lowerSrc parses and lowers NFC source for the interprocedural tests.
+// lowerSrc parses and lowers NFC source.
 func lowerSrc(t testing.TB, name, src string) *ir.Module {
 	t.Helper()
 	file, err := lang.Parse(name, src)
@@ -29,129 +29,26 @@ func lowerSrc(t testing.TB, name, src string) *ir.Module {
 }
 
 // ---------------------------------------------------------------------------
-// Call graph.
-
-// buildMultiFn hand-builds a module exercising shapes the frontend never
-// emits (it inlines): a call chain, a mutually recursive pair, and a
-// self-recursive function.
-//
-//	handle -> chain -> leaf
-//	handle -> mutA <-> mutB
-//	handle -> selfrec -> selfrec
-func buildMultiFn(t *testing.T) *ir.Module {
-	t.Helper()
-	u32 := ir.U32
-	param := []ir.Param{{Name: "x", Ty: u32}}
-
-	leaf := ir.NewBuilder("leaf", param, u32)
-	v := ir.ParamVal(0, u32)
-	leaf.Ret(&v)
-
-	chain := ir.NewBuilder("chain", param, u32)
-	cv := chain.Call("leaf", "", u32, ir.ParamVal(0, u32))
-	chain.Ret(&cv)
-
-	mutA := ir.NewBuilder("mutA", param, u32)
-	av := mutA.Call("mutB", "", u32, ir.ParamVal(0, u32))
-	mutA.Ret(&av)
-
-	mutB := ir.NewBuilder("mutB", param, u32)
-	bodyB := mutB.Current()
-	_ = bodyB
-	cond := mutB.ICmp(ir.PredUGT, ir.ParamVal(0, u32), ir.ConstVal(0, u32))
-	thenB := mutB.NewBlock("then")
-	elseB := mutB.NewBlock("else")
-	mutB.SetBlock(mutB.F.Blocks[0])
-	mutB.CondBr(cond, thenB, elseB)
-	mutB.SetBlock(thenB)
-	dec := mutB.Bin(ir.OpSub, u32, ir.ParamVal(0, u32), ir.ConstVal(1, u32))
-	rv := mutB.Call("mutA", "", u32, dec)
-	mutB.Ret(&rv)
-	mutB.SetBlock(elseB)
-	zero := ir.ConstVal(0, u32)
-	mutB.Ret(&zero)
-
-	selfrec := ir.NewBuilder("selfrec", param, u32)
-	sv := selfrec.Call("selfrec", "", u32, ir.ParamVal(0, u32))
-	selfrec.Ret(&sv)
-
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	pl := h.Call("pkt_payload_len", "", u32)
-	h.Call("chain", "", u32, pl)
-	h.Call("mutA", "", u32, ir.ConstVal(3, u32))
-	h.Call("selfrec", "", u32, pl)
-	h.Ret(nil)
-
-	m := &ir.Module{Name: "multifn", Funcs: []*ir.Func{
-		h.F, chain.F, leaf.F, mutA.F, mutB.F, selfrec.F,
-	}}
-	if err := ir.Verify(m); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	return m
-}
-
-func TestCallGraphSCC(t *testing.T) {
-	m := buildMultiFn(t)
-	cg := analysis.BuildCallGraph(m)
-
-	idx := func(name string) int {
-		i := cg.Node(name)
-		if i < 0 {
-			t.Fatalf("missing node %q", name)
-		}
-		return i
-	}
-	// Reverse topological numbering: callees' SCCs before callers'.
-	if !(cg.SCCOf(idx("leaf")) < cg.SCCOf(idx("chain"))) {
-		t.Errorf("leaf SCC %d should precede chain SCC %d", cg.SCCOf(idx("leaf")), cg.SCCOf(idx("chain")))
-	}
-	if !(cg.SCCOf(idx("chain")) < cg.SCCOf(idx("handle"))) {
-		t.Errorf("chain SCC should precede handle SCC")
-	}
-	if cg.SCCOf(idx("mutA")) != cg.SCCOf(idx("mutB")) {
-		t.Errorf("mutually recursive pair split across SCCs")
-	}
-	// A node is recursive when its SCC has several members or it calls
-	// itself.
-	recursive := func(i int) bool {
-		self := false
-		for _, j := range cg.Callees[i] {
-			self = self || j == i
-		}
-		return self || len(cg.SCCs()[cg.SCCOf(i)]) > 1
-	}
-	for _, n := range []string{"mutA", "mutB", "selfrec"} {
-		if !recursive(idx(n)) {
-			t.Errorf("%s not in a call cycle", n)
-		}
-	}
-	for _, n := range []string{"handle", "chain", "leaf"} {
-		if recursive(idx(n)) {
-			t.Errorf("%s wrongly in a call cycle", n)
-		}
-	}
-	// Intrinsic calls are leaves, not nodes.
-	if cg.Node("pkt_payload_len") != -1 {
-		t.Errorf("intrinsic appeared as a call-graph node")
-	}
-}
+// The per-module facts.
 
 func TestCallGraphEmptyAndSingle(t *testing.T) {
-	// An empty function body (just a return) must survive every pass.
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	// An empty handler (just a return) must survive every pass.
+	h := ir.NewBuilder(ir.HandlerName, ir.Void)
 	h.Ret(nil)
 	m := &ir.Module{Name: "empty", Funcs: []*ir.Func{h.F}}
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
-	cg := analysis.BuildCallGraph(m)
-	if len(cg.SCCs()) != 1 {
-		t.Fatalf("one function should give one SCC, got %d", len(cg.SCCs()))
+	fx := analysis.NewFacts(m)
+	analysis.ComputeTaint(fx)
+	analysis.ComputeRanges(fx)
+	analysis.ComputeFreq(fx)
+	if ds := analysis.LintModule(m, analysis.DefaultConfig()); len(ds) != 0 {
+		t.Errorf("empty handler linted %v", ds)
 	}
-	analysis.ComputeTaint(cg)
-	analysis.ComputeRanges(cg)
-	analysis.ComputeFreq(cg)
+	if _, n := analysis.SimplifyModule(m); n != 0 {
+		t.Errorf("SimplifyModule rewrote an empty handler %d times", n)
+	}
 	sp := analysis.ComputeStateProfile(m)
 	if len(sp.Loops) != 0 || len(sp.Structs) != 0 {
 		t.Errorf("empty module produced a non-empty profile: %+v", sp)
@@ -238,72 +135,6 @@ void handle() {
 	}
 }
 
-func TestTaintInterprocedural(t *testing.T) {
-	// Hand-built: handle passes a payload-derived value through a helper
-	// and bounds a loop with the result. The classification must cross
-	// the call (param taint in, return taint out) — including through the
-	// self-recursive echo helper.
-	u32 := ir.U32
-	id := ir.NewBuilder("id", []ir.Param{{Name: "x", Ty: u32}}, u32)
-	v := ir.ParamVal(0, u32)
-	id.Ret(&v)
-
-	// Self-recursive with a base case that returns the parameter: the
-	// payload taint must survive the SCC fixpoint through both paths.
-	echo := ir.NewBuilder("echo", []ir.Param{{Name: "x", Ty: u32}}, u32)
-	ec := echo.ICmp(ir.PredUGT, ir.ParamVal(0, u32), ir.ConstVal(100, u32))
-	eRec := echo.NewBlock("rec")
-	eBase := echo.NewBlock("base")
-	echo.SetBlock(echo.F.Blocks[0])
-	echo.CondBr(ec, eRec, eBase)
-	echo.SetBlock(eRec)
-	ev := echo.Call("echo", "", u32, ir.ParamVal(0, u32))
-	echo.Ret(&ev)
-	echo.SetBlock(eBase)
-	ebv := ir.ParamVal(0, u32)
-	echo.Ret(&ebv)
-
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	slot := h.NewSlot()
-	pl := h.Call("pkt_payload_len", "", u32)
-	bound := h.Call("id", "", u32, pl)
-	h.Call("echo", "", u32, pl)
-	h.LStore(slot, ir.ConstVal(0, u32))
-	head := h.NewBlock("head")
-	body := h.NewBlock("body")
-	exit := h.NewBlock("exit")
-	h.SetBlock(h.F.Blocks[0])
-	h.Br(head)
-	h.SetBlock(head)
-	iv := h.LLoad(slot, u32)
-	cond := h.ICmp(ir.PredULT, iv, bound)
-	h.CondBr(cond, body, exit)
-	h.SetBlock(body)
-	iv2 := h.LLoad(slot, u32)
-	h.LStore(slot, h.Bin(ir.OpAdd, u32, iv2, ir.ConstVal(1, u32)))
-	h.Br(head)
-	h.SetBlock(exit)
-	h.Ret(nil)
-
-	m := &ir.Module{Name: "interproc", Funcs: []*ir.Func{h.F, id.F, echo.F}}
-	if err := ir.Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	cg := analysis.BuildCallGraph(m)
-	ti := analysis.ComputeTaint(cg)
-	lt, ok := ti.LoopClass(ir.HandlerName, head.Index)
-	if !ok {
-		t.Fatalf("loop at head b%d not classified", head.Index)
-	}
-	if !lt.PayloadDependent() {
-		t.Errorf("loop bounded by id(pkt_payload_len()) should be payload-dependent: %+v", lt)
-	}
-	// The self-recursive echo must converge with a payload-tainted return.
-	if tt := ti.ValueTaint(ir.HandlerName, 2); !tt.Has(analysis.TaintPayload) {
-		t.Errorf("echo(payload) return taint = %v, want payload", tt)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Constant facts of the interval analysis, and simplification.
 
@@ -362,126 +193,6 @@ void handle() {
 	// The original module must be untouched.
 	if len(m.Handler().Blocks) != before {
 		t.Errorf("SimplifyModule mutated its input")
-	}
-}
-
-func TestSCCPInterproceduralConst(t *testing.T) {
-	// A helper that returns a constant lets the caller's branch fold.
-	u32 := ir.U32
-	five := ir.NewBuilder("five", nil, u32)
-	c := ir.ConstVal(5, u32)
-	five.Ret(&c)
-
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	v := h.Call("five", "", u32)
-	cond := h.ICmp(ir.PredEQ, v, ir.ConstVal(5, u32))
-	thenB := h.NewBlock("then")
-	elseB := h.NewBlock("else")
-	h.SetBlock(h.F.Blocks[0])
-	h.CondBr(cond, thenB, elseB)
-	h.SetBlock(thenB)
-	h.Ret(nil)
-	h.SetBlock(elseB)
-	h.Ret(nil)
-
-	m := &ir.Module{Name: "ipconst", Funcs: []*ir.Func{h.F, five.F}}
-	if err := ir.Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	cg := analysis.BuildCallGraph(m)
-	ri := analysis.ComputeRanges(cg)[cg.Node(ir.HandlerName)]
-	if v, ok := ri.ValRange(0).Const(); !ok || v != 5 {
-		t.Errorf("five() call did not fold to 5 across the call: %+v", ri.ValRange(0))
-	}
-	var cbs []analysis.Diagnostic
-	for _, d := range analysis.LintModule(m, analysis.DefaultConfig()) {
-		if d.Rule == analysis.RuleConstBranch {
-			cbs = append(cbs, d)
-		}
-	}
-	if len(cbs) != 1 || !strings.Contains(cbs[0].Msg, "always true") {
-		t.Fatalf("want one always-true branch, got %v", cbs)
-	}
-	if sm, _ := analysis.SimplifyModule(m); len(sm.Handler().Blocks) != 2 {
-		t.Errorf("the folded branch was not straightened: %s", sm)
-	}
-}
-
-// TestSimplifyKeepsUnenteredFunctions: a function whose only call site is
-// infeasible has no interval facts, so SimplifyModule must fold none of its
-// operands.
-func TestSimplifyKeepsUnenteredFunctions(t *testing.T) {
-	u32 := ir.U32
-	dead := ir.NewBuilder("dead", []ir.Param{{Name: "x", Ty: u32}}, u32)
-	v := dead.Bin(ir.OpAdd, u32, ir.ParamVal(0, u32), ir.ConstVal(1, u32))
-	w := dead.Bin(ir.OpMul, u32, v, v)
-	dead.Ret(&w)
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	never := h.NewBlock("never")
-	exit := h.NewBlock("exit")
-	h.SetBlock(h.F.Blocks[0])
-	h.CondBr(ir.ConstVal(0, ir.Bool), never, exit)
-	h.SetBlock(never)
-	h.Call("dead", "", u32, ir.ConstVal(5, u32))
-	h.Br(exit)
-	h.SetBlock(exit)
-	h.Ret(nil)
-	m := &ir.Module{Name: "unentered", Funcs: []*ir.Func{h.F, dead.F}}
-	if err := ir.Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	sm, _ := analysis.SimplifyModule(m)
-	text := func(f *ir.Func) (out []string) {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				out = append(out, in.String())
-			}
-		}
-		return out
-	}
-	if got, want := text(sm.Func("dead")), text(m.Func("dead")); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("rewrote a function nothing enters:\n got %q\nwant %q", got, want)
-	}
-}
-
-// TestRangesRecursionWidens: parameter and return cells have no finite
-// height, so a self-recursive f(n) calling f(n+1) must widen its parameter
-// to the type range instead of growing it one value per solve until the
-// sweep bound stops it with a narrow, unsound interval.
-func TestRangesRecursionWidens(t *testing.T) {
-	u32 := ir.U32
-	f := ir.NewBuilder("f", []ir.Param{{Name: "n", Ty: u32}}, u32)
-	f.Call("f", "", u32, f.Bin(ir.OpAdd, u32, ir.ParamVal(0, u32), ir.ConstVal(1, u32)))
-	isZero := f.ICmp(ir.PredEQ, ir.ParamVal(0, u32), ir.ConstVal(0, u32))
-	zero := f.NewBlock("zero")
-	other := f.NewBlock("other")
-	f.SetBlock(f.F.Blocks[0])
-	f.CondBr(isZero, zero, other)
-	f.SetBlock(zero)
-	one := ir.ConstVal(1, u32)
-	f.Ret(&one)
-	f.SetBlock(other)
-	nought := ir.ConstVal(0, u32)
-	f.Ret(&nought)
-
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	h.Call("f", "", u32, ir.ConstVal(0, u32))
-	h.Ret(nil)
-
-	m := &ir.Module{Name: "recurse", Funcs: []*ir.Func{h.F, f.F}}
-	if err := ir.Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	cg := analysis.BuildCallGraph(m)
-	ri := analysis.ComputeRanges(cg)[cg.Node("f")]
-	// Value 0 is n+1, evaluated from the parameter's final interval.
-	if got, want := ri.ValRange(0), (analysis.Interval{Lo: 0, Hi: 1<<32 - 1}); got != want {
-		t.Errorf("n+1 = %+v, want the widened u32 range %+v", got, want)
-	}
-	for _, d := range analysis.LintModule(m, analysis.DefaultConfig()) {
-		if d.Rule == analysis.RuleConstBranch || d.Rule == analysis.RuleDeadCode {
-			t.Errorf("recursion's growing parameter was taken as a constant: %v", d)
-		}
 	}
 }
 
@@ -630,53 +341,6 @@ void handle() {
 	}
 }
 
-func TestFreqInterprocedural(t *testing.T) {
-	// A helper called from a 4-iteration loop must inherit frequency 4.
-	u32 := ir.U32
-	help := ir.NewBuilder("bump", nil, ir.Void)
-	hv := help.GLoad("ctr", u32, nil)
-	help.GStore("ctr", help.Bin(ir.OpAdd, u32, hv, ir.ConstVal(1, u32)), nil)
-	help.Ret(nil)
-
-	h := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
-	slot := h.NewSlot()
-	h.LStore(slot, ir.ConstVal(0, u32))
-	head := h.NewBlock("head")
-	body := h.NewBlock("body")
-	exit := h.NewBlock("exit")
-	h.SetBlock(h.F.Blocks[0])
-	h.Br(head)
-	h.SetBlock(head)
-	iv := h.LLoad(slot, u32)
-	cond := h.ICmp(ir.PredULT, iv, ir.ConstVal(4, u32))
-	h.CondBr(cond, body, exit)
-	h.SetBlock(body)
-	h.Call("bump", "", ir.Void)
-	iv2 := h.LLoad(slot, u32)
-	h.LStore(slot, h.Bin(ir.OpAdd, u32, iv2, ir.ConstVal(1, u32)))
-	h.Br(head)
-	h.SetBlock(exit)
-	h.Ret(nil)
-
-	m := &ir.Module{
-		Name:    "ipfreq",
-		Globals: []*ir.Global{{Name: "ctr", Kind: ir.GScalar, Elem: u32}},
-		Funcs:   []*ir.Func{h.F, help.F},
-	}
-	if err := ir.Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	fi := analysis.ComputeFreq(analysis.BuildCallGraph(m))
-	bump := fi.CG.Node("bump")
-	if fi.FnFreq[bump] < 3.5 || fi.FnFreq[bump] > 4.5 {
-		t.Errorf("helper in a 4-loop has FnFreq %v, want ~4", fi.FnFreq[bump])
-	}
-	// ctr: load+store per bump call → ~8 accesses per packet.
-	if w := fi.GlobalWeight["ctr"]; w < 7 || w > 9 {
-		t.Errorf("ctr weight %v, want ~8", w)
-	}
-}
-
 // TestSubroutineFactsInline: the frontend inlines every subroutine into
 // the handler, so the facts a subroutine contributes (its accesses'
 // weight, the taint of its result, the constant it returns) reach the
@@ -779,8 +443,8 @@ func checkGolden(t *testing.T, path, got string) {
 // ---------------------------------------------------------------------------
 // Fuzzing.
 
-// FuzzTaint drives the interprocedural engine (call graph, intervals,
-// taint, frequency, simplify) on arbitrary source. Contract: no panics, no
+// FuzzTaint drives the analysis (intervals, taint, frequency, simplify) on
+// arbitrary source. Contract: no panics, no
 // hangs, a well-formed slot SSA (CheckSSA) before and after simplifying,
 // deterministic classification across repeated runs, and the simplified
 // module always verifies and lints with no const-branch or dead-code

@@ -13,18 +13,16 @@ import (
 // is the classic static profile — branch probabilities × loop trip
 // counts:
 //
-//   - each function body is propagated as a DAG (back edges dropped) in
-//     reverse postorder, splitting block mass 50/50 at two-way branches;
+//   - the handler's body is propagated as a DAG (back edges dropped) in
+//     reverse postorder from its entry, which runs once per packet,
+//     splitting block mass 50/50 at two-way branches;
 //     branch sides range analysis proves infeasible get 0 (the surviving
 //     side everything), and loop-exit edges carry the full post-loop mass
 //     rather than halving the body on every header test;
 //   - every block inside a natural loop is multiplied by the loop's
 //     inferred trip count (capped; unbounded loops get a fixed pessimistic
-//     estimate), nested loops multiply;
-//   - function entry frequencies flow top-down over the call graph from
-//     the packet handler (callsite block frequency × caller frequency),
-//     so a helper called from a hot loop is hot. Recursive SCC-internal
-//     edges contribute once (the frontend forbids recursion anyway).
+//     estimate), nested loops multiply. A subroutine is inlined at each
+//     call site, so a helper called from a hot loop is hot.
 //
 // The per-structure weights replace the uniform frequencies the §4.3
 // placement ILP falls back to when no dynamic profile exists, and feed
@@ -43,10 +41,6 @@ const (
 
 // FreqInfo is the static execution-frequency estimate for one module.
 type FreqInfo struct {
-	CG *CallGraph
-	// FnFreq[node] is the estimated invocations of each function per
-	// packet (handler = 1).
-	FnFreq []float64
 	// Loops profiles every natural loop's bound and header frequency; the
 	// state profile adds its taint class.
 	Loops []LoopProfile
@@ -56,79 +50,13 @@ type FreqInfo struct {
 	GlobalWeight map[string]float64
 }
 
-// ComputeFreq runs the static frequency estimate over a call graph.
-func ComputeFreq(cg *CallGraph) *FreqInfo {
-	fi := &FreqInfo{
-		CG:           cg,
-		FnFreq:       make([]float64, len(cg.Funcs)),
-		GlobalWeight: map[string]float64{},
-	}
-	local := make([][]float64, len(cg.Funcs))
-	for node := range cg.Funcs {
-		local[node] = fi.localFreq(node)
-	}
-	// Entry frequencies: roots (no in-module callers — the packet handler
-	// and hand-built entry points) run once per packet; everything else
-	// accumulates callsite frequency top-down in caller-first SCC order.
-	for node := range cg.Funcs {
-		if len(cg.Callers[node]) == 0 {
-			fi.FnFreq[node] = 1
-		}
-	}
-	sccs := cg.SCCs()
-	for k := len(sccs) - 1; k >= 0; k-- {
-		for _, node := range sccs[k] {
-			f := cg.Funcs[node]
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					if in.Op != ir.OpCall {
-						continue
-					}
-					j := cg.Node(in.Callee)
-					if j < 0 || cg.SCCOf(j) == cg.SCCOf(node) {
-						continue // intrinsic, or recursion counted once
-					}
-					fi.FnFreq[j] += fi.FnFreq[node] * local[node][b.Index]
-				}
-			}
-		}
-	}
-	// Scale loop header frequencies now that entry frequencies are known.
-	for i := range fi.Loops {
-		fi.Loops[i].Freq *= fi.FnFreq[fi.CG.Node(fi.Loops[i].Fn)]
-	}
-	// Per-structure weights: one access per GLoad/GStore and per stateful
-	// framework call, weighted by its block's frequency.
-	for node, f := range cg.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if g := statefulGlobal(cg, in); g != "" {
-					fi.GlobalWeight[g] += fi.FnFreq[node] * local[node][b.Index]
-				}
-			}
-		}
-	}
-	return fi
-}
-
-// statefulGlobal returns the structure an instruction touches, or "".
-func statefulGlobal(cg *CallGraph, in *ir.Instr) string {
-	switch in.Op {
-	case ir.OpGLoad, ir.OpGStore:
-		return in.Global
-	case ir.OpCall:
-		if in.Global != "" && cg.Node(in.Callee) < 0 {
-			return in.Global
-		}
-	}
-	return ""
-}
-
-// localFreq propagates per-invocation block frequencies for one function
-// and records its loop multipliers.
-func (fi *FreqInfo) localFreq(node int) []float64 {
-	ri := ComputeRanges(fi.CG)[node]
-	c, f := ri.c, ri.c.F
+// ComputeFreq runs the static frequency estimate over the handler: per
+// block, per loop header, and per structure, one access per GLoad/GStore
+// and per stateful framework call, weighted by its block's frequency.
+func ComputeFreq(fx *Facts) *FreqInfo {
+	fi := &FreqInfo{GlobalWeight: map[string]float64{}}
+	ri := ComputeRanges(fx)
+	c, f := fx.CFG, fx.F
 	loops := c.NaturalLoops()
 
 	// Loop multiplier per block: product of trips over containing loops.
@@ -137,7 +65,6 @@ func (fi *FreqInfo) localFreq(node int) []float64 {
 		mult[i] = 1
 	}
 	back := map[[2]int]bool{}
-	first := len(fi.Loops)
 	for _, l := range loops {
 		tc := ri.InferTripCount(l)
 		trips := float64(freqDefaultTrips)
@@ -216,10 +143,17 @@ func (fi *FreqInfo) localFreq(node int) []float64 {
 	}
 	// A loop header's DAG mass is its entry mass; the header actually
 	// runs entry × trips times, which freq already reflects.
-	for i := first; i < len(fi.Loops); i++ {
-		fi.Loops[i].Freq = freq[fi.heads[i]]
+	for i, h := range fi.heads {
+		fi.Loops[i].Freq = freq[h]
 	}
-	return freq
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpGLoad || in.Op == ir.OpGStore || in.Op == ir.OpCall && in.Global != "" {
+				fi.GlobalWeight[in.Global] += freq[b.Index]
+			}
+		}
+	}
+	return fi
 }
 
 // ---------------------------------------------------------------------------
@@ -260,23 +194,20 @@ type StateProfile struct {
 
 // ComputeStateProfile derives the static profile of a module.
 func ComputeStateProfile(m *ir.Module) *StateProfile {
-	return stateProfile(BuildCallGraph(m))
+	return stateProfile(NewFacts(m))
 }
 
-func stateProfile(cg *CallGraph) *StateProfile {
-	ti := ComputeTaint(cg)
-	fi := ComputeFreq(cg)
+func stateProfile(fx *Facts) *StateProfile {
+	ti := ComputeTaint(fx)
+	fi := ComputeFreq(fx)
 	sp := &StateProfile{Loops: fi.Loops}
-	for i, lp := range sp.Loops {
-		if lt, ok := ti.LoopClass(lp.Fn, fi.heads[i]); ok {
+	for i := range sp.Loops {
+		if lt, ok := ti.LoopClass(fi.heads[i]); ok {
 			sp.Loops[i].PayloadDependent, sp.Loops[i].Cause = lt.PayloadDependent(), lt.Cause()
 		}
 	}
 	sort.SliceStable(sp.Loops, func(i, j int) bool {
 		a, b := sp.Loops[i], sp.Loops[j]
-		if a.Fn != b.Fn {
-			return a.Fn < b.Fn
-		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
@@ -285,7 +216,7 @@ func stateProfile(cg *CallGraph) *StateProfile {
 
 	// Per-structure: weight from the frequency estimate, key class joined
 	// over every access site.
-	for _, g := range cg.M.Globals {
+	for _, g := range fx.M.Globals {
 		st := ti.Accesses[g.Name]
 		prof := StructProfile{
 			Name: g.Name, Kind: g.Kind.String(), Bytes: g.SizeBytes(),

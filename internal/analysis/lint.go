@@ -83,7 +83,7 @@ var RuleDocs = []RuleDoc{
 	{RuleAPIUnknown, SevWarning, "a call to an API outside the framework registry",
 		"Nothing is known about the callee's NIC cost or semantics; the predictor cannot price it and the linter cannot check it."},
 	{RuleConstBranch, SevWarning, "a two-way branch whose condition is compile-time constant",
-		"The interprocedural interval analysis decides the condition: exactly one side of the branch is feasible. The untaken side is dead weight in the NIC instruction store; SimplifyModule straightens such branches."},
+		"The interval analysis decides the condition: exactly one side of the branch is feasible. The untaken side is dead weight in the NIC instruction store; SimplifyModule straightens such branches."},
 	{RuleDeadCode, SevWarning, "a block no feasible path executes",
 		"The block is reachable in the CFG but the interval analysis proves every path into it takes another branch side. It still occupies instruction store and skews naive per-block predictions; SimplifyModule removes it."},
 }
@@ -123,33 +123,30 @@ func DefaultConfig() Config {
 }
 
 // Analyze is the job pipeline's single entry into this package: the lint
-// diagnostics and the static state profile of m from one call graph, so
-// every shared fact (CFGs, loops, ranges, trip counts, taint) is computed
-// once. The results equal LintModule's and ComputeStateProfile's.
+// diagnostics and the static state profile of m from one Facts, so every
+// shared fact (CFG, loops, ranges, trip counts, taint) is computed once.
+// The results equal LintModule's and ComputeStateProfile's.
 func Analyze(m *ir.Module, cfg Config) ([]Diagnostic, *StateProfile) {
-	cg := BuildCallGraph(m)
-	return lint(cg, cfg, nil), stateProfile(cg)
+	fx := NewFacts(m)
+	return lint(fx, cfg, nil), stateProfile(fx)
 }
 
 // LintModule runs the offloadability rule catalog over a lowered module.
 func LintModule(m *ir.Module, cfg Config) []Diagnostic {
-	return lint(BuildCallGraph(m), cfg, nil)
+	return lint(NewFacts(m), cfg, nil)
 }
 
-func lint(cg *CallGraph, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
-	m := cg.M
+func lint(fx *Facts, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
+	m, f, c := fx.M, fx.F, fx.CFG
 	ds := lintGlobals(m, cfg, gpos)
-	// The interprocedural fixpoints run once per module; their facts
-	// (taint causes, value ranges) thread through the per-function rules.
-	ti := ComputeTaint(cg)
-	for node, ri := range ComputeRanges(cg) {
-		f, c := cg.Funcs[node], cg.CFGs[node]
-		ds = append(ds, lintLoops(m, f, c, ri, ti)...)
-		ds = append(ds, lintConstFacts(m, f, ri)...)
-		ds = append(ds, lintCalls(m, f, c)...)
-		ds = append(ds, lintDeadStores(m, f, ri.ssa)...)
-		ds = append(ds, lintUninitReads(m, f, ri.ssa)...)
-	}
+	// The fixpoints run once per module; their facts (taint causes, value
+	// ranges) thread through the rules.
+	ti, ri := ComputeTaint(fx), ComputeRanges(fx)
+	ds = append(ds, lintLoops(m, f, c, ri, ti)...)
+	ds = append(ds, lintConstFacts(m, f, ri)...)
+	ds = append(ds, lintCalls(m, f, c)...)
+	ds = append(ds, lintDeadStores(m, f, ri.ssa)...)
+	ds = append(ds, lintUninitReads(m, f, ri.ssa)...)
 	return NormalizeDiagnostics(ds)
 }
 
@@ -174,7 +171,7 @@ func LintSource(name, src string, cfg Config) ([]Diagnostic, error) {
 	for _, g := range file.Globals {
 		gpos[g.Name] = ir.Pos{Line: g.Line, Col: g.Col}
 	}
-	return lint(BuildCallGraph(m), cfg, gpos), nil
+	return lint(NewFacts(m), cfg, gpos), nil
 }
 
 // lintRecursion detects call-graph cycles on the AST (lowering refuses to
@@ -402,7 +399,7 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo) [
 		tc := ri.InferTripCount(l)
 		pos := loopPos(c, l)
 		cause := ""
-		if lt, ok := ti.LoopClass(f.Name, l.Head); ok {
+		if lt, ok := ti.LoopClass(l.Head); ok {
 			cause = lt.Cause()
 		}
 		var d Diagnostic

@@ -249,10 +249,10 @@ void handle() {
 // TestLintUninitRead: possible in hand-built IR only; the frontend
 // zero-initializes every declaration.
 func TestLintUninitRead(t *testing.T) {
-	b := ir.NewBuilder("handle", []ir.Param{{Name: "p", Ty: ir.U32}}, ir.U32)
+	b := ir.NewBuilder("handle", ir.U32)
 	s0 := b.NewSlot()
 	entry := b.Current()
-	cond := b.ICmp(ir.PredULT, ir.ParamVal(0, ir.U32), ir.ConstVal(5, ir.U32))
+	cond := b.ICmp(ir.PredULT, b.Call("pkt_ip_ttl", "", ir.U8), ir.ConstVal(5, ir.U8))
 	then := b.NewBlock("then")
 	exit := b.NewBlock("exit")
 	b.SetBlock(entry)

@@ -56,7 +56,7 @@ func permuteModule(m *ir.Module, seed int64) (*ir.Module, map[string]renumbering
 		for s, o := range oldSlot {
 			newSlot[o] = s
 		}
-		nf := &ir.Func{Name: f.Name, Params: f.Params, Ret: f.Ret, NumVals: f.NumVals, NSlots: f.NSlots}
+		nf := &ir.Func{Name: f.Name, Ret: f.Ret, NumVals: f.NumVals, NSlots: f.NSlots}
 		for i := 0; i < n; i++ {
 			b := f.Blocks[oldBlock[i]]
 			nb := &ir.Block{Index: i, Name: b.Name}

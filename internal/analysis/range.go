@@ -6,8 +6,8 @@ import (
 	"clara/internal/ir"
 )
 
-// This file is the package's one value analysis: an interprocedural
-// unsigned interval propagation over the slot SSA (ssa.go), Wegman–Zadeck
+// This file is the package's one value analysis: an unsigned interval
+// propagation over the handler's slot SSA (ssa.go), Wegman–Zadeck
 // style: only feasible edges carry values, and a block is re-evaluated when
 // a node it reads moves. Every SSA value and slot version gets a
 // conservative [lo, hi] range. A constant is the one-point interval, and an
@@ -16,9 +16,7 @@ import (
 // false edge of `limit > 64` caps limit at 64), a branch whose condition is
 // constant has one infeasible edge (`while (true)` has no feasible exit),
 // loop-header phis widen, and natural-loop trip counts fall out of the
-// induction phis. Across functions, parameter intervals join over
-// in-module call sites and return intervals summarize callees, iterated to
-// a fixpoint over call-graph SCCs (CallGraph.FixpointSCC).
+// induction phis. Framework API results take their type's range.
 //
 // The facts feed const-branch and dead-code (lint.go), SimplifyModule
 // (simplify.go), trip counts, taint's loop classes and the static
@@ -32,8 +30,8 @@ type Interval struct {
 // FullRange is the unconstrained interval.
 var FullRange = Interval{0, ^uint64(0)}
 
-// noValue is the empty interval (Lo > Hi), the identity of Union: a
-// parameter no call site has bound yet, or a return no path has reached.
+// noValue is the empty interval (Lo > Hi), the identity of Union: the
+// value of a node no feasible path has evaluated.
 var noValue = Interval{^uint64(0), 0}
 
 // typeMax returns the largest value of ty (u64 for Void/unknown widths).
@@ -84,33 +82,9 @@ func within(iv Interval, ty ir.Type) Interval {
 	return typeRange(ty)
 }
 
-// summary is one interprocedural cell: a parameter or a return interval.
-// Intervals have no finite height (a self-recursive f(n) calling f(n+1)
-// would grow the parameter forever), so a cell widens to its type range
-// once it has moved widenAfter times, as loop heads do.
-type summary struct {
-	iv    Interval
-	moves int
-}
-
-// add joins v into the cell of type ty and reports whether the cell moved.
-func (s *summary) add(v Interval, ty ir.Type) bool {
-	j := s.iv.Union(v)
-	if j != s.iv && s.moves >= widenAfter {
-		j = typeRange(ty)
-	}
-	if j == s.iv {
-		return false
-	}
-	s.iv = j
-	s.moves++
-	return true
-}
-
-// RangeInfo is the interval fixpoint of one function of a call graph,
-// solved over its slot SSA.
+// RangeInfo is the interval fixpoint of the handler, solved over its slot
+// SSA.
 type RangeInfo struct {
-	cg  *CallGraph
 	c   *CFG
 	ssa *SSA
 	// vals is the interval of every SSA node: instruction values, then
@@ -121,94 +95,45 @@ type RangeInfo struct {
 	moves []int
 	// taken[b] has bit 0 set once b's True (or only) edge is feasible and
 	// bit 1 once its False edge is; live[b] once a feasible path reaches b.
-	// live is nil until a reachable call site enters the function (roots
-	// are entered from the start).
 	taken []uint8
 	live  []bool
-	// params joins the arguments of every reachable in-module call site
-	// (a root's are its type range); ret joins every reachable return.
-	params  []summary
-	ret     summary
-	root    bool
-	entered bool
-	// changed reports that a cell another solve reads has moved: a
-	// callee's parameter, or a return that has callers.
-	changed bool
-	solves  int
-	old     []Interval // scratch: a σ edge's values before a visit
+	old   []Interval // scratch: a σ edge's values before a visit
 }
 
 // widenAfter is the number of moves before a loop-header phi widens to
-// the full range (and before an interprocedural cell widens to its type
-// range); widenHard bounds every other phi (cycles outside natural loops
-// can only come from irreducible hand-built IR).
+// the full range; widenHard bounds every other phi (cycles outside natural
+// loops can only come from irreducible hand-built IR).
 const (
 	widenAfter = 4
 	widenHard  = 32
 )
 
-// ComputeRanges runs the interval fixpoint over the module, once: it is
-// kept on cg and later calls return it (node i's function is entry i), so
-// lint, taint, the frequency estimate and SimplifyModule share it. Each
-// step re-solves one function under the current parameter and return
-// cells and reports a change only when a cell another solve reads has
-// moved, so the single-function modules the frontend emits solve once.
-func ComputeRanges(cg *CallGraph) []*RangeInfo {
-	if cg.ranges != nil {
-		return cg.ranges
+// ComputeRanges runs the interval fixpoint over the handler, once: it is
+// kept on fx and later calls return it, so lint, taint, the frequency
+// estimate and SimplifyModule share it.
+func ComputeRanges(fx *Facts) *RangeInfo {
+	if fx.ranges != nil {
+		return fx.ranges
 	}
-	cg.ranges = make([]*RangeInfo, len(cg.Funcs))
-	for node, c := range cg.CFGs {
-		s := cg.ssaOf(node)
-		ri := &RangeInfo{
-			cg: cg, c: c, ssa: s,
-			vals:   make([]Interval, len(s.def)+len(s.vers)),
-			moves:  make([]int, len(s.vers)),
-			taken:  make([]uint8, len(c.F.Blocks)),
-			params: make([]summary, len(c.F.Params)),
-			ret:    summary{iv: noValue},
-			root:   len(cg.Callers[node]) == 0,
-		}
-		// Roots (no in-module callers: the packet handler, or any
-		// externally invoked entry) take arbitrary runtime arguments.
-		for i, p := range c.F.Params {
-			ri.params[i].iv = noValue
-			if ri.root {
-				ri.params[i].iv = typeRange(p.Ty)
-			}
-		}
-		for i := range ri.vals {
-			ri.vals[i] = noValue // a function no call site enters has no values
-		}
-		ri.entered = ri.root
-		cg.ranges[node] = ri
+	c, s := fx.CFG, fx.ssaOf()
+	ri := &RangeInfo{
+		c: c, ssa: s,
+		vals:  make([]Interval, len(s.def)+len(s.vers)),
+		moves: make([]int, len(s.vers)),
+		taken: make([]uint8, len(c.F.Blocks)),
 	}
-	cg.FixpointSCC(func(node int) bool { return cg.ranges[node].solve() })
-	return cg.ranges
-}
-
-// solve re-solves the function from its entry under the current cells, if
-// any reachable call site has entered it, and reports whether a cell
-// another solve reads has moved.
-func (ri *RangeInfo) solve() bool {
-	if !ri.entered {
-		return false
+	for i := range ri.vals {
+		ri.vals[i] = noValue
 	}
-	s := ri.ssa
-	for v := 0; v < ri.c.F.NSlots; v++ {
+	for v := 0; v < c.F.NSlots; v++ {
 		ri.vals[s.node(int32(v))] = FullRange // entry values of slots are unknown
 	}
-	clear(ri.moves)
-	clear(ri.taken)
-	ri.changed = false
 	w := s.newWorklist()
-	if len(ri.c.RPO) > 0 {
-		w.reach(0)
-	}
+	w.reach(0)
 	w.run(func(b int) { ri.visit(b, w) })
 	ri.live = w.live
-	ri.solves++
-	return ri.changed
+	fx.ranges = ri
+	return ri
 }
 
 // visit evaluates block b: its phis over the feasible incoming edges, its
@@ -252,12 +177,6 @@ func (ri *RangeInfo) visit(b int, w *worklist) {
 		case ir.OpLStore:
 			set(s.node(sv), ri.operand(in.Args[0]))
 			sv++
-		case ir.OpCall:
-			ri.enter(in)
-		case ir.OpRet:
-			if len(in.Args) > 0 && ri.ret.add(ri.operand(in.Args[0]), ri.c.F.Ret) && !ri.root {
-				ri.changed = true
-			}
 		case ir.OpBr:
 			ri.take(b, 1, in.True, w)
 		case ir.OpCondBr:
@@ -329,35 +248,12 @@ func (ri *RangeInfo) refine(b int, e sigmaEdge, w *worklist) {
 	}
 }
 
-// enter binds the arguments of a call to a sibling function into the
-// callee's parameter cells.
-func (ri *RangeInfo) enter(in *ir.Instr) {
-	node := ri.cg.Node(in.Callee)
-	if node < 0 {
-		return // intrinsics read packets and state
-	}
-	callee := ri.cg.ranges[node]
-	if !callee.entered {
-		callee.entered, ri.changed = true, true
-	}
-	for i, a := range in.Args {
-		if i < len(callee.params) && callee.params[i].add(ri.operand(a), callee.c.F.Params[i].Ty) {
-			ri.changed = true
-		}
-	}
-}
-
 // operand returns the interval of an operand.
 func (ri *RangeInfo) operand(v ir.Value) Interval {
 	switch v.Kind {
 	case ir.VConst:
 		c := uint64(v.Const) & typeMax(v.Ty)
 		return Interval{c, c}
-	case ir.VParam:
-		if v.ID >= 0 && v.ID < len(ri.params) {
-			return within(ri.params[v.ID].iv, v.Ty)
-		}
-		return typeRange(v.Ty)
 	case ir.VInstr:
 		if v.ID >= 0 && v.ID < len(ri.ssa.def) {
 			return within(ri.vals[v.ID], v.Ty)
@@ -374,13 +270,8 @@ func (ri *RangeInfo) evalInstr(in *ir.Instr) Interval {
 	switch {
 	case in.Op == ir.OpLLoad:
 		return within(ri.vals[ri.ssa.node(ri.ssa.loadVer[in.ID])], in.Ty)
-	case in.Op == ir.OpCall:
-		if node := ri.cg.Node(in.Callee); node >= 0 {
-			return within(ri.cg.ranges[node].ret.iv, in.Ty)
-		}
-		return tr
 	case !in.Op.IsCompute():
-		return tr // global loads read runtime NF state
+		return tr // global loads and API calls read runtime NF state
 	}
 	a, b := res(in.Args[0]), Interval{}
 	if len(in.Args) > 1 {
@@ -585,7 +476,7 @@ func swapPred(p ir.Pred) ir.Pred {
 // BlockReachable reports whether range propagation found any feasible path
 // to block b.
 func (ri *RangeInfo) BlockReachable(b int) bool {
-	return ri.live != nil && (b == 0 || ri.live[b])
+	return ri.live[b]
 }
 
 // constBranch returns the only feasible successor of block b's two-way

@@ -13,28 +13,26 @@ import (
 // module is never mutated; the output always passes ir.Verify.
 func SimplifyModule(m *ir.Module) (*ir.Module, int) {
 	out := cloneModule(m)
-	cg := BuildCallGraph(out)
+	fx := NewFacts(out)
+	ri, f := ComputeRanges(fx), fx.F
 	changes := 0
-	for node, ri := range ComputeRanges(cg) {
-		f := cg.Funcs[node]
-		for _, b := range f.Blocks {
-			if taken, ok := ri.constBranch(b.Index); ok {
-				t := b.Terminator()
-				t.Op, t.True, t.False, t.Args = ir.OpBr, taken, 0, nil
-				changes++
-			}
-			for _, in := range b.Instrs {
-				for ai, a := range in.Args {
-					if c, ok := ri.ValRange(a.ID).Const(); ok && ri.ssa.instr(a) != nil {
-						in.Args[ai] = ir.ConstVal(int64(c), a.Ty)
-						changes++
-					}
+	for _, b := range f.Blocks {
+		if taken, ok := ri.constBranch(b.Index); ok {
+			t := b.Terminator()
+			t.Op, t.True, t.False, t.Args = ir.OpBr, taken, 0, nil
+			changes++
+		}
+		for _, in := range b.Instrs {
+			for ai, a := range in.Args {
+				if c, ok := ri.ValRange(a.ID).Const(); ok && ri.ssa.instr(a) != nil {
+					in.Args[ai] = ir.ConstVal(int64(c), a.Ty)
+					changes++
 				}
 			}
 		}
-		changes += removeUnreachable(f)
-		changes += removeDeadValues(f)
 	}
+	changes += removeUnreachable(f)
+	changes += removeDeadValues(f)
 	if err := ir.Verify(out); err != nil {
 		// Defensive: a rewrite that breaks structural invariants must never
 		// escape; fall back to the unmodified input.
@@ -128,7 +126,6 @@ func cloneModule(m *ir.Module) *ir.Module {
 	for _, f := range m.Funcs {
 		nf := &ir.Func{
 			Name:    f.Name,
-			Params:  append([]ir.Param(nil), f.Params...),
 			Ret:     f.Ret,
 			NumVals: f.NumVals,
 			NSlots:  f.NSlots,

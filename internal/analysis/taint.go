@@ -8,7 +8,7 @@ import (
 	"clara/internal/lang"
 )
 
-// Payload-taint analysis (interprocedural). Sources are the packet reads
+// Payload-taint analysis. Sources are the packet reads
 // an offloaded fast path cannot see: the ingress flow cache matches on
 // parsed header fields, so any control or state-indexing decision derived
 // from pkt_payload/pkt_payload_len forces the packet onto the NIC cores
@@ -19,12 +19,10 @@ import (
 // of its loop diagnostics.
 //
 // The propagation joins a four-point product lattice (header bit × payload
-// bit) over the slot SSA's def-use edges (ssa.go), per SSA value and slot
-// version, made interprocedural by caller→callee parameter taint and
-// callee→caller return taint joined to a fixpoint over the call graph's
-// SCCs (CallGraph.FixpointSCC). Stored-value taint of globals is a
-// module-level fact: a GStore of payload-derived data taints every later
-// GLoad of that global, across functions.
+// bit) over the handler's slot SSA def-use edges (ssa.go), per SSA value
+// and slot version. Stored-value taint of globals is a module-level fact:
+// a GStore of payload-derived data taints every GLoad of that global, on
+// this packet's later path and on every later packet's.
 
 // Taint is the taint lattice element: a bitmask over taint classes.
 type Taint uint8
@@ -154,60 +152,45 @@ func causeString(v taintVal) string {
 
 // TaintInfo is the module-level taint fixpoint.
 type TaintInfo struct {
-	CG *CallGraph
+	fx *Facts
 	// Accesses joins the access sites of each stateful structure.
 	Accesses map[string]stateAccess
 	// GlobalStored is the joined taint of values stored into each global
 	// (what a load of the global yields).
 	GlobalStored map[string]taintVal
 
-	fns []*fnTaint
+	ssa  *SSA
+	vals []taintVal // joined taint per SSA node (values, then slot versions)
 }
 
-// fnTaint is the per-function taint state.
-type fnTaint struct {
-	ssa    *SSA
-	vals   []taintVal // joined taint per SSA node (values, then slot versions)
-	params []taintVal // joined over all call sites
-	ret    taintVal
-}
-
-// operand returns the taint of one operand of node's function.
-func (ti *TaintInfo) operand(node int, v ir.Value) taintVal {
-	ft := ti.fns[node]
-	switch {
-	case v.Kind == ir.VInstr && v.ID >= 0 && v.ID < len(ft.ssa.def):
-		return ft.vals[v.ID]
-	case v.Kind == ir.VParam && v.ID >= 0 && v.ID < len(ft.params):
-		return ft.params[v.ID]
+// operand returns the taint of one operand.
+func (ti *TaintInfo) operand(v ir.Value) taintVal {
+	if v.Kind == ir.VInstr && v.ID >= 0 && v.ID < len(ti.ssa.def) {
+		return ti.vals[v.ID]
 	}
 	return taintVal{}
 }
 
-func (ti *TaintInfo) joinArgs(node int, in *ir.Instr) taintVal {
+func (ti *TaintInfo) joinArgs(in *ir.Instr) taintVal {
 	var tv taintVal
 	for _, a := range in.Args {
-		tv = joinTaint(tv, ti.operand(node, a))
+		tv = joinTaint(tv, ti.operand(a))
 	}
 	return tv
 }
 
 // eval computes the taint of one instruction's result.
-func (ti *TaintInfo) eval(node int, in *ir.Instr) taintVal {
+func (ti *TaintInfo) eval(in *ir.Instr) taintVal {
 	switch in.Op {
 	case ir.OpLLoad:
-		ft := ti.fns[node]
-		return ft.vals[ft.ssa.node(ft.ssa.loadVer[in.ID])]
+		return ti.vals[ti.ssa.node(ti.ssa.loadVer[in.ID])]
 	case ir.OpGLoad:
 		// The loaded value carries the global's stored taint plus the
 		// index taint (a tainted index selects which value is seen).
-		return joinTaint(ti.GlobalStored[in.Global], ti.joinArgs(node, in))
+		return joinTaint(ti.GlobalStored[in.Global], ti.joinArgs(in))
 	case ir.OpCall:
-		if callee := ti.CG.Node(in.Callee); callee >= 0 {
-			return ti.fns[callee].ret
-		}
 		base, src := intrinsicTaint(in.Callee)
-		tv := joinTaint(taintVal{t: base, src: src}, ti.joinArgs(node, in))
+		tv := joinTaint(taintVal{t: base, src: src}, ti.joinArgs(in))
 		if in.Global != "" {
 			// Stateful API results also carry the structure's stored
 			// taint (map_find returns what map_insert put in).
@@ -216,18 +199,16 @@ func (ti *TaintInfo) eval(node int, in *ir.Instr) taintVal {
 		return tv
 	}
 	if in.Op.IsCompute() {
-		return ti.joinArgs(node, in)
+		return ti.joinArgs(in)
 	}
 	return taintVal{}
 }
 
-// solve propagates taint through node's function under the current
-// interprocedural facts and reports whether one of them (a callee's
-// parameter, the return, a global's stored taint) moved. Every node only
-// joins, so a fact a later solve needs is never lost.
-func (ti *TaintInfo) solve(node int) bool {
-	ft := ti.fns[node]
-	s := ft.ssa
+// solve propagates taint through the handler under the current stored
+// taint of globals and reports whether a global's stored taint moved.
+// Every node only joins, so a fact a later solve needs is never lost.
+func (ti *TaintInfo) solve() bool {
+	s := ti.ssa
 	changed := false
 	join := func(cell *taintVal, tv taintVal) bool {
 		j := joinTaint(*cell, tv)
@@ -235,7 +216,7 @@ func (ti *TaintInfo) solve(node int) bool {
 		*cell = j
 		return moved
 	}
-	// A global's stored taint is module-level: every later GLoad sees it.
+	// A global's stored taint is module-level: every GLoad sees it.
 	store := func(g string, tv taintVal) {
 		if cell := ti.GlobalStored[g]; join(&cell, tv) {
 			ti.GlobalStored[g], changed = cell, true
@@ -247,48 +228,36 @@ func (ti *TaintInfo) solve(node int) bool {
 	}
 	w.run(func(b int) {
 		set := func(n int, tv taintVal) {
-			if join(&ft.vals[n], tv) {
+			if join(&ti.vals[n], tv) {
 				w.moved(n)
 			}
 		}
 		for _, v := range s.phis[b] {
 			for _, o := range s.vers[v].ops {
-				set(s.node(v), ft.vals[s.node(o)])
+				set(s.node(v), ti.vals[s.node(o)])
 			}
 		}
 		sv := s.storeBase[b]
 		for _, in := range s.c.F.Blocks[b].Instrs {
 			if in.ID >= 0 && in.ID < len(s.def) {
-				set(in.ID, ti.eval(node, in))
+				set(in.ID, ti.eval(in))
 			}
 			switch in.Op {
 			case ir.OpLStore:
-				set(s.node(sv), ti.operand(node, in.Args[0]))
+				set(s.node(sv), ti.operand(in.Args[0]))
 				sv++
 			case ir.OpGStore:
-				store(in.Global, ti.operand(node, in.Args[0]))
+				store(in.Global, ti.operand(in.Args[0]))
 			case ir.OpCall:
-				if callee := ti.CG.Node(in.Callee); callee >= 0 {
-					// Intra-module call: argument taint flows into the
-					// callee's parameters.
-					for i, a := range in.Args {
-						if i < len(ti.fns[callee].params) {
-							changed = join(&ti.fns[callee].params[i], ti.operand(node, a)) || changed
-						}
-					}
-				} else if api, ok := stateAPIs[in.Callee]; ok && in.Global != "" && api.val >= 0 && api.val < len(in.Args) {
+				if api, ok := stateAPIs[in.Callee]; ok && in.Global != "" && api.val >= 0 && api.val < len(in.Args) {
 					// Stateful writes: the stored value taints the structure.
-					store(in.Global, ti.operand(node, in.Args[api.val]))
-				}
-			case ir.OpRet:
-				if len(in.Args) > 0 {
-					changed = join(&ft.ret, ti.operand(node, in.Args[0])) || changed
+					store(in.Global, ti.operand(in.Args[api.val]))
 				}
 			}
 		}
 		for _, e := range s.sigmas[b] {
 			for v := e.first; v < e.first+e.n; v++ {
-				set(s.node(v), ft.vals[s.node(s.vers[v].ops[0])])
+				set(s.node(v), ti.vals[s.node(s.vers[v].ops[0])])
 			}
 		}
 	})
@@ -312,90 +281,85 @@ var stateAPIs = map[string]stateAPI{
 	"map_size": {-1, -1, false}, "vec_len": {-1, -1, false}, "vec_push": {-1, 0, true},
 }
 
-// ComputeTaint runs the interprocedural taint fixpoint over a call graph
-// and joins every stateful access site; LoopClass classifies loops from
-// it. The result is kept on cg: the linter and the state profile read the
-// same fixpoint.
-func ComputeTaint(cg *CallGraph) *TaintInfo {
-	if cg.taint != nil {
-		return cg.taint
+// maxSolves bounds the handler's re-solves. Each re-solve follows one in
+// which some global's stored taint rose in a finite lattice (a taint bit,
+// or a smaller source name), so the loop ends without it; a frontend
+// module converges in a few solves.
+const maxSolves = 4096
+
+// ComputeTaint runs the taint fixpoint over the handler and joins every
+// stateful access site; LoopClass classifies loops from it. A GStore later
+// in block order reaches an earlier GLoad only on a later solve, so the
+// handler is re-solved until no global's stored taint moves. The result is
+// kept on fx: the linter and the state profile read the same fixpoint.
+func ComputeTaint(fx *Facts) *TaintInfo {
+	if fx.taint != nil {
+		return fx.taint
 	}
-	ti := &TaintInfo{CG: cg, GlobalStored: map[string]taintVal{}, Accesses: map[string]stateAccess{}}
-	ti.fns = make([]*fnTaint, len(cg.Funcs))
-	for i, f := range cg.Funcs {
-		s := cg.ssaOf(i)
-		ti.fns[i] = &fnTaint{
-			ssa:    s,
-			vals:   make([]taintVal, len(s.def)+len(s.vers)),
-			params: make([]taintVal, len(f.Params)),
-		}
+	s := fx.ssaOf()
+	ti := &TaintInfo{
+		fx: fx, GlobalStored: map[string]taintVal{}, Accesses: map[string]stateAccess{},
+		ssa: s, vals: make([]taintVal, len(s.def)+len(s.vers)),
 	}
-	cg.FixpointSCC(ti.solve)
+	for n := 0; n < maxSolves && ti.solve(); n++ {
+	}
 	ti.record()
-	cg.taint = ti
+	fx.taint = ti
 	return ti
 }
 
 // record joins every state-access site's key taint under the fixpoint.
 func (ti *TaintInfo) record() {
-	for node, f := range ti.CG.Funcs {
-		c := ti.CG.CFGs[node]
-		for _, b := range f.Blocks {
-			if !c.Reachable(b.Index) {
-				continue
-			}
-			for _, in := range b.Instrs {
-				switch in.Op {
-				case ir.OpGLoad, ir.OpGStore:
-					// Indexed access: the index is the key sink. GStore
-					// carries (value, index?), GLoad (index?).
-					idx, key := 0, taintVal{}
-					if in.Op == ir.OpGStore {
-						idx = 1
-					}
-					if len(in.Args) > idx {
-						key = ti.operand(node, in.Args[idx])
-					}
-					ti.access(in.Global, in.Op == ir.OpGStore, key)
-				case ir.OpCall:
-					api, ok := stateAPIs[in.Callee]
-					if !ok || in.Global == "" || ti.CG.Node(in.Callee) >= 0 || api.key >= len(in.Args) {
-						break
-					}
-					key := taintVal{}
-					if api.key >= 0 {
-						key = ti.operand(node, in.Args[api.key])
-					}
-					ti.access(in.Global, api.write, key)
+	for _, b := range ti.fx.F.Blocks {
+		if !ti.fx.CFG.Reachable(b.Index) {
+			continue
+		}
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpGLoad, ir.OpGStore:
+				// Indexed access: the index is the key sink. GStore
+				// carries (value, index?), GLoad (index?).
+				idx, key := 0, taintVal{}
+				if in.Op == ir.OpGStore {
+					idx = 1
 				}
+				if len(in.Args) > idx {
+					key = ti.operand(in.Args[idx])
+				}
+				ti.access(in.Global, in.Op == ir.OpGStore, key)
+			case ir.OpCall:
+				api, ok := stateAPIs[in.Callee]
+				if !ok || in.Global == "" || api.key >= len(in.Args) {
+					break
+				}
+				key := taintVal{}
+				if api.key >= 0 {
+					key = ti.operand(in.Args[api.key])
+				}
+				ti.access(in.Global, api.write, key)
 			}
 		}
-
 	}
 }
 
-// ValueTaint exposes the joined taint of one SSA value of the named
-// function — test and explainer hook.
-func (ti *TaintInfo) ValueTaint(fn string, id int) Taint {
-	if node := ti.CG.Node(fn); node >= 0 {
-		return ti.operand(node, ir.InstrVal(id, 0)).t
-	}
-	return 0
+// ValueTaint exposes the joined taint of one SSA value — test and
+// explainer hook.
+func (ti *TaintInfo) ValueTaint(id int) Taint {
+	return ti.operand(ir.InstrVal(id, 0)).t
 }
 
-// LoopClass classifies the loop headed at block head of function fn by the
-// joined taint of its feasible exit conditions, the loop-bound sink; ok is
-// false when no feasible path reaches the loop.
-func (ti *TaintInfo) LoopClass(fn string, head int) (lt LoopTaint, ok bool) {
-	node := ti.CG.Node(fn)
-	if node < 0 || !ComputeRanges(ti.CG)[node].BlockReachable(head) {
+// LoopClass classifies the loop headed at block head by the joined taint
+// of its feasible exit conditions, the loop-bound sink; ok is false when
+// no feasible path reaches the loop.
+func (ti *TaintInfo) LoopClass(head int) (lt LoopTaint, ok bool) {
+	ri := ComputeRanges(ti.fx)
+	if !ri.BlockReachable(head) {
 		return lt, false
 	}
-	ri, f := ComputeRanges(ti.CG)[node], ti.CG.Funcs[node]
-	for _, l := range ti.CG.CFGs[node].NaturalLoops() {
+	for _, l := range ti.fx.CFG.NaturalLoops() {
 		for _, e := range l.Exits {
-			if t := f.Blocks[e.From].Terminator(); l.Head == head && t.Op == ir.OpCondBr && ri.EdgeFeasible(e.From, e.To) {
-				lt.Cond = joinTaint(lt.Cond, ti.operand(node, t.Args[0]))
+			if t := ti.fx.F.Blocks[e.From].Terminator(); l.Head == head && t.Op == ir.OpCondBr && ri.EdgeFeasible(e.From, e.To) {
+				lt.Cond = joinTaint(lt.Cond, ti.operand(t.Args[0]))
 			}
 		}
 	}

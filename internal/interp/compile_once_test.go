@@ -72,7 +72,7 @@ void handle() { seen += %d; pkt_send(0); }
 func TestConcurrentNewSharesCompileError(t *testing.T) {
 	name := fmt.Sprintf("midterm%d", freshContent.Add(1))
 	build := func() *ir.Module {
-		b := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+		b := ir.NewBuilder(ir.HandlerName, ir.Void)
 		b.Ret(nil)
 		b.Call("pkt_drop", "", ir.Void)
 		b.Ret(nil)

@@ -415,12 +415,12 @@ void handle() { x = rand32(); pkt_send(0); }
 // different engine forever. lang.Compile never emits these shapes; the IR
 // is hand-built.
 func TestNewRejectsUnlowerableModule(t *testing.T) {
-	midTerm := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	midTerm := ir.NewBuilder(ir.HandlerName, ir.Void)
 	midTerm.Ret(nil)
 	midTerm.Call("pkt_drop", "", ir.Void)
 	midTerm.Ret(nil)
 
-	wrongKind := ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	wrongKind := ir.NewBuilder(ir.HandlerName, ir.Void)
 	entry, body := wrongKind.Current(), wrongKind.NewBlock("body")
 	wrongKind.SetBlock(entry)
 	wrongKind.Br(body)

@@ -14,8 +14,8 @@ type Builder struct {
 func (b *Builder) At(p Pos) { b.pos = p }
 
 // NewBuilder starts a function with an entry block.
-func NewBuilder(name string, params []Param, ret Type) *Builder {
-	f := &Func{Name: name, Params: params, Ret: ret}
+func NewBuilder(name string, ret Type) *Builder {
+	f := &Func{Name: name, Ret: ret}
 	b := &Builder{F: f}
 	b.NewBlock("entry")
 	return b

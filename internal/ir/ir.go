@@ -259,13 +259,12 @@ const (
 	VInvalid ValueKind = iota
 	VInstr             // result of another instruction (a virtual register)
 	VConst             // integer literal
-	VParam             // function parameter
 )
 
 // Value is an instruction operand.
 type Value struct {
 	Kind  ValueKind
-	ID    int   // instruction ID for VInstr, parameter index for VParam
+	ID    int   // instruction ID for VInstr
 	Const int64 // literal for VConst
 	Ty    Type
 }
@@ -276,9 +275,6 @@ func ConstVal(c int64, ty Type) Value { return Value{Kind: VConst, Const: c, Ty:
 // InstrVal returns an operand referring to instruction id.
 func InstrVal(id int, ty Type) Value { return Value{Kind: VInstr, ID: id, Ty: ty} }
 
-// ParamVal returns an operand referring to parameter index.
-func ParamVal(idx int, ty Type) Value { return Value{Kind: VParam, ID: idx, Ty: ty} }
-
 func (v Value) String() string { return string(v.appendTo(nil)) }
 
 // appendTo appends the operand's printed form to b.
@@ -288,8 +284,6 @@ func (v Value) appendTo(b []byte) []byte {
 		return strconv.AppendInt(append(b, '%'), int64(v.ID), 10)
 	case VConst:
 		return strconv.AppendInt(b, v.Const, 10)
-	case VParam:
-		return strconv.AppendInt(append(b, '$'), int64(v.ID), 10)
 	default:
 		return append(b, "<invalid>"...)
 	}
@@ -413,7 +407,8 @@ func (b *Block) Succs() []int {
 	}
 }
 
-// Param is a function parameter.
+// Param is a parameter of an NFC subroutine. The frontend inlines every
+// subroutine into the handler, which takes none, so no IR function has one.
 type Param struct {
 	Name string
 	Ty   Type
@@ -422,7 +417,6 @@ type Param struct {
 // Func is an IR function: a list of basic blocks, entry first.
 type Func struct {
 	Name    string
-	Params  []Param
 	Ret     Type
 	Blocks  []*Block
 	NumVals int // number of SSA values (instruction IDs are [0, NumVals))
@@ -498,8 +492,9 @@ func (g *Global) SizeBytes() int {
 	}
 }
 
-// Module is a compilation unit: one NF element. By convention the packet
-// handler is the function named "handle".
+// Module is a compilation unit: one NF element. Funcs holds one function,
+// the packet handler named "handle" (the frontend inlines every subroutine
+// into it; Verify rejects any other shape).
 type Module struct {
 	Name    string
 	Globals []*Global
@@ -527,18 +522,15 @@ func (m *Module) Global(name string) *Global {
 	return nil
 }
 
-// Func returns the named function, or nil.
-func (m *Module) Func(name string) *Func {
+// Handler returns the packet-handler function, or nil.
+func (m *Module) Handler() *Func {
 	for _, f := range m.Funcs {
-		if f.Name == name {
+		if f.Name == HandlerName {
 			return f
 		}
 	}
 	return nil
 }
-
-// Handler returns the packet-handler function, or nil.
-func (m *Module) Handler() *Func { return m.Func(HandlerName) }
 
 // String renders the module in a textual form resembling LLVM assembly.
 func (m *Module) String() string {
@@ -569,14 +561,8 @@ func (m *Module) appendTo(b []byte) []byte {
 		b = append(b, '\n')
 	}
 	for _, f := range m.Funcs {
-		b = append(append(append(b, "func @"...), f.Name...), '(')
-		for i, p := range f.Params {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = append(append(append(b, p.Ty.String()...), ' '), p.Name...)
-		}
-		b = append(append(append(b, ") "...), f.Ret.String()...), " {\n"...)
+		b = append(append(append(b, "func @"...), f.Name...), "() "...)
+		b = append(append(b, f.Ret.String()...), " {\n"...)
 		for _, blk := range f.Blocks {
 			b = appendBlock(b, blk.Index)
 			b = append(append(append(b, ": ; "...), blk.Name...), '\n')
@@ -600,9 +586,6 @@ func (m *Module) printSizeHint() int {
 	}
 	for _, f := range m.Funcs {
 		n += 32 + len(f.Name)
-		for _, p := range f.Params {
-			n += 8 + len(p.Name)
-		}
 		for _, blk := range f.Blocks {
 			n += 16 + len(blk.Name)
 			for _, in := range blk.Instrs {

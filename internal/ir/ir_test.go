@@ -62,7 +62,7 @@ func TestPredNegateInvolution(t *testing.T) {
 }
 
 func buildSimpleModule() *Module {
-	b := NewBuilder(HandlerName, nil, Void)
+	b := NewBuilder(HandlerName, Void)
 	s := b.NewSlot()
 	b.LStore(s, ConstVal(1, U32))
 	v := b.LLoad(s, U32)
@@ -119,6 +119,25 @@ func TestVerifyCatchesUnterminated(t *testing.T) {
 	blk.Instrs = blk.Instrs[:0]
 	if err := Verify(m); err == nil {
 		t.Fatal("Verify accepted unterminated block")
+	}
+}
+
+// TestVerifyOneHandler: a module is exactly one function, the handler.
+func TestVerifyOneHandler(t *testing.T) {
+	second := buildSimpleModule()
+	extra := NewBuilder("helper", Void)
+	extra.Ret(nil)
+	second.Funcs = append(second.Funcs, extra.F)
+	if err := Verify(second); err == nil {
+		t.Error("Verify accepted a module with a second function")
+	}
+	renamed := buildSimpleModule()
+	renamed.Funcs[0].Name = "main"
+	if err := Verify(renamed); err == nil {
+		t.Error("Verify accepted a module whose only function is not the handler")
+	}
+	if err := Verify(&Module{Name: "empty"}); err == nil {
+		t.Error("Verify accepted a module with no function")
 	}
 }
 
@@ -215,7 +234,7 @@ func TestAlignDistributions(t *testing.T) {
 
 func TestReachableAndLoops(t *testing.T) {
 	// entry -> b1 <-> b2, b3 unreachable.
-	b := NewBuilder("f", nil, Void)
+	b := NewBuilder("f", Void)
 	entry := b.Current()
 	b1 := b.NewBlock("b1")
 	b2 := b.NewBlock("b2")
@@ -244,14 +263,12 @@ func TestReachableAndLoops(t *testing.T) {
 }
 
 func TestValueKindProperty(t *testing.T) {
-	// Property: ConstVal/InstrVal/ParamVal round-trip their payloads.
+	// Property: ConstVal/InstrVal round-trip their payloads.
 	f := func(c int64, id uint8) bool {
 		cv := ConstVal(c, U64)
 		iv := InstrVal(int(id), U32)
-		pv := ParamVal(int(id), U16)
 		return cv.Kind == VConst && cv.Const == c &&
-			iv.Kind == VInstr && iv.ID == int(id) &&
-			pv.Kind == VParam && pv.ID == int(id)
+			iv.Kind == VInstr && iv.ID == int(id)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

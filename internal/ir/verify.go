@@ -2,18 +2,16 @@ package ir
 
 import "fmt"
 
-// Verify checks structural well-formedness of a module: every block is
-// terminated, branch targets are in range, operand IDs refer to defined
-// values, slot and global references are valid, and the handler exists.
-// It returns the first violation found.
+// Verify checks structural well-formedness of a module: it holds exactly
+// one function, the handler, every block is terminated, branch targets are
+// in range, operand IDs refer to defined values, and slot and global
+// references are valid. It returns the first violation found.
 func Verify(m *Module) error {
-	if m.Handler() == nil {
-		return fmt.Errorf("module %s: no %q function", m.Name, HandlerName)
+	if len(m.Funcs) != 1 || m.Funcs[0].Name != HandlerName {
+		return fmt.Errorf("module %s: want exactly one function, %q", m.Name, HandlerName)
 	}
-	for _, f := range m.Funcs {
-		if err := verifyFunc(m, f); err != nil {
-			return fmt.Errorf("func %s: %w", f.Name, err)
-		}
+	if err := verifyFunc(m, m.Funcs[0]); err != nil {
+		return fmt.Errorf("func %s: %w", HandlerName, err)
 	}
 	return nil
 }
@@ -49,10 +47,6 @@ func verifyFunc(m *Module, f *Func) error {
 				case VInstr:
 					if a.ID < 0 || a.ID >= f.NumVals {
 						return fmt.Errorf("b%d: %s: bad operand %%%d", bi, in, a.ID)
-					}
-				case VParam:
-					if a.ID < 0 || a.ID >= len(f.Params) {
-						return fmt.Errorf("b%d: %s: bad param $%d", bi, in, a.ID)
 					}
 				case VConst:
 				default:

@@ -36,8 +36,6 @@ func Word(in *Instr, compactOperands bool) string {
 			switch a.Kind {
 			case VInstr:
 				s += ",VAR"
-			case VParam:
-				s += ",PARAM"
 			case VConst:
 				s += ",INT"
 			}

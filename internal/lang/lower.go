@@ -68,7 +68,7 @@ func Lower(f *File) (*ir.Module, error) {
 		return nil, fmt.Errorf("%s:%d: %q must be 'void %s()'", f.Name, handler.Line, ir.HandlerName, ir.HandlerName)
 	}
 
-	lo.b = ir.NewBuilder(ir.HandlerName, nil, ir.Void)
+	lo.b = ir.NewBuilder(ir.HandlerName, ir.Void)
 	lo.pushScope()
 	if err := lo.lowerBlock(handler.Body); err != nil {
 		return nil, err

@@ -342,12 +342,6 @@ func (ti *TaintInfo) record() {
 	}
 }
 
-// ValueTaint exposes the joined taint of one SSA value — test and
-// explainer hook.
-func (ti *TaintInfo) ValueTaint(id int) Taint {
-	return ti.operand(ir.InstrVal(id, 0)).t
-}
-
 // LoopClass classifies the loop headed at block head by the joined taint
 // of its feasible exit conditions, the loop-bound sink; ok is false when
 // no feasible path reaches the loop.

@@ -1,8 +1,7 @@
 package ir
 
 // Builder incrementally constructs a Func. The lowering pass
-// (internal/lang) and the program synthesizer (internal/synth) both build
-// IR through it.
+// (internal/lang) builds IR through it.
 type Builder struct {
 	F   *Func
 	cur *Block

@@ -40,7 +40,9 @@ serve-check:
 # TestProbeBackoffCap), merged metrics — and the reply's writer and cutter
 # together (WriteResults / SplitResults, one validation scan per forwarded
 # result, by a checker held to json.Valid's language by
-# TestValidJSONMatchesStdlib).
+# TestValidJSONMatchesStdlib) — and TestConcurrentRepliesIntact: batches of
+# three sizes in flight at once over two real workers, every reply cut at its
+# own lengths and every result's insights the bytes a serial reply carried.
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
 	$(GO) test -race -run 'TestWireSplice|TestHopOneScan|TestValidJSONMatchesStdlib' ./internal/server/

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -883,4 +884,88 @@ func TestProbeBackoffCap(t *testing.T) {
 			t.Errorf("%s: interval %v, cap %v: normalised cap %v, want %v", name, c.interval, c.cap, cfg.ProbeBackoffMax, c.want)
 		}
 	}
+}
+
+// TestConcurrentRepliesIntact drives the coordinator over two real workers
+// from several goroutines at once, with batches of three sizes in flight
+// together: the 18-job light batch, a three-NF batch and single-NF
+// requests. Every reply must cut at its own announced lengths, and every
+// result must carry the job's name and the insights bytes a serial reply
+// carried for the same job, so a reply buffer that is reused while a reply
+// still reads from it shows up here as a result with another reply's bytes.
+func TestConcurrentRepliesIntact(t *testing.T) {
+	c := newCluster(t, Config{}, newWorker(t, server.Config{}), newWorker(t, server.Config{}))
+	reqs := []server.AnalyzeRequest{
+		{NFs: lightElements, Workload: "mix"},
+		{NFs: []string{"iplookup", "mazunat", "tcpack"}, Workload: "small"},
+		{NF: "dnsproxy", Workload: "large"},
+		{NF: "tcpack", Workload: "mix"},
+	}
+	bodies := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// reply posts request i and cuts the reply at its announced lengths
+	// into each result's name and insights bytes.
+	type result struct {
+		Name     string          `json:"name"`
+		Insights json.RawMessage `json:"insights"`
+	}
+	reply := func(i int) ([]result, error) {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(bodies[i])))
+		if rec.Code != http.StatusOK || rec.Header().Get(server.FailedJobsHeader) != "" {
+			return nil, fmt.Errorf("status %d, %s %q:\n%.300s", rec.Code, server.FailedJobsHeader, rec.Header().Get(server.FailedJobsHeader), rec.Body.String())
+		}
+		cut, err := server.SplitResults(rec.Body.Bytes(), rec.Header().Get(server.ResultLengthsHeader))
+		if err != nil {
+			return nil, fmt.Errorf("reply does not cut at its own lengths: %v", err)
+		}
+		out := make([]result, len(cut))
+		for k, r := range cut {
+			if err := json.Unmarshal(r, &out[k]); err != nil || len(out[k].Insights) == 0 {
+				return nil, fmt.Errorf("result %d has no insights (%v):\n%.300s", k, err, r)
+			}
+		}
+		return out, nil
+	}
+
+	want := make([][]result, len(reqs))
+	for i := range reqs {
+		var err error
+		if want[i], err = reply(i); err != nil {
+			t.Fatalf("serial request %d: %v", i, err)
+		}
+	}
+	const goroutines, rounds = 6, 12
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				i := (g + k) % len(reqs)
+				got, err := reply(i)
+				if err != nil {
+					t.Errorf("goroutine %d, request %d: %v", g, i, err)
+					return
+				}
+				if len(got) != len(want[i]) {
+					t.Errorf("goroutine %d, request %d: %d results, want %d", g, i, len(got), len(want[i]))
+					return
+				}
+				for r := range got {
+					if got[r].Name != want[i][r].Name || !bytes.Equal(got[r].Insights, want[i][r].Insights) {
+						t.Errorf("goroutine %d, request %d, result %d: %s with %d insights bytes, want %s's %d serial bytes",
+							g, i, r, got[r].Name, len(got[r].Insights), want[i][r].Name, len(want[i][r].Insights))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -43,10 +43,13 @@ serve-check:
 # TestValidJSONMatchesStdlib) — and TestConcurrentRepliesIntact: batches of
 # three sizes in flight at once over two real workers, every reply cut at its
 # own lengths and every result's insights the bytes a serial reply carried.
+# The two layer benchmarks of the reply path (BenchmarkAnalyzeHit,
+# BenchmarkCoordinatorHop) run once each, so they keep compiling and running.
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
 	$(GO) test -race -run 'TestWireSplice|TestHopOneScan|TestValidJSONMatchesStdlib' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
+	$(GO) test -run '^$$' -bench 'AnalyzeHit|CoordinatorHop' -benchtime=1x ./internal/server/ ./internal/cluster/
 
 # store-check holds the keyed stores to their contracts under the race
 # detector: memo's singleflight (waiter contexts included); the fleet's

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -257,7 +258,7 @@ type cjob struct {
 // batch is one analyze request in flight. Each job ends with exactly one
 // of results[i] — its worker's result object, byte for byte — or errs[i],
 // a failure of the coordinator's own; indices are disjoint across
-// sub-batches, so only workerFailed is shared.
+// sub-batches, so only workerFailed and replies are shared.
 type batch struct {
 	req     *server.AnalyzeRequest
 	results [][]byte
@@ -265,6 +266,30 @@ type batch struct {
 	// workerFailed sums the workers' X-Clara-Failed-Jobs: per-job errors
 	// that ride inside spliced results the coordinator never opens.
 	workerFailed atomic.Int64
+	// replies are the pooled buffers the workers' replies were read into.
+	// results are sub-slices of them, so they go back to the pool only in
+	// release, after the coordinator's own reply is written.
+	mu      sync.Mutex
+	replies []*[]byte
+}
+
+// replyBuffer takes a buffer from the reply pool for one worker reply and
+// keeps it with the batch until release.
+func (b *batch) replyBuffer() *[]byte {
+	p := server.GetReplyBuffer()
+	b.mu.Lock()
+	b.replies = append(b.replies, p)
+	b.mu.Unlock()
+	return p
+}
+
+// release returns the batch's reply buffers to the pool; nothing may read
+// results after it.
+func (b *batch) release() {
+	for _, p := range b.replies {
+		server.PutReplyBuffer(p)
+	}
+	b.replies = nil
 }
 
 const errNoWorkers = "no live workers"
@@ -290,6 +315,9 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	b := &batch{req: &req, results: make([][]byte, len(jobs)), errs: make([]string, len(jobs))}
+	// Deferred, so the worker bodies the results point into outlive
+	// WriteResults below: it copies them into the reply in one Write.
+	defer b.release()
 	c.dispatch(ctx, jobs, b, nil)
 	if r.Context().Err() != nil {
 		return // client went away; nobody to write to
@@ -398,7 +426,9 @@ func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []c
 	resp, err := c.call(ctx, "POST", w, "/v1/analyze", blob)
 	if err == nil {
 		if resp.StatusCode == http.StatusOK {
-			body, err = readReply(resp, maxReplyBytes)
+			reply := b.replyBuffer()
+			*reply, err = readReply(resp, maxReplyBytes, *reply)
+			body = *reply
 		} else {
 			reason = errorReason(resp.Body)
 		}
@@ -462,11 +492,13 @@ var errReplyTooLarge = fmt.Errorf("reply exceeds the %d MiB limit", maxReplyByte
 // practice; a worker whose reply exceeds it is left out of the merged view.
 const maxMetricsBytes = 1 << 20
 
-// readReply reads a reply body whole into one buffer. Content-Length only
-// sizes the buffer — a worker that announces its length costs one
-// allocation and no regrowth; the limit holds for what is announced and,
-// announced or not, for what arrives.
-func readReply(resp *http.Response, limit int64) ([]byte, error) {
+// readReply reads a reply body whole into buf, reusing its capacity — the
+// analyze path passes a buffer from the server's reply pool, so a worker
+// reply lands in memory an earlier reply paid for. Content-Length only
+// sizes the buffer — a reply longer than buf costs one allocation and no
+// regrowth; the limit holds for what is announced and, announced or not,
+// for what arrives.
+func readReply(resp *http.Response, limit int64, buf []byte) ([]byte, error) {
 	if resp.ContentLength > limit {
 		return nil, errReplyTooLarge
 	}
@@ -475,7 +507,7 @@ func readReply(resp *http.Response, limit int64) ([]byte, error) {
 		hint = 4 << 10
 	}
 	// One byte spare, so the Read that reports EOF finds room to try.
-	buf := make([]byte, 0, hint+1)
+	buf = slices.Grow(buf[:0], int(hint)+1)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -654,7 +686,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			body, err := readReply(resp, maxMetricsBytes)
+			body, err := readReply(resp, maxMetricsBytes, nil)
 			oks[i] = err == nil && json.Unmarshal(body, &snaps[i]) == nil
 		}(i, ws)
 	}

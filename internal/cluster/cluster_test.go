@@ -722,7 +722,8 @@ func TestClusterMetricsReplyBounded(t *testing.T) {
 }
 
 // TestReadReply: the announced length sizes the buffer and nothing more;
-// the limit holds for what arrives, announced or not.
+// the limit holds for what arrives, announced or not; and a buffer with room
+// for the reply is read into, not replaced.
 func TestReadReply(t *testing.T) {
 	const limit = 16
 	for name, c := range map[string]struct {
@@ -739,7 +740,7 @@ func TestReadReply(t *testing.T) {
 		"announced under, is over": {3, strings.Repeat("a", limit+1), true},
 		"empty":                    {0, "", false},
 	} {
-		got, err := readReply(&http.Response{ContentLength: c.announced, Body: io.NopCloser(iotest.OneByteReader(strings.NewReader(c.body)))}, limit)
+		got, err := readReply(&http.Response{ContentLength: c.announced, Body: io.NopCloser(iotest.OneByteReader(strings.NewReader(c.body)))}, limit, nil)
 		if c.tooLarge {
 			if !errors.Is(err, errReplyTooLarge) || got != nil {
 				t.Errorf("%s: %d bytes, error %v; want errReplyTooLarge", name, len(got), err)
@@ -751,8 +752,15 @@ func TestReadReply(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	if _, err := readReply(&http.Response{ContentLength: 9, Body: io.NopCloser(iotest.ErrReader(boom))}, limit); !errors.Is(err, boom) {
+	if _, err := readReply(&http.Response{ContentLength: 9, Body: io.NopCloser(iotest.ErrReader(boom))}, limit, nil); !errors.Is(err, boom) {
 		t.Errorf("a failing body reads as %v", err)
+	}
+	for _, announced := range []int64{-1, 5} {
+		buf := append(make([]byte, 0, 8<<10), "stale"...)
+		got, err := readReply(&http.Response{ContentLength: announced, Body: io.NopCloser(strings.NewReader("hello"))}, limit, buf)
+		if reused := len(got) > 0 && &got[0] == &buf[0]; err != nil || string(got) != "hello" || !reused {
+			t.Errorf("announced %d: read %q, %v, into the buffer given: %v", announced, got, err, reused)
+		}
 	}
 }
 

@@ -308,7 +308,7 @@ func (d *drainGate) close() {
 
 // AnalyzeResult is one job's JSON outcome, as clients decode it. The
 // server writes the same members in the same order, but never encodes
-// Insights through this struct (see resultJSON).
+// Insights through this struct (see appendResult).
 type AnalyzeResult struct {
 	Name     string `json:"name"`
 	Workload string `json:"workload"`
@@ -330,11 +330,11 @@ type AnalyzeResponse struct {
 // can count its calls: a result hit must make none.
 var encodeInsights = func(ins *core.Insights) ([]byte, error) { return json.Marshal(ins) }
 
-// resultJSON renders one job's result object: AnalyzeResult's small
-// members through the encoder (so names and error texts are escaped by
-// it), then the insights — encoded once per stored analysis, not once per
-// reply — spliced in as the last member.
-func resultJSON(res *fleet.Result) ([]byte, error) {
+// appendResult appends one job's result object to body: AnalyzeResult's
+// small members through the encoder (so names and error texts are escaped
+// by it), then the insights — encoded once per stored analysis, not once
+// per reply — spliced in as the last member.
+func appendResult(body []byte, res *fleet.Result) ([]byte, error) {
 	head := AnalyzeResult{
 		Name:      res.Name,
 		Workload:  res.Workload,
@@ -346,17 +346,18 @@ func resultJSON(res *fleet.Result) ([]byte, error) {
 	if res.Err != nil {
 		head.Error = res.Err.Error()
 	}
-	out, err := json.Marshal(head)
+	enc, err := json.Marshal(head)
 	if err != nil {
-		return nil, err
+		return body, err
 	}
 	ins, err := res.EncodedInsights(encodeInsights)
 	if err != nil || ins == nil {
-		return out, err
+		return append(body, enc...), err
 	}
-	out = append(out[:len(out)-1], `,"insights":`...)
-	out = append(out, ins...)
-	return append(out, '}'), nil
+	body = append(body, enc[:len(enc)-1]...)
+	body = append(body, `,"insights":`...)
+	body = append(body, ins...)
+	return append(body, '}'), nil
 }
 
 // observed runs a handler — which returns the status it answered and
@@ -444,15 +445,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, st *core.
 
 	clk.Skip()
 	defer clk.Lap(core.StageEncode)
-	out := make([][]byte, len(results))
 	failed := 0
 	for i := range results {
 		if results[i].Err != nil {
 			failed++
-		}
-		var err error
-		if out[i], err = resultJSON(&results[i]); err != nil {
-			return WriteError(w, http.StatusInternalServerError, err.Error())
 		}
 	}
 	// A batch with failed jobs is still a delivered batch: per-job errors
@@ -463,7 +459,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, st *core.
 	if failed > 0 {
 		w.Header().Set(FailedJobsHeader, strconv.Itoa(failed))
 	}
-	return WriteResults(w, out)
+	status, err = writeResults(w, len(results), func(body []byte, i int) ([]byte, error) {
+		return appendResult(body, &results[i])
+	})
+	if err != nil {
+		w.Header().Del(FailedJobsHeader)
+		return WriteError(w, http.StatusInternalServerError, err.Error())
+	}
+	return status
 }
 
 // FailedJobsHeader carries the number of jobs in a 200 batch response

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -70,36 +71,81 @@ const ResultLengthsHeader = "X-Clara-Result-Lengths"
 // The analyze reply's envelope: everything in the body that is not a result.
 const resultsOpen, resultsSep, resultsEnd = `{"results":[`, ",", "]}\n"
 
-// WriteResults writes the analyze reply {"results":[…]} around result
-// objects that are already JSON — the server's headers spliced around
-// stored insights, the coordinator's worker bytes — without handing them
-// to an encoder, which would re-scan every byte to validate and compact
-// what was valid and compact when it was stored. It announces the body's
-// length and, in ResultLengthsHeader, where each result lies in it.
-func WriteResults(w http.ResponseWriter, results [][]byte) int {
-	n := len(resultsOpen) + len(resultsEnd) + len(results)*len(resultsSep)
-	for _, r := range results {
-		n += len(r)
+// replyPool recycles the buffers analyze replies are built in (both doors'
+// writeResults) and read into (the coordinator's worker replies), so a
+// reply's bytes are written once into memory the last request already paid
+// for, not into a fresh zeroed buffer per request.
+var replyPool sync.Pool
+
+// maxPooledReply caps the buffers the pool keeps: one that grew past it for
+// an unusually large reply is left to the collector, so a 64 MiB worker
+// reply is never kept alive by the pool.
+const maxPooledReply = 1 << 20
+
+// GetReplyBuffer returns an empty buffer from the reply pool. Hand it back
+// with PutReplyBuffer once nothing reads any slice of it any more.
+func GetReplyBuffer() *[]byte {
+	if p, ok := replyPool.Get().(*[]byte); ok {
+		return p
 	}
-	buf := make([]byte, 0, n)
-	lengths := make([]byte, 0, 6*len(results))
-	buf = append(buf, resultsOpen...)
-	for i, r := range results {
+	return new([]byte)
+}
+
+// PutReplyBuffer empties *p and returns it to the reply pool, unless it
+// grew past maxPooledReply.
+func PutReplyBuffer(p *[]byte) {
+	if cap(*p) > maxPooledReply {
+		return
+	}
+	*p = (*p)[:0]
+	replyPool.Put(p)
+}
+
+// WriteResults writes the analyze reply {"results":[…]} around result
+// objects that are already JSON — the coordinator's worker bytes — without
+// handing them to an encoder, which would re-scan every byte to validate
+// and compact what was valid and compact when it was stored. Each result is
+// copied once, into the pooled reply buffer writeResults writes.
+func WriteResults(w http.ResponseWriter, results [][]byte) int {
+	status, _ := writeResults(w, len(results), func(body []byte, i int) ([]byte, error) {
+		return append(body, results[i]...), nil
+	})
+	return status
+}
+
+// writeResults writes the analyze reply of n results, result i appended to
+// the body by add. The body is built in one buffer from the reply pool and
+// goes out in one Write, after which the buffer goes back to the pool (a
+// ResponseWriter keeps no slice of what it is given). The reply announces
+// its length and, in ResultLengthsHeader, where each result lies in it,
+// counted as the results are appended. An add error writes nothing and is
+// returned.
+func writeResults(w http.ResponseWriter, n int, add func(body []byte, i int) ([]byte, error)) (int, error) {
+	p := GetReplyBuffer()
+	defer PutReplyBuffer(p)
+	var room [128]byte
+	body, lengths := append(*p, resultsOpen...), room[:0]
+	for i := 0; i < n; i++ {
 		if i > 0 {
-			buf = append(buf, resultsSep...)
+			body = append(body, resultsSep...)
 			lengths = append(lengths, ' ')
 		}
-		buf = append(buf, r...)
-		lengths = strconv.AppendInt(lengths, int64(len(r)), 10)
+		start := len(body)
+		var err error
+		if body, err = add(body, i); err != nil {
+			return 0, err
+		}
+		lengths = strconv.AppendInt(lengths, int64(len(body)-start), 10)
 	}
-	buf = append(buf, resultsEnd...)
+	body = append(body, resultsEnd...)
+	*p = body
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	h.Set(ResultLengthsHeader, string(lengths))
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf) //nolint:errcheck // the client may already be gone
-	return http.StatusOK
+	w.Write(body) //nolint:errcheck // the client may already be gone
+	return http.StatusOK, nil
 }
 
 // validResult is the one scan SplitResults makes of a result's bytes:

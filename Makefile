@@ -47,7 +47,7 @@ serve-check:
 # BenchmarkCoordinatorHop) run once each, so they keep compiling and running.
 cluster-check:
 	$(GO) test -race ./internal/cluster/...
-	$(GO) test -race -run 'TestWireSplice|TestHopOneScan|TestValidJSONMatchesStdlib' ./internal/server/
+	$(GO) test -race -run 'TestWireSplice|TestHopOneScan|TestValidJSONMatchesStdlib|TestSplitResultsWarmVerdicts' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 	$(GO) test -run '^$$' -bench 'AnalyzeHit|CoordinatorHop' -benchtime=1x ./internal/server/ ./internal/cluster/
 

@@ -163,3 +163,58 @@ func FuzzSplitResults(f *testing.F) {
 		}
 	})
 }
+
+// mutantBytes replace one byte of a result in TestSplitResultsWarmVerdicts:
+// the string and escape delimiters, a raw control byte, plain letters and
+// digits, number and member punctuation, a closer, and a UTF-8 lead byte.
+var mutantBytes = []byte{'"', '\\', 0x1f, 'x', '1', '.', ',', '}', 0xc3}
+
+// TestSplitResultsWarmVerdicts: a result the coordinator has already seen,
+// with one byte changed, gets the same verdict from SplitResults however
+// often it arrives, and that verdict is json.Valid's. Over a real worker's
+// 18 results it changes every byte of each result's head (its members
+// before the insights), the first and last 64 bytes of its insights and a
+// stride of the rest, and the closing brace — each mutant cut twice, after
+// the unchanged results were cut, so a check that remembers what it has
+// seen is held to the bytes it saw and not to something like them.
+func TestSplitResultsWarmVerdicts(t *testing.T) {
+	_, results := lightReply(t)
+	one := func(r []byte) ([]byte, string) {
+		body := append(append([]byte(resultsOpen), r...), resultsEnd...)
+		return body, strconv.Itoa(len(r))
+	}
+	const stride = 61
+	mutants := 0
+	for n, r := range results {
+		if _, err := SplitResults(one(r)); err != nil {
+			t.Fatalf("result %d alone: %v", n, err)
+		}
+		at := bytes.Index(r, []byte(`,"insights":`))
+		if at < 0 {
+			t.Fatalf("result %d has no insights: %.120s", n, r)
+		}
+		vs, end := at+len(`,"insights":`), len(r)-1
+		for off := 0; off < len(r); off++ {
+			if off >= vs+64 && off < end-64 && (off-vs)%stride != 0 {
+				continue
+			}
+			for _, c := range mutantBytes {
+				if r[off] == c {
+					continue
+				}
+				m := bytes.Clone(r)
+				m[off] = c
+				body, lengths := one(m)
+				_, first := SplitResults(body, lengths)
+				_, second := SplitResults(body, lengths)
+				want := json.Valid(m)
+				if (first == nil) != want || (second == nil) != want {
+					t.Fatalf("result %d, byte %d (%q → %q): accepted %v then %v, json.Valid %v\n%.200q",
+						n, off, r[off], c, first == nil, second == nil, want, m[max(0, off-60):])
+				}
+				mutants++
+			}
+		}
+	}
+	t.Logf("%d one-byte mutants of %d results", mutants, len(results))
+}

@@ -38,9 +38,11 @@ serve-check:
 # single retry, probe-driven rejoin, probes that keep their connection and
 # a backoff cap never below the probe interval (TestProbeReusesConnection,
 # TestProbeBackoffCap), merged metrics — and the reply's writer and cutter
-# together (WriteResults / SplitResults, one validation scan per forwarded
+# together (WriteResults / SplitResults, one validation check per forwarded
 # result, by a checker held to json.Valid's language by
-# TestValidJSONMatchesStdlib) — and TestConcurrentRepliesIntact: batches of
+# TestValidJSONMatchesStdlib, that scans each distinct insights value once;
+# TestSplitResultsWarmVerdicts holds one-byte mutants of real results that
+# arrive again to json.Valid's verdict) — and TestConcurrentRepliesIntact: batches of
 # three sizes in flight at once over two real workers, every reply cut at its
 # own lengths and every result's insights the bytes a serial reply carried.
 # The two layer benchmarks of the reply path (BenchmarkAnalyzeHit,

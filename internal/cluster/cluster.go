@@ -458,7 +458,11 @@ func (c *Coordinator) runSubBatch(ctx context.Context, w *workerState, group []c
 	}
 	failed := 0
 	if h := resp.Header.Get(server.FailedJobsHeader); h != "" {
-		failed, err = strconv.Atoi(h)
+		// A count is summed into the reply's own header: one outside the
+		// sub-batch would cancel another worker's failures or invent some.
+		if failed, err = strconv.Atoi(h); err == nil && (failed < 0 || failed > len(group)) {
+			err = fmt.Errorf("%s %d for %d jobs", server.FailedJobsHeader, failed, len(group))
+		}
 	}
 	lengths := resp.Header.Get(server.ResultLengthsHeader)
 	if err == nil && lengths == "" {

@@ -594,7 +594,9 @@ func checkAllFailFinally(t *testing.T, c *Coordinator, a, b string, hits *atomic
 // well-formed result per job came from a live worker and would be as bad
 // from the next one, so it is a per-job error — not a death sentence
 // passed from worker to worker. Every way the frame can be wrong counts:
-// the coordinator forwards only bytes it has checked.
+// the coordinator forwards only bytes it has checked. So does a failed-jobs
+// count outside the sub-batch: summed into the reply's own header, a -1
+// would cancel another worker's real failure.
 func TestClusterMalformedReplyIsFinal(t *testing.T) {
 	// rightReply answers a sub-batch as a worker would, a result per job
 	// — and one more for each extra name.
@@ -642,6 +644,18 @@ func TestClusterMalformedReplyIsFinal(t *testing.T) {
 			w.Header().Set(server.FailedJobsHeader, "some")
 			w.Write(rec.Body.Bytes()) //nolint:errcheck
 		}, "bad response"},
+		"failed-jobs header negative": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r)
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader))
+			w.Header().Set(server.FailedJobsHeader, "-1")
+			w.Write(rec.Body.Bytes()) //nolint:errcheck
+		}, "bad response: " + server.FailedJobsHeader + " -1 for "},
+		"failed-jobs header over the sub-batch": {func(w http.ResponseWriter, r *http.Request) {
+			rec := rightReply(r)
+			w.Header().Set(server.ResultLengthsHeader, rec.Header().Get(server.ResultLengthsHeader))
+			w.Header().Set(server.FailedJobsHeader, strconv.Itoa(len(batchNames)+1))
+			w.Write(rec.Body.Bytes()) //nolint:errcheck
+		}, "bad response: " + server.FailedJobsHeader + " " + strconv.Itoa(len(batchNames)+1) + " for "},
 	} {
 		t.Run(name, func(t *testing.T) {
 			coord, a, b, hits := stubCluster(t, c.handler)

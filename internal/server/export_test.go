@@ -66,3 +66,26 @@ func CountResultScans(t *testing.T) *atomic.Int64 {
 	t.Cleanup(func() { validResult = real })
 	return &n
 }
+
+// CountInsightsScans empties the set of known insights values and counts,
+// for the rest of the test, every insights value validResult scans because
+// it was not in the set. Tests using it must not run in parallel: the set
+// and the scanner are the package's.
+func CountInsightsScans(t *testing.T) *atomic.Int64 {
+	forgetKnownValues()
+	var n atomic.Int64
+	real := scanInsights
+	scanInsights = func(v []byte) bool {
+		n.Add(1)
+		return real(v)
+	}
+	t.Cleanup(func() { scanInsights = real })
+	return &n
+}
+
+// forgetKnownValues empties the set of known insights values.
+func forgetKnownValues() {
+	known.Lock()
+	known.values, known.size = nil, 0
+	known.Unlock()
+}

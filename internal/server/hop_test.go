@@ -22,9 +22,10 @@ const hopAllocs = 370
 
 // TestHopOneScan holds the coordinator hop to its price: over two stub
 // workers replaying canned replies, every result the coordinator forwards
-// was scanned exactly once on the way through, arrives byte for byte as
-// its worker wrote it, and the request stays inside a stated allocation
-// count.
+// was checked exactly once on the way through, each distinct insights value
+// was scanned on the first request and never again, every result arrives
+// byte for byte as its worker wrote it, and the request stays inside a
+// stated allocation count.
 func TestHopOneScan(t *testing.T) {
 	names := server.LightElements
 	canned := make(map[string][]byte, len(names))
@@ -81,12 +82,16 @@ func TestHopOneScan(t *testing.T) {
 	}
 
 	scans := server.CountResultScans(t)
+	insightsScans := server.CountInsightsScans(t)
 	rec := post()
 	if rec.Code != http.StatusOK || rec.Header().Get(server.FailedJobsHeader) != "" {
 		t.Fatalf("status %d, %s %q:\n%.300s", rec.Code, server.FailedJobsHeader, rec.Header().Get(server.FailedJobsHeader), rec.Body.String())
 	}
 	if got := scans.Load(); got != int64(len(names)) {
 		t.Errorf("%d result scans for %d results, want one each", got, len(names))
+	}
+	if got := insightsScans.Load(); got != int64(len(names)) {
+		t.Errorf("%d insights scans for %d distinct values, want one each", got, len(names))
 	}
 	// The coordinator's own reply goes out through the same writer, so the
 	// same cut reads it: the workers' bytes, in request order.
@@ -109,6 +114,9 @@ func TestHopOneScan(t *testing.T) {
 	})
 	if got, want := scans.Load()-before, int64((runs+1)*len(names)); got != want {
 		t.Errorf("%d result scans over %d requests, want %d", got, runs+1, want)
+	}
+	if got := insightsScans.Load() - int64(len(names)); got != 0 {
+		t.Errorf("%d insights scans over %d repeated requests, want none: every value was known", got, runs+1)
 	}
 	if allocs > hopAllocs {
 		t.Errorf("an 18-job request through the coordinator allocates %.0f times, want at most %d", allocs, hopAllocs)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -117,6 +118,19 @@ func FuzzSplitResults(f *testing.F) {
 	f.Add([]byte(`{"results":[{"a":tru}]}`+"\n"), "9")
 	f.Add([]byte(`{"results":[{},{}]}`+"\n"), "5")
 	f.Add(one, "99999999999999999999")
+	// One result twice, so the second copy's insights are already known;
+	// then the second copy with one byte of its head or of its insights
+	// changed, so the check meets bytes like ones it knows.
+	r := awkwardResults[2]
+	vs := bytes.Index(r, []byte(`"insights":`)) + len(`"insights":`)
+	for _, off := range []int{-1, 1, vs - 2, vs, vs + 3, len(r) - 2} {
+		second := bytes.Clone(r)
+		if off >= 0 {
+			second[off] = 'x'
+		}
+		twice, twiceLen := written(f, [][]byte{r, second})
+		f.Add(twice, twiceLen)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, lengths string) {
 		got, err := SplitResults(body, lengths)
 		if err != nil {
@@ -217,4 +231,69 @@ func TestSplitResultsWarmVerdicts(t *testing.T) {
 		}
 	}
 	t.Logf("%d one-byte mutants of %d results", mutants, len(results))
+}
+
+// TestKnownValuesBounded: distinct insights values fed to the check well
+// past the known set's limit never leave it holding more than
+// maxKnownBytes, its count of the bytes it holds stays true, and a value
+// over maxKnownValue is checked but not kept.
+func TestKnownValuesBounded(t *testing.T) {
+	forgetKnownValues()
+	t.Cleanup(forgetKnownValues)
+	fed := 0
+	for n := 0; fed < 3*maxKnownBytes; n++ {
+		// Sizes from a few bytes to just past maxKnownValue.
+		v := []byte(`{"n":` + strconv.Itoa(n) + `,"pad":"` + strings.Repeat("x", n*7919%(maxKnownValue+64)) + `"}`)
+		if !validResult([]byte(`{"name":"x","insights":` + string(v) + `}`)) {
+			t.Fatalf("value %d refused", n)
+		}
+		if got, want := knownValue(v), len(v) <= maxKnownValue; got != want {
+			t.Fatalf("value %d, %d bytes: known %v, want %v", n, len(v), got, want)
+		}
+		fed += len(v)
+		known.RLock()
+		held := 0
+		for k := range known.values {
+			held += len(k)
+		}
+		size := known.size
+		known.RUnlock()
+		if held != size || held > maxKnownBytes {
+			t.Fatalf("after %d bytes fed: the set holds %d bytes and counts %d, limit %d", fed, held, size, maxKnownBytes)
+		}
+	}
+}
+
+// TestKnownValuesConcurrent: results checked from several goroutines at
+// once — the same values on every goroutine, and values of their own that
+// keep pushing the known set past maxKnownBytes, so it is emptied under
+// the readers — all pass, and the set ends inside its limit. Run it with
+// -race.
+func TestKnownValuesConcurrent(t *testing.T) {
+	forgetKnownValues()
+	t.Cleanup(forgetKnownValues)
+	result := func(g, n, size int) []byte {
+		return []byte(`{"name":"x","insights":{"g":` + strconv.Itoa(g) + `,"n":` + strconv.Itoa(n) + `,"pad":"` + strings.Repeat("y", size) + `"}}`)
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n*maxKnownValue/2 < maxKnownBytes; n++ {
+				for _, r := range [][]byte{result(0, n%8, 100), result(g, n, maxKnownValue/2)} {
+					if !validResult(r) {
+						t.Errorf("goroutine %d: refused %.60q", g, r)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	known.RLock()
+	defer known.RUnlock()
+	if known.size > maxKnownBytes {
+		t.Errorf("the set holds %d bytes, limit %d", known.size, maxKnownBytes)
+	}
 }

@@ -38,20 +38,39 @@ var class = func() (t [256]uint8) {
 // a byte-class table. Like json.Valid it does not check that strings are
 // UTF-8, and it refuses nesting deeper than maxNestingDepth.
 func validJSON(data []byte) bool {
+	return validValue(data, 0)
+}
+
+// validValue reports whether data is one JSON value with nothing but
+// whitespace around it that may stand inside open containers: validJSON
+// for a value nested open levels deep in a document.
+func validValue(data []byte, open int) bool {
+	i := valueEnd(data, skipSpace(data, 0), open)
+	return i >= 0 && skipSpace(data, i) == len(data)
+}
+
+// valueEnd returns the index just past the one JSON value starting at
+// data[i], or -1. open is how many containers the document has open around
+// it, so that its nesting counts towards maxNestingDepth.
+func valueEnd(data []byte, i, open int) int {
+	if i < len(data) && data[i] != '{' && data[i] != '[' {
+		// A scalar needs no nesting bitmap: most of a result's members are
+		// scalars, and zeroing 1.25 KB for each would cost more than it.
+		return scalarEnd(data, i)
+	}
 	// Bit d is set while the container open at depth d is an object; closer
 	// is the byte that closes the innermost one.
 	var objects [(maxNestingDepth + 63) / 64]uint64
-	depth, closer := 0, byte(0)
-	i := skipSpace(data, 0)
+	depth, closer := open, byte(0)
 value:
 	for {
 		if i == len(data) {
-			return false
+			return -1
 		}
 		switch data[i] {
 		case '{':
 			if depth == maxNestingDepth {
-				return false
+				return -1
 			}
 			if i = skipSpace(data, i+1); i < len(data) && data[i] == '}' {
 				i++
@@ -60,12 +79,12 @@ value:
 			objects[depth/64] |= 1 << (depth % 64)
 			depth, closer = depth+1, '}'
 			if i = member(data, i); i < 0 {
-				return false
+				return -1
 			}
 			continue
 		case '[':
 			if depth == maxNestingDepth {
-				return false
+				return -1
 			}
 			if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
 				i++
@@ -74,7 +93,7 @@ value:
 			objects[depth/64] &^= 1 << (depth % 64)
 			depth, closer = depth+1, ']'
 			continue
-		case '"':
+		case '"': // scalarEnd's cases, here without a call per token
 			i = stringEnd(data, i+1)
 		case 't':
 			i = literalEnd(data, i, "true")
@@ -86,37 +105,50 @@ value:
 			i = numberEnd(data, i)
 		}
 		if i < 0 {
-			return false
+			return -1
 		}
 		// A value ended at i: close the containers it completes, up to the
 		// next value.
-		for {
-			i = skipSpace(data, i)
-			if depth == 0 {
-				return i == len(data)
-			}
-			if i == len(data) {
-				return false
+		for depth > open {
+			if i = skipSpace(data, i); i == len(data) {
+				return -1
 			}
 			switch data[i] {
 			case ',':
 				i = skipSpace(data, i+1)
 				if closer == '}' {
 					if i = member(data, i); i < 0 {
-						return false
+						return -1
 					}
 				}
 				continue value
 			case closer:
 				depth, closer, i = depth-1, ']', i+1
-				if depth > 0 && objects[(depth-1)/64]>>((depth-1)%64)&1 != 0 {
+				if depth > open && objects[(depth-1)/64]>>((depth-1)%64)&1 != 0 {
 					closer = '}'
 				}
 			default:
-				return false
+				return -1
 			}
 		}
+		return i
 	}
+}
+
+// scalarEnd returns the index just past the string, literal or number
+// starting at data[i], or -1.
+func scalarEnd(data []byte, i int) int {
+	switch data[i] {
+	case '"':
+		return stringEnd(data, i+1)
+	case 't':
+		return literalEnd(data, i, "true")
+	case 'f':
+		return literalEnd(data, i, "false")
+	case 'n':
+		return literalEnd(data, i, "null")
+	}
+	return numberEnd(data, i)
 }
 
 // skipSpace returns the index of the first non-whitespace byte at or after i.

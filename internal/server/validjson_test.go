@@ -66,7 +66,8 @@ var validJSONCases = func() []struct {
 }()
 
 // TestValidJSONMatchesStdlib: validJSON gives json.Valid's verdict on every
-// edge of the language.
+// edge of the language, and validResult on every edge as a member of a
+// result — insights or not, last or not, seen before or not.
 func TestValidJSONMatchesStdlib(t *testing.T) {
 	for _, c := range validJSONCases {
 		if got := json.Valid([]byte(c.in)); got != c.want {
@@ -75,7 +76,35 @@ func TestValidJSONMatchesStdlib(t *testing.T) {
 		if got := validJSON([]byte(c.in)); got != c.want {
 			t.Errorf("validJSON(%.40q) = %v, want %v", c.in, got, c.want)
 		}
+		for _, r := range asMembers(c.in) {
+			if got, want := validResultTwice(r), json.Valid(r); got != want {
+				t.Errorf("validResult(%.60q) = %v, json.Valid %v", r, got, want)
+			}
+		}
 	}
+}
+
+// asMembers wraps in as a member value of result objects: the insights
+// member last (the one validResult may skip) and not last, spelled with an
+// escape, and another member.
+func asMembers(in string) [][]byte {
+	return [][]byte{
+		[]byte(`{"insights":` + in + `}`),
+		[]byte(`{"name":"x", "insights" : ` + in + ` }`),
+		[]byte(`{"insights":` + in + `,"name":"x"}`),
+		[]byte(`{"insight\u0073":` + in + `}`),
+		[]byte(`{"a":` + in + `}`),
+	}
+}
+
+// validResultTwice is validResult's verdict on r, cold or warm: the second
+// call may find r's insights among the known values, and must agree.
+func validResultTwice(r []byte) bool {
+	first := validResult(r)
+	if second := validResult(r); second != first {
+		panic(fmt.Sprintf("validResult(%.60q) said %v, then %v", r, first, second))
+	}
+	return first
 }
 
 // lightReply is a real worker's reply to the cluster-light-batch request
@@ -118,7 +147,8 @@ func TestValidJSONNoAllocs(t *testing.T) {
 	}
 }
 
-// FuzzValidJSON: validJSON and json.Valid agree on every input.
+// FuzzValidJSON: validJSON and json.Valid agree on every input, and
+// validResult and json.Valid on every input as a member of a result.
 func FuzzValidJSON(f *testing.F) {
 	for _, r := range awkwardResults {
 		f.Add(r)
@@ -133,15 +163,22 @@ func FuzzValidJSON(f *testing.F) {
 		if got, want := validJSON(data), json.Valid(data); got != want {
 			t.Fatalf("validJSON = %v, json.Valid = %v on %q", got, want, data)
 		}
+		for _, r := range asMembers(string(data)) {
+			if got, want := validResultTwice(r), json.Valid(r); got != want {
+				t.Fatalf("validResult = %v, json.Valid = %v on %q", got, want, r)
+			}
+		}
 	})
 }
 
 var validSink bool
 
-// BenchmarkValidResult prices the coordinator's one scan per forwarded
-// result over a real worker reply to the cluster-light-batch request, for
-// the checker SplitResults uses and for json.Valid; MB/s is over the 18
-// results' bytes.
+// BenchmarkValidResult prices the coordinator's check of each forwarded
+// result over a real worker reply to the cluster-light-batch request: the
+// full scan, for the checker SplitResults uses and for json.Valid, and
+// validResult on a second pass over the same reply, as a coordinator sees
+// a result-store hit, with every insights value already known. MB/s is
+// over the 18 results' bytes either way.
 func BenchmarkValidResult(b *testing.B) {
 	_, results := lightReply(b)
 	size := 0
@@ -151,10 +188,16 @@ func BenchmarkValidResult(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		valid func([]byte) bool
-	}{{"validJSON", validJSON}, {"json.Valid", json.Valid}} {
+	}{{"validJSON", validJSON}, {"json.Valid", json.Valid}, {"validResult/warm", validResult}} {
 		b.Run(c.name, func(b *testing.B) {
+			for _, r := range results {
+				if !c.valid(r) {
+					b.Fatalf("a worker's result is refused: %.120s", r)
+				}
+			}
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, r := range results {
 					validSink = c.valid(r)

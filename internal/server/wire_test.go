@@ -114,13 +114,14 @@ func TestWireSplice(t *testing.T) {
 }
 
 // warmAnalyzeAllocs bounds what one warm single-job /v1/analyze may
-// allocate, request construction and recorder included: measured 45 on
-// go1.24 with the reply built in a pooled buffer (49 before), and 48–49
-// under -race, where sync.Pool drops a quarter of what is put back; the
-// bound is about 4 % above the -race count, the highest a gate runs it at.
+// allocate, request construction and recorder included: measured 43 on
+// go1.24 with the reply built in a pooled buffer and its headers set
+// without Header.Set (45 with it, 49 before the pool), and 46 under -race,
+// where sync.Pool drops a quarter of what is put back; the bound is about
+// 4 % above the -race count, the highest a gate runs it at.
 // The encoder pools its buffers, so re-encoding the insights would add one
 // or two — which is why the test counts encoder calls as well, and exactly.
-const warmAnalyzeAllocs = 51
+const warmAnalyzeAllocs = 48
 
 // TestWarmAnalyzeNoEncode pins the hit path the way TestProfileLoopZeroAllocs
 // pins the profile loop: a repeated single-job request is answered from

@@ -25,11 +25,21 @@ var lightElements = []string{
 // replayWorker answers each distinct request body with a real worker's
 // reply to it — status, headers and bytes — computed once and replayed
 // from then on, so what is timed around it is the hop and not the analysis.
+// A fresh replayWorker stamps a new number into every result's insights
+// each time it replays, so that no two replies carry the same insights
+// bytes, as under traffic whose results never repeat.
 type replayWorker struct {
-	real http.Handler
-	mu   sync.Mutex
-	seen map[string]*httptest.ResponseRecorder
+	real  http.Handler
+	fresh bool
+	mu    sync.Mutex
+	seen  map[string]*httptest.ResponseRecorder
+	stamp int
 }
+
+// stampField is the insights member a fresh replayWorker overwrites: every
+// result's insights carries its workload's name, and a run of digits as
+// long as the name keeps the value valid JSON and its length unchanged.
+const stampField = `,"Workload":"`
 
 func (w *replayWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	body, _ := io.ReadAll(r.Body)
@@ -40,12 +50,31 @@ func (w *replayWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		w.real.ServeHTTP(rec, httptest.NewRequest(r.Method, r.URL.Path, bytes.NewReader(body)))
 		w.seen[string(body)] = rec
 	}
+	reply := rec.Body.Bytes()
+	if w.fresh {
+		reply = bytes.Clone(reply)
+		for rest, n := reply, 0; ; n++ {
+			at := bytes.Index(rest, []byte(stampField))
+			if at < 0 {
+				if n == 0 && rec.Code == http.StatusOK {
+					panic("no insights to stamp in " + rec.Body.String())
+				}
+				break
+			}
+			rest = rest[at+len(stampField):]
+			name := rest[:bytes.IndexByte(rest, '"')]
+			w.stamp++
+			for i, x := len(name)-1, w.stamp; i >= 0; i, x = i-1, x/10 {
+				name[i] = '0' + byte(x%10)
+			}
+		}
+	}
 	w.mu.Unlock()
 	for k, v := range rec.Header() {
 		rw.Header()[k] = v
 	}
 	rw.WriteHeader(rec.Code)
-	rw.Write(rec.Body.Bytes()) //nolint:errcheck
+	rw.Write(reply) //nolint:errcheck
 }
 
 // BenchmarkCoordinatorHop prices the coordinator's share of one request:
@@ -53,7 +82,13 @@ func (w *replayWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // sub-batches over loopback HTTP, cut, splice, write — against two workers
 // that replay canned replies. The workers go by fixed names, as in bench/,
 // so the split (8/10) is the same on every run and every commit.
-func BenchmarkCoordinatorHop(b *testing.B) {
+func BenchmarkCoordinatorHop(b *testing.B) { benchmarkHop(b, false) }
+
+// BenchmarkCoordinatorHopFresh is BenchmarkCoordinatorHop with workers
+// whose every reply carries insights the coordinator has not seen before.
+func BenchmarkCoordinatorHopFresh(b *testing.B) { benchmarkHop(b, true) }
+
+func benchmarkHop(b *testing.B, fresh bool) {
 	srv, err := server.New(server.Config{Tool: quickTool(b), Workers: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -61,7 +96,7 @@ func BenchmarkCoordinatorHop(b *testing.B) {
 	listeners := map[string]string{}
 	var names []string
 	for _, name := range []string{"clara-worker-0:80", "clara-worker-1:80"} {
-		ts := httptest.NewServer(&replayWorker{real: srv.Handler(), seen: map[string]*httptest.ResponseRecorder{}})
+		ts := httptest.NewServer(&replayWorker{real: srv.Handler(), fresh: fresh, seen: map[string]*httptest.ResponseRecorder{}})
 		b.Cleanup(ts.Close)
 		listeners[name] = ts.Listener.Addr().String()
 		names = append(names, name)

@@ -83,9 +83,13 @@ func CountInsightsScans(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
-// forgetKnownValues empties the set of known insights values.
+// forgetKnownValues empties the set of known insights values and forgets
+// every value seen once.
 func forgetKnownValues() {
 	known.Lock()
 	known.values, known.size = nil, 0
 	known.Unlock()
+	for i := range seenOnce {
+		seenOnce[i].Store(0)
+	}
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -234,6 +236,18 @@ const (
 	maxKnownBytes = 4 << 20
 )
 
+// seenOnce holds, in the slot its checksum picks, the CRC-32C of the last
+// value rememberValue was handed and did not keep. A value is copied into
+// known the second time it is found valid, not the first, so results that
+// never repeat cost the check one checksum each (the hardware instruction,
+// a few percent of the scan), and no copy, no write lock and no churn of
+// the set. A checksum only decides what is kept, never what is valid: two
+// values that share one cost a copy, nothing more.
+var (
+	seenOnce   [1 << 12]atomic.Uint32
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
 // knownValue reports whether v is in the known set.
 func knownValue(v []byte) bool {
 	known.RLock()
@@ -242,12 +256,20 @@ func knownValue(v []byte) bool {
 	return ok
 }
 
-// rememberValue puts a copy of v, a value validObject found valid, into
-// the known set.
+// rememberValue is handed v, a value validObject found valid and did not
+// know, and puts a copy of it into the known set if this is the second
+// time it has been handed v since v was last kept.
 func rememberValue(v []byte) {
 	if len(v) > maxKnownValue {
 		return
 	}
+	sum := crc32.Checksum(v, castagnoli)
+	slot := &seenOnce[sum%uint32(len(seenOnce))]
+	if slot.Swap(sum) != sum {
+		return // its first sighting
+	}
+	// Kept now; should the set be emptied, v needs two sightings again.
+	slot.Store(0)
 	known.Lock()
 	defer known.Unlock()
 	if _, ok := known.values[string(v)]; ok {
@@ -267,8 +289,9 @@ func rememberValue(v []byte) {
 // writes, the ranges must cover the rest of the body exactly, and each one
 // must be a single well-formed JSON object — checked by one validResult
 // call, which scans the result once but skips an insights value whose exact
-// bytes an earlier call already found valid, as a result-store hit's are —
-// so bytes that pass here can be forwarded without an encoder's re-scan.
+// bytes earlier calls already found valid twice, as a result-store hit's
+// are — so bytes that pass here can be forwarded without an encoder's
+// re-scan.
 func SplitResults(body []byte, lengths string) ([][]byte, error) {
 	if !bytes.HasPrefix(body, []byte(resultsOpen)) {
 		return nil, errors.New("body does not open with " + resultsOpen)

@@ -118,18 +118,19 @@ func FuzzSplitResults(f *testing.F) {
 	f.Add([]byte(`{"results":[{"a":tru}]}`+"\n"), "9")
 	f.Add([]byte(`{"results":[{},{}]}`+"\n"), "5")
 	f.Add(one, "99999999999999999999")
-	// One result twice, so the second copy's insights are already known;
-	// then the second copy with one byte of its head or of its insights
-	// changed, so the check meets bytes like ones it knows.
+	// One result twice, which makes its insights known (a value is kept
+	// the second time it passes); then a third copy, as it was or with one
+	// byte of its head or of its insights changed, so the check meets bytes
+	// it knows or bytes like them.
 	r := awkwardResults[2]
 	vs := bytes.Index(r, []byte(`"insights":`)) + len(`"insights":`)
 	for _, off := range []int{-1, 1, vs - 2, vs, vs + 3, len(r) - 2} {
-		second := bytes.Clone(r)
+		third := bytes.Clone(r)
 		if off >= 0 {
-			second[off] = 'x'
+			third[off] = 'x'
 		}
-		twice, twiceLen := written(f, [][]byte{r, second})
-		f.Add(twice, twiceLen)
+		thrice, thriceLen := written(f, [][]byte{r, r, third})
+		f.Add(thrice, thriceLen)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, lengths string) {
 		got, err := SplitResults(body, lengths)
@@ -189,8 +190,9 @@ var mutantBytes = []byte{'"', '\\', 0x1f, 'x', '1', '.', ',', '}', 0xc3}
 // 18 results it changes every byte of each result's head (its members
 // before the insights), the first and last 64 bytes of its insights and a
 // stride of the rest, and the closing brace — each mutant cut twice, after
-// the unchanged results were cut, so a check that remembers what it has
-// seen is held to the bytes it saw and not to something like them.
+// the unchanged results were cut twice (in lightReply and here), which
+// makes their insights known, so a check that remembers what it has seen
+// is held to the bytes it saw and not to something like them.
 func TestSplitResultsWarmVerdicts(t *testing.T) {
 	_, results := lightReply(t)
 	one := func(r []byte) ([]byte, string) {
@@ -235,8 +237,9 @@ func TestSplitResultsWarmVerdicts(t *testing.T) {
 
 // TestKnownValuesBounded: distinct insights values fed to the check well
 // past the known set's limit never leave it holding more than
-// maxKnownBytes, its count of the bytes it holds stays true, and a value
-// over maxKnownValue is checked but not kept.
+// maxKnownBytes, its count of the bytes it holds stays true, a value is
+// kept on its second sighting and not its first, and a value over
+// maxKnownValue is checked but not kept.
 func TestKnownValuesBounded(t *testing.T) {
 	forgetKnownValues()
 	t.Cleanup(forgetKnownValues)
@@ -244,11 +247,14 @@ func TestKnownValuesBounded(t *testing.T) {
 	for n := 0; fed < 3*maxKnownBytes; n++ {
 		// Sizes from a few bytes to just past maxKnownValue.
 		v := []byte(`{"n":` + strconv.Itoa(n) + `,"pad":"` + strings.Repeat("x", n*7919%(maxKnownValue+64)) + `"}`)
-		if !validResult([]byte(`{"name":"x","insights":` + string(v) + `}`)) {
-			t.Fatalf("value %d refused", n)
-		}
-		if got, want := knownValue(v), len(v) <= maxKnownValue; got != want {
-			t.Fatalf("value %d, %d bytes: known %v, want %v", n, len(v), got, want)
+		r := []byte(`{"name":"x","insights":` + string(v) + `}`)
+		for sighting, want := range []bool{false, len(v) <= maxKnownValue} {
+			if !validResult(r) {
+				t.Fatalf("value %d refused", n)
+			}
+			if got := knownValue(v); got != want {
+				t.Fatalf("value %d, %d bytes, sighting %d: known %v, want %v", n, len(v), sighting+1, got, want)
+			}
 		}
 		fed += len(v)
 		known.RLock()
@@ -264,11 +270,38 @@ func TestKnownValuesBounded(t *testing.T) {
 	}
 }
 
+// TestFreshValuesNotKept: results whose insights never repeat are each
+// checked with no allocation and leave the known set empty.
+func TestFreshValuesNotKept(t *testing.T) {
+	forgetKnownValues()
+	t.Cleanup(forgetKnownValues)
+	const runs = 200
+	results := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
+	for n := range results {
+		results[n] = []byte(`{"name":"x","insights":{"n":` + strconv.Itoa(n) + `,"pad":"` + strings.Repeat("z", 2000) + `"}}`)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !validResult(results[n]) {
+			t.Fatalf("result %d refused", n)
+		}
+		n++
+	})
+	if allocs != 0 {
+		t.Errorf("checking a never-seen result allocates %.1f times, want 0", allocs)
+	}
+	known.RLock()
+	defer known.RUnlock()
+	if len(known.values) != 0 {
+		t.Errorf("%d values seen once are kept, want none", len(known.values))
+	}
+}
+
 // TestKnownValuesConcurrent: results checked from several goroutines at
-// once — the same values on every goroutine, and values of their own that
-// keep pushing the known set past maxKnownBytes, so it is emptied under
-// the readers — all pass, and the set ends inside its limit. Run it with
-// -race.
+// once — the same values on every goroutine, and values of their own, each
+// sent twice so that it is kept, that keep pushing the known set past
+// maxKnownBytes, so it is emptied under the readers — all pass, and the set
+// ends inside its limit. Run it with -race.
 func TestKnownValuesConcurrent(t *testing.T) {
 	forgetKnownValues()
 	t.Cleanup(forgetKnownValues)
@@ -281,7 +314,8 @@ func TestKnownValuesConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for n := 0; n*maxKnownValue/2 < maxKnownBytes; n++ {
-				for _, r := range [][]byte{result(0, n%8, 100), result(g, n, maxKnownValue/2)} {
+				own := result(g, n, maxKnownValue/2)
+				for _, r := range [][]byte{result(0, n%8, 100), own, own} {
 					if !validResult(r) {
 						t.Errorf("goroutine %d: refused %.60q", g, r)
 						return

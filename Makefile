@@ -57,14 +57,14 @@ cluster-check:
 # detector: memo's singleflight (waiter contexts included); the fleet's
 # result tier — second-sighting admission, every key component, hit ==
 # fresh analysis after a miss and after an eviction, and no waiter ever
-# inheriting its leader's cancellation, deadline or panic; the batch's
-# module facts — one static half per module, results equal to one-job runs;
-# the doors
+# inheriting its leader's cancellation, deadline or panic; the module
+# store — one static half per module across batches and lone jobs, results
+# equal to one-job runs, nothing kept from a panicked static half; the doors
 # agreeing cold and warm; and the server's wire splice, with a warm
 # /v1/analyze pinned to zero insights encodes and a stated allocation count.
 store-check:
 	$(GO) test -race ./internal/memo/
-	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob|TestBatchSharesModuleFacts' ./internal/fleet/
+	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob|TestBatchSharesModuleFacts|TestModuleStoreAcrossBatches|TestLoneJobsShareModuleFacts|TestModuleFactsPanicNotKept' ./internal/fleet/
 	$(GO) test -race -run 'TestWireSplice|TestWarmAnalyzeNoEncode' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 

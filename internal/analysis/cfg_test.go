@@ -17,68 +17,67 @@ func TestCFGLibraryInvariants(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			m := click.Get(name).MustModule()
-			for _, f := range m.Funcs {
-				c := analysis.BuildCFG(f)
-				if !c.Reachable(0) {
-					t.Fatalf("%s: entry unreachable", f.Name)
-				}
-				if len(c.RPO) == 0 || c.RPO[0] != 0 {
-					t.Fatalf("%s: RPO must start at the entry, got %v", f.Name, c.RPO)
-				}
-				// Succ/pred symmetry.
-				for b, ss := range c.Succs {
-					for _, s := range ss {
-						found := false
-						for _, p := range c.Preds[s] {
-							if p == b {
-								found = true
-							}
-						}
-						if !found {
-							t.Fatalf("%s: edge b%d->b%d missing from preds", f.Name, b, s)
+			f := m.Func
+			c := analysis.BuildCFG(f)
+			if !c.Reachable(0) {
+				t.Fatalf("%s: entry unreachable", f.Name)
+			}
+			if len(c.RPO) == 0 || c.RPO[0] != 0 {
+				t.Fatalf("%s: RPO must start at the entry, got %v", f.Name, c.RPO)
+			}
+			// Succ/pred symmetry.
+			for b, ss := range c.Succs {
+				for _, s := range ss {
+					found := false
+					for _, p := range c.Preds[s] {
+						if p == b {
+							found = true
 						}
 					}
-				}
-				// Dominator sanity: the entry dominates every reachable
-				// block; every non-entry reachable block has a reachable
-				// idom that dominates it.
-				for _, b := range c.RPO {
-					if !c.Dominates(0, b) {
-						t.Errorf("%s: entry does not dominate b%d", f.Name, b)
-					}
-					if b == 0 {
-						if c.Idom(0) != -1 {
-							t.Errorf("%s: entry idom = %d, want -1", f.Name, c.Idom(0))
-						}
-						continue
-					}
-					id := c.Idom(b)
-					if id < 0 || !c.Reachable(id) || !c.Dominates(id, b) {
-						t.Errorf("%s: bad idom %d for b%d", f.Name, id, b)
+					if !found {
+						t.Fatalf("%s: edge b%d->b%d missing from preds", f.Name, b, s)
 					}
 				}
-				// Loop sanity: the header dominates every loop block, back
-				// edges come from inside, exits leave the loop, and every
-				// loop entered from outside goes through the header.
-				for _, l := range c.NaturalLoops() {
-					for _, b := range l.Blocks {
-						if !c.Dominates(l.Head, b) {
-							t.Errorf("%s: loop head b%d does not dominate member b%d", f.Name, l.Head, b)
-						}
+			}
+			// Dominator sanity: the entry dominates every reachable
+			// block; every non-entry reachable block has a reachable
+			// idom that dominates it.
+			for _, b := range c.RPO {
+				if !c.Dominates(0, b) {
+					t.Errorf("%s: entry does not dominate b%d", f.Name, b)
+				}
+				if b == 0 {
+					if c.Idom(0) != -1 {
+						t.Errorf("%s: entry idom = %d, want -1", f.Name, c.Idom(0))
 					}
-					for _, u := range l.Backs {
-						if !l.Contains(u) {
-							t.Errorf("%s: back-edge source b%d outside loop", f.Name, u)
-						}
+					continue
+				}
+				id := c.Idom(b)
+				if id < 0 || !c.Reachable(id) || !c.Dominates(id, b) {
+					t.Errorf("%s: bad idom %d for b%d", f.Name, id, b)
+				}
+			}
+			// Loop sanity: the header dominates every loop block, back
+			// edges come from inside, exits leave the loop, and every
+			// loop entered from outside goes through the header.
+			for _, l := range c.NaturalLoops() {
+				for _, b := range l.Blocks {
+					if !c.Dominates(l.Head, b) {
+						t.Errorf("%s: loop head b%d does not dominate member b%d", f.Name, l.Head, b)
 					}
-					for _, e := range l.Exits {
-						if !l.Contains(e.From) || l.Contains(e.To) {
-							t.Errorf("%s: bad exit edge %v", f.Name, e)
-						}
+				}
+				for _, u := range l.Backs {
+					if !l.Contains(u) {
+						t.Errorf("%s: back-edge source b%d outside loop", f.Name, u)
 					}
-					if len(preheaders(c, l)) == 0 {
-						t.Errorf("%s: loop at b%d has no entry from outside", f.Name, l.Head)
+				}
+				for _, e := range l.Exits {
+					if !l.Contains(e.From) || l.Contains(e.To) {
+						t.Errorf("%s: bad exit edge %v", f.Name, e)
 					}
+				}
+				if len(preheaders(c, l)) == 0 {
+					t.Errorf("%s: loop at b%d has no entry from outside", f.Name, l.Head)
 				}
 			}
 		})

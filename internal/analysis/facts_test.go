@@ -35,7 +35,7 @@ func TestCallGraphEmptyAndSingle(t *testing.T) {
 	// An empty handler (just a return) must survive every pass.
 	h := ir.NewBuilder(ir.HandlerName, ir.Void)
 	h.Ret(nil)
-	m := &ir.Module{Name: "empty", Funcs: []*ir.Func{h.F}}
+	m := &ir.Module{Name: "empty", Func: h.F}
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +351,6 @@ func TestSubroutineFactsInline(t *testing.T) {
 		m, err := lang.Compile(name, src)
 		if err != nil {
 			t.Fatalf("compile %s: %v", name, err)
-		}
-		if len(m.Funcs) != 1 {
-			t.Fatalf("%s lowered to %d functions, want 1", name, len(m.Funcs))
 		}
 		return m
 	}

@@ -264,7 +264,7 @@ func TestLintUninitRead(t *testing.T) {
 	r := b.LLoad(s0, ir.U32)
 	b.Ret(&r)
 
-	m := &ir.Module{Name: "handbuilt", Funcs: []*ir.Func{b.F}}
+	m := &ir.Module{Name: "handbuilt", Func: b.F}
 	ds := analysis.LintModule(m, analysis.DefaultConfig())
 	found := false
 	for _, d := range ds {

@@ -35,7 +35,7 @@ func uniqueSrcModules(t testing.TB) []*ir.Module {
 // and slot index.
 type renumbering struct{ oldBlock, oldSlot []int }
 
-// permuteModule returns a deep copy of m in which every function's
+// permuteModule returns a deep copy of m in which the handler's
 // non-entry blocks are shuffled and its stack slots renumbered, both by
 // permutations seeded from seed. Control flow, operands and positions are
 // otherwise untouched, so any analysis fact must survive the renaming.
@@ -43,41 +43,40 @@ func permuteModule(m *ir.Module, seed int64) (*ir.Module, map[string]renumbering
 	rng := rand.New(rand.NewSource(seed))
 	out := &ir.Module{Name: m.Name, Globals: m.Globals}
 	maps := map[string]renumbering{}
-	for _, f := range m.Funcs {
-		n := len(f.Blocks)
-		oldBlock, newBlock := make([]int, n), make([]int, n)
-		rest := rng.Perm(n - 1)
-		for i := 1; i < n; i++ {
-			oldBlock[i] = rest[i-1] + 1
-			newBlock[oldBlock[i]] = i
-		}
-		oldSlot := rng.Perm(f.NSlots)
-		newSlot := make([]int, f.NSlots)
-		for s, o := range oldSlot {
-			newSlot[o] = s
-		}
-		nf := &ir.Func{Name: f.Name, Ret: f.Ret, NumVals: f.NumVals, NSlots: f.NSlots}
-		for i := 0; i < n; i++ {
-			b := f.Blocks[oldBlock[i]]
-			nb := &ir.Block{Index: i, Name: b.Name}
-			for _, in := range b.Instrs {
-				ni := *in
-				ni.Args = append([]ir.Value(nil), in.Args...)
-				switch ni.Op {
-				case ir.OpLLoad, ir.OpLStore:
-					ni.Slot = newSlot[ni.Slot]
-				case ir.OpBr:
-					ni.True = newBlock[ni.True]
-				case ir.OpCondBr:
-					ni.True, ni.False = newBlock[ni.True], newBlock[ni.False]
-				}
-				nb.Instrs = append(nb.Instrs, &ni)
-			}
-			nf.Blocks = append(nf.Blocks, nb)
-		}
-		out.Funcs = append(out.Funcs, nf)
-		maps[f.Name] = renumbering{oldBlock: oldBlock, oldSlot: oldSlot}
+	f := m.Func
+	n := len(f.Blocks)
+	oldBlock, newBlock := make([]int, n), make([]int, n)
+	rest := rng.Perm(n - 1)
+	for i := 1; i < n; i++ {
+		oldBlock[i] = rest[i-1] + 1
+		newBlock[oldBlock[i]] = i
 	}
+	oldSlot := rng.Perm(f.NSlots)
+	newSlot := make([]int, f.NSlots)
+	for s, o := range oldSlot {
+		newSlot[o] = s
+	}
+	nf := &ir.Func{Name: f.Name, Ret: f.Ret, NumVals: f.NumVals, NSlots: f.NSlots}
+	for i := 0; i < n; i++ {
+		b := f.Blocks[oldBlock[i]]
+		nb := &ir.Block{Index: i, Name: b.Name}
+		for _, in := range b.Instrs {
+			ni := *in
+			ni.Args = append([]ir.Value(nil), in.Args...)
+			switch ni.Op {
+			case ir.OpLLoad, ir.OpLStore:
+				ni.Slot = newSlot[ni.Slot]
+			case ir.OpBr:
+				ni.True = newBlock[ni.True]
+			case ir.OpCondBr:
+				ni.True, ni.False = newBlock[ni.True], newBlock[ni.False]
+			}
+			nb.Instrs = append(nb.Instrs, &ni)
+		}
+		nf.Blocks = append(nf.Blocks, nb)
+	}
+	out.Func = nf
+	maps[f.Name] = renumbering{oldBlock: oldBlock, oldSlot: oldSlot}
 	return out, maps
 }
 

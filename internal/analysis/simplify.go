@@ -115,7 +115,7 @@ func removeDeadValues(f *ir.Func) int {
 	}
 }
 
-// cloneModule deep-copies a module (globals, functions, blocks,
+// cloneModule deep-copies a module (globals, the handler, blocks,
 // instructions, operand slices).
 func cloneModule(m *ir.Module) *ir.Module {
 	out := &ir.Module{Name: m.Name}
@@ -123,23 +123,16 @@ func cloneModule(m *ir.Module) *ir.Module {
 		cg := *g
 		out.Globals = append(out.Globals, &cg)
 	}
-	for _, f := range m.Funcs {
-		nf := &ir.Func{
-			Name:    f.Name,
-			Ret:     f.Ret,
-			NumVals: f.NumVals,
-			NSlots:  f.NSlots,
+	f := m.Func
+	out.Func = &ir.Func{Name: f.Name, Ret: f.Ret, NumVals: f.NumVals, NSlots: f.NSlots}
+	for _, b := range f.Blocks {
+		nb := &ir.Block{Index: b.Index, Name: b.Name}
+		for _, in := range b.Instrs {
+			ni := *in
+			ni.Args = append([]ir.Value(nil), in.Args...)
+			nb.Instrs = append(nb.Instrs, &ni)
 		}
-		for _, b := range f.Blocks {
-			nb := &ir.Block{Index: b.Index, Name: b.Name}
-			for _, in := range b.Instrs {
-				ni := *in
-				ni.Args = append([]ir.Value(nil), in.Args...)
-				nb.Instrs = append(nb.Instrs, &ni)
-			}
-			nf.Blocks = append(nf.Blocks, nb)
-		}
-		out.Funcs = append(out.Funcs, nf)
+		out.Func.Blocks = append(out.Func.Blocks, nb)
 	}
 	return out
 }

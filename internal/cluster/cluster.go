@@ -2,9 +2,9 @@
 // coordinator fronts N `clara -serve` workers, routing each analysis
 // job to a worker chosen by rendezvous hashing over the module's
 // content hash (ir.Fingerprint). The same hash keys every worker's
-// prediction cache, so the assignment makes the caches disjoint and hot:
-// a module always lands on the one worker whose cache can already hold
-// its prediction, and the cluster's aggregate cache capacity is the sum
+// module store, so the assignment makes the caches disjoint and hot:
+// a module always lands on the one worker whose store can already hold
+// its prediction and static facts, and the cluster's aggregate cache capacity is the sum
 // of the workers' instead of N copies of the same entries.
 //
 // The coordinator is deliberately thin — it holds no model and runs no
@@ -305,7 +305,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Route on the content hash the workers' prediction caches key on, so
+	// Route on the content hash the workers' module stores key on, so
 	// routing and caching agree on module identity.
 	jobs := make([]cjob, len(resolved))
 	for i, j := range resolved {

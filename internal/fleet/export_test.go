@@ -9,11 +9,11 @@ import (
 	"clara/internal/memo"
 )
 
-// setCacheCap replaces f's prediction store with an empty one of n
+// setCacheCap replaces f's module store with an empty one of n
 // entries. The cap is a constant, not configuration, and the eviction
 // tests need one smaller than a batch.
 func (f *Fleet) setCacheCap(n int) {
-	f.cache = memo.New[predKey, *core.ModulePrediction](n)
+	f.modules = memo.New[predKey, *core.ModuleFacts](n)
 }
 
 // setResultCap does the same for the result store.

@@ -1,12 +1,12 @@
 // Package fleet runs Clara's analysis over batches of (NF, workload)
 // jobs: a bounded worker pool executes core.Clara analyses concurrently,
-// a memoizing cache shares each module's §3 prediction across every
-// workload it is analyzed under, a second one answers a repeated job with
-// the Insights it was answered with before, a third, living only as long
-// as one batch, shares each module's static facts (core.ModuleFacts)
-// between the batch's workloads, and per-stage metrics (jobs completed,
-// cache hits/misses, per-analysis wall-time histogram) are exposed as a
-// Stats snapshot.
+// a module store keeps each module's static half — its §3 prediction and
+// the facts read from its code alone (core.ModuleFacts) — in one entry
+// shared by every job and batch that analyzes the module under any
+// workload, a result store answers a repeated job with the Insights it was
+// answered with before, and per-stage metrics (jobs completed, cache
+// hits/misses, per-analysis wall-time histogram) are exposed as a Stats
+// snapshot.
 //
 // The trained models (Predictor, AlgoIdentifier, ScaleoutModel) are
 // shared read-only across workers — after training they are never
@@ -73,12 +73,12 @@ type Result struct {
 	// placement + scale-out, or the two lookups of a result hit).
 	Elapsed time.Duration
 	// Stages attributes the job's time to the per-job stages of the stage
-	// clock. All but StageLower fall inside Elapsed; a batch's shared
-	// module facts (analyze, algoid) are charged to the job that computed
-	// them.
+	// clock. All but StageLower fall inside Elapsed; a module's shared
+	// facts (analyze, algoid) are charged to the job that computed them.
 	Stages core.Stages
-	// CacheHit records whether the §3 prediction was served from the
-	// fleet cache rather than recomputed.
+	// CacheHit records whether the module's static half — the §3
+	// prediction and the facts beside it — was served from the module
+	// store rather than recomputed.
 	CacheHit bool
 	// ResultHit records that the whole analysis was served from the
 	// result store: nothing was profiled, linted or placed for this job.
@@ -115,13 +115,13 @@ func (c Config) norm() Config {
 }
 
 // Fleet analyzes job batches against one trained Clara tool. The
-// prediction and result stores persist across Run calls, so long-lived
-// fleets amortize prediction cost over every batch they serve and answer
-// a repeated job with two lookups.
+// module and result stores persist across Run calls, so long-lived fleets
+// amortize a module's static half over every job and batch they serve
+// and answer a repeated job with two lookups.
 type Fleet struct {
 	tool    *core.Clara
 	cfg     Config
-	cache   *memo.Store[predKey, *core.ModulePrediction]
+	modules *memo.Store[predKey, *core.ModuleFacts]
 	results *memo.Store[resultKey, *analysed]
 	stats   collector
 }
@@ -135,7 +135,7 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 	return &Fleet{
 		tool:    tool,
 		cfg:     cfg,
-		cache:   memo.New[predKey, *core.ModulePrediction](predCacheCap),
+		modules: memo.New[predKey, *core.ModuleFacts](predCacheCap),
 		results: memo.New[resultKey, *analysed](resultCacheCap),
 	}, nil
 }
@@ -144,14 +144,14 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
 // Stats returns a snapshot of the fleet's lifetime metrics. The cache
-// counters are the prediction store's own and are read after the job
+// counters (and Stats.Predictions) are the module store's own and are read after the job
 // counters. A lookup is counted when it happens and a job when it ends, so
 // the snapshot's hits + misses cover every job it counts that made a
 // lookup, plus up to one lookup per job still in flight: under load they
 // can lead the job counters by that many and never trail them.
 func (f *Fleet) Stats() Stats {
 	s := f.stats.snapshot()
-	s.Predictions, s.Results = f.cache.Stats(), f.results.Stats()
+	s.Predictions, s.Results = f.modules.Stats(), f.results.Stats()
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = s.Predictions.Hits, s.Predictions.Misses, s.Predictions.Evictions
 	s.setHitRate()
 	return s
@@ -182,7 +182,7 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 		// A one-job batch — every single-NF request a server gets — runs on
 		// the caller's goroutine: analyze confines its own panics, and a
 		// channel, a goroutine and a wakeup cost more than a result hit.
-		results[0] = f.analyze(ctx, jobs[0], nil)
+		results[0] = f.analyze(ctx, jobs[0])
 	} else {
 		f.runPool(ctx, jobs, results)
 	}
@@ -192,7 +192,6 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
 
 // runPool spreads jobs over the worker pool, filling results in job order.
 func (f *Fleet) runPool(ctx context.Context, jobs []Job, results []Result) {
-	batch := memo.New[predKey, *core.ModuleFacts](len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	workers := f.cfg.Workers
@@ -204,7 +203,7 @@ func (f *Fleet) runPool(ctx context.Context, jobs []Job, results []Result) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = f.analyze(ctx, jobs[i], batch)
+				results[i] = f.analyze(ctx, jobs[i])
 			}
 		}()
 	}
@@ -226,20 +225,20 @@ dispatch:
 	wg.Wait()
 }
 
-// analyze runs one job: the §3 prediction via its store, the module's
-// static facts (shared with the rest of the batch, if any), then the
-// workload-dependent analyses — or, for a module this fleet has predicted
+// analyze runs one job: the module's static half — the §3 prediction
+// and the facts beside it — via the module store, then the
+// workload-dependent analyses — or, for a module this fleet has analyzed
 // before, the stored outcome of an identical job. A panic anywhere in the
 // analysis is confined to this job's Result — one poisoned NF must not
 // take down the batch (or, in serving mode, the process).
 //
-// Every job makes exactly one prediction lookup, and only a job whose
-// lookup hit goes on to the result store. That is the store's admission
-// rule: a module's first job computes and keeps nothing, so a stream of
+// Every job makes exactly one module lookup, and only a job whose lookup
+// hit goes on to the result store. That is the store's admission rule: a
+// module's first job computes and keeps nothing, so a stream of
 // never-seen source cannot fill the store with replies nobody asks for
 // again (keeping all of them cost unique-src +30 % peak RSS), and a
 // repeated job pays for one extra analysis before it becomes a lookup.
-func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Result) {
+func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 	res = Result{Name: j.label(), Workload: j.WL.Name}
 	res.Stages[core.StageLower] = j.Lower
 	clk := core.StartClock(&res.Stages)
@@ -254,8 +253,16 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 
 	pk := predKey{ir.Fingerprint(j.Mod), j.Accel}
 	clk.Lap(core.StageFingerprint)
-	mp, hit, err := f.cache.Get(ctx, pk, func() (*core.ModulePrediction, error) {
-		return f.tool.Predictor.PredictModule(j.Mod, j.Accel)
+	fs, hit, err := f.modules.Get(ctx, pk, func() (*core.ModuleFacts, error) {
+		mp, err := f.tool.Predictor.PredictModule(j.Mod, j.Accel)
+		if err != nil {
+			return nil, err
+		}
+		clk.Lap(core.StagePredict)
+		fs := moduleFacts(f.tool, j.Mod, mp)
+		res.Stages.Add(&fs.Stages) // the facts timed themselves
+		clk.Skip()
+		return fs, nil
 	})
 	clk.Lap(core.StagePredict)
 	res.CacheHit = hit
@@ -263,10 +270,9 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 		res.Err = err
 		return res
 	}
-	// compute's stages are charged by the clocks of Facts and
-	// AnalyzeWorkloadContext.
+	// compute's stages are charged by AnalyzeWorkloadContext's clock.
 	compute := func() (*analysed, error) {
-		ins, err := f.tool.AnalyzeWorkloadContext(ctx, j.Mod, j.PS, j.WL, f.facts(ctx, batch, pk, j.Mod, mp, &res.Stages), &res.Stages)
+		ins, err := f.tool.AnalyzeWorkloadContext(ctx, j.Mod, j.PS, j.WL, fs, &res.Stages)
 		if err != nil {
 			return nil, err
 		}
@@ -304,40 +310,6 @@ func (f *Fleet) analyze(ctx context.Context, j Job, batch *factsStore) (res Resu
 
 // moduleFacts computes a module's static half; tests count its calls.
 var moduleFacts = (*core.Clara).Facts
-
-// factsStore holds a batch's module facts: each module's static half,
-// computed once however many workloads the batch analyzes it under. It
-// lives and dies with the batch.
-type factsStore = memo.Store[predKey, *core.ModuleFacts]
-
-// facts returns mod's static half: computed for this job alone outside a
-// batch (batch nil), else through the batch's store, keyed like the
-// prediction whose facts they are (the tool, which the rest depends on,
-// is the fleet's). The facts' stages are charged to st when this job
-// computed them.
-func (f *Fleet) facts(ctx context.Context, batch *factsStore, pk predKey, mod *ir.Module, mp *core.ModulePrediction, st *core.Stages) *core.ModuleFacts {
-	if batch == nil {
-		fs := moduleFacts(f.tool, mod, mp)
-		st.Add(&fs.Stages)
-		return fs
-	}
-	led := false
-	fs, _, err := batch.Get(ctx, pk, func() (*core.ModuleFacts, error) {
-		led = true
-		return moduleFacts(f.tool, mod, mp), nil
-	})
-	if err != nil {
-		// Only a waiter sees an error: the computation it waited on
-		// panicked, or its own context ended the wait. As with the result
-		// tier, it computes for itself, so a panic and its stack stay with
-		// the job that raises it.
-		fs, led = moduleFacts(f.tool, mod, mp), true
-	}
-	if led {
-		st.Add(&fs.Stages)
-	}
-	return fs
-}
 
 // stackSnippet returns the first few KB of the panicking goroutine's
 // stack — enough to locate the fault without flooding a Result (or a

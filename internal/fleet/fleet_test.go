@@ -164,7 +164,7 @@ func TestFleetLibraryEightWorkers(t *testing.T) {
 	if perJob != 34 {
 		t.Errorf("%d results report CacheHit, want 34", perJob)
 	}
-	if got := fl.cache.Len(); got != 17 {
+	if got := fl.modules.Len(); got != 17 {
 		t.Errorf("cache holds %d entries, want 17", got)
 	}
 	if s.Analyses.N != int64(len(jobs)) || s.Analyses.MeanMs <= 0 {
@@ -431,8 +431,8 @@ func TestCachePanicRecovery(t *testing.T) {
 	if panicked == 0 {
 		t.Error("no job reported the panic")
 	}
-	if fl.cache.Len() != 0 {
-		t.Errorf("panicked entry retained: %d", fl.cache.Len())
+	if fl.modules.Len() != 0 {
+		t.Errorf("panicked entry retained: %d", fl.modules.Len())
 	}
 	if s := fl.Stats(); s.CacheHits != 0 || s.CacheMisses != int64(len(jobs)) {
 		t.Errorf("cache: %d hits, %d misses; want 0, %d", s.CacheHits, s.CacheMisses, len(jobs))
@@ -508,8 +508,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Errorf("step %d (%s): CacheHit = %v, want %v", i, st.name, results[0].CacheHit, st.hit)
 		}
 	}
-	if fl.cache.Len() != 2 {
-		t.Errorf("cache holds %d entries, want cap 2", fl.cache.Len())
+	if fl.modules.Len() != 2 {
+		t.Errorf("cache holds %d entries, want cap 2", fl.modules.Len())
 	}
 	if s := fl.Stats(); s.CacheHits != 2 || s.CacheMisses != 4 || s.CacheEvictions != 2 {
 		t.Errorf("cache: %d hits, %d misses, %d evicted; want 2, 4, 2", s.CacheHits, s.CacheMisses, s.CacheEvictions)
@@ -605,8 +605,8 @@ func TestCacheNoHitOnErroredSingleflight(t *testing.T) {
 			t.Errorf("job %d: err=%v panicked=%v hit=%v; want a plain failure and no hit", i, r.Err, r.Panicked, r.CacheHit)
 		}
 	}
-	if fl.cache.Len() != 0 {
-		t.Errorf("failed entries retained: %d", fl.cache.Len())
+	if fl.modules.Len() != 0 {
+		t.Errorf("failed entries retained: %d", fl.modules.Len())
 	}
 	s := fl.Stats()
 	if s.CacheHits != 0 || s.CacheMisses != int64(len(jobs)) || s.JobsFailed != int64(len(jobs)) {
@@ -683,8 +683,8 @@ func TestFleetPrewarmEviction(t *testing.T) {
 			t.Errorf("job %d (%s) failed under eviction pressure: %v", i, r.Name, r.Err)
 		}
 	}
-	if fl.cache.Len() > 2 {
-		t.Errorf("cache holds %d entries, over cap 2", fl.cache.Len())
+	if fl.modules.Len() > 2 {
+		t.Errorf("cache holds %d entries, over cap 2", fl.modules.Len())
 	}
 	s := fl.Stats()
 	if s.CacheEvictions != int64(len(names)-2) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"clara/internal/interp"
 	"clara/internal/lang"
 	"clara/internal/niccc"
-	"clara/internal/synth"
 	"clara/internal/traffic"
 )
 
@@ -88,22 +86,8 @@ func TestResultAdmission(t *testing.T) {
 		t.Errorf("stats: results %+v, predictions %+v; want 2/1 with 1 resident, 3/1 with 1 resident", s.Results, s.Predictions)
 	}
 
-	mods, err := click.Modules(click.Table2Order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := core.CorpusProfile(mods)
 	fresh := newFleet(t, 2)
-	jobs := make([]Job, 300)
-	for p := range jobs {
-		name := fmt.Sprintf("u%d", p)
-		mod, err := lang.Compile(name, synth.Generate(synth.Config{Profile: prof, Seed: 1000003 + int64(p)}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[p] = Job{Name: name, Mod: mod, WL: traffic.MediumMix}
-	}
-	if _, err := fresh.Run(jobs); err != nil {
+	if _, err := fresh.Run(uniqueJobs(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 	if s := fresh.Stats(); s.Results.Resident != 0 || s.Results.Hits+s.Results.Misses != 0 || s.CacheMisses != 300 {

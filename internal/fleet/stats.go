@@ -153,24 +153,24 @@ type Stats struct {
 	// JobsPanicked counts jobs whose analysis panicked (the panic is
 	// isolated per job; see Result.Panicked). Disjoint from JobsFailed.
 	JobsPanicked int64 `json:"jobs_panicked"`
-	// CacheHits and CacheMisses are the prediction store's lookup
-	// counters: a hit is a job that skipped the §3 computation and got a
-	// prediction, everything else — the computation itself, or sharing a
-	// failed one — is a miss.
+	// CacheHits and CacheMisses are the module store's lookup counters:
+	// a hit is a job that skipped the static half (the §3 prediction and
+	// the module's facts) and got it, everything else — the computation
+	// itself, or sharing a failed one — is a miss.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// CacheHitRate is CacheHits over prediction lookups, in [0,1].
+	// CacheHitRate is CacheHits over module lookups, in [0,1].
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// CacheEvictions counts prediction-store entries dropped by the LRU
+	// CacheEvictions counts module-store entries dropped by the LRU
 	// cap over the fleet's lifetime. A high rate relative to misses means
 	// the cap is smaller than the working set (each eviction is a future
 	// recompute), which in cluster mode reads as poor per-worker locality.
 	CacheEvictions int64 `json:"cache_evictions"`
 	// Predictions and Results are the two stores' own reports: lifetime
-	// hits, misses and evictions, and entries resident now. CacheHits,
-	// CacheMisses and CacheEvictions above repeat Predictions' counters
-	// under the names they have always had. Only jobs whose prediction
-	// lookup hit consult the result store, so Results' lookups are a subset
+	// hits, misses and evictions, and entries resident now. Predictions
+	// is the module store's, under the name it has always had, and
+	// CacheHits, CacheMisses and CacheEvictions above repeat its counters.
+	// Only jobs whose module lookup hit consult the result store, so Results' lookups are a subset
 	// of Predictions' hits. /metrics reports them under "stores".
 	Predictions memo.Stats `json:"-"`
 	Results     memo.Stats `json:"-"`

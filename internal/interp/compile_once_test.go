@@ -76,7 +76,7 @@ func TestConcurrentNewSharesCompileError(t *testing.T) {
 		b.Ret(nil)
 		b.Call("pkt_drop", "", ir.Void)
 		b.Ret(nil)
-		return &ir.Module{Name: name, Funcs: []*ir.Func{b.F}}
+		return &ir.Module{Name: name, Func: b.F}
 	}
 	before := Compiles()
 	_, errs := newConcurrently(8, build)

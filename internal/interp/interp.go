@@ -18,7 +18,7 @@
 // The interpreter precompiles IR into a flat internal form so per-packet
 // execution involves no map lookups or allocation. Compiled programs are
 // immutable and shared: a bounded cache keyed by the module's content
-// hash (ir.Fingerprint, the same key the fleet prediction cache and the
+// hash (ir.Fingerprint, the same key the fleet module store and the
 // cluster coordinator's routing use) means a fleet analyzing the same NF
 // under many workloads — or a serving worker receiving the same source
 // in many requests — compiles it once. Constants are pooled into the

@@ -432,9 +432,9 @@ func TestNewRejectsUnlowerableModule(t *testing.T) {
 		mod  *ir.Module
 		want string
 	}{
-		{&ir.Module{Name: "midterm", Funcs: []*ir.Func{midTerm.F}},
+		{&ir.Module{Name: "midterm", Func: midTerm.F},
 			"module midterm: block 0 has a terminator before its last instruction"},
-		{&ir.Module{Name: "wrongkind", Funcs: []*ir.Func{wrongKind.F},
+		{&ir.Module{Name: "wrongkind", Func: wrongKind.F,
 			Globals: []*ir.Global{{Name: "tbl", Kind: ir.GArray, Elem: ir.U64, Len: 8}}},
 			`module wrongkind: block 1 calls map_find on "tbl", which is not a map`},
 	} {

@@ -85,12 +85,10 @@ func TestPacketCallsAreSteps(t *testing.T) {
 			}
 		}
 		otherCalls += len(callees)
-		for _, f := range m.Funcs {
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					if in.Op == ir.OpCall && strings.HasPrefix(in.Callee, "pkt_") {
-						pktCalls++
-					}
+		for _, b := range m.Func.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall && strings.HasPrefix(in.Callee, "pkt_") {
+					pktCalls++
 				}
 			}
 		}

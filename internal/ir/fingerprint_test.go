@@ -97,7 +97,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range mods {
-			c := &ir.Module{Name: m.Name, Globals: m.Globals, Funcs: m.Funcs}
+			c := &ir.Module{Name: m.Name, Globals: m.Globals, Func: m.Func}
 			ir.Fingerprint(c)
 		}
 	}

@@ -4,7 +4,7 @@ import "crypto/sha256"
 
 // Fingerprint is the sha256 content hash of a module's printed IR. It is
 // the one module-identity key shared across the system: the fleet's
-// prediction cache, the cluster coordinator's routing and the
+// module store, the cluster coordinator's routing and the
 // interpreter's compiled-program cache all key on it — so a serving worker
 // that receives the same NF source in many requests compiles it exactly
 // once, and the worker the coordinator routes a module to is the worker

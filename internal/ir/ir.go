@@ -492,13 +492,13 @@ func (g *Global) SizeBytes() int {
 	}
 }
 
-// Module is a compilation unit: one NF element. Funcs holds one function,
+// Module is a compilation unit: one NF element. Func is its one function,
 // the packet handler named "handle" (the frontend inlines every subroutine
-// into it; Verify rejects any other shape).
+// into it; Verify rejects a module without it).
 type Module struct {
 	Name    string
 	Globals []*Global
-	Funcs   []*Func
+	Func    *Func
 
 	// fp memoizes Fingerprint. Modules are immutable once built (the
 	// invariant every fingerprint consumer already relies on), so the
@@ -522,14 +522,15 @@ func (m *Module) Global(name string) *Global {
 	return nil
 }
 
-// Handler returns the packet-handler function, or nil.
-func (m *Module) Handler() *Func {
-	for _, f := range m.Funcs {
-		if f.Name == HandlerName {
-			return f
-		}
+// Handler returns the packet-handler function, m.Func, or nil.
+func (m *Module) Handler() *Func { return m.Func }
+
+// blocks returns the handler's blocks: none for a module without one.
+func (m *Module) blocks() []*Block {
+	if m.Func == nil {
+		return nil
 	}
-	return nil
+	return m.Func.Blocks
 }
 
 // String renders the module in a textual form resembling LLVM assembly.
@@ -560,19 +561,20 @@ func (m *Module) appendTo(b []byte) []byte {
 		}
 		b = append(b, '\n')
 	}
-	for _, f := range m.Funcs {
-		b = append(append(append(b, "func @"...), f.Name...), "() "...)
-		b = append(append(b, f.Ret.String()...), " {\n"...)
-		for _, blk := range f.Blocks {
-			b = appendBlock(b, blk.Index)
-			b = append(append(append(b, ": ; "...), blk.Name...), '\n')
-			for _, in := range blk.Instrs {
-				b = append(in.appendTo(append(b, "  "...)), '\n')
-			}
-		}
-		b = append(b, "}\n"...)
+	f := m.Func
+	if f == nil {
+		return b
 	}
-	return b
+	b = append(append(append(b, "func @"...), f.Name...), "() "...)
+	b = append(append(b, f.Ret.String()...), " {\n"...)
+	for _, blk := range f.Blocks {
+		b = appendBlock(b, blk.Index)
+		b = append(append(append(b, ": ; "...), blk.Name...), '\n')
+		for _, in := range blk.Instrs {
+			b = append(in.appendTo(append(b, "  "...)), '\n')
+		}
+	}
+	return append(b, "}\n"...)
 }
 
 // printSizeHint estimates the length of m's printed form, generously for
@@ -584,13 +586,13 @@ func (m *Module) printSizeHint() int {
 	for _, g := range m.Globals {
 		n += 48 + len(g.Name)
 	}
-	for _, f := range m.Funcs {
-		n += 32 + len(f.Name)
-		for _, blk := range f.Blocks {
-			n += 16 + len(blk.Name)
-			for _, in := range blk.Instrs {
-				n += 32 + 8*len(in.Args) + len(in.Global) + len(in.Callee)
-			}
+	if m.Func != nil {
+		n += 32 + len(m.Func.Name)
+	}
+	for _, blk := range m.blocks() {
+		n += 16 + len(blk.Name)
+		for _, in := range blk.Instrs {
+			n += 32 + 8*len(in.Args) + len(in.Global) + len(in.Callee)
 		}
 	}
 	return n
@@ -607,23 +609,20 @@ type Stats struct {
 	StateSize int  // total stateful bytes
 }
 
-// ModuleStats computes static instruction statistics over all functions.
+// ModuleStats computes static instruction statistics over the handler.
 func ModuleStats(m *Module) Stats {
-	var s Stats
-	for _, f := range m.Funcs {
-		s.Blocks += len(f.Blocks)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				switch {
-				case in.Op.IsCompute():
-					s.Compute++
-				case in.Op.IsLocalMem():
-					s.LocalMem++
-				case in.Op.IsStatefulMem():
-					s.StateMem++
-				case in.Op == OpCall:
-					s.APICalls++
-				}
+	s := Stats{Blocks: len(m.blocks())}
+	for _, b := range m.blocks() {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op.IsCompute():
+				s.Compute++
+			case in.Op.IsLocalMem():
+				s.LocalMem++
+			case in.Op.IsStatefulMem():
+				s.StateMem++
+			case in.Op == OpCall:
+				s.APICalls++
 			}
 		}
 	}

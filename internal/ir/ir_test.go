@@ -81,7 +81,7 @@ func buildSimpleModule() *Module {
 	return &Module{
 		Name:    "m",
 		Globals: []*Global{{Name: "ctr", Kind: GScalar, Elem: U32}},
-		Funcs:   []*Func{b.F},
+		Func:    b.F,
 	}
 }
 
@@ -107,7 +107,7 @@ func TestBuilderAndVerify(t *testing.T) {
 
 func TestVerifyCatchesBadBranch(t *testing.T) {
 	m := buildSimpleModule()
-	m.Funcs[0].Blocks[0].Instrs[len(m.Funcs[0].Blocks[0].Instrs)-1].True = 99
+	m.Func.Blocks[0].Instrs[len(m.Func.Blocks[0].Instrs)-1].True = 99
 	if err := Verify(m); err == nil {
 		t.Fatal("Verify accepted out-of-range branch target")
 	}
@@ -115,24 +115,17 @@ func TestVerifyCatchesBadBranch(t *testing.T) {
 
 func TestVerifyCatchesUnterminated(t *testing.T) {
 	m := buildSimpleModule()
-	blk := m.Funcs[0].Blocks[2]
+	blk := m.Func.Blocks[2]
 	blk.Instrs = blk.Instrs[:0]
 	if err := Verify(m); err == nil {
 		t.Fatal("Verify accepted unterminated block")
 	}
 }
 
-// TestVerifyOneHandler: a module is exactly one function, the handler.
+// TestVerifyOneHandler: a module's one function is the handler.
 func TestVerifyOneHandler(t *testing.T) {
-	second := buildSimpleModule()
-	extra := NewBuilder("helper", Void)
-	extra.Ret(nil)
-	second.Funcs = append(second.Funcs, extra.F)
-	if err := Verify(second); err == nil {
-		t.Error("Verify accepted a module with a second function")
-	}
 	renamed := buildSimpleModule()
-	renamed.Funcs[0].Name = "main"
+	renamed.Func.Name = "main"
 	if err := Verify(renamed); err == nil {
 		t.Error("Verify accepted a module whose only function is not the handler")
 	}
@@ -277,7 +270,7 @@ func TestValueKindProperty(t *testing.T) {
 
 func TestFuncPreds(t *testing.T) {
 	m := buildSimpleModule()
-	preds := m.Funcs[0].Preds()
+	preds := m.Func.Preds()
 	// entry (b0) -> then (b1) and exit (b2); then -> exit.
 	if len(preds[0]) != 0 {
 		t.Errorf("entry has preds %v", preds[0])

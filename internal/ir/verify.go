@@ -2,15 +2,15 @@ package ir
 
 import "fmt"
 
-// Verify checks structural well-formedness of a module: it holds exactly
-// one function, the handler, every block is terminated, branch targets are
+// Verify checks structural well-formedness of a module: its one function
+// is the handler, every block is terminated, branch targets are
 // in range, operand IDs refer to defined values, and slot and global
 // references are valid. It returns the first violation found.
 func Verify(m *Module) error {
-	if len(m.Funcs) != 1 || m.Funcs[0].Name != HandlerName {
-		return fmt.Errorf("module %s: want exactly one function, %q", m.Name, HandlerName)
+	if m.Func == nil || m.Func.Name != HandlerName {
+		return fmt.Errorf("module %s: want one function, %q", m.Name, HandlerName)
 	}
-	if err := verifyFunc(m, m.Funcs[0]); err != nil {
+	if err := verifyFunc(m, m.Func); err != nil {
 		return fmt.Errorf("func %s: %w", HandlerName, err)
 	}
 	return nil

@@ -129,11 +129,9 @@ func VocabFromWords(words []string) (*Vocab, error) {
 func BuildVocab(mods []*Module, compact bool) *Vocab {
 	v := NewVocab()
 	for _, m := range mods {
-		for _, f := range m.Funcs {
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					v.Add(Word(in, compact))
-				}
+		for _, b := range m.blocks() {
+			for _, in := range b.Instrs {
+				v.Add(Word(in, compact))
 			}
 		}
 	}
@@ -146,16 +144,14 @@ func OpcodeDistribution(mods []*Module) map[string]float64 {
 	counts := make(map[string]float64)
 	var total float64
 	for _, m := range mods {
-		for _, f := range m.Funcs {
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					key := in.Op.String()
-					if in.Op == OpICmp {
-						key += "." + in.Pred.String()
-					}
-					counts[key]++
-					total++
+		for _, b := range m.blocks() {
+			for _, in := range b.Instrs {
+				key := in.Op.String()
+				if in.Op == OpICmp {
+					key += "." + in.Pred.String()
 				}
+				counts[key]++
+				total++
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func Lower(f *File) (*ir.Module, error) {
 	if !lo.b.Terminated() {
 		lo.b.Ret(nil)
 	}
-	m.Funcs = append(m.Funcs, lo.b.F)
+	m.Func = lo.b.F
 	if err := ir.Verify(m); err != nil {
 		return nil, fmt.Errorf("%s: internal error: lowered IR invalid: %w", f.Name, err)
 	}

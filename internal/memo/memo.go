@@ -1,5 +1,6 @@
 // Package memo is the tree's one "compute once per key, keep the N most
-// recent" store: a singleflight LRU. The fleet's prediction cache, the
+// recent" store: a singleflight LRU. The fleet's module store (each
+// module's prediction and static facts) and result store, the
 // interpreter's compiled-program cache and the traffic replay cache are
 // instances of it.
 package memo

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func benchSeqData(b *testing.B) []SeqSample {
 
 func BenchmarkLSTMPredict(b *testing.B) {
 	samples := benchSeqData(b)
-	m, _ := TrainLSTM(samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 1})
+	m, _, _ := TrainLSTMContext(context.Background(), samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 1})
 	toks := samples[0].Tokens
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -29,7 +30,7 @@ func BenchmarkLSTMTrainEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainLSTM(samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2})
+		TrainLSTMContext(context.Background(), samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2})
 	}
 }
 
@@ -38,7 +39,7 @@ func BenchmarkLSTMTrainEpochParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainLSTM(samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2, Batch: 8})
+		TrainLSTMContext(context.Background(), samples, LSTMConfig{Vocab: 12, Hidden: 24, Epochs: 1, Seed: 2, Batch: 8})
 	}
 }
 

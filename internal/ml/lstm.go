@@ -259,16 +259,10 @@ func (m *LSTM) backward(steps []lstmStep, y, target []float64, grads []float64) 
 	return m.backwardScratch(new(lstmScratch), steps, y, target, grads)
 }
 
-// TrainLSTM trains a model on the samples and reports the final mean
-// training loss (scaled units).
-func TrainLSTM(samples []SeqSample, cfg LSTMConfig) (*LSTM, float64) {
-	m, loss, _ := TrainLSTMContext(context.Background(), samples, cfg)
-	return m, loss
-}
-
-// TrainLSTMContext is TrainLSTM with cancellation: the context is checked
-// once per epoch (the unit of long-running work), so a canceled training
-// request stops within one pass over the corpus. On cancellation the
+// TrainLSTMContext trains a model on the samples and reports the final
+// mean training loss (scaled units). The context is checked once per
+// epoch (the unit of long-running work), so a canceled training request
+// stops within one pass over the corpus. On cancellation the
 // partially-trained model is returned alongside the context's error.
 //
 // With cfg.Batch > 1 the epoch is walked in minibatches whose samples are

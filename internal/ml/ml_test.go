@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,7 +211,7 @@ func seqData(n int, vocab int, seed int64) []SeqSample {
 func TestLSTMLearnsContextualCounts(t *testing.T) {
 	train := seqData(300, 6, 16)
 	test := seqData(100, 6, 17)
-	m, loss := TrainLSTM(train, LSTMConfig{Vocab: 6, Hidden: 20, Out: 1, Epochs: 40, Seed: 18})
+	m, loss, _ := TrainLSTMContext(context.Background(), train, LSTMConfig{Vocab: 6, Hidden: 20, Out: 1, Epochs: 40, Seed: 18})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("training diverged: loss=%f", loss)
 	}
@@ -378,8 +379,8 @@ func TestDeterministicTraining(t *testing.T) {
 		}
 	}
 	s := seqData(40, 5, 33)
-	m1, _ := TrainLSTM(s, LSTMConfig{Vocab: 5, Hidden: 8, Epochs: 3, Seed: 34})
-	m2, _ := TrainLSTM(s, LSTMConfig{Vocab: 5, Hidden: 8, Epochs: 3, Seed: 34})
+	m1, _, _ := TrainLSTMContext(context.Background(), s, LSTMConfig{Vocab: 5, Hidden: 8, Epochs: 3, Seed: 34})
+	m2, _, _ := TrainLSTMContext(context.Background(), s, LSTMConfig{Vocab: 5, Hidden: 8, Epochs: 3, Seed: 34})
 	if m1.Predict(s[0].Tokens)[0] != m2.Predict(s[0].Tokens)[0] {
 		t.Fatal("LSTM training not deterministic")
 	}

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // setting.
 func trainLSTMProcs(procs int, samples []SeqSample, cfg LSTMConfig) (*LSTM, float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return TrainLSTM(samples, cfg)
+	m, loss, _ := TrainLSTMContext(context.Background(), samples, cfg)
+	return m, loss
 }
 
 func TestLSTMParallelDeterminism(t *testing.T) {
@@ -42,8 +44,8 @@ func TestLSTMParallelDeterminism(t *testing.T) {
 func TestLSTMBatchOneMatchesDefault(t *testing.T) {
 	// Batch 0 (legacy default) and Batch 1 are the same training schedule.
 	samples := seqData(32, 8, 3)
-	m0, _ := TrainLSTM(samples, LSTMConfig{Vocab: 8, Hidden: 12, Epochs: 2, Seed: 4})
-	m1, _ := TrainLSTM(samples, LSTMConfig{Vocab: 8, Hidden: 12, Epochs: 2, Seed: 4, Batch: 1})
+	m0, _, _ := TrainLSTMContext(context.Background(), samples, LSTMConfig{Vocab: 8, Hidden: 12, Epochs: 2, Seed: 4})
+	m1, _, _ := TrainLSTMContext(context.Background(), samples, LSTMConfig{Vocab: 8, Hidden: 12, Epochs: 2, Seed: 4, Batch: 1})
 	for i := range m0.params {
 		if math.Float64bits(m0.params[i]) != math.Float64bits(m1.params[i]) {
 			t.Fatalf("Batch=0 vs Batch=1: params[%d] differ: %v vs %v", i, m0.params[i], m1.params[i])

@@ -179,10 +179,10 @@ func (sc Scenario) flowRounds() int {
 	return sc.FlowRounds
 }
 
-// The three standard scenarios. Their flow mixes reuse the skew/flood
-// flavor of the standard traffic workloads (traffic.MediumMix's Zipf
-// popularity, traffic.SYNFlood's attack mix, traffic.ElephantMice's
-// bimodal split) at flow-size granularity. The offered load is sized
+// The three standard scenarios, at flow-size granularity: Zipf
+// popularity (the flavor of traffic.MediumMix), a SYN flood of tiny
+// single-packet flows, and a bimodal elephant/mice split whose handful of
+// heavy hitters carry nearly all bytes. The offered load is sized
 // against the capacities DeriveCapacities produces for a mid-weight NF:
 // steady state offers ~2.5-3x the slow-path budget, so the controller
 // must offload the heavy tail to stop dropping.

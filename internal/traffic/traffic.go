@@ -18,9 +18,7 @@ const (
 
 // TCP flag bits.
 const (
-	FlagFIN = 1 << 0
 	FlagSYN = 1 << 1
-	FlagRST = 1 << 2
 	FlagACK = 1 << 4
 )
 
@@ -118,15 +116,6 @@ func Standard(name string) (Spec, error) {
 	}
 	return Spec{}, fmt.Errorf("unknown workload %q (small | large | mix)", name)
 }
-
-// Adversarial / skewed workloads added for the offload-controller
-// scenarios (internal/offload): a SYN flood of tiny single-packet
-// connections, and a bimodal elephant/mice mix whose handful of heavy
-// hitters carry nearly all bytes.
-var (
-	SYNFlood     = Spec{Name: "syn-flood", NumFlows: 131072, PktSize: 64, ZipfS: 0.0, SYNRatio: 0.95, UDPRatio: 0.0, PayloadB: 0, Seed: 19}
-	ElephantMice = Spec{Name: "elephant-mice", NumFlows: 2048, PktSize: 512, ZipfS: 1.6, SYNRatio: 0.02, UDPRatio: 0.1, PayloadB: 384, Seed: 23}
-)
 
 // flow is one generated flow's immutable identity plus its progression
 // state.

@@ -144,7 +144,7 @@ func New(tool *core.Clara, cfg Config) (*Fleet, error) {
 func (f *Fleet) Workers() int { return f.cfg.Workers }
 
 // Stats returns a snapshot of the fleet's lifetime metrics. The cache
-// counters (and Stats.Predictions) are the module store's own and are read after the job
+// counters are the module store's own and are read after the job
 // counters. A lookup is counted when it happens and a job when it ends, so
 // the snapshot's hits + misses cover every job it counts that made a
 // lookup, plus up to one lookup per job still in flight: under load they
@@ -259,10 +259,10 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 			return nil, err
 		}
 		clk.Lap(core.StagePredict)
-		fs := moduleFacts(f.tool, j.Mod, mp)
-		res.Stages.Add(&fs.Stages) // the facts timed themselves
+		mf := moduleFacts(f.tool, j.Mod, mp)
+		res.Stages.Add(&mf.Stages) // Facts timed itself: not predict's time
 		clk.Skip()
-		return fs, nil
+		return mf, nil
 	})
 	clk.Lap(core.StagePredict)
 	res.CacheHit = hit
@@ -308,7 +308,8 @@ func (f *Fleet) analyze(ctx context.Context, j Job) (res Result) {
 	return res
 }
 
-// moduleFacts computes a module's static half; tests count its calls.
+// moduleFacts computes a module's facts from its prediction; tests count
+// its calls.
 var moduleFacts = (*core.Clara).Facts
 
 // stackSnippet returns the first few KB of the panicking goroutine's

@@ -3,6 +3,7 @@ package lang
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"clara/internal/ir"
 )
@@ -79,6 +80,23 @@ func TestCompileMiniNAT(t *testing.T) {
 	}
 	if st.Blocks < 4 {
 		t.Errorf("expected a branching CFG, got %d blocks", st.Blocks)
+	}
+}
+
+// TestGlobalNamesOwnTheirBytes: a global's name is not a slice of the
+// source, so what outlives the module keyed by it (a state profile in the
+// fleet's module store) does not keep the whole source alive.
+func TestGlobalNamesOwnTheirBytes(t *testing.T) {
+	src := strings.Clone(miniNAT)
+	m, err := Compile("mininat", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for _, g := range m.Globals {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(g.Name))); p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("global %q shares the source's bytes", g.Name)
+		}
 	}
 }
 

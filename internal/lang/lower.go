@@ -44,7 +44,10 @@ func Lower(f *File) (*ir.Module, error) {
 		if g.Kind != ir.GScalar && g.Len <= 0 {
 			return nil, fmt.Errorf("%s:%d: global %q must have positive capacity", f.Name, g.Line, g.Name)
 		}
-		ig := &ir.Global{Name: g.Name, Kind: g.Kind, Elem: g.Elem, Key: g.Key, Len: g.Len}
+		// A global's name outlives the module in what is keyed by it (the
+		// state profile a fleet's module store keeps), so it gets bytes of
+		// its own: the token is a slice of src, and would keep all of it.
+		ig := &ir.Global{Name: strings.Clone(g.Name), Kind: g.Kind, Elem: g.Elem, Key: g.Key, Len: g.Len}
 		m.Globals = append(m.Globals, ig)
 		lo.globals[g.Name] = ig
 	}

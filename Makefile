@@ -59,12 +59,14 @@ cluster-check:
 # fresh analysis after a miss and after an eviction, and no waiter ever
 # inheriting its leader's cancellation, deadline or panic; the module
 # store — one static half per module across batches and lone jobs, results
-# equal to one-job runs, nothing kept from a panicked static half; the doors
+# equal to one-job runs, nothing kept from a panicked static half; no store
+# keeping a never-seen program's source alive, and each program leaving at
+# most a stated budget of live heap behind (TestStoresKeepNoSource); the doors
 # agreeing cold and warm; and the server's wire splice, with a warm
 # /v1/analyze pinned to zero insights encodes and a stated allocation count.
 store-check:
 	$(GO) test -race ./internal/memo/
-	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob|TestBatchSharesModuleFacts|TestModuleStoreAcrossBatches|TestLoneJobsShareModuleFacts|TestModuleFactsPanicNotKept' ./internal/fleet/
+	$(GO) test -race -run 'TestResult|TestWaiter|TestPanicStaysPerJob|TestBatchSharesModuleFacts|TestModuleStoreAcrossBatches|TestLoneJobsShareModuleFacts|TestModuleFactsPanicNotKept|TestStoresKeepNoSource' ./internal/fleet/
 	$(GO) test -race -run 'TestWireSplice|TestWarmAnalyzeNoEncode' ./internal/server/
 	$(GO) test -race -run TestDoorsAgree .
 
@@ -93,8 +95,10 @@ simulate-check:
 # The slab tests run every program on state other programs released (8
 # goroutines at once, generation wraparound included) and require it to be
 # indistinguishable from fresh memory; a released machine must panic.
+# A compiled program must not keep its module's source reachable
+# (TestProgramKeepsNoSource).
 interp-check:
-	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease|TestProgramKeepsNoSource' ./internal/interp/ ./internal/core/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the

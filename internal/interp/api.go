@@ -82,12 +82,19 @@ func pktSet(p *traffic.Packet, api int32, v uint64) {
 
 // call executes a framework API call instruction. It cannot fail:
 // compileInstr rejects unknown APIs and checkInstr map/vec calls on the
-// wrong kind of global, so the panics below mark broken invariants.
+// wrong kind of global, so the panic below marks a broken invariant.
 //
-// The packet APIs and hash32 never get here: compileInstr gives them
-// instructions of their own (xPktGet, xPktSet, xCallPayload,
-// xCallSetPayload, xCallHash32).
+// The packet APIs and hash32 never get here: apis gives them ops of their
+// own (xPktGet, xPktSet, xCallPayload, xCallSetPayload, xCallHash32).
 func (m *Machine) call(in *cInstr, block int) {
+	switch apis[in.api].kind {
+	case ir.GMap:
+		m.mapOp(in, block)
+		return
+	case ir.GVec:
+		m.vecOp(in, block)
+		return
+	}
 	p := m.pkt
 	switch in.api {
 	case apiRand32:
@@ -106,17 +113,8 @@ func (m *Machine) call(in *cInstr, block int) {
 		return
 	case apiLPMHW:
 		m.vals[in.id] = uint64(m.lpmLookup(uint32(m.arg(in.a0))))
-
-	case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize:
-		m.mapOp(in, block)
-		return
-
-	case apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
-		m.vecOp(in, block)
-		return
-
 	default:
-		panic(fmt.Sprintf("interp: unimplemented API %q", m.strs[in.sidx].callee))
+		panic(fmt.Sprintf("interp: unimplemented API %q", apis[in.api].name))
 	}
 	m.emitAPI(in, 0, 0, block)
 }
@@ -201,13 +199,9 @@ func (m *Machine) lpmLookup(addr uint32) uint32 {
 
 // mapOp executes a stateful map API call on the NIC library's fixed
 // buckets (§3.3): a full bucket drops the insert and a remove tombstones
-// its slot.
+// its slot. checkInstr has held the call to a map global.
 func (m *Machine) mapOp(in *cInstr, block int) {
-	g := m.gl[in.gidx]
-	if g.g.Kind != ir.GMap {
-		panic(fmt.Sprintf("interp: %s on non-map %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
-	}
-	nm := g.nmap
+	nm := m.gl[in.gidx].nmap
 	if in.api == apiMapSize {
 		// map_size has no key: like vec_len it reads no bucket.
 		m.vals[in.id] = uint64(nm.size)
@@ -296,13 +290,9 @@ func (nm *nicMapState) insert(key, val uint64) int {
 // vecOp executes a vector API call on the NIC library's fixed-capacity
 // vector (§3.3): a push takes the first free or tombstoned slot, probing
 // from the front, and a delete tombstones one slot where a Click Vector
-// would shift its tail.
+// would shift its tail. checkInstr has held the call to a vector global.
 func (m *Machine) vecOp(in *cInstr, block int) {
-	g := m.gl[in.gidx]
-	if g.g.Kind != ir.GVec {
-		panic(fmt.Sprintf("interp: %s on non-vector %q", m.strs[in.sidx].callee, m.strs[in.sidx].global))
-	}
-	v := g.vec
+	v := m.gl[in.gidx].vec
 	// vec_get, vec_set and vec_delete touch one slot: the one at their index.
 	probes := 1
 	addr := m.arg(in.a0)

@@ -3,8 +3,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-
-	"clara/internal/ir"
 )
 
 // This file lowers a compiled program (the flat cInstr form the reference
@@ -64,21 +62,12 @@ func checkInstr(p *program, in *cInstr, last bool) error {
 		}
 	case xGLoadA, xGStoreA:
 		if p.gmeta[in.gidx].len <= 0 {
-			return fmt.Errorf("indexes zero-length array %q", p.strs[in.sidx].global)
+			return fmt.Errorf("indexes zero-length array %q", p.gmeta[in.gidx].name)
 		}
 	case xCall:
-		var want ir.GlobalKind
-		switch in.api {
-		case apiMapFind, apiMapContains, apiMapInsert, apiMapRemove, apiMapSize:
-			want = ir.GMap
-		case apiVecPush, apiVecGet, apiVecSet, apiVecDelete, apiVecLen:
-			want = ir.GVec
-		default:
-			return nil
-		}
-		if in.gidx < 0 || p.gmeta[in.gidx].kind != want {
-			s := p.strs[in.sidx]
-			return fmt.Errorf("calls %s on %q, which is not a %s", s.callee, s.global, want)
+		want := apis[in.api].kind
+		if want != noGlobal && (in.gidx < 0 || p.gmeta[in.gidx].kind != want) {
+			return fmt.Errorf("calls %s on %q, which is not a %s", apis[in.api].name, p.globalName(in.gidx), want)
 		}
 	}
 	return nil
@@ -365,7 +354,7 @@ func lvnBlock(p *program, instrs []cInstr, cross []bool, sc *lvnScratch) []cInst
 	// materialize emits the deferred load for cell v now (reading slot s
 	// while it still holds the value) and retires the alias.
 	materialize := func(v, s int32) {
-		out = append(out, cInstr{op: xLLoad, id: v, slot: s, sidx: -1})
+		out = append(out, cInstr{op: xLLoad, id: v, slot: s})
 		alias[v] = -1
 	}
 	for i := range instrs {

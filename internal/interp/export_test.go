@@ -69,9 +69,9 @@ func Uncounted(run func(*Machine, *traffic.Packet) error) func(*Machine, *traffi
 
 // APINames returns every framework API the interpreter implements, sorted.
 func APINames() []string {
-	names := make([]string, 0, len(apiCodes))
-	for name := range apiCodes {
-		names = append(names, name)
+	names := make([]string, 0, len(apis))
+	for _, a := range apis {
+		names = append(names, a.name)
 	}
 	slices.Sort(names)
 	return names
@@ -88,7 +88,7 @@ func CallSteps(mod *ir.Module) ([]string, error) {
 	for _, ch := range prog.lowering().chains {
 		for _, s := range ch.steps {
 			if s.op == xCall {
-				out = append(out, prog.strs[s.call.sidx].callee)
+				out = append(out, apis[s.call.api].name)
 			}
 		}
 	}

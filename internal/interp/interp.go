@@ -27,6 +27,14 @@
 // basic block instead of per instruction (blocks always retire fully —
 // the terminator is the last instruction — so counts stay exact).
 //
+// The framework APIs are one table, apis, indexed by API code: each
+// entry holds the API's name, the op a call to it compiles to, and the
+// kind of global a map or vector API must name. Hooks and error texts
+// read API names from that table and global names from the program's
+// per-global metadata, taken from the module's globals (which lang.Lower
+// copies out of the source), so a cached program pins none of the
+// request source it was compiled from.
+//
 // Packets run on the step engine (compile.go, steps.go): the flat form is
 // lowered once more into superblocks — chains of blocks joined by
 // unconditional branches, each one list of pre-resolved steps over one
@@ -147,29 +155,68 @@ const (
 	apiVecLen
 )
 
-var apiCodes = map[string]int{
-	"pkt_len": apiPktLen, "pkt_eth_type": apiEthType, "pkt_ip_proto": apiIPProto,
-	"pkt_ip_src": apiIPSrc, "pkt_ip_dst": apiIPDst, "pkt_ip_ttl": apiIPTTL,
-	"pkt_ip_len": apiIPLen, "pkt_ip_hl": apiIPHL,
-	"pkt_tcp_sport": apiTCPSport, "pkt_tcp_dport": apiTCPDport,
-	"pkt_tcp_seq": apiTCPSeq, "pkt_tcp_ack": apiTCPAck,
-	"pkt_tcp_flags": apiTCPFlags, "pkt_tcp_off": apiTCPOff,
-	"pkt_udp_sport": apiUDPSport, "pkt_udp_dport": apiUDPDport,
-	"pkt_payload": apiPayload, "pkt_payload_len": apiPayloadLen, "pkt_time": apiTime,
-	"pkt_set_ip_src": apiSetIPSrc, "pkt_set_ip_dst": apiSetIPDst, "pkt_set_ip_ttl": apiSetIPTTL,
-	"pkt_set_tcp_sport": apiSetTCPSport, "pkt_set_tcp_dport": apiSetTCPDport,
-	"pkt_set_tcp_seq": apiSetTCPSeq, "pkt_set_tcp_ack": apiSetTCPAck,
-	"pkt_set_tcp_flags": apiSetTCPFlags,
-	"pkt_set_udp_sport": apiSetUDPSport, "pkt_set_udp_dport": apiSetUDPDport,
-	"pkt_set_payload": apiSetPayload,
-	"pkt_csum_update": apiCsumUpdate, "pkt_send": apiSend, "pkt_drop": apiDrop,
-	"hash32": apiHash32, "rand32": apiRand32, "ewma_rate": apiEwmaRate,
-	"crc32_hw": apiCRC32HW, "lpm_hw": apiLPMHW,
-	"map_find": apiMapFind, "map_contains": apiMapContains,
-	"map_insert": apiMapInsert, "map_remove": apiMapRemove, "map_size": apiMapSize,
-	"vec_push": apiVecPush, "vec_get": apiVecGet, "vec_set": apiVecSet,
-	"vec_delete": apiVecDelete, "vec_len": apiVecLen,
+// apiInfo is what the compiler knows of one framework API.
+type apiInfo struct {
+	name string
+	// op is the op a call compiles to. The packet APIs and the hash mix
+	// touch no global, so the counters never see them and both loops run
+	// them without the API-call detour: the per-byte payload intrinsics,
+	// which dominate byte-granular elements (ciphers, sketches), and the
+	// hash mix get ops of their own (xCallPayload, xCallSetPayload,
+	// xCallHash32); every other packet API reads one field (xPktGet, via
+	// pktGet) or writes the packet (xPktSet, via pktSet). The rest are
+	// xCall, which hands the call to Machine.call.
+	op xop
+	// kind is the kind of global a map or vector API must name; noGlobal
+	// for the others.
+	kind ir.GlobalKind
 }
+
+// noGlobal is apiInfo.kind for an API that names no global: no API names
+// a scalar.
+const noGlobal = ir.GScalar
+
+// apis is the interpreter's one list of the framework APIs, indexed by
+// API code.
+var apis = [...]apiInfo{
+	// Header getters.
+	apiPktLen: {"pkt_len", xPktGet, noGlobal}, apiEthType: {"pkt_eth_type", xPktGet, noGlobal},
+	apiIPProto: {"pkt_ip_proto", xPktGet, noGlobal}, apiIPTTL: {"pkt_ip_ttl", xPktGet, noGlobal},
+	apiIPSrc: {"pkt_ip_src", xPktGet, noGlobal}, apiIPDst: {"pkt_ip_dst", xPktGet, noGlobal},
+	apiIPLen: {"pkt_ip_len", xPktGet, noGlobal}, apiIPHL: {"pkt_ip_hl", xPktGet, noGlobal},
+	apiTCPSport: {"pkt_tcp_sport", xPktGet, noGlobal}, apiTCPDport: {"pkt_tcp_dport", xPktGet, noGlobal},
+	apiTCPSeq: {"pkt_tcp_seq", xPktGet, noGlobal}, apiTCPAck: {"pkt_tcp_ack", xPktGet, noGlobal},
+	apiTCPFlags: {"pkt_tcp_flags", xPktGet, noGlobal}, apiTCPOff: {"pkt_tcp_off", xPktGet, noGlobal},
+	apiUDPSport: {"pkt_udp_sport", xPktGet, noGlobal}, apiUDPDport: {"pkt_udp_dport", xPktGet, noGlobal},
+	apiPayloadLen: {"pkt_payload_len", xPktGet, noGlobal}, apiTime: {"pkt_time", xPktGet, noGlobal},
+	// Header setters and dispositions, then the hash mix and per-byte
+	// payload access, which get ops of their own.
+	apiSetIPSrc: {"pkt_set_ip_src", xPktSet, noGlobal}, apiSetIPDst: {"pkt_set_ip_dst", xPktSet, noGlobal},
+	apiSetTCPSport: {"pkt_set_tcp_sport", xPktSet, noGlobal}, apiSetTCPDport: {"pkt_set_tcp_dport", xPktSet, noGlobal},
+	apiSetUDPSport: {"pkt_set_udp_sport", xPktSet, noGlobal}, apiSetUDPDport: {"pkt_set_udp_dport", xPktSet, noGlobal},
+	apiSetTCPSeq: {"pkt_set_tcp_seq", xPktSet, noGlobal}, apiSetTCPAck: {"pkt_set_tcp_ack", xPktSet, noGlobal},
+	apiSetIPTTL: {"pkt_set_ip_ttl", xPktSet, noGlobal}, apiSetTCPFlags: {"pkt_set_tcp_flags", xPktSet, noGlobal},
+	apiSend: {"pkt_send", xPktSet, noGlobal}, apiDrop: {"pkt_drop", xPktSet, noGlobal},
+	apiCsumUpdate: {"pkt_csum_update", xPktSet, noGlobal}, apiHash32: {"hash32", xCallHash32, noGlobal},
+	apiPayload: {"pkt_payload", xCallPayload, noGlobal}, apiSetPayload: {"pkt_set_payload", xCallSetPayload, noGlobal},
+	// Machine.call's own, then its map and vector calls.
+	apiRand32: {"rand32", xCall, noGlobal}, apiEwmaRate: {"ewma_rate", xCall, noGlobal},
+	apiCRC32HW: {"crc32_hw", xCall, noGlobal}, apiLPMHW: {"lpm_hw", xCall, noGlobal},
+	apiMapFind: {"map_find", xCall, ir.GMap}, apiMapContains: {"map_contains", xCall, ir.GMap},
+	apiMapInsert: {"map_insert", xCall, ir.GMap}, apiMapRemove: {"map_remove", xCall, ir.GMap},
+	apiVecPush: {"vec_push", xCall, ir.GVec}, apiVecGet: {"vec_get", xCall, ir.GVec},
+	apiVecSet: {"vec_set", xCall, ir.GVec}, apiVecDelete: {"vec_delete", xCall, ir.GVec},
+	apiMapSize: {"map_size", xCall, ir.GMap}, apiVecLen: {"vec_len", xCall, ir.GVec},
+}
+
+// apiCodes maps an API name to its code.
+var apiCodes = func() map[string]int32 {
+	codes := make(map[string]int32, len(apis))
+	for code, a := range apis {
+		codes[a.name] = int32(code)
+	}
+	return codes
+}()
 
 // xop is the interpreter's internal opcode space. It refines ir.Op with
 // compile-time specializations the dispatch loop would otherwise branch
@@ -213,20 +260,13 @@ const (
 	xCmpBr // fused ICmp+CondBr
 )
 
-// cstr is the hooks-only string metadata of an instruction (the global it
-// touches, the API it calls), held in a program side table so the hot
-// cInstr stays compact.
-type cstr struct {
-	global string
-	callee string
-}
-
 // cInstr is one compiled instruction. Operands are plain indices into
 // the machine's value array: instruction results live at their IR ids
 // (< NumVals) and constants are pooled at indices >= NumVals, preloaded
 // when the machine is built, so reading an operand never branches on its
 // kind. The struct is kept flat and narrow (no slices, no strings) so a
-// cache line holds more than one instruction.
+// cache line holds more than one instruction: hooks and error texts read
+// an API's name from apis[api] and a global's from the program's gmeta.
 type cInstr struct {
 	mask   uint64
 	a0, a1 int32 // operand value indices (every op has arity <= 2)
@@ -235,7 +275,6 @@ type cInstr struct {
 	gidx   int32 // index into machine global tables
 	api    int32
 	t, f   int32
-	sidx   int32 // index into the program's cstr table (-1: none)
 	op     xop
 	pred   ir.Pred
 	nargs  uint8
@@ -248,14 +287,24 @@ type cBlock struct {
 	size int
 }
 
-// gmeta is the per-global metadata lowering needs without the module in
-// hand: the global's kind (to validate that map/vec APIs target the
-// right structure statically) and its declared length (to bake pow2
-// masks and modulo lengths into steps instead of chasing m.gl[gidx] at
-// run time).
+// gmeta is the per-global metadata compiling, lowering and hooks need
+// without the module in hand: the global's name (for hooks and error
+// texts), its kind (to validate that map/vec APIs target the right
+// structure statically) and its declared length (to bake pow2 masks and
+// modulo lengths into steps instead of chasing m.gl[gidx] at run time).
 type gmeta struct {
+	name string
 	kind ir.GlobalKind
 	len  int
+}
+
+// globalName returns the name of global gidx, or "" for -1 (a call that
+// names no global).
+func (p *program) globalName(gidx int32) string {
+	if gidx < 0 {
+		return ""
+	}
+	return p.gmeta[gidx].name
 }
 
 // program is a module's compiled, immutable form: every Machine built
@@ -270,7 +319,6 @@ type program struct {
 	blocks []cBlock
 	nvals  int      // f.NumVals; const pool occupies vals[nvals:]
 	pool   []uint64 // pooled constants, deduplicated by value
-	strs   []cstr   // hooks metadata, indexed by cInstr.sidx
 	nslots int
 	gidx   map[string]int
 	gmeta  []gmeta
@@ -329,10 +377,9 @@ func Precompile(mod *ir.Module) error {
 // compiler builds one program; pool deduplicates constants by (already
 // masked) value.
 type compiler struct {
-	p       *program
-	mod     *ir.Module
-	pool    map[uint64]int32
-	strPool map[cstr]int32
+	p    *program
+	mod  *ir.Module
+	pool map[uint64]int32
 }
 
 func compileModule(mod *ir.Module) (*program, error) {
@@ -346,14 +393,13 @@ func compileModule(mod *ir.Module) (*program, error) {
 			nslots: f.NSlots,
 			gidx:   make(map[string]int, len(mod.Globals)),
 		},
-		mod:     mod,
-		pool:    make(map[uint64]int32),
-		strPool: make(map[cstr]int32),
+		mod:  mod,
+		pool: make(map[uint64]int32),
 	}
 	c.p.gmeta = make([]gmeta, len(mod.Globals))
 	for i, g := range mod.Globals {
 		c.p.gidx[g.Name] = i
-		c.p.gmeta[i] = gmeta{kind: g.Kind, len: g.Len}
+		c.p.gmeta[i] = gmeta{name: g.Name, kind: g.Kind, len: g.Len}
 	}
 	c.p.blocks = make([]cBlock, len(f.Blocks))
 	for bi, b := range f.Blocks {
@@ -572,7 +618,6 @@ type Machine struct {
 	slots []uint64
 	gl    []*globalState
 	gidx  map[string]int // shared with the program; read-only
-	strs  []cstr         // shared with the program; read-only
 	ctr   *Counters
 	rng   uint64
 	pkt   *traffic.Packet
@@ -611,7 +656,6 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		vals:   regs[nslots:],
 		slots:  regs[:nslots],
 		gidx:   prog.gidx,
-		strs:   prog.strs,
 		rng:    rngInit,
 	}
 	copy(m.vals[prog.nvals:], prog.pool)
@@ -738,18 +782,6 @@ func (c *compiler) compileArg(v ir.Value) (int32, error) {
 	}
 }
 
-// internStr interns hooks metadata into the program's cstr table.
-func (c *compiler) internStr(global, callee string) int32 {
-	s := cstr{global: global, callee: callee}
-	if idx, ok := c.strPool[s]; ok {
-		return idx
-	}
-	idx := int32(len(c.p.strs))
-	c.p.strs = append(c.p.strs, s)
-	c.strPool[s] = idx
-	return idx
-}
-
 // xopOf maps an IR opcode to its internal dispatch code. Global accesses
 // are specialized by the accessed global's kind at compile time.
 func (c *compiler) xopOf(in *ir.Instr) (xop, error) {
@@ -829,7 +861,7 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 	ci := cInstr{
 		pred: in.Pred, mask: maskOf(in.Ty), id: int32(in.ID),
 		slot: int32(in.Slot), t: int32(in.True), f: int32(in.False),
-		gidx: -1, api: -1, sidx: -1,
+		gidx: -1, api: -1,
 	}
 	op, err := c.xopOf(in)
 	if err != nil {
@@ -871,33 +903,8 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 		if !ok {
 			return ci, fmt.Errorf("unknown framework API %q", in.Callee)
 		}
-		ci.api = int32(code)
-		// The packet APIs and the hash mix touch no global, so the
-		// counters never see them: dispatch them without the API-call
-		// detour, both loops firing OnAPI as Machine.call would. The
-		// per-byte payload intrinsics, which dominate byte-granular
-		// elements (ciphers, sketches), and the hash mix get ops of their
-		// own; every other packet API reads one field (xPktGet, via
-		// pktGet) or writes the packet (xPktSet, via pktSet).
-		switch code {
-		case apiPayload:
-			ci.op = xCallPayload
-		case apiSetPayload:
-			ci.op = xCallSetPayload
-		case apiHash32:
-			ci.op = xCallHash32
-		case apiPktLen, apiEthType, apiIPProto, apiIPSrc, apiIPDst, apiIPTTL,
-			apiIPLen, apiIPHL, apiTCPSport, apiTCPDport, apiTCPSeq, apiTCPAck,
-			apiTCPFlags, apiTCPOff, apiUDPSport, apiUDPDport, apiPayloadLen, apiTime:
-			ci.op = xPktGet
-		case apiSetIPSrc, apiSetIPDst, apiSetIPTTL, apiSetTCPSport, apiSetTCPDport,
-			apiSetTCPSeq, apiSetTCPAck, apiSetTCPFlags, apiSetUDPSport,
-			apiSetUDPDport, apiCsumUpdate, apiSend, apiDrop:
-			ci.op = xPktSet
-		}
-	}
-	if in.Op == ir.OpGLoad || in.Op == ir.OpGStore || in.Op == ir.OpCall {
-		ci.sidx = c.internStr(in.Global, in.Callee)
+		ci.api = code
+		ci.op = apis[code].op
 	}
 	return ci, nil
 }
@@ -1017,7 +1024,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, false, 0, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, 0, bi)
 				}
 			case xGLoadAP:
 				g := m.gl[in.gidx]
@@ -1027,7 +1034,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, false, idx, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, idx, bi)
 				}
 			case xGLoadA:
 				g := m.gl[in.gidx]
@@ -1037,7 +1044,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, false, idx, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, idx, bi)
 				}
 			case xGStoreS:
 				m.gl[in.gidx].scalar = vals[in.a0] & in.mask
@@ -1045,7 +1052,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, true, 0, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, 0, bi)
 				}
 			case xGStoreAP:
 				g := m.gl[in.gidx]
@@ -1055,7 +1062,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, true, idx, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, idx, bi)
 				}
 			case xGStoreA:
 				g := m.gl[in.gidx]
@@ -1065,7 +1072,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.strs[in.sidx].global, true, idx, bi)
+					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, idx, bi)
 				}
 			case xCall:
 				m.call(in, bi)
@@ -1076,28 +1083,24 @@ func (m *Machine) reference(bi int) error {
 					vals[in.id] = 0
 				}
 				if m.hooks.OnAPI != nil {
-					s := &m.strs[in.sidx]
-					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+					m.apiHook(in, 0, 0, bi)
 				}
 			case xCallSetPayload:
 				if i := vals[in.a0]; i < uint64(len(p.Payload)) {
 					p.Payload[i] = byte(vals[in.a1])
 				}
 				if m.hooks.OnAPI != nil {
-					s := &m.strs[in.sidx]
-					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+					m.apiHook(in, 0, 0, bi)
 				}
 			case xCallHash32:
 				vals[in.id] = uint64(Hash32(vals[in.a0]))
 				if m.hooks.OnAPI != nil {
-					s := &m.strs[in.sidx]
-					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+					m.apiHook(in, 0, 0, bi)
 				}
 			case xPktGet:
 				vals[in.id] = pktGet(p, in.api)
 				if m.hooks.OnAPI != nil {
-					s := &m.strs[in.sidx]
-					m.hooks.OnAPI(s.callee, s.global, 0, 0, bi)
+					m.apiHook(in, 0, 0, bi)
 				}
 			case xPktSet:
 				pktSet(p, in.api, vals[in.a0])
@@ -1106,8 +1109,7 @@ func (m *Machine) reference(bi int) error {
 					if in.api == apiCsumUpdate {
 						probes = int(p.IPLen) // bytes checksummed
 					}
-					s := &m.strs[in.sidx]
-					m.hooks.OnAPI(s.callee, s.global, probes, 0, bi)
+					m.apiHook(in, probes, 0, bi)
 				}
 			case xBr:
 				next = int(in.t)
@@ -1159,7 +1161,11 @@ func (m *Machine) emitAPI(in *cInstr, probes int, addr uint64, block int) {
 		m.ctr.API[int(in.gidx)*m.ctr.NBlocks+block] += uint64(probes)
 	}
 	if m.hooks.OnAPI != nil {
-		s := &m.strs[in.sidx]
-		m.hooks.OnAPI(s.callee, s.global, probes, addr, block)
+		m.apiHook(in, probes, addr, block)
 	}
+}
+
+// apiHook fires the OnAPI hook for call in.
+func (m *Machine) apiHook(in *cInstr, probes int, addr uint64, block int) {
+	m.hooks.OnAPI(apis[in.api].name, m.prog.globalName(in.gidx), probes, addr, block)
 }

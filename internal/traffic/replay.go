@@ -19,6 +19,13 @@ import (
 // handful of standard specs; user-supplied specs (e.g. per-request
 // workloads in serving mode) age out LRU so the cache cannot grow with an
 // unbounded stream of distinct workloads.
+//
+// The store earns its place against a job of ~2.4–2.8 ms: a fresh
+// generator plus the 800 packets a profile replays costs ~4.6 ms for
+// small-flows (its 64k flows are built eagerly), ~0.54 ms for large-flows
+// and ~0.62 ms for medium-mix, where a warm replay of the same 800 packets
+// costs 0.04–0.12 ms (2 vCPU, go1.24). Without it every small-flows job
+// would more than double and every other job would pay ~20 % more.
 var traces = memo.New[Spec, *traceEntry](16)
 
 // TraceStoreStats reports the trace store's counters, for /metrics. The

@@ -96,9 +96,12 @@ simulate-check:
 # goroutines at once, generation wraparound included) and require it to be
 # indistinguishable from fresh memory; a released machine must panic.
 # A compiled program must not keep its module's source reachable
-# (TestProgramKeepsNoSource).
+# (TestProgramKeepsNoSource). Every API in the ir catalog must compile to
+# an op of the call class (TestEveryAPICompilesToACallOp) and lower to
+# routines the vendor library costs under every engine setting
+# (TestLibraryProfilesComplete, in niccc).
 interp-check:
-	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease|TestProgramKeepsNoSource' ./internal/interp/ ./internal/core/
+	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestEveryAPICompilesToACallOp|TestLibraryProfilesComplete|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease|TestProgramKeepsNoSource' ./internal/interp/ ./internal/core/ ./internal/niccc/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the

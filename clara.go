@@ -358,6 +358,7 @@ func Simulate(params Params, nf *NF, wl Workload, packets, cores int) (Result, e
 		return Result{}, err
 	}
 	ts, err := nicsim.GenTraces(b, wl, packets, params)
+	b.Machine.Release()
 	if err != nil {
 		return Result{}, err
 	}
@@ -374,6 +375,7 @@ func SimulatePair(params Params, a, b *NF, wl Workload, packets, coresEach int) 
 			return nil, err
 		}
 		ts, err := nicsim.GenTraces(bt, wl, packets, params)
+		bt.Machine.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -236,11 +236,15 @@ func checkSimplifyEquivalent(t *testing.T, mod *ir.Module, cfg interp.Config, se
 		}
 		var events []string
 		m.SetHooks(interp.Hooks{
-			OnState: func(global string, store bool, addr uint64, block int) {
-				events = append(events, "state", global, boolStr(store), uintStr(addr))
+			OnState: func(global int, store bool, addr uint64, block int) {
+				events = append(events, "state", mod.Globals[global].Name, boolStr(store), uintStr(addr))
 			},
-			OnAPI: func(name, global string, probes int, addr uint64, block int) {
-				events = append(events, "api", name, global, uintStr(addr))
+			OnAPI: func(api ir.API, global int, probes int, addr uint64, block int) {
+				name := ""
+				if global >= 0 {
+					name = mod.Globals[global].Name
+				}
+				events = append(events, "api", ir.APIs[api].Name, name, uintStr(addr))
 			},
 		})
 		gen, err := traffic.NewGenerator(traffic.MediumMix)

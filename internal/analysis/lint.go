@@ -431,7 +431,7 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo) [
 // its first call in source order).
 func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 	var ds []Diagnostic
-	noted := map[string]int{} // callee -> index of its note in ds
+	noted := map[ir.API]int{} // API -> index of its note in ds
 	for _, b := range f.Blocks {
 		if !c.Reachable(b.Index) {
 			continue
@@ -440,23 +440,23 @@ func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 			if in.Op != ir.OpCall {
 				continue
 			}
-			intr, known := lang.Intrinsics[in.Callee]
+			api, known := ir.LookupAPI(in.Callee)
 			switch {
 			case !known:
 				ds = append(ds, finding(RuleAPIUnknown, m.Name, f.Name, in.Pos,
 					fmt.Sprintf("call to %q, which is not a known framework API; its NIC cost and semantics are unknown", in.Callee),
 					"port the callee explicitly or replace it with a framework API"))
-			case intr.Float:
+			case ir.APIs[api].Float:
 				ds = append(ds, finding(RuleFloatOp, m.Name, f.Name, in.Pos,
 					fmt.Sprintf("%q computes in floating point on the host; NIC cores have no FPU and fall back to soft-float emulation", in.Callee),
 					"rewrite with fixed-point integer arithmetic (e.g. a shifted EWMA)"))
-			case intr.Stateful:
-				if i, ok := noted[in.Callee]; ok {
+			case ir.APIs[api].State != ir.GScalar:
+				if i, ok := noted[api]; ok {
 					p := earlier(ir.Pos{Line: ds[i].Line, Col: ds[i].Col}, in.Pos)
 					ds[i].Line, ds[i].Col = p.Line, p.Col
 					continue
 				}
-				noted[in.Callee] = len(ds)
+				noted[api] = len(ds)
 				ds = append(ds, finding(RuleReversePort, m.Name, f.Name, in.Pos,
 					fmt.Sprintf("%q has divergent host/NIC implementations; the call must be reverse ported", in.Callee),
 					"review the NIC-side semantics (fixed capacity, no growth) against the host's elastic structures"))

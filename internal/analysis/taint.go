@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"clara/internal/ir"
-	"clara/internal/lang"
 )
 
 // Payload-taint analysis. Sources are the packet reads
@@ -41,26 +40,21 @@ const (
 // Has reports whether t carries all bits of q.
 func (t Taint) Has(q Taint) bool { return t&q == q }
 
-// payloadSources are the framework APIs that read packet payload bytes.
-var payloadSources = map[string]bool{
-	"pkt_payload":     true,
-	"pkt_payload_len": true,
-}
-
-// intrinsicTaint returns the base taint of an intrinsic's result (before
-// joining argument taints) and the source name to report, or 0 for pure
-// computations over their arguments.
-func intrinsicTaint(name string) (Taint, string) {
-	if payloadSources[name] {
-		return TaintPayload, name
-	}
-	intr, ok := lang.Intrinsics[name]
+// intrinsicTaint returns the base taint of a framework API call's result
+// (before joining argument taints) and the source name to report, or 0
+// for pure computations over their arguments and for unknown callees.
+func intrinsicTaint(callee string) (Taint, string) {
+	api, ok := ir.LookupAPI(callee)
 	if !ok {
 		return 0, ""
 	}
-	// Header and metadata reads: the pkt_* accessors with a result.
-	if strings.HasPrefix(name, "pkt_") && intr.Ret != ir.Void && !intr.TakesMap {
-		return TaintHeader, name
+	switch a := &ir.APIs[api]; {
+	case api == ir.APIPktPayload || api == ir.APIPktPayloadLen:
+		// The framework APIs that read packet payload bytes.
+		return TaintPayload, a.Name
+	case strings.HasPrefix(a.Name, "pkt_") && a.Ret != ir.Void:
+		// Header and metadata reads: the pkt_* accessors with a result.
+		return TaintHeader, a.Name
 	}
 	return 0, ""
 }
@@ -249,7 +243,7 @@ func (ti *TaintInfo) solve() bool {
 			case ir.OpGStore:
 				store(in.Global, ti.operand(in.Args[0]))
 			case ir.OpCall:
-				if api, ok := stateAPIs[in.Callee]; ok && in.Global != "" && api.val >= 0 && api.val < len(in.Args) {
+				if api, ok := stateAPIOf(in); ok && api.val >= 0 && api.val < len(in.Args) {
 					// Stateful writes: the stored value taints the structure.
 					store(in.Global, ti.operand(in.Args[api.val]))
 				}
@@ -274,11 +268,22 @@ type stateAPI struct {
 	write    bool
 }
 
-var stateAPIs = map[string]stateAPI{
-	"map_find": {0, -1, false}, "map_contains": {0, -1, false},
-	"map_insert": {0, 1, true}, "map_remove": {0, -1, true},
-	"vec_get": {0, -1, false}, "vec_set": {0, 1, true}, "vec_delete": {0, -1, true},
-	"map_size": {-1, -1, false}, "vec_len": {-1, -1, false}, "vec_push": {-1, 0, true},
+var stateAPIs = map[ir.API]stateAPI{
+	ir.APIMapFind: {0, -1, false}, ir.APIMapContains: {0, -1, false},
+	ir.APIMapInsert: {0, 1, true}, ir.APIMapRemove: {0, -1, true},
+	ir.APIVecGet: {0, -1, false}, ir.APIVecSet: {0, 1, true}, ir.APIVecDelete: {0, -1, true},
+	ir.APIMapSize: {-1, -1, false}, ir.APIVecLen: {-1, -1, false}, ir.APIVecPush: {-1, 0, true},
+}
+
+// stateAPIOf returns the arguments of call in, if it is a stateful API
+// call naming a global.
+func stateAPIOf(in *ir.Instr) (stateAPI, bool) {
+	code, ok := ir.LookupAPI(in.Callee)
+	if !ok || in.Global == "" {
+		return stateAPI{}, false
+	}
+	api, ok := stateAPIs[code]
+	return api, ok
 }
 
 // maxSolves bounds the handler's re-solves. Each re-solve follows one in
@@ -328,8 +333,8 @@ func (ti *TaintInfo) record() {
 				}
 				ti.access(in.Global, in.Op == ir.OpGStore, key)
 			case ir.OpCall:
-				api, ok := stateAPIs[in.Callee]
-				if !ok || in.Global == "" || api.key >= len(in.Args) {
+				api, ok := stateAPIOf(in)
+				if !ok || api.key >= len(in.Args) {
 					break
 				}
 				key := taintVal{}

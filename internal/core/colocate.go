@@ -101,6 +101,7 @@ func PrepareColocNF(nf *nicsim.NF, wl traffic.Spec, packets, cores int, params n
 		return nil, err
 	}
 	ts, err := nicsim.GenTraces(built, wl, packets, params)
+	built.Machine.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -105,7 +105,9 @@ type Knees struct {
 //
 // A pair's trace is dead once its sweep is done, so its event buffer goes
 // to a free list and the next pair traces into it. The list lives for
-// this call only: a second training starts as cold as the first.
+// this call only: a second training starts as cold as the first. A pair's
+// NIC machine is dead once its trace is, so its state goes back to the
+// interpreter's slabs for the next pair to build on.
 func MeasureKnees(ctx context.Context, cfg ScaleoutConfig) (*Knees, error) {
 	cfg = cfg.norm()
 	mods, err := kneePrograms(ctx, cfg)
@@ -131,6 +133,7 @@ func MeasureKnees(ctx context.Context, cfg ScaleoutConfig) (*Knees, error) {
 		default:
 		}
 		ts, err := nicsim.GenTracesInto(buf, built, wl, cfg.PacketsPerTrace, cfg.Params)
+		built.Machine.Release()
 		if err != nil {
 			return err
 		}

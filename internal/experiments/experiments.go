@@ -253,12 +253,14 @@ func elementNF(name string, mut func(*nicsim.NF)) *nicsim.NF {
 	return nf
 }
 
-// traces builds one NF configuration and generates its workload traces.
+// traces builds one NF configuration, generates its workload traces and
+// releases the machine that ran them.
 func traces(params nicsim.Params, nf *nicsim.NF, wl traffic.Spec, packets int) (*nicsim.TraceSet, error) {
 	b, err := nf.Build(params)
 	if err != nil {
 		return nil, err
 	}
+	defer b.Machine.Release()
 	return nicsim.GenTraces(b, wl, packets, params)
 }
 

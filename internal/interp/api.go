@@ -11,38 +11,38 @@ import (
 // pktGet is a header getter API (an xPktGet instruction): the field of p
 // it returns.
 func pktGet(p *traffic.Packet, api int32) uint64 {
-	switch api {
-	case apiPktLen:
+	switch ir.API(api) {
+	case ir.APIPktLen:
 		return uint64(p.Len)
-	case apiEthType:
+	case ir.APIPktEthType:
 		return uint64(p.EthType)
-	case apiIPProto:
+	case ir.APIPktIPProto:
 		return uint64(p.Proto)
-	case apiIPSrc:
+	case ir.APIPktIPSrc:
 		return uint64(p.SrcIP)
-	case apiIPDst:
+	case ir.APIPktIPDst:
 		return uint64(p.DstIP)
-	case apiIPTTL:
+	case ir.APIPktIPTTL:
 		return uint64(p.TTL)
-	case apiIPLen:
+	case ir.APIPktIPLen:
 		return uint64(p.IPLen)
-	case apiIPHL:
+	case ir.APIPktIPHL:
 		return uint64(p.IPHL)
-	case apiTCPSport, apiUDPSport:
+	case ir.APIPktTCPSport, ir.APIPktUDPSport:
 		return uint64(p.SrcPort)
-	case apiTCPDport, apiUDPDport:
+	case ir.APIPktTCPDport, ir.APIPktUDPDport:
 		return uint64(p.DstPort)
-	case apiTCPSeq:
+	case ir.APIPktTCPSeq:
 		return uint64(p.Seq)
-	case apiTCPAck:
+	case ir.APIPktTCPAck:
 		return uint64(p.Ack)
-	case apiTCPFlags:
+	case ir.APIPktTCPFlags:
 		return uint64(p.TCPFlag)
-	case apiTCPOff:
+	case ir.APIPktTCPOff:
 		return uint64(p.TCPOff)
-	case apiPayloadLen:
+	case ir.APIPktPayloadLen:
 		return uint64(len(p.Payload))
-	case apiTime:
+	case ir.APIPktTime:
 		return p.Time
 	}
 	panic(fmt.Sprintf("interp: API %d is not a packet getter", api))
@@ -52,28 +52,28 @@ func pktGet(p *traffic.Packet, api int32) uint64 {
 // with argument v (ignored by pkt_csum_update and pkt_drop, which take
 // none).
 func pktSet(p *traffic.Packet, api int32, v uint64) {
-	switch api {
-	case apiSetIPSrc:
+	switch ir.API(api) {
+	case ir.APIPktSetIPSrc:
 		p.SrcIP = uint32(v)
-	case apiSetIPDst:
+	case ir.APIPktSetIPDst:
 		p.DstIP = uint32(v)
-	case apiSetIPTTL:
+	case ir.APIPktSetIPTTL:
 		p.TTL = uint8(v)
-	case apiSetTCPSport, apiSetUDPSport:
+	case ir.APIPktSetTCPSport, ir.APIPktSetUDPSport:
 		p.SrcPort = uint16(v)
-	case apiSetTCPDport, apiSetUDPDport:
+	case ir.APIPktSetTCPDport, ir.APIPktSetUDPDport:
 		p.DstPort = uint16(v)
-	case apiSetTCPSeq:
+	case ir.APIPktSetTCPSeq:
 		p.Seq = uint32(v)
-	case apiSetTCPAck:
+	case ir.APIPktSetTCPAck:
 		p.Ack = uint32(v)
-	case apiSetTCPFlags:
+	case ir.APIPktSetTCPFlags:
 		p.TCPFlag = uint8(v)
-	case apiCsumUpdate:
+	case ir.APIPktCsumUpdate:
 		p.CsumUpdated = true
-	case apiSend:
+	case ir.APIPktSend:
 		p.OutPort = int32(v)
-	case apiDrop:
+	case ir.APIPktDrop:
 		p.OutPort = -1
 	default:
 		panic(fmt.Sprintf("interp: API %d is not a packet setter", api))
@@ -84,10 +84,10 @@ func pktSet(p *traffic.Packet, api int32, v uint64) {
 // compileInstr rejects unknown APIs and checkInstr map/vec calls on the
 // wrong kind of global, so the panic below marks a broken invariant.
 //
-// The packet APIs and hash32 never get here: apis gives them ops of their
-// own (xPktGet, xPktSet, xCallPayload, xCallSetPayload, xCallHash32).
+// The packet APIs and hash32 never get here: apiOps gives them ops of
+// their own (xPktGet, xPktSet, xCallPayload, xCallSetPayload, xCallHash32).
 func (m *Machine) call(in *cInstr, block int) {
-	switch apis[in.api].kind {
+	switch ir.APIs[in.api].State {
 	case ir.GMap:
 		m.mapOp(in, block)
 		return
@@ -97,24 +97,24 @@ func (m *Machine) call(in *cInstr, block int) {
 	}
 	p := m.pkt
 	switch in.api {
-	case apiRand32:
+	case ir.APIRand32:
 		m.rng = m.rng*6364136223846793005 + 1442695040888963407
 		m.vals[in.id] = (m.rng >> 32) & 0xffffffff
-	case apiEwmaRate:
+	case ir.APIEwmaRate:
 		// EWMA with alpha = 1/16, computed in double precision exactly as
 		// the host framework does (the divergence the linter warns about).
 		m.ewma += (float64(uint32(m.arg(in.a0))) - m.ewma) / 16
 		m.vals[in.id] = uint64(uint32(m.ewma))
-	case apiCRC32HW:
+	case ir.APICRC32HW:
 		off := int(m.arg(in.a0))
 		n := int(m.arg(in.a1))
 		m.vals[in.id] = uint64(CRC32(p.Payload, off, n))
 		m.emitAPI(in, clampLen(p.Payload, off, n), 0, block)
 		return
-	case apiLPMHW:
+	case ir.APILPMHW:
 		m.vals[in.id] = uint64(m.lpmLookup(uint32(m.arg(in.a0))))
 	default:
-		panic(fmt.Sprintf("interp: unimplemented API %q", apis[in.api].name))
+		panic(fmt.Sprintf("interp: unimplemented API %q", ir.APIs[in.api].Name))
 	}
 	m.emitAPI(in, 0, 0, block)
 }
@@ -202,7 +202,7 @@ func (m *Machine) lpmLookup(addr uint32) uint32 {
 // its slot. checkInstr has held the call to a map global.
 func (m *Machine) mapOp(in *cInstr, block int) {
 	nm := m.gl[in.gidx].nmap
-	if in.api == apiMapSize {
+	if in.api == ir.APIMapSize {
 		// map_size has no key: like vec_len it reads no bucket.
 		m.vals[in.id] = uint64(nm.size)
 		m.emitAPI(in, 0, 0, block)
@@ -211,20 +211,20 @@ func (m *Machine) mapOp(in *cInstr, block int) {
 	key := m.arg(in.a0)
 	probes := 0
 	switch in.api {
-	case apiMapFind, apiMapContains:
+	case ir.APIMapFind, ir.APIMapContains:
 		slot, n := nm.lookup(key)
 		probes = n
 		var v uint64
 		if slot >= 0 {
 			v = 1
-			if in.api == apiMapFind {
+			if in.api == ir.APIMapFind {
 				v = nm.slots[slot].val
 			}
 		}
 		m.vals[in.id] = v
-	case apiMapInsert:
+	case ir.APIMapInsert:
 		probes = nm.insert(key, m.arg(in.a1))
-	case apiMapRemove:
+	case ir.APIMapRemove:
 		slot, n := nm.lookup(key)
 		probes = n
 		if slot >= 0 {
@@ -298,7 +298,7 @@ func (m *Machine) vecOp(in *cInstr, block int) {
 	addr := m.arg(in.a0)
 	inRange := addr < uint64(len(v.vals))
 	switch in.api {
-	case apiVecPush:
+	case ir.APIVecPush:
 		i := slices.Index(v.valid, false)
 		if i < 0 {
 			v.dropped++
@@ -311,12 +311,12 @@ func (m *Machine) vecOp(in *cInstr, block int) {
 		v.live++
 		m.vals[in.id] = 1
 		probes, addr = i+1, uint64(i)
-	case apiVecGet:
+	case ir.APIVecGet:
 		m.vals[in.id] = 0
 		if inRange && v.valid[addr] {
 			m.vals[in.id] = v.vals[addr]
 		}
-	case apiVecSet:
+	case ir.APIVecSet:
 		if inRange {
 			if !v.valid[addr] {
 				v.live++
@@ -324,12 +324,12 @@ func (m *Machine) vecOp(in *cInstr, block int) {
 			v.vals[addr] = m.arg(in.a1)
 			v.valid[addr] = true
 		}
-	case apiVecDelete:
+	case ir.APIVecDelete:
 		if inRange && v.valid[addr] {
 			v.valid[addr] = false
 			v.live--
 		}
-	case apiVecLen:
+	case ir.APIVecLen:
 		m.vals[in.id] = uint64(v.live)
 		probes, addr = 0, 0
 	}

@@ -8,24 +8,23 @@ import (
 	"clara/internal/click"
 	"clara/internal/interp"
 	"clara/internal/ir"
-	"clara/internal/lang"
 	"clara/internal/traffic"
 )
 
 // apiProgram is a handler that calls one framework API with arguments
 // taken from the packet and keeps any result in a global.
 func apiProgram(name string) (string, error) {
-	in, ok := lang.Intrinsics[name]
+	api, ok := ir.LookupAPI(name)
 	if !ok {
-		return "", fmt.Errorf("the interpreter implements %q, which the language does not declare", name)
+		return "", fmt.Errorf("%q is not a framework API", name)
 	}
+	in := &ir.APIs[api]
 	var args []string
-	if in.TakesMap {
-		if strings.HasPrefix(name, "vec_") {
-			args = append(args, "v")
-		} else {
-			args = append(args, "tbl")
-		}
+	switch in.State {
+	case ir.GMap:
+		args = append(args, "tbl")
+	case ir.GVec:
+		args = append(args, "v")
 	}
 	for i, ty := range in.Params {
 		field := []string{"pkt_ip_src() & 7", "pkt_ip_dst() & 15"}[i]
@@ -49,8 +48,7 @@ void handle() {
 // apiRoutes backs lpm_hw in the apiProgram handlers.
 var apiRoutes = []interp.Route{{Prefix: 0x0a000000, Len: 8, Port: 1}, {Prefix: 0, Len: 0, Port: 2}}
 
-// TestEveryAPIRuns calls every API the interpreter implements, alone in a
-// handler. Machine.call cannot fail, so none may
+// TestEveryAPIRuns calls every framework API, alone in a handler. Machine.call cannot fail, so none may
 // panic, and RunPacket must agree with the reference loop on the whole
 // transcript, hooked and not.
 func TestEveryAPIRuns(t *testing.T) {

@@ -3,6 +3,8 @@ package interp
 import (
 	"errors"
 	"fmt"
+
+	"clara/internal/ir"
 )
 
 // This file lowers a compiled program (the flat cInstr form the reference
@@ -38,12 +40,13 @@ import (
 // report it) rejects whatever the engine would otherwise have to handle
 // dynamically: blocks without a proper final terminator, branch targets
 // outside the function, map/vec APIs aimed at the wrong global kind, and
-// zero-length modulo arrays. With compileInstr rejecting unknown APIs, no
-// instruction can fail at run time; only fuel can run out.
+// zero-length modulo arrays. With compileInstr rejecting unknown APIs and
+// APIs without an op, no instruction can fail at run time; only fuel can
+// run out.
 
-// checkInstr validates one instruction; last reports whether it is its
-// block's final one. Errors read on from "block N ...".
-func checkInstr(p *program, in *cInstr, last bool) error {
+// checkInstr validates one instruction of mod's program p; last reports
+// whether it is its block's final one. Errors read on from "block N ...".
+func checkInstr(p *program, mod *ir.Module, in *cInstr, last bool) error {
 	if isTerm(in.op) != last {
 		if last {
 			return errors.New("does not end in a terminator")
@@ -61,13 +64,16 @@ func checkInstr(p *program, in *cInstr, last bool) error {
 			return fmt.Errorf("branches to missing block %d or %d", in.t, in.f)
 		}
 	case xGLoadA, xGStoreA:
-		if p.gmeta[in.gidx].len <= 0 {
-			return fmt.Errorf("indexes zero-length array %q", p.gmeta[in.gidx].name)
+		if p.glen[in.gidx] <= 0 {
+			return fmt.Errorf("indexes zero-length array %q", mod.Globals[in.gidx].Name)
 		}
 	case xCall:
-		want := apis[in.api].kind
-		if want != noGlobal && (in.gidx < 0 || p.gmeta[in.gidx].kind != want) {
-			return fmt.Errorf("calls %s on %q, which is not a %s", apis[in.api].name, p.globalName(in.gidx), want)
+		if want := ir.APIs[in.api].State; want != ir.GScalar && (in.gidx < 0 || mod.Globals[in.gidx].Kind != want) {
+			name := ""
+			if in.gidx >= 0 {
+				name = mod.Globals[in.gidx].Name
+			}
+			return fmt.Errorf("calls %s on %q, which is not a %s", ir.APIs[in.api].Name, name, want)
 		}
 	}
 	return nil
@@ -435,13 +441,13 @@ func toStep(p *program, in *cInstr, bi int) vstep {
 	case xCall:
 		s.k = int32(bi) // lowerBlock sets s.call
 	case xPktGet, xPktSet:
-		s.k = in.api
+		s.k = int32(in.api)
 	case xGLoadS, xGStoreS:
 		s.gi = in.gidx
 	case xGLoadA, xGStoreA:
-		s.gi, s.aux = in.gidx, uint64(p.gmeta[in.gidx].len)
+		s.gi, s.aux = in.gidx, uint64(p.glen[in.gidx])
 	case xGLoadAP, xGStoreAP:
-		s.gi, s.aux = in.gidx, uint64(p.gmeta[in.gidx].len-1)
+		s.gi, s.aux = in.gidx, uint64(p.glen[in.gidx]-1)
 	}
 	return s
 }

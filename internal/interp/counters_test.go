@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clara/internal/ir"
 	"clara/internal/traffic"
 )
 
@@ -39,16 +40,15 @@ void handle() {
 		t.Fatal(err)
 	}
 	nb := len(hm.blocks)
-	gidx := hm.gidx
 	refBlock := make([]uint64, nb)
 	refState := make([]uint64, len(mod.Globals)*nb)
 	refAPI := make([]uint64, len(mod.Globals)*nb)
 	hm.SetHooks(Hooks{
 		OnBlock: func(b int) { refBlock[b]++ },
-		OnState: func(g string, _ bool, _ uint64, b int) { refState[gidx[g]*nb+b]++ },
-		OnAPI: func(_, g string, probes int, _ uint64, b int) {
-			if g != "" && probes > 0 {
-				refAPI[gidx[g]*nb+b] += uint64(probes)
+		OnState: func(g int, _ bool, _ uint64, b int) { refState[g*nb+b]++ },
+		OnAPI: func(_ ir.API, g int, probes int, _ uint64, b int) {
+			if g >= 0 && probes > 0 {
+				refAPI[g*nb+b] += uint64(probes)
 			}
 		},
 	})

@@ -64,11 +64,15 @@ func transcript(e *click.Element, pkts []traffic.Packet, cfg interp.Config, hook
 	if hooked {
 		m.SetHooks(interp.Hooks{
 			OnBlock: func(block int) { fmt.Fprintf(&b, "B%d ", block) },
-			OnState: func(global string, store bool, addr uint64, block int) {
-				fmt.Fprintf(&b, "S(%s,%v,%d,%d) ", global, store, addr, block)
+			OnState: func(global int, store bool, addr uint64, block int) {
+				fmt.Fprintf(&b, "S(%s,%v,%d,%d) ", mod.Globals[global].Name, store, addr, block)
 			},
-			OnAPI: func(name, global string, probes int, addr uint64, block int) {
-				fmt.Fprintf(&b, "A(%s,%s,%d,%d,%d) ", name, global, probes, addr, block)
+			OnAPI: func(api ir.API, global int, probes int, addr uint64, block int) {
+				name := ""
+				if global >= 0 {
+					name = mod.Globals[global].Name
+				}
+				fmt.Fprintf(&b, "A(%s,%s,%d,%d,%d) ", ir.APIs[api].Name, name, probes, addr, block)
 			},
 		})
 	}

@@ -67,11 +67,11 @@ func Uncounted(run func(*Machine, *traffic.Packet) error) func(*Machine, *traffi
 	}
 }
 
-// APINames returns every framework API the interpreter implements, sorted.
+// APINames returns every framework API, sorted.
 func APINames() []string {
-	names := make([]string, 0, len(apis))
-	for _, a := range apis {
-		names = append(names, a.name)
+	names := make([]string, 0, len(ir.APIs))
+	for _, a := range ir.APIs {
+		names = append(names, a.Name)
 	}
 	slices.Sort(names)
 	return names
@@ -88,7 +88,7 @@ func CallSteps(mod *ir.Module) ([]string, error) {
 	for _, ch := range prog.lowering().chains {
 		for _, s := range ch.steps {
 			if s.op == xCall {
-				out = append(out, apis[s.call.api].name)
+				out = append(out, ir.APIs[s.call.api].Name)
 			}
 		}
 	}

@@ -27,13 +27,11 @@
 // basic block instead of per instruction (blocks always retire fully —
 // the terminator is the last instruction — so counts stay exact).
 //
-// The framework APIs are one table, apis, indexed by API code: each
-// entry holds the API's name, the op a call to it compiles to, and the
-// kind of global a map or vector API must name. Hooks and error texts
-// read API names from that table and global names from the program's
-// per-global metadata, taken from the module's globals (which lang.Lower
-// copies out of the source), so a cached program pins none of the
-// request source it was compiled from.
+// The framework APIs are ir.APIs; the interpreter adds one thing per API,
+// the op a call to it compiles to (apiOps). A compiled call carries the
+// API's code and its global's index, which is what the hooks report, and
+// compile errors take their names from the module while it is in hand, so
+// a cached program pins none of the request source it was compiled from.
 //
 // Packets run on the step engine (compile.go, steps.go): the flat form is
 // lowered once more into superblocks — chains of blocks joined by
@@ -68,14 +66,16 @@ const BucketSlots = 4
 type Hooks struct {
 	// OnBlock fires when a basic block begins executing.
 	OnBlock func(block int)
-	// OnState fires for each stateful global access (GLoad/GStore); addr
-	// is the element index for arrays (0 for scalars).
-	OnState func(global string, store bool, addr uint64, block int)
-	// OnAPI fires for each framework API call. probes carries the call's
-	// dynamic work: slot probes for map APIs, bytes processed for
+	// OnState fires for each stateful global access (GLoad/GStore) with
+	// the global's index in the module's Globals; addr is the element
+	// index for arrays (0 for scalars).
+	OnState func(global int, store bool, addr uint64, block int)
+	// OnAPI fires for each framework API call with the API's code and the
+	// index of the global it names (-1 for none). probes carries the
+	// call's dynamic work: slot probes for map APIs, bytes processed for
 	// checksum/CRC, 0 otherwise. addr localizes the access (bucket base
 	// slot for maps) for cache modeling.
-	OnAPI func(name, global string, probes int, addr uint64, block int)
+	OnAPI func(api ir.API, global int, probes int, addr uint64, block int)
 }
 
 // Route is one LPM rule for the lpm_hw engine.
@@ -102,121 +102,6 @@ const rngInit = 0x9E3779B97F4A7C15
 
 // ErrFuel is returned when a packet exceeds the step budget.
 var ErrFuel = fmt.Errorf("interp: fuel exhausted (runaway loop?)")
-
-// API opcodes (internal dense encoding of the intrinsics).
-const (
-	apiPktLen = iota
-	apiEthType
-	apiIPProto
-	apiIPSrc
-	apiIPDst
-	apiIPTTL
-	apiIPLen
-	apiIPHL
-	apiTCPSport
-	apiTCPDport
-	apiTCPSeq
-	apiTCPAck
-	apiTCPFlags
-	apiTCPOff
-	apiUDPSport
-	apiUDPDport
-	apiPayload
-	apiPayloadLen
-	apiTime
-	apiSetIPSrc
-	apiSetIPDst
-	apiSetIPTTL
-	apiSetTCPSport
-	apiSetTCPDport
-	apiSetTCPSeq
-	apiSetTCPAck
-	apiSetTCPFlags
-	apiSetUDPSport
-	apiSetUDPDport
-	apiSetPayload
-	apiCsumUpdate
-	apiSend
-	apiDrop
-	apiHash32
-	apiRand32
-	apiEwmaRate
-	apiCRC32HW
-	apiLPMHW
-	apiMapFind
-	apiMapContains
-	apiMapInsert
-	apiMapRemove
-	apiMapSize
-	apiVecPush
-	apiVecGet
-	apiVecSet
-	apiVecDelete
-	apiVecLen
-)
-
-// apiInfo is what the compiler knows of one framework API.
-type apiInfo struct {
-	name string
-	// op is the op a call compiles to. The packet APIs and the hash mix
-	// touch no global, so the counters never see them and both loops run
-	// them without the API-call detour: the per-byte payload intrinsics,
-	// which dominate byte-granular elements (ciphers, sketches), and the
-	// hash mix get ops of their own (xCallPayload, xCallSetPayload,
-	// xCallHash32); every other packet API reads one field (xPktGet, via
-	// pktGet) or writes the packet (xPktSet, via pktSet). The rest are
-	// xCall, which hands the call to Machine.call.
-	op xop
-	// kind is the kind of global a map or vector API must name; noGlobal
-	// for the others.
-	kind ir.GlobalKind
-}
-
-// noGlobal is apiInfo.kind for an API that names no global: no API names
-// a scalar.
-const noGlobal = ir.GScalar
-
-// apis is the interpreter's one list of the framework APIs, indexed by
-// API code.
-var apis = [...]apiInfo{
-	// Header getters.
-	apiPktLen: {"pkt_len", xPktGet, noGlobal}, apiEthType: {"pkt_eth_type", xPktGet, noGlobal},
-	apiIPProto: {"pkt_ip_proto", xPktGet, noGlobal}, apiIPTTL: {"pkt_ip_ttl", xPktGet, noGlobal},
-	apiIPSrc: {"pkt_ip_src", xPktGet, noGlobal}, apiIPDst: {"pkt_ip_dst", xPktGet, noGlobal},
-	apiIPLen: {"pkt_ip_len", xPktGet, noGlobal}, apiIPHL: {"pkt_ip_hl", xPktGet, noGlobal},
-	apiTCPSport: {"pkt_tcp_sport", xPktGet, noGlobal}, apiTCPDport: {"pkt_tcp_dport", xPktGet, noGlobal},
-	apiTCPSeq: {"pkt_tcp_seq", xPktGet, noGlobal}, apiTCPAck: {"pkt_tcp_ack", xPktGet, noGlobal},
-	apiTCPFlags: {"pkt_tcp_flags", xPktGet, noGlobal}, apiTCPOff: {"pkt_tcp_off", xPktGet, noGlobal},
-	apiUDPSport: {"pkt_udp_sport", xPktGet, noGlobal}, apiUDPDport: {"pkt_udp_dport", xPktGet, noGlobal},
-	apiPayloadLen: {"pkt_payload_len", xPktGet, noGlobal}, apiTime: {"pkt_time", xPktGet, noGlobal},
-	// Header setters and dispositions, then the hash mix and per-byte
-	// payload access, which get ops of their own.
-	apiSetIPSrc: {"pkt_set_ip_src", xPktSet, noGlobal}, apiSetIPDst: {"pkt_set_ip_dst", xPktSet, noGlobal},
-	apiSetTCPSport: {"pkt_set_tcp_sport", xPktSet, noGlobal}, apiSetTCPDport: {"pkt_set_tcp_dport", xPktSet, noGlobal},
-	apiSetUDPSport: {"pkt_set_udp_sport", xPktSet, noGlobal}, apiSetUDPDport: {"pkt_set_udp_dport", xPktSet, noGlobal},
-	apiSetTCPSeq: {"pkt_set_tcp_seq", xPktSet, noGlobal}, apiSetTCPAck: {"pkt_set_tcp_ack", xPktSet, noGlobal},
-	apiSetIPTTL: {"pkt_set_ip_ttl", xPktSet, noGlobal}, apiSetTCPFlags: {"pkt_set_tcp_flags", xPktSet, noGlobal},
-	apiSend: {"pkt_send", xPktSet, noGlobal}, apiDrop: {"pkt_drop", xPktSet, noGlobal},
-	apiCsumUpdate: {"pkt_csum_update", xPktSet, noGlobal}, apiHash32: {"hash32", xCallHash32, noGlobal},
-	apiPayload: {"pkt_payload", xCallPayload, noGlobal}, apiSetPayload: {"pkt_set_payload", xCallSetPayload, noGlobal},
-	// Machine.call's own, then its map and vector calls.
-	apiRand32: {"rand32", xCall, noGlobal}, apiEwmaRate: {"ewma_rate", xCall, noGlobal},
-	apiCRC32HW: {"crc32_hw", xCall, noGlobal}, apiLPMHW: {"lpm_hw", xCall, noGlobal},
-	apiMapFind: {"map_find", xCall, ir.GMap}, apiMapContains: {"map_contains", xCall, ir.GMap},
-	apiMapInsert: {"map_insert", xCall, ir.GMap}, apiMapRemove: {"map_remove", xCall, ir.GMap},
-	apiVecPush: {"vec_push", xCall, ir.GVec}, apiVecGet: {"vec_get", xCall, ir.GVec},
-	apiVecSet: {"vec_set", xCall, ir.GVec}, apiVecDelete: {"vec_delete", xCall, ir.GVec},
-	apiMapSize: {"map_size", xCall, ir.GMap}, apiVecLen: {"vec_len", xCall, ir.GVec},
-}
-
-// apiCodes maps an API name to its code.
-var apiCodes = func() map[string]int32 {
-	codes := make(map[string]int32, len(apis))
-	for code, a := range apis {
-		codes[a.name] = int32(code)
-	}
-	return codes
-}()
 
 // xop is the interpreter's internal opcode space. It refines ir.Op with
 // compile-time specializations the dispatch loop would otherwise branch
@@ -254,28 +139,62 @@ const (
 	xCallHash32     // hash32(k): pure mix, inlined
 	xPktGet         // a header getter: reads one packet field
 	xPktSet         // a header setter or a disposition: writes the packet
+	// xCall through xPktSet are the call class: the ops a framework API
+	// call compiles to (isCallOp).
 	xBr
 	xCondBr
 	xRet
 	xCmpBr // fused ICmp+CondBr
 )
 
+// isCallOp reports whether op is of the call class.
+func isCallOp(op xop) bool { return op >= xCall && op <= xPktSet }
+
+// apiOps is the op a call to each framework API compiles to. The packet
+// APIs and the hash mix touch no global, so the counters never see them
+// and both loops run them without the API-call detour: the per-byte
+// payload intrinsics, which dominate byte-granular elements (ciphers,
+// sketches), and the hash mix get ops of their own (xCallPayload,
+// xCallSetPayload, xCallHash32); every other packet API reads one field
+// (xPktGet, via pktGet) or writes the packet (xPktSet, via pktSet). The
+// rest are xCall, which hands the call to Machine.call. An API left out
+// would read as xAdd; compileInstr refuses it.
+var apiOps = [len(ir.APIs)]xop{
+	// Header getters.
+	ir.APIPktLen: xPktGet, ir.APIPktEthType: xPktGet, ir.APIPktIPProto: xPktGet, ir.APIPktIPSrc: xPktGet,
+	ir.APIPktIPDst: xPktGet, ir.APIPktIPTTL: xPktGet, ir.APIPktIPLen: xPktGet, ir.APIPktIPHL: xPktGet,
+	ir.APIPktTCPSport: xPktGet, ir.APIPktTCPDport: xPktGet, ir.APIPktTCPSeq: xPktGet, ir.APIPktTCPAck: xPktGet,
+	ir.APIPktTCPFlags: xPktGet, ir.APIPktTCPOff: xPktGet, ir.APIPktUDPSport: xPktGet, ir.APIPktUDPDport: xPktGet,
+	ir.APIPktPayloadLen: xPktGet, ir.APIPktTime: xPktGet,
+	// Header setters and dispositions.
+	ir.APIPktSetIPSrc: xPktSet, ir.APIPktSetIPDst: xPktSet, ir.APIPktSetIPTTL: xPktSet,
+	ir.APIPktSetTCPSport: xPktSet, ir.APIPktSetTCPDport: xPktSet, ir.APIPktSetTCPSeq: xPktSet,
+	ir.APIPktSetTCPAck: xPktSet, ir.APIPktSetTCPFlags: xPktSet, ir.APIPktSetUDPSport: xPktSet,
+	ir.APIPktSetUDPDport: xPktSet, ir.APIPktCsumUpdate: xPktSet, ir.APIPktSend: xPktSet, ir.APIPktDrop: xPktSet,
+	// The hash mix and per-byte payload access.
+	ir.APIHash32: xCallHash32, ir.APIPktPayload: xCallPayload, ir.APIPktSetPayload: xCallSetPayload,
+	// Machine.call's own, then its map and vector calls.
+	ir.APIRand32: xCall, ir.APIEwmaRate: xCall, ir.APICRC32HW: xCall, ir.APILPMHW: xCall,
+	ir.APIMapFind: xCall, ir.APIMapContains: xCall, ir.APIMapInsert: xCall, ir.APIMapRemove: xCall,
+	ir.APIMapSize: xCall, ir.APIVecPush: xCall, ir.APIVecGet: xCall, ir.APIVecSet: xCall,
+	ir.APIVecDelete: xCall, ir.APIVecLen: xCall,
+}
+
 // cInstr is one compiled instruction. Operands are plain indices into
 // the machine's value array: instruction results live at their IR ids
 // (< NumVals) and constants are pooled at indices >= NumVals, preloaded
 // when the machine is built, so reading an operand never branches on its
 // kind. The struct is kept flat and narrow (no slices, no strings) so a
-// cache line holds more than one instruction: hooks and error texts read
-// an API's name from apis[api] and a global's from the program's gmeta.
+// cache line holds more than one instruction.
 type cInstr struct {
 	mask   uint64
 	a0, a1 int32 // operand value indices (every op has arity <= 2)
 	id     int32
 	slot   int32
-	gidx   int32 // index into machine global tables
-	api    int32
+	gidx   int32 // index into machine global tables; -1 for none
 	t, f   int32
 	op     xop
+	api    ir.API
 	pred   ir.Pred
 	nargs  uint8
 }
@@ -285,26 +204,6 @@ type cBlock struct {
 	// size is the source IR instruction count; fuel and Steps are charged
 	// by it, so fusion never changes the observable cost model.
 	size int
-}
-
-// gmeta is the per-global metadata compiling, lowering and hooks need
-// without the module in hand: the global's name (for hooks and error
-// texts), its kind (to validate that map/vec APIs target the right
-// structure statically) and its declared length (to bake pow2 masks and
-// modulo lengths into steps instead of chasing m.gl[gidx] at run time).
-type gmeta struct {
-	name string
-	kind ir.GlobalKind
-	len  int
-}
-
-// globalName returns the name of global gidx, or "" for -1 (a call that
-// names no global).
-func (p *program) globalName(gidx int32) string {
-	if gidx < 0 {
-		return ""
-	}
-	return p.gmeta[gidx].name
 }
 
 // program is a module's compiled, immutable form: every Machine built
@@ -321,7 +220,9 @@ type program struct {
 	pool   []uint64 // pooled constants, deduplicated by value
 	nslots int
 	gidx   map[string]int
-	gmeta  []gmeta
+	// glen is each global's declared length, which the lowering bakes
+	// into array steps as a pow2 mask or a modulo length.
+	glen []int
 
 	lowerOnce sync.Once
 	lowered   lowered
@@ -396,10 +297,10 @@ func compileModule(mod *ir.Module) (*program, error) {
 		mod:  mod,
 		pool: make(map[uint64]int32),
 	}
-	c.p.gmeta = make([]gmeta, len(mod.Globals))
+	c.p.glen = make([]int, len(mod.Globals))
 	for i, g := range mod.Globals {
 		c.p.gidx[g.Name] = i
-		c.p.gmeta[i] = gmeta{name: g.Name, kind: g.Kind, len: g.Len}
+		c.p.glen[i] = g.Len
 	}
 	c.p.blocks = make([]cBlock, len(f.Blocks))
 	for bi, b := range f.Blocks {
@@ -434,7 +335,7 @@ func compileModule(mod *ir.Module) (*program, error) {
 			return nil, fmt.Errorf("interp: module %s: block %d is empty", mod.Name, bi)
 		}
 		for i := range instrs {
-			if err := checkInstr(c.p, &instrs[i], i == len(instrs)-1); err != nil {
+			if err := checkInstr(c.p, mod, &instrs[i], i == len(instrs)-1); err != nil {
 				return nil, fmt.Errorf("interp: module %s: block %d %w", mod.Name, bi, err)
 			}
 		}
@@ -861,7 +762,7 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 	ci := cInstr{
 		pred: in.Pred, mask: maskOf(in.Ty), id: int32(in.ID),
 		slot: int32(in.Slot), t: int32(in.True), f: int32(in.False),
-		gidx: -1, api: -1,
+		gidx: -1,
 	}
 	op, err := c.xopOf(in)
 	if err != nil {
@@ -899,12 +800,13 @@ func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
 		ci.gidx = int32(gi)
 	}
 	if in.Op == ir.OpCall {
-		code, ok := apiCodes[in.Callee]
+		api, ok := ir.LookupAPI(in.Callee)
 		if !ok {
 			return ci, fmt.Errorf("unknown framework API %q", in.Callee)
 		}
-		ci.api = code
-		ci.op = apis[code].op
+		if ci.api, ci.op = api, apiOps[api]; !isCallOp(ci.op) {
+			return ci, fmt.Errorf("framework API %q has no op", in.Callee)
+		}
 	}
 	return ci, nil
 }
@@ -1024,7 +926,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, 0, bi)
+					m.hooks.OnState(int(in.gidx), false, 0, bi)
 				}
 			case xGLoadAP:
 				g := m.gl[in.gidx]
@@ -1034,7 +936,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, idx, bi)
+					m.hooks.OnState(int(in.gidx), false, idx, bi)
 				}
 			case xGLoadA:
 				g := m.gl[in.gidx]
@@ -1044,7 +946,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, false, idx, bi)
+					m.hooks.OnState(int(in.gidx), false, idx, bi)
 				}
 			case xGStoreS:
 				m.gl[in.gidx].scalar = vals[in.a0] & in.mask
@@ -1052,7 +954,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, 0, bi)
+					m.hooks.OnState(int(in.gidx), true, 0, bi)
 				}
 			case xGStoreAP:
 				g := m.gl[in.gidx]
@@ -1062,7 +964,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, idx, bi)
+					m.hooks.OnState(int(in.gidx), true, idx, bi)
 				}
 			case xGStoreA:
 				g := m.gl[in.gidx]
@@ -1072,7 +974,7 @@ func (m *Machine) reference(bi int) error {
 					m.ctr.State[int(in.gidx)*m.ctr.NBlocks+bi]++
 				}
 				if m.hooks.OnState != nil {
-					m.hooks.OnState(m.prog.gmeta[in.gidx].name, true, idx, bi)
+					m.hooks.OnState(int(in.gidx), true, idx, bi)
 				}
 			case xCall:
 				m.call(in, bi)
@@ -1083,33 +985,33 @@ func (m *Machine) reference(bi int) error {
 					vals[in.id] = 0
 				}
 				if m.hooks.OnAPI != nil {
-					m.apiHook(in, 0, 0, bi)
+					m.hooks.OnAPI(in.api, int(in.gidx), 0, 0, bi)
 				}
 			case xCallSetPayload:
 				if i := vals[in.a0]; i < uint64(len(p.Payload)) {
 					p.Payload[i] = byte(vals[in.a1])
 				}
 				if m.hooks.OnAPI != nil {
-					m.apiHook(in, 0, 0, bi)
+					m.hooks.OnAPI(in.api, int(in.gidx), 0, 0, bi)
 				}
 			case xCallHash32:
 				vals[in.id] = uint64(Hash32(vals[in.a0]))
 				if m.hooks.OnAPI != nil {
-					m.apiHook(in, 0, 0, bi)
+					m.hooks.OnAPI(in.api, int(in.gidx), 0, 0, bi)
 				}
 			case xPktGet:
-				vals[in.id] = pktGet(p, in.api)
+				vals[in.id] = pktGet(p, int32(in.api))
 				if m.hooks.OnAPI != nil {
-					m.apiHook(in, 0, 0, bi)
+					m.hooks.OnAPI(in.api, int(in.gidx), 0, 0, bi)
 				}
 			case xPktSet:
-				pktSet(p, in.api, vals[in.a0])
+				pktSet(p, int32(in.api), vals[in.a0])
 				if m.hooks.OnAPI != nil {
 					probes := 0
-					if in.api == apiCsumUpdate {
+					if in.api == ir.APIPktCsumUpdate {
 						probes = int(p.IPLen) // bytes checksummed
 					}
-					m.apiHook(in, probes, 0, bi)
+					m.hooks.OnAPI(in.api, int(in.gidx), probes, 0, bi)
 				}
 			case xBr:
 				next = int(in.t)
@@ -1161,11 +1063,6 @@ func (m *Machine) emitAPI(in *cInstr, probes int, addr uint64, block int) {
 		m.ctr.API[int(in.gidx)*m.ctr.NBlocks+block] += uint64(probes)
 	}
 	if m.hooks.OnAPI != nil {
-		m.apiHook(in, probes, addr, block)
+		m.hooks.OnAPI(in.api, int(in.gidx), probes, addr, block)
 	}
-}
-
-// apiHook fires the OnAPI hook for call in.
-func (m *Machine) apiHook(in *cInstr, probes int, addr uint64, block int) {
-	m.hooks.OnAPI(apis[in.api].name, m.prog.globalName(in.gidx), probes, addr, block)
 }

@@ -197,8 +197,8 @@ void handle() {
 		t.Fatal(err)
 	}
 	sizes := 0
-	m.SetHooks(Hooks{OnAPI: func(name, _ string, probes int, addr uint64, _ int) {
-		if name != "map_size" {
+	m.SetHooks(Hooks{OnAPI: func(api ir.API, _ int, probes int, addr uint64, _ int) {
+		if api != ir.APIMapSize {
 			return
 		}
 		sizes++
@@ -243,13 +243,13 @@ func TestHooksFire(t *testing.T) {
 	var blocks, state, api int
 	m.SetHooks(Hooks{
 		OnBlock: func(int) { blocks++ },
-		OnState: func(string, bool, uint64, int) { state++ },
-		OnAPI: func(name, global string, probes int, _ uint64, _ int) {
+		OnState: func(int, bool, uint64, int) { state++ },
+		OnAPI: func(code ir.API, global int, probes int, _ uint64, _ int) {
 			api++
-			if name == "map_insert" && global != "nat" {
-				t.Errorf("map_insert global = %q", global)
+			if code == ir.APIMapInsert && (global < 0 || mod.Globals[global].Name != "nat") {
+				t.Errorf("map_insert global = %d", global)
 			}
-			if name == "map_insert" && probes < 1 {
+			if code == ir.APIMapInsert && probes < 1 {
 				t.Errorf("map_insert probes = %d", probes)
 			}
 		},

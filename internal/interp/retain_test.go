@@ -12,8 +12,9 @@ import (
 
 // TestProgramKeepsNoSource: the process-wide program store keeps a compiled
 // program after its module is gone, and that program holds no string cut
-// from the module's source (hook and error names come from apis and the
-// program's gmeta), so the source of a never-seen request is collected.
+// from the module's source (hooks report codes and indices, and compile
+// errors are written while the module is in hand), so the source of a
+// never-seen request is collected.
 func TestProgramKeepsNoSource(t *testing.T) {
 	src := fmt.Sprintf(`
 map<u64,u64> flows[16];

@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"clara/internal/ir"
 	"clara/internal/lang"
 	"clara/internal/traffic"
 )
@@ -113,8 +114,8 @@ func TestVecDeleteProbeCostsDiverge(t *testing.T) {
 		run(t, m, op(1, i, 0))
 	}
 	probes := 0
-	m.SetHooks(Hooks{OnAPI: func(name, _ string, p int, _ uint64, _ int) {
-		if name == "vec_delete" {
+	m.SetHooks(Hooks{OnAPI: func(api ir.API, _ int, p int, _ uint64, _ int) {
+		if api == ir.APIVecDelete {
 			probes = p
 		}
 	}})

@@ -1,3 +1,10 @@
+// Package lang implements NFC, the small C-like NF language this repo uses
+// in place of Click/C++ elements. NFC deliberately mirrors the restricted C
+// dialects of baremetal SmartNICs (Micro-C): unsigned integer types only,
+// no dynamic allocation, statically sized stateful structures, and a
+// framework API exposed as intrinsics (the analog of Click's Packet /
+// HashMap API that the paper reverse-ports, §3.3), whose signatures are
+// ir.APIs.
 package lang
 
 import "clara/internal/ir"

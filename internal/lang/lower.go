@@ -20,15 +20,6 @@ func Compile(name, src string) (*ir.Module, error) {
 	return Lower(f)
 }
 
-// MustCompile is Compile for trusted, in-tree element sources.
-func MustCompile(name, src string) *ir.Module {
-	m, err := Compile(name, src)
-	if err != nil {
-		panic(fmt.Sprintf("lang.MustCompile(%s): %v", name, err))
-	}
-	return m
-}
-
 // Lower type-checks a parsed file and lowers it to IR.
 func Lower(f *File) (*ir.Module, error) {
 	lo := &lowerer{
@@ -56,7 +47,7 @@ func Lower(f *File) (*ir.Module, error) {
 		if lo.funcs[fn.Name] != nil {
 			return nil, fmt.Errorf("%s:%d: func %q redeclared", f.Name, fn.Line, fn.Name)
 		}
-		if IsIntrinsic(fn.Name) {
+		if _, ok := ir.LookupAPI(fn.Name); ok {
 			return nil, fmt.Errorf("%s:%d: func %q shadows a framework API", f.Name, fn.Line, fn.Name)
 		}
 		lo.funcs[fn.Name] = fn
@@ -707,8 +698,8 @@ func (lo *lowerer) unify(a, b ir.Value) (ir.Value, ir.Value) {
 }
 
 func (lo *lowerer) lowerCall(x *CallExpr, hint ir.Type) (ir.Value, error) {
-	if intr, ok := Intrinsics[x.Name]; ok {
-		return lo.lowerIntrinsic(x, intr)
+	if api, ok := ir.LookupAPI(x.Name); ok {
+		return lo.lowerIntrinsic(x, &ir.APIs[api])
 	}
 	fn, ok := lo.funcs[x.Name]
 	if !ok {
@@ -717,10 +708,10 @@ func (lo *lowerer) lowerCall(x *CallExpr, hint ir.Type) (ir.Value, error) {
 	return lo.inlineCall(x, fn)
 }
 
-func (lo *lowerer) lowerIntrinsic(x *CallExpr, intr Intrinsic) (ir.Value, error) {
+func (lo *lowerer) lowerIntrinsic(x *CallExpr, intr *ir.APIInfo) (ir.Value, error) {
 	args := x.Args
 	global := ""
-	if intr.TakesMap {
+	if intr.State != ir.GScalar {
 		if len(args) == 0 {
 			return ir.Value{}, lo.errf(x.Line, "%s needs a state argument", intr.Name)
 		}
@@ -728,15 +719,8 @@ func (lo *lowerer) lowerIntrinsic(x *CallExpr, intr Intrinsic) (ir.Value, error)
 		if !ok {
 			return ir.Value{}, lo.errf(x.Line, "%s: first argument must name a stateful structure", intr.Name)
 		}
-		g, ok := lo.globals[id.Name]
-		want := ir.GMap
-		kindName := "map"
-		if strings.HasPrefix(intr.Name, "vec_") {
-			want = ir.GVec
-			kindName = "vec"
-		}
-		if !ok || g.Kind != want {
-			return ir.Value{}, lo.errf(x.Line, "%s: %q is not a %s", intr.Name, id.Name, kindName)
+		if g, ok := lo.globals[id.Name]; !ok || g.Kind != intr.State {
+			return ir.Value{}, lo.errf(x.Line, "%s: %q is not a %s", intr.Name, id.Name, intr.State)
 		}
 		global = id.Name
 		args = args[1:]

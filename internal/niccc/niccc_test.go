@@ -308,15 +308,15 @@ void handle() {
 	}
 }
 
+// TestLibraryProfilesComplete: every framework API must lower to routines
+// the library can cost, whichever engines are on.
 func TestLibraryProfilesComplete(t *testing.T) {
-	// Every intrinsic the language exposes must lower to something the
-	// library can cost.
-	for name := range map[string]bool{
-		"pkt_len": true, "pkt_csum_update": true, "map_find": true,
-		"crc32_hw": true, "lpm_hw": true, "hash32": true, "pkt_send": true,
-	} {
-		if n, ok := APIInstrCount(name, AccelConfig{}); !ok || n <= 0 {
-			t.Errorf("APIInstrCount(%q) = %d,%v", name, n, ok)
+	for bits := 0; bits < 16; bits++ {
+		accel := AccelConfig{CsumEngine: bits&1 != 0, CRCEngine: bits&2 != 0, LPMEngine: bits&4 != 0, FlowCache: bits&8 != 0}
+		for _, a := range ir.APIs {
+			if n, ok := APIInstrCount(a.Name, accel); !ok || n <= 0 {
+				t.Errorf("APIInstrCount(%q, %+v) = %d,%v", a.Name, accel, n, ok)
+			}
 		}
 	}
 }

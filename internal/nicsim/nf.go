@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"fmt"
+	"slices"
 
 	"clara/internal/interp"
 	"clara/internal/ir"
@@ -43,8 +44,11 @@ type Built struct {
 	Prog    *isa.Program
 	Machine *interp.Machine
 	place   []isa.Region // per-global index
-	packOf  map[string]int
-	packSz  []int
+	// packOf is each global's coalescing pack (-1 for none), packHead
+	// each pack's first member (-1 for an empty pack) and packSz its bytes.
+	packOf   []int
+	packHead []int
+	packSz   []int
 }
 
 // Build compiles the NF with the vendor toolchain, instantiates its
@@ -64,7 +68,7 @@ func (nf *NF) Build(params Params) (*Built, error) {
 			return nil, fmt.Errorf("nicsim: %s setup: %w", nf.Name, err)
 		}
 	}
-	b := &Built{NF: nf, Prog: prog, Machine: m, packOf: map[string]int{}}
+	b := &Built{NF: nf, Prog: prog, Machine: m, packOf: make([]int, len(nf.Mod.Globals))}
 
 	// Resolve placement and check capacities. Regions are tallied in a
 	// fixed array so the overflow error is deterministic when several
@@ -90,20 +94,27 @@ func (nf *NF) Build(params Params) (*Built, error) {
 		}
 	}
 
-	// Index the coalescing packs.
+	// Index the coalescing packs by global.
+	for gi := range b.packOf {
+		b.packOf[gi] = -1
+	}
 	for pi, pack := range nf.Packs {
-		size := 0
+		size, head := 0, -1
 		for _, name := range pack {
-			g := nf.Mod.Global(name)
-			if g == nil || g.Kind != ir.GScalar {
+			gi := slices.IndexFunc(nf.Mod.Globals, func(g *ir.Global) bool { return g.Name == name })
+			if gi < 0 || nf.Mod.Globals[gi].Kind != ir.GScalar {
 				return nil, fmt.Errorf("nicsim: %s: pack member %q is not a scalar global", nf.Name, name)
 			}
-			if _, dup := b.packOf[name]; dup {
+			if b.packOf[gi] >= 0 {
 				return nil, fmt.Errorf("nicsim: %s: %q appears in two packs", nf.Name, name)
 			}
-			b.packOf[name] = pi
-			size += g.Elem.Size()
+			if head < 0 {
+				head = gi
+			}
+			b.packOf[gi] = pi
+			size += nf.Mod.Globals[gi].Elem.Size()
 		}
+		b.packHead = append(b.packHead, head)
 		b.packSz = append(b.packSz, size)
 	}
 	return b, nil

@@ -66,8 +66,8 @@ type tracer struct {
 	params Params
 	b      *Built
 	ts     *TraceSet
-	info   map[string]*globalInfo
-	pkt    *globalInfo // pseudo-global for packet buffer accesses
+	info   []globalInfo // by global index, as the hooks report it
+	pkt    *globalInfo  // pseudo-global for packet buffer accesses
 
 	// EMEM cache (direct-mapped, shared; evaluated in arrival order).
 	cacheTags []uint64
@@ -79,27 +79,22 @@ type tracer struct {
 	fetched  []bool
 	dirty    []bool
 	packInfo []*globalInfo // representative member per pack
-
-	err error
 }
 
 func newTracer(params Params, b *Built, ts *TraceSet) *tracer {
-	tr := &tracer{params: params, b: b, ts: ts, info: map[string]*globalInfo{}}
-	for i, g := range b.NF.Mod.Globals {
-		gi := &globalInfo{
+	globals := b.NF.Mod.Globals
+	tr := &tracer{params: params, b: b, ts: ts, info: make([]globalInfo, len(globals))}
+	for i, g := range globals {
+		tr.info[i] = globalInfo{
 			region:   b.place[i],
 			server:   serverOf(b.place[i]),
 			elemSize: g.Elem.Size(),
-			pack:     -1,
+			pack:     b.packOf[i],
 			id:       uint64(i+1) << 44,
 		}
 		if g.Kind == ir.GMap {
-			gi.elemSize = g.Key.Size() + g.Elem.Size() + 1
+			tr.info[i].elemSize = g.Key.Size() + g.Elem.Size() + 1
 		}
-		if p, ok := b.packOf[g.Name]; ok {
-			gi.pack = p
-		}
-		tr.info[g.Name] = gi
 	}
 	tr.pkt = &globalInfo{region: isa.CTM, server: srvCTM, elemSize: 1, pack: -1, id: 0}
 	if params.EMEMCacheLines > 0 {
@@ -111,9 +106,9 @@ func newTracer(params Params, b *Built, ts *TraceSet) *tracer {
 	tr.fetched = make([]bool, len(b.packSz))
 	tr.dirty = make([]bool, len(b.packSz))
 	tr.packInfo = make([]*globalInfo, len(b.packSz))
-	for pi, members := range b.NF.Packs {
-		if len(members) > 0 {
-			tr.packInfo[pi] = tr.info[members[0]]
+	for pi, head := range b.packHead {
+		if head >= 0 {
+			tr.packInfo[pi] = &tr.info[head]
 		} else {
 			tr.packInfo[pi] = tr.pkt
 		}
@@ -166,13 +161,9 @@ func (tr *tracer) mem(g *globalInfo, addr uint64, size int, write bool) {
 // state handles an OnState access, applying the coalescing plan for packed
 // scalars: the first touch of a pack fetches the whole pack in one access;
 // later touches are register hits; dirty packs write back once at packet
-// end.
-func (tr *tracer) state(global string, write bool, addr uint64) {
-	g, ok := tr.info[global]
-	if !ok {
-		tr.err = fmt.Errorf("nicsim: access to unknown global %q", global)
-		return
-	}
+// end. It is the machine's OnState hook.
+func (tr *tracer) state(global int, write bool, addr uint64, _ int) {
+	g := &tr.info[global]
 	if g.pack >= 0 {
 		if write {
 			tr.dirty[g.pack] = true
@@ -192,12 +183,24 @@ func (tr *tracer) engine(srv uint8, lat int, ep EngineParams) {
 	tr.emit(Event{Kind: EvEngine, Server: srv, Cycles: int32(lat), Occupy: float32(ep.Issue)})
 }
 
-// api expands a framework API call into cost events. probes carries the
-// dynamic work reported by the interpreter (map slot probes, bytes hashed).
-func (tr *tracer) api(name, global string, probes int, addr uint64) {
+// apiProfiles is each framework API's library routine of the same name,
+// by code. The engine calls — checksum, CRC, LPM, hash — are costed by the
+// routine their engine setting selects instead; every other API has one,
+// which niccc's TestLibraryProfilesComplete holds for the whole catalog.
+var apiProfiles = func() (ps [len(ir.APIs)]niccc.LibProfile) {
+	for api, a := range ir.APIs {
+		ps[api] = niccc.Library[a.Name]
+	}
+	return ps
+}()
+
+// api expands a framework API call into cost events; it is the machine's
+// OnAPI hook. probes carries the dynamic work reported by the interpreter
+// (map slot probes, bytes hashed).
+func (tr *tracer) api(api ir.API, global int, probes int, addr uint64, _ int) {
 	accel := tr.b.NF.Accel
-	switch name {
-	case "pkt_csum_update":
+	switch api {
+	case ir.APIPktCsumUpdate:
 		if accel.CsumEngine {
 			p := niccc.Library["csum_hw"]
 			tr.compute(p.Cycles)
@@ -210,7 +213,7 @@ func (tr *tracer) api(name, global string, probes int, addr uint64) {
 			}
 		}
 		return
-	case "crc32_hw":
+	case ir.APICRC32HW:
 		if accel.CRCEngine {
 			p := niccc.Library["crc32_hw"]
 			tr.compute(p.Cycles)
@@ -222,7 +225,7 @@ func (tr *tracer) api(name, global string, probes int, addr uint64) {
 			}
 		}
 		return
-	case "lpm_hw":
+	case ir.APILPMHW:
 		if accel.LPMEngine {
 			p := niccc.Library["lpm_hw"]
 			tr.compute(p.Cycles)
@@ -232,28 +235,20 @@ func (tr *tracer) api(name, global string, probes int, addr uint64) {
 			tr.compute(p.Cycles)
 		}
 		return
-	case "hash32":
+	case ir.APIHash32:
 		p := niccc.Library["hash32"]
 		tr.compute(p.Cycles)
 		tr.engine(srvHash, tr.params.Hash.Latency, tr.params.Hash)
 		return
 	}
 
-	p, ok := niccc.Library[name]
-	if !ok {
-		tr.err = fmt.Errorf("nicsim: API %q has no library profile", name)
-		return
-	}
+	p := &apiProfiles[api]
 	tr.compute(p.Cycles)
 	for i := 0; i < p.PayloadReads; i++ {
 		tr.mem(tr.pkt, addr+uint64(i), 32, false)
 	}
-	if p.PerProbeBytes > 0 && global != "" {
-		g, ok := tr.info[global]
-		if !ok {
-			tr.err = fmt.Errorf("nicsim: map API on unknown global %q", global)
-			return
-		}
+	if p.PerProbeBytes > 0 && global >= 0 {
+		g := &tr.info[global]
 		for i := 0; i < probes; i++ {
 			tr.mem(g, addr+uint64(i), p.PerProbeBytes, false)
 		}
@@ -297,12 +292,8 @@ func traceInto(buf []Event, b *Built, gen traffic.Source, n int, offeredMpps flo
 				tr.compute(blk.ComputeCycles)
 			}
 		},
-		OnState: func(g string, store bool, addr uint64, _ int) {
-			tr.state(g, store, addr)
-		},
-		OnAPI: func(name, g string, probes int, addr uint64, _ int) {
-			tr.api(name, g, probes, addr)
-		},
+		OnState: tr.state,
+		OnAPI:   tr.api,
 	})
 
 	var p traffic.Packet // one for the whole trace: RunPacket takes its address
@@ -352,9 +343,6 @@ func traceInto(buf []Event, b *Built, gen traffic.Source, n int, offeredMpps flo
 func runOne(b *Built, tr *tracer, p *traffic.Packet) error {
 	if err := b.Machine.RunPacket(p); err != nil {
 		return fmt.Errorf("nicsim: %s: %w", b.NF.Name, err)
-	}
-	if tr.err != nil {
-		return tr.err
 	}
 	// Write back dirty packs and reset per-packet coalescing state.
 	for pi := range tr.fetched {

@@ -70,7 +70,7 @@ func ProfileFromModules(mods []*ir.Module) Profile {
 				case in.Op.IsStatefulMem():
 					state++
 				case in.Op == ir.OpCall:
-					if strings.HasPrefix(in.Callee, "map_") {
+					if code, ok := ir.LookupAPI(in.Callee); ok && ir.APIs[code].State == ir.GMap {
 						state++
 					} else {
 						api++

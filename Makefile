@@ -133,10 +133,14 @@ bench-check:
 # them, TestLibraryInsightsGolden holds the served quick tool's Insights for
 # the 51-job library batch to testdata/library_insights.golden, and the
 # simulator's pins hold every core sweep's results bit for bit and its event
-# heap to container/heap's tie order.
+# heap to container/heap's tie order. TestAlgoFeaturesPinned holds the
+# static half's IR-derived facts to one hash: every algorithm-ID feature and
+# label of the library and the quick training corpus, and the synthesizer
+# profile of the Table 2 elements.
 repro-check:
 	$(GO) test -run 'TestQuickSuite|TestPaperClaims' ./internal/experiments/
 	$(GO) test -run TestLibraryInsightsGolden .
+	$(GO) test -run TestAlgoFeaturesPinned ./internal/core/
 	$(GO) test -run 'TestSimulationBitsPinned|TestCoreHeapMatchesContainerHeap' ./internal/nicsim/
 
 # check is the PR gate: static gates first, then build, plain tests,

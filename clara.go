@@ -32,7 +32,6 @@ import (
 	"clara/internal/lang"
 	"clara/internal/niccc"
 	"clara/internal/nicsim"
-	"clara/internal/offload"
 	"clara/internal/server"
 	"clara/internal/traffic"
 )
@@ -109,18 +108,6 @@ type (
 	// Prediction is Clara's per-NF instruction/memory prediction (§3),
 	// as carried by Insights.Prediction.
 	Prediction = core.ModulePrediction
-	// OffloadScenario describes the flow stream offered to the online
-	// offload controller (clara -simulate).
-	OffloadScenario = offload.Scenario
-	// OffloadPolicy parameterizes a threshold policy (static, dynamic,
-	// or insight-seeded).
-	OffloadPolicy = offload.PolicyConfig
-	// OffloadCapacities are the controller's per-round NIC budgets.
-	OffloadCapacities = offload.Capacities
-	// OffloadConfig fully determines one controller simulation.
-	OffloadConfig = offload.Config
-	// OffloadTrajectory is a controller run: one record per round.
-	OffloadTrajectory = offload.Trajectory
 )
 
 // Diagnostic severities, most severe first.
@@ -289,13 +276,10 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // contract.
 func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) { return cluster.New(cfg) }
 
-// Lint runs the offloadability linter over an already-compiled module.
-func Lint(mod *Module, cfg LintConfig) []Diagnostic { return analysis.LintModule(mod, cfg) }
-
 // LintNF parses, lowers, and lints NFC source against the reference
-// hardware model's memory budgets. Unlike Lint it also reports
-// source-level constructs lowering rejects outright (recursion), and it
-// anchors state-size findings at the global declarations.
+// hardware model's memory budgets. Linting the source rather than a
+// lowered module also reports constructs lowering rejects outright
+// (recursion), and anchors state-size findings at the global declarations.
 func LintNF(name, src string) ([]Diagnostic, error) {
 	t := &Tool{Params: nicsim.DefaultParams()}
 	return analysis.LintSource(name, src, t.LintConfig())
@@ -332,22 +316,6 @@ func LibraryJobs(workloads ...Workload) ([]FleetJob, error) {
 		}
 	}
 	return jobs, nil
-}
-
-// OffloadScenarios returns the standard controller scenarios (zipf,
-// synflood, elephantmice) in CLI/benchmark order.
-func OffloadScenarios() []OffloadScenario { return offload.Scenarios() }
-
-// SimulateOffload runs the online offload controller and returns the
-// per-round trajectory; a config fully determines the result (see
-// internal/offload's determinism contract).
-func SimulateOffload(cfg OffloadConfig) (*OffloadTrajectory, error) { return offload.Simulate(cfg) }
-
-// SeedOffload derives the insight-seeded controller setup from a per-NF
-// prediction: the NIC capacities the NF leaves the controller, and the
-// policy whose initial threshold and step Clara's insight fixes.
-func SeedOffload(mp *Prediction, p Params, sc OffloadScenario) (OffloadCapacities, OffloadPolicy) {
-	return offload.SeedFromPrediction(mp, p, sc)
 }
 
 // Simulate runs a ported NF on the simulated SmartNIC and reports

@@ -97,6 +97,18 @@ func BuildCFG(f *ir.Func) *CFG {
 // Reachable reports whether block b is reachable from the entry.
 func (c *CFG) Reachable(b int) bool { return c.rpoPos[b] >= 0 }
 
+// InLoop reports whether block b belongs to a natural loop: the loop
+// blocks of the §4.1 features ("bounded-loop pointer chasing", loop
+// regions) and of the synthesizer's corpus profile.
+func (c *CFG) InLoop(b int) bool {
+	for _, l := range c.loops {
+		if l.Contains(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm
 // over the reverse postorder.
 func (c *CFG) computeDominators() {

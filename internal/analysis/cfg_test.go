@@ -219,6 +219,35 @@ void handle() {
 	}
 }
 
+// TestReachableAndLoops checks Reachable and InLoop on a hand-built graph:
+// entry -> b1 <-> b2, b3 unreachable.
+func TestReachableAndLoops(t *testing.T) {
+	b := ir.NewBuilder("f", ir.Void)
+	entry := b.Current()
+	b1 := b.NewBlock("b1")
+	b2 := b.NewBlock("b2")
+	b3 := b.NewBlock("b3")
+	b.SetBlock(entry)
+	b.Br(b1)
+	b.SetBlock(b1)
+	c := b.ICmp(ir.PredEQ, ir.ConstVal(0, ir.U32), ir.ConstVal(0, ir.U32))
+	b.CondBr(c, b2, b1)
+	b.SetBlock(b2)
+	b.Br(b1)
+	b.SetBlock(b3)
+	b.Ret(nil)
+	cfg := analysis.BuildCFG(b.F)
+	if !cfg.Reachable(0) || !cfg.Reachable(1) || !cfg.Reachable(2) || cfg.Reachable(3) {
+		t.Errorf("Reachable = %v %v %v %v", cfg.Reachable(0), cfg.Reachable(1), cfg.Reachable(2), cfg.Reachable(3))
+	}
+	if !cfg.InLoop(1) || !cfg.InLoop(2) {
+		t.Error("b1/b2 should be loop blocks")
+	}
+	if cfg.InLoop(0) || cfg.InLoop(3) {
+		t.Error("entry/b3 should not be loop blocks")
+	}
+}
+
 // buildStraight hand-builds:
 //
 //	b0: s0 <- 1; s1 <- gload; cbr (s1load < 5) b1 b2

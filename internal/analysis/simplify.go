@@ -44,11 +44,11 @@ func SimplifyModule(m *ir.Module) (*ir.Module, int) {
 // removeUnreachable drops blocks no terminator path reaches and reindexes
 // the remainder.
 func removeUnreachable(f *ir.Func) int {
-	seen := ir.Reachable(f)
+	cfg := BuildCFG(f)
 	remap := make([]int, len(f.Blocks))
 	var kept []*ir.Block
 	for i, b := range f.Blocks {
-		if !seen[i] {
+		if !cfg.Reachable(i) {
 			remap[i] = -1
 			continue
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"clara/internal/analysis"
 	"clara/internal/click"
 	"clara/internal/ir"
 	"clara/internal/lang"
@@ -63,11 +64,6 @@ func blockGrams(m *ir.Module, blocks []int) map[string]bool {
 	return out
 }
 
-// programGrams returns all grams of the handler.
-func programGrams(m *ir.Module) map[string]bool {
-	return blockGrams(m, allBlocks(m))
-}
-
 func allBlocks(m *ir.Module) []int {
 	f := m.Handler()
 	out := make([]int, len(f.Blocks))
@@ -78,18 +74,48 @@ func allBlocks(m *ir.Module) []int {
 	return out
 }
 
+// algoModule holds what algorithm identification derives from a module
+// once, for every region it featurizes: the CFG, the defining instruction
+// of each value, and the stores to each stack slot (locals are explicit
+// slot traffic in the IR, so a dependence chain flows through slot stores).
+type algoModule struct {
+	m          *ir.Module
+	cfg        *analysis.CFG
+	defs       []*ir.Instr
+	slotStores [][]*ir.Instr
+}
+
+func newAlgoModule(m *ir.Module) *algoModule {
+	f := m.Handler()
+	am := &algoModule{
+		m:          m,
+		cfg:        analysis.BuildCFG(f),
+		defs:       make([]*ir.Instr, f.NumVals),
+		slotStores: make([][]*ir.Instr, f.NSlots),
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.ID >= 0 {
+				am.defs[in.ID] = in
+			}
+			if in.Op == ir.OpLStore {
+				am.slotStores[in.Slot] = append(am.slotStores[in.Slot], in)
+			}
+		}
+	}
+	return am
+}
+
 // loopRegions decomposes the handler into candidate algorithm regions: the
 // connected loop components of the CFG, each widened by one successor ring
 // (exit tests and epilogues carry signal too). The paper's classifier
 // labels NF code blocks, not whole programs (§4.1); region granularity is
 // what lets a CRC kernel inside a large NF stand out.
-func loopRegions(m *ir.Module) [][]int {
-	f := m.Handler()
-	inLoop := ir.LoopBlocks(f)
-	seen := make([]bool, len(f.Blocks))
+func loopRegions(cfg *analysis.CFG) [][]int {
+	seen := make([]bool, len(cfg.Succs))
 	var regions [][]int
-	for start := range f.Blocks {
-		if !inLoop[start] || seen[start] {
+	for start := range cfg.Succs {
+		if !cfg.InLoop(start) || seen[start] {
 			continue
 		}
 		// Flood-fill the loop component over CFG edges restricted to loop
@@ -101,8 +127,8 @@ func loopRegions(m *ir.Module) [][]int {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for _, v := range f.Blocks[u].Succs() {
-				if inLoop[v] && !seen[v] {
+			for _, v := range cfg.Succs[u] {
+				if cfg.InLoop(v) && !seen[v] {
 					seen[v] = true
 					stack = append(stack, v)
 				}
@@ -111,8 +137,8 @@ func loopRegions(m *ir.Module) [][]int {
 		// Widen with the immediate non-loop successors.
 		ring := map[int]bool{}
 		for _, u := range comp {
-			for _, v := range f.Blocks[u].Succs() {
-				if !inLoop[v] {
+			for _, v := range cfg.Succs[u] {
+				if !cfg.InLoop(v) {
 					ring[v] = true
 				}
 			}
@@ -121,13 +147,11 @@ func loopRegions(m *ir.Module) [][]int {
 		for v := range ring {
 			comp = append(comp, v)
 		}
-		sortInts(comp)
+		sort.Ints(comp)
 		regions = append(regions, comp)
 	}
 	return regions
 }
-
-func sortInts(xs []int) { sort.Ints(xs) }
 
 // AlgoIdentifier is the trained §4.1 classifier.
 type AlgoIdentifier struct {
@@ -140,45 +164,24 @@ type AlgoIdentifier struct {
 // mined subsequences and the two per-class gram-coverage aggregates.
 const AlgoFeatureCount = 6
 
-// manualFeatures computes the hand-crafted features of §4.1 over the whole
-// handler.
-func manualFeatures(m *ir.Module) []float64 {
-	return manualFeaturesFor(m, allBlocks(m))
-}
-
-// manualFeaturesFor computes the hand-crafted features over a block subset.
-func manualFeaturesFor(m *ir.Module, blocks []int) []float64 {
-	f := m.Handler()
-	loops := ir.LoopBlocks(f)
+// manualFeaturesFor computes the hand-crafted features of §4.1 over a
+// block subset.
+func manualFeaturesFor(am *algoModule, blocks []int) []float64 {
+	f := am.m.Handler()
 	var total, bitwise, shifts, cmps float64
 	pointerChase := 0.0
 	loopState := 0.0
 
-	// Defining instruction per value, and stores per stack slot, for
-	// dependence walks: locals are explicit slot traffic in the IR, so the
-	// chain must flow through slot stores.
-	defs := make(map[int]*ir.Instr)
-	slotStores := map[int][]*ir.Instr{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.ID >= 0 {
-				defs[in.ID] = in
-			}
-			if in.Op == ir.OpLStore {
-				slotStores[in.Slot] = append(slotStores[in.Slot], in)
-			}
-		}
-	}
 	// dependsOnLoad reports whether v's def chain (bounded) reaches a
 	// stateful load — the "moving from one address to a child address"
 	// trait.
-	visitedSlots := map[int]bool{}
+	visitedSlots := make([]bool, f.NSlots)
 	var dependsOnLoad func(v ir.Value, depth int) bool
 	dependsOnLoad = func(v ir.Value, depth int) bool {
 		if depth <= 0 || v.Kind != ir.VInstr {
 			return false
 		}
-		in := defs[v.ID]
+		in := am.defs[v.ID]
 		if in == nil {
 			return false
 		}
@@ -190,7 +193,7 @@ func manualFeaturesFor(m *ir.Module, blocks []int) []float64 {
 				return false
 			}
 			visitedSlots[in.Slot] = true
-			for _, st := range slotStores[in.Slot] {
+			for _, st := range am.slotStores[in.Slot] {
 				if dependsOnLoad(st.Args[0], depth-1) {
 					return true
 				}
@@ -220,10 +223,10 @@ func manualFeaturesFor(m *ir.Module, blocks []int) []float64 {
 			case ir.OpICmp:
 				cmps++
 			}
-			if loops[bi] && in.Op.IsStatefulMem() {
+			if am.cfg.InLoop(bi) && in.Op.IsStatefulMem() {
 				loopState++
 				if in.Op == ir.OpGLoad && len(in.Args) == 1 {
-					visitedSlots = map[int]bool{}
+					clear(visitedSlots)
 					if dependsOnLoad(in.Args[0], 8) {
 						pointerChase = 1
 					}
@@ -277,7 +280,7 @@ func TrainAlgoIdentifier(corpus []synth.LabeledProgram, maxGrams int, seed int64
 		}
 		progs = append(progs, labeled{m, p.Label})
 		counts[p.Label]++
-		for g := range programGrams(m) {
+		for g := range blockGrams(m, allBlocks(m)) {
 			gs := gramFreq[g]
 			if gs == nil {
 				gs = &gramStat{gram: g}
@@ -364,8 +367,8 @@ func (id *AlgoIdentifier) svmFeatures(x []float64) []float64 {
 // featuresForBlocks builds one region's feature vector: mined subsequence
 // indicators, per-class gram-coverage aggregates (fraction of each class's
 // signature subsequences present), and the manual features.
-func (id *AlgoIdentifier) featuresForBlocks(m *ir.Module, blocks []int) []float64 {
-	grams := blockGrams(m, blocks)
+func (id *AlgoIdentifier) featuresForBlocks(am *algoModule, blocks []int) []float64 {
+	grams := blockGrams(am.m, blocks)
 	x := make([]float64, len(id.Grams)+2+AlgoFeatureCount)
 	classHits := [3]float64{}
 	classTotal := [3]float64{}
@@ -381,7 +384,7 @@ func (id *AlgoIdentifier) featuresForBlocks(m *ir.Module, blocks []int) []float6
 			x[len(id.Grams)+k] = classHits[cls] / classTotal[cls]
 		}
 	}
-	copy(x[len(id.Grams)+2:], manualFeaturesFor(m, blocks))
+	copy(x[len(id.Grams)+2:], manualFeaturesFor(am, blocks))
 	return x
 }
 
@@ -390,13 +393,17 @@ func (id *AlgoIdentifier) featuresForBlocks(m *ir.Module, blocks []int) []float6
 // large NF — exactly why the paper labels code blocks rather than whole
 // programs.
 func (id *AlgoIdentifier) Features(m *ir.Module) []float64 {
-	regions := loopRegions(m)
+	return id.features(newAlgoModule(m))
+}
+
+func (id *AlgoIdentifier) features(am *algoModule) []float64 {
+	regions := loopRegions(am.cfg)
 	if len(regions) == 0 {
-		return id.featuresForBlocks(m, allBlocks(m))
+		return id.featuresForBlocks(am, allBlocks(am.m))
 	}
-	pooled := id.featuresForBlocks(m, regions[0])
+	pooled := id.featuresForBlocks(am, regions[0])
 	for _, r := range regions[1:] {
-		x := id.featuresForBlocks(m, r)
+		x := id.featuresForBlocks(am, r)
 		for i, v := range x {
 			if v > pooled[i] {
 				pooled[i] = v
@@ -411,17 +418,11 @@ func (id *AlgoIdentifier) Features(m *ir.Module) []float64 {
 // algorithm (both are iterative), so they short-circuit to none — one of
 // the manually-engineered decision rules of §4.1.
 func (id *AlgoIdentifier) Classify(m *ir.Module) int {
-	hasLoop := false
-	for _, in := range ir.LoopBlocks(m.Handler()) {
-		if in {
-			hasLoop = true
-			break
-		}
-	}
-	if !hasLoop {
+	am := newAlgoModule(m)
+	if len(am.cfg.NaturalLoops()) == 0 {
 		return AlgoNone
 	}
-	return id.svm.PredictClass(id.svmFeatures(id.Features(m)))
+	return id.svm.PredictClass(id.svmFeatures(id.features(am)))
 }
 
 // FeatureDataset featurizes a labeled corpus (shared by the baseline

@@ -150,6 +150,32 @@ func TestAlgoIdentifierOnRealElements(t *testing.T) {
 	}
 }
 
+// TestDeadLoopIsNoKernel: a loop no path reaches never runs, so it is no
+// algorithm kernel, and Classify answers none as for a loop-free program.
+// Lowering leaves such a loop after an if/else whose arms both return.
+func TestDeadLoopIsNoKernel(t *testing.T) {
+	m, err := lang.Compile("deadloop", `
+global u32 c;
+void handle() {
+	if (pkt_ip_proto() == 6) { pkt_send(0); return; } else { pkt_drop(); return; }
+	u32 i = 0;
+	while (i < 4) { c += i; i += 1; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The SVM is never reached: an untrained identifier suffices.
+	if got := (&AlgoIdentifier{}).Classify(m); got != AlgoNone {
+		t.Errorf("dead loop classified as %s, want none", AlgoName(got))
+	}
+}
+
+// manualFeatures computes the hand-crafted features over the whole handler.
+func manualFeatures(m *ir.Module) []float64 {
+	return manualFeaturesFor(newAlgoModule(m), allBlocks(m))
+}
+
 func TestManualFeaturesPointerChase(t *testing.T) {
 	trie := click.Get("iplookup").MustModule()
 	f := manualFeatures(trie)

@@ -89,24 +89,15 @@ func BlockCorpus(mods []*ir.Module, compact bool) ([]BlockSample, error) {
 		f := m.Handler()
 		samples := make([]BlockSample, 0, len(f.Blocks))
 		for bi, b := range f.Blocks {
-			irMem, irCompute, apiInstrs := 0, 0, 0
-			for _, in := range b.Instrs {
-				if in.Op.IsStatefulMem() {
-					irMem++
-				}
-				if in.Op.IsCompute() || in.Op.IsTerminator() {
-					irCompute++
-				}
-				if in.Op == ir.OpCall {
-					if n, ok := niccc.APIInstrCount(in.Callee, niccc.AccelConfig{}); ok {
-						apiInstrs += n
-					}
-				}
+			irCompute, irMem := irCounts(b)
+			api, err := apiInstrs(b, niccc.AccelConfig{})
+			if err != nil {
+				return err
 			}
 			samples = append(samples, BlockSample{
 				Words:     ir.BlockWords(b, compact),
 				Compute:   prog.Blocks[bi].ComputeCount,
-				APIInstrs: apiInstrs,
+				APIInstrs: api,
 				Mem:       prog.Blocks[bi].MemCount,
 				IRMem:     irMem,
 				IRCompute: irCompute,
@@ -123,6 +114,39 @@ func BlockCorpus(mods []*ir.Module, compact bool) ([]BlockSample, error) {
 		out = append(out, s...)
 	}
 	return out, nil
+}
+
+// irCounts counts what a block's §3 prediction reads directly from the IR:
+// compute instructions, terminator included (the prior the residual model
+// is trained against), and stateful memory accesses (§3.2: these "have a
+// clear correspondence to the load/store instructions at the IR level").
+// Training and inference both count through here.
+func irCounts(b *ir.Block) (compute, mem int) {
+	for _, in := range b.Instrs {
+		if in.Op.IsStatefulMem() {
+			mem++
+		}
+		if in.Op.IsCompute() || in.Op.IsTerminator() {
+			compute++
+		}
+	}
+	return compute, mem
+}
+
+// apiInstrs sums the reverse-ported library instructions of a block's
+// framework API calls under accel (§3.3).
+func apiInstrs(b *ir.Block, accel niccc.AccelConfig) (int, error) {
+	total := 0
+	for _, in := range b.Instrs {
+		if in.Op == ir.OpCall {
+			n, ok := niccc.APIInstrCount(in.Callee, accel)
+			if !ok {
+				return 0, fmt.Errorf("core: API %q has no reverse port", in.Callee)
+			}
+			total += n
+		}
+	}
+	return total, nil
 }
 
 // SynthTrainingModules generates the synthesized training corpus (the data
@@ -228,20 +252,10 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 }
 
 // PredictBlock predicts one block's NIC compute-instruction count and
-// counts its stateful memory accesses directly from the IR (§3.2: memory
-// accesses "have a clear correspondence to the load/store instructions at
-// the IR level").
+// counts its stateful memory accesses directly from the IR.
 func (p *Predictor) PredictBlock(b *ir.Block) (compute float64, mem int) {
 	words := ir.BlockWords(b, p.cfg.CompactVocab)
-	irCompute := 0
-	for _, in := range b.Instrs {
-		if in.Op.IsStatefulMem() {
-			mem++
-		}
-		if in.Op.IsCompute() || in.Op.IsTerminator() {
-			irCompute++
-		}
-	}
+	irCompute, mem := irCounts(b)
 	if len(words) > 0 {
 		compute = float64(irCompute) + p.model.PredictRaw(p.Vocab.Encode(words))[0]
 		if compute < 0 {
@@ -263,14 +277,7 @@ func (p *Predictor) predictBlocksBatch(blocks []*ir.Block) (compute []float64, m
 	seqs := make([][]int, 0, len(blocks))
 	seqBlock := make([]int, 0, len(blocks))
 	for i, b := range blocks {
-		for _, in := range b.Instrs {
-			if in.Op.IsStatefulMem() {
-				mem[i]++
-			}
-			if in.Op.IsCompute() || in.Op.IsTerminator() {
-				irCompute[i]++
-			}
-		}
+		irCompute[i], mem[i] = irCounts(b)
 		if words := ir.BlockWords(b, p.cfg.CompactVocab); len(words) > 0 {
 			seqs = append(seqs, p.Vocab.Encode(words))
 			seqBlock = append(seqBlock, i)
@@ -341,15 +348,9 @@ func (p *Predictor) PredictModules(mods []*ir.Module, accel niccc.AccelConfig) (
 		out := &ModulePrediction{Name: m.Name}
 		for bi, b := range m.Handler().Blocks {
 			gi := starts[i] + bi
-			api := 0
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall {
-					n, ok := niccc.APIInstrCount(in.Callee, accel)
-					if !ok {
-						return nil, fmt.Errorf("core: API %q has no reverse port", in.Callee)
-					}
-					api += n
-				}
+			api, err := apiInstrs(b, accel)
+			if err != nil {
+				return nil, err
 			}
 			out.Blocks = append(out.Blocks, BlockPrediction{Block: bi, Compute: compute[gi], Mem: mem[gi], API: api})
 			out.TotalCompute += compute[gi]
@@ -386,13 +387,11 @@ func (p *Predictor) Evaluate(m *ir.Module) (EvalResult, error) {
 		compute, mem := computes[bi], mems[bi]
 		gt := prog.Blocks[bi].ComputeCount
 		if p.cfg.PredictAPI {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall {
-					if n, ok := niccc.APIInstrCount(in.Callee, niccc.AccelConfig{}); ok {
-						gt += n
-					}
-				}
+			api, err := apiInstrs(b, niccc.AccelConfig{})
+			if err != nil {
+				return EvalResult{}, err
 			}
+			gt += api
 		}
 		if gt == 0 && len(b.Instrs) <= 1 {
 			continue // empty join blocks carry no signal

@@ -423,17 +423,6 @@ type Func struct {
 	NSlots  int // number of local stack slots
 }
 
-// Preds computes the predecessor lists of all blocks.
-func (f *Func) Preds() [][]int {
-	preds := make([][]int, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b.Index)
-		}
-	}
-	return preds
-}
-
 // GlobalKind discriminates stateful NF data-structure kinds.
 type GlobalKind uint8
 

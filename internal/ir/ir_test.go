@@ -225,36 +225,6 @@ func TestAlignDistributions(t *testing.T) {
 	}
 }
 
-func TestReachableAndLoops(t *testing.T) {
-	// entry -> b1 <-> b2, b3 unreachable.
-	b := NewBuilder("f", Void)
-	entry := b.Current()
-	b1 := b.NewBlock("b1")
-	b2 := b.NewBlock("b2")
-	b3 := b.NewBlock("b3")
-	b.SetBlock(entry)
-	b.Br(b1)
-	b.SetBlock(b1)
-	c := b.ICmp(PredEQ, ConstVal(0, U32), ConstVal(0, U32))
-	b.CondBr(c, b2, b1)
-	b.SetBlock(b2)
-	b.Br(b1)
-	b.SetBlock(b3)
-	b.Ret(nil)
-	f := b.F
-	reach := Reachable(f)
-	if !reach[0] || !reach[1] || !reach[2] || reach[3] {
-		t.Errorf("Reachable = %v", reach)
-	}
-	loops := LoopBlocks(f)
-	if !loops[1] || !loops[2] {
-		t.Errorf("b1/b2 should be loop blocks: %v", loops)
-	}
-	if loops[0] || loops[3] {
-		t.Errorf("entry/b3 should not be loop blocks: %v", loops)
-	}
-}
-
 func TestValueKindProperty(t *testing.T) {
 	// Property: ConstVal/InstrVal round-trip their payloads.
 	f := func(c int64, id uint8) bool {
@@ -265,20 +235,5 @@ func TestValueKindProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFuncPreds(t *testing.T) {
-	m := buildSimpleModule()
-	preds := m.Func.Preds()
-	// entry (b0) -> then (b1) and exit (b2); then -> exit.
-	if len(preds[0]) != 0 {
-		t.Errorf("entry has preds %v", preds[0])
-	}
-	if len(preds[1]) != 1 || preds[1][0] != 0 {
-		t.Errorf("then preds = %v", preds[1])
-	}
-	if len(preds[2]) != 2 {
-		t.Errorf("exit preds = %v", preds[2])
 	}
 }

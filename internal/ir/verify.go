@@ -83,49 +83,3 @@ func verifyFunc(m *Module, f *Func) error {
 	}
 	return nil
 }
-
-// Reachable returns the set of block indices reachable from the entry.
-func Reachable(f *Func) []bool {
-	seen := make([]bool, len(f.Blocks))
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range f.Blocks[n].Succs() {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-// LoopBlocks returns, for each block, whether it participates in a cycle of
-// the CFG (i.e. is part of a loop). Used by feature extractors that look
-// for "bounded-loop pointer chasing" patterns (paper §4.1).
-func LoopBlocks(f *Func) []bool {
-	n := len(f.Blocks)
-	// Reachability closure via repeated DFS is fine at NF scale.
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-		stack := []int{i}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range f.Blocks[u].Succs() {
-				if !reach[i][s] {
-					reach[i][s] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-	}
-	in := make([]bool, n)
-	for i := 0; i < n; i++ {
-		in[i] = reach[i][i]
-	}
-	return in
-}

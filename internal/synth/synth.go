@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"clara/internal/analysis"
 	"clara/internal/ir"
 )
 
@@ -30,7 +31,8 @@ type Profile struct {
 	BranchPerInstr float64
 	// LoopFrac is the fraction of blocks participating in loops.
 	LoopFrac float64
-	// StatePerInstr is stateful accesses (incl. map API) per instruction.
+	// StatePerInstr is stateful accesses (incl. map and vector API calls)
+	// per instruction.
 	StatePerInstr float64
 	// APIPerInstr is packet-API calls per instruction.
 	APIPerInstr float64
@@ -56,10 +58,10 @@ func ProfileFromModules(mods []*ir.Module) Profile {
 		if f == nil {
 			continue
 		}
-		lb := ir.LoopBlocks(f)
+		cfg := analysis.BuildCFG(f)
 		for bi, b := range f.Blocks {
 			blocks++
-			if lb[bi] {
+			if cfg.InLoop(bi) {
 				loopBlocks++
 			}
 			for _, in := range b.Instrs {
@@ -70,7 +72,7 @@ func ProfileFromModules(mods []*ir.Module) Profile {
 				case in.Op.IsStatefulMem():
 					state++
 				case in.Op == ir.OpCall:
-					if code, ok := ir.LookupAPI(in.Callee); ok && ir.APIs[code].State == ir.GMap {
+					if code, ok := ir.LookupAPI(in.Callee); ok && ir.APIs[code].State != ir.GScalar {
 						state++
 					} else {
 						api++

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,30 @@ void handle() {
 	}
 	if total < 0.99 || total > 1.01 {
 		t.Errorf("op weights sum to %f", total)
+	}
+
+	// Vector calls are state accesses, as map calls are; only the packet
+	// API counts as API calls.
+	vsrc := `
+vec<u64> v[8];
+void handle() {
+	vec_push(v, u64(pkt_ip_src()));
+	if (vec_get(v, 0) == 1) {
+		pkt_drop();
+	}
+	pkt_send(0);
+}
+`
+	vmod, err := lang.Compile("v", vsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := ProfileFromModules([]*ir.Module{vmod})
+	if state := vp.StatePerInstr * vp.AvgHandlerInstrs; math.Round(state) != 2 {
+		t.Errorf("counted %v state accesses, want 2 (vec_push, vec_get)", state)
+	}
+	if api := vp.APIPerInstr * vp.AvgHandlerInstrs; math.Round(api) != 3 {
+		t.Errorf("counted %v API calls, want 3 (pkt_ip_src, pkt_drop, pkt_send)", api)
 	}
 }
 

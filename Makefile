@@ -99,9 +99,12 @@ simulate-check:
 # (TestProgramKeepsNoSource). Every API in the ir catalog must compile to
 # an op of the call class (TestEveryAPICompilesToACallOp) and lower to
 # routines the vendor library costs under every engine setting
-# (TestLibraryProfilesComplete, in niccc).
+# (TestLibraryProfilesComplete, in niccc). The interpreter compiles only
+# what ir.Verify accepts: TestVerifyRejects (in ir) holds Verify to one
+# malformed module per check the interpreter once made itself, and
+# TestNewRejectsUnlowerableModule holds New and Precompile to Verify's error.
 interp-check:
-	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestEveryAPICompilesToACallOp|TestLibraryProfilesComplete|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease|TestProgramKeepsNoSource' ./internal/interp/ ./internal/core/ ./internal/niccc/
+	$(GO) test -race -run 'TestNICSemanticsPinned|TestCompiledBackendEquivalence|TestChainFuelBoundary|TestEveryAPIRuns|TestEveryAPICompilesToACallOp|TestLibraryProfilesComplete|TestCountersReadAnytime|TestCountersMatchHooks|TestProfileLoopZeroAllocs|TestSlab|TestUseAfterRelease|TestProgramKeepsNoSource|TestVerifyRejects|TestNewRejectsUnlowerableModule' ./internal/interp/ ./internal/core/ ./internal/niccc/ ./internal/ir/
 
 # analysis-check holds analysis.Analyze — the job pipeline's one call into
 # the package — to the two passes it replaced (equal results over the
@@ -114,9 +117,14 @@ interp-check:
 # and simplified IR by hash (testdata/analysis_outputs.golden). It also
 # runs the `!=` trip-bound test and TestSubroutineFactsInline: a
 # subroutine's weight, taint and constant facts survive the frontend's
-# inlining into the module's one function.
+# inlining into the module's one function. No rule re-checks what lowering
+# guarantees: TestLoweringGuarantees holds the same modules to ir.Verify and
+# to no load reading a slot's undefined entry value, and TestLintRecursion
+# and TestLintRecursionIsCompileRefusal hold the recursion finding to
+# lang.Compile's refusal. TestLoweringLeavesNoUnreachableBlock (in lang)
+# holds lowering to blocks a path reaches.
 analysis-check:
-	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestLintNETripBound|TestSubroutineFactsInline' ./internal/analysis/
+	$(GO) test -run 'TestAnalyzeMatchesSeparatePasses|TestAnalyzeAllocations|TestOneSolvePerFunction|TestAnalyzeMetamorphic|TestSimplifyEquivalence|TestAnalysisOutputGolden|TestLintNETripBound|TestSubroutineFactsInline|TestLoweringGuarantees|TestLintRecursion|TestLoweringLeavesNoUnreachableBlock' ./internal/analysis/ ./internal/lang/
 
 # bench-check vets and tests the BENCHMARK.json harness. bench/ is a
 # nested module, invisible to ./... above, and it imports interp.Precompile

@@ -1,11 +1,13 @@
 // Package analysis is Clara's static-analysis layer over the NFC IR, whose
 // modules are one function, the packet handler: CFG construction
 // (dominators, reverse postorder, natural loops), one SSA form over the
-// handler's stack slots that every analysis solves over
-// sparsely (intervals, payload taint, the dead-store and uninit-read
-// rules), and the offloadability linter that turns those facts into
-// structured diagnostics for SmartNIC-hostile constructs (paper §3: a
-// legacy NF is analyzed statically, before porting).
+// handler's stack slots that every analysis solves over sparsely
+// (intervals, payload taint, the dead-store rule), and the offloadability
+// linter that turns those facts into structured diagnostics for
+// SmartNIC-hostile constructs (paper §3: a legacy NF is analyzed
+// statically, before porting). Every module it is given has passed
+// ir.Verify, as lang's lowering guarantees, so no pass re-checks what
+// Verify states (a call names a framework API, for one).
 //
 // Downstream consumers: core.Clara attaches lint diagnostics to every
 // Insights report, cmd/clara exposes them as a -lint mode, and

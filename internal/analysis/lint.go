@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 
 	"clara/internal/ir"
@@ -29,21 +30,15 @@ const (
 	// budget (error: does not fit the NIC at all; warning: spills past the
 	// on-chip SRAM tiers into DRAM-backed EMEM).
 	RuleStateOversize = "state-oversize"
-	// RuleRecursion: recursive calls (no stack to speak of on the NIC;
-	// Micro-C forbids recursion).
+	// RuleRecursion: a recursive call reachable from the handler (no
+	// stack to speak of on the NIC; Micro-C forbids recursion).
 	RuleRecursion = "recursion"
 	// RuleDeadStore: a computed value stored to a local that is never
 	// read — wasted cycles on a wimpy core, often a porting bug.
 	RuleDeadStore = "dead-store"
-	// RuleUninitRead: a local read that may observe its uninitialized
-	// function-entry value.
-	RuleUninitRead = "uninit-read"
 	// RuleReversePort: a stateful framework API whose host and NIC
 	// implementations diverge; the call must be reverse ported (§3.3).
 	RuleReversePort = "api-reverse-port"
-	// RuleAPIUnknown: a call to an API outside the framework registry;
-	// nothing is known about its NIC cost or semantics.
-	RuleAPIUnknown = "api-unknown"
 	// RuleConstBranch: a two-way branch whose condition is compile-time
 	// constant — the untaken side is pure instruction-store waste on the
 	// NIC, and usually a porting leftover.
@@ -72,16 +67,12 @@ var RuleDocs = []RuleDoc{
 		"NIC cores have no FPU; soft-float emulation costs ~100x. Rewrite with fixed-point integer arithmetic."},
 	{RuleStateOversize, SevError, "a stateful structure exceeding a memory-tier budget",
 		"Errors mean the structure does not fit the largest tier (EMEM) at all; warnings mean it spills past on-chip SRAM into DRAM-backed EMEM, adding latency to every access."},
-	{RuleRecursion, SevError, "recursive functions",
-		"NIC cores have no call stack; Micro-C forbids recursion. Detected on the AST before lowering (the frontend refuses to inline cycles)."},
+	{RuleRecursion, SevError, "a recursive function the handler calls",
+		"NIC cores have no call stack; Micro-C forbids recursion. The frontend inlines every function the handler calls and refuses a call that re-enters one; the finding is that refusal, placed at the re-entered function's declaration. A recursive function the handler never calls is never lowered and draws no finding."},
 	{RuleDeadStore, SevWarning, "a computed value stored to a local that is never read",
 		"Wasted cycles on a wimpy core, often a porting bug. Constant stores are exempt (declaration defaults cost nothing after register allocation)."},
-	{RuleUninitRead, SevWarning, "a local read that may observe its uninitialized entry value",
-		"The slot's undefined entry value reaches the load through the slot SSA: on some path it is read before any store. Frontend-lowered code zero-initializes declarations, so this fires on hand-built IR."},
 	{RuleReversePort, SevInfo, "a stateful framework API with divergent host/NIC implementations",
 		"The call must be reverse ported (paper §3.3): the NIC side has fixed capacity and no growth, unlike the host's elastic structures."},
-	{RuleAPIUnknown, SevWarning, "a call to an API outside the framework registry",
-		"Nothing is known about the callee's NIC cost or semantics; the predictor cannot price it and the linter cannot check it."},
 	{RuleConstBranch, SevWarning, "a two-way branch whose condition is compile-time constant",
 		"The interval analysis decides the condition: exactly one side of the branch is feasible. The untaken side is dead weight in the NIC instruction store; SimplifyModule straightens such branches."},
 	{RuleDeadCode, SevWarning, "a block no feasible path executes",
@@ -146,24 +137,25 @@ func lint(fx *Facts, cfg Config, gpos map[string]ir.Pos) []Diagnostic {
 	ds = append(ds, lintConstFacts(m, f, ri)...)
 	ds = append(ds, lintCalls(m, f, c)...)
 	ds = append(ds, lintDeadStores(m, f, ri.ssa)...)
-	ds = append(ds, lintUninitReads(m, f, ri.ssa)...)
 	return NormalizeDiagnostics(ds)
 }
 
-// LintSource parses, checks, lowers, and lints NFC source. Findings that
-// lowering cannot represent (recursion is rejected before IR exists) are
-// detected on the AST. Parse/compile failures are returned as an error,
-// not diagnostics: a broken element is not an offloading insight.
+// LintSource parses, checks, lowers, and lints NFC source. Recursion, which
+// lowering refuses, is the one finding made without IR: the refusal becomes
+// the recursion diagnostic. Other parse/compile failures are returned as an
+// error, not diagnostics: a broken element is not an offloading insight.
 func LintSource(name, src string, cfg Config) ([]Diagnostic, error) {
 	file, err := lang.Parse(name, src)
 	if err != nil {
 		return nil, err
 	}
-	if ds := lintRecursion(file); len(ds) > 0 {
-		SortDiagnostics(ds)
-		return ds, nil
-	}
 	m, err := lang.Lower(file)
+	if rec := (*lang.RecursionError)(nil); errors.As(err, &rec) {
+		fn := rec.Func
+		return []Diagnostic{finding(RuleRecursion, file.Name, fn.Name, ir.Pos{Line: fn.Line, Col: fn.Col},
+			fmt.Sprintf("function %q is recursive", fn.Name),
+			"convert to an iterative form with a bounded loop; NIC cores have no call stack for recursion")}, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -172,125 +164,6 @@ func LintSource(name, src string, cfg Config) ([]Diagnostic, error) {
 		gpos[g.Name] = ir.Pos{Line: g.Line, Col: g.Col}
 	}
 	return lint(NewFacts(m), cfg, gpos), nil
-}
-
-// lintRecursion detects call-graph cycles on the AST (lowering refuses to
-// inline them, so they never reach the IR).
-func lintRecursion(file *lang.File) []Diagnostic {
-	decls := map[string]*lang.FuncDecl{}
-	for _, f := range file.Funcs {
-		decls[f.Name] = f
-	}
-	calls := map[string][]string{}
-	for _, f := range file.Funcs {
-		seen := map[string]bool{}
-		collectCalls(f.Body, func(name string) {
-			if _, ok := decls[name]; ok && !seen[name] {
-				seen[name] = true
-				calls[f.Name] = append(calls[f.Name], name)
-			}
-		})
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var ds []Diagnostic
-	var visit func(name string)
-	visit = func(name string) {
-		color[name] = gray
-		for _, callee := range calls[name] {
-			switch color[callee] {
-			case white:
-				visit(callee)
-			case gray: // back edge: cycle through callee
-				d := decls[callee]
-				ds = append(ds, finding(RuleRecursion, file.Name, callee, ir.Pos{Line: d.Line, Col: d.Col},
-					fmt.Sprintf("function %q is recursive", callee),
-					"convert to an iterative form with a bounded loop; NIC cores have no call stack for recursion"))
-			}
-		}
-		color[name] = black
-	}
-	for _, f := range file.Funcs {
-		if color[f.Name] == white {
-			visit(f.Name)
-		}
-	}
-	return ds
-}
-
-// collectCalls walks a statement tree invoking fn for every call target.
-func collectCalls(s lang.Stmt, fn func(string)) {
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.CallExpr:
-			fn(e.Name)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.IndexExpr:
-			walkExpr(e.Index)
-		case *lang.CastExpr:
-			walkExpr(e.X)
-		case *lang.UnaryExpr:
-			walkExpr(e.X)
-		case *lang.BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		}
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch s := s.(type) {
-		case *lang.BlockStmt:
-			if s == nil {
-				return
-			}
-			for _, st := range s.List {
-				walk(st)
-			}
-		case *lang.VarDecl:
-			if s.Init != nil {
-				walkExpr(s.Init)
-			}
-		case *lang.AssignStmt:
-			if s.Target.Index != nil {
-				walkExpr(s.Target.Index)
-			}
-			walkExpr(s.Value)
-		case *lang.IfStmt:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *lang.WhileStmt:
-			walkExpr(s.Cond)
-			walk(s.Body)
-		case *lang.ForStmt:
-			if s.Init != nil {
-				walk(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond)
-			}
-			if s.Post != nil {
-				walk(s.Post)
-			}
-			walk(s.Body)
-		case *lang.ReturnStmt:
-			if s.Value != nil {
-				walkExpr(s.Value)
-			}
-		case *lang.ExprStmt:
-			walkExpr(s.X)
-		}
-	}
-	walk(s)
 }
 
 // finding builds a diagnostic of rule at pos with the rule's catalog
@@ -426,8 +299,8 @@ func lintLoops(m *ir.Module, f *ir.Func, c *CFG, ri *RangeInfo, ti *TaintInfo) [
 	return ds
 }
 
-// lintCalls applies the API rules: float emulation, unknown APIs, and
-// reverse-porting notes for stateful framework calls (one per callee, at
+// lintCalls applies the API rules: float emulation and reverse-porting
+// notes for stateful framework calls (one per callee, at
 // its first call in source order).
 func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 	var ds []Diagnostic
@@ -440,12 +313,8 @@ func lintCalls(m *ir.Module, f *ir.Func, c *CFG) []Diagnostic {
 			if in.Op != ir.OpCall {
 				continue
 			}
-			api, known := ir.LookupAPI(in.Callee)
+			api, _ := ir.LookupAPI(in.Callee)
 			switch {
-			case !known:
-				ds = append(ds, finding(RuleAPIUnknown, m.Name, f.Name, in.Pos,
-					fmt.Sprintf("call to %q, which is not a known framework API; its NIC cost and semantics are unknown", in.Callee),
-					"port the callee explicitly or replace it with a framework API"))
 			case ir.APIs[api].Float:
 				ds = append(ds, finding(RuleFloatOp, m.Name, f.Name, in.Pos,
 					fmt.Sprintf("%q computes in floating point on the host; NIC cores have no FPU and fall back to soft-float emulation", in.Callee),
@@ -478,27 +347,6 @@ func lintDeadStores(m *ir.Module, f *ir.Func, s *SSA) []Diagnostic {
 			ds = append(ds, finding(RuleDeadStore, m.Name, f.Name, in.Pos,
 				fmt.Sprintf("computed value stored to local slot %d is never read", in.Slot),
 				"delete the assignment, or use the value; wimpy NIC cores cannot spare the cycles"))
-		}
-	}
-	return ds
-}
-
-// lintUninitReads flags loads the entry's undefined value may reach
-// (possible only in hand-built IR; lowering zero-initializes every
-// declaration).
-func lintUninitReads(m *ir.Module, f *ir.Func, s *SSA) []Diagnostic {
-	undef := s.undefVersions()
-	var ds []Diagnostic
-	reported := map[int]bool{} // one report per slot keeps the noise down
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpLLoad || reported[in.Slot] || s.loadVer[in.ID] < 0 || !undef[s.loadVer[in.ID]] {
-				continue
-			}
-			reported[in.Slot] = true
-			ds = append(ds, finding(RuleUninitRead, m.Name, f.Name, in.Pos,
-				fmt.Sprintf("local slot %d may be read before it is written", in.Slot),
-				"initialize the variable on every path before this read"))
 		}
 	}
 	return ds

@@ -11,7 +11,6 @@ import (
 
 	"clara/internal/analysis"
 	"clara/internal/click"
-	"clara/internal/ir"
 	"clara/internal/lang"
 )
 
@@ -243,37 +242,6 @@ void handle() {
 		if d.Rule == analysis.RuleDeadStore {
 			t.Errorf("constant initializer flagged as dead store: %v", d)
 		}
-	}
-}
-
-// TestLintUninitRead: possible in hand-built IR only; the frontend
-// zero-initializes every declaration.
-func TestLintUninitRead(t *testing.T) {
-	b := ir.NewBuilder("handle", ir.U32)
-	s0 := b.NewSlot()
-	entry := b.Current()
-	cond := b.ICmp(ir.PredULT, b.Call("pkt_ip_ttl", "", ir.U8), ir.ConstVal(5, ir.U8))
-	then := b.NewBlock("then")
-	exit := b.NewBlock("exit")
-	b.SetBlock(entry)
-	b.CondBr(cond, then, exit)
-	b.SetBlock(then)
-	b.LStore(s0, ir.ConstVal(7, ir.U32))
-	b.Br(exit)
-	b.SetBlock(exit)
-	r := b.LLoad(s0, ir.U32)
-	b.Ret(&r)
-
-	m := &ir.Module{Name: "handbuilt", Func: b.F}
-	ds := analysis.LintModule(m, analysis.DefaultConfig())
-	found := false
-	for _, d := range ds {
-		if d.Rule == analysis.RuleUninitRead {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("uninitialized read not reported: %v", ds)
 	}
 }
 

@@ -9,8 +9,8 @@ import "clara/internal/ir"
 // a two-way branch refines on one of its edges (e-SSA, as in ABCD) and the
 // undefined value a slot holds at function entry is a version of its slot,
 // and each LLoad reads exactly one version. Intervals (range.go), taint
-// (taint.go) and the dead-store and uninit-read rules (lint.go) propagate
-// over its def-use edges; ir.Module is untouched.
+// (taint.go) and the dead-store rule (lint.go) propagate over its def-use
+// edges; ir.Module is untouched.
 
 // verKind discriminates slot versions.
 type verKind uint8
@@ -467,7 +467,9 @@ func (w *worklist) run(visit func(b int)) {
 }
 
 // liveVersions marks the versions an LLoad reads, directly or through phis
-// and σ-copies: a store whose version is unmarked is never read.
+// and σ-copies: a store whose version is unmarked is never read. It sweeps
+// the phi and σ operand edges, marking an operand whose user is marked,
+// until no mark moves.
 func (s *SSA) liveVersions() []bool {
 	live := make([]bool, len(s.vers))
 	for _, v := range s.loadVer {
@@ -475,35 +477,15 @@ func (s *SSA) liveVersions() []bool {
 			live[v] = true
 		}
 	}
-	return s.spread(live, false)
-}
-
-// undefVersions marks the versions a slot's undefined entry value reaches
-// through phis and σ-copies.
-func (s *SSA) undefVersions() []bool {
-	undef := make([]bool, len(s.vers))
-	for v := range s.c.F.NSlots {
-		undef[v] = true
-	}
-	return s.spread(undef, true)
-}
-
-// spread sweeps the phi and σ operand edges o → v until no mark moves:
-// forward it marks v when o is marked, backward o when v is.
-func (s *SSA) spread(mark []bool, forward bool) []bool {
 	for moved := true; moved; {
 		moved = false
 		for v, ver := range s.vers {
 			for _, o := range ver.ops {
-				from, to := int(o), v
-				if !forward {
-					from, to = to, from
-				}
-				if mark[from] && !mark[to] {
-					mark[to], moved = true, true
+				if live[v] && !live[o] {
+					live[o], moved = true, true
 				}
 			}
 		}
 	}
-	return mark
+	return live
 }

@@ -42,12 +42,9 @@ func (t Taint) Has(q Taint) bool { return t&q == q }
 
 // intrinsicTaint returns the base taint of a framework API call's result
 // (before joining argument taints) and the source name to report, or 0
-// for pure computations over their arguments and for unknown callees.
+// for pure computations over their arguments.
 func intrinsicTaint(callee string) (Taint, string) {
-	api, ok := ir.LookupAPI(callee)
-	if !ok {
-		return 0, ""
-	}
+	api, _ := ir.LookupAPI(callee)
 	switch a := &ir.APIs[api]; {
 	case api == ir.APIPktPayload || api == ir.APIPktPayloadLen:
 		// The framework APIs that read packet payload bytes.
@@ -243,7 +240,7 @@ func (ti *TaintInfo) solve() bool {
 			case ir.OpGStore:
 				store(in.Global, ti.operand(in.Args[0]))
 			case ir.OpCall:
-				if api, ok := stateAPIOf(in); ok && api.val >= 0 && api.val < len(in.Args) {
+				if api, ok := stateAPIOf(in); ok && api.val >= 0 {
 					// Stateful writes: the stored value taints the structure.
 					store(in.Global, ti.operand(in.Args[api.val]))
 				}
@@ -276,12 +273,9 @@ var stateAPIs = map[ir.API]stateAPI{
 }
 
 // stateAPIOf returns the arguments of call in, if it is a stateful API
-// call naming a global.
+// call.
 func stateAPIOf(in *ir.Instr) (stateAPI, bool) {
-	code, ok := ir.LookupAPI(in.Callee)
-	if !ok || in.Global == "" {
-		return stateAPI{}, false
-	}
+	code, _ := ir.LookupAPI(in.Callee)
 	api, ok := stateAPIs[code]
 	return api, ok
 }
@@ -334,7 +328,7 @@ func (ti *TaintInfo) record() {
 				ti.access(in.Global, in.Op == ir.OpGStore, key)
 			case ir.OpCall:
 				api, ok := stateAPIOf(in)
-				if !ok || api.key >= len(in.Args) {
+				if !ok {
 					break
 				}
 				key := taintVal{}

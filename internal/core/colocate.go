@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 
-	"clara/internal/lang"
 	"clara/internal/ml"
 	"clara/internal/nicsim"
 	"clara/internal/synth"
@@ -195,7 +194,7 @@ func TrainColocator(cfg ColocConfig, pred *Predictor, obj RankObjective) (*Coloc
 			Profile:   synth.UniformProfile(),
 			Seed:      cfg.Seed + 1700 + int64(i)*17,
 			StateBias: 0.25 + 4*float64(i%6)/5,
-		}, lang.Compile)
+		})
 		if err != nil {
 			return nil, err
 		}

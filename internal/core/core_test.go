@@ -171,6 +171,33 @@ void handle() {
 	}
 }
 
+// TestUnreachableCodeIsNotPriced: the code after an if/else whose arms both
+// return is never lowered, so the predictor prices only blocks a packet can
+// reach, and the handler predicts exactly as it does without that code.
+func TestUnreachableCodeIsNotPriced(t *testing.T) {
+	pred := getPredictor(t)
+	const head = `
+global u32 hits;
+void handle() {
+	if (pkt_ip_proto() == 6) { pkt_send(0); return; } else { pkt_drop(); return; }
+`
+	var ps [2]*ModulePrediction
+	for i, src := range [2]string{head + "\tu32 i = 0;\n\twhile (i < 4) { hits += 1; i += 1; }\n}\n", head + "}\n"} {
+		m, err := lang.Compile("deadtail", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps[i], err = pred.PredictModule(m, niccc.AccelConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, live := ps[0], ps[1]
+	if len(dead.Blocks) != 3 || dead.TotalCompute != live.TotalCompute || dead.TotalMem != 0 || dead.TotalAPI != live.TotalAPI {
+		t.Errorf("with dead tail: %d blocks, compute %v, mem %d, api %d; want 3 blocks and the live handler's compute %v, mem 0, api %d",
+			len(dead.Blocks), dead.TotalCompute, dead.TotalMem, dead.TotalAPI, live.TotalCompute, live.TotalAPI)
+	}
+}
+
 // manualFeatures computes the hand-crafted features over the whole handler.
 func manualFeatures(m *ir.Module) []float64 {
 	return manualFeaturesFor(newAlgoModule(m), allBlocks(m))

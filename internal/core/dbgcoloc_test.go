@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"clara/internal/lang"
 	"clara/internal/nicsim"
 	"clara/internal/synth"
 	"clara/internal/traffic"
@@ -56,7 +55,7 @@ func TestDebugColoc(t *testing.T) {
 			Profile:   synth.UniformProfile(),
 			Seed:      42 + 99000 + int64(i)*23,
 			StateBias: 0.3 + 3.5*float64(i%5)/4,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"clara/internal/ir"
-	"clara/internal/lang"
 	"clara/internal/ml"
 	"clara/internal/niccc"
 	"clara/internal/par"
@@ -156,7 +155,7 @@ func apiInstrs(b *ir.Block, accel niccc.AccelConfig) (int, error) {
 func SynthTrainingModules(n int, prof synth.Profile, seed int64) ([]*ir.Module, error) {
 	mods := make([]*ir.Module, n)
 	err := par.ForErr(context.Background(), n, func(i int) error {
-		m, _, err := synth.GenerateModule(synth.Config{Profile: prof, Seed: seed + int64(i)}, lang.Compile)
+		m, _, err := synth.GenerateModule(synth.Config{Profile: prof, Seed: seed + int64(i)})
 		if err != nil {
 			return err
 		}
@@ -202,7 +201,7 @@ func TrainPredictorContext(ctx context.Context, cfg PredictorConfig, corpusProfi
 	if probe < 10 {
 		probe = 10
 	}
-	guide, err := synth.Calibrate(corpusProfile, probe, cfg.Seed+9999, lang.Compile)
+	guide, err := synth.Calibrate(corpusProfile, probe, cfg.Seed+9999)
 	if err != nil {
 		return nil, err
 	}

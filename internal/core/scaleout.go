@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"clara/internal/ir"
-	"clara/internal/lang"
 	"clara/internal/ml"
 	"clara/internal/niccc"
 	"clara/internal/nicsim"
@@ -163,7 +162,7 @@ func kneePrograms(ctx context.Context, cfg ScaleoutConfig) ([]*ir.Module, error)
 			StateBias:   0.25 + 4*float64(i%5)/4,
 			ComputeBias: 0.5 + 2*float64(i%3)/2,
 		}
-		mod, _, err := synth.GenerateModule(bias, lang.Compile)
+		mod, _, err := synth.GenerateModule(bias)
 		mods[i] = mod
 		return err
 	})

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"clara/internal/core"
-	"clara/internal/lang"
 	"clara/internal/nicsim"
 	"clara/internal/synth"
 	"clara/internal/traffic"
@@ -51,7 +50,7 @@ func Figure14a(ctx *Context) (*Table, error) {
 			Profile:   synth.UniformProfile(),
 			Seed:      ctx.Cfg.Seed + 99000 + int64(i)*23,
 			StateBias: 0.3 + 3.5*float64(i%5)/4,
-		}, lang.Compile)
+		})
 		if err != nil {
 			return nil, err
 		}

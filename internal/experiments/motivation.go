@@ -8,7 +8,6 @@ import (
 	"clara/internal/click"
 	"clara/internal/ir"
 	"clara/internal/isa"
-	"clara/internal/lang"
 	"clara/internal/nicsim"
 	"clara/internal/stats"
 	"clara/internal/synth"
@@ -118,14 +117,14 @@ func Table1(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := synth.Calibrate(synth.ProfileFromModules(mods), ctx.scale.synthProbe, ctx.Cfg.Seed+7777, lang.Compile)
+	prof, err := synth.Calibrate(synth.ProfileFromModules(mods), ctx.scale.synthProbe, ctx.Cfg.Seed+7777)
 	if err != nil {
 		return nil, err
 	}
 	gen := func(p synth.Profile, seedOff int64) ([]*ir.Module, error) {
 		var out []*ir.Module
 		for i := 0; i < ctx.scale.synthPrograms; i++ {
-			m, _, err := synth.GenerateModule(synth.Config{Profile: p, Seed: ctx.Cfg.Seed + seedOff + int64(i)}, lang.Compile)
+			m, _, err := synth.GenerateModule(synth.Config{Profile: p, Seed: ctx.Cfg.Seed + seedOff + int64(i)})
 			if err != nil {
 				return nil, err
 			}

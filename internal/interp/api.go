@@ -81,8 +81,8 @@ func pktSet(p *traffic.Packet, api int32, v uint64) {
 }
 
 // call executes a framework API call instruction. It cannot fail:
-// compileInstr rejects unknown APIs and checkInstr map/vec calls on the
-// wrong kind of global, so the panic below marks a broken invariant.
+// ir.Verify rejects unknown APIs and map/vec calls on the wrong kind of
+// global, so the panic below marks a broken invariant.
 //
 // The packet APIs and hash32 never get here: apiOps gives them ops of
 // their own (xPktGet, xPktSet, xCallPayload, xCallSetPayload, xCallHash32).
@@ -199,7 +199,7 @@ func (m *Machine) lpmLookup(addr uint32) uint32 {
 
 // mapOp executes a stateful map API call on the NIC library's fixed
 // buckets (§3.3): a full bucket drops the insert and a remove tombstones
-// its slot. checkInstr has held the call to a map global.
+// its slot. ir.Verify has held the call to a map global.
 func (m *Machine) mapOp(in *cInstr, block int) {
 	nm := m.gl[in.gidx].nmap
 	if in.api == ir.APIMapSize {
@@ -290,7 +290,7 @@ func (nm *nicMapState) insert(key, val uint64) int {
 // vecOp executes a vector API call on the NIC library's fixed-capacity
 // vector (§3.3): a push takes the first free or tombstoned slot, probing
 // from the front, and a delete tombstones one slot where a Click Vector
-// would shift its tail. checkInstr has held the call to a vector global.
+// would shift its tail. ir.Verify has held the call to a vector global.
 func (m *Machine) vecOp(in *cInstr, block int) {
 	v := m.gl[in.gidx].vec
 	// vec_get, vec_set and vec_delete touch one slot: the one at their index.

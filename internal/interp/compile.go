@@ -1,12 +1,5 @@
 package interp
 
-import (
-	"errors"
-	"fmt"
-
-	"clara/internal/ir"
-)
-
 // This file lowers a compiled program (the flat cInstr form the reference
 // loop walks) into the step engine's form: superblocks — chains of blocks
 // joined by unconditional branches — each one []vstep closed by the last
@@ -36,52 +29,11 @@ import (
 // reference loop runs, so probe counts, counters and map/vector semantics
 // exist once.
 //
-// checkInstr (run when the module is compiled, so New and Precompile
-// report it) rejects whatever the engine would otherwise have to handle
-// dynamically: blocks without a proper final terminator, branch targets
-// outside the function, map/vec APIs aimed at the wrong global kind, and
-// zero-length modulo arrays. With compileInstr rejecting unknown APIs and
-// APIs without an op, no instruction can fail at run time; only fuel can
-// run out.
-
-// checkInstr validates one instruction of mod's program p; last reports
-// whether it is its block's final one. Errors read on from "block N ...".
-func checkInstr(p *program, mod *ir.Module, in *cInstr, last bool) error {
-	if isTerm(in.op) != last {
-		if last {
-			return errors.New("does not end in a terminator")
-		}
-		return errors.New("has a terminator before its last instruction")
-	}
-	nb := int32(len(p.blocks))
-	switch in.op {
-	case xBr:
-		if in.t < 0 || in.t >= nb {
-			return fmt.Errorf("branches to missing block %d", in.t)
-		}
-	case xCondBr, xCmpBr:
-		if in.t < 0 || in.t >= nb || in.f < 0 || in.f >= nb {
-			return fmt.Errorf("branches to missing block %d or %d", in.t, in.f)
-		}
-	case xGLoadA, xGStoreA:
-		if p.glen[in.gidx] <= 0 {
-			return fmt.Errorf("indexes zero-length array %q", mod.Globals[in.gidx].Name)
-		}
-	case xCall:
-		if want := ir.APIs[in.api].State; want != ir.GScalar && (in.gidx < 0 || mod.Globals[in.gidx].Kind != want) {
-			name := ""
-			if in.gidx >= 0 {
-				name = mod.Globals[in.gidx].Name
-			}
-			return fmt.Errorf("calls %s on %q, which is not a %s", ir.APIs[in.api].Name, name, want)
-		}
-	}
-	return nil
-}
-
-func isTerm(op xop) bool {
-	return op == xBr || op == xCondBr || op == xRet || op == xCmpBr
-}
+// compileModule runs ir.Verify first, so every block ends in exactly one
+// terminator, branch targets lie inside the function, map/vec APIs name a
+// global of their kind and arrays have a positive length: compiling and
+// lowering a verified module cannot fail, and no instruction can fail at
+// run time; only fuel can run out.
 
 // lowering returns the program's step-engine form, building it on first
 // use; every machine for the module shares it.

@@ -66,7 +66,7 @@ void handle() { seen += %d; pkt_send(0); }
 	}
 }
 
-// TestConcurrentNewSharesCompileError: a module checkInstr rejects is
+// TestConcurrentNewSharesCompileError: a module ir.Verify rejects is
 // compiled once too; all 8 racing callers, and a later one, get the same
 // error, because the failure is kept as a property of the content.
 func TestConcurrentNewSharesCompileError(t *testing.T) {
@@ -84,7 +84,7 @@ func TestConcurrentNewSharesCompileError(t *testing.T) {
 	if got := Compiles() - before; got != 1 {
 		t.Errorf("compileModule ran %d times for 9 New calls on a rejected module, want 1", got)
 	}
-	want := "module " + name + ": block 0 has a terminator before its last instruction"
+	want := "interp: " + name + ": func handle: b0: terminator ret not last"
 	for i, err := range append(errs, late) {
 		if err == nil || !strings.Contains(err.Error(), want) || err.Error() != errs[0].Error() {
 			t.Errorf("New %d: error = %v, want the racers' shared %q", i, err, want)

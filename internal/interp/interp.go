@@ -140,15 +140,12 @@ const (
 	xPktGet         // a header getter: reads one packet field
 	xPktSet         // a header setter or a disposition: writes the packet
 	// xCall through xPktSet are the call class: the ops a framework API
-	// call compiles to (isCallOp).
+	// call compiles to.
 	xBr
 	xCondBr
 	xRet
 	xCmpBr // fused ICmp+CondBr
 )
-
-// isCallOp reports whether op is of the call class.
-func isCallOp(op xop) bool { return op >= xCall && op <= xPktSet }
 
 // apiOps is the op a call to each framework API compiles to. The packet
 // APIs and the hash mix touch no global, so the counters never see them
@@ -158,7 +155,7 @@ func isCallOp(op xop) bool { return op >= xCall && op <= xPktSet }
 // xCallSetPayload, xCallHash32); every other packet API reads one field
 // (xPktGet, via pktGet) or writes the packet (xPktSet, via pktSet). The
 // rest are xCall, which hands the call to Machine.call. An API left out
-// would read as xAdd; compileInstr refuses it.
+// would read as xAdd; TestEveryAPICompilesToACallOp fails on it.
 var apiOps = [len(ir.APIs)]xop{
 	// Header getters.
 	ir.APIPktLen: xPktGet, ir.APIPktEthType: xPktGet, ir.APIPktIPProto: xPktGet, ir.APIPktIPSrc: xPktGet,
@@ -284,10 +281,10 @@ type compiler struct {
 }
 
 func compileModule(mod *ir.Module) (*program, error) {
-	f := mod.Handler()
-	if f == nil {
-		return nil, fmt.Errorf("interp: module %s has no handler", mod.Name)
+	if err := ir.Verify(mod); err != nil {
+		return nil, fmt.Errorf("interp: %s: %w", mod.Name, err)
 	}
+	f := mod.Func
 	c := &compiler{
 		p: &program{
 			nvals:  f.NumVals,
@@ -308,10 +305,7 @@ func compileModule(mod *ir.Module) (*program, error) {
 		cb.size = len(b.Instrs)
 		for k := 0; k < len(b.Instrs); k++ {
 			in := b.Instrs[k]
-			ci, err := c.compileInstr(in)
-			if err != nil {
-				return nil, fmt.Errorf("interp: %s: %w", mod.Name, err)
-			}
+			ci := c.compileInstr(in)
 			// Fuse an ICmp directly consumed by the following CondBr into
 			// one compare-branch. The fused instruction still stores the
 			// comparison result, so any other use of the ICmp id (and any
@@ -319,25 +313,13 @@ func compileModule(mod *ir.Module) (*program, error) {
 			// dispatch count shrinks — cb.size keeps the cost model intact.
 			if in.Op == ir.OpICmp && k+1 < len(b.Instrs) {
 				nx := b.Instrs[k+1]
-				if nx.Op == ir.OpCondBr && len(nx.Args) == 1 &&
-					nx.Args[0].Kind == ir.VInstr && nx.Args[0].ID == in.ID {
+				if nx.Op == ir.OpCondBr && nx.Args[0].Kind == ir.VInstr && nx.Args[0].ID == in.ID {
 					ci.op = xCmpBr
 					ci.t, ci.f = int32(nx.True), int32(nx.False)
 					k++
 				}
 			}
 			cb.instrs = append(cb.instrs, ci)
-		}
-	}
-	for bi := range c.p.blocks {
-		instrs := c.p.blocks[bi].instrs
-		if len(instrs) == 0 {
-			return nil, fmt.Errorf("interp: module %s: block %d is empty", mod.Name, bi)
-		}
-		for i := range instrs {
-			if err := checkInstr(c.p, mod, &instrs[i], i == len(instrs)-1); err != nil {
-				return nil, fmt.Errorf("interp: module %s: block %d %w", mod.Name, bi, err)
-			}
 		}
 	}
 	return c.p, nil
@@ -662,153 +644,74 @@ func maskOf(ty ir.Type) uint64 {
 // compileArg resolves an operand to a value-array index: instruction
 // results keep their IR id; constants are interned into the pool, whose
 // entries live at indices >= nvals.
-func (c *compiler) compileArg(v ir.Value) (int32, error) {
-	switch v.Kind {
-	case ir.VConst:
-		cv := uint64(v.Const) & maskOf(v.Ty)
-		if idx, ok := c.pool[cv]; ok {
-			return idx, nil
-		}
-		idx := int32(c.p.nvals + len(c.p.pool))
-		c.p.pool = append(c.p.pool, cv)
-		c.pool[cv] = idx
-		return idx, nil
-	case ir.VInstr:
-		if v.ID < 0 || v.ID >= c.p.nvals {
-			return 0, fmt.Errorf("operand %%%d out of range (%d values)", v.ID, c.p.nvals)
-		}
-		return int32(v.ID), nil
-	default:
-		return 0, fmt.Errorf("unsupported operand kind %d (params must be inlined)", v.Kind)
+func (c *compiler) compileArg(v ir.Value) int32 {
+	if v.Kind == ir.VInstr {
+		return int32(v.ID)
 	}
+	cv := uint64(v.Const) & maskOf(v.Ty)
+	if idx, ok := c.pool[cv]; ok {
+		return idx
+	}
+	idx := int32(c.p.nvals + len(c.p.pool))
+	c.p.pool = append(c.p.pool, cv)
+	c.pool[cv] = idx
+	return idx
 }
 
-// xopOf maps an IR opcode to its internal dispatch code. Global accesses
-// are specialized by the accessed global's kind at compile time.
-func (c *compiler) xopOf(in *ir.Instr) (xop, error) {
-	switch in.Op {
-	case ir.OpAdd:
-		return xAdd, nil
-	case ir.OpSub:
-		return xSub, nil
-	case ir.OpMul:
-		return xMul, nil
-	case ir.OpUDiv:
-		return xUDiv, nil
-	case ir.OpURem:
-		return xURem, nil
-	case ir.OpAnd:
-		return xAnd, nil
-	case ir.OpOr:
-		return xOr, nil
-	case ir.OpXor:
-		return xXor, nil
-	case ir.OpShl:
-		return xShl, nil
-	case ir.OpLShr:
-		return xLShr, nil
-	case ir.OpNot:
-		return xNot, nil
-	case ir.OpZExt, ir.OpTrunc:
-		return xMask, nil
-	case ir.OpICmp:
-		return xICmp, nil
-	case ir.OpLLoad:
-		return xLLoad, nil
-	case ir.OpLStore:
-		return xLStore, nil
-	case ir.OpGLoad, ir.OpGStore:
-		gi, ok := c.p.gidx[in.Global]
-		if !ok {
-			return 0, fmt.Errorf("unknown global %q", in.Global)
+// xops maps an IR opcode to its dispatch code; compileInstr specializes
+// global accesses by the global's kind and calls by their API.
+var xops = [...]xop{
+	ir.OpAdd: xAdd, ir.OpSub: xSub, ir.OpMul: xMul, ir.OpUDiv: xUDiv, ir.OpURem: xURem,
+	ir.OpAnd: xAnd, ir.OpOr: xOr, ir.OpXor: xXor, ir.OpShl: xShl, ir.OpLShr: xLShr,
+	ir.OpNot: xNot, ir.OpZExt: xMask, ir.OpTrunc: xMask, ir.OpICmp: xICmp,
+	ir.OpLLoad: xLLoad, ir.OpLStore: xLStore,
+	ir.OpBr: xBr, ir.OpCondBr: xCondBr, ir.OpRet: xRet,
+}
+
+// compileInstr compiles one instruction of a verified module.
+func (c *compiler) compileInstr(in *ir.Instr) cInstr {
+	ci := cInstr{
+		op: xops[in.Op], pred: in.Pred, mask: maskOf(in.Ty), id: int32(in.ID),
+		slot: int32(in.Slot), t: int32(in.True), f: int32(in.False),
+		gidx: -1, nargs: uint8(len(in.Args)),
+	}
+	for k, a := range in.Args {
+		if k == 0 {
+			ci.a0 = c.compileArg(a)
+		} else {
+			ci.a1 = c.compileArg(a)
 		}
-		g := c.mod.Globals[gi]
-		scalar := g.Kind == ir.GScalar
+	}
+	if in.Op.IsStatefulMem() || in.Op == ir.OpCall && in.Global != "" {
+		ci.gidx = int32(c.p.gidx[in.Global])
+	}
+	switch in.Op {
+	case ir.OpGLoad, ir.OpGStore:
 		// Power-of-two arrays index with a mask instead of a modulo —
 		// identical result for unsigned indices, no hardware divide.
-		pow2 := g.Kind == ir.GArray && g.Len > 0 && g.Len&(g.Len-1) == 0
-		if in.Op == ir.OpGLoad {
-			switch {
-			case scalar:
-				return xGLoadS, nil
-			case pow2:
-				return xGLoadAP, nil
-			default:
-				return xGLoadA, nil
-			}
-		}
+		g := c.mod.Globals[ci.gidx]
+		load := in.Op == ir.OpGLoad
 		switch {
-		case scalar:
-			return xGStoreS, nil
-		case pow2:
-			return xGStoreAP, nil
+		case g.Kind == ir.GScalar:
+			ci.op = pick(load, xGLoadS, xGStoreS)
+		case g.Len&(g.Len-1) == 0:
+			ci.op = pick(load, xGLoadAP, xGStoreAP)
 		default:
-			return xGStoreA, nil
+			ci.op = pick(load, xGLoadA, xGStoreA)
 		}
 	case ir.OpCall:
-		return xCall, nil
-	case ir.OpBr:
-		return xBr, nil
-	case ir.OpCondBr:
-		return xCondBr, nil
-	case ir.OpRet:
-		return xRet, nil
-	default:
-		return 0, fmt.Errorf("unsupported opcode %s", in.Op)
+		ci.api, _ = ir.LookupAPI(in.Callee)
+		ci.op = apiOps[ci.api]
 	}
+	return ci
 }
 
-func (c *compiler) compileInstr(in *ir.Instr) (cInstr, error) {
-	ci := cInstr{
-		pred: in.Pred, mask: maskOf(in.Ty), id: int32(in.ID),
-		slot: int32(in.Slot), t: int32(in.True), f: int32(in.False),
-		gidx: -1,
+// pick returns load's op for a load and store's for a store.
+func pick(load bool, loadOp, storeOp xop) xop {
+	if load {
+		return loadOp
 	}
-	op, err := c.xopOf(in)
-	if err != nil {
-		return ci, err
-	}
-	ci.op = op
-	// Lowering keeps per-cell state in slices, so every cell an
-	// instruction names must exist.
-	if in.ID >= c.p.nvals {
-		return ci, fmt.Errorf("value %%%d out of range (%d values)", in.ID, c.p.nvals)
-	}
-	if in.Op.IsLocalMem() && (in.Slot < 0 || in.Slot >= c.p.nslots) {
-		return ci, fmt.Errorf("slot %d out of range (%d slots)", in.Slot, c.p.nslots)
-	}
-	if len(in.Args) > 2 {
-		return ci, fmt.Errorf("instruction %s has %d operands (max 2)", in.Op, len(in.Args))
-	}
-	ci.nargs = uint8(len(in.Args))
-	for k, a := range in.Args {
-		idx, err := c.compileArg(a)
-		if err != nil {
-			return ci, err
-		}
-		if k == 0 {
-			ci.a0 = idx
-		} else {
-			ci.a1 = idx
-		}
-	}
-	if in.Op == ir.OpGLoad || in.Op == ir.OpGStore || (in.Op == ir.OpCall && in.Global != "") {
-		gi, ok := c.p.gidx[in.Global]
-		if !ok {
-			return ci, fmt.Errorf("unknown global %q", in.Global)
-		}
-		ci.gidx = int32(gi)
-	}
-	if in.Op == ir.OpCall {
-		api, ok := ir.LookupAPI(in.Callee)
-		if !ok {
-			return ci, fmt.Errorf("unknown framework API %q", in.Callee)
-		}
-		if ci.api, ci.op = api, apiOps[api]; !isCallOp(ci.op) {
-			return ci, fmt.Errorf("framework API %q has no op", in.Callee)
-		}
-	}
-	return ci, nil
+	return storeOp
 }
 
 // RunPacket executes the handler for one packet. The packet's disposition
@@ -1025,7 +928,7 @@ func (m *Machine) reference(bi int) error {
 				return nil
 			}
 		}
-		if next < 0 { // checkInstr ends every block in a terminator
+		if next < 0 { // ir.Verify ends every block in a terminator
 			panic(fmt.Sprintf("interp: block %d fell through", bi))
 		}
 		bi = next

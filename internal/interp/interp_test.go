@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -411,9 +410,9 @@ void handle() { x = rand32(); pkt_send(0); }
 }
 
 // A module the step engine cannot lower must be refused by New and
-// Precompile with an error naming the module and block, not run on a
-// different engine forever. lang.Compile never emits these shapes; the IR
-// is hand-built.
+// Precompile with ir.Verify's error, wrapped with the module's name, not run
+// on a different engine forever. lang.Compile never emits these shapes; the
+// IR is hand-built.
 func TestNewRejectsUnlowerableModule(t *testing.T) {
 	midTerm := ir.NewBuilder(ir.HandlerName, ir.Void)
 	midTerm.Ret(nil)
@@ -433,14 +432,18 @@ func TestNewRejectsUnlowerableModule(t *testing.T) {
 		want string
 	}{
 		{&ir.Module{Name: "midterm", Func: midTerm.F},
-			"module midterm: block 0 has a terminator before its last instruction"},
+			"interp: midterm: func handle: b0: terminator ret not last"},
 		{&ir.Module{Name: "wrongkind", Func: wrongKind.F,
 			Globals: []*ir.Global{{Name: "tbl", Kind: ir.GArray, Elem: ir.U64, Len: 8}}},
-			`module wrongkind: block 1 calls map_find on "tbl", which is not a map`},
+			`interp: wrongkind: func handle: b1: %0 = call u64 @map_find<tbl> 1: "tbl" is not a map`},
 	} {
+		verr := ir.Verify(tc.mod)
+		if verr == nil || "interp: "+tc.mod.Name+": "+verr.Error() != tc.want {
+			t.Errorf("ir.Verify(%s) = %v, want it to give %q", tc.mod.Name, verr, tc.want)
+		}
 		_, err := New(tc.mod, Config{})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("New(%s) error = %v, want it to contain %q", tc.mod.Name, err, tc.want)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("New(%s) error = %v, want %q", tc.mod.Name, err, tc.want)
 		}
 		if perr := Precompile(tc.mod); perr == nil || perr.Error() != err.Error() {
 			t.Errorf("Precompile(%s) error = %v, want New's: %v", tc.mod.Name, perr, err)

@@ -16,7 +16,7 @@ func TestInterpreterInvariantsOnSynthCorpus(t *testing.T) {
 	for seed := int64(600); seed < 625; seed++ {
 		mod, src, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 2,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

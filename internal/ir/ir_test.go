@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +236,64 @@ func TestValueKindProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVerifyRejects holds Verify to every check the interpreter used to
+// make on its own when compiling a module (one case each, plus the call
+// arity and global-kind checks no consumer made): each mutation of a valid
+// module must be refused, with the message naming what is wrong.
+func TestVerifyRejects(t *testing.T) {
+	// before1 inserts in ahead of block 1's terminator.
+	before1 := func(m *Module, in *Instr) {
+		b := m.Func.Blocks[1]
+		b.Instrs = append([]*Instr{in}, b.Instrs...)
+	}
+	call := func(callee, global string, args ...Value) *Instr {
+		return &Instr{ID: -1, Op: OpCall, Callee: callee, Global: global, Args: args}
+	}
+	// In buildSimpleModule, block 0 is lstore, lload, add, icmp, cbr;
+	// block 1 a gstore and a br; block 2 a ret.
+	add := func(m *Module) *Instr { return m.Func.Blocks[0].Instrs[2] }
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Module)
+		want   string
+	}{
+		{"no handler", func(m *Module) { m.Func = nil }, `want one function, "handle"`},
+		{"empty block", func(m *Module) { m.Func.Blocks[2].Instrs = nil }, "block b2 (exit) not terminated"},
+		{"no terminator", func(m *Module) { m.Func.Blocks[1].Instrs = m.Func.Blocks[1].Instrs[:1] }, "block b1 (then) not terminated"},
+		{"terminator before last", func(m *Module) { before1(m, &Instr{ID: -1, Op: OpRet}) }, "b1: terminator ret not last"},
+		{"br target", func(m *Module) { m.Func.Blocks[1].Terminator().True = 7 }, "b1: br target out of range"},
+		{"cbr target", func(m *Module) { m.Func.Blocks[0].Terminator().False = 7 }, "b0: cbr target out of range"},
+		{"zero-length array", func(m *Module) {
+			m.Globals = append(m.Globals, &Global{Name: "arr", Kind: GArray, Elem: U32})
+		}, `global "arr": array of length 0`},
+		{"map API on a scalar", func(m *Module) { before1(m, call("map_size", "ctr")) }, `"ctr" is not a map`},
+		{"operand out of range", func(m *Module) { add(m).Args[0].ID = 99 }, "bad operand %99"},
+		{"operand kind", func(m *Module) { add(m).Args[0].Kind = VInvalid }, "invalid operand kind"},
+		{"unknown global", func(m *Module) { m.Func.Blocks[1].Instrs[0].Global = "nope" }, `unknown global "nope"`},
+		{"invalid opcode", func(m *Module) { add(m).Op = OpInvalid }, "b0: invalid opcode invalid"},
+		{"value out of range", func(m *Module) { add(m).ID = 99 }, "b0: value %99 out of range"},
+		{"slot out of range", func(m *Module) { m.Func.Blocks[0].Instrs[0].Slot = 5 }, "bad slot"},
+		{"too many operands", func(m *Module) {
+			add(m).Args = append(add(m).Args, ConstVal(3, U32))
+		}, "3 operands, want at most 2"},
+		{"stateless API naming a global", func(m *Module) { before1(m, call("pkt_drop", "nope")) }, `pkt_drop names global "nope" but takes none`},
+		{"unknown API", func(m *Module) { before1(m, call("nope", "")) }, `unknown framework API "nope"`},
+		{"call arity", func(m *Module) { before1(m, call("pkt_send", "")) }, "0 operands, want 1"},
+		{"global access to a map", func(m *Module) {
+			m.Globals = append(m.Globals, &Global{Name: "tbl", Kind: GMap, Key: U64, Elem: U64, Len: 16})
+			m.Func.Blocks[1].Instrs[0].Global = "tbl"
+		}, `"tbl" is a map, reached only through its API`},
+	} {
+		m := buildSimpleModule()
+		tc.mutate(m)
+		if err := Verify(m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := Verify(buildSimpleModule()); err != nil {
+		t.Errorf("unmutated module: %v", err)
 	}
 }

@@ -251,13 +251,23 @@ func (lo *lowerer) lowerStmt(s Stmt) error {
 			}
 			elseEnd = lo.b.Current()
 		}
-		join := lo.newBlock("join")
+		// When both arms leave, no path continues past the if: it gets no
+		// join block, and the builder stays on the branch, so what follows
+		// is dead code and is skipped like code after a return.
+		leaves := elseEnd != nil && thenEnd.Terminator() != nil && elseEnd.Terminator() != nil
+		var join *ir.Block
+		if !leaves {
+			join = lo.newBlock("join")
+		}
 		lo.b.SetBlock(curr)
 		lo.b.At(stmtPos(st)) // the branch belongs to the 'if' line
 		if elseB != nil {
 			lo.b.CondBr(cond, thenB, elseB)
 		} else {
 			lo.b.CondBr(cond, thenB, join)
+		}
+		if leaves {
+			return nil
 		}
 		if thenEnd.Terminator() == nil {
 			lo.b.SetBlock(thenEnd)
@@ -373,7 +383,11 @@ func (lo *lowerer) lowerLoop(head *ir.Block, cond Expr, post Stmt, body *BlockSt
 	if !lo.b.Terminated() {
 		lo.b.Br(cont)
 	}
-	if postB != nil {
+	// A body that always leaves without continue never reaches the post
+	// statement, and a loop without a condition is left only by break: the
+	// block nothing reached goes, and with no exit the builder stays on the
+	// loop's terminated head, so what follows is skipped as dead code.
+	if postB != nil && !lo.dropUnreached(postB) {
 		lo.b.SetBlock(postB)
 		if err := lo.lowerStmt(post); err != nil {
 			return err
@@ -382,8 +396,38 @@ func (lo *lowerer) lowerLoop(head *ir.Block, cond Expr, post Stmt, body *BlockSt
 			lo.b.Br(head)
 		}
 	}
+	if cond == nil && lo.dropUnreached(exit) {
+		lo.b.SetBlock(condEnd)
+		return nil
+	}
 	lo.b.SetBlock(exit)
 	return nil
+}
+
+// dropUnreached removes blk, which was created ahead of the code that
+// could branch to it, if no branch does; later blocks move down an index.
+func (lo *lowerer) dropUnreached(blk *ir.Block) bool {
+	f, k := lo.b.F, blk.Index
+	for _, b := range f.Blocks {
+		// A target field a terminator does not use is 0, the entry block,
+		// which is never dropped.
+		if t := b.Terminator(); t != nil && (t.True == k || t.False == k) {
+			return false
+		}
+	}
+	f.Blocks = append(f.Blocks[:k], f.Blocks[k+1:]...)
+	for i, b := range f.Blocks {
+		b.Index = i
+		if t := b.Terminator(); t != nil {
+			if t.True > k {
+				t.True--
+			}
+			if t.False > k {
+				t.False--
+			}
+		}
+	}
+	return true
 }
 
 func (lo *lowerer) lowerAssign(st *AssignStmt) error {
@@ -740,13 +784,25 @@ func (lo *lowerer) lowerIntrinsic(x *CallExpr, intr *ir.APIInfo) (ir.Value, erro
 	return lo.b.Call(intr.Name, global, intr.Ret, vals...), nil
 }
 
+// RecursionError is Lower's error for a call that re-enters a function
+// being inlined: NFC has no recursion, as baremetal NIC dialects have none.
+type RecursionError struct {
+	File string
+	Line int       // the line of the call
+	Func *FuncDecl // the function it re-enters
+}
+
+func (e *RecursionError) Error() string {
+	return fmt.Sprintf("%s:%d: recursive call to %q is not supported", e.File, e.Line, e.Func.Name)
+}
+
 // inlineCall lowers a user-function call by inlining its body, binding
 // parameters to fresh stack slots and routing returns through a shared exit
-// block. Recursion is rejected (baremetal NIC dialects forbid it too).
+// block. Recursion is rejected with a *RecursionError.
 func (lo *lowerer) inlineCall(x *CallExpr, fn *FuncDecl) (ir.Value, error) {
 	for _, ic := range lo.inlines {
 		if ic.fn == fn {
-			return ir.Value{}, lo.errf(x.Line, "recursive call to %q is not supported", fn.Name)
+			return ir.Value{}, &RecursionError{File: lo.file.Name, Line: x.Line, Func: fn}
 		}
 	}
 	if len(x.Args) != len(fn.Params) {

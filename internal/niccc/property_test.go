@@ -5,7 +5,6 @@ import (
 
 	"clara/internal/ir"
 	"clara/internal/isa"
-	"clara/internal/lang"
 	"clara/internal/synth"
 )
 
@@ -21,7 +20,7 @@ func TestCompilerInvariantsOnSynthCorpus(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		mod, src, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 2,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +74,7 @@ func TestMemInstrsCarryGlobals(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		mod, _, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 3,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +107,7 @@ func TestAccelConfigNeverChangesMemoryCounts(t *testing.T) {
 	for seed := int64(200); seed < 215; seed++ {
 		mod, _, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 2,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

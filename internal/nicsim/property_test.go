@@ -3,7 +3,6 @@ package nicsim
 import (
 	"testing"
 
-	"clara/internal/lang"
 	"clara/internal/synth"
 	"clara/internal/traffic"
 )
@@ -20,7 +19,7 @@ func TestSimulationInvariantsOnSynthCorpus(t *testing.T) {
 	for seed := int64(300); seed < 312; seed++ {
 		mod, src, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 1.5,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +79,7 @@ func TestColocationConservation(t *testing.T) {
 	for seed := int64(400); seed < 402; seed++ {
 		mod, _, err := synth.GenerateModule(synth.Config{
 			Profile: synth.UniformProfile(), Seed: seed, StateBias: 2.5,
-		}, lang.Compile)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestTraceReplayIndependentOfSweepOrder(t *testing.T) {
 	params := DefaultParams()
 	mod, _, err := synth.GenerateModule(synth.Config{
 		Profile: synth.UniformProfile(), Seed: 555, StateBias: 2,
-	}, lang.Compile)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

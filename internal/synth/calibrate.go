@@ -16,8 +16,7 @@ import (
 // elements to obtain representative AST distributions, and then feeds such
 // properties to the program generator": the generator's knobs are rates,
 // not final distributions, so the mapping must be inverted empirically.
-func Calibrate(target Profile, probeSize int, seed int64,
-	compile func(name, src string) (*ir.Module, error)) (Profile, error) {
+func Calibrate(target Profile, probeSize int, seed int64) (Profile, error) {
 	guide := clone(target)
 	for iter := 0; iter < 3; iter++ {
 		// Probe programs are independent (per-index seeds), so each
@@ -28,7 +27,7 @@ func Calibrate(target Profile, probeSize int, seed int64,
 			m, _, err := GenerateModule(Config{
 				Profile: guide,
 				Seed:    seed + int64(iter)*100000 + int64(i),
-			}, compile)
+			})
 			if err != nil {
 				return err
 			}

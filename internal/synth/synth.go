@@ -17,6 +17,7 @@ import (
 
 	"clara/internal/analysis"
 	"clara/internal/ir"
+	"clara/internal/lang"
 )
 
 // Profile captures the statistical properties of a program corpus that
@@ -72,7 +73,7 @@ func ProfileFromModules(mods []*ir.Module) Profile {
 				case in.Op.IsStatefulMem():
 					state++
 				case in.Op == ir.OpCall:
-					if code, ok := ir.LookupAPI(in.Callee); ok && ir.APIs[code].State != ir.GScalar {
+					if code, _ := ir.LookupAPI(in.Callee); ir.APIs[code].State != ir.GScalar {
 						state++
 					} else {
 						api++
@@ -205,12 +206,13 @@ func Generate(cfg Config) string {
 	return g.program()
 }
 
-// GenerateModule generates and lowers one element, panicking on internal
-// generator bugs (generated programs are valid by construction).
-func GenerateModule(cfg Config, compile func(name, src string) (*ir.Module, error)) (*ir.Module, string, error) {
+// GenerateModule generates one element and lowers it with lang.Compile; an
+// error marks a generator bug (generated programs are valid by
+// construction).
+func GenerateModule(cfg Config) (*ir.Module, string, error) {
 	src := Generate(cfg)
 	name := fmt.Sprintf("synth_%d", cfg.Seed)
-	m, err := compile(name, src)
+	m, err := lang.Compile(name, src)
 	if err != nil {
 		return nil, src, fmt.Errorf("synth: generated invalid program: %w", err)
 	}

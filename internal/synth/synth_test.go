@@ -107,7 +107,7 @@ func TestGuidedGenerationTracksProfile(t *testing.T) {
 	xorProf.OpWeights["^"] = 0.92
 	var mods []*ir.Module
 	for seed := int64(0); seed < 20; seed++ {
-		m, _, err := GenerateModule(Config{Profile: xorProf, Seed: seed}, lang.Compile)
+		m, _, err := GenerateModule(Config{Profile: xorProf, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ func TestStateBiasShiftsIntensity(t *testing.T) {
 	prof := UniformProfile()
 	low, high := 0.0, 0.0
 	for seed := int64(0); seed < 15; seed++ {
-		ml, _, err := GenerateModule(Config{Profile: prof, Seed: seed, StateBias: 0.2}, lang.Compile)
+		ml, _, err := GenerateModule(Config{Profile: prof, Seed: seed, StateBias: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mh, _, err := GenerateModule(Config{Profile: prof, Seed: seed, StateBias: 4}, lang.Compile)
+		mh, _, err := GenerateModule(Config{Profile: prof, Seed: seed, StateBias: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
